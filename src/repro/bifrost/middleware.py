@@ -328,21 +328,19 @@ class Bifrost:
         :class:`~repro.traffic.batch.RequestBatch` chunks (from a
         :class:`~repro.traffic.batch.BatchWorkloadGenerator`) and returns
         a :class:`~repro.simulation.batch.BatchRunResult`.  Engine events
-        interleave with requests exactly as in :meth:`run`; slices the
-        fast path cannot reproduce bit-identically (active fault
-        campaigns, resilience policies, shadow routes, ...) fall back to
-        the scalar path automatically.  Unlike :meth:`run`, per-request
-        outcomes are not retained — see ``docs/PERF_KERNEL.md``.
+        interleave with requests exactly as in :meth:`run`, and the
+        kernel itself executes fault campaigns, resilience policies and
+        breakers, partitions, shadow routes and trace subscribers
+        bit-identically; only a custom router or an unknown network gate
+        makes a slice fall back to the scalar path.  Unlike :meth:`run`,
+        per-request outcomes are not retained, and traces reach
+        :attr:`collector` only with ``record_traces=True`` or while it
+        has subscribers — see ``docs/PERF_KERNEL.md``.
         """
         from repro.simulation.batch import run_batches
 
         return run_batches(
-            self.simulation,
-            self.runtime,
-            batches,
-            until=until,
-            campaigns=tuple(self.campaigns),
-            options=options,
+            self.simulation, self.runtime, batches, until=until, options=options
         )
 
     def run_until_settled(

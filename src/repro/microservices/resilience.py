@@ -28,9 +28,12 @@ from __future__ import annotations
 import enum
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation.rng import SeededRng
 
 
 class BreakerState(enum.Enum):
@@ -280,8 +283,8 @@ class ResilienceLayer:
 
         No policies registered at any scope and no breaker config means
         ``policy_for`` always returns None, ``admit`` always allows, and
-        ``observe`` is a no-op — the precondition for the batch execution
-        kernel's fast path, which skips these hooks entirely.
+        ``observe`` is a no-op — so the batch execution kernel's plain
+        hop may skip these hooks entirely.
         """
         return (
             self.breaker_config is None
@@ -348,14 +351,31 @@ class ResilienceLayer:
         transitions.sort(key=lambda t: (t.time, t.service, t.version))
         return transitions
 
-    def admit(self, service: str, version: str, now: float) -> bool:
-        """Breaker admission check; emits transition events as they occur."""
+    def admit(
+        self,
+        service: str,
+        version: str,
+        now: float,
+        endpoint: str = "",
+        attempt: int = 0,
+    ) -> bool:
+        """Breaker admission check for one call attempt.
+
+        Emits transition events as they occur and, when the breaker
+        refuses the call, a ``BREAKER_REJECT`` event for it.
+        """
         breaker = self.breaker(service, version)
         if breaker is None:
             return True
         before = len(breaker.transitions)
         allowed = breaker.allow(now)
         self._emit_transitions(breaker, before)
+        if not allowed:
+            self.emit(
+                ResilienceEvent(
+                    BREAKER_REJECT, now, service, version, endpoint, attempt
+                )
+            )
         return allowed
 
     def observe(self, service: str, version: str, now: float, success: bool) -> None:
@@ -378,6 +398,87 @@ class ResilienceLayer:
                     detail=f"{transition.source.value}->{transition.target.value}",
                 )
             )
+
+    # -- the per-hop attempt loop -------------------------------------------
+
+    def call_with_policy(
+        self,
+        policy: CallPolicy,
+        service: str,
+        endpoint: str,
+        start: float,
+        rng: "SeededRng",
+        attempt: Callable[[float, int], tuple[float, bool, str]],
+    ) -> tuple[float, bool]:
+        """Run one hop under *policy*; returns (observed duration ms, error).
+
+        ``attempt(attempt_start, n)`` executes attempt *n* and returns its
+        ``(duration_ms, error, version)``.  The loop applies the timeout
+        and retries failures with exponential backoff plus jitter drawn
+        from *rng* (only when ``jitter_ms > 0``); all attempt durations
+        and backoff pauses are charged to the observed duration.  When
+        every attempt failed and the policy allows it, a fallback
+        response is served instead of an error.  The scalar runtime and
+        the batch kernel both execute policies through this one loop.
+        """
+        elapsed_ms = 0.0
+        attempts = policy.max_retries + 1
+        version = ""
+        for n in range(attempts):
+            attempt_start = start + elapsed_ms / 1000.0
+            duration, error, version = attempt(attempt_start, n)
+            timed_out = (
+                policy.timeout_ms is not None and duration > policy.timeout_ms
+            )
+            if timed_out:
+                # The caller stops waiting at the timeout; the callee's
+                # span keeps its full duration but only the wait charges.
+                elapsed_ms += policy.timeout_ms
+                self.emit(
+                    ResilienceEvent(
+                        TIMEOUT,
+                        attempt_start,
+                        service,
+                        version,
+                        endpoint,
+                        n,
+                        detail=f"{duration:.1f}ms > {policy.timeout_ms:.1f}ms",
+                    )
+                )
+            else:
+                elapsed_ms += duration
+            if not error and not timed_out:
+                return elapsed_ms, False
+            if n + 1 < attempts:
+                backoff = policy.backoff_ms(n + 1)
+                if policy.jitter_ms > 0:
+                    backoff += rng.uniform(0.0, policy.jitter_ms)
+                elapsed_ms += backoff
+                self.emit(
+                    ResilienceEvent(
+                        RETRY,
+                        start + elapsed_ms / 1000.0,
+                        service,
+                        version,
+                        endpoint,
+                        n + 1,
+                        detail=f"backoff={backoff:.1f}ms",
+                    )
+                )
+        if policy.fallback:
+            elapsed_ms += policy.fallback_latency_ms
+            self.emit(
+                ResilienceEvent(
+                    FALLBACK,
+                    start + elapsed_ms / 1000.0,
+                    service,
+                    version,
+                    endpoint,
+                    attempts - 1,
+                )
+            )
+            return elapsed_ms, False
+        return elapsed_ms, True
 
     # -- events ------------------------------------------------------------
 

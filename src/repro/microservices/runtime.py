@@ -30,14 +30,7 @@ from typing import Protocol
 
 from repro.errors import ExecutionError
 from repro.microservices.application import Application
-from repro.microservices.resilience import (
-    BREAKER_REJECT,
-    FALLBACK,
-    RETRY,
-    TIMEOUT,
-    ResilienceEvent,
-    ResilienceLayer,
-)
+from repro.microservices.resilience import ResilienceLayer
 from repro.simulation.clock import SimulationClock
 from repro.simulation.rng import SeededRng
 from repro.telemetry.monitor import Monitor
@@ -175,26 +168,6 @@ class Runtime:
 
     # -- batch fast-path hooks ---------------------------------------------
 
-    def fast_path_blockers(self) -> list[str]:
-        """Runtime-level reasons the batch kernel must not bypass ``_call``.
-
-        Empty means every per-hop hook this runtime would invoke is a
-        no-op: no resilience policies or breakers, and no network gate
-        that could fail a link.  The batch driver combines these with
-        its own slice-level checks (routes, campaigns, subscribers).
-        """
-        reasons: list[str] = []
-        if not self.resilience.passthrough:
-            reasons.append("resilience-policies")
-        if self.network is not None:
-            partitions = getattr(self.network, "partitions", None)
-            if partitions is None:
-                # Unknown gate implementation: can't prove it inert.
-                reasons.append("network-gate")
-            elif partitions:
-                reasons.append("network-partitions")
-        return reasons
-
     def next_trace_id(self) -> str:
         """Allocate the next trace id (shared scalar/batch numbering)."""
         return f"t{next(self._trace_counter):09d}"
@@ -263,11 +236,9 @@ class Runtime:
     ) -> tuple[float, bool]:
         """Execute one hop under its :class:`CallPolicy` (if any).
 
-        Runs the call, applies the timeout, and retries failures with
-        exponential backoff plus seeded jitter; all attempt durations and
-        backoff pauses are charged to the observed duration.  When every
-        attempt failed and the policy allows it, a fallback response is
-        served instead of an error.
+        The attempt loop (timeout, retries with seeded backoff jitter,
+        fallback) is :meth:`ResilienceLayer.call_with_policy`, shared
+        with the batch kernel.
         """
         policy = self.resilience.policy_for(service, endpoint)
         if policy is None or shadow:
@@ -276,69 +247,18 @@ class Runtime:
                 start, depth, shadow, spans, versions,
             )
             return duration, error
-
-        elapsed_ms = 0.0
-        attempts = policy.max_retries + 1
-        version = ""
-        for attempt in range(attempts):
-            attempt_start = start + elapsed_ms / 1000.0
-            duration, error, version = self._call(
+        return self.resilience.call_with_policy(
+            policy,
+            service,
+            endpoint,
+            start,
+            self.rng,
+            lambda attempt_start, attempt: self._call(
                 request, trace_id, parent_id, caller, service, endpoint,
                 attempt_start, depth, shadow, spans, versions,
                 attempt=attempt,
-            )
-            timed_out = (
-                policy.timeout_ms is not None and duration > policy.timeout_ms
-            )
-            if timed_out:
-                # The caller stops waiting at the timeout; the callee's
-                # span keeps its full duration but only the wait charges.
-                elapsed_ms += policy.timeout_ms
-                self.resilience.emit(
-                    ResilienceEvent(
-                        TIMEOUT,
-                        attempt_start,
-                        service,
-                        version,
-                        endpoint,
-                        attempt,
-                        detail=f"{duration:.1f}ms > {policy.timeout_ms:.1f}ms",
-                    )
-                )
-            else:
-                elapsed_ms += duration
-            if not error and not timed_out:
-                return elapsed_ms, False
-            if attempt + 1 < attempts:
-                backoff = policy.backoff_ms(attempt + 1)
-                if policy.jitter_ms > 0:
-                    backoff += self.rng.uniform(0.0, policy.jitter_ms)
-                elapsed_ms += backoff
-                self.resilience.emit(
-                    ResilienceEvent(
-                        RETRY,
-                        start + elapsed_ms / 1000.0,
-                        service,
-                        version,
-                        endpoint,
-                        attempt + 1,
-                        detail=f"backoff={backoff:.1f}ms",
-                    )
-                )
-        if policy.fallback:
-            elapsed_ms += policy.fallback_latency_ms
-            self.resilience.emit(
-                ResilienceEvent(
-                    FALLBACK,
-                    start + elapsed_ms / 1000.0,
-                    service,
-                    version,
-                    endpoint,
-                    attempts - 1,
-                )
-            )
-            return elapsed_ms, False
-        return elapsed_ms, True
+            ),
+        )
 
     def _call(
         self,
@@ -375,34 +295,22 @@ class Runtime:
         if attempt > 0:
             base_tags["retry_attempt"] = str(attempt)
 
-        # Network partition: the link between caller and callee is down;
-        # the call fails before any work happens on the callee.
+        # A refused call fails before any work happens on the callee.
+        # Network partition: the link between caller and callee is down.
+        # Circuit breaker: an open breaker rejects the call outright.
+        refusal = None
         if (
             caller is not None
             and self.network is not None
             and self.network.is_partitioned(caller, service)
         ):
-            spans.append(
-                Span(
-                    span_id=next_span_id(),
-                    trace_id=trace_id,
-                    parent_id=parent_id,
-                    service=service,
-                    version=version_name,
-                    endpoint=endpoint,
-                    start=start,
-                    duration_ms=0.0,
-                    error=True,
-                    tags={**base_tags, "fault": "partition"},
-                )
-            )
-            if not shadow:
-                versions.append((service, version_name))
+            refusal = {"fault": "partition"}
             self.resilience.observe(service, version_name, start, success=False)
-            return 0.0, True, version_name
-
-        # Circuit breaker: an open breaker rejects the call outright.
-        if not self.resilience.admit(service, version_name, start):
+        elif not self.resilience.admit(
+            service, version_name, start, endpoint, attempt
+        ):
+            refusal = {"breaker": "open"}
+        if refusal is not None:
             spans.append(
                 Span(
                     span_id=next_span_id(),
@@ -414,16 +322,11 @@ class Runtime:
                     start=start,
                     duration_ms=0.0,
                     error=True,
-                    tags={**base_tags, "breaker": "open"},
+                    tags={**base_tags, **refusal},
                 )
             )
             if not shadow:
                 versions.append((service, version_name))
-            self.resilience.emit(
-                ResilienceEvent(
-                    BREAKER_REJECT, start, service, version_name, endpoint, attempt
-                )
-            )
             return 0.0, True, version_name
 
         spec = version.endpoint(endpoint)

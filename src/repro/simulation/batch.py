@@ -18,13 +18,21 @@ Equivalence contract (property-tested in
   sequences into the metric store — so routing decisions, metric
   aggregates, and therefore every promotion/abort decision an engine
   makes on top of them are bit-identical, not statistically close.
-- Anything the fast path cannot reproduce exactly — resilience
-  policies, open-ended network gates, active fault campaigns, shadow
-  routes, header audiences, trace subscribers — is detected *per
-  slice* and that slice falls back to the scalar path wholesale
-  (:class:`BatchRunResult` counts slices and reasons).  Event
-  boundaries delimit slices, and all of those conditions only change
-  at events, so a condition can never flip mid-slice.
+- A slice runs one of two hops, picked once per slice from state the
+  kernel can observe.  The *plain* hop covers slices where every
+  per-hop hook is a no-op.  The *general* hop additionally executes
+  what the scalar ``Runtime._dispatch``/``_call`` do around a hop —
+  call policies (timeouts, retries, fallbacks), circuit breakers,
+  network partitions, dark-launch shadow replays — and materializes
+  spans for the trace collector when traces are recorded or the
+  collector has stream subscribers.  Fault campaigns need no hook at
+  all: they rewrite endpoint specs at engine events, and nodes are
+  compiled from the specs per slice.
+- Only what the kernel cannot inspect — a custom router or an unknown
+  network-gate implementation — makes a slice fall back to the scalar
+  path wholesale (:class:`BatchRunResult` counts slices and reasons).
+  Event boundaries delimit slices, and all of these conditions only
+  change at events, so a condition can never flip mid-slice.
 
 Memory behaviour: the kernel buffers per-(service, version) metric
 columns in plain lists and flushes them with
@@ -39,6 +47,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -53,7 +62,6 @@ from repro.simulation.latency import (
 from repro.tracing.span import Span, next_span_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.microservices.faults import FaultCampaign
     from repro.microservices.runtime import Runtime
     from repro.simulation.engine import SimulationEngine
     from repro.traffic.batch import RequestBatch
@@ -139,9 +147,10 @@ class BatchOptions:
         record_traces: when True, the fast path materializes real spans
             and feeds the trace collector per request (slower, but the
             traces are bit-identical to the scalar path's); when False
-            (default), traces are skipped entirely and only metrics are
-            recorded — trace ids are still consumed so later scalar
-            requests keep their scalar-run ids.
+            (default), spans are built only while the collector has
+            stream subscribers, otherwise traces are skipped and only
+            metrics are recorded — trace ids are still consumed so
+            later scalar requests keep their scalar-run ids.
         ring_capacity: size of the recent-durations ring on the result.
     """
 
@@ -257,6 +266,14 @@ def _compile_sampler(model, kernel):
             return _inner(load) * (1.0 + _p * max(0.0, load - 1.0))
 
         return sample, True
+    # Imported here: faults imports the simulation package at module level.
+    from repro.microservices.faults import _ScaledLatency
+
+    if kind is _ScaledLatency:
+        inner, needs_load = _compile_sampler(model.base, kernel)
+        return (
+            lambda load, _inner=inner, _f=model.factor: _inner(load) * _f
+        ), needs_load
     seeded = kernel.seeded
     return (lambda load, _m=model, _rng=seeded: _m.sample(_rng, load)), True
 
@@ -282,16 +299,19 @@ _N_ENDPOINT = 13
 class _SliceKernel:
     """Compiled execution state for one event-free slice of requests.
 
-    Built fresh per slice: routes, endpoint specs, and fault state only
-    change at engine events (= slice boundaries), so everything resolved
-    here — samplers, error rates, children, variant thresholds — is
-    constant for the slice's lifetime.  Children are resolved *lazily*
-    during execution (descriptors, not node references) so probabilistic
-    call cycles behave exactly like the scalar path: the depth guard
-    trips only when a request actually recurses past the limit.
+    Built fresh per slice: routes, endpoint specs, policies, partitions,
+    and subscribers only change at engine events (= slice boundaries), so
+    everything resolved here — samplers, error rates, children, variant
+    thresholds, which hop runs — is constant for the slice's lifetime.
+    Children are resolved *lazily* during execution (descriptors, not
+    node references) so probabilistic call cycles behave exactly like
+    the scalar path: the depth guard trips only when a request actually
+    recurses past the limit.
     """
 
-    def __init__(self, runtime: "Runtime", router, population) -> None:
+    def __init__(
+        self, runtime: "Runtime", router, population, record_traces: bool
+    ) -> None:
         self._runtime = runtime
         self._router = router
         self._app = runtime.application
@@ -306,6 +326,28 @@ class _SliceKernel:
         self._edges: dict = {}
         self._route_recs: dict = {}
         self._buffers: dict = {}
+        # Which hop this slice runs.  The runtime's own resilience layer
+        # is used, so breaker state and the event log stay continuous
+        # across slices and across scalar requests.
+        self._resilience = runtime.resilience
+        self._breakers = runtime.resilience.breaker_config is not None
+        network = runtime.network
+        self._network = (
+            network if network is not None and network.partitions else None
+        )
+        self._spans = record_traces or runtime.collector.has_subscribers
+        self._general = (
+            self._spans
+            or self._network is not None
+            or not runtime.resilience.passthrough
+            or (
+                router is not None
+                and any(
+                    router.active_route(service).shadow_versions
+                    for service in router.routed_services
+                )
+            )
+        )
 
     # -- compilation -------------------------------------------------------
 
@@ -318,15 +360,18 @@ class _SliceKernel:
         return self._edge(service, endpoint)
 
     def _edge(self, service: str, endpoint: str):
-        """An edge is ``(route_record | None, node | {version: node})``."""
+        """An edge is ``(route_record | None, node | {version: node},
+        (policy, service, endpoint) | None, shadow nodes)``."""
         key = (service, endpoint)
         edge = self._edges.get(key)
         if edge is not None:
             return edge
+        policy = self._resilience.policy_for(service, endpoint)
+        plan = None if policy is None else (policy, service, endpoint)
         router = self._router
         route = router.active_route(service) if router is not None else None
         if route is None:
-            edge = (None, self._node(service, endpoint, None, 0.0))
+            edge = (None, self._node(service, endpoint, None, 0.0), plan, ())
         else:
             rec = self._route_rec(service, route)
             nodes = {}
@@ -339,13 +384,22 @@ class _SliceKernel:
                 nodes[stable] = self._node(
                     service, endpoint, stable, self._proxy_ms
                 )
-            edge = (rec, nodes)
+            # Dark-launch duplicates are forced to their version and
+            # bypass the proxy.
+            svc = self._app.service(service)
+            shadows = tuple(
+                self._node(service, endpoint, version, 0.0)
+                for version in route.shadow_versions
+                if svc.has_version(version)
+            )
+            edge = (rec, nodes, plan, shadows)
         self._edges[key] = edge
         return edge
 
     def _route_rec(self, service: str, route):
         """Per-service routing record: [memo, assigner, variants, eligible
-        group codes (None = all), stable version]."""
+        group codes (None = all), stable version, required headers (None =
+        none)]."""
         rec = self._route_recs.get(service)
         if rec is None:
             eligible = None
@@ -359,14 +413,22 @@ class _SliceKernel:
                 self._router.assigner(route.experiment) if route.variants else None
             )
             stable = self._app.service(service).stable_version
-            rec = [{}, assigner, route.variants, eligible, stable]
+            rec = [
+                {},
+                assigner,
+                route.variants,
+                eligible,
+                stable,
+                route.audience.headers or None,
+            ]
             self._route_recs[service] = rec
         return rec
 
     def _node(self, service: str, endpoint: str, version_name: str | None, proxy_ms: float):
         if version_name is None:
             version_name = self._app.service(service).stable_version
-        key = (service, endpoint, version_name)
+        # Routed and forced (shadow) nodes of one version differ in cost.
+        key = (service, endpoint, version_name, proxy_ms)
         node = self._nodes.get(key)
         if node is not None:
             return node
@@ -395,11 +457,21 @@ class _SliceKernel:
 
     # -- variant assignment ------------------------------------------------
 
-    def _assign(self, rec, user_index: int, group_code: int) -> str:
+    def _matches(self, rec, user_index: int, group_code: int) -> bool:
+        """Whether the route's audience includes this user — scalar
+        ``AudienceFilter.matches``.  A batch row's headers are exactly
+        ``{"user-id": user_id}`` (``RequestBatch.request``), so a header
+        filter is decidable per user."""
         eligible = rec[3]
         if eligible is not None and group_code not in eligible:
-            version = rec[4]
-        elif rec[2]:
+            return False
+        if rec[5] is None:
+            return True
+        row = {"user-id": self._population.user_at(user_index)}
+        return all(row.get(key) == value for key, value in rec[5].items())
+
+    def _assign(self, rec, user_index: int, group_code: int) -> str:
+        if rec[2] and self._matches(rec, user_index, group_code):
             version = rec[1].assign(
                 self._population.user_at(user_index), rec[2]
             )
@@ -418,10 +490,12 @@ class _SliceKernel:
         :meth:`~repro.routing.assignment.StickyAssigner.assign_many`
         call.  Probabilistically-reached services keep the lazy per-user
         path so the assigner's distinct-user bookkeeping only ever sees
-        users the scalar path would have assigned.
+        users the scalar path would have assigned.  A partition or an
+        open breaker can cut any call short, so with either present
+        nothing is certain and every assignment stays lazy.
         """
         router = self._router
-        if router is None:
+        if router is None or self._breakers or self._network is not None:
             return
         routed = router.routed_services
         if not routed:
@@ -449,27 +523,21 @@ class _SliceKernel:
             if not route.variants:
                 continue
             rec = self._route_rec(service, route)
-            memo, assigner, variants, eligible, stable = rec
-            if eligible is None:
-                user_ids = [population.user_at(i) for i in distinct]
-                for index, version in zip(
-                    distinct, assigner.assign_many(user_ids, variants)
-                ):
-                    memo[index] = version
-            else:
-                kept_indices: list[int] = []
-                kept_ids: list[str] = []
+            memo, assigner, variants, eligible, stable, headers = rec
+            kept = distinct
+            if eligible is not None or headers is not None:
+                kept = []
                 for index in distinct:
-                    if group_codes[index] in eligible:
-                        kept_indices.append(index)
-                        kept_ids.append(population.user_at(index))
+                    if self._matches(rec, index, group_codes[index]):
+                        kept.append(index)
                     else:
                         memo[index] = stable
-                if kept_ids:
-                    for index, version in zip(
-                        kept_indices, assigner.assign_many(kept_ids, variants)
-                    ):
-                        memo[index] = version
+            if kept:
+                kept_ids = [population.user_at(i) for i in kept]
+                for index, version in zip(
+                    kept, assigner.assign_many(kept_ids, variants)
+                ):
+                    memo[index] = version
 
     def _certain_services(self, entry: str) -> set[str]:
         """Services every request entering at *entry* traverses for sure.
@@ -521,89 +589,70 @@ class _SliceKernel:
     def run_slice(
         self, batch: "RequestBatch", lo: int, hi: int, now: float
     ) -> tuple[float, list, int]:
-        """Execute rows [lo, hi) without traces; returns (clock, durations,
-        error count)."""
-        timestamps = batch.timestamps[lo:hi].tolist()
-        user_indices = batch.user_indices[lo:hi].tolist()
-        group_codes = self._group_codes
-        if len(batch.entries) == 1:
-            single = self.entry_edge(batch.entries[0])
-            entry_codes = None
-            table = None
-        else:
-            table = [self.entry_edge(entry) for entry in batch.entries]
-            entry_codes = batch.entry_codes[lo:hi].tolist()
-            single = None
-        execute = self._execute
-        durations: list = []
-        append = durations.append
-        errors = 0
-        for row in range(len(timestamps)):
-            ts = timestamps[row]
-            if ts > now:
-                now = ts
-            user = user_indices[row]
-            edge = single if entry_codes is None else table[entry_codes[row]]
-            duration, error = execute(edge, now, user, group_codes[user], 0)
-            append(duration)
-            if error:
-                errors += 1
-        return now, durations, errors
+        """Execute rows [lo, hi); returns (clock, durations, error count).
 
-    def run_slice_recording(
-        self, batch: "RequestBatch", lo: int, hi: int, now: float
-    ) -> tuple[float, list, int]:
-        """Like :meth:`run_slice` but materializes real spans and feeds the
-        trace collector per request, with scalar-identical trace ids."""
-        runtime = self._runtime
-        collector = runtime.collector
+        Trace ids stay scalar-identical: one is formatted per request
+        when spans are materialized, otherwise the same number is burned
+        in O(1).
+        """
         timestamps = batch.timestamps[lo:hi].tolist()
         user_indices = batch.user_indices[lo:hi].tolist()
-        group_codes = self._group_codes
-        population = self._population
-        group_names = population.group_names
         if len(batch.entries) == 1:
-            single = self.entry_edge(batch.entries[0])
-            entry_codes = None
-            table = None
+            edges = repeat(self.entry_edge(batch.entries[0]))
         else:
             table = [self.entry_edge(entry) for entry in batch.entries]
-            entry_codes = batch.entry_codes[lo:hi].tolist()
-            single = None
-        execute = self._execute_recording
+            edges = [table[code] for code in batch.entry_codes[lo:hi].tolist()]
+        group_codes = self._group_codes
+        runtime = self._runtime
         durations: list = []
         append = durations.append
         errors = 0
-        for row in range(len(timestamps)):
-            ts = timestamps[row]
-            if ts > now:
-                now = ts
-            user = user_indices[row]
-            edge = single if entry_codes is None else table[entry_codes[row]]
-            trace_id = runtime.next_trace_id()
-            spans: list[Span] = []
-            group_code = group_codes[user]
-            duration, error = execute(
-                edge,
-                now,
-                user,
-                group_code,
-                0,
-                trace_id,
-                None,
-                spans,
-                group_names[group_code],
-                population.user_at(user),
-            )
-            collector.record_trace(trace_id, spans)
-            runtime.requests_executed += 1
-            append(duration)
-            if error:
-                errors += 1
+        if not self._general:
+            execute = self._execute
+            for ts, user, edge in zip(timestamps, user_indices, edges):
+                if ts > now:
+                    now = ts
+                duration, error = execute(edge, now, user, group_codes[user], 0)
+                append(duration)
+                if error:
+                    errors += 1
+        else:
+            population = self._population
+            group_names = population.group_names
+            collector = runtime.collector
+            dispatch = self._dispatch
+            trace_id = spans = None
+            for ts, user, edge in zip(timestamps, user_indices, edges):
+                if ts > now:
+                    now = ts
+                group_code = group_codes[user]
+                if self._spans:
+                    trace_id = runtime.next_trace_id()
+                    spans = []
+                # Per-request context: user index, group code, trace id,
+                # span sink (None = no spans), group name, user id.
+                ctx = (
+                    user,
+                    group_code,
+                    trace_id,
+                    spans,
+                    group_names[group_code],
+                    population.user_at(user),
+                )
+                duration, error = dispatch(edge, None, now, 0, False, None, ctx)
+                if spans is not None:
+                    collector.record_trace(trace_id, spans)
+                append(duration)
+                if error:
+                    errors += 1
+        if not self._spans:
+            runtime.advance_trace_ids(len(durations))
+        runtime.requests_executed += len(durations)
         return now, durations, errors
 
     def _execute(self, edge, start: float, user: int, group_code: int, depth: int):
-        """One hop (plus children), scalar ``Runtime._call`` draw-for-draw."""
+        """The plain hop (plus children): scalar ``Runtime._call`` draw-for-
+        draw when no policy, breaker, partition, shadow, or span applies."""
         if depth > _MAX_CALL_DEPTH:
             raise ExecutionError(
                 f"call depth exceeded {_MAX_CALL_DEPTH}; cyclic topology?"
@@ -662,31 +711,93 @@ class _SliceKernel:
         node[_N_ERR_BUF].append(error)
         return duration, error
 
-    def _execute_recording(
+    def _dispatch(
+        self, edge, caller, start: float, depth: int, shadow: bool, parent_id, ctx
+    ):
+        """The general hop under its call policy — scalar ``Runtime._dispatch``."""
+        plan = edge[2]
+        if plan is None or shadow:
+            duration, error, _ = self._call(
+                edge, None, caller, start, depth, shadow, parent_id, ctx, 0
+            )
+            return duration, error
+        policy, service, endpoint = plan
+        return self._resilience.call_with_policy(
+            policy,
+            service,
+            endpoint,
+            start,
+            self.seeded,
+            lambda attempt_start, attempt: self._call(
+                edge, None, caller, attempt_start, depth, False, parent_id,
+                ctx, attempt,
+            ),
+        )
+
+    def _call(
         self,
         edge,
+        forced,
+        caller,
         start: float,
-        user: int,
-        group_code: int,
         depth: int,
-        trace_id: str,
-        parent_id: str | None,
-        spans: list,
-        group: str,
-        user_id: str,
+        shadow: bool,
+        parent_id,
+        ctx,
+        attempt: int,
     ):
+        """One attempt of the general hop — scalar ``Runtime._call`` with
+        every hook: partition, breaker admission, optional span, breaker
+        observation, shadow replays.  *forced* pins the node (a shadow
+        replay); returns (duration ms, error, version)."""
         if depth > _MAX_CALL_DEPTH:
             raise ExecutionError(
                 f"call depth exceeded {_MAX_CALL_DEPTH}; cyclic topology?"
             )
-        rec = edge[0]
-        if rec is None:
+        user, group_code, _, spans, group, user_id = ctx
+        shadows = ()
+        if forced is not None:
+            node = forced
+        elif edge[0] is None:
             node = edge[1]
         else:
+            rec = edge[0]
             version = rec[0].get(user)
             if version is None:
                 version = self._assign(rec, user, group_code)
             node = edge[1][version]
+            shadows = edge[3]
+            if shadows and not self._matches(rec, user, group_code):
+                shadows = ()
+        service = node[_N_SERVICE]
+        version = node[_N_VERSION]
+        tags = None
+        if spans is not None:
+            tags = {"group": group, "user": user_id}
+            if shadow:
+                tags["shadow"] = "true"
+            if attempt > 0:
+                tags["retry_attempt"] = str(attempt)
+        resilience = self._resilience
+        # A refused call fails before any callee work: no draws, a
+        # zero-duration error sample.
+        refusal = None
+        if (
+            self._network is not None
+            and caller is not None
+            and self._network.is_partitioned(caller, service)
+        ):
+            refusal = {"fault": "partition"}
+            resilience.observe(service, version, start, success=False)
+        elif self._breakers and not resilience.admit(
+            service, version, start, node[_N_ENDPOINT], attempt
+        ):
+            refusal = {"breaker": "open"}
+        if refusal is not None:
+            if tags is not None:
+                tags.update(refusal)
+            self._finish(node, ctx, None, parent_id, start, 0.0, True, tags)
+            return 0.0, True, version
         arrivals = node[_N_ARRIVALS]
         arrivals.append(start)
         cutoff = start - self._window
@@ -703,61 +814,65 @@ class _SliceKernel:
         error = self._random() < node[_N_ERROR_RATE]
         # Span ids are allocated pre-order (before children), span objects
         # appended post-order — the scalar path's exact interleaving.
-        span_id = next_span_id()
-        children = node[_N_CHILDREN]
-        if children:
-            child_start = start + 0.3 * own_latency / 1000.0
-            children_duration = 0.0
-            slowest_child = 0.0
-            parallel = node[_N_PARALLEL]
-            random = self._random
-            edges = self._edges
-            for probability, child_service, child_endpoint in children:
-                if probability < 1.0 and random() >= probability:
-                    continue
-                child_edge = edges.get((child_service, child_endpoint))
-                if child_edge is None:
-                    child_edge = self._edge(child_service, child_endpoint)
-                offset = 0.0 if parallel else children_duration / 1000.0
-                child_duration, failed = self._execute_recording(
-                    child_edge,
-                    child_start + offset,
-                    user,
-                    group_code,
-                    depth + 1,
-                    trace_id,
-                    span_id,
-                    spans,
-                    group,
-                    user_id,
-                )
-                children_duration += child_duration
-                if child_duration > slowest_child:
-                    slowest_child = child_duration
-                if failed:
-                    error = True
-            waited = slowest_child if parallel else children_duration
-            duration = own_latency + node[_N_PROXY_MS] + waited
-        else:
-            duration = own_latency + node[_N_PROXY_MS]
-        spans.append(
-            Span(
-                span_id=span_id,
-                trace_id=trace_id,
-                parent_id=parent_id,
-                service=node[_N_SERVICE],
-                version=node[_N_VERSION],
-                endpoint=node[_N_ENDPOINT],
-                start=start,
-                duration_ms=duration,
-                error=error,
-                tags={"group": group, "user": user_id},
+        span_id = next_span_id() if spans is not None else None
+        children_duration = 0.0
+        slowest_child = 0.0
+        child_start = start + 0.3 * own_latency / 1000.0
+        parallel = node[_N_PARALLEL]
+        for probability, child_service, child_endpoint in node[_N_CHILDREN]:
+            if probability < 1.0 and self._random() >= probability:
+                continue
+            child_edge = self._edges.get((child_service, child_endpoint))
+            if child_edge is None:
+                child_edge = self._edge(child_service, child_endpoint)
+            offset = 0.0 if parallel else children_duration / 1000.0
+            child_duration, failed = self._dispatch(
+                child_edge, service, child_start + offset, depth + 1, shadow,
+                span_id, ctx,
             )
-        )
+            children_duration += child_duration
+            if child_duration > slowest_child:
+                slowest_child = child_duration
+            if failed:
+                error = True
+        waited = slowest_child if parallel else children_duration
+        duration = own_latency + node[_N_PROXY_MS] + waited
+        self._finish(node, ctx, span_id, parent_id, start, duration, error, tags)
+        if self._breakers:
+            resilience.observe(
+                service, version, start + duration / 1000.0, success=not error
+            )
+        # Dark-launch duplication: replay the hop against each shadow
+        # version; the result never reaches the user.
+        for shadow_node in shadows:
+            self._call(
+                edge, shadow_node, caller, start, depth + 1, True, span_id, ctx, 0
+            )
+        return duration, error, version
+
+    def _finish(
+        self, node, ctx, span_id, parent_id, start, duration, error, tags
+    ) -> None:
+        """Buffer one hop's sample and, when spans are on, append its span
+        (a refused hop has no children, so it gets its id only here)."""
+        if tags is not None:
+            ctx[3].append(
+                Span(
+                    span_id=span_id or next_span_id(),
+                    trace_id=ctx[2],
+                    parent_id=parent_id,
+                    service=node[_N_SERVICE],
+                    version=node[_N_VERSION],
+                    endpoint=node[_N_ENDPOINT],
+                    start=start,
+                    duration_ms=duration,
+                    error=error,
+                    tags=tags,
+                )
+            )
         node[_N_TS_BUF].append(start)
         node[_N_DUR_BUF].append(duration)
         node[_N_ERR_BUF].append(error)
-        return duration, error
 
     def flush(self) -> None:
         """Drain the metric buffers into the store in bulk.
@@ -766,6 +881,9 @@ class _SliceKernel:
         the scalar path's record order, and ``MetricStore.extend`` is
         order-equivalent to repeated ``record`` calls — so windowed
         aggregates (and every check decision derived from them) match.
+        The ``resilience.*`` series the general hop's events write
+        immediately are different keys, so their relative order to the
+        buffered span samples is unobservable.
         """
         store = self._runtime.monitor.store
         for (service, version), (ts_buf, dur_buf, err_buf) in self._buffers.items():
@@ -794,39 +912,22 @@ class _SliceKernel:
             err_buf.clear()
 
 
-def slice_blockers(
-    runtime: "Runtime",
-    campaigns: Iterable["FaultCampaign"],
-    at: float,
-    record_traces: bool,
-) -> list[str]:
-    """Why the slice starting at *at* cannot take the fast path ([] = it can).
+def slice_blockers(runtime: "Runtime") -> list[str]:
+    """Why a slice cannot run on the kernel ([] = it can).
 
-    Every condition here either only changes at engine events (fault
-    activation/revert, route installs, breaker state) or is static for
-    the run (policies, subscribers) — so checking once per slice is
-    sound.
+    Only implementations the kernel cannot inspect block: a router that
+    is neither :class:`StaticRouter` nor :class:`VersionRouter`, and a
+    network gate that does not expose its ``partitions``.  Both can only
+    be swapped between slices, so checking once per slice is sound.
     """
     from repro.microservices.runtime import StaticRouter
     from repro.routing.proxy import VersionRouter
 
-    reasons = runtime.fast_path_blockers()
-    for campaign in campaigns:
-        if campaign.active_at(at):
-            reasons.append("fault-campaign")
-            break
-    router = runtime.router
-    if isinstance(router, VersionRouter):
-        for service in router.routed_services:
-            route = router.active_route(service)
-            if route.shadow_versions:
-                reasons.append(f"shadow-route:{service}")
-            if route.audience.headers:
-                reasons.append(f"header-audience:{service}")
-    elif not isinstance(router, StaticRouter):
+    reasons: list[str] = []
+    if runtime.network is not None and not hasattr(runtime.network, "partitions"):
+        reasons.append("network-gate")
+    if not isinstance(runtime.router, (VersionRouter, StaticRouter)):
         reasons.append("custom-router")
-    if not record_traces and runtime.collector.has_subscribers:
-        reasons.append("collector-subscribers")
     return reasons
 
 
@@ -836,27 +937,22 @@ def run_batches(
     batches: Iterable["RequestBatch"],
     *,
     until: float | None = None,
-    campaigns: Sequence["FaultCampaign"] = (),
     options: BatchOptions | None = None,
 ) -> BatchRunResult:
     """Replay columnar request batches interleaved with engine events.
 
     The event-interleaving contract is the scalar ``Bifrost.run`` loop's:
     every event with time <= a request's timestamp runs before that
-    request.  Between events, requests execute as one fast slice (or, if
-    a blocker is present, through the scalar path request by request —
+    request.  Between events, requests execute as one kernel slice (or,
+    if a blocker is present, through the scalar path request by request —
     behaviour is identical either way, only speed differs).
     """
     options = options or BatchOptions()
     result = BatchRunResult(
         recent_durations=FloatRing(options.ring_capacity)
     )
-    campaigns = tuple(campaigns)
-    record = options.record_traces
 
     from repro.routing.proxy import VersionRouter
-
-    router = runtime.router if isinstance(runtime.router, VersionRouter) else None
 
     # A logical fallback slice is delimited by engine events (or a fast
     # slice), not by chunk boundaries: a blocked stretch that happens to
@@ -884,9 +980,7 @@ def run_batches(
                     in_fallback_stretch = False
                     stretch_reasons.clear()
                     continue
-            blockers = slice_blockers(
-                runtime, campaigns, float(timestamps[lo]), record
-            )
+            blockers = slice_blockers(runtime)
             if blockers:
                 if not in_fallback_stretch:
                     result.fallback_slices += 1
@@ -905,18 +999,17 @@ def run_batches(
             else:
                 in_fallback_stretch = False
                 stretch_reasons.clear()
-                kernel = _SliceKernel(runtime, router, batch.population)
+                router = runtime.router
+                kernel = _SliceKernel(
+                    runtime,
+                    router if isinstance(router, VersionRouter) else None,
+                    batch.population,
+                    options.record_traces,
+                )
                 kernel.prefill_assignments(batch, lo, hi)
-                if record:
-                    now, durations, errors = kernel.run_slice_recording(
-                        batch, lo, hi, simulation.now
-                    )
-                else:
-                    now, durations, errors = kernel.run_slice(
-                        batch, lo, hi, simulation.now
-                    )
-                    runtime.advance_trace_ids(len(durations))
-                    runtime.requests_executed += len(durations)
+                now, durations, errors = kernel.run_slice(
+                    batch, lo, hi, simulation.now
+                )
                 kernel.flush()
                 runtime.clock.advance_to(now)
                 result.fast_slices += 1

@@ -7,8 +7,13 @@ timestamp and value, bit for bit), the same strategy transitions and
 check evaluations, the same sticky-assignment state, the same promotion
 or abort decision, the same clock.  Hypothesis drives randomized
 topologies, canary fractions, arrival processes, and seeds through both
-paths and diffs the full observable state.
+paths and diffs the full observable state — including *hostile* runs
+(shadow routes, retry/timeout/fallback policies, circuit breakers,
+partitions, trace subscribers), which the kernel executes itself
+instead of falling back.
 """
+
+from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +21,27 @@ from hypothesis import strategies as st
 from repro.bifrost import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.microservices.application import Application
+from repro.microservices.faults import (
+    ErrorBurst,
+    FaultCampaign,
+    FaultInjector,
+    LatencySpike,
+    NetworkState,
+    Partition,
+)
+from repro.microservices.resilience import (
+    BreakerConfig,
+    BreakerState,
+    CallPolicy,
+    ResilienceLayer,
+)
 from repro.microservices.service import (
     DownstreamCall,
     EndpointSpec,
     ServiceVersion,
 )
+from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
+from repro.simulation.batch import BatchOptions
 from repro.simulation.latency import (
     ConstantLatency,
     LoadSensitiveLatency,
@@ -98,38 +119,102 @@ def build_app(
             capacity_rps=200.0,
         )
     )
+    # Never routed to; only receives dark-launch duplicates.
+    app.deploy(
+        ServiceVersion(
+            "inventory",
+            "2.0.0",
+            {"check": EndpointSpec("check", LogNormalLatency(5.0, 0.2))},
+            capacity_rps=200.0,
+        )
+    )
     return app
 
 
-def build_strategy(fraction: float) -> Strategy:
-    return Strategy(
-        name="catalog-canary",
-        description="equivalence scenario",
-        phases=(
-            Phase(
-                name="canary",
-                type=PhaseType.CANARY,
-                service="catalog",
-                stable_version="1.0.0",
-                experimental_version="2.0.0",
-                fraction=fraction,
-                duration_seconds=10.0,
-                check_interval_seconds=2.0,
-                checks=(
-                    Check(
-                        name="error-rate",
-                        service="catalog",
-                        version="2.0.0",
-                        metric="error",
-                        aggregation="mean",
-                        operator="<=",
-                        threshold=0.05,
-                        window_seconds=6.0,
-                    ),
-                ),
-            ),
-        ),
+CANARY_CHECK = Check(
+    name="error-rate",
+    service="catalog",
+    version="2.0.0",
+    metric="error",
+    aggregation="mean",
+    operator="<=",
+    threshold=0.05,
+    window_seconds=6.0,
+)
+
+
+@dataclass(frozen=True)
+class Hostile:
+    """What makes a run hostile; the default is a clean run."""
+
+    shadow: str | None = None  # None | "all" | a user-group name
+    policy: str | None = None  # None | "retry" | "timeout" | "fallback"
+    breaker: bool = False
+    partition: bool = False
+    faults: bool = False
+    subscriber: bool = False  # a plain trace-stream subscriber
+    live_health: bool = False  # the streaming topology fold + health scores
+
+
+POLICIES = {
+    # (policy, service scope, endpoint scope)
+    "retry": (
+        CallPolicy(max_retries=2, backoff_base_ms=5.0, jitter_ms=3.0),
+        "catalog",
+        None,
+    ),
+    # catalog.search takes ~19 ms at the median, so this fires often.
+    "timeout": (CallPolicy(timeout_ms=18.0, max_retries=1), "catalog", "search"),
+    "fallback": (
+        CallPolicy(max_retries=1, fallback=True, fallback_latency_ms=2.0),
+        None,
+        None,
+    ),
+}
+
+TIGHT_BREAKER = BreakerConfig(
+    failure_threshold=0.3,
+    window_size=6,
+    min_calls=3,
+    open_seconds=1.0,
+    half_open_max_calls=2,
+    half_open_successes=1,
+)
+
+
+def build_strategy(fraction: float, shadow: str | None = None) -> Strategy:
+    canary = Phase(
+        name="canary",
+        type=PhaseType.CANARY,
+        service="catalog",
+        stable_version="1.0.0",
+        experimental_version="2.0.0",
+        fraction=fraction,
+        duration_seconds=10.0,
+        check_interval_seconds=2.0,
+        checks=(CANARY_CHECK,),
     )
+    phases = (canary,)
+    if shadow is not None:
+        dark = Phase(
+            name="dark",
+            type=PhaseType.DARK_LAUNCH,
+            service="catalog",
+            stable_version="1.0.0",
+            experimental_version="2.0.0",
+            duration_seconds=4.0,
+            check_interval_seconds=2.0,
+            audience_groups=audience_groups(shadow),
+            on_success="canary",
+        )
+        phases = (dark, canary)
+    return Strategy(
+        name="catalog-canary", description="equivalence scenario", phases=phases
+    )
+
+
+def audience_groups(shadow: str) -> frozenset:
+    return frozenset() if shadow == "all" else frozenset({shadow})
 
 
 def make_workload(generator, kind: str):
@@ -140,42 +225,129 @@ def make_workload(generator, kind: str):
     return generator.constant(1.0 / RATE, int(RATE * DURATION))
 
 
-def run_scalar(params):
-    canary_error, call_probability, parallel, fraction, seed, kind = params
+def build_bifrost(params, hostile: Hostile):
+    """A fresh middleware for one run; returns (bifrost, execution, traces
+    the subscriber saw)."""
+    canary_error, call_probability, parallel, fraction, _, _ = params
+    resilience = None
+    if hostile.policy or hostile.breaker:
+        resilience = ResilienceLayer(TIGHT_BREAKER if hostile.breaker else None)
+        if hostile.policy:
+            policy, service, endpoint = POLICIES[hostile.policy]
+            resilience.set_policy(policy, service, endpoint)
+    network = NetworkState() if hostile.partition else None
     bifrost = Bifrost(
-        build_app(canary_error, call_probability, parallel), seed=7
+        build_app(canary_error, call_probability, parallel),
+        seed=7,
+        resilience=resilience,
+        network=network,
     )
-    execution = bifrost.submit(build_strategy(fraction), at=1.0)
+    if hostile.shadow is not None:
+        # A second dark launch under the first one's callee: catalog's
+        # shadow replays call inventory, which is shadowed in turn.
+        bifrost.router.install(
+            ExperimentRoute(
+                experiment="inventory-dark",
+                service="inventory",
+                variants=(Variant("1.0.0", 1.0),),
+                audience=AudienceFilter(groups=audience_groups(hostile.shadow)),
+                shadow_versions=("2.0.0",),
+            )
+        )
+    if hostile.partition or hostile.faults:
+        campaign = FaultCampaign(FaultInjector(bifrost.application), network)
+        if hostile.partition:
+            campaign.add(Partition("catalog", "inventory", start=3.0, end=6.0))
+        if hostile.faults:
+            campaign.add(
+                ErrorBurst("catalog", "1.0.0", "search", 0.3, start=4.0, end=8.0)
+            )
+            campaign.add(
+                LatencySpike(
+                    "inventory", "1.0.0", "check", 3.0, start=6.0, end=10.0
+                )
+            )
+        bifrost.install_campaign(campaign)
+    seen: list = []
+    if hostile.subscriber:
+        bifrost.collector.subscribe(
+            lambda trace: seen.append((trace.trace_id, len(trace.spans)))
+        )
+    if hostile.live_health:
+        bifrost.enable_live_health(publish_interval=2.0)
+    execution = bifrost.submit(build_strategy(fraction, hostile.shadow), at=1.0)
+    return bifrost, execution, seen
+
+
+def run_scalar(params, hostile: Hostile = Hostile()):
+    bifrost, execution, seen = build_bifrost(params, hostile)
     population = UserPopulation(300, DEFAULT_GROUPS, seed=1)
-    generator = WorkloadGenerator(population, entry="frontend.index", seed=seed)
-    bifrost.run(make_workload(generator, kind), until=UNTIL)
-    return bifrost, execution
-
-
-def run_batch(params, record_traces: bool = False):
-    from repro.simulation.batch import BatchOptions
-
-    canary_error, call_probability, parallel, fraction, seed, kind = params
-    bifrost = Bifrost(
-        build_app(canary_error, call_probability, parallel), seed=7
+    generator = WorkloadGenerator(
+        population, entry="frontend.index", seed=params[4]
     )
-    execution = bifrost.submit(build_strategy(fraction), at=1.0)
+    bifrost.run(make_workload(generator, params[5]), until=UNTIL)
+    return bifrost, execution, seen
+
+
+def run_batch(params, record_traces: bool = False, hostile: Hostile = Hostile()):
+    bifrost, execution, seen = build_bifrost(params, hostile)
     population = UserPopulation(300, DEFAULT_GROUPS, seed=1)
     generator = BatchWorkloadGenerator(
-        population, entry="frontend.index", seed=seed
+        population, entry="frontend.index", seed=params[4]
     )
     result = bifrost.run_batches(
-        make_workload(generator, kind),
+        make_workload(generator, params[5]),
         until=UNTIL,
         options=BatchOptions(record_traces=record_traces),
     )
-    return bifrost, execution, result
+    return bifrost, execution, seen, result
+
+
+def dump_traces(collector):
+    """Every retained trace, span by span.
+
+    Span ids come from a process-global counter, so their absolute
+    values differ between two runs; normalize to the span's allocation
+    rank within its trace (allocation ORDER is part of the contract and
+    must match exactly).
+    """
+    out = []
+    for trace in collector.traces():
+        rank = {
+            span.span_id: i
+            for i, span in enumerate(
+                sorted(trace.spans, key=lambda s: s.span_id)
+            )
+        }
+        out.append(
+            (
+                trace.trace_id,
+                [
+                    (
+                        rank[span.span_id],
+                        rank.get(span.parent_id),
+                        span.service,
+                        span.version,
+                        span.endpoint,
+                        span.start,
+                        span.duration_ms,
+                        span.error,
+                        dict(span.tags),
+                    )
+                    for span in trace.spans
+                ],
+            )
+        )
+    return out
 
 
 def assert_equivalent(scalar, batch) -> None:
-    scalar_bifrost, scalar_execution = scalar
-    batch_bifrost, batch_execution, result = batch
+    scalar_bifrost, scalar_execution, scalar_seen = scalar
+    batch_bifrost, batch_execution, batch_seen, result = batch
 
+    # The kernel ran everything itself.
+    assert result.fallback_reasons == {}
+    assert result.fast_requests == result.requests
     assert result.requests == scalar_bifrost.runtime.requests_executed
     assert (
         batch_bifrost.runtime.requests_executed
@@ -203,11 +375,23 @@ def assert_equivalent(scalar, batch) -> None:
     assert batch_bifrost.application.stable_version(
         "catalog"
     ) == scalar_bifrost.application.stable_version("catalog")
-    # Same sticky-assignment state (distinct users per variant).
-    scalar_assigner = scalar_bifrost.router.assigner("catalog-canary")
-    batch_assigner = batch_bifrost.router.assigner("catalog-canary")
-    assert batch_assigner._counts == scalar_assigner._counts
-    assert batch_assigner._seen == scalar_assigner._seen
+    # Same resilience history: every retry/timeout/fallback/breaker event
+    # (kind, time, attempt, detail string) and every breaker transition.
+    assert batch_bifrost.resilience.events == scalar_bifrost.resilience.events
+    assert (
+        batch_bifrost.resilience.breaker_transitions()
+        == scalar_bifrost.resilience.breaker_transitions()
+    )
+    # Same sticky-assignment state (distinct users per variant), for
+    # every experiment that installed a route.
+    scalar_assigners = scalar_bifrost.router._assigners
+    batch_assigners = batch_bifrost.router._assigners
+    assert batch_assigners.keys() == scalar_assigners.keys()
+    for experiment, scalar_assigner in scalar_assigners.items():
+        assert batch_assigners[experiment]._counts == scalar_assigner._counts
+        assert batch_assigners[experiment]._seen == scalar_assigner._seen
+    # Same trace stream into subscribers.
+    assert batch_seen == scalar_seen
 
 
 class TestBatchEquivalence:
@@ -236,101 +420,90 @@ class TestBatchEquivalence:
         the scalar path would have collected — same ids, same span tree,
         same timings."""
         params = (canary_error, 1.0, False, 0.1, seed, "poisson")
-        scalar_bifrost, _ = run_scalar(params)
-        batch_bifrost, _, result = run_batch(params, record_traces=True)
+        scalar_bifrost, _, _ = run_scalar(params)
+        batch_bifrost, _, _, result = run_batch(params, record_traces=True)
 
-        def dump(collector):
-            # Span ids come from a process-global counter, so their
-            # absolute values differ between two runs; normalize to the
-            # span's allocation rank within its trace (allocation ORDER
-            # is part of the contract and must match exactly).
-            out = []
-            for trace in collector.traces():
-                rank = {
-                    span.span_id: i
-                    for i, span in enumerate(
-                        sorted(trace.spans, key=lambda s: s.span_id)
-                    )
-                }
-                out.append(
-                    (
-                        trace.trace_id,
-                        [
-                            (
-                                rank[span.span_id],
-                                rank.get(span.parent_id),
-                                span.service,
-                                span.version,
-                                span.endpoint,
-                                span.start,
-                                span.duration_ms,
-                                span.error,
-                                dict(span.tags),
-                            )
-                            for span in trace.spans
-                        ],
-                    )
-                )
-            return out
-
-        assert dump(batch_bifrost.collector) == dump(scalar_bifrost.collector)
+        assert dump_traces(batch_bifrost.collector) == dump_traces(
+            scalar_bifrost.collector
+        )
         assert result.fast_requests > 0
         assert batch_bifrost.store.snapshot() == scalar_bifrost.store.snapshot()
 
 
+class TestHostileEquivalence:
+    """Shadows, policies, breakers, partitions, faults and subscribers run
+    on the kernel's general hop, in both ``record_traces`` modes."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        canary_error=st.sampled_from([0.0, 0.05, 0.4]),
+        call_probability=st.sampled_from([1.0, 0.6]),
+        parallel=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        kind=st.sampled_from(["poisson", "heavy_tail"]),
+        hostile=st.builds(
+            Hostile,
+            shadow=st.sampled_from([None, "all", DEFAULT_GROUPS[0].name]),
+            policy=st.sampled_from([None, *POLICIES]),
+            breaker=st.booleans(),
+            partition=st.booleans(),
+            faults=st.booleans(),
+            subscriber=st.booleans(),
+            live_health=st.booleans(),
+        ),
+    )
+    def test_hostile_slices_match_scalar(
+        self, canary_error, call_probability, parallel, seed, kind, hostile
+    ):
+        params = (canary_error, call_probability, parallel, 0.3, seed, kind)
+        scalar = run_scalar(params, hostile)
+        assert_equivalent(scalar, run_batch(params, hostile=hostile))
+        recorded = run_batch(params, record_traces=True, hostile=hostile)
+        assert_equivalent(scalar, recorded)
+        # Every trace span by span: tags (shadow, retry_attempt, breaker,
+        # fault), parent ids, pre-order ids, post-order append.
+        assert dump_traces(recorded[0].collector) == dump_traces(
+            scalar[0].collector
+        )
+
+    def test_breaker_rejects_and_probes_on_the_fast_path(self):
+        """A failing canary behind a tight breaker: the kernel must record
+        rejected calls, half-open probes and retries exactly like scalar
+        (pinned so the property above cannot pass without ever tripping
+        a breaker)."""
+        params = (0.4, 1.0, False, 0.3, 11, "poisson")
+        hostile = Hostile(policy="retry", breaker=True, subscriber=True)
+        scalar = run_scalar(params, hostile)
+        batch = run_batch(params, hostile=hostile)
+        assert_equivalent(scalar, batch)
+        counters = batch[0].resilience.counters()
+        assert counters["breaker_reject"] > 0
+        assert counters["breaker_half_open"] > 0
+        assert counters["retry"] > 0
+        assert any(
+            t.source is BreakerState.HALF_OPEN
+            for t in batch[0].resilience.breaker_transitions()
+        )
+        # The subscriber made the slice materialize spans, tags included.
+        assert dump_traces(batch[0].collector) == dump_traces(scalar[0].collector)
+        assert any(
+            span.tags.get("breaker") == "open"
+            for trace in batch[0].collector.traces()
+            for span in trace.spans
+        )
+
+
 class TestFaultCampaignFallback:
     def test_fallback_under_active_faults_matches_scalar(self):
-        """Satellite: with a fault campaign active mid-run the driver must
-        detect it, fall back to the scalar path for affected slices, and
-        still produce identical outcomes (the faults *happen* either way).
+        """A fault campaign active mid-run no longer forces the scalar
+        fallback (the name is from when it did): the kernel compiles its
+        nodes from the degraded specs, every slice stays on it, and the
+        outcomes are still identical — the faults *happen* either way.
         """
-        from repro.microservices.faults import (
-            ErrorBurst,
-            FaultCampaign,
-            FaultInjector,
-            LatencySpike,
-        )
-
-        def campaign_for(bifrost):
-            campaign = FaultCampaign(FaultInjector(bifrost.application))
-            campaign.add(
-                ErrorBurst("catalog", "1.0.0", "search", 0.3, start=4.0, end=8.0)
-            )
-            campaign.add(
-                LatencySpike(
-                    "inventory", "1.0.0", "check", 3.0, start=6.0, end=10.0
-                )
-            )
-            return campaign
-
         params = (0.0, 1.0, False, 0.1, 99, "poisson")
-
-        scalar_bifrost = Bifrost(build_app(0.0, 1.0, False), seed=7)
-        scalar_execution = scalar_bifrost.submit(build_strategy(0.1), at=1.0)
-        scalar_bifrost.install_campaign(campaign_for(scalar_bifrost))
-        population = UserPopulation(300, DEFAULT_GROUPS, seed=1)
-        generator = WorkloadGenerator(
-            population, entry="frontend.index", seed=99
-        )
-        scalar_bifrost.run(generator.poisson(RATE, DURATION), until=UNTIL)
-
-        batch_bifrost = Bifrost(build_app(0.0, 1.0, False), seed=7)
-        batch_execution = batch_bifrost.submit(build_strategy(0.1), at=1.0)
-        batch_bifrost.install_campaign(campaign_for(batch_bifrost))
-        batch_population = UserPopulation(300, DEFAULT_GROUPS, seed=1)
-        batch_generator = BatchWorkloadGenerator(
-            batch_population, entry="frontend.index", seed=99
-        )
-        result = batch_bifrost.run_batches(
-            batch_generator.poisson(RATE, DURATION), until=UNTIL
-        )
-
-        # The campaign window forced scalar fallback, but traffic outside
-        # the window still took the fast path.
-        assert result.fallback_requests > 0
-        assert result.fast_requests > 0
-        assert result.fallback_reasons["fault-campaign"] > 0
-        assert_equivalent(
-            (scalar_bifrost, scalar_execution),
-            (batch_bifrost, batch_execution, result),
-        )
+        hostile = Hostile(faults=True)
+        batch = run_batch(params, hostile=hostile)
+        assert batch[3].fallback_requests == 0
+        assert batch[3].fallback_slices == 0
+        assert batch[3].errors > 0
+        assert_equivalent(run_scalar(params, hostile), batch)

@@ -3,7 +3,8 @@
 The scalar-vs-batch *equivalence* is covered by
 ``tests/property/test_batch_equivalence.py``; here we pin the individual
 pieces: the ring buffer, the columnar append paths, bulk trace
-ingestion, fast-path blocker detection, and trace-id bookkeeping.
+ingestion, blocker detection and hop selection, and trace-id
+bookkeeping.
 """
 
 import random
@@ -17,11 +18,17 @@ from repro.microservices.faults import (
     ErrorBurst,
     FaultCampaign,
     FaultInjector,
+    LatencySpike,
+    NetworkState,
 )
 from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
 from repro.simulation.batch import (
     BatchOptions,
     FloatRing,
+    _N_ERROR_RATE,
+    _N_NEEDS_LOAD,
+    _N_SAMPLE,
+    _SliceKernel,
     run_batches,
     slice_blockers,
 )
@@ -32,8 +39,14 @@ from repro.tracing.span import Span, next_span_id
 from repro.traffic.batch import BatchWorkloadGenerator
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation
+from repro.traffic.workload import WorkloadGenerator
 
 from repro.topology.scenarios import sample_application
+from tests.property.test_batch_equivalence import (
+    Hostile,
+    build_app,
+    run_batch,
+)
 
 
 class TestFloatRing:
@@ -194,35 +207,108 @@ class TestRecordTrace:
         assert not TraceCollector().has_subscribers
 
 
+class _OpaqueGate:
+    """A network gate the kernel cannot inspect (no ``partitions``)."""
+
+    def is_partitioned(self, caller: str, callee: str) -> bool:
+        return False
+
+
+def _both_paths(build, requests: int = 200):
+    """Drive the same constant-rate workload through ``Bifrost.run`` and
+    ``Bifrost.run_batches`` on two fresh *build()* middlewares."""
+    scalar, batch = build(), build()
+    population = UserPopulation(60, DEFAULT_GROUPS, seed=1)
+    scalar.run(
+        WorkloadGenerator(population, entry="frontend.index", seed=3).constant(
+            0.05, requests
+        )
+    )
+    result = batch.run_batches(
+        BatchWorkloadGenerator(
+            population, entry="frontend.index", seed=3
+        ).constant(0.05, requests)
+    )
+    assert result.fallback_reasons == {}
+    assert result.fast_requests == requests
+    assert batch.store.snapshot() == scalar.store.snapshot()
+    return scalar, batch
+
+
 class TestSliceBlockers:
     def test_default_bifrost_is_fast(self):
         bifrost = Bifrost(sample_application(), seed=1)
-        assert slice_blockers(bifrost.runtime, (), 0.0, False) == []
-        assert bifrost.runtime.fast_path_blockers() == []
+        assert slice_blockers(bifrost.runtime) == []
 
-    def test_fault_campaign_blocks_only_while_active(self):
+    def test_fault_campaign_does_not_block(self):
+        """Faults rewrite endpoint specs at engine events; a kernel built
+        inside the window compiles the degraded spec, one built after it
+        the pristine spec."""
         bifrost = Bifrost(sample_application(), seed=1)
         campaign = FaultCampaign(FaultInjector(bifrost.application))
         campaign.add(
             ErrorBurst("catalog", "1.0.0", "list", 0.5, start=5.0, end=10.0)
         )
-        campaigns = (campaign,)
-        assert slice_blockers(bifrost.runtime, campaigns, 4.9, False) == []
-        assert slice_blockers(bifrost.runtime, campaigns, 5.0, False) == [
-            "fault-campaign"
-        ]
-        assert slice_blockers(bifrost.runtime, campaigns, 10.0, False) == []
+        bifrost.install_campaign(campaign)
+        population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
 
-    def test_collector_subscribers_block_unless_recording(self):
-        bifrost = Bifrost(sample_application(), seed=1)
-        bifrost.collector.subscribe(lambda trace: None)
-        assert slice_blockers(bifrost.runtime, (), 0.0, False) == [
-            "collector-subscribers"
-        ]
-        # record_traces=True feeds the subscribers, so no blocker.
-        assert slice_blockers(bifrost.runtime, (), 0.0, True) == []
+        def compiled_error_rate():
+            kernel = _SliceKernel(bifrost.runtime, bifrost.router, population, False)
+            return kernel.entry_edge("catalog.list")[1][_N_ERROR_RATE]
 
-    def test_shadow_routes_and_header_audiences_block(self):
+        pristine = compiled_error_rate()
+        bifrost.simulation.run_until(5.0)
+        assert slice_blockers(bifrost.runtime) == []
+        assert compiled_error_rate() == pristine + 0.5
+        bifrost.simulation.run_until(10.0)
+        assert compiled_error_rate() == pristine
+
+    def test_scaled_latency_keeps_the_flattened_sampler(self):
+        """A ``LatencySpike``d node compiles to inner sampler x factor:
+        same draws as ``_ScaledLatency.sample``, and load-dependent only
+        if the base model is."""
+        bifrost = Bifrost(build_app(0.0, 1.0, False), seed=1)
+        twin = Bifrost(build_app(0.0, 1.0, False), seed=1)
+        for target in (bifrost, twin):
+            campaign = FaultCampaign(FaultInjector(target.application))
+            campaign.add(LatencySpike("catalog", "1.0.0", "search", 3.0, 0.0, 9.0))
+            campaign.add(LatencySpike("frontend", "1.0.0", "index", 2.0, 0.0, 9.0))
+            target.install_campaign(campaign)
+            target.simulation.run_until(0.0)
+        population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
+        kernel = _SliceKernel(bifrost.runtime, bifrost.router, population, False)
+        catalog = kernel.entry_edge("catalog.search")[1]
+        frontend = kernel.entry_edge("frontend.index")[1]
+        assert catalog[_N_NEEDS_LOAD] is False  # LogNormal base
+        assert frontend[_N_NEEDS_LOAD] is True  # LoadSensitive base
+        for node, service, endpoint in (
+            (catalog, "catalog", "search"),
+            (frontend, "frontend", "index"),
+        ):
+            model = twin.application.resolve(service).endpoint(endpoint).latency
+            assert [node[_N_SAMPLE](1.5) for _ in range(5)] == [
+                model.sample(twin.runtime.rng, 1.5) for _ in range(5)
+            ]
+
+    def test_collector_subscribers_select_the_span_hop(self):
+        """Subscribers are fed without ``record_traces``; with neither,
+        the kernel retains no traces (clean and hostile slices alike)."""
+        seen: list[str] = []
+
+        def build():
+            bifrost = Bifrost(sample_application(), seed=1)
+            bifrost.collector.subscribe(lambda trace: seen.append(trace.trace_id))
+            return bifrost
+
+        scalar, batch = _both_paths(build, requests=40)
+        assert slice_blockers(batch.runtime) == []
+        assert seen[:40] == seen[40:] == scalar.collector.trace_ids
+        assert batch.collector.trace_ids == scalar.collector.trace_ids
+
+        _, silent = _both_paths(lambda: Bifrost(sample_application(), seed=1), 40)
+        assert len(silent.collector) == 0
+
+    def test_shadow_routes_and_header_audiences_do_not_block(self):
         bifrost = Bifrost(sample_application(), seed=1)
         bifrost.router.install(
             ExperimentRoute(
@@ -232,9 +318,7 @@ class TestSliceBlockers:
                 shadow_versions=("2.0.0",),
             )
         )
-        assert slice_blockers(bifrost.runtime, (), 0.0, False) == [
-            "shadow-route:catalog"
-        ]
+        assert slice_blockers(bifrost.runtime) == []
         bifrost.router.uninstall("catalog")
         bifrost.router.install(
             ExperimentRoute(
@@ -244,25 +328,104 @@ class TestSliceBlockers:
                 audience=AudienceFilter(headers={"beta": "1"}),
             )
         )
-        assert slice_blockers(bifrost.runtime, (), 0.0, False) == [
-            "header-audience:catalog"
-        ]
+        assert slice_blockers(bifrost.runtime) == []
+
+    @pytest.mark.parametrize(
+        "headers, expected_users",
+        [
+            ({"user-id": "u0000007"}, {"u0000007"}),
+            ({"beta": "1"}, set()),
+            ({"user-id": "u0000007", "beta": "1"}, set()),
+        ],
+    )
+    def test_header_audience_is_decided_per_user(self, headers, expected_users):
+        """A batch row's headers are exactly ``{"user-id": ...}``: a
+        ``user-id`` filter admits that one user (shadows included), any
+        other key admits nobody — and either way equals scalar."""
+
+        def build():
+            bifrost = Bifrost(build_app(0.0, 1.0, False), seed=1)
+            bifrost.router.install(
+                ExperimentRoute(
+                    experiment="header-exp",
+                    service="catalog",
+                    variants=(Variant("2.0.0", 1.0),),
+                    audience=AudienceFilter(headers=headers),
+                    shadow_versions=("2.0.0",),
+                )
+            )
+            return bifrost
+
+        scalar, batch = _both_paths(build)
+        assert batch.router.assigner("header-exp")._seen == expected_users
+        assert scalar.router.assigner("header-exp")._seen == expected_users
+
+    def test_partition_keeps_assignment_lazy(self):
+        """inventory is "certainly" reached through catalog, but with the
+        frontend|catalog link cut only the probabilistic direct call
+        reaches it — bulk prefill would assign users scalar never saw."""
+
+        def build():
+            network = NetworkState()
+            network.partition("frontend", "catalog")
+            bifrost = Bifrost(build_app(0.0, 0.6, False), seed=1, network=network)
+            bifrost.router.install(
+                ExperimentRoute(
+                    experiment="inventory-split",
+                    service="inventory",
+                    variants=(Variant("1.0.0", 0.5), Variant("2.0.0", 0.5)),
+                )
+            )
+            return bifrost
+
+        scalar, batch = _both_paths(build, requests=60)
+        seen = batch.router.assigner("inventory-split")._seen
+        assert seen == scalar.router.assigner("inventory-split")._seen
+        assert 0 < len(seen) < 60
 
     def test_unknown_router_and_network_block(self):
         bifrost = Bifrost(sample_application(), seed=1)
         runtime = bifrost.runtime
         original_router = runtime.router
         runtime.router = object()
-        assert slice_blockers(runtime, (), 0.0, False) == ["custom-router"]
+        assert slice_blockers(runtime) == ["custom-router"]
         runtime.router = original_router
 
-        from repro.microservices.faults import NetworkState
-
+        runtime.network = _OpaqueGate()
+        assert slice_blockers(runtime) == ["network-gate"]
+        # A NetworkState is inspectable, partitioned or not.
         runtime.network = NetworkState()
         runtime.network.partition("frontend", "catalog")
-        assert runtime.fast_path_blockers() == ["network-partitions"]
-        runtime.network.heal_all()
-        assert runtime.fast_path_blockers() == []
+        assert slice_blockers(runtime) == []
+
+
+class TestHostileGuard:
+    """Tier-1 guard: the four ``hostile_canary`` benchmark configurations
+    (shadow route, fault campaign, retry + breaker, trace subscriber)
+    must stay on the kernel — a re-introduced blocker fails here instead
+    of silently costing 4x in ``benchmarks/e2e``."""
+
+    @pytest.mark.parametrize(
+        "hostile",
+        [
+            Hostile(shadow="all"),
+            Hostile(faults=True),
+            Hostile(policy="retry", breaker=True),
+            Hostile(subscriber=True, live_health=True),
+        ],
+        ids=["shadow", "faults", "resilience", "live_health"],
+    )
+    def test_hostile_configurations_never_fall_back(self, hostile):
+        params = (0.02, 1.0, False, 0.1, 5, "constant")
+        bifrost, _, seen, result = run_batch(params, hostile=hostile)
+        assert result.requests == 480
+        assert result.fallback_reasons == {}
+        assert result.fallback_slices == 0
+        assert result.fast_requests == result.requests
+        assert len(seen) == (result.requests if hostile.subscriber else 0)
+        if hostile.live_health:
+            assert bifrost.streaming_builder.trace_count == result.requests
+            assert bifrost.live_health.publishes > 0
 
 
 class TestTraceIdBookkeeping:
@@ -298,43 +461,41 @@ class TestRunBatchesDriver:
         # inflating the diagnostic — "why did we fall back" reported the
         # same cause dozens of times for one contiguous stretch.
         bifrost = Bifrost(sample_application(), seed=1)
-        campaign = FaultCampaign(FaultInjector(bifrost.application))
-        campaign.add(
-            ErrorBurst("catalog", "1.0.0", "list", 0.2, start=0.0, end=500.0)
-        )
-        bifrost.install_campaign(campaign)
+        bifrost.runtime.network = _OpaqueGate()
         population = UserPopulation(50, DEFAULT_GROUPS, seed=1)
         generator = BatchWorkloadGenerator(
             population, entry="frontend.index", seed=3, batch_size=8
         )
-        # 120 requests in chunks of 8 -> 15 chunks, all inside the fault
-        # window, with no engine events between them: one stretch.
+        # 120 requests in chunks of 8 -> 15 chunks, all behind the opaque
+        # gate, with no engine events between them: one stretch.
         result = bifrost.run_batches(generator.constant(0.25, 120))
         assert result.fallback_requests == 120
         assert result.fallback_slices == 1
-        assert result.fallback_reasons["fault-campaign"] == 1
+        assert result.fallback_reasons["network-gate"] == 1
 
     def test_fallback_reasons_recount_after_fast_slice(self):
-        # Distinct stretches (separated by traffic outside the fault
-        # window, which takes the fast path) each count their reasons.
+        # Distinct stretches (separated by traffic that takes the fast
+        # path while an engine event has the gate removed) each count
+        # their reasons.
         bifrost = Bifrost(sample_application(), seed=1)
-        campaign = FaultCampaign(FaultInjector(bifrost.application))
-        campaign.add(
-            ErrorBurst("catalog", "1.0.0", "list", 0.2, start=0.0, end=10.0)
-        )
-        campaign.add(
-            ErrorBurst("catalog", "1.0.0", "list", 0.2, start=20.0, end=30.0)
-        )
-        bifrost.install_campaign(campaign)
+        runtime = bifrost.runtime
+        gate = _OpaqueGate()
+        runtime.network = gate
+        for time, network in ((10.0, None), (20.0, gate), (30.0, None)):
+            bifrost.simulation.schedule_at(
+                time,
+                lambda network=network: setattr(runtime, "network", network),
+                label="toggle-gate",
+            )
         population = UserPopulation(50, DEFAULT_GROUPS, seed=1)
         generator = BatchWorkloadGenerator(
             population, entry="frontend.index", seed=3, batch_size=8
         )
         result = bifrost.run_batches(generator.constant(0.25, 160), until=40.0)
-        assert result.fast_requests > 0
-        assert result.fallback_requests > 0
-        assert result.fallback_reasons["fault-campaign"] == result.fallback_slices
-        assert result.fallback_slices >= 2
+        assert result.fast_requests == 80
+        assert result.fallback_requests == 80
+        assert result.fallback_slices == 2
+        assert result.fallback_reasons["network-gate"] == 2
 
     def test_custom_ring_capacity(self):
         bifrost = Bifrost(sample_application(), seed=1)
