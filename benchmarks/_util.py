@@ -3,7 +3,9 @@
 Every bench reproduces one table or figure of the dissertation: it runs
 the workload, prints the reproduced rows/series (visible with ``-s``),
 and persists them under ``benchmarks/output/`` so the artifacts survive
-the run.
+the run.  A reduced ``*_SMOKE=1`` run persists under the git-ignored
+``benchmarks/output/smoke/`` instead, so it never overwrites the
+tracked full-mode artifacts.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import os
 from typing import Iterable, Mapping
 
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
+if any(
+    name.endswith("_SMOKE") and value == "1" for name, value in os.environ.items()
+):
+    OUTPUT_DIR = os.path.join(OUTPUT_DIR, "smoke")
 
 
 def emit(artifact: str, text: str) -> None:

@@ -306,11 +306,7 @@ class Bifrost:
         :attr:`outcomes`).  With *until*, the engine keeps running after
         the workload drains — e.g. to let strategies finish.
         """
-        produced: list[RequestOutcome] = []
-        for request in workload:
-            self.simulation.run_until(max(request.timestamp, self.simulation.now))
-            outcome = self.runtime.execute(request)
-            produced.append(outcome)
+        produced = list(self.runtime.replay(self.simulation, workload))
         if until is not None:
             self.simulation.run_until(until)
         self.outcomes.extend(produced)

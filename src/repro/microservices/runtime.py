@@ -6,6 +6,14 @@ traffic-routing mechanism Bifrost relies on), samples the endpoint's
 latency under the current load, recurses into downstream calls, and emits
 spans into the trace collector and metrics into the monitor.
 
+The hop itself — the draw sequence, the child loop, the refusal branches
+and the shadow replay — lives in one place,
+:class:`~repro.simulation.batch.RequestKernel`, which the batch driver
+runs over columnar rows and :meth:`Runtime.execute` runs over one
+:class:`~repro.traffic.workload.Request`.  This module owns what
+surrounds it: the routing protocol, the load window, trace ids, and
+handing the finished spans to the collector and the monitor.
+
 Load is modelled as the ratio of recent arrival rate to a version's
 deployed capacity; the latency models translate load > 1 into inflated
 response times.  That single mechanism produces both effects the Bifrost
@@ -25,21 +33,20 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Protocol
 
 from repro.errors import ExecutionError
 from repro.microservices.application import Application
 from repro.microservices.resilience import ResilienceLayer
+from repro.simulation.batch import RequestKernel
 from repro.simulation.clock import SimulationClock
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import SeededRng
 from repro.telemetry.monitor import Monitor
 from repro.tracing.collector import TraceCollector
-from repro.tracing.span import Span, next_span_id
 from repro.tracing.trace import Trace
 from repro.traffic.workload import Request
-
-_MAX_CALL_DEPTH = 32
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,11 @@ class NetworkGate(Protocol):
 
 
 class LoadTracker:
-    """Sliding-window arrival-rate tracker per (service, version)."""
+    """Sliding-window arrival times per (service, version).
+
+    The request kernel maintains each deque inline (append, expire, count)
+    so every driver shares one continuous load window.
+    """
 
     def __init__(self, window_seconds: float = 10.0) -> None:
         if window_seconds <= 0:
@@ -94,34 +105,8 @@ class LoadTracker:
         self.window_seconds = window_seconds
         self._arrivals: dict[tuple[str, str], deque[float]] = {}
 
-    def observe(self, service: str, version: str, now: float, capacity_rps: float) -> float:
-        """Record one arrival and return the resulting relative load."""
-        key = (service, version)
-        arrivals = self._arrivals.setdefault(key, deque())
-        arrivals.append(now)
-        cutoff = now - self.window_seconds
-        while arrivals and arrivals[0] < cutoff:
-            arrivals.popleft()
-        rate = len(arrivals) / self.window_seconds
-        return rate / capacity_rps if capacity_rps > 0 else 0.0
-
-    def current_load(self, service: str, version: str, now: float, capacity_rps: float) -> float:
-        """Relative load without recording an arrival."""
-        arrivals = self._arrivals.get((service, version))
-        if not arrivals:
-            return 0.0
-        cutoff = now - self.window_seconds
-        count = sum(1 for t in arrivals if t >= cutoff)
-        rate = count / self.window_seconds
-        return rate / capacity_rps if capacity_rps > 0 else 0.0
-
     def arrivals_for(self, service: str, version: str) -> deque[float]:
-        """The raw arrival deque of (service, version), created on demand.
-
-        The batch execution kernel maintains this deque inline (append +
-        expire + count, exactly :meth:`observe`'s bookkeeping) so scalar
-        and batch slices share one continuous load window.
-        """
+        """The raw arrival deque of (service, version), created on demand."""
         return self._arrivals.setdefault((service, version), deque())
 
 
@@ -133,7 +118,20 @@ class RequestOutcome:
     trace: Trace
     duration_ms: float
     error: bool
-    version_path: tuple[tuple[str, str], ...] = field(default=())
+
+    @property
+    def version_path(self) -> tuple[tuple[str, str], ...]:
+        """(service, version) of every user-visible hop, in call order.
+
+        Every attempt of a retried hop and every refused hop is listed;
+        dark-launch replays are not.  Span ids are allocated when a hop
+        starts, so id order is the call (pre-)order.
+        """
+        hops = sorted(
+            (span for span in self.trace if "shadow" not in span.tags),
+            key=lambda span: span.span_id,
+        )
+        return tuple((span.service, span.version) for span in hops)
 
 
 class Runtime:
@@ -166,249 +164,61 @@ class Runtime:
         self._trace_counter = itertools.count(1)
         self.requests_executed = 0
 
-    # -- batch fast-path hooks ---------------------------------------------
+    # -- request-kernel hooks ----------------------------------------------
 
     def next_trace_id(self) -> str:
-        """Allocate the next trace id (shared scalar/batch numbering)."""
+        """Allocate the next trace id (one numbering for every driver)."""
         return f"t{next(self._trace_counter):09d}"
 
     def advance_trace_ids(self, count: int) -> None:
         """Consume *count* trace ids in O(1).
 
-        The batch kernel's non-recording mode doesn't build traces but
-        still burns one id per request, so a scalar request executed
-        after a batch run gets the same id it would have in an all-scalar
-        replay.
+        The batch driver's non-recording mode doesn't build traces but
+        still burns one id per request, so a request executed after a
+        batch run gets the same id it would have in a run that recorded
+        everything.
         """
         if count <= 0:
             return
         base = next(self._trace_counter)
         self._trace_counter = itertools.count(base + count)
 
-    def execute(self, request: Request) -> RequestOutcome:
+    def execute(
+        self, request: Request, kernel: RequestKernel | None = None
+    ) -> RequestOutcome:
         """Run *request* through the topology and return its outcome.
 
         The shared clock is advanced to the request's arrival time first,
-        so workloads must be replayed in timestamp order.
+        so workloads must be replayed in timestamp order.  A
+        :class:`RequestKernel` resolves endpoint specs, call policies and
+        breaker/partition presence once, so one is compiled for this call
+        — the request sees every mutation made before it — unless the
+        caller passes a *kernel* it knows to be current (:meth:`replay`).
         """
         if request.timestamp > self.clock.now:
             self.clock.advance_to(request.timestamp)
-        service, _, endpoint = request.entry.partition(".")
-        if not endpoint:
-            raise ExecutionError(
-                f"request entry must be 'service.endpoint', got {request.entry!r}"
-            )
-        trace_id = f"t{next(self._trace_counter):09d}"
-        spans: list[Span] = []
-        versions: list[tuple[str, str]] = []
-        duration, error = self._dispatch(
-            request,
-            trace_id,
-            parent_id=None,
-            caller=None,
-            service=service,
-            endpoint=endpoint,
-            start=self.clock.now,
-            depth=0,
-            shadow=False,
-            spans=spans,
-            versions=versions,
+        kernel = kernel or RequestKernel(self)
+        trace_id, spans, duration, error = kernel.execute_request(
+            request, self.clock.now
         )
         self.collector.record_all(spans)
         self.monitor.observe_spans(spans)
         self.requests_executed += 1
-        trace = Trace(trace_id, spans)
-        return RequestOutcome(request, trace, duration, error, tuple(versions))
+        return RequestOutcome(request, Trace(trace_id, spans), duration, error)
 
-    def _dispatch(
-        self,
-        request: Request,
-        trace_id: str,
-        parent_id: str | None,
-        caller: str | None,
-        service: str,
-        endpoint: str,
-        start: float,
-        depth: int,
-        shadow: bool,
-        spans: list[Span],
-        versions: list[tuple[str, str]],
-    ) -> tuple[float, bool]:
-        """Execute one hop under its :class:`CallPolicy` (if any).
+    def replay(
+        self, simulation: SimulationEngine, requests: Iterable[Request]
+    ) -> Iterator[RequestOutcome]:
+        """Execute *requests* interleaved with *simulation*'s events.
 
-        The attempt loop (timeout, retries with seeded backoff jitter,
-        fallback) is :meth:`ResilienceLayer.call_with_policy`, shared
-        with the batch kernel.
+        Every event due at or before a request's timestamp runs before
+        that request.  The world only changes at engine events, so the
+        kernel is compiled once per event-free stretch.  Lazy: a request
+        executes when its outcome is pulled from the iterator.
         """
-        policy = self.resilience.policy_for(service, endpoint)
-        if policy is None or shadow:
-            duration, error, _ = self._call(
-                request, trace_id, parent_id, caller, service, endpoint,
-                start, depth, shadow, spans, versions,
-            )
-            return duration, error
-        return self.resilience.call_with_policy(
-            policy,
-            service,
-            endpoint,
-            start,
-            self.rng,
-            lambda attempt_start, attempt: self._call(
-                request, trace_id, parent_id, caller, service, endpoint,
-                attempt_start, depth, shadow, spans, versions,
-                attempt=attempt,
-            ),
-        )
-
-    def _call(
-        self,
-        request: Request,
-        trace_id: str,
-        parent_id: str | None,
-        caller: str | None,
-        service: str,
-        endpoint: str,
-        start: float,
-        depth: int,
-        shadow: bool,
-        spans: list[Span],
-        versions: list[tuple[str, str]],
-        forced_version: str | None = None,
-        attempt: int = 0,
-    ) -> tuple[float, bool, str]:
-        """Execute one attempt; returns (observed duration ms, error, version)."""
-        if depth > _MAX_CALL_DEPTH:
-            raise ExecutionError(
-                f"call depth exceeded {_MAX_CALL_DEPTH}; cyclic topology?"
-            )
-        if forced_version is not None:
-            decision = RoutingDecision(version=forced_version)
-        else:
-            decision = self.router.route(request, service)
-        svc = self.application.service(service)
-        version_name = decision.version or svc.stable_version
-        version = svc.get(version_name)
-
-        base_tags = {"group": request.group, "user": request.user_id}
-        if shadow:
-            base_tags["shadow"] = "true"
-        if attempt > 0:
-            base_tags["retry_attempt"] = str(attempt)
-
-        # A refused call fails before any work happens on the callee.
-        # Network partition: the link between caller and callee is down.
-        # Circuit breaker: an open breaker rejects the call outright.
-        refusal = None
-        if (
-            caller is not None
-            and self.network is not None
-            and self.network.is_partitioned(caller, service)
-        ):
-            refusal = {"fault": "partition"}
-            self.resilience.observe(service, version_name, start, success=False)
-        elif not self.resilience.admit(
-            service, version_name, start, endpoint, attempt
-        ):
-            refusal = {"breaker": "open"}
-        if refusal is not None:
-            spans.append(
-                Span(
-                    span_id=next_span_id(),
-                    trace_id=trace_id,
-                    parent_id=parent_id,
-                    service=service,
-                    version=version_name,
-                    endpoint=endpoint,
-                    start=start,
-                    duration_ms=0.0,
-                    error=True,
-                    tags={**base_tags, **refusal},
-                )
-            )
-            if not shadow:
-                versions.append((service, version_name))
-            return 0.0, True, version_name
-
-        spec = version.endpoint(endpoint)
-        load = self.load.observe(
-            service, version_name, start, version.total_capacity_rps
-        )
-        own_latency = spec.latency.sample(self.rng, load)
-        proxy_cost = decision.proxy_hops * self.proxy_overhead_ms
-        local_error = self.rng.random() < spec.error_rate
-        if not shadow:
-            versions.append((service, version_name))
-        # Allocate the span id up front so children can reference their
-        # parent directly.
-        span_id = next_span_id()
-
-        children_duration = 0.0
-        slowest_child = 0.0
-        child_error = False
-        # Children start after the local pre-processing share of the
-        # endpoint's own latency; sequentially they chain one after the
-        # other, with fan-out they all start together and the endpoint
-        # waits for the slowest.
-        child_start = start + 0.3 * own_latency / 1000.0
-        for call in spec.calls:
-            if call.probability < 1.0 and self.rng.random() >= call.probability:
-                continue
-            offset = 0.0 if spec.parallel_calls else children_duration / 1000.0
-            child_duration, failed = self._dispatch(
-                request,
-                trace_id,
-                parent_id=span_id,
-                caller=service,
-                service=call.service,
-                endpoint=call.endpoint,
-                start=child_start + offset,
-                depth=depth + 1,
-                shadow=shadow,
-                spans=spans,
-                versions=versions,
-            )
-            children_duration += child_duration
-            slowest_child = max(slowest_child, child_duration)
-            child_error = child_error or failed
-        waited = slowest_child if spec.parallel_calls else children_duration
-        duration = own_latency + proxy_cost + waited
-        error = local_error or child_error
-
-        span = Span(
-            span_id=span_id,
-            trace_id=trace_id,
-            parent_id=parent_id,
-            service=service,
-            version=version_name,
-            endpoint=endpoint,
-            start=start,
-            duration_ms=duration,
-            error=error,
-            tags=base_tags,
-        )
-        spans.append(span)
-        self.resilience.observe(
-            service, version_name, start + duration / 1000.0, success=not error
-        )
-
-        # Dark-launch duplication: replay the same call against shadow
-        # versions; their spans join the trace (tagged) but their latency
-        # never reaches the user.
-        for shadow_version in decision.shadow_versions:
-            if not svc.has_version(shadow_version):
-                continue
-            self._call(
-                request,
-                trace_id,
-                parent_id=span_id,
-                caller=caller,
-                service=service,
-                endpoint=endpoint,
-                start=start,
-                depth=depth + 1,
-                shadow=True,
-                spans=spans,
-                versions=versions,
-                forced_version=shadow_version,
-            )
-        return duration, error, version_name
+        kernel = None
+        for request in requests:
+            ran = simulation.run_until(max(request.timestamp, simulation.now))
+            if ran or kernel is None:
+                kernel = RequestKernel(self)
+            yield self.execute(request, kernel)

@@ -1,38 +1,43 @@
-"""The batch execution kernel: million-request replay on the scalar semantics.
+"""The request kernel and its batch driver: million-request replay.
 
-:func:`run_batches` replays columnar :class:`~repro.traffic.batch.RequestBatch`
-chunks against a :class:`~repro.microservices.runtime.Runtime`, interleaved
-with simulation-engine events exactly like the scalar
+:class:`RequestKernel` owns the per-hop algorithm of the whole repo —
+the draw sequence that turns routing, load, faults and shadow
+duplication into latencies.  ``Runtime.execute`` runs one
+:class:`~repro.traffic.workload.Request` through it; :func:`run_batches`
+replays columnar :class:`~repro.traffic.batch.RequestBatch` chunks
+through it, interleaved with simulation-engine events exactly like the
 ``Bifrost.run`` loop — but between events it executes whole *slices* of
-requests through a compiled fast path instead of materializing one
-``Request``/``Span``/``RequestOutcome`` object chain per arrival.
+requests instead of materializing one ``Request``/``Span``/
+``RequestOutcome`` object chain per arrival.
 
 Equivalence contract (property-tested in
-``tests/property/test_batch_equivalence.py``):
+``tests/property/test_batch_equivalence.py``, with the absolute values
+pinned by ``tests/integration/test_scalar_golden.py``):
 
-- The scalar path is the source of truth.  The kernel consumes the
-  runtime's RNG stream in exactly the scalar draw order per hop
-  (latency sample, error draw, per-probabilistic-call draw), maintains
-  the same load-tracker deques, performs the same float arithmetic in
-  the same association order, and feeds the same (timestamp, value)
-  sequences into the metric store — so routing decisions, metric
-  aggregates, and therefore every promotion/abort decision an engine
-  makes on top of them are bit-identical, not statistically close.
+- Every driver consumes the runtime's RNG stream in the same draw order
+  per hop (latency sample, error draw, per-probabilistic-call draw),
+  maintains the same load-tracker deques, performs the same float
+  arithmetic in the same association order, and feeds the same
+  (timestamp, value) sequences into the metric store — so routing
+  decisions, metric aggregates, and therefore every promotion/abort
+  decision an engine makes on top of them are bit-identical, not
+  statistically close.
 - A slice runs one of two hops, picked once per slice from state the
   kernel can observe.  The *plain* hop covers slices where every
-  per-hop hook is a no-op.  The *general* hop additionally executes
-  what the scalar ``Runtime._dispatch``/``_call`` do around a hop —
-  call policies (timeouts, retries, fallbacks), circuit breakers,
-  network partitions, dark-launch shadow replays — and materializes
-  spans for the trace collector when traces are recorded or the
-  collector has stream subscribers.  Fault campaigns need no hook at
-  all: they rewrite endpoint specs at engine events, and nodes are
-  compiled from the specs per slice.
-- Only what the kernel cannot inspect — a custom router or an unknown
-  network-gate implementation — makes a slice fall back to the scalar
-  path wholesale (:class:`BatchRunResult` counts slices and reasons).
-  Event boundaries delimit slices, and all of these conditions only
-  change at events, so a condition can never flip mid-slice.
+  per-hop hook is a no-op.  The *general* hop — the one
+  ``Runtime.execute`` always runs — additionally executes call policies
+  (timeouts, retries, fallbacks), circuit breakers, network partitions
+  and dark-launch shadow replays, and materializes spans for the trace
+  collector when traces are recorded or the collector has stream
+  subscribers.  Fault campaigns need no hook at all: they rewrite
+  endpoint specs at engine events, and nodes are compiled from the
+  specs per kernel.
+- Only what the kernel cannot resolve per batch row — a custom router or
+  an unknown network-gate implementation — makes a slice fall back to
+  ``Request`` objects wholesale (:class:`BatchRunResult` counts slices
+  and reasons).  Event boundaries delimit slices, and all of these
+  conditions only change at events, so a condition can never flip
+  mid-slice.
 
 Memory behaviour: the kernel buffers per-(service, version) metric
 columns in plain lists and flushes them with
@@ -65,9 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.microservices.runtime import Runtime
     from repro.simulation.engine import SimulationEngine
     from repro.traffic.batch import RequestBatch
+    from repro.traffic.workload import Request
 
-#: Mirrors ``repro.microservices.runtime._MAX_CALL_DEPTH`` (not imported
-#: at module level to keep package initialization acyclic).
 _MAX_CALL_DEPTH = 32
 
 #: Default capacity of the recent-durations ring on :class:`BatchRunResult`.
@@ -208,7 +212,7 @@ def _compile_sampler(model, kernel):
     directly (skipping attribute lookups and the :class:`SeededRng`
     delegation layer); unknown subclasses fall back to generic
     ``model.sample(rng, load)`` dispatch, conservatively marked
-    load-dependent.  Either way the *draws* are the scalar path's.
+    load-dependent.  Either way the *draws* are ``model.sample``'s.
     """
     kind = type(model)
     if kind is ConstantLatency:
@@ -230,8 +234,8 @@ def _compile_sampler(model, kernel):
     if kind is LoadSensitiveLatency:
         # Flatten the common base models into a single closure — the
         # per-hop call chain (wrapper -> base -> SeededRng -> Random) is
-        # measurable at millions of samples.  Float semantics match the
-        # scalar path: base sample first, then multiply by the inflation.
+        # measurable at millions of samples.  Float semantics match
+        # ``sample``: base sample first, then multiply by the inflation.
         base = model.base
         base_kind = type(base)
         pressure = model.pressure
@@ -296,21 +300,42 @@ _N_VERSION = 12
 _N_ENDPOINT = 13
 
 
-class _SliceKernel:
-    """Compiled execution state for one event-free slice of requests.
+def _split_entry(entry: str) -> tuple[str, str]:
+    service, _, endpoint = entry.partition(".")
+    if not endpoint:
+        raise ExecutionError(
+            f"request entry must be 'service.endpoint', got {entry!r}"
+        )
+    return service, endpoint
 
-    Built fresh per slice: routes, endpoint specs, policies, partitions,
-    and subscribers only change at engine events (= slice boundaries), so
+
+class RequestKernel:
+    """Compiled execution state for one event-free stretch of requests.
+
+    Built fresh per stretch: routes, endpoint specs, policies, partitions,
+    and subscribers only change at engine events (= stretch boundaries), so
     everything resolved here — samplers, error rates, children, variant
-    thresholds, which hop runs — is constant for the slice's lifetime.
+    thresholds, which hop runs — is constant for the kernel's lifetime.
     Children are resolved *lazily* during execution (descriptors, not
-    node references) so probabilistic call cycles behave exactly like
-    the scalar path: the depth guard trips only when a request actually
-    recurses past the limit.
+    node references) so a probabilistic call cycle trips the depth guard
+    only when a request actually recurses past the limit.
+
+    With a *population* the requests are rows of a
+    :class:`~repro.traffic.batch.RequestBatch` (:meth:`run_slice`): a hop
+    resolves its version through the memoized records compiled from
+    *router*'s routes, and samples are buffered for :meth:`flush`.
+    Without one they are :class:`~repro.traffic.workload.Request` objects
+    (:meth:`execute_request`, what ``Runtime.execute`` runs): a hop asks
+    ``runtime.router.route`` — any ``Router`` — always builds spans, and
+    buffers nothing, because the caller records the spans.
     """
 
     def __init__(
-        self, runtime: "Runtime", router, population, record_traces: bool
+        self,
+        runtime: "Runtime",
+        router=None,
+        population=None,
+        record_traces: bool = True,
     ) -> None:
         self._runtime = runtime
         self._router = router
@@ -321,19 +346,24 @@ class _SliceKernel:
         self.raw = runtime.rng.raw
         self._random = self.raw.random
         self._population = population
-        self._group_codes = population.group_codes()
+        self._group_codes = (
+            population.group_codes() if population is not None else None
+        )
         self._nodes: dict = {}
         self._edges: dict = {}
         self._route_recs: dict = {}
         self._buffers: dict = {}
-        # Which hop this slice runs.  The runtime's own resilience layer
+        # Which hop this stretch runs.  The runtime's own resilience layer
         # is used, so breaker state and the event log stay continuous
-        # across slices and across scalar requests.
+        # across kernels.
         self._resilience = runtime.resilience
         self._breakers = runtime.resilience.breaker_config is not None
+        # A gate that does not expose its partitions is asked on every hop.
         network = runtime.network
         self._network = (
-            network if network is not None and network.partitions else None
+            network
+            if network is not None and getattr(network, "partitions", True)
+            else None
         )
         self._spans = record_traces or runtime.collector.has_subscribers
         self._general = (
@@ -352,26 +382,24 @@ class _SliceKernel:
     # -- compilation -------------------------------------------------------
 
     def entry_edge(self, entry: str):
-        service, _, endpoint = entry.partition(".")
-        if not endpoint:
-            raise ExecutionError(
-                f"request entry must be 'service.endpoint', got {entry!r}"
-            )
-        return self._edge(service, endpoint)
+        return self._edge(*_split_entry(entry))
 
     def _edge(self, service: str, endpoint: str):
-        """An edge is ``(route_record | None, node | {version: node},
-        (policy, service, endpoint) | None, shadow nodes)``."""
+        """An edge is ``(route_record | None, node | {version: node} | None,
+        policy | None, shadow nodes, service, endpoint)``; for ``Request``
+        objects only the policy is compiled — the router picks the node per hop."""
         key = (service, endpoint)
         edge = self._edges.get(key)
         if edge is not None:
             return edge
         policy = self._resilience.policy_for(service, endpoint)
-        plan = None if policy is None else (policy, service, endpoint)
         router = self._router
         route = router.active_route(service) if router is not None else None
-        if route is None:
-            edge = (None, self._node(service, endpoint, None, 0.0), plan, ())
+        if self._population is None:
+            edge = (None, None, policy, (), service, endpoint)
+        elif route is None:
+            node = self._node(service, endpoint, None, 0.0)
+            edge = (None, node, policy, (), service, endpoint)
         else:
             rec = self._route_rec(service, route)
             nodes = {}
@@ -384,17 +412,20 @@ class _SliceKernel:
                 nodes[stable] = self._node(
                     service, endpoint, stable, self._proxy_ms
                 )
-            # Dark-launch duplicates are forced to their version and
-            # bypass the proxy.
-            svc = self._app.service(service)
-            shadows = tuple(
-                self._node(service, endpoint, version, 0.0)
-                for version in route.shadow_versions
-                if svc.has_version(version)
-            )
-            edge = (rec, nodes, plan, shadows)
+            shadows = self._shadow_nodes(service, endpoint, route.shadow_versions)
+            edge = (rec, nodes, policy, shadows, service, endpoint)
         self._edges[key] = edge
         return edge
+
+    def _shadow_nodes(self, service: str, endpoint: str, versions):
+        """Dark-launch duplicates are forced to their version and bypass
+        the proxy; versions the service does not have are skipped."""
+        svc = self._app.service(service)
+        return tuple(
+            self._node(service, endpoint, version, 0.0)
+            for version in versions
+            if svc.has_version(version)
+        )
 
     def _route_rec(self, service: str, route):
         """Per-service routing record: [memo, assigner, variants, eligible
@@ -490,7 +521,7 @@ class _SliceKernel:
         :meth:`~repro.routing.assignment.StickyAssigner.assign_many`
         call.  Probabilistically-reached services keep the lazy per-user
         path so the assigner's distinct-user bookkeeping only ever sees
-        users the scalar path would have assigned.  A partition or an
+        users a request-by-request run would have assigned.  A partition or an
         open breaker can cut any call short, so with either present
         nothing is certain and every assignment stays lazy.
         """
@@ -547,14 +578,9 @@ class _SliceKernel:
         variants) — the conservative closure under which vectorized
         assignment is safe.
         """
-        service, _, endpoint = entry.partition(".")
-        if not endpoint:
-            raise ExecutionError(
-                f"request entry must be 'service.endpoint', got {entry!r}"
-            )
         router = self._router
         seen: set[tuple[str, str]] = set()
-        stack = [(service, endpoint)]
+        stack = [_split_entry(entry)]
         services: set[str] = set()
         while stack:
             svc_name, ep = stack.pop()
@@ -591,9 +617,9 @@ class _SliceKernel:
     ) -> tuple[float, list, int]:
         """Execute rows [lo, hi); returns (clock, durations, error count).
 
-        Trace ids stay scalar-identical: one is formatted per request
-        when spans are materialized, otherwise the same number is burned
-        in O(1).
+        Trace ids match a ``Request``-by-``Request`` run: one is formatted
+        per request when spans are materialized, otherwise the same number
+        is burned in O(1).
         """
         timestamps = batch.timestamps[lo:hi].tolist()
         user_indices = batch.user_indices[lo:hi].tolist()
@@ -629,8 +655,9 @@ class _SliceKernel:
                 if self._spans:
                     trace_id = runtime.next_trace_id()
                     spans = []
-                # Per-request context: user index, group code, trace id,
-                # span sink (None = no spans), group name, user id.
+                # Per-request context: user index (or the Request), group
+                # code, trace id, span sink (None = no spans), group name,
+                # user id.
                 ctx = (
                     user,
                     group_code,
@@ -650,9 +677,20 @@ class _SliceKernel:
         runtime.requests_executed += len(durations)
         return now, durations, errors
 
+    def execute_request(self, request: "Request", start: float):
+        """Run one :class:`Request` through the general hop with spans on;
+        returns (trace id, spans, duration ms, error).  Recording the
+        spans is the caller's (``Runtime.execute``) business."""
+        edge = self.entry_edge(request.entry)
+        trace_id = self._runtime.next_trace_id()
+        spans: list[Span] = []
+        ctx = (request, None, trace_id, spans, request.group, request.user_id)
+        duration, error = self._dispatch(edge, None, start, 0, False, None, ctx)
+        return trace_id, spans, duration, error
+
     def _execute(self, edge, start: float, user: int, group_code: int, depth: int):
-        """The plain hop (plus children): scalar ``Runtime._call`` draw-for-
-        draw when no policy, breaker, partition, shadow, or span applies."""
+        """The plain hop (plus children): the general hop draw for draw
+        when no policy, breaker, partition, shadow, or span applies."""
         if depth > _MAX_CALL_DEPTH:
             raise ExecutionError(
                 f"call depth exceeded {_MAX_CALL_DEPTH}; cyclic topology?"
@@ -714,18 +752,19 @@ class _SliceKernel:
     def _dispatch(
         self, edge, caller, start: float, depth: int, shadow: bool, parent_id, ctx
     ):
-        """The general hop under its call policy — scalar ``Runtime._dispatch``."""
-        plan = edge[2]
-        if plan is None or shadow:
+        """The general hop under its :class:`CallPolicy` (if any); the
+        attempt loop (timeout, retries with seeded backoff jitter,
+        fallback) is :meth:`ResilienceLayer.call_with_policy`."""
+        policy = edge[2]
+        if policy is None or shadow:
             duration, error, _ = self._call(
                 edge, None, caller, start, depth, shadow, parent_id, ctx, 0
             )
             return duration, error
-        policy, service, endpoint = plan
         return self._resilience.call_with_policy(
             policy,
-            service,
-            endpoint,
+            edge[4],
+            edge[5],
             start,
             self.seeded,
             lambda attempt_start, attempt: self._call(
@@ -746,10 +785,10 @@ class _SliceKernel:
         ctx,
         attempt: int,
     ):
-        """One attempt of the general hop — scalar ``Runtime._call`` with
-        every hook: partition, breaker admission, optional span, breaker
-        observation, shadow replays.  *forced* pins the node (a shadow
-        replay); returns (duration ms, error, version)."""
+        """One attempt of the general hop, with every hook: partition,
+        breaker admission, optional span, breaker observation, shadow
+        replays.  *forced* pins the node (a shadow replay); returns
+        (duration ms, error, version)."""
         if depth > _MAX_CALL_DEPTH:
             raise ExecutionError(
                 f"call depth exceeded {_MAX_CALL_DEPTH}; cyclic topology?"
@@ -758,6 +797,20 @@ class _SliceKernel:
         shadows = ()
         if forced is not None:
             node = forced
+        elif self._population is None:
+            # ctx[0] is the Request itself; any Router resolves it.
+            _, _, _, _, service, endpoint = edge
+            decision = self._runtime.router.route(user, service)
+            node = self._node(
+                service,
+                endpoint,
+                decision.version,
+                decision.proxy_hops * self._proxy_ms,
+            )
+            if decision.shadow_versions:
+                shadows = self._shadow_nodes(
+                    service, endpoint, decision.shadow_versions
+                )
         elif edge[0] is None:
             node = edge[1]
         else:
@@ -779,8 +832,10 @@ class _SliceKernel:
             if attempt > 0:
                 tags["retry_attempt"] = str(attempt)
         resilience = self._resilience
-        # A refused call fails before any callee work: no draws, a
-        # zero-duration error sample.
+        # A refused call fails before any work happens on the callee: no
+        # draws, a zero-duration error sample.  Network partition: the
+        # link between caller and callee is down.  Circuit breaker: an
+        # open breaker rejects the call outright.
         refusal = None
         if (
             self._network is not None
@@ -798,6 +853,8 @@ class _SliceKernel:
                 tags.update(refusal)
             self._finish(node, ctx, None, parent_id, start, 0.0, True, tags)
             return 0.0, True, version
+        # Load is the ratio of the recent arrival rate to the version's
+        # deployed capacity.
         arrivals = node[_N_ARRIVALS]
         arrivals.append(start)
         cutoff = start - self._window
@@ -812,11 +869,15 @@ class _SliceKernel:
             load = 0.0
         own_latency = node[_N_SAMPLE](load)
         error = self._random() < node[_N_ERROR_RATE]
-        # Span ids are allocated pre-order (before children), span objects
-        # appended post-order — the scalar path's exact interleaving.
+        # Span ids are allocated pre-order (before children, so children
+        # can reference their parent), span objects appended post-order.
         span_id = next_span_id() if spans is not None else None
         children_duration = 0.0
         slowest_child = 0.0
+        # Children start after the local pre-processing share of the
+        # endpoint's own latency; sequentially they chain one after the
+        # other, with fan-out they all start together and the endpoint
+        # waits for the slowest.
         child_start = start + 0.3 * own_latency / 1000.0
         parallel = node[_N_PARALLEL]
         for probability, child_service, child_endpoint in node[_N_CHILDREN]:
@@ -843,7 +904,8 @@ class _SliceKernel:
                 service, version, start + duration / 1000.0, success=not error
             )
         # Dark-launch duplication: replay the hop against each shadow
-        # version; the result never reaches the user.
+        # version; their spans join the trace (tagged) but their latency
+        # never reaches the user.
         for shadow_node in shadows:
             self._call(
                 edge, shadow_node, caller, start, depth + 1, True, span_id, ctx, 0
@@ -853,8 +915,9 @@ class _SliceKernel:
     def _finish(
         self, node, ctx, span_id, parent_id, start, duration, error, tags
     ) -> None:
-        """Buffer one hop's sample and, when spans are on, append its span
-        (a refused hop has no children, so it gets its id only here)."""
+        """Append one hop's span when spans are on (a refused hop has no
+        children, so it gets its id only here) and, for rows, buffer its
+        sample."""
         if tags is not None:
             ctx[3].append(
                 Span(
@@ -870,15 +933,16 @@ class _SliceKernel:
                     tags=tags,
                 )
             )
-        node[_N_TS_BUF].append(start)
-        node[_N_DUR_BUF].append(duration)
-        node[_N_ERR_BUF].append(error)
+        if self._population is not None:
+            node[_N_TS_BUF].append(start)
+            node[_N_DUR_BUF].append(duration)
+            node[_N_ERR_BUF].append(error)
 
     def flush(self) -> None:
         """Drain the metric buffers into the store in bulk.
 
         Emission order within each (service, version, metric) key equals
-        the scalar path's record order, and ``MetricStore.extend`` is
+        ``Runtime.execute``'s record order, and ``MetricStore.extend`` is
         order-equivalent to repeated ``record`` calls — so windowed
         aggregates (and every check decision derived from them) match.
         The ``resilience.*`` series the general hop's events write
@@ -913,12 +977,13 @@ class _SliceKernel:
 
 
 def slice_blockers(runtime: "Runtime") -> list[str]:
-    """Why a slice cannot run on the kernel ([] = it can).
+    """Why a slice cannot run as batch rows ([] = it can).
 
-    Only implementations the kernel cannot inspect block: a router that
-    is neither :class:`StaticRouter` nor :class:`VersionRouter`, and a
-    network gate that does not expose its ``partitions``.  Both can only
-    be swapped between slices, so checking once per slice is sound.
+    Only implementations the kernel cannot resolve for a row block: a
+    router that is neither :class:`StaticRouter` nor
+    :class:`VersionRouter` (it wants a ``Request``), and a network gate
+    that does not expose its ``partitions``.  Both can only be swapped
+    between slices, so checking once per slice is sound.
     """
     from repro.microservices.runtime import StaticRouter
     from repro.routing.proxy import VersionRouter
@@ -941,11 +1006,11 @@ def run_batches(
 ) -> BatchRunResult:
     """Replay columnar request batches interleaved with engine events.
 
-    The event-interleaving contract is the scalar ``Bifrost.run`` loop's:
-    every event with time <= a request's timestamp runs before that
-    request.  Between events, requests execute as one kernel slice (or,
-    if a blocker is present, through the scalar path request by request —
-    behaviour is identical either way, only speed differs).
+    The event-interleaving contract is ``Runtime.replay``'s: every event
+    with time <= a request's timestamp runs before that request.  Between
+    events, requests execute as one kernel slice (or, if a blocker is
+    present, as ``Request`` objects through ``Runtime.replay`` — the same
+    hop either way, only speed differs).
     """
     options = options or BatchOptions()
     result = BatchRunResult(
@@ -973,7 +1038,7 @@ def run_batches(
                 hi = int(np.searchsorted(timestamps, next_event, side="left"))
                 if hi <= lo:
                     # Events due at or before the next request: run them
-                    # all, exactly like the scalar loop's run_until.
+                    # all, exactly like Runtime.replay's run_until.
                     simulation.run_until(
                         max(float(timestamps[lo]), simulation.now)
                     )
@@ -989,18 +1054,14 @@ def run_batches(
                 if fresh:
                     result.fallback_reasons.update(fresh)
                     stretch_reasons.update(fresh)
-                for row in range(lo, hi):
-                    request = batch.request(row)
-                    simulation.run_until(
-                        max(request.timestamp, simulation.now)
-                    )
-                    outcome = runtime.execute(request)
+                rows = (batch.request(row) for row in range(lo, hi))
+                for outcome in runtime.replay(simulation, rows):
                     result._add_scalar(outcome.duration_ms, outcome.error)
             else:
                 in_fallback_stretch = False
                 stretch_reasons.clear()
                 router = runtime.router
-                kernel = _SliceKernel(
+                kernel = RequestKernel(
                     runtime,
                     router if isinstance(router, VersionRouter) else None,
                     batch.population,

@@ -130,7 +130,7 @@ class TestExamples:
             env=env,
         )
         assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
-        artifact = REPO / "benchmarks" / "output" / "BENCH_fleet_scale.json"
+        artifact = REPO / "benchmarks" / "output" / "smoke" / "BENCH_fleet_scale.json"
         assert artifact.exists()
 
     def test_scenario_fuzz_bench_smoke(self):
@@ -151,7 +151,7 @@ class TestExamples:
             env=env,
         )
         assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
-        artifact = REPO / "benchmarks" / "output" / "BENCH_scenario_fuzz.json"
+        artifact = REPO / "benchmarks" / "output" / "smoke" / "BENCH_scenario_fuzz.json"
         assert artifact.exists()
 
     def test_obs_overhead_bench_smoke(self):
@@ -170,5 +170,5 @@ class TestExamples:
             env=env,
         )
         assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
-        artifact = REPO / "benchmarks" / "output" / "BENCH_obs_overhead.json"
+        artifact = REPO / "benchmarks" / "output" / "smoke" / "BENCH_obs_overhead.json"
         assert artifact.exists()

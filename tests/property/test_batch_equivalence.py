@@ -1,16 +1,23 @@
-"""Property: the batch execution kernel is bit-identical to the scalar path.
+"""Property: ``run_batches`` is bit-identical to request-by-request ``run``.
 
 The contract of ``repro.simulation.batch`` is that running a workload
-through ``Bifrost.run_batches`` produces *exactly* the state an
-all-scalar ``Bifrost.run`` replay would: the same metric samples (every
+through ``Bifrost.run_batches`` produces *exactly* the state a
+``Bifrost.run`` replay would: the same metric samples (every
 timestamp and value, bit for bit), the same strategy transitions and
 check evaluations, the same sticky-assignment state, the same promotion
 or abort decision, the same clock.  Hypothesis drives randomized
 topologies, canary fractions, arrival processes, and seeds through both
-paths and diffs the full observable state — including *hostile* runs
+drivers and diffs the full observable state — including *hostile* runs
 (shadow routes, retry/timeout/fallback policies, circuit breakers,
 partitions, trace subscribers), which the kernel executes itself
 instead of falling back.
+
+Both drivers run the request kernel's hop, so this suite pins what still
+differs between them — plain hop vs general hop, row vs ``Request``
+resolution, lazy vs bulk assignment, ``record`` vs ``extend_columns``,
+``record_all`` vs ``record_trace`` — and ``run_scalar`` below means
+``Bifrost.run``.  The hop's absolute draw order is pinned by the golden
+digests in ``tests/integration/test_scalar_golden.py``.
 """
 
 from dataclasses import dataclass

@@ -28,7 +28,7 @@ from repro.simulation.batch import (
     _N_ERROR_RATE,
     _N_NEEDS_LOAD,
     _N_SAMPLE,
-    _SliceKernel,
+    RequestKernel,
     run_batches,
     slice_blockers,
 )
@@ -253,7 +253,7 @@ class TestSliceBlockers:
         population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
 
         def compiled_error_rate():
-            kernel = _SliceKernel(bifrost.runtime, bifrost.router, population, False)
+            kernel = RequestKernel(bifrost.runtime, bifrost.router, population, False)
             return kernel.entry_edge("catalog.list")[1][_N_ERROR_RATE]
 
         pristine = compiled_error_rate()
@@ -276,7 +276,7 @@ class TestSliceBlockers:
             target.install_campaign(campaign)
             target.simulation.run_until(0.0)
         population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
-        kernel = _SliceKernel(bifrost.runtime, bifrost.router, population, False)
+        kernel = RequestKernel(bifrost.runtime, bifrost.router, population, False)
         catalog = kernel.entry_edge("catalog.search")[1]
         frontend = kernel.entry_edge("frontend.index")[1]
         assert catalog[_N_NEEDS_LOAD] is False  # LogNormal base

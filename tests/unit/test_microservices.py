@@ -4,8 +4,10 @@ import pytest
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.microservices.application import Application
-from repro.microservices.faults import FaultInjector
+from repro.bifrost import Bifrost
+from repro.microservices.faults import FaultCampaign, FaultInjector, LatencySpike
 from repro.microservices.generator import random_application
+from repro.microservices.resilience import CallPolicy
 from repro.microservices.runtime import LoadTracker, RoutingDecision, Runtime
 from repro.microservices.service import (
     DownstreamCall,
@@ -13,7 +15,9 @@ from repro.microservices.service import (
     Service,
     ServiceVersion,
 )
-from repro.simulation.latency import ConstantLatency
+from repro.routing.proxy import VersionRouter
+from repro.routing.rules import ExperimentRoute, Variant
+from repro.simulation.latency import ConstantLatency, LoadSensitiveLatency
 from repro.traffic.workload import Request
 from tests.conftest import constant_endpoint
 
@@ -132,23 +136,49 @@ class TestApplication:
         assert tiny_app.endpoint_count() == 2
 
 
+def loaded_runtime(window_seconds: float) -> Runtime:
+    """One service, two versions of 10 ms base latency that doubles per
+    unit of load above 1, each able to take one request every two seconds."""
+    app = Application()
+    for version in ("1.0", "2.0"):
+        app.deploy(
+            ServiceVersion(
+                "svc",
+                version,
+                {"ep": EndpointSpec("ep", LoadSensitiveLatency(ConstantLatency(10.0), 1.0))},
+                capacity_rps=0.5,
+            )
+        )
+    return Runtime(app, seed=1, load_window_seconds=window_seconds)
+
+
 class TestLoadTracker:
+    """The sliding load window, observed through the latency it inflates."""
+
     def test_rate_computation(self):
-        tracker = LoadTracker(window_seconds=10.0)
+        runtime = loaded_runtime(window_seconds=10.0)
         for t in range(10):
-            load = tracker.observe("svc", "1.0", float(t), capacity_rps=1.0)
-        assert load == pytest.approx(1.0)
+            outcome = runtime.execute(make_request(entry="svc.ep", t=float(t)))
+        # Ten arrivals in ten seconds on 0.5 rps of capacity: load 2.
+        assert outcome.duration_ms == pytest.approx(20.0)
 
     def test_window_expiry(self):
-        tracker = LoadTracker(window_seconds=1.0)
-        tracker.observe("svc", "1.0", 0.0, 1.0)
-        load = tracker.current_load("svc", "1.0", 100.0, 1.0)
-        assert load == 0.0
+        runtime = loaded_runtime(window_seconds=1.0)
+        for _ in range(3):
+            busy = runtime.execute(make_request(entry="svc.ep", t=0.0))
+        assert busy.duration_ms == pytest.approx(10.0 * (1.0 + 5.0))
+        late = runtime.execute(make_request(entry="svc.ep", t=100.0))
+        assert late.duration_ms == pytest.approx(10.0 * (1.0 + 1.0))
+        assert list(runtime.load.arrivals_for("svc", "1.0")) == [100.0]
 
     def test_versions_tracked_separately(self):
-        tracker = LoadTracker(10.0)
-        tracker.observe("svc", "1.0", 0.0, 1.0)
-        assert tracker.current_load("svc", "2.0", 0.0, 1.0) == 0.0
+        runtime = loaded_runtime(window_seconds=10.0)
+        for _ in range(20):
+            runtime.execute(make_request(entry="svc.ep", t=0.0))
+        runtime.application.service("svc").promote("2.0")
+        outcome = runtime.execute(make_request(entry="svc.ep", t=0.0))
+        assert outcome.trace.root.version == "2.0"
+        assert outcome.duration_ms == pytest.approx(10.0)
 
     def test_invalid_window(self):
         with pytest.raises(ExecutionError):
@@ -235,6 +265,79 @@ class TestRuntime:
         runtime = Runtime(app, seed=1)
         with pytest.raises(ExecutionError):
             runtime.execute(make_request(entry="a.x"))
+
+
+def _install_canary_route(bifrost):
+    bifrost.router.install(
+        ExperimentRoute("exp", "backend", variants=(Variant("2.0.0", 1.0),))
+    )
+
+
+def _install_latency_spike(bifrost):
+    campaign = FaultCampaign(FaultInjector(bifrost.application))
+    campaign.add(LatencySpike("backend", "1.0.0", "api", 3.0, start=0.5, end=9.0))
+    bifrost.install_campaign(campaign)
+
+
+def _schedule(callback):
+    def arm(bifrost):
+        bifrost.simulation.schedule_at(0.5, lambda: callback(bifrost))
+
+    return arm
+
+
+class TestKernelValidity:
+    """A compiled request kernel lives until the next engine event in
+    ``Bifrost.run`` and for exactly one call in a bare ``Runtime.execute``."""
+
+    @pytest.mark.parametrize(
+        "arm, expected_ms",
+        [
+            # backend 2.0.0 takes 30 ms behind one 2 ms proxy.
+            (_schedule(_install_canary_route), 10.0 + 30.0 + 2.0),
+            # The campaign's own engine event triples backend's 20 ms.
+            (_install_latency_spike, 10.0 + 60.0),
+            # 5 ms of waiting, then a 1 ms fallback response.
+            (
+                _schedule(
+                    lambda bifrost: bifrost.resilience.set_policy(
+                        CallPolicy(timeout_ms=5.0, fallback=True, fallback_latency_ms=1.0),
+                        "backend",
+                    )
+                ),
+                10.0 + 5.0 + 1.0,
+            ),
+        ],
+        ids=["route", "endpoint-spec", "call-policy"],
+    )
+    def test_engine_event_between_two_requests_is_seen(
+        self, canary_app, arm, expected_ms
+    ):
+        bifrost = Bifrost(canary_app, seed=1)
+        arm(bifrost)
+        first, second = bifrost.run([make_request(t=0.0), make_request(t=1.0)])
+        assert first.duration_ms == pytest.approx(30.0)
+        assert second.duration_ms == pytest.approx(expected_ms)
+
+    def test_bare_execute_sees_direct_mutation_between_calls(self, canary_app):
+        router = VersionRouter()
+        runtime = Runtime(canary_app, router=router, seed=1)
+        assert runtime.execute(make_request()).duration_ms == pytest.approx(30.0)
+
+        router.install(
+            ExperimentRoute("exp", "backend", variants=(Variant("2.0.0", 1.0),))
+        )
+        routed = runtime.execute(make_request())
+        assert routed.duration_ms == pytest.approx(42.0)
+        router.uninstall("backend")
+
+        canary_app.resolve("backend").endpoint("api").error_rate = 1.0
+        assert runtime.execute(make_request()).error
+
+        canary_app.service("backend").promote("2.0.0")
+        promoted = runtime.execute(make_request())
+        assert not promoted.error
+        assert promoted.version_path == (("frontend", "1.0.0"), ("backend", "2.0.0"))
 
 
 class TestFaultInjector:

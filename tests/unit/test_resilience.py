@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bifrost import Bifrost
 from repro.errors import ConfigurationError
 from repro.microservices.application import Application
 from repro.microservices.faults import NetworkState
@@ -16,7 +17,10 @@ from repro.microservices.resilience import (
 from repro.microservices.runtime import RoutingDecision, Runtime
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
 from repro.simulation.latency import ConstantLatency
-from repro.traffic.workload import Request
+from repro.traffic.batch import BatchWorkloadGenerator
+from repro.traffic.profile import DEFAULT_GROUPS
+from repro.traffic.users import UserPopulation
+from repro.traffic.workload import Request, WorkloadGenerator
 from tests.conftest import constant_endpoint
 
 
@@ -326,6 +330,38 @@ class TestRuntimeResilience:
         network.heal("frontend", "backend")
         assert not runtime.execute(make_request(t=1.0)).error
 
+    @pytest.mark.parametrize("refusal", ["partition", "breaker"])
+    @pytest.mark.parametrize("driver", ["run", "run_batches"])
+    def test_refused_call_to_an_undefined_endpoint_is_a_wiring_error(
+        self, refusal, driver
+    ):
+        """The callee's endpoint is looked up before the refusal, so a
+        dangling call is reported (as ``Application.validate_wiring``
+        would) even while the link is cut or the breaker open."""
+        app = self.failing_app(error_rate=0.0)
+        app.resolve("frontend").endpoint("home").calls = (
+            DownstreamCall("backend", "gone"),
+        )
+        network = layer = None
+        if refusal == "partition":
+            network = NetworkState()
+            network.partition("frontend", "backend")
+        else:
+            layer = ResilienceLayer(BreakerConfig(min_calls=1, window_size=1))
+            layer.observe("backend", "1.0.0", 0.0, success=False)
+            assert layer.breaker("backend", "1.0.0").state is BreakerState.OPEN
+        bifrost = Bifrost(app, seed=1, resilience=layer, network=network)
+        population = UserPopulation(5, DEFAULT_GROUPS, seed=1)
+        with pytest.raises(ConfigurationError, match="no endpoint 'gone'"):
+            if driver == "run":
+                bifrost.run(
+                    WorkloadGenerator(population, "frontend.home", seed=1).constant(1.0, 2)
+                )
+            else:
+                bifrost.run_batches(
+                    BatchWorkloadGenerator(population, "frontend.home", seed=1).constant(1.0, 2)
+                )
+
     def test_shadow_hops_excluded_from_version_path(self, canary_app):
         class WithShadow:
             def route(self, request, service):
@@ -343,3 +379,37 @@ class TestRuntimeResilience:
         # The shadow hop is still traced (tagged), just not user-visible.
         shadow = [s for s in outcome.trace.spans if s.tags.get("shadow") == "true"]
         assert len(shadow) == 1
+
+        # Call order with every hook at once: backend fails and is retried
+        # (each attempt shadowed), then cache is refused by its open breaker.
+        canary_app.resolve("backend").endpoint("api").error_rate = 1.0
+        canary_app.deploy(
+            ServiceVersion("cache", "1.0.0", {"get": constant_endpoint("get", 1.0)})
+        )
+        canary_app.resolve("frontend").endpoint("home").calls += (
+            DownstreamCall("cache", "get"),
+        )
+        layer = ResilienceLayer(BreakerConfig(min_calls=3, window_size=6))
+        layer.set_policy(CallPolicy(max_retries=1), service="backend")
+        for _ in range(3):
+            layer.observe("cache", "1.0.0", 0.0, success=False)
+        runtime = Runtime(canary_app, router=WithShadow(), seed=1, resilience=layer)
+        outcome = runtime.execute(make_request())
+        assert outcome.version_path == (
+            ("frontend", "1.0.0"),
+            ("backend", "1.0.0"),
+            ("backend", "1.0.0"),
+            ("cache", "1.0.0"),
+        )
+        tags = [
+            (s.service, s.version, {k: v for k, v in s.tags.items() if k not in ("group", "user")})
+            for s in sorted(outcome.trace.spans, key=lambda s: s.span_id)
+        ]
+        assert tags == [
+            ("frontend", "1.0.0", {}),
+            ("backend", "1.0.0", {}),
+            ("backend", "2.0.0", {"shadow": "true"}),
+            ("backend", "1.0.0", {"retry_attempt": "1"}),
+            ("backend", "2.0.0", {"shadow": "true"}),
+            ("cache", "1.0.0", {"breaker": "open"}),
+        ]
