@@ -122,6 +122,7 @@ def run_throughput():
     stats = default_run.eval_stats
 
     return {
+        "mode": "smoke" if SMOKE else "full",
         "steps": len(steps),
         "delta_evals": delta_used,
         "seed_evals_per_s": len(steps) / t_seed,

@@ -119,6 +119,11 @@ class SchedulingProblem:
         return self._group_index
 
     @property
+    def volume_prefix(self) -> list[float]:
+        """Running total slot volume: slots [s, e) carry ``p[e] - p[s]``."""
+        return self._prefix
+
+    @property
     def total_weight(self) -> float:
         """Summed experiment weights (1.0 when there are no experiments)."""
         return self._total_weight

@@ -217,88 +217,88 @@ def pack_repair(
     meets its sample size) and otherwise shifted to the earliest later
     window with room.  Genes that fit nowhere are kept as-is; the
     evaluation penalty handles them.
+
+    Contract: the result — every fraction to the last bit, and the RNG
+    state left behind — is a function of ``(schedule, rng, locked)`` that
+    search trajectories depend on; it is held equal to the per-cell
+    reference in ``tests/property/test_pack_repair_equivalence.py``.  A
+    gene that ends up where it was is returned as the same object, so its
+    cached fingerprint and the delta evaluator's ``is`` test survive.
     """
     problem = schedule.problem
     horizon = problem.horizon
-    group_names = problem.group_names
-    n_groups = len(group_names)
     group_index = problem.group_index
-    free = [i for i in range(len(schedule.genes)) if i not in locked]
+    prefix = problem.volume_prefix
+    genes = schedule.genes
+    free = [i for i in range(len(genes)) if i not in locked]
     rng.shuffle(free)
     # Locked genes claim their capacity first and are never moved.
-    order = [i for i in range(len(schedule.genes)) if i in locked] + free
-    # Flat usage array indexed [slot * n_groups + group] — the hot loop.
-    usage = [0.0] * (horizon * n_groups)
-    new_genes: list[Gene | None] = [None] * len(schedule.genes)
+    order = [i for i in range(len(genes)) if i in locked] + free
+    usage = [[0.0] * horizon for _ in problem.group_names]
+    partial_below = 1.0 - 1e-12
+    new_genes = list(genes)
 
-    def scan(start: int, end: int, gidxs: list[int]) -> tuple[float, int | None]:
-        """(min remaining capacity, first partially-used slot) in window."""
-        left = 1.0
-        first_partial: int | None = None
-        for slot in range(start, min(end, horizon)):
-            base = slot * n_groups
-            for gi in gidxs:
-                available = 1.0 - usage[base + gi]
-                if available < left:
-                    left = available
-                if available < 1.0 - 1e-12 and first_partial is None:
-                    first_partial = slot
-        return left, first_partial
+    def room(lo: int, hi: int) -> float:
+        """Least remaining capacity of the gene's groups over slots [lo, hi)."""
+        # min(1 - u) == 1 - max(u) exactly: IEEE subtraction is monotone.
+        if avail is None:
+            return 1.0 - max([max(col[lo:hi]) for col in cols])
+        return min(avail[lo - origin : hi - origin])
 
-    def commit(index: int, gene: Gene) -> None:
-        new_genes[index] = gene
-        gidxs = [group_index[g] for g in gene.groups]
-        for slot in range(gene.start, min(gene.end, horizon)):
-            base = slot * n_groups
-            for gi in gidxs:
-                usage[base + gi] += gene.fraction
-
-    def feasible_at(
-        spec: ExperimentSpec, gene: Gene, start: int, duration: int, left: float
-    ) -> Gene | None:
-        """A sample-feasible, capacity-respecting gene, or None."""
-        if left <= 0:
-            return None
-        needed = required_fraction(problem, spec, start, duration, gene.groups)
-        fraction = min(
-            max(gene.fraction, needed, spec.min_traffic_fraction),
-            spec.max_traffic_fraction,
-            left,
-        )
-        if fraction >= needed and fraction >= spec.min_traffic_fraction:
+    def fit(start: int, duration: int, left: float) -> Gene | None:
+        """The gene in this window, thinned to *left*, if it still gets its samples."""
+        volume = (prefix[start + duration] - prefix[start]) * share
+        needed = required / volume if volume > 0 else float("inf")
+        fraction = min(max(gene.fraction, needed, low), high, left)
+        if fraction >= needed and fraction >= low:
+            if (start, duration, fraction) == (origin, gene.duration, gene.fraction):
+                return gene
             return Gene(start, duration, fraction, gene.groups)
         return None
 
     for index in order:
         spec = problem.experiments[index]
-        gene = schedule.genes[index]
-        if index in locked:
-            commit(index, gene)
-            continue
-        gidxs = [group_index[g] for g in gene.groups]
-        placed = False
-        start = gene.start
-        while start + spec.min_duration_slots <= horizon:
-            duration = min(gene.duration, horizon - start)
-            left, partial = scan(start, start + duration, gidxs)
-            candidate = feasible_at(spec, gene, start, duration, left)
-            if candidate is None:
+        gene = genes[index]
+        cols = [usage[group_index[g]] for g in gene.groups]
+        placed = gene if index in locked else None
+        # Summed on this very frozenset: a float sum follows its iteration order.
+        share = problem.group_share(gene.groups)
+        required = spec.required_samples
+        low, high = spec.min_traffic_fraction, spec.max_traffic_fraction
+        shortest, longest = spec.min_duration_slots, spec.max_duration_slots
+        # 1 - max usage over cols from `origin` on; built once the first window fails.
+        avail: list[float] | None = None
+        origin = start = gene.start
+        while placed is None and start + shortest <= horizon:
+            end = start + min(gene.duration, horizon - start)
+            left = room(start, end)
+            if left > 0:
+                placed = fit(start, end - start, left)
                 # A longer window needs a smaller fraction; retry at the
                 # maximal duration before giving up on this start.
-                max_dur = min(spec.max_duration_slots, horizon - start)
-                if max_dur > duration:
-                    ext_left, _ = scan(start + duration, start + max_dur, gidxs)
-                    candidate = feasible_at(
-                        spec, gene, start, max_dur, min(left, ext_left)
-                    )
-            if candidate is not None:
-                commit(index, candidate)
-                placed = True
-                break
-            start = (partial if partial is not None else start) + 1
-        if not placed:
+                max_end = start + min(longest, horizon - start)
+                if placed is None and max_end > end:
+                    left = min(left, room(end, max_end))
+                    if left > 0:
+                        placed = fit(start, max_end - start, left)
+            if placed is None:
+                if avail is None:
+                    tail = [col[origin:] for col in cols]
+                    worst = map(max, *tail) if len(tail) > 1 else tail[0]
+                    avail = [1.0 - u for u in worst]
+                    partial = bytes(map(partial_below.__gt__, avail))
+                # Resume past the first partially-used slot of [start, end).
+                hit = partial.find(1, start - origin, end - origin)
+                start = (hit + origin if hit >= 0 else start) + 1
+        if placed is None:
             # Nowhere to fit: keep the (repaired) original plan; the
             # evaluation penalty steers the search away from it.
-            commit(index, repair_gene(problem, spec, gene))
-    assert all(g is not None for g in new_genes)
-    return Schedule(problem, [g for g in new_genes if g is not None])
+            placed = repair_gene(problem, spec, gene)
+            if placed == gene:
+                placed = gene
+            cols = [usage[group_index[g]] for g in placed.groups]
+        new_genes[index] = placed
+        start, end, fraction = placed.start, placed.end, placed.fraction
+        for col in cols:
+            col[start:end] = [u + fraction for u in col[start:end]]
+    return Schedule(problem, new_genes)
