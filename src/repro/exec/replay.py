@@ -4,12 +4,13 @@ The replay rebuilds a fresh engine stack (clock, simulation queue,
 router, metric store, observer) and re-presents the recording's request
 stream *as observations*: for each recorded request, the simulation
 advances to the original arrival timestamp (firing any engine decisions
-due first, exactly like the scalar run loop) and the recorded spans'
-metrics are fed into the store in their original order.  Because every
-check evaluation reads nothing but the store, the replayed engine sees
-byte-identical inputs at identical logical times — so a faithful replay
-is *digest-equal* to the recording (:func:`~repro.exec.recording.run_digest`),
-and :func:`diff_replay` reports any divergence outcome-by-outcome via
+due first, exactly like ``Runtime.replay``) and the recorded spans'
+samples reach the store, in their original order, before the next engine
+event.  Because every check evaluation reads nothing but the store, the
+replayed engine sees byte-identical inputs at identical logical times — so
+a faithful replay is *digest-equal* to the recording
+(:func:`~repro.exec.recording.run_digest`), and :func:`diff_replay` reports
+any divergence outcome-by-outcome via
 :func:`~repro.obs.timeline.diff_timeline_execution`.
 
 Replaying a *modified* strategy against the same recorded traffic is the
@@ -37,6 +38,7 @@ from repro.obs.timeline import diff_timeline_execution, reconstruct_timelines
 from repro.routing.proxy import VersionRouter
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import SimulationEngine
+from repro.telemetry.monitor import SpanSampleBuffer
 from repro.telemetry.store import MetricStore
 
 
@@ -170,28 +172,16 @@ class ReplayBackend:
             observer=observer,
         )
         engine.submit(strategy, at=recording.submit_at)
+        # Runtime.replay's loop: flush before an event can read the store.
+        samples = SpanSampleBuffer()
         for request in recording.requests:
-            simulation.run_until(max(request.timestamp, simulation.now))
-            for span in request.spans:
-                # Mirror Monitor.observe_span exactly: three samples per
-                # span, in span order, at the span's start time.
-                store.record(
-                    span.service,
-                    span.version,
-                    "response_time",
-                    span.start,
-                    span.duration_ms,
-                )
-                store.record(
-                    span.service,
-                    span.version,
-                    "error",
-                    span.start,
-                    1.0 if span.error else 0.0,
-                )
-                store.record(
-                    span.service, span.version, "throughput", span.start, 1.0
-                )
+            target = max(request.timestamp, simulation.now)
+            due = simulation.queue.peek_time()
+            if due is not None and due <= target:
+                samples.flush(store)
+            simulation.run_until(target)
+            samples.add_spans(request.spans)
+        samples.flush(store)
         simulation.run_until(max(recording.end_time, simulation.now))
         return ReplayRunResult(
             engine=engine,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.fenrir.model import SchedulingProblem
 from repro.simulation.rng import SeededRng
+from repro.telemetry.monitor import SpanSampleBuffer
 from repro.telemetry.store import MetricStore
 
 
@@ -72,25 +73,22 @@ class SlotTrafficFeed:
         count = self.sample_count(slot, fraction, groups)
         if count == 0:
             return 0
-        rng = SeededRng(self.seed).fork(f"feed:{name}:{slot}")
+        raw = SeededRng(self.seed).fork(f"feed:{name}:{slot}").raw
+        uniform, gauss = raw.uniform, raw.gauss
         t0 = slot * self.slot_seconds
         step = self.slot_seconds / count
         exp_error = min(1.0, self.base_error + error_delta)
         exp_latency = self.base_latency_ms * latency_factor
+        samples = SpanSampleBuffer()
+        lanes = (
+            (*samples.columns(service, stable), self.base_error, self.base_latency_ms),
+            (*samples.columns(service, experimental), exp_error, exp_latency),
+        )
         for i in range(count):
             at = t0 + (i + 0.5) * step
-            for version, err_rate, latency in (
-                (stable, self.base_error, self.base_latency_ms),
-                (experimental, exp_error, exp_latency),
-            ):
-                errored = 1.0 if rng.uniform(0.0, 1.0) < err_rate else 0.0
-                store.record(service, version, "error", at, errored)
-                store.record(
-                    service,
-                    version,
-                    "response_time",
-                    at,
-                    max(1.0, rng.gauss(latency, latency * 0.1)),
-                )
-                store.record(service, version, "throughput", at, 1.0)
+            for starts, durations, errors, err_rate, latency in lanes:
+                errors.append(1.0 if uniform(0.0, 1.0) < err_rate else 0.0)
+                durations.append(max(1.0, gauss(latency, latency * 0.1)))
+                starts.append(at)
+        samples.flush(store)
         return count

@@ -188,21 +188,25 @@ class Runtime:
     ) -> RequestOutcome:
         """Run *request* through the topology and return its outcome.
 
+        The one-request form: a :class:`RequestKernel` (endpoint specs,
+        call policies, breaker/partition presence, resolved once) is
+        compiled for this call, so the request sees every mutation made
+        before it, and its samples are in the store when it returns.  To
+        run a workload use :meth:`replay`, the loop API: it passes its own
+        *kernel*, which then holds the samples until the loop flushes it.
         The shared clock is advanced to the request's arrival time first,
-        so workloads must be replayed in timestamp order.  A
-        :class:`RequestKernel` resolves endpoint specs, call policies and
-        breaker/partition presence once, so one is compiled for this call
-        — the request sees every mutation made before it — unless the
-        caller passes a *kernel* it knows to be current (:meth:`replay`).
+        so requests must come in timestamp order.
         """
         if request.timestamp > self.clock.now:
             self.clock.advance_to(request.timestamp)
-        kernel = kernel or RequestKernel(self)
-        trace_id, spans, duration, error = kernel.execute_request(
-            request, self.clock.now
-        )
+        compiled = kernel or RequestKernel(self)
+        trace_id, spans, duration, error = compiled.execute_request(request, self.clock.now)
         self.collector.record_all(spans)
-        self.monitor.observe_spans(spans)
+        # A request that raised mid-tree never gets here: no samples.
+        if kernel is None:
+            self.monitor.observe_spans(spans)
+        else:
+            kernel.samples.add_spans(spans)
         self.requests_executed += 1
         return RequestOutcome(request, Trace(trace_id, spans), duration, error)
 
@@ -213,12 +217,21 @@ class Runtime:
 
         Every event due at or before a request's timestamp runs before
         that request.  The world only changes at engine events, so the
-        kernel is compiled once per event-free stretch.  Lazy: a request
-        executes when its outcome is pulled from the iterator.
+        kernel is compiled once per event-free stretch and the stretch's
+        samples reach the store in one flush: before the next event runs,
+        and when the iterator is exhausted or closed.  Lazy: a request
+        executes when its outcome is pulled, and between pulls the store
+        may lag behind the outcomes already returned.
         """
-        kernel = None
-        for request in requests:
-            ran = simulation.run_until(max(request.timestamp, simulation.now))
-            if ran or kernel is None:
-                kernel = RequestKernel(self)
-            yield self.execute(request, kernel)
+        kernel = RequestKernel(self)
+        try:
+            for request in requests:
+                target = max(request.timestamp, simulation.now)
+                due = simulation.queue.peek_time()
+                if due is not None and due <= target:
+                    kernel.flush()
+                if simulation.run_until(target):
+                    kernel = RequestKernel(self)
+                yield self.execute(request, kernel)
+        finally:
+            kernel.flush()

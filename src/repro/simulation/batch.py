@@ -39,12 +39,11 @@ pinned by ``tests/integration/test_scalar_golden.py``):
   conditions only change at events, so a condition can never flip
   mid-slice.
 
-Memory behaviour: the kernel buffers per-(service, version) metric
-columns in plain lists and flushes them with
-:meth:`~repro.telemetry.store.MetricStore.extend` at slice ends (the
-store keeps samples in ``array('d')`` columns), and recent request
-durations go into a fixed-size :class:`FloatRing` — so a ten-million
-request replay holds O(slice) transient state, not O(run).
+Memory behaviour: samples wait in a per-(service, version)
+:class:`~repro.telemetry.monitor.SpanSampleBuffer` flushed at slice ends
+(the store keeps ``array('d')`` columns), and recent request durations go
+into a fixed-size :class:`FloatRing` — so a ten-million request replay
+holds O(slice) transient state, not O(run).
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ from repro.simulation.latency import (
     LogNormalLatency,
     ParetoLatency,
 )
+from repro.telemetry.monitor import SpanSampleBuffer
 from repro.tracing.span import Span, next_span_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -323,11 +323,13 @@ class RequestKernel:
     With a *population* the requests are rows of a
     :class:`~repro.traffic.batch.RequestBatch` (:meth:`run_slice`): a hop
     resolves its version through the memoized records compiled from
-    *router*'s routes, and samples are buffered for :meth:`flush`.
-    Without one they are :class:`~repro.traffic.workload.Request` objects
-    (:meth:`execute_request`, what ``Runtime.execute`` runs): a hop asks
-    ``runtime.router.route`` — any ``Router`` — always builds spans, and
-    buffers nothing, because the caller records the spans.
+    *router*'s routes, and buffers its sample in :attr:`samples` as it
+    finishes.  Without one they are :class:`~repro.traffic.workload.Request`
+    objects (:meth:`execute_request`, what ``Runtime.execute`` runs): a hop
+    asks ``runtime.router.route`` — any ``Router`` — and always builds
+    spans, which the caller records or (``Runtime.replay``) buffers in
+    :attr:`samples` once the request has returned.  Whoever drives the
+    kernel calls :meth:`flush` before an engine event can read the store.
     """
 
     def __init__(
@@ -352,7 +354,7 @@ class RequestKernel:
         self._nodes: dict = {}
         self._edges: dict = {}
         self._route_recs: dict = {}
-        self._buffers: dict = {}
+        self.samples = SpanSampleBuffer()
         # Which hop this stretch runs.  The runtime's own resilience layer
         # is used, so breaker state and the event log stay continuous
         # across kernels.
@@ -466,7 +468,7 @@ class RequestKernel:
         version = self._app.service(service).get(version_name)
         spec = version.endpoint(endpoint)
         sample, needs_load = _compile_sampler(spec.latency, self)
-        buffers = self._buffers.setdefault((service, version_name), ([], [], []))
+        buffers = self.samples.columns(service, version_name)
         node = [
             sample,
             spec.error_rate,
@@ -939,41 +941,10 @@ class RequestKernel:
             node[_N_ERR_BUF].append(error)
 
     def flush(self) -> None:
-        """Drain the metric buffers into the store in bulk.
-
-        Emission order within each (service, version, metric) key equals
-        ``Runtime.execute``'s record order, and ``MetricStore.extend`` is
-        order-equivalent to repeated ``record`` calls — so windowed
-        aggregates (and every check decision derived from them) match.
-        The ``resilience.*`` series the general hop's events write
-        immediately are different keys, so their relative order to the
-        buffered span samples is unobservable.
-        """
-        store = self._runtime.monitor.store
-        for (service, version), (ts_buf, dur_buf, err_buf) in self._buffers.items():
-            if not ts_buf:
-                continue
-            times = np.asarray(ts_buf, dtype=np.float64)
-            store.extend_columns(
-                service,
-                version,
-                "response_time",
-                times,
-                np.asarray(dur_buf, dtype=np.float64),
-            )
-            store.extend_columns(
-                service,
-                version,
-                "error",
-                times,
-                np.asarray(err_buf, dtype=np.float64),
-            )
-            store.extend_columns(
-                service, version, "throughput", times, np.ones(len(times))
-            )
-            ts_buf.clear()
-            dur_buf.clear()
-            err_buf.clear()
+        """Land the buffered samples in the runtime's store (the
+        ``resilience.*`` series the general hop's events write immediately
+        are different keys, so their order relative to these is unobservable)."""
+        self.samples.flush(self._runtime.monitor.store)
 
 
 def slice_blockers(runtime: "Runtime") -> list[str]:

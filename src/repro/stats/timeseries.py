@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from operator import itemgetter
-from typing import Iterable, Iterator
+from itertools import islice
+from operator import le
+from typing import Iterator
 
 from repro.errors import StatisticsError
 from repro.stats.descriptive import SummaryStats, summarize
@@ -29,8 +30,8 @@ class TimeSeries:
     benchmark hold tens of millions of samples in memory.  Because the
     insertion sort is stable (``bisect_right`` places a sample after any
     equal timestamps), the series content is exactly the stable
-    timestamp-sort of the append sequence; :meth:`extend` exploits that to
-    bulk-load sorted chunks at C speed while staying equivalent to
+    timestamp-sort of the append sequence; :meth:`extend_columns` exploits
+    that to bulk-load sorted chunks at C speed while staying equivalent to
     repeated :meth:`append`.
     """
 
@@ -57,39 +58,31 @@ class TimeSeries:
         self._times.insert(idx, timestamp)
         self._values.insert(idx, value)
 
-    def extend(self, samples: Iterable[tuple[float, float]]) -> None:
-        """Append many ``(timestamp, value)`` samples.
-
-        Equivalent to appending each sample in order — the final series
-        is the same stable timestamp-sort either way — but sorts the
-        chunk first so everything past the (usually tiny) out-of-order
-        prefix lands via two C-level array extends.
-        """
-        chunk = sorted(samples, key=itemgetter(0))
-        if not chunk:
-            return
-        i = 0
-        times = self._times
-        if times:
-            last = times[-1]
-            n = len(chunk)
-            while i < n and chunk[i][0] < last:
-                self.append(*chunk[i])
-                i += 1
-        if i:
-            chunk = chunk[i:]
-        self._times.extend(float(ts) for ts, _ in chunk)
-        self._values.extend(float(value) for _, value in chunk)
-
     def extend_columns(self, times, values) -> None:
         """Append many samples given as parallel columns.
 
-        Equivalent to ``extend(zip(times, values))`` — same stable sort,
-        same out-of-order-prefix handling — but sorts with a stable numpy
-        argsort and lands the tail via ``frombytes``, avoiding per-sample
-        tuple construction entirely.  This is the batch execution
-        kernel's flush path for million-sample runs.
+        Equivalent to appending each sample in order — the final series
+        is the same stable timestamp-sort either way — but sorts the chunk
+        first (stable numpy argsort), so everything past the usually tiny
+        out-of-order prefix lands via ``frombytes`` with no per-sample
+        work.  Plain lists that are already ascending and start at or after
+        the series tail need neither sort nor insertion and skip numpy: a
+        24-sample flush (one fleet slot) costs less than converting it.
         """
+        if (
+            type(times) is list
+            and type(values) is list
+            and len(times) == len(values)
+            and times
+            and (not self._times or times[0] >= self._times[-1])
+            and all(map(le, times, islice(times, 1, None)))
+        ):
+            # Convert both columns before either grows: a bad value raises
+            # here and leaves the series as it was.
+            times, values = array("d", times), array("d", values)
+            self._times.extend(times)
+            self._values.extend(values)
+            return
         import numpy as np
 
         times = np.asarray(times, dtype=np.float64)

@@ -16,11 +16,69 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.telemetry.store import MetricStore
 from repro.tracing.span import Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.microservices.resilience import ResilienceEvent
+
+
+#: Keys with up to this many buffered samples (a fleet slot has 24) flush as
+#: plain lists; longer ones (a batch slice has ~10^5) convert the start column
+#: their three metrics share once, which numpy's per-call cost then repays.
+_LIST_FLUSH_MAX = 64
+
+
+class SpanSampleBuffer:
+    """Span samples on their way to a store, as per-(service, version) columns.
+
+    The bulk form of :meth:`Monitor.observe_span` and the one writer of the
+    ``response_time``/``error``/``throughput`` triple for every bulk driver
+    (batch slices, ``Runtime.replay``, REPLAY, the fleet feed): :meth:`add`
+    samples, or append to a key's :meth:`columns` in place, then
+    :meth:`flush`.  Per key the store ends up exactly as if every sample
+    had been recorded one at a time, in order.
+    """
+
+    def __init__(self) -> None:
+        self._columns: dict[tuple[str, str], tuple[list, list, list]] = {}
+
+    def columns(self, service: str, version: str) -> tuple[list, list, list]:
+        """The key's parallel (starts, durations ms, errors) lists."""
+        return self._columns.setdefault((service, version), ([], [], []))
+
+    def add(
+        self, service: str, version: str, start: float, duration_ms: float, error
+    ) -> None:
+        """Buffer one span's sample."""
+        starts, durations, errors = self.columns(service, version)
+        starts.append(start)
+        durations.append(duration_ms)
+        errors.append(error)
+
+    def add_spans(self, spans) -> None:
+        """Buffer what :meth:`Monitor.observe_spans` would record."""
+        for span in spans:
+            self.add(span.service, span.version, span.start, span.duration_ms, span.error)
+
+    def flush(self, store: MetricStore) -> None:
+        """Land every buffered sample in *store* and empty the buffer."""
+        for (service, version), (starts, durations, errors) in self._columns.items():
+            count = len(starts)
+            if not count:
+                continue
+            if count > _LIST_FLUSH_MAX:
+                times, ones = np.asarray(starts, dtype=np.float64), np.ones(count)
+            else:
+                times, ones = starts, [1.0] * count
+            store.extend_columns(service, version, "response_time", times, durations)
+            store.extend_columns(service, version, "error", times, errors)
+            store.extend_columns(service, version, "throughput", times, ones)
+            starts.clear()
+            durations.clear()
+            errors.clear()
 
 
 class Monitor:

@@ -9,7 +9,7 @@ answers them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import ValidationError
 from repro.stats.descriptive import mean, median, percentile
@@ -70,49 +70,27 @@ class MetricStore:
     def __init__(self) -> None:
         self._series: dict[MetricKey, TimeSeries] = {}
 
+    def _open(self, service: str, version: str, metric: str) -> TimeSeries:
+        key = MetricKey(service, version, metric)
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = TimeSeries(str(key))
+        return series
+
     def record(
         self, service: str, version: str, metric: str, timestamp: float, value: float
     ) -> None:
-        """Record one sample."""
-        key = MetricKey(service, version, metric)
-        series = self._series.get(key)
-        if series is None:
-            series = TimeSeries(str(key))
-            self._series[key] = series
-        series.append(timestamp, value)
-
-    def extend(
-        self,
-        service: str,
-        version: str,
-        metric: str,
-        samples: Iterable[tuple[float, float]],
-    ) -> None:
-        """Bulk-record samples for one key — one key lookup, one C-level
-        append run, instead of per-sample :class:`MetricKey` construction.
-
-        Equivalent to calling :meth:`record` per sample (see
-        :meth:`TimeSeries.extend` for why); this is the flush path of the
-        batch execution kernel's per-(service, version) metric buffers.
-        """
-        key = MetricKey(service, version, metric)
-        series = self._series.get(key)
-        if series is None:
-            series = TimeSeries(str(key))
-            self._series[key] = series
-        series.extend(samples)
+        """Record one sample — the one-sample convenience over the same
+        columns :meth:`extend_columns` lands in bulk."""
+        self._open(service, version, metric).append(timestamp, value)
 
     def extend_columns(
         self, service: str, version: str, metric: str, times, values
     ) -> None:
-        """Columnar sibling of :meth:`extend` — see
-        :meth:`TimeSeries.extend_columns`."""
-        key = MetricKey(service, version, metric)
-        series = self._series.get(key)
-        if series is None:
-            series = TimeSeries(str(key))
-            self._series[key] = series
-        series.extend_columns(times, values)
+        """Bulk-record parallel columns for one key: one key lookup for
+        the lot.  Equivalent to calling :meth:`record` per sample, in
+        order (see :meth:`TimeSeries.extend_columns` for why)."""
+        self._open(service, version, metric).extend_columns(times, values)
 
     def keys(self) -> list[MetricKey]:
         """All metric keys with at least one sample."""
@@ -120,10 +98,9 @@ class MetricStore:
 
     def series(self, service: str, version: str, metric: str) -> TimeSeries:
         """The raw time series for a key (empty series if absent)."""
-        return self._series.get(
-            MetricKey(service, version, metric),
-            TimeSeries(str(MetricKey(service, version, metric))),
-        )
+        key = MetricKey(service, version, metric)
+        series = self._series.get(key)
+        return TimeSeries(str(key)) if series is None else series
 
     def values_in_window(
         self,
@@ -163,8 +140,11 @@ class MetricStore:
     def merge(self, other: "MetricStore") -> None:
         """Fold all samples of *other* into this store."""
         for key, series in other._series.items():
-            for ts, value in series:
-                self.record(key.service, key.version, key.metric, ts, value)
+            if len(series):
+                self.extend_columns(
+                    key.service, key.version, key.metric,
+                    series.timestamps, series.values,
+                )
 
     def snapshot(self) -> dict:
         """JSON-compatible dump of every series, for durability checkpoints."""
@@ -193,25 +173,14 @@ class MetricStore:
                     str(entry["service"]),
                     str(entry["version"]),
                     str(entry["metric"]),
-                    [(float(ts), float(value)) for ts, value in entry["samples"]],
+                    [float(ts) for ts, _ in entry["samples"]],
+                    [float(value) for _, value in entry["samples"]],
                 )
                 for entry in data["series"]
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed metric snapshot: {exc}") from exc
         self._series = {}
-        for service, version, metric, samples in entries:
-            for ts, value in samples:
-                self.record(service, version, metric, ts, value)
-
-
-def record_many(
-    store: MetricStore,
-    service: str,
-    version: str,
-    metric: str,
-    samples: Iterable[tuple[float, float]],
-) -> None:
-    """Bulk-record ``(timestamp, value)`` samples into *store*."""
-    for timestamp, value in samples:
-        store.record(service, version, metric, timestamp, value)
+        for service, version, metric, times, values in entries:
+            if times:
+                self.extend_columns(service, version, metric, times, values)

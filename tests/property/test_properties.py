@@ -123,14 +123,14 @@ class TestTimeSeriesProperties:
     @given(points)
     def test_always_sorted(self, pts):
         series = TimeSeries()
-        series.extend(pts)
+        series.extend_columns(*map(list, zip(*pts)))
         times = series.timestamps
         assert times == sorted(times)
 
     @given(points)
     def test_window_subset_of_values(self, pts):
         series = TimeSeries()
-        series.extend(pts)
+        series.extend_columns(*map(list, zip(*pts)))
         window = series.window(100.0, 500.0)
         all_values = series.values
         for value in window:
@@ -139,7 +139,7 @@ class TestTimeSeriesProperties:
     @given(points)
     def test_full_window_returns_everything(self, pts):
         series = TimeSeries()
-        series.extend(pts)
+        series.extend_columns(*map(list, zip(*pts)))
         assert len(series.window(-1.0, 1e9)) == len(pts)
 
 

@@ -4,17 +4,7 @@ import pytest
 
 from repro.bifrost.dsl import parse_strategy
 from repro.errors import ConfigurationError
-from repro.telemetry.store import MetricStore, record_many
 from repro.topology.uncertainty import UncertaintyModel
-
-
-class TestRecordMany:
-    def test_bulk_recording(self):
-        store = MetricStore()
-        record_many(
-            store, "svc", "1.0", "m", [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]
-        )
-        assert store.aggregate("svc", "1.0", "m", "mean", 0, 3) == 3.0
 
 
 class TestCheckIntervalDsl:

@@ -22,7 +22,7 @@ class TestAppend:
 
     def test_extend(self):
         series = TimeSeries()
-        series.extend([(0.0, 1.0), (1.0, 2.0)])
+        series.extend_columns([0.0, 1.0], [1.0, 2.0])
         assert len(series) == 2
 
     def test_iteration_yields_pairs(self):
@@ -55,7 +55,7 @@ class TestWindow:
 
     def test_start_boundary_included_end_excluded(self):
         series = TimeSeries()
-        series.extend([(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)])
+        series.extend_columns([1.0, 2.0, 3.0], [10.0, 20.0, 30.0])
         # Half-open [start, end): exactly-on-start in, exactly-on-end out.
         assert series.window(1.0, 3.0) == [10.0, 20.0]
         assert series.window(3.0, 4.0) == [30.0]
@@ -75,7 +75,7 @@ class TestWindow:
 
     def test_last_excludes_sample_at_now(self):
         series = TimeSeries()
-        series.extend([(7.0, 7.0), (10.0, 99.0)])
+        series.extend_columns([7.0, 10.0], [7.0, 99.0])
         # last(d, now) is the half-open [now - d, now): the sample
         # stamped exactly `now` belongs to the *next* window.
         assert series.last(3.0, now=10.0) == [7.0]
@@ -84,7 +84,7 @@ class TestWindow:
 class TestResample:
     def test_buckets_average(self):
         series = TimeSeries()
-        series.extend([(0.0, 10.0), (0.5, 20.0), (1.2, 30.0)])
+        series.extend_columns([0.0, 0.5, 1.2], [10.0, 20.0, 30.0])
         buckets = series.resample(1.0)
         assert buckets[0] == (0.0, 15.0)
         assert buckets[1] == (1.0, 30.0)
@@ -98,7 +98,7 @@ class TestResample:
 
     def test_gap_skips_empty_buckets(self):
         series = TimeSeries()
-        series.extend([(0.0, 1.0), (5.0, 2.0)])
+        series.extend_columns([0.0, 5.0], [1.0, 2.0])
         buckets = series.resample(1.0)
         assert len(buckets) == 2
         assert buckets[1][0] == 5.0
@@ -107,7 +107,7 @@ class TestResample:
 class TestSummary:
     def test_summary_over_values(self):
         series = TimeSeries()
-        series.extend([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
+        series.extend_columns([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         stats = series.summary()
         assert stats.count == 3
         assert stats.mean == 2.0
