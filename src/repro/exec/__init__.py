@@ -17,6 +17,7 @@ See ``docs/EXECUTION_MODES.md`` for the mode matrix and workflows.
 from repro.exec.live import LiveBackend, LiveCluster, LiveOptions, LiveRunResult
 from repro.exec.recording import (
     RecordedRequest,
+    RecordedRequests,
     RecordedSpan,
     Recording,
     run_digest,
@@ -39,6 +40,7 @@ __all__ = [
     "LiveOptions",
     "LiveRunResult",
     "RecordedRequest",
+    "RecordedRequests",
     "RecordedSpan",
     "Recording",
     "ReplayBackend",

@@ -9,7 +9,9 @@ serialized as one JSONL stream of typed lines:
   captured (the full glass-box stream, not just the retained ring);
 - one ``request`` line per executed request — its identity, arrival
   timestamp, and the *observed spans* ``(service, version, start,
-  duration_ms, error)`` whose metrics the monitor derived from it;
+  duration_ms, error)`` whose metrics the monitor derived from it (in
+  memory these are the columns of :class:`RecordedRequests`, not one
+  object per request and span);
 - one ``digest`` line — the content digest of the run's decision-
   relevant state (full :meth:`MetricStore.snapshot`, transitions, check
   log, terminal outcomes) plus the final logical clock.
@@ -25,8 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
+from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Iterable, Mapping
+from itertools import islice
+from math import isfinite
+from operator import eq
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.errors import ValidationError
 from repro.obs.events import Event, event_from_dict, stream_truncation
@@ -36,6 +44,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.store import MetricStore
 
 FORMAT_VERSION = 1
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BOOL = ("false", "true")
+
+
+def _dump(doc) -> str:
+    """The canonical JSON of every persisted line and of the digest."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _floats(column: Iterable[float]) -> Iterator[str]:
+    """Each double of *column* as ``json.dumps`` spells it."""
+    if all(map(isfinite, column)):
+        return map(repr, column)
+    return (repr(v) if isfinite(v) else _NON_FINITE[repr(v)] for v in column)
+
+
+def _quoted(column: list[str]) -> Iterator[str]:
+    """Each string of *column* as a JSON string, escaped once per distinct one."""
+    return map({text: json.dumps(text) for text in set(column)}.__getitem__, column)
+
+
+def _runs(items: Iterator, ends: array) -> Iterator[Iterator]:
+    """Per row, the run of *items* that ends at its offset in *ends*; each
+    run must be drained before the next is taken."""
+    start = 0
+    for end in ends:
+        yield islice(items, end - start)
+        start = end
 
 
 @dataclass(frozen=True)
@@ -47,20 +84,6 @@ class RecordedSpan:
     start: float
     duration_ms: float
     error: bool
-
-    def as_list(self) -> list:
-        return [self.service, self.version, self.start, self.duration_ms, self.error]
-
-    @classmethod
-    def from_list(cls, doc: Iterable) -> "RecordedSpan":
-        service, version, start, duration_ms, error = doc
-        return cls(
-            service=str(service),
-            version=str(version),
-            start=float(start),
-            duration_ms=float(duration_ms),
-            error=bool(error),
-        )
 
 
 @dataclass(frozen=True)
@@ -76,36 +99,195 @@ class RecordedRequest:
     duration_ms: float = 0.0
     error: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "type": "request",
-            "t": self.timestamp,
-            "user": self.user_id,
-            "group": self.group,
-            "entry": self.entry,
-            "headers": dict(self.headers),
-            "spans": [span.as_list() for span in self.spans],
-            "duration_ms": self.duration_ms,
-            "error": self.error,
-        }
 
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "RecordedRequest":
-        try:
-            return cls(
-                timestamp=float(doc["t"]),
-                user_id=str(doc["user"]),
-                group=str(doc["group"]),
-                entry=str(doc["entry"]),
-                headers=dict(doc.get("headers", {})),
-                spans=tuple(
-                    RecordedSpan.from_list(span) for span in doc.get("spans", ())
-                ),
-                duration_ms=float(doc.get("duration_ms", 0.0)),
-                error=bool(doc.get("error", False)),
+class RecordedRequests(Sequence):
+    """A recording's executed requests, held as columns.
+
+    One slot per request in ``timestamps``/``durations`` (``array('d')``),
+    ``users``/``groups``/``entries`` (``list[str]``) and ``errors``
+    (``bytearray``); one slot per observed span in ``span_services``/
+    ``span_versions`` (``list[str]``), ``span_starts``/``span_durations``
+    (``array('d')``) and ``span_errors`` (``bytearray``); one slot per
+    header in ``header_keys``/``header_values`` (``list[str]``, each
+    request's sorted by key).  Request *i* owns the spans
+    ``span_ends[i - 1]:span_ends[i]`` and the headers
+    ``header_ends[i - 1]:header_ends[i]``, so one without headers adds
+    nothing to them.  No column holds a per-request container for the
+    cyclic GC to count or walk, which is the point: a 10 000-request
+    recording is 15 objects, not 50 000.
+
+    It still reads as a sequence of :class:`RecordedRequest` — ``len``,
+    index, slice, iteration and ``==`` against any other sequence of them —
+    each one materialised on access; bulk readers (:meth:`jsonl_lines`,
+    :meth:`arrivals`) walk the columns instead.
+
+    Byte-compatibility contract: :meth:`jsonl_lines` yields, per request,
+    exactly ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
+    the format-1 document ``{"type": "request", "t", "user", "group",
+    "entry", "headers", "spans": [[service, version, start, duration_ms,
+    error], ...], "duration_ms", "error"}``, and :meth:`add_doc` reads that
+    document back to the same columns.  Numbers are stored as doubles, so
+    an ``int`` timestamp is written ``2.0``.
+    """
+
+    def __init__(self, requests: Iterable[RecordedRequest] = ()) -> None:
+        self.timestamps = array("d")
+        self.users: list[str] = []
+        self.groups: list[str] = []
+        self.entries: list[str] = []
+        self.durations = array("d")
+        self.errors = bytearray()
+        self.header_ends = array("q")
+        self.header_keys: list[str] = []
+        self.header_values: list[str] = []
+        self.span_ends = array("q")
+        self.span_services: list[str] = []
+        self.span_versions: list[str] = []
+        self.span_starts = array("d")
+        self.span_durations = array("d")
+        self.span_errors = bytearray()
+        for r in requests:
+            self.add(
+                r.timestamp, r.user_id, r.group, r.entry, r.headers, r.spans,
+                r.duration_ms, r.error,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return [self._request(i) for i in picked]
+        return self._request(picked)
+
+    def __iter__(self) -> Iterator[RecordedRequest]:
+        return map(self._request, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def _request(self, i: int) -> RecordedRequest:
+        headers = slice(self.header_ends[i - 1] if i else 0, self.header_ends[i])
+        spans = range(self.span_ends[i - 1] if i else 0, self.span_ends[i])
+        return RecordedRequest(
+            timestamp=self.timestamps[i],
+            user_id=self.users[i],
+            group=self.groups[i],
+            entry=self.entries[i],
+            headers=dict(zip(self.header_keys[headers], self.header_values[headers])),
+            spans=tuple(
+                RecordedSpan(
+                    self.span_services[j],
+                    self.span_versions[j],
+                    self.span_starts[j],
+                    self.span_durations[j],
+                    bool(self.span_errors[j]),
+                )
+                for j in spans
+            ),
+            duration_ms=self.durations[i],
+            error=bool(self.errors[i]),
+        )
+
+    def add(
+        self, timestamp, user_id, group, entry, headers, spans, duration_ms, error
+    ) -> None:
+        """Append one request; *spans* is any iterable of objects with
+        ``service``, ``version``, ``start``, ``duration_ms`` and ``error``
+        (the recording tap passes the trace's own spans)."""
+        self._commit(
+            timestamp, user_id, group, entry, sorted(headers.items()),
+            [(s.service, s.version, s.start, s.duration_ms, s.error) for s in spans],
+            duration_ms, error,
+        )
+
+    def add_doc(self, doc: Mapping) -> None:
+        """Append one parsed ``request`` line, all or nothing: a malformed
+        document raises :class:`ValidationError` and appends to no column."""
+        try:
+            row = (
+                float(doc["t"]),
+                str(doc["user"]),
+                str(doc["group"]),
+                str(doc["entry"]),
+                sorted((str(k), str(v)) for k, v in doc.get("headers", {}).items()),
+                [
+                    (str(service), str(version), float(start), float(ms), bool(error))
+                    for service, version, start, ms, error in doc.get("spans", ())
+                ],
+                float(doc.get("duration_ms", 0.0)),
+                bool(doc.get("error", False)),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed recorded request: {exc}") from exc
+        self._commit(*row)
+
+    def _commit(
+        self, timestamp, user_id, group, entry, headers, spans, duration_ms, error
+    ) -> None:
+        """The one column writer; *headers* are (key, value) rows sorted by
+        key, *spans* (service, version, start, duration_ms, error) rows."""
+        for key, value in headers:
+            self.header_keys.append(key)
+            self.header_values.append(value)
+        if spans:
+            services, versions, starts, durations, errors = zip(*spans)
+            self.span_services.extend(services)
+            self.span_versions.extend(versions)
+            self.span_starts.extend(starts)
+            self.span_durations.extend(durations)
+            self.span_errors.extend(map(bool, errors))
+        self.timestamps.append(timestamp)
+        self.users.append(user_id)
+        self.groups.append(group)
+        self.entries.append(entry)
+        self.durations.append(duration_ms)
+        self.errors.append(bool(error))
+        self.header_ends.append(len(self.header_keys))
+        self.span_ends.append(len(self.span_starts))
+
+    def arrivals(self) -> Iterator[tuple[float, list[tuple]]]:
+        """Per request, its timestamp and its (service, version, start,
+        duration_ms, error) span rows, off the columns: what REPLAY walks."""
+        spans = zip(
+            self.span_services, self.span_versions, self.span_starts,
+            self.span_durations, self.span_errors,
+        )
+        return zip(self.timestamps, map(list, _runs(spans, self.span_ends)))
+
+    def jsonl_lines(self) -> Iterator[str]:
+        """One canonical ``request`` line per request, off the columns."""
+        headers = map(
+            "%s:%s".__mod__,
+            zip(_quoted(self.header_keys), _quoted(self.header_values)),
+        )
+        spans = map(
+            "[%s,%s,%s,%s,%s]".__mod__,
+            zip(
+                _quoted(self.span_services),
+                _quoted(self.span_versions),
+                _floats(self.span_starts),
+                _floats(self.span_durations),
+                map(_BOOL.__getitem__, self.span_errors),
+            ),
+        )
+        return map(
+            '{"duration_ms":%s,"entry":%s,"error":%s,"group":%s,"headers":{%s},'
+            '"spans":[%s],"t":%s,"type":"request","user":%s}'.__mod__,
+            zip(
+                _floats(self.durations),
+                _quoted(self.entries),
+                map(_BOOL.__getitem__, self.errors),
+                _quoted(self.groups),
+                map(",".join, _runs(headers, self.header_ends)),
+                map(",".join, _runs(spans, self.span_ends)),
+                _floats(self.timestamps),
+                _quoted(self.users),
+            ),
+        )
 
 
 def run_digest(
@@ -118,33 +300,52 @@ def run_digest(
     explicitly non-semantic), and each strategy's terminal outcome.  Two
     runs with equal digests made the same decisions at the same logical
     times on the same observed data.
+
+    Byte-compatibility contract: the value is
+    ``sha256(json.dumps({"store": store.snapshot(), "strategies": [...]},
+    sort_keys=True, separators=(",", ":")))``, and every recording on disk
+    and every golden digest in the tests holds it to that.  The bytes are
+    streamed into the hash instead of being built: one piece per series,
+    written straight off its columns, so neither ``snapshot()``'s list per
+    sample nor the whole JSON text ever exists.
     """
-    body = {
-        "store": store.snapshot(),
-        "strategies": [
-            {
-                "name": execution.strategy.name,
-                "state": execution.state,
-                "outcome": execution.outcome.value,
-                "winner": execution.winner,
-                "finished_at": execution.finished_at,
-                "phase_entries": execution.phase_entries,
-                "transitions": [
-                    [r.time, r.source, r.target, r.trigger, r.action.value]
-                    for r in execution.transitions
-                ],
-                "checks": [
-                    [r.time, r.check.name, r.outcome.value, r.observed, r.reference]
-                    for r in execution.check_log
-                ],
-            }
-            for execution in sorted(
-                executions, key=lambda e: e.strategy.name
-            )
-        ],
-    }
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    sha = hashlib.sha256()
+    sha.update(b'{"store":{"series":[')
+    for index, key in enumerate(store.keys()):
+        series = store.series(key.service, key.version, key.metric)
+        samples = ",".join(
+            map("[%s,%s]".__mod__, zip(_floats(series.timestamps), _floats(series.values)))
+        )
+        sha.update(
+            (
+                f'{"," if index else ""}{{"metric":{json.dumps(key.metric)},'
+                f'"samples":[{samples}],"service":{json.dumps(key.service)},'
+                f'"version":{json.dumps(key.version)}}}'
+            ).encode("ascii")
+        )
+    sha.update(b']},"strategies":')
+    strategies = [
+        {
+            "name": execution.strategy.name,
+            "state": execution.state,
+            "outcome": execution.outcome.value,
+            "winner": execution.winner,
+            "finished_at": execution.finished_at,
+            "phase_entries": execution.phase_entries,
+            "transitions": [
+                [r.time, r.source, r.target, r.trigger, r.action.value]
+                for r in execution.transitions
+            ],
+            "checks": [
+                [r.time, r.check.name, r.outcome.value, r.observed, r.reference]
+                for r in execution.check_log
+            ],
+        }
+        for execution in sorted(executions, key=lambda e: e.strategy.name)
+    ]
+    sha.update(_dump(strategies).encode("ascii"))
+    sha.update(b"}")
+    return sha.hexdigest()
 
 
 @dataclass
@@ -155,6 +356,13 @@ class Recording:
     (the lossless :func:`~repro.bifrost.model.strategy_to_dict` form) is
     what replays actually rebuild from, so strategies that exercise
     corners the DSL defaults away still re-run exactly.
+
+    ``requests`` is a :class:`RecordedRequests` (any iterable of
+    :class:`RecordedRequest` given to the constructor is copied into one).
+    Byte-compatibility contract: :meth:`save` writes file format 1 —
+    every line ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
+    of a typed document — and :meth:`from_jsonl` refuses any other
+    ``format``; holding the requests as columns changed no persisted byte.
     """
 
     strategy_dsl: str
@@ -162,11 +370,15 @@ class Recording:
     submit_at: float
     end_time: float
     events: list[Event] = field(default_factory=list)
-    requests: list[RecordedRequest] = field(default_factory=list)
+    requests: RecordedRequests = field(default_factory=RecordedRequests)
     digest: str = ""
     outcomes: dict[str, str] = field(default_factory=dict)
     mode: str = "sim"
     strategy_doc: dict | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.requests, RecordedRequests):
+            self.requests = RecordedRequests(self.requests)
 
     @property
     def truncated(self) -> Event | None:
@@ -185,12 +397,8 @@ class Recording:
 
         return build_provenance(self.events, allow_truncated=allow_truncated)
 
-    def jsonl_lines(self) -> Iterable[str]:
+    def jsonl_lines(self) -> Iterator[str]:
         """The recording as typed JSON lines (``meta`` first)."""
-
-        def dump(doc: dict) -> str:
-            return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
         meta = {
             "type": "meta",
             "format": FORMAT_VERSION,
@@ -202,32 +410,40 @@ class Recording:
         }
         if self.strategy_doc is not None:
             meta["strategy"] = self.strategy_doc
-        yield dump(meta)
+        yield _dump(meta)
         for event in self.events:
-            yield dump({"type": "event", **event.as_dict()})
-        for request in self.requests:
-            yield dump(request.as_dict())
-        yield dump(
+            yield _dump({"type": "event", **event.as_dict()})
+        yield from self.requests.jsonl_lines()
+        yield _dump(
             {"type": "digest", "value": self.digest, "outcomes": dict(self.outcomes)}
         )
 
     def save(self, target: str | IO[str]) -> int:
-        """Write the recording as JSONL; returns the line count."""
-        lines = list(self.jsonl_lines())
-        text = "\n".join(lines) + "\n"
-        if isinstance(target, str):
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            target.write(text)
-        return len(lines)
+        """Write the recording as JSONL, line by line; returns the line count."""
+        opened = (
+            open(target, "w", encoding="utf-8")
+            if isinstance(target, str)
+            else nullcontext(target)
+        )
+        count = 0
+        with opened as handle:
+            for line in self.jsonl_lines():
+                handle.write(line + "\n")
+                count += 1
+        return count
 
     @classmethod
     def from_jsonl(cls, lines: Iterable[str]) -> "Recording":
-        """Rebuild a recording from its :meth:`jsonl_lines` form."""
+        """Rebuild a recording from its :meth:`jsonl_lines` form.
+
+        Raises :class:`ValidationError` for a line that does not parse and
+        for a ``format`` other than :data:`FORMAT_VERSION` (a meta line
+        without the field is format 1): a later format is refused, not
+        re-driven as if it were understood.
+        """
         meta: dict | None = None
         events: list[Event] = []
-        requests: list[RecordedRequest] = []
+        requests = RecordedRequests()
         digest = ""
         outcomes: dict[str, str] = {}
         for line in lines:
@@ -241,10 +457,16 @@ class Recording:
             kind = doc.get("type")
             if kind == "meta":
                 meta = doc
+                found = doc.get("format", FORMAT_VERSION)
+                if found != FORMAT_VERSION:
+                    raise ValidationError(
+                        f"recording is format {found!r}; this build reads "
+                        f"format {FORMAT_VERSION} only"
+                    )
             elif kind == "event":
                 events.append(event_from_dict(doc))
             elif kind == "request":
-                requests.append(RecordedRequest.from_dict(doc))
+                requests.add_doc(doc)
             elif kind == "digest":
                 digest = str(doc.get("value", ""))
                 outcomes = {str(k): str(v) for k, v in doc.get("outcomes", {}).items()}

@@ -174,13 +174,14 @@ class ReplayBackend:
         engine.submit(strategy, at=recording.submit_at)
         # Runtime.replay's loop: flush before an event can read the store.
         samples = SpanSampleBuffer()
-        for request in recording.requests:
-            target = max(request.timestamp, simulation.now)
+        for timestamp, spans in recording.requests.arrivals():
+            target = max(timestamp, simulation.now)
             due = simulation.queue.peek_time()
             if due is not None and due <= target:
                 samples.flush(store)
             simulation.run_until(target)
-            samples.add_spans(request.spans)
+            for span in spans:
+                samples.add(*span)
         samples.flush(store)
         simulation.run_until(max(recording.end_time, simulation.now))
         return ReplayRunResult(

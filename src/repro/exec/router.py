@@ -238,7 +238,7 @@ class ExecutionRouter:
                 result.engine.application, result.strategy
             ),
             requests=result.requests,
-            errors=sum(1 for r in recording.requests if r.error),
+            errors=sum(recording.requests.errors),
             sim_seconds=result.engine.simulation.now,
             replay=diff_replay(recording, result),
             details=result,

@@ -15,12 +15,7 @@ from typing import Callable, Iterable
 
 from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Strategy
-from repro.exec.recording import (
-    RecordedRequest,
-    RecordedSpan,
-    Recording,
-    run_digest,
-)
+from repro.exec.recording import RecordedRequests, Recording, run_digest
 from repro.microservices.application import Application
 from repro.microservices.runtime import RequestOutcome
 from repro.obs.events import Event
@@ -50,29 +45,6 @@ class SimRunResult:
         was dark or the observer's provenance fold was disabled)."""
         tracker = self.middleware.observer.provenance
         return None if tracker is None else tracker.graph()
-
-
-def _record_outcome(outcome: RequestOutcome) -> RecordedRequest:
-    request = outcome.request
-    return RecordedRequest(
-        timestamp=request.timestamp,
-        user_id=request.user_id,
-        group=request.group,
-        entry=request.entry,
-        headers=dict(request.headers),
-        spans=tuple(
-            RecordedSpan(
-                service=span.service,
-                version=span.version,
-                start=span.start,
-                duration_ms=span.duration_ms,
-                error=span.error,
-            )
-            for span in outcome.trace.spans
-        ),
-        duration_ms=outcome.duration_ms,
-        error=outcome.error,
-    )
 
 
 class SimBackend:
@@ -127,6 +99,14 @@ class SimBackend:
             from repro.bifrost.dsl import strategy_to_dsl
             from repro.bifrost.model import strategy_to_dict
 
+            requests = RecordedRequests()
+            for outcome in outcomes:
+                request = outcome.request
+                requests.add(
+                    request.timestamp, request.user_id, request.group,
+                    request.entry, request.headers, outcome.trace,
+                    outcome.duration_ms, outcome.error,
+                )
             recording = Recording(
                 strategy_doc=strategy_to_dict(strategy),
                 strategy_dsl=strategy_to_dsl(strategy),
@@ -134,7 +114,7 @@ class SimBackend:
                 submit_at=submit_at,
                 end_time=middleware.simulation.now,
                 events=captured,
-                requests=[_record_outcome(outcome) for outcome in outcomes],
+                requests=requests,
                 digest=run_digest(middleware.store, middleware.engine.executions),
                 outcomes={
                     e.strategy.name: e.outcome.value

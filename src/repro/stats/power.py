@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as _scipy_stats
-
 from repro.errors import StatisticsError
 
 
 def _z(quantile: float) -> float:
+    from scipy import stats as _scipy_stats
+
     return float(_scipy_stats.norm.ppf(quantile))
 
 

@@ -8,6 +8,7 @@ submit-time mode guard.
 """
 
 import io
+import json
 
 import pytest
 
@@ -258,6 +259,21 @@ class TestRecordingFormat:
         assert loaded.events[0].kind == "engine.submitted"
         assert loaded.requests[0].spans == recording.requests[0].spans
         assert loaded.requests[0].headers == {"x-group": "eu"}
+
+    def test_later_format_refused(self):
+        lines = list(self.recording().jsonl_lines())
+        meta = json.loads(lines[0])
+        assert meta["format"] == 1
+        meta["format"] = 2
+        with pytest.raises(ValidationError, match="format 2.*reads format 1"):
+            Recording.from_jsonl([json.dumps(meta), *lines[1:]])
+
+    def test_meta_without_format_is_format_one(self):
+        lines = list(self.recording().jsonl_lines())
+        meta = json.loads(lines[0])
+        del meta["format"]
+        loaded = Recording.from_jsonl([json.dumps(meta), *lines[1:]])
+        assert loaded == self.recording()
 
     def test_unknown_line_type_rejected(self):
         with pytest.raises(ValidationError, match="unknown recording line"):
