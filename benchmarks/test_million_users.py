@@ -199,9 +199,6 @@ def test_million_users_batch_kernel() -> None:
     assert frontend_samples == result.requests
     assert 0.0 <= result.error_rate < 0.05
     assert result.mean_duration_ms > 0.0
-    assert len(result.recent_durations) == min(
-        result.requests, result.recent_durations.capacity
-    )
     # The canary must have actually run and promoted on live telemetry.
     assert execution.outcome.value == "completed", execution.outcome
     assert bifrost.application.stable_version("catalog") == "2.0.0"

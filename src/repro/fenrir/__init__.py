@@ -27,9 +27,7 @@ from repro.fenrir.fastfit import (
     EvalStats,
     EvaluatorOptions,
     FitnessCache,
-    ParallelEvaluator,
     SEED_OPTIONS,
-    publish_eval_stats,
 )
 from repro.fenrir.genetic import GeneticAlgorithm
 from repro.fenrir.random_sampling import RandomSampling
@@ -60,9 +58,7 @@ __all__ = [
     "EvalStats",
     "EvaluatorOptions",
     "FitnessCache",
-    "ParallelEvaluator",
     "SEED_OPTIONS",
-    "publish_eval_stats",
     "GeneticAlgorithm",
     "RandomSampling",
     "LocalSearch",

@@ -7,10 +7,10 @@ improved ("time to best") — the paper's execution-time comparison hinges
 on how quickly an algorithm reaches its final quality.
 
 The evaluator is layered over :mod:`repro.fenrir.fastfit`: evaluations
-are memoized by chromosome fingerprint, children are scored incrementally
-from cached parent states when the caller names a parent, and population
-scoring can fan out over a pool — all behind :class:`EvaluatorOptions`,
-with :data:`repro.fenrir.fastfit.SEED_OPTIONS` restoring the original
+are memoized by chromosome fingerprint and children are scored
+incrementally from cached parent states when the caller names a parent —
+both behind :class:`EvaluatorOptions`, with
+:data:`repro.fenrir.fastfit.SEED_OPTIONS` restoring the original
 recompute-everything behaviour.
 """
 
@@ -26,7 +26,6 @@ from repro.fenrir.fastfit import (
     EvalStats,
     EvaluatorOptions,
     FitnessCache,
-    publish_eval_stats,
 )
 from repro.fenrir.fitness import FitnessWeights, ScheduleEvaluation, evaluate
 from repro.fenrir.model import SchedulingProblem
@@ -61,11 +60,11 @@ class BudgetedEvaluator:
     falls back to the penalized score among invalid ones, so a search that
     never finds a feasible schedule still returns its least-bad attempt.
 
-    Budget semantics: by default only *computed* evaluations (full or
-    delta) consume budget; memo-cache hits are free.  Because free hits
-    let a converged search loop without spending budget, :attr:`exhausted`
-    additionally trips after ``50 × budget`` total evaluation requests — a
-    stall guard that never fires on healthy runs.
+    Budget semantics: only *computed* evaluations (full or delta) consume
+    budget; memo-cache hits are free.  Because free hits let a converged
+    search loop without spending budget, :attr:`exhausted` additionally
+    trips after ``50 × budget`` total evaluation requests — a stall guard
+    that never fires on healthy runs.
     """
 
     def __init__(
@@ -86,9 +85,7 @@ class BudgetedEvaluator:
         self.history: list[tuple[int, float]] = []
         self._start = time.perf_counter()
         self.time_to_best_s = 0.0
-        self._cache = (
-            FitnessCache(self.options.cache_size) if self.options.use_cache else None
-        )
+        self._cache = FitnessCache() if self.options.use_cache else None
         self._delta: DeltaEvaluator | None = None
         self._problem: SchedulingProblem | None = None
         self.obs: Observer = self.options.observer or NULL_OBSERVER
@@ -156,8 +153,6 @@ class BudgetedEvaluator:
             hit = self._cache.get(key)
             if hit is not None:
                 self.stats.cache_hits += 1
-                if self.options.count_cache_hits:
-                    self.used += 1
                 self.stats.wall_time_s += time.perf_counter() - t0
                 return hit
         self.used += 1
@@ -177,12 +172,7 @@ class BudgetedEvaluator:
     ) -> ScheduleEvaluation:
         if self.options.use_delta:
             if self._delta is None:
-                self._delta = DeltaEvaluator(
-                    schedule.problem,
-                    self.weights,
-                    state_size=self.options.state_size,
-                    max_delta_fraction=self.options.max_delta_fraction,
-                )
+                self._delta = DeltaEvaluator(schedule.problem, self.weights)
             evaluation, used_delta = self._delta.evaluate(
                 schedule, parent=parent, changed=changed, key=key
             )
@@ -201,83 +191,26 @@ class BudgetedEvaluator:
         changed_sets: Sequence[Iterable[int] | None] | None = None,
         enforce_budget: bool = True,
     ) -> list[ScheduleEvaluation]:
-        """Score a population, optionally in parallel.
+        """Score a population in order, one :meth:`evaluate` per schedule.
 
         With ``enforce_budget`` every request past exhaustion is padded
-        with :meth:`ScheduleEvaluation.worst` (keeping rankings
-        well-defined), exactly like scoring the population serially.  When
-        :attr:`EvaluatorOptions.parallel` is set, cache misses are fanned
-        out to the pool; budget charging, incumbent updates, and history
-        are identical to the serial order, so scores and results match
-        serial evaluation bit-for-bit.
+        with :meth:`ScheduleEvaluation.worst`, keeping rankings
+        well-defined.
         """
         parents = parents if parents is not None else [None] * len(schedules)
         changed_sets = (
             changed_sets if changed_sets is not None else [None] * len(schedules)
         )
-        pool = self.options.parallel
-        if pool is None or not all(self._fast_path(s) for s in schedules):
-            out: list[ScheduleEvaluation] = []
-            for schedule, parent, changed in zip(schedules, parents, changed_sets):
-                if enforce_budget and self.exhausted:
-                    out.append(ScheduleEvaluation.worst())
-                else:
-                    out.append(self.evaluate(schedule, parent=parent, changed=changed))
-            return out
-
-        t0 = time.perf_counter()
-        results: list[ScheduleEvaluation | None] = [None] * len(schedules)
-        # First pass replays the serial charging order without computing
-        # anything: decide hit / charged-miss / padded per index.  A repeat
-        # of an earlier miss in the same batch is a cache hit serially
-        # (evaluation and cache-put happen inline there), so it is counted
-        # as one here too and filled from the first occurrence's result.
-        misses: list[tuple[int, tuple, int]] = []  # (index, key, used_at)
-        pending: dict[tuple, int] = {}  # key -> index of first miss
-        dupes: list[tuple[int, int]] = []  # (index, index of first miss)
-        for i, schedule in enumerate(schedules):
+        out: list[ScheduleEvaluation] = []
+        for schedule, parent, changed in zip(schedules, parents, changed_sets):
             if enforce_budget and self.exhausted:
-                results[i] = ScheduleEvaluation.worst()
-                continue
-            self.calls += 1
-            key = schedule.key()
-            if self._cache is not None:
-                hit = self._cache.get(key)
-                if hit is not None:
-                    self.stats.cache_hits += 1
-                    if self.options.count_cache_hits:
-                        self.used += 1
-                    results[i] = hit
-                    continue
-                first = pending.get(key)
-                if first is not None:
-                    self.stats.cache_hits += 1
-                    if self.options.count_cache_hits:
-                        self.used += 1
-                    dupes.append((i, first))
-                    continue
-                pending[key] = i
-            self.used += 1
-            misses.append((i, key, self.used))
-        if misses:
-            evaluations = pool.evaluate_schedules(
-                self._problem,
-                [schedules[i].genes for i, _, _ in misses],
-                self.weights,
-            )
-            self.stats.full_evals += len(misses)
-            for (i, key, used_at), evaluation in zip(misses, evaluations):
-                if self._cache is not None:
-                    self._cache.put(key, evaluation)
-                results[i] = evaluation
-                self._consider(schedules[i], evaluation, used_at)
-        for i, first in dupes:
-            results[i] = results[first]
-        self.stats.wall_time_s += time.perf_counter() - t0
-        return [r for r in results if r is not None]
+                out.append(ScheduleEvaluation.worst())
+            else:
+                out.append(self.evaluate(schedule, parent=parent, changed=changed))
+        return out
 
     def result(self, algorithm: str) -> SearchResult:
-        """Finalize into a :class:`SearchResult`, publishing telemetry.
+        """Finalize into a :class:`SearchResult`.
 
         When a glass-box observer is wired through the options, the
         evaluation counters are bridged into registry metrics (labeled
@@ -286,8 +219,6 @@ class BudgetedEvaluator:
         """
         assert self.best_schedule is not None and self.best_evaluation is not None
         stats = self.stats.copy()
-        if self.options.telemetry is not None:
-            publish_eval_stats(self.options.telemetry, algorithm, stats)
         if self.obs.enabled:
             metrics = self.obs.metrics
             metrics.counter(
@@ -358,5 +289,5 @@ class SearchAlgorithm(abc.ABC):
             locked: indices of genes that must not change (already-running
                 experiments during reevaluation).
             options: evaluation-layer configuration (memoization, delta
-                evaluation, parallel scoring, telemetry export).
+                evaluation, observer).
         """

@@ -1,12 +1,17 @@
-"""Fenrir evaluation performance layer: delta, memo, and parallel scoring.
+"""Fenrir evaluation performance layer: memoized and incremental scoring.
 
 Search algorithms spend their whole budget inside
 :func:`repro.fenrir.fitness.evaluate`, yet the candidates they produce are
 almost never *new*: GA offspring differ from a parent in a handful of
 genes, elites are re-scored verbatim every generation, and hill
 climbing/annealing mutate exactly one gene per step.  This module
-exploits that structure three ways:
+exploits that structure two ways:
 
+- :class:`FitnessCache` — **memoization**.  An LRU cache keyed by the
+  canonical chromosome fingerprint (:meth:`Schedule.key`).  A cache hit
+  does *not* consume evaluation budget (the work was never done);
+  :data:`SEED_OPTIONS` has no cache, so there every requested evaluation
+  is charged — the paper's accounting.
 - :class:`DeltaEvaluator` — **incremental evaluation**.  Given a parent
   schedule's cached evaluation state and the set of changed gene indices,
   it recomputes only the affected per-experiment scores and constraint
@@ -14,19 +19,10 @@ exploits that structure three ways:
   Results are bit-identical to the full evaluator: untouched components
   are reused verbatim and touched usage cells are re-accumulated in gene
   index order, the same association order the full pass uses.
-- :class:`FitnessCache` — **memoization**.  An LRU cache keyed by the
-  canonical chromosome fingerprint (:meth:`Schedule.key`).  By default a
-  cache hit does *not* consume evaluation budget (the work was never
-  done); ``count_cache_hits=True`` restores the paper-faithful accounting
-  where every requested evaluation is charged.
-- :class:`ParallelEvaluator` — **parallel population scoring** over
-  ``concurrent.futures``.  Chunks of picklable (problem, genes) payloads
-  go to a process pool (thread pool / serial fallback); results come back
-  ordered by index and identical to serial evaluation, because fitness
-  evaluation is a pure function.
 
-:class:`EvaluatorOptions` bundles the knobs and is threaded through
-:class:`repro.fenrir.base.BudgetedEvaluator` so all four algorithms
+:class:`EvaluatorOptions` switches the two on or off and is threaded
+through :class:`repro.fenrir.base.BudgetedEvaluator`, which reads top to
+bottom as cache → delta-or-full → incumbent, so all four algorithms
 benefit transparently.  See ``docs/FENRIR_PERF.md`` for the design and
 determinism guarantees.
 """
@@ -35,7 +31,6 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -47,12 +42,10 @@ from repro.fenrir.fitness import (
     _gene_constraints,
     _gene_objectives,
     _oversubscription_message,
-    evaluate,
 )
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.schedule import Gene, Schedule
 from repro.obs.observer import Observer
-from repro.telemetry import MetricStore
 
 
 # ---------------------------------------------------------------------------
@@ -91,22 +84,6 @@ class EvalStats:
     def copy(self) -> "EvalStats":
         """Snapshot for embedding in an immutable result."""
         return replace(self)
-
-
-def publish_eval_stats(
-    store: MetricStore,
-    algorithm: str,
-    stats: EvalStats,
-    timestamp: float = 0.0,
-) -> None:
-    """Export *stats* into a telemetry store under service ``fenrir``.
-
-    Each counter becomes one sample of metric key
-    ``("fenrir", algorithm, counter_name)`` so dashboards and tests can
-    aggregate evaluation behaviour per algorithm.
-    """
-    for metric, value in stats.as_dict().items():
-        store.record("fenrir", algorithm, metric, timestamp, value)
 
 
 # ---------------------------------------------------------------------------
@@ -495,124 +472,6 @@ class DeltaEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# Parallel population scoring
-
-
-def _evaluate_genes_chunk(
-    payload: tuple[SchedulingProblem, FitnessWeights, list[list[Gene]]],
-) -> list[ScheduleEvaluation]:
-    """Worker entry point: fully evaluate one chunk of chromosomes.
-
-    Module-level so it is picklable into process pools; everything in the
-    payload (problem, weights, genes) is a plain picklable value object.
-    """
-    problem, weights, genes_chunk = payload
-    return [
-        evaluate(Schedule(problem, list(genes)), weights) for genes in genes_chunk
-    ]
-
-
-class ParallelEvaluator:
-    """Chunked population evaluation over ``concurrent.futures``.
-
-    Fitness evaluation is a pure function of (problem, genes, weights), so
-    results are identical to serial evaluation and returned in input
-    order — the executor only changes wall-clock, never scores.
-
-    Modes: ``"process"`` (process pool; payloads are pickled),
-    ``"thread"`` (thread pool; useful as a deterministic test double and
-    as the fallback where subprocesses are unavailable), ``"serial"``
-    (in-process loop), and ``"auto"`` (process pool, degrading to threads
-    on any pool failure).
-    """
-
-    _MODES = ("auto", "process", "thread", "serial")
-
-    def __init__(
-        self,
-        mode: str = "auto",
-        max_workers: int | None = None,
-        chunk_size: int = 8,
-    ) -> None:
-        if mode not in self._MODES:
-            raise ConfigurationError(
-                f"parallel mode must be one of {self._MODES}, got {mode!r}"
-            )
-        if chunk_size <= 0:
-            raise ConfigurationError("chunk_size must be positive")
-        self.mode = mode
-        self.max_workers = max_workers
-        self.chunk_size = chunk_size
-        self.effective_mode: str | None = "serial" if mode == "serial" else None
-        self._executor: Executor | None = None
-
-    def evaluate_schedules(
-        self,
-        problem: SchedulingProblem,
-        genes_list: Sequence[Sequence[Gene]],
-        weights: FitnessWeights | None = None,
-    ) -> list[ScheduleEvaluation]:
-        """Evaluate chromosomes of *problem*, ordered exactly as given."""
-        weights = weights or FitnessWeights()
-        if not genes_list:
-            return []
-        chunks = [
-            [list(genes) for genes in genes_list[i : i + self.chunk_size]]
-            for i in range(0, len(genes_list), self.chunk_size)
-        ]
-        payloads = [(problem, weights, chunk) for chunk in chunks]
-        if self.mode == "serial" or len(genes_list) == 1:
-            parts = [_evaluate_genes_chunk(p) for p in payloads]
-        else:
-            parts = self._run(payloads)
-        return [evaluation for part in parts for evaluation in part]
-
-    def close(self) -> None:
-        """Shut the executor down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "ParallelEvaluator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- internals ---------------------------------------------------------
-
-    def _ensure_executor(self) -> Executor:
-        if self._executor is not None:
-            return self._executor
-        if self.mode in ("auto", "process"):
-            try:
-                self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-                self.effective_mode = "process"
-                return self._executor
-            except Exception:
-                if self.mode == "process":
-                    raise
-        self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
-        self.effective_mode = "thread"
-        return self._executor
-
-    def _run(self, payloads: list) -> list[list[ScheduleEvaluation]]:
-        executor = self._ensure_executor()
-        try:
-            return list(executor.map(_evaluate_genes_chunk, payloads))
-        except Exception:
-            # A broken process pool (killed worker, unpicklable payload,
-            # sandboxed environment) degrades to threads in auto mode;
-            # explicit modes surface the error.
-            if self.mode == "auto" and self.effective_mode == "process":
-                self.close()
-                self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
-                self.effective_mode = "thread"
-                return list(self._executor.map(_evaluate_genes_chunk, payloads))
-            raise
-
-
-# ---------------------------------------------------------------------------
 # Configuration bundle
 
 
@@ -621,24 +480,10 @@ class EvaluatorOptions:
     """Knobs of the evaluation performance layer.
 
     Attributes:
-        use_cache: memoize evaluations by chromosome fingerprint.
-        cache_size: LRU capacity of the fitness cache.
-        count_cache_hits: charge budget for cache hits.  ``False`` (the
-            default) treats the budget as a bound on *computed*
-            evaluations — searches get more unique candidates per budget.
-            ``True`` restores the paper-faithful accounting where every
-            requested evaluation is charged, so benchmark figures match
-            the seed evaluator's trajectories.
+        use_cache: memoize evaluations by chromosome fingerprint; a hit
+            is free, so the budget bounds *computed* evaluations.
         use_delta: evaluate children incrementally from cached parent
             states where possible.
-        state_size: LRU capacity of the delta-state store.
-        max_delta_fraction: changed-gene fraction above which a full
-            evaluation is used instead of a delta.
-        parallel: a :class:`ParallelEvaluator` for population scoring
-            (used by population-based algorithms); ``None`` keeps scoring
-            serial.
-        telemetry: a :class:`MetricStore` to publish evaluation counters
-            into when a search run finalizes.
         observer: a glass-box :class:`~repro.obs.observer.Observer` the
             search emits per-generation progress and completion events
             into (logical timestamp = evaluations consumed), bridging
@@ -647,13 +492,7 @@ class EvaluatorOptions:
     """
 
     use_cache: bool = True
-    cache_size: int = 4096
-    count_cache_hits: bool = False
     use_delta: bool = True
-    state_size: int = 512
-    max_delta_fraction: float = 0.5
-    parallel: ParallelEvaluator | None = None
-    telemetry: MetricStore | None = None
     observer: Observer | None = None
 
 

@@ -29,14 +29,12 @@ from repro.simulation.rng import SeededRng
 from repro.simulation.batch import (
     BatchOptions,
     BatchRunResult,
-    FloatRing,
     run_batches,
 )
 
 __all__ = [
     "BatchOptions",
     "BatchRunResult",
-    "FloatRing",
     "run_batches",
     "SimulationClock",
     "EventQueue",

@@ -41,9 +41,9 @@ pinned by ``tests/integration/test_scalar_golden.py``):
 
 Memory behaviour: samples wait in a per-(service, version)
 :class:`~repro.telemetry.monitor.SpanSampleBuffer` flushed at slice ends
-(the store keeps ``array('d')`` columns), and recent request durations go
-into a fixed-size :class:`FloatRing` — so a ten-million request replay
-holds O(slice) transient state, not O(run).
+(the store keeps ``array('d')`` columns) and the result keeps running
+totals only — so a ten-million request replay holds O(slice) transient
+state, not O(run).
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ExecutionError
 from repro.simulation.latency import (
     ConstantLatency,
     LoadSensitiveLatency,
@@ -74,75 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _MAX_CALL_DEPTH = 32
 
-#: Default capacity of the recent-durations ring on :class:`BatchRunResult`.
-DEFAULT_RING_CAPACITY = 65_536
-
-
-class FloatRing:
-    """Fixed-capacity float ring buffer with vectorized bulk pushes.
-
-    Backed by one preallocated float64 array; pushes past the capacity
-    overwrite the oldest samples.  ``push_many`` writes a whole chunk
-    with at most two slice assignments (wraparound), which is what lets
-    the batch kernel keep "recent durations" for a million-request run
-    without ever growing a list.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ConfigurationError("ring capacity must be positive")
-        self.capacity = capacity
-        self._buffer = np.zeros(capacity, dtype=np.float64)
-        self._pushed = 0
-
-    def push(self, value: float) -> None:
-        """Append one sample, evicting the oldest when full."""
-        self._buffer[self._pushed % self.capacity] = value
-        self._pushed += 1
-
-    def push_many(self, values: Sequence[float] | np.ndarray) -> None:
-        """Append a chunk of samples in one or two slice writes."""
-        chunk = np.asarray(values, dtype=np.float64)
-        n = len(chunk)
-        if n == 0:
-            return
-        capacity = self.capacity
-        if n >= capacity:
-            # Everything currently retained is evicted; store the chunk's
-            # tail rotated so the oldest sample sits where the post-push
-            # counter says it should.
-            self._pushed += n
-            start = self._pushed % capacity
-            tail = chunk[-capacity:]
-            self._buffer[start:] = tail[: capacity - start]
-            self._buffer[:start] = tail[capacity - start :]
-            return
-        start = self._pushed % capacity
-        end = start + n
-        if end <= capacity:
-            self._buffer[start:end] = chunk
-        else:
-            split = capacity - start
-            self._buffer[start:] = chunk[:split]
-            self._buffer[: end - capacity] = chunk[split:]
-        self._pushed += n
-
-    def __len__(self) -> int:
-        return min(self._pushed, self.capacity)
-
-    @property
-    def total_pushed(self) -> int:
-        """How many samples were ever pushed (including evicted ones)."""
-        return self._pushed
-
-    def values(self) -> np.ndarray:
-        """Retained samples, oldest first (a copy)."""
-        if self._pushed <= self.capacity:
-            return self._buffer[: self._pushed].copy()
-        start = self._pushed % self.capacity
-        return np.concatenate((self._buffer[start:], self._buffer[:start]))
-
-
 @dataclass(frozen=True)
 class BatchOptions:
     """Tuning knobs of :func:`run_batches`.
@@ -155,11 +86,9 @@ class BatchOptions:
             stream subscribers, otherwise traces are skipped and only
             metrics are recorded — trace ids are still consumed so
             later scalar requests keep their scalar-run ids.
-        ring_capacity: size of the recent-durations ring on the result.
     """
 
     record_traces: bool = False
-    ring_capacity: int = DEFAULT_RING_CAPACITY
 
 
 @dataclass
@@ -174,9 +103,6 @@ class BatchRunResult:
     fast_slices: int = 0
     fallback_slices: int = 0
     fallback_reasons: Counter = field(default_factory=Counter)
-    recent_durations: FloatRing = field(
-        default_factory=lambda: FloatRing(DEFAULT_RING_CAPACITY)
-    )
 
     @property
     def mean_duration_ms(self) -> float:
@@ -194,7 +120,6 @@ class BatchRunResult:
         self.fast_requests += n
         self.errors += error_count
         self.duration_sum_ms += math.fsum(durations)
-        self.recent_durations.push_many(durations)
 
     def _add_scalar(self, duration_ms: float, error: bool) -> None:
         self.requests += 1
@@ -202,7 +127,6 @@ class BatchRunResult:
         if error:
             self.errors += 1
         self.duration_sum_ms += duration_ms
-        self.recent_durations.push(duration_ms)
 
 
 def _compile_sampler(model, kernel):
@@ -984,9 +908,7 @@ def run_batches(
     hop either way, only speed differs).
     """
     options = options or BatchOptions()
-    result = BatchRunResult(
-        recent_durations=FloatRing(options.ring_capacity)
-    )
+    result = BatchRunResult()
 
     from repro.routing.proxy import VersionRouter
 

@@ -2,18 +2,16 @@
 
 The scalar-vs-batch *equivalence* is covered by
 ``tests/property/test_batch_equivalence.py``; here we pin the individual
-pieces: the ring buffer, the columnar append paths, bulk trace
-ingestion, blocker detection and hop selection, and trace-id
-bookkeeping.
+pieces: the columnar append paths, bulk trace ingestion, blocker
+detection and hop selection, and trace-id bookkeeping.
 """
 
 import random
-from collections import deque
 
 import pytest
 
 from repro.bifrost import Bifrost
-from repro.errors import ConfigurationError, StatisticsError
+from repro.errors import StatisticsError
 from repro.microservices.faults import (
     ErrorBurst,
     FaultCampaign,
@@ -23,8 +21,6 @@ from repro.microservices.faults import (
 )
 from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
 from repro.simulation.batch import (
-    BatchOptions,
-    FloatRing,
     _N_ERROR_RATE,
     _N_NEEDS_LOAD,
     _N_SAMPLE,
@@ -47,61 +43,6 @@ from tests.property.test_batch_equivalence import (
     build_app,
     run_batch,
 )
-
-
-class TestFloatRing:
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ConfigurationError):
-            FloatRing(0)
-        with pytest.raises(ConfigurationError):
-            FloatRing(-1)
-
-    def test_fills_then_evicts_oldest(self):
-        ring = FloatRing(3)
-        ring.push(1.0)
-        ring.push(2.0)
-        assert ring.values().tolist() == [1.0, 2.0]
-        ring.push(3.0)
-        ring.push(4.0)
-        assert ring.values().tolist() == [2.0, 3.0, 4.0]
-        assert len(ring) == 3
-        assert ring.total_pushed == 4
-
-    def test_push_many_wraps_around(self):
-        ring = FloatRing(5)
-        ring.push_many([1.0, 2.0, 3.0, 4.0])
-        ring.push_many([5.0, 6.0, 7.0])
-        assert ring.values().tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
-
-    def test_push_many_larger_than_capacity(self):
-        ring = FloatRing(5)
-        ring.push(0.0)
-        ring.push_many(list(map(float, range(1, 12))))
-        assert ring.values().tolist() == [7.0, 8.0, 9.0, 10.0, 11.0]
-        assert ring.total_pushed == 12
-
-    def test_matches_bounded_deque_reference(self):
-        """Randomized cross-check: any interleaving of push/push_many
-        retains exactly what a ``deque(maxlen=capacity)`` would."""
-        rng = random.Random(1234)
-        for capacity in (1, 2, 3, 7, 16):
-            ring = FloatRing(capacity)
-            reference: deque[float] = deque(maxlen=capacity)
-            counter = 0.0
-            for _ in range(200):
-                if rng.random() < 0.5:
-                    ring.push(counter)
-                    reference.append(counter)
-                    counter += 1.0
-                else:
-                    n = rng.randrange(0, 2 * capacity + 2)
-                    chunk = [counter + i for i in range(n)]
-                    counter += n
-                    ring.push_many(chunk)
-                    reference.extend(chunk)
-                assert ring.values().tolist() == list(reference), (
-                    f"capacity={capacity}"
-                )
 
 
 class TestExtendColumns:
@@ -496,19 +437,3 @@ class TestRunBatchesDriver:
         assert result.fallback_requests == 80
         assert result.fallback_slices == 2
         assert result.fallback_reasons["network-gate"] == 2
-
-    def test_custom_ring_capacity(self):
-        bifrost = Bifrost(sample_application(), seed=1)
-        population = UserPopulation(50, DEFAULT_GROUPS, seed=1)
-        generator = BatchWorkloadGenerator(
-            population, entry="frontend.index", seed=3
-        )
-        result = bifrost.run_batches(
-            generator.constant(0.1, 40),
-            options=BatchOptions(ring_capacity=8),
-        )
-        assert result.requests == 40
-        assert result.recent_durations.capacity == 8
-        assert len(result.recent_durations) == 8
-        assert result.mean_duration_ms > 0.0
-        assert 0.0 <= result.error_rate <= 1.0

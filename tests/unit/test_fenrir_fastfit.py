@@ -1,4 +1,4 @@
-"""The fastfit evaluation layer: memoization, deltas, parallel scoring,
+"""The fastfit evaluation layer: memoization, deltas, population scoring,
 budget accounting, and the evaluation counters surfaced in results."""
 
 from __future__ import annotations
@@ -10,11 +10,8 @@ from repro.fenrir.base import BudgetedEvaluator
 from repro.fenrir.fastfit import (
     SEED_OPTIONS,
     DeltaEvaluator,
-    EvalStats,
     EvaluatorOptions,
     FitnessCache,
-    ParallelEvaluator,
-    publish_eval_stats,
 )
 from repro.fenrir.fitness import ScheduleEvaluation, evaluate
 from repro.fenrir.genetic import GeneticAlgorithm
@@ -24,8 +21,8 @@ from repro.fenrir.model import ExperimentSpec, SchedulingProblem
 from repro.fenrir.operators import mutate_gene, random_schedule
 from repro.fenrir.random_sampling import RandomSampling
 from repro.fenrir.annealing import SimulatedAnnealing
+from repro.obs.observer import Observer
 from repro.simulation.rng import SeededRng
-from repro.telemetry import MetricStore
 
 
 @pytest.fixture
@@ -167,17 +164,6 @@ class TestBudgetedEvaluatorAccounting:
         assert evaluator.stats.cache_hits == 1
         assert not evaluator.exhausted
 
-    def test_count_cache_hits_charges_budget(self, problem):
-        evaluator = BudgetedEvaluator(
-            2, options=EvaluatorOptions(count_cache_hits=True)
-        )
-        schedule = random_schedule(problem, SeededRng(9))
-        evaluator.evaluate(schedule)
-        evaluator.evaluate(schedule.copy())
-        assert evaluator.used == 2
-        assert evaluator.stats.cache_hits == 1
-        assert evaluator.exhausted  # hits alone can exhaust the budget
-
     def test_stall_guard_trips_on_endless_cache_hits(self, problem):
         evaluator = BudgetedEvaluator(1)
         schedule = random_schedule(problem, SeededRng(10))
@@ -206,100 +192,55 @@ class TestBudgetedEvaluatorAccounting:
         assert result.evaluations_used == stats.computed_evals
         assert stats.delta_evals > 0  # single-gene moves score incrementally
 
-    def test_used_includes_hits_when_counted(self, problem):
-        result = LocalSearch().optimize(
-            problem,
-            budget=120,
-            seed=1,
-            options=EvaluatorOptions(count_cache_hits=True),
-        )
-        stats = result.eval_stats
-        assert result.evaluations_used == stats.computed_evals + stats.cache_hits
-
 
 class TestTelemetryExport:
-    def test_publish_eval_stats_records_counters(self):
-        store = MetricStore()
-        stats = EvalStats(full_evals=3, delta_evals=7, cache_hits=2, wall_time_s=0.5)
-        publish_eval_stats(store, "ga", stats)
-        for metric, value in stats.as_dict().items():
-            assert store.aggregate("fenrir", "ga", metric, "sum", 0.0, 1.0) == value
-
     def test_search_result_counts_match_store(self, problem):
-        store = MetricStore()
+        observer = Observer()
         result = SimulatedAnnealing().optimize(
-            problem, budget=100, seed=2, options=EvaluatorOptions(telemetry=store)
+            problem, budget=100, seed=2, options=EvaluatorOptions(observer=observer)
         )
         stats = result.eval_stats
         for metric in ("full_evals", "delta_evals", "cache_hits"):
-            recorded = store.aggregate("fenrir", "annealing", metric, "sum", 0.0, 1.0)
+            recorded = observer.metrics.counter(
+                f"fenrir_{metric}_total", algorithm="annealing"
+            ).value
             assert recorded == stats.as_dict()[metric]
 
 
-class TestParallelEvaluator:
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ConfigurationError):
-            ParallelEvaluator(mode="gpu")
-        with pytest.raises(ConfigurationError):
-            ParallelEvaluator(chunk_size=0)
-
-    def test_thread_mode_matches_serial_in_order(self, problem):
-        schedules = distinct_schedules(problem, 9, seed=12)
-        genes_list = [s.genes for s in schedules]
-        serial = ParallelEvaluator(mode="serial").evaluate_schedules(
-            problem, genes_list
-        )
-        with ParallelEvaluator(mode="thread", chunk_size=2) as pool:
-            threaded = pool.evaluate_schedules(problem, genes_list)
-        assert threaded == serial
-        assert threaded == [evaluate(s) for s in schedules]
-
-    def test_auto_mode_produces_correct_scores(self, problem):
-        schedules = distinct_schedules(problem, 4, seed=13)
-        with ParallelEvaluator(chunk_size=2) as pool:
-            results = pool.evaluate_schedules(problem, [s.genes for s in schedules])
-        assert results == [evaluate(s) for s in schedules]
-        assert pool.effective_mode in ("process", "thread")
-
-    def test_empty_population(self, problem):
-        assert ParallelEvaluator(mode="serial").evaluate_schedules(problem, []) == []
-
-
 class TestEvaluatePopulation:
-    def test_parallel_population_matches_serial(self, problem):
-        schedules = distinct_schedules(problem, 8, seed=14)
-        serial = BudgetedEvaluator(20)
-        serial_scores = serial.evaluate_population(schedules)
-        with ParallelEvaluator(mode="thread", chunk_size=3) as pool:
-            parallel = BudgetedEvaluator(
-                20, options=EvaluatorOptions(parallel=pool)
-            )
-            parallel_scores = parallel.evaluate_population(schedules)
-        assert parallel_scores == serial_scores
-        assert parallel.used == serial.used
-        assert parallel.history == serial.history
-        assert parallel.best_evaluation == serial.best_evaluation
-
-    def test_budget_padding_matches_serial(self, problem):
-        schedules = distinct_schedules(problem, 8, seed=15)
-        serial = BudgetedEvaluator(5)
-        serial_scores = serial.evaluate_population(schedules)
-        with ParallelEvaluator(mode="thread") as pool:
-            parallel = BudgetedEvaluator(5, options=EvaluatorOptions(parallel=pool))
-            parallel_scores = parallel.evaluate_population(schedules)
-        assert parallel_scores == serial_scores
-        assert parallel_scores[-1] == ScheduleEvaluation.worst()
-        assert serial.used == parallel.used == 5
-
-    def test_duplicate_schedules_hit_cache_in_parallel(self, problem):
-        schedule = random_schedule(problem, SeededRng(16))
-        population = [schedule, schedule.copy(), schedule.copy()]
-        with ParallelEvaluator(mode="thread") as pool:
-            evaluator = BudgetedEvaluator(10, options=EvaluatorOptions(parallel=pool))
-            scores = evaluator.evaluate_population(population)
-        assert scores[0] == scores[1] == scores[2]
-        assert evaluator.used == 1
-        assert evaluator.stats.cache_hits == 2
+    @pytest.mark.parametrize(
+        "budget, enforce_budget, scored",
+        [
+            (20, True, 9),  # budget to spare
+            (5, True, 6),  # exhausted mid-population: padded from there on
+            (5, False, 9),  # same population, budget not enforced
+        ],
+        ids=["within-budget", "padded", "unenforced"],
+    )
+    def test_matches_explicit_loop(self, problem, budget, enforce_budget, scored):
+        population = distinct_schedules(problem, 8, seed=14)
+        population.insert(2, population[0].copy())  # an intra-population duplicate
+        loop = BudgetedEvaluator(budget)
+        expected = []
+        for schedule in population:
+            if enforce_budget and loop.exhausted:
+                expected.append(ScheduleEvaluation.worst())
+            else:
+                expected.append(loop.evaluate(schedule))
+        evaluator = BudgetedEvaluator(budget)
+        scores = evaluator.evaluate_population(
+            population, enforce_budget=enforce_budget
+        )
+        assert scores == expected
+        assert scores[:scored] == [evaluate(s) for s in population[:scored]]
+        assert scores[scored:] == [ScheduleEvaluation.worst()] * (9 - scored)
+        assert evaluator.stats.cache_hits == 1  # the duplicate, free
+        assert evaluator.calls == scored
+        assert evaluator.used == scored - 1
+        assert evaluator.used == loop.used
+        assert evaluator.calls == loop.calls
+        assert evaluator.history == loop.history
+        assert evaluator.best_evaluation == loop.best_evaluation
 
 
 class TestAlgorithmsUnderOptions:
@@ -323,20 +264,6 @@ class TestAlgorithmsUnderOptions:
         seeded2 = algorithm.optimize(problem, options=SEED_OPTIONS, **kwargs)
         assert seeded.fitness == seeded2.fitness
         assert seeded.best_schedule.key() == seeded2.best_schedule.key()
-
-    def test_ga_parallel_matches_ga_serial(self, problem):
-        ga = GeneticAlgorithm(population_size=12)
-        serial = ga.optimize(problem, budget=150, seed=3)
-        with ParallelEvaluator(mode="thread", chunk_size=4) as pool:
-            parallel = ga.optimize(
-                problem,
-                budget=150,
-                seed=3,
-                options=EvaluatorOptions(parallel=pool),
-            )
-        assert parallel.fitness == serial.fitness
-        assert parallel.best_schedule.key() == serial.best_schedule.key()
-        assert parallel.best_evaluation == serial.best_evaluation
 
     def test_foreign_problem_bypasses_fast_path(self, problem):
         other = SchedulingProblem(

@@ -18,6 +18,7 @@ import sys
 import repro.bifrost, repro.exec, repro.fleet, repro.fenrir
 import repro.simulation.batch, repro.obs, repro.topology, repro.scenarios
 assert "scipy" not in sys.modules, "importing the engine loaded scipy"
+assert "multiprocessing" not in sys.modules, "importing the engine loaded multiprocessing"
 from repro.stats import welch_t_test
 result = welch_t_test([1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.5])
 assert "scipy" in sys.modules, "welch_t_test did not load scipy"
