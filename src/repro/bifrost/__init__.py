@@ -43,7 +43,6 @@ from repro.bifrost.journal import (
     SnapshotStore,
 )
 from repro.bifrost.middleware import Bifrost
-from repro.bifrost.preview import LivePreview, MetricDelta
 from repro.bifrost.recovery import (
     EngineSupervisor,
     RecoveryManager,
@@ -75,8 +74,6 @@ __all__ = [
     "SnapshotPolicy",
     "SnapshotStore",
     "Bifrost",
-    "LivePreview",
-    "MetricDelta",
     "EngineSupervisor",
     "RecoveryManager",
     "RecoveryReport",

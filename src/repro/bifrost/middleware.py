@@ -339,25 +339,6 @@ class Bifrost:
             self.simulation, self.runtime, batches, until=until, options=options
         )
 
-    def run_until_settled(
-        self,
-        workload_factory,
-        chunk_seconds: float = 60.0,
-        max_seconds: float = 86_400.0,
-    ) -> list[RequestOutcome]:
-        """Drive chunks of workload until every strategy finished.
-
-        *workload_factory(start, duration)* must return an iterable of
-        requests covering ``[start, start + duration)``.
-        """
-        produced: list[RequestOutcome] = []
-        while self.engine.running_count() and self.simulation.now < max_seconds:
-            start = self.simulation.now
-            chunk = workload_factory(start, chunk_seconds)
-            # run() already records the outcomes on self.outcomes.
-            produced.extend(self.run(chunk, until=start + chunk_seconds))
-        return produced
-
     def outcome_of(self, strategy_name: str) -> StrategyOutcome:
         """Terminal (or running) status of a submitted strategy."""
         for execution in self.engine.executions:

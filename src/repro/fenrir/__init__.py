@@ -17,10 +17,8 @@ from repro.fenrir.model import ExperimentSpec, SchedulingProblem
 from repro.fenrir.schedule import Gene, Schedule
 from repro.fenrir.fitness import (
     FitnessWeights,
-    ObjectiveBreakdown,
     ScheduleEvaluation,
     evaluate,
-    objective_breakdown,
 )
 from repro.fenrir.fastfit import (
     DeltaEvaluator,
@@ -52,8 +50,6 @@ __all__ = [
     "FitnessWeights",
     "ScheduleEvaluation",
     "evaluate",
-    "ObjectiveBreakdown",
-    "objective_breakdown",
     "DeltaEvaluator",
     "EvalStats",
     "EvaluatorOptions",

@@ -247,10 +247,6 @@ class DeltaEvaluator:
         self._store(key, state)
         return state.evaluation, False
 
-    def evaluate_full(self, schedule: Schedule) -> ScheduleEvaluation:
-        """Full evaluation that also (re)builds the cached state."""
-        return self.evaluate(schedule)[0]
-
     def has_state(self, schedule: Schedule) -> bool:
         """Whether *schedule* can currently serve as a delta parent."""
         return schedule.key() in self._states

@@ -222,44 +222,3 @@ def evaluate(
 def max_fitness() -> float:
     """The theoretical maximum fitness of any schedule (normalization)."""
     return 1.0
-
-
-@dataclass(frozen=True)
-class ObjectiveBreakdown:
-    """Mean per-objective scores of a schedule (each in [0, 1])."""
-
-    duration: float
-    start: float
-    coverage: float
-
-    def describe(self) -> str:
-        """One log line for plan reviews."""
-        return (
-            f"duration={self.duration:.3f} start={self.start:.3f} "
-            f"coverage={self.coverage:.3f}"
-        )
-
-
-def objective_breakdown(schedule: Schedule) -> ObjectiveBreakdown:
-    """Decompose a schedule's quality into the three objectives.
-
-    Useful when tuning :class:`FitnessWeights`: a schedule may score well
-    overall while sacrificing one objective entirely — the breakdown
-    makes that visible per dimension.
-    """
-    problem = schedule.problem
-    horizon = problem.horizon
-    duration_scores: list[float] = []
-    start_scores: list[float] = []
-    coverage_scores: list[float] = []
-    for spec, gene in schedule:
-        duration, start, coverage = _gene_objective_components(spec, gene, horizon)
-        duration_scores.append(duration)
-        start_scores.append(start)
-        coverage_scores.append(coverage)
-    count = max(1, len(schedule.genes))
-    return ObjectiveBreakdown(
-        duration=sum(duration_scores) / count,
-        start=sum(start_scores) / count,
-        coverage=sum(coverage_scores) / count,
-    )

@@ -50,14 +50,6 @@ REVIVABLE_OUTCOMES = frozenset({"inconclusive", "shed"})
 
 FLEET_OUTCOMES = DECIDED_OUTCOMES | REVIVABLE_OUTCOMES
 
-#: Terminal decision actions (see :class:`repro.obs.provenance.Decision`)
-#: mapped to the fleet outcome they settle the experiment with.
-ACTION_OUTCOMES = {
-    "promote": "promoted",
-    "rollback": "rolled_back",
-    "abort": "aborted",
-}
-
 
 def build_reevaluation(
     schedule: Schedule,
@@ -201,38 +193,6 @@ def build_reevaluation_from_fleet(
         canceled=(),
         added=tuple(added),
         revived=tuple(revived),
-    )
-
-
-def build_reevaluation_from_decisions(
-    schedule: Schedule,
-    now_slot: int,
-    graph,
-    new_experiments: list[ExperimentSpec] | None = None,
-) -> ReevaluationPlan:
-    """Rebuild the problem directly from decision-provenance artifacts.
-
-    *graph* is a :class:`repro.obs.provenance.ProvenanceGraph` (engine-
-    side or rebuilt offline from an exported event stream — the two are
-    digest-equal).  Each strategy with a terminal
-    :class:`~repro.obs.provenance.Decision` settles the matching
-    experiment via :data:`ACTION_OUTCOMES`; a terminal decision with an
-    action outside that map (e.g. a cancellation) leaves the question
-    open and revives the experiment as ``inconclusive``.  Strategies the
-    schedule doesn't know — alert rules, sibling fleets — are ignored,
-    so a whole fleet's merged event stream can feed one reevaluation.
-    """
-    outcomes: dict[str, str] = {}
-    known = {spec.name for spec, _ in schedule}
-    for name, strategy in graph.strategies.items():
-        if name not in known:
-            continue
-        decision = strategy.terminal_decision()
-        if decision is None:
-            continue
-        outcomes[name] = ACTION_OUTCOMES.get(decision.action, "inconclusive")
-    return build_reevaluation_from_fleet(
-        schedule, now_slot, outcomes, new_experiments
     )
 
 

@@ -148,14 +148,6 @@ class Schedule:
             self._key = tuple(g.fingerprint() for g in self.genes)
         return self._key
 
-    def changed_indices(self, other: "Schedule") -> list[int]:
-        """Gene indices where this schedule differs from *other*."""
-        return [
-            i
-            for i, (a, b) in enumerate(zip(self.genes, other.genes))
-            if a != b
-        ]
-
     def copy(self) -> "Schedule":
         """Shallow copy (genes are immutable)."""
         return Schedule(self.problem, list(self.genes))

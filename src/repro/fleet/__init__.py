@@ -13,7 +13,6 @@ from repro.fleet.admission import (
     AdmissionRequest,
     SHED_DEADLINE,
     SHED_STARVED,
-    schedule_budget_violations,
     usage_within_budget,
 )
 from repro.fleet.orchestrator import (
@@ -73,7 +72,6 @@ __all__ = [
     "fleet_outcomes_for_reevaluation",
     "fleet_strategy",
     "recover_fleet",
-    "schedule_budget_violations",
     "service_of",
     "usage_within_budget",
 ]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.errors import ValidationError
-from repro.fenrir.schedule import Schedule
 
 #: Float slack when comparing summed fractions against the budget.
 EPSILON = 1e-9
@@ -173,19 +172,3 @@ def usage_within_budget(
     """Whether every group's admitted fraction respects *budget*."""
     items = usage.items() if isinstance(usage, Mapping) else usage
     return all(used <= budget + EPSILON for _, used in items)
-
-
-def schedule_budget_violations(
-    schedule: Schedule, budget: float = 1.0
-) -> list[tuple[int, str, float]]:
-    """(slot, group, usage) cells where the *plan itself* overdraws.
-
-    Fenrir's fitness penalizes overlap violations but does not forbid
-    them; the fleet uses this to report when queueing is the plan's
-    fault rather than runtime drift.
-    """
-    return sorted(
-        (slot, group, used)
-        for (slot, group), used in schedule.group_usage().items()
-        if used > budget + EPSILON
-    )

@@ -66,20 +66,6 @@ class FleetWatchdog:
         self.shed_below = shed_below
         self.burning_of = burning_of
 
-    @classmethod
-    def from_monitor(
-        cls,
-        monitor: "LiveHealthMonitor",
-        pause_below: float = 0.6,
-        shed_below: float = 0.3,
-    ) -> "FleetWatchdog":
-        """Wire the watchdog to a live topology health monitor."""
-        return cls(
-            health_of=monitor.overall_health,
-            pause_below=pause_below,
-            shed_below=shed_below,
-        )
-
     def assess(self, slot: int) -> WatchdogVerdict:
         """Judge the substrate for *slot*; unknown health never trips.
 

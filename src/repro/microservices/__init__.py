@@ -42,7 +42,6 @@ from repro.microservices.faults import (
     Partition,
     VersionCrash,
 )
-from repro.microservices.generator import random_application
 
 __all__ = [
     "DownstreamCall",
@@ -69,5 +68,4 @@ __all__ = [
     "NetworkState",
     "Partition",
     "VersionCrash",
-    "random_application",
 ]

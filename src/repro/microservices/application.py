@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.errors import ConfigurationError
 from repro.microservices.service import Service, ServiceVersion
 
@@ -46,11 +44,6 @@ class Application:
             service = Service(version.service)
             self._services[version.service] = service
         service.deploy(version, stable=stable)
-
-    def deploy_all(self, versions: Iterable[ServiceVersion]) -> None:
-        """Deploy many versions in order."""
-        for version in versions:
-            self.deploy(version)
 
     def stable_version(self, service: str) -> str:
         """Stable version string of *service*."""

@@ -141,19 +141,6 @@ class FaultInjector:
         _remove_exact(self._order, fault)
         self._rebuild(key)
 
-    def restore_all(self) -> int:
-        """Undo every applied fault in LIFO order; returns the count.
-
-        Reverting last-applied-first mirrors how nested transient-fault
-        windows unwind (a spike inside a burst ends before the burst),
-        so the intermediate endpoint states walked through are exactly
-        the states the campaign walked through forward.
-        """
-        count = len(self._order)
-        for fault in reversed(list(self._order)):
-            self.restore(fault)
-        return count
-
     def _rebuild(self, key: tuple[str, str, str]) -> None:
         """Recompute the endpoint spec from the original + active faults.
 
@@ -210,10 +197,6 @@ class NetworkState:
     def heal(self, service_a: str, service_b: str) -> None:
         """Restore the link between two services (idempotent)."""
         self._partitions.discard(frozenset((service_a, service_b)))
-
-    def heal_all(self) -> None:
-        """Restore every link."""
-        self._partitions.clear()
 
     def is_partitioned(self, caller: str, callee: str) -> bool:
         """Whether calls from *caller* to *callee* currently fail."""

@@ -15,7 +15,7 @@ events and counts what it sheds (:attr:`EventLog.dropped`), so an
 always-on observer never grows without bound.  Consumers either
 :meth:`~EventLog.replay` the retained window, :meth:`~EventLog.subscribe`
 to the live tail, or export everything as JSONL for offline analysis
-(:meth:`~EventLog.export_jsonl`, or the streaming
+(:meth:`~EventLog.jsonl_lines`, or the streaming
 :class:`~repro.obs.exporters.JsonlEventSink`).
 """
 
@@ -25,7 +25,7 @@ import json
 import warnings
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import ValidationError
 
@@ -349,24 +349,6 @@ class EventLog:
             )
         for event in tuple(self._ring):
             yield json.dumps(event.as_dict(), separators=(",", ":"), sort_keys=True)
-
-    def export_jsonl(self, target: str | IO[str]) -> int:
-        """Write the retained events to *target* (path or text handle).
-
-        Returns the number of lines written.  Exports only the retained
-        window; when events were evicted the export starts with an
-        :data:`OBS_TRUNCATED` sentinel line (counted in the return
-        value).  Attach a :class:`~repro.obs.exporters.JsonlEventSink`
-        from the start for a lossless stream.
-        """
-        lines = list(self.jsonl_lines())
-        text = "\n".join(lines) + ("\n" if lines else "")
-        if isinstance(target, str):
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            target.write(text)
-        return len(lines)
 
     def clear(self) -> None:
         """Drop retained events (sequence numbers keep increasing)."""

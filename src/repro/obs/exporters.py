@@ -10,7 +10,7 @@ Two ways out of the glass box:
 * :class:`JsonlEventSink` — subscribes to an
   :class:`~repro.obs.events.EventLog` and writes every event as one
   JSON line the moment it is emitted.  Unlike
-  :meth:`~repro.obs.events.EventLog.export_jsonl` (which only sees the
+  :meth:`~repro.obs.events.EventLog.jsonl_lines` (which only sees the
   retained ring), a sink attached from the start captures the lossless
   stream.
 """

@@ -447,8 +447,7 @@ def render_decision_report(
 
     *fmt* selects ``ascii`` (terminal audit trail), ``dot`` (graphviz
     DAG of evidence → decision edges), or ``jsonl`` (one machine-
-    readable line per node, for pipelines like
-    :func:`repro.fenrir.reevaluation.build_reevaluation_from_decisions`).
+    readable line per node).
     """
     if fmt not in REPORT_FORMATS:
         raise ValidationError(

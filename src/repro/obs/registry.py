@@ -153,10 +153,6 @@ class MetricRegistry:
 
     # -- export -------------------------------------------------------------
 
-    def families(self) -> list[tuple[str, str]]:
-        """Registered ``(name, kind)`` pairs, sorted by name."""
-        return sorted((f.name, f.kind) for f in self._families.values())
-
     def collect(self) -> list[MetricSample]:
         """Flatten every child into exported samples, deterministically.
 

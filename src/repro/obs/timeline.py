@@ -305,31 +305,3 @@ def render_ascii(timeline: ExperimentTimeline) -> str:
     if timeline.promoted:
         lines.append(f"  promoted: {timeline.promoted}")
     return "\n".join(lines)
-
-
-def render_dot(timeline: ExperimentTimeline) -> str:
-    """Graphviz rendering of the *traversed* part of the state machine.
-
-    Nodes are the phases actually entered (plus the terminal, when
-    reached); edges are the transitions actually taken, labeled with
-    their trigger and annotated with the time they fired.
-    """
-    lines = [f'digraph "{timeline.strategy}-timeline" {{', "  rankdir=LR;"]
-    seen: set[str] = set()
-    for span in timeline.phases:
-        if span.name not in seen:
-            seen.add(span.name)
-            lines.append(f'  "{span.name}" [shape=box];')
-    if timeline.terminal is not None and timeline.terminal not in seen:
-        seen.add(timeline.terminal)
-        lines.append(f'  "{timeline.terminal}" [shape=doublecircle];')
-    for time, source, target, trigger, _action in timeline.transitions:
-        if target not in seen:
-            seen.add(target)
-            lines.append(f'  "{target}" [shape=box];')
-        lines.append(
-            f'  "{source}" -> "{target}" '
-            f'[label="{trigger}\\n@{time:.1f}s"];'
-        )
-    lines.append("}")
-    return "\n".join(lines)

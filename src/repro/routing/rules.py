@@ -10,7 +10,7 @@ shadow traffic (dark launches).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 from repro.traffic.workload import Request
@@ -84,13 +84,3 @@ class ExperimentRoute:
                 raise ConfigurationError(
                     f"variant fractions must sum to 1.0, got {total:.6f}"
                 )
-
-    def with_variants(self, variants: Sequence[Variant]) -> "ExperimentRoute":
-        """Copy of the route with a new split (gradual-rollout steps)."""
-        return ExperimentRoute(
-            self.experiment,
-            self.service,
-            tuple(variants),
-            self.audience,
-            self.shadow_versions,
-        )

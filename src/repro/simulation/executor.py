@@ -114,33 +114,6 @@ class SimulatedExecutor:
         """Seconds of queued-but-unprocessed work at simulated time *now*."""
         return max(0.0, self._available_at - now)
 
-    def utilization_series(self, bucket_width: float = 1.0) -> list[tuple[float, float]]:
-        """Per-bucket CPU utilization, for boxplots like Figs 4.7/4.9.
-
-        Buckets start at the first arrival; each value is the fraction of
-        the bucket the worker spent busy, clamped to [0, 1].
-        """
-        if bucket_width <= 0:
-            raise SimulationError("bucket_width must be positive")
-        if not self._records:
-            return []
-        origin = self._first_arrival or 0.0
-        n_buckets = int((self._last_finish - origin) // bucket_width) + 1
-        busy = [0.0] * n_buckets
-        for record in self._records:
-            t = record.start
-            while t < record.finish:
-                idx = int((t - origin) // bucket_width)
-                bucket_end = origin + (idx + 1) * bucket_width
-                chunk = min(record.finish, bucket_end) - t
-                if 0 <= idx < n_buckets:
-                    busy[idx] += chunk
-                t += chunk
-        return [
-            (origin + i * bucket_width, min(1.0, b / bucket_width))
-            for i, b in enumerate(busy)
-        ]
-
     def report(self) -> ExecutorReport:
         """Summarize the whole run."""
         if not self._records:

@@ -12,7 +12,6 @@ from repro.stats.descriptive import (
     SummaryStats,
     mean,
     median,
-    moving_average,
     percentile,
     stddev,
     summarize,
@@ -40,7 +39,6 @@ __all__ = [
     "SummaryStats",
     "mean",
     "median",
-    "moving_average",
     "percentile",
     "stddev",
     "summarize",

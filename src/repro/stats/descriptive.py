@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import StatisticsError
 
@@ -71,27 +71,6 @@ def percentile(values: Iterable[float], q: float) -> float:
         return data[low]
     frac = rank - low
     return data[low] * (1.0 - frac) + data[high] * frac
-
-
-def moving_average(values: Sequence[float], window: int) -> list[float]:
-    """Trailing moving average with the given *window* length.
-
-    Mirrors the 3-second moving average used to plot monitored response
-    times in Fig 4.6.  The first ``window - 1`` outputs average over the
-    (shorter) available prefix so the result has the same length as the
-    input.
-    """
-    if window <= 0:
-        raise StatisticsError(f"window must be positive, got {window}")
-    data = [float(v) for v in values]
-    out: list[float] = []
-    acc = 0.0
-    for i, v in enumerate(data):
-        acc += v
-        if i >= window:
-            acc -= data[i - window]
-        out.append(acc / min(i + 1, window))
-    return out
 
 
 @dataclass(frozen=True)

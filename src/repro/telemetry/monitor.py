@@ -106,12 +106,10 @@ class Monitor:
         """Record one resilience event as a count metric sample.
 
         Events carrying a version are recorded under that real version,
-        so per-version :meth:`resilience_count` queries see them.  Only
+        so per-version queries of ``resilience.<kind>`` see them.  Only
         events with *no* version (breaker transitions observed outside
         any request, for example) fall back to the ``"*"`` wildcard
-        version — those are invisible to per-version queries by design;
-        use :meth:`resilience_count_all` to aggregate across versions
-        including the wildcard bucket.
+        version — those are invisible to per-version queries by design.
         """
         version = event.version if event.version else "*"
         self.store.record(
@@ -138,36 +136,6 @@ class Monitor:
             "bifrost", "engine", f"durability.{kind}", "count", start, end
         )
         return value or 0.0
-
-    def resilience_count(
-        self, service: str, version: str, kind: str, start: float, end: float
-    ) -> float:
-        """How many ``kind`` events hit (service, version) in the window."""
-        value = self.store.aggregate(
-            service, version, f"resilience.{kind}", "count", start, end
-        )
-        return value or 0.0
-
-    def resilience_count_all(
-        self, service: str, kind: str, start: float, end: float
-    ) -> float:
-        """Total ``kind`` events for *service* across every version.
-
-        Sums the ``resilience.<kind>`` series of all recorded versions
-        of the service, including the ``"*"`` wildcard bucket that holds
-        events observed without a version — the aggregation that
-        :meth:`resilience_count` (pinned to one version) cannot see.
-        """
-        metric = f"resilience.{kind}"
-        total = 0.0
-        for key in self.store.keys():
-            if key.service != service or key.metric != metric:
-                continue
-            value = self.store.aggregate(
-                key.service, key.version, metric, "count", start, end
-            )
-            total += value or 0.0
-        return total
 
     def error_rate(
         self, service: str, version: str, start: float, end: float

@@ -137,15 +137,6 @@ class MetricStore:
             self.values_in_window(service, version, metric, start, end),
         )
 
-    def merge(self, other: "MetricStore") -> None:
-        """Fold all samples of *other* into this store."""
-        for key, series in other._series.items():
-            if len(series):
-                self.extend_columns(
-                    key.service, key.version, key.metric,
-                    series.timestamps, series.values,
-                )
-
     def snapshot(self) -> dict:
         """JSON-compatible dump of every series, for durability checkpoints."""
         return {

@@ -11,7 +11,6 @@ drives test effort.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -76,14 +75,3 @@ def assess_toggle_debt(
         stale=stale,
         state_space_log2=float(active),
     )
-
-
-def estimate_test_effort(report: ToggleDebtReport, per_combination_s: float = 1.0) -> float:
-    """Seconds to exhaustively test all toggle combinations.
-
-    Illustrates the state explosion: 150 active toggles make exhaustive
-    combination testing take longer than the age of the universe.
-    """
-    if report.active > 60:
-        return math.inf
-    return report.state_space * per_combination_s

@@ -67,15 +67,6 @@ class ToggleRouter:
         name, _ = self._require(service)
         self.store.set_rollout(name, fraction)
 
-    def stop_experiment(self, service: str, retire: bool = False) -> None:
-        """Kill-switch the experiment (optionally retiring the toggle)."""
-        name, _ = self._require(service)
-        if retire:
-            self.store.retire(name)
-        else:
-            self.store.disable(name)
-        del self._experiments[service]
-
     def _require(self, service: str) -> tuple[str, str]:
         try:
             return self._experiments[service]

@@ -66,7 +66,7 @@ class FeatureToggle:
 
 
 class ToggleStore:
-    """Central registry of toggles with flip/retire operations."""
+    """Central registry of toggles."""
 
     def __init__(self) -> None:
         self._toggles: dict[str, FeatureToggle] = {}
@@ -104,30 +104,6 @@ class ToggleStore:
             rollout_fraction=fraction,
             enabled_groups=toggle.enabled_groups,
             state=toggle.state,
-            created_at=toggle.created_at,
-        )
-
-    def disable(self, name: str) -> None:
-        """Kill switch: turn the feature off everywhere immediately."""
-        toggle = self.get(name)
-        self._toggles[name] = FeatureToggle(
-            name=toggle.name,
-            service=toggle.service,
-            rollout_fraction=toggle.rollout_fraction,
-            enabled_groups=toggle.enabled_groups,
-            state=ToggleState.DISABLED,
-            created_at=toggle.created_at,
-        )
-
-    def retire(self, name: str) -> None:
-        """Remove the toggle from code (pays down the debt)."""
-        toggle = self.get(name)
-        self._toggles[name] = FeatureToggle(
-            name=toggle.name,
-            service=toggle.service,
-            rollout_fraction=0.0,
-            enabled_groups=frozenset(),
-            state=ToggleState.RETIRED,
             created_at=toggle.created_at,
         )
 

@@ -25,15 +25,6 @@ class ChangeType(enum.Enum):
     UPDATED_CALLEE_VERSION = "updated_callee_version"
     UPDATED_VERSION = "updated_version"
 
-    @property
-    def is_fundamental(self) -> bool:
-        """Whether the type is one of the three fundamental ones."""
-        return self in (
-            ChangeType.CALLING_NEW_ENDPOINT,
-            ChangeType.CALLING_EXISTING_ENDPOINT,
-            ChangeType.REMOVING_SERVICE_CALL,
-        )
-
 
 @dataclass(frozen=True)
 class Change:

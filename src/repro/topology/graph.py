@@ -192,17 +192,3 @@ class InteractionGraph:
     def versions_of(self, service: str) -> set[str]:
         """All versions of *service* present in the graph."""
         return {key.version for key in self._nodes if key.service == service}
-
-    def subtree_size(self, root: NodeKey, max_nodes: int | None = None) -> int:
-        """Number of distinct nodes reachable from *root* (inclusive)."""
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            node = frontier.pop()
-            for succ in self._succ.get(node, {}):
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-                    if max_nodes is not None and len(seen) >= max_nodes:
-                        return len(seen)
-        return len(seen)

@@ -336,29 +336,17 @@ class LiveTopologyDiff:
     ``diff_graphs`` uses — so a live diff is bit-identical to a batch
     diff of the same two graphs.  Refreshes are lazy, guarded by the
     builder's version counter: arbitrarily many reads between trace
-    arrivals cost one diff.
+    arrivals cost one diff.  The live side is the window merge (recency
+    view) when the builder has a ring, its cumulative graph otherwise.
     """
 
     def __init__(
-        self,
-        baseline: InteractionGraph,
-        builder: StreamingGraphBuilder,
-        use_windows: bool | None = None,
+        self, baseline: InteractionGraph, builder: StreamingGraphBuilder
     ) -> None:
-        """*use_windows* selects the live graph source: the window merge
-        (recency view) or the cumulative graph.  Defaults to windows
-        when the builder has a ring."""
         self._baseline = baseline
         self._base_nodes = versions_by_service_endpoint(baseline)
         self._base_edges = edges_by_service_endpoint(baseline)
         self._builder = builder
-        if use_windows is None:
-            use_windows = builder.windows is not None
-        if use_windows and builder.windows is None:
-            raise ValidationError(
-                "use_windows requires a builder with a window ring"
-            )
-        self._use_windows = use_windows
         self._cached: TopologyDiff | None = None
         self._cached_version = -1
         self.refreshes = 0
@@ -369,8 +357,7 @@ class LiveTopologyDiff:
         return self._baseline
 
     def _live_graph(self) -> InteractionGraph:
-        if self._use_windows:
-            assert self._builder.windows is not None
+        if self._builder.windows is not None:
             return self._builder.windows.merged()
         return self._builder.graph
 
@@ -535,11 +522,10 @@ class LiveHealthMonitor:
         store: "MetricStore",
         publish_interval: float = 5.0,
         scorer: HealthScorer | None = None,
-        use_windows: bool | None = None,
     ) -> None:
         if publish_interval < 0:
             raise ValidationError("publish_interval must be >= 0")
-        self.live = LiveTopologyDiff(baseline, builder, use_windows)
+        self.live = LiveTopologyDiff(baseline, builder)
         self.scorer = scorer or HealthScorer()
         self.obs = builder.observer
         self._store = store
@@ -548,15 +534,6 @@ class LiveHealthMonitor:
         self.publishes = 0
         self.last_report: HealthReport | None = None
         builder.subscribe(self._on_update)
-
-    def overall_health(self) -> float | None:
-        """Overall score of the last published report (None before one).
-
-        The accessor downstream supervisors poll — e.g. the fleet
-        watchdog (:mod:`repro.fleet.watchdog`) — without reaching into
-        report internals.
-        """
-        return self.last_report.overall if self.last_report is not None else None
 
     def _on_update(self, trace: Trace, _delta: Multiset[Observation]) -> None:
         timestamp = trace.root.end

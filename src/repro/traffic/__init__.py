@@ -4,7 +4,7 @@ Fenrir schedules experiments against an expected *traffic profile*
 (requests per time slot and user group — Fig 3.3 shows the real-world
 profile the paper used; we synthesize an equivalent diurnal/weekly shape).
 Bifrost and the topology evaluation drive a simulated application with
-request *workloads* derived from such profiles — one request object at a
+request *workloads* at a configured arrival rate — one request object at a
 time via :class:`WorkloadGenerator`, or as columnar
 :class:`RequestBatch` chunks via :class:`BatchWorkloadGenerator` for
 million-request replays through the batch execution kernel.

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.simulation.rng import SeededRng
-from repro.traffic.profile import TrafficProfile
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import Request
 
@@ -193,39 +192,6 @@ class BatchWorkloadGenerator:
                 timestamps, users, entries = [], [], []
         if timestamps:
             yield self._flush(timestamps, users, entries)
-
-    def from_profile(
-        self,
-        profile: TrafficProfile,
-        scale: float = 1.0,
-        start: float = 0.0,
-    ) -> Iterator[RequestBatch]:
-        """Poisson arrivals tracking a profile — batch form of ``from_profile``."""
-        if scale <= 0:
-            raise ConfigurationError("scale must be positive")
-        slot_seconds = profile.slot_duration_hours * 3600.0
-        for slot in range(profile.num_slots):
-            rate = profile.rate_per_second(slot) * scale
-            if rate <= 0:
-                continue
-            slot_start = start + slot * slot_seconds
-            yield from self.poisson(rate, slot_seconds, start=slot_start)
-
-    @staticmethod
-    def expected_requests(
-        profile: TrafficProfile,
-        scale: float = 1.0,
-        start_slot: int = 0,
-        end_slot: int | None = None,
-    ) -> float:
-        """Expected arrivals of ``from_profile`` over a slot range.
-
-        O(1) via the profile's memoized prefix sums — benches use it to
-        size runs without walking the volume list.
-        """
-        if end_slot is None:
-            end_slot = profile.num_slots
-        return profile.volume_between(start_slot, end_slot) * scale
 
     # -- internals ---------------------------------------------------------
 

@@ -74,9 +74,7 @@ class TrafficProfile:
         self._group_names = tuple(self._groups)
         self.slot_duration_hours = float(slot_duration_hours)
         # Prefix sums over the (immutable) volume list: element i is the
-        # volume of slots [0, i), so any slot range is an O(1) difference
-        # instead of an O(n) sum — the batch workload generator queries
-        # cumulative volume per slot in its generation loop.
+        # volume of slots [0, i), so the horizon total is one read.
         prefix = [0.0]
         acc = 0.0
         for volume in self._volumes:
@@ -117,30 +115,6 @@ class TrafficProfile:
     def total_volume(self) -> float:
         """Expected requests over the whole horizon (O(1), prefix sums)."""
         return self._prefix_volumes[-1]
-
-    def cumulative_volume(self, slot: int) -> float:
-        """Expected requests in slots ``[0, slot)`` — O(1) via prefix sums.
-
-        ``slot`` may be ``num_slots`` (the whole horizon); the window is
-        half-open like every other window in the library, so
-        ``cumulative_volume(b) - cumulative_volume(a)`` is exactly the
-        volume of slots ``[a, b)``.
-        """
-        if not 0 <= slot <= self.num_slots:
-            raise ConfigurationError(
-                f"slot {slot} outside [0, {self.num_slots}]"
-            )
-        return self._prefix_volumes[slot]
-
-    def volume_between(self, start_slot: int, end_slot: int) -> float:
-        """Expected requests in slots ``[start_slot, end_slot)``, O(1)."""
-        if end_slot < start_slot:
-            raise ConfigurationError(
-                f"end slot {end_slot} precedes start slot {start_slot}"
-            )
-        return self.cumulative_volume(end_slot) - self.cumulative_volume(
-            start_slot
-        )
 
     def volumes(self) -> list[float]:
         """Per-slot total volumes (copy) — the Fig 3.3 series."""
@@ -200,36 +174,6 @@ def flat_profile(
 ) -> TrafficProfile:
     """A constant-volume profile, convenient for unit tests."""
     return TrafficProfile([volume_per_slot] * num_slots, groups)
-
-
-def with_flash_crowd(
-    profile: TrafficProfile,
-    slot: int,
-    magnitude: float,
-    width: int = 1,
-) -> TrafficProfile:
-    """Layer a flash crowd onto *profile*: slots ``[slot, slot+width)``
-    are multiplied by *magnitude*.
-
-    Flash crowds are the canonical adversarial workload for experiment
-    scheduling: a sudden volume surge makes a fixed traffic split
-    overdrive the experimental variant's capacity.  The window is
-    half-open, matching the PR-4 window semantics everywhere else.
-    """
-    if not 0 <= slot < profile.num_slots:
-        raise ConfigurationError(
-            f"flash crowd slot {slot} outside profile [0, {profile.num_slots})"
-        )
-    if magnitude < 0:
-        raise ConfigurationError(f"magnitude must be >= 0, got {magnitude}")
-    if width < 1:
-        raise ConfigurationError(f"width must be >= 1, got {width}")
-    volumes = profile.volumes()
-    for index in range(slot, min(slot + width, profile.num_slots)):
-        volumes[index] *= magnitude
-    return TrafficProfile(
-        volumes, profile.groups, profile.slot_duration_hours
-    )
 
 
 def consumption_series(

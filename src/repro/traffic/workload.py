@@ -1,10 +1,10 @@
-"""Workload generation: turning a traffic profile into request streams.
+"""Workload generation: request streams for the simulated application.
 
 The Bifrost and topology evaluations drive a simulated microservice
 application with end-user requests.  :class:`WorkloadGenerator` produces
-Poisson request arrivals at a configurable rate (or following a
-:class:`~repro.traffic.profile.TrafficProfile`), each tagged with a user
-drawn from a :class:`~repro.traffic.users.UserPopulation`.
+Poisson, heavy-tailed or evenly spaced request arrivals at a configurable
+rate, each tagged with a user drawn from a
+:class:`~repro.traffic.users.UserPopulation`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Iterator, Mapping
 
 from repro.errors import ConfigurationError
 from repro.simulation.rng import SeededRng
-from repro.traffic.profile import TrafficProfile
 from repro.traffic.users import UserPopulation
 
 
@@ -142,25 +141,3 @@ class WorkloadGenerator:
             raise ConfigurationError("count must be positive")
         for i in range(count):
             yield self._make_request(start + i * interval)
-
-    def from_profile(
-        self,
-        profile: TrafficProfile,
-        scale: float = 1.0,
-        start: float = 0.0,
-    ) -> Iterator[Request]:
-        """Yield Poisson arrivals tracking a :class:`TrafficProfile`.
-
-        *scale* multiplies the profile's volumes — simulating the paper's
-        full production volumes request-by-request would be wasteful, so
-        benches scale down while preserving the shape.
-        """
-        if scale <= 0:
-            raise ConfigurationError("scale must be positive")
-        slot_seconds = profile.slot_duration_hours * 3600.0
-        for slot in range(profile.num_slots):
-            rate = profile.rate_per_second(slot) * scale
-            if rate <= 0:
-                continue
-            slot_start = start + slot * slot_seconds
-            yield from self.poisson(rate, slot_seconds, start=slot_start)

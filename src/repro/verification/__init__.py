@@ -6,20 +6,16 @@ other planned or currently running experiments", building on the formal
 models behind Bifrost and Fenrir.  This package implements that vision
 as static analysis: strategies are verified against the application
 (versions deployed, checks well-formed, every phase has a safe failure
-path) and against each other (no two strategies touching the same
-service may run concurrently — the overlap Fenrir schedules around).
+path) and against the live routing state (a service another experiment
+currently routes may not be touched).
 """
 
 from repro.verification.findings import Finding, Severity, VerificationReport
-from repro.verification.strategy import (
-    verify_strategies_compatible,
-    verify_strategy,
-)
+from repro.verification.strategy import verify_strategy
 
 __all__ = [
     "Finding",
     "Severity",
     "VerificationReport",
     "verify_strategy",
-    "verify_strategies_compatible",
 ]

@@ -8,9 +8,8 @@ Checks performed against the target application and the routing state:
   interval, phases with conditional chaining actually *have* checks;
 - **safety**: every phase's failure transition leads (transitively) to a
   terminal state, so a misbehaving experiment can always be unwound;
-- **interference**: no currently-routed service is touched, and no two
-  strategies submitted together share a service (the overlap constraint
-  Fenrir's schedules encode).
+- **interference**: no service another experiment currently routes is
+  touched.
 """
 
 from __future__ import annotations
@@ -166,31 +165,3 @@ def _verify_no_live_interference(
                 f"{route.experiment!r}; running {strategy.name!r} would "
                 "overlap and skew both experiments' data",
             )
-
-
-def verify_strategies_compatible(
-    strategies: list[Strategy],
-) -> VerificationReport:
-    """Verify that a *set* of strategies can run concurrently.
-
-    Two strategies sharing a service would route the same traffic twice —
-    the overlapping-experiments problem Fenrir's scheduling constraint
-    prevents on the planning level.
-    """
-    report = VerificationReport(
-        "strategies " + ", ".join(s.name for s in strategies)
-    )
-    owners: dict[str, str] = {}
-    for strategy in strategies:
-        for service in sorted(strategy.services):
-            owner = owners.get(service)
-            if owner is not None and owner != strategy.name:
-                report.add(
-                    Severity.ERROR,
-                    "overlap",
-                    f"strategies {owner!r} and {strategy.name!r} both "
-                    f"experiment on service {service!r}",
-                )
-            else:
-                owners[service] = strategy.name
-    return report

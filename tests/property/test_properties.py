@@ -11,7 +11,7 @@ from repro.fenrir.operators import pack_repair, random_schedule, repair_gene
 from repro.fenrir.schedule import Gene
 from repro.simulation.executor import SimulatedExecutor
 from repro.simulation.rng import SeededRng
-from repro.stats.descriptive import mean, median, moving_average, percentile, stddev
+from repro.stats.descriptive import mean, median, percentile, stddev
 from repro.stats.ranking import dcg, idcg, ndcg
 from repro.stats.timeseries import TimeSeries
 from repro.traffic.profile import TrafficProfile, UserGroup
@@ -49,12 +49,6 @@ class TestDescriptiveProperties:
     def test_shift_invariance_of_stddev(self, xs):
         shifted = [x + 100.0 for x in xs]
         assert stddev(shifted) == pytest_approx(stddev(xs))
-
-    @given(samples, st.integers(min_value=1, max_value=10))
-    def test_moving_average_preserves_length_and_bounds(self, xs, window):
-        out = moving_average(xs, window)
-        assert len(out) == len(xs)
-        assert all(min(xs) - 1e-9 <= v <= max(xs) + 1e-9 for v in out)
 
 
 def pytest_approx(value, rel=1e-6, absolute=1e-6):

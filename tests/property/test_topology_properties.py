@@ -40,14 +40,6 @@ class TestGraphInvariants:
         graph = random_interaction_graph(n, branching=branching, seed=seed)
         assert len(graph.roots()) == 1
 
-    @settings(max_examples=40, deadline=None)
-    @given(graph_params)
-    def test_subtree_of_root_covers_graph(self, params):
-        n, branching, seed = params
-        graph = random_interaction_graph(n, branching=branching, seed=seed)
-        root = graph.roots()[0]
-        assert graph.subtree_size(root) == n
-
 
 class TestDiffInvariants:
     @settings(max_examples=40, deadline=None)

@@ -66,13 +66,6 @@ class TestBatchGeneratorEquality:
             scalar.constant(0.25, 100)
         )
 
-    def test_from_profile(self):
-        profile = diurnal_profile(days=1)
-        scalar, batch = _pair(seed=3)
-        assert _materialize(batch.from_profile(profile, scale=0.0004)) == list(
-            scalar.from_profile(profile, scale=0.0004)
-        )
-
     def test_entry_mix(self):
         mix = {"frontend.index": 0.7, "frontend.search": 0.3}
         scalar, batch = _pair(seed=9, entry_mix=mix)
@@ -102,15 +95,6 @@ class TestBatchGeneratorEquality:
         population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
         with pytest.raises(ConfigurationError):
             BatchWorkloadGenerator(population, batch_size=0)
-
-    def test_expected_requests_uses_prefix_sums(self):
-        profile = diurnal_profile(days=1)
-        expected = BatchWorkloadGenerator.expected_requests(profile, scale=0.5)
-        assert expected == pytest.approx(profile.total_volume() * 0.5)
-        partial = BatchWorkloadGenerator.expected_requests(
-            profile, scale=1.0, start_slot=3, end_slot=9
-        )
-        assert partial == pytest.approx(sum(profile.volumes()[3:9]))
 
 
 class TestBucketHashing:
@@ -169,45 +153,3 @@ class TestAssignMany:
         for i, version in enumerate(bulk):
             assert assigner.assign(f"u{i}", variants) == version
         assert assigner.total_distinct_users() == 50
-
-
-class TestProfilePrefixSums:
-    def _profile(self):
-        return TrafficProfile(
-            [10.0, 0.0, 30.0, 5.0],
-            [UserGroup("all", 1.0)],
-            slot_duration_hours=0.5,
-        )
-
-    def test_cumulative_volume_boundaries(self):
-        profile = self._profile()
-        assert profile.cumulative_volume(0) == 0.0
-        assert profile.cumulative_volume(profile.num_slots) == pytest.approx(
-            45.0
-        )
-        assert profile.total_volume() == pytest.approx(45.0)
-
-    def test_cumulative_matches_running_sum_at_every_slot(self):
-        profile = self._profile()
-        running = 0.0
-        for slot, volume in enumerate(profile.volumes()):
-            assert profile.cumulative_volume(slot) == pytest.approx(running)
-            running += volume
-
-    def test_volume_between_is_half_open(self):
-        profile = self._profile()
-        assert profile.volume_between(0, 2) == pytest.approx(10.0)
-        assert profile.volume_between(2, 3) == pytest.approx(30.0)
-        assert profile.volume_between(1, 1) == 0.0
-        assert profile.volume_between(0, profile.num_slots) == pytest.approx(
-            45.0
-        )
-
-    def test_slot_edges_rejected(self):
-        profile = self._profile()
-        with pytest.raises(ConfigurationError):
-            profile.cumulative_volume(-1)
-        with pytest.raises(ConfigurationError):
-            profile.cumulative_volume(profile.num_slots + 1)
-        with pytest.raises(ConfigurationError):
-            profile.volume_between(3, 1)

@@ -57,9 +57,3 @@ class TestParseStrategies:
         text = "\n".join(strategy_to_dsl(s) for s in strategies)
         again = parse_strategies(text)
         assert again == strategies
-
-    def test_compatible_with_verification(self):
-        from repro.verification import verify_strategies_compatible
-
-        strategies = parse_strategies(TWO_STRATEGIES)
-        assert verify_strategies_compatible(strategies).ok

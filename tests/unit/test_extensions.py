@@ -1,97 +1,11 @@
-"""Unit tests for the extension features: live preview, service-level
-aggregation, and objective breakdowns."""
+"""Unit tests for the service-level aggregation extension."""
 
 import pytest
 
-from repro.bifrost.preview import LivePreview
-from repro.errors import ConfigurationError
-from repro.fenrir.fitness import FitnessWeights, evaluate, objective_breakdown
-from repro.fenrir.model import SchedulingProblem
-from repro.fenrir.schedule import Gene, Schedule
-from repro.microservices.runtime import Runtime
-from repro.microservices.service import ServiceVersion
-from repro.routing.proxy import VersionRouter
 from repro.topology.aggregate import SERVICE_LEVEL_ENDPOINT, aggregate_to_service_level
 from repro.topology.diff import diff_graphs
 from repro.topology.generator import mutate_graph, random_interaction_graph
 from repro.topology.graph import InteractionGraph, NodeKey
-from tests.conftest import constant_endpoint
-from tests.unit.test_fenrir_model import make_spec
-from tests.unit.test_microservices import make_request
-
-
-class TestLivePreview:
-    def make_preview(self, canary_app):
-        router = VersionRouter()
-        runtime = Runtime(canary_app, router=router, seed=3)
-        preview = LivePreview(
-            canary_app, router, runtime.monitor.store, "backend"
-        )
-        return runtime, preview
-
-    def candidate(self, latency=25.0) -> ServiceVersion:
-        return ServiceVersion(
-            "backend", "3.0.0-preview", {"api": constant_endpoint("api", latency)}
-        )
-
-    def test_preview_reports_deltas(self, canary_app):
-        runtime, preview = self.make_preview(canary_app)
-        preview.start(self.candidate(latency=25.0), at=0.0)
-        for i in range(40):
-            runtime.execute(make_request(user=f"u{i}", t=float(i)))
-        deltas = {
-            (d.metric, d.aggregation): d for d in preview.deltas(now=50.0)
-        }
-        rt = deltas[("response_time", "mean")]
-        # Stable backend is 20 ms plus the 2 ms proxy hop the dark-launch
-        # route introduces; the shadowed candidate is 25 ms (duplicated
-        # calls bypass the proxy).
-        assert rt.stable == pytest.approx(22.0)
-        assert rt.candidate == pytest.approx(25.0)
-        assert rt.delta == pytest.approx(3.0)
-        assert rt.relative == pytest.approx(3.0 / 22.0)
-
-    def test_users_never_see_the_candidate(self, canary_app):
-        runtime, preview = self.make_preview(canary_app)
-        preview.start(self.candidate(latency=500.0), at=0.0)
-        outcome = runtime.execute(make_request())
-        # User latency: frontend 10 + backend 20 + one proxy hop (2 ms).
-        # The candidate's 500 ms never reaches the user.
-        assert outcome.duration_ms == pytest.approx(32.0)
-
-    def test_stop_undeploys(self, canary_app):
-        runtime, preview = self.make_preview(canary_app)
-        preview.start(self.candidate(), at=0.0)
-        preview.stop()
-        assert not preview.active
-        assert not canary_app.service("backend").has_version("3.0.0-preview")
-
-    def test_double_start_rejected(self, canary_app):
-        runtime, preview = self.make_preview(canary_app)
-        preview.start(self.candidate(), at=0.0)
-        with pytest.raises(ConfigurationError):
-            preview.start(self.candidate(), at=1.0)
-
-    def test_wrong_service_rejected(self, canary_app):
-        _, preview = self.make_preview(canary_app)
-        wrong = ServiceVersion(
-            "frontend", "9.9.9", {"home": constant_endpoint("home", 1.0)}
-        )
-        with pytest.raises(ConfigurationError):
-            preview.start(wrong, at=0.0)
-
-    def test_deltas_before_start_rejected(self, canary_app):
-        _, preview = self.make_preview(canary_app)
-        with pytest.raises(ConfigurationError):
-            preview.deltas(now=1.0)
-
-    def test_describe_formats(self, canary_app):
-        runtime, preview = self.make_preview(canary_app)
-        preview.start(self.candidate(), at=0.0)
-        for i in range(10):
-            runtime.execute(make_request(user=f"u{i}", t=float(i)))
-        lines = [d.describe() for d in preview.deltas(now=20.0)]
-        assert any("mean(response_time)" in line for line in lines)
 
 
 class TestServiceLevelAggregation:
@@ -150,34 +64,3 @@ class TestServiceLevelAggregation:
                                         endpoints_per_service=10)
         aggregated = aggregate_to_service_level(base)
         assert aggregated.node_count == 30
-
-
-class TestObjectiveBreakdown:
-    def test_components_bound_fitness(self, profile):
-        problem = SchedulingProblem(profile, [make_spec(required_samples=100)])
-        schedule = Schedule(problem, [Gene(0, 2, 0.3, frozenset({"eu"}))])
-        breakdown = objective_breakdown(schedule)
-        evaluation = evaluate(schedule)
-        weights = FitnessWeights()
-        combined = (
-            weights.duration * breakdown.duration
-            + weights.start * breakdown.start
-            + weights.coverage * breakdown.coverage
-        )
-        assert combined == pytest.approx(evaluation.fitness)
-
-    def test_late_start_hurts_start_only(self, profile):
-        problem = SchedulingProblem(profile, [make_spec(required_samples=100)])
-        early = objective_breakdown(
-            Schedule(problem, [Gene(0, 2, 0.3, frozenset({"eu"}))])
-        )
-        late = objective_breakdown(
-            Schedule(problem, [Gene(40, 2, 0.3, frozenset({"eu"}))])
-        )
-        assert late.start < early.start
-        assert late.duration == early.duration
-
-    def test_describe(self, profile):
-        problem = SchedulingProblem(profile, [make_spec(required_samples=100)])
-        schedule = Schedule(problem, [Gene(0, 2, 0.3, frozenset({"eu"}))])
-        assert "duration=" in objective_breakdown(schedule).describe()

@@ -59,14 +59,6 @@ class TestInjectorComposition:
         with pytest.raises(ConfigurationError):
             injector.restore(fault)
 
-    def test_restore_all_counts_and_recovers(self, tiny_app):
-        injector = FaultInjector(tiny_app)
-        injector.degrade("backend", "1.0.0", "api", latency_factor=2.0)
-        injector.degrade("frontend", "1.0.0", "home", added_error_rate=0.2)
-        assert injector.restore_all() == 2
-        assert injector.faults == []
-        assert tiny_app.resolve("backend").endpoint("api").error_rate == 0.0
-
     def test_degrade_preserves_parallel_calls_flag(self, tiny_app):
         version = tiny_app.resolve("frontend")
         spec = version.endpoint("home")
@@ -261,17 +253,6 @@ class TestOverlappingFaultComposition:
         )
         with pytest.raises(ConfigurationError):
             injector.restore(second)
-
-    def test_restore_all_unwinds_lifo(self, tiny_app):
-        injector = FaultInjector(tiny_app)
-        injector.degrade("backend", "1.0.0", "api", latency_factor=2.0)
-        injector.degrade("backend", "1.0.0", "api", added_error_rate=0.3)
-        injector.degrade("frontend", "1.0.0", "home", latency_factor=5.0)
-        assert injector.restore_all() == 3
-        assert injector.faults == []
-        assert isinstance(
-            tiny_app.resolve("backend").endpoint("api").latency, ConstantLatency
-        )
 
     def test_redeploy_after_restore_is_recaptured(self, tiny_app):
         # Once all faults on an endpoint are restored the injector must

@@ -8,7 +8,6 @@ from repro.fleet.admission import (
     SHED_STARVED,
     AdmissionController,
     AdmissionRequest,
-    schedule_budget_violations,
     usage_within_budget,
 )
 
@@ -136,21 +135,3 @@ class TestHelpers:
         assert usage_within_budget({"all": 1.0})
         assert not usage_within_budget({"all": 1.1})
         assert usage_within_budget([("eu", 0.5), ("na", 0.9)])
-
-    def test_schedule_budget_violations(self):
-        from repro.fenrir.model import ExperimentSpec, SchedulingProblem
-        from repro.fenrir.schedule import Gene, Schedule
-        from repro.traffic.profile import TrafficProfile, UserGroup
-
-        profile = TrafficProfile([100.0] * 4, [UserGroup("all", 1.0)])
-        specs = [
-            ExperimentSpec(name="a", required_samples=10, max_traffic_fraction=1.0),
-            ExperimentSpec(name="b", required_samples=10, max_traffic_fraction=1.0),
-        ]
-        genes = [
-            Gene(0, 2, 0.7, frozenset({"all"})),
-            Gene(1, 2, 0.7, frozenset({"all"})),
-        ]
-        schedule = Schedule(SchedulingProblem(profile, specs), genes)
-        violations = schedule_budget_violations(schedule)
-        assert violations == [(1, "all", pytest.approx(1.4))]

@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError, ExecutionError
 from repro.microservices.application import Application
 from repro.bifrost import Bifrost
 from repro.microservices.faults import FaultCampaign, FaultInjector, LatencySpike
-from repro.microservices.generator import random_application
 from repro.microservices.resilience import CallPolicy
 from repro.microservices.runtime import LoadTracker, RoutingDecision, Runtime
 from repro.microservices.service import (
@@ -18,6 +17,7 @@ from repro.microservices.service import (
 from repro.routing.proxy import VersionRouter
 from repro.routing.rules import ExperimentRoute, Variant
 from repro.simulation.latency import ConstantLatency, LoadSensitiveLatency
+from repro.topology.scenarios import sample_application
 from repro.traffic.workload import Request
 from tests.conftest import constant_endpoint
 
@@ -354,39 +354,13 @@ class TestFaultInjector:
         runtime = Runtime(tiny_app, seed=1)
         assert runtime.execute(make_request()).error
 
-    def test_restore_all(self, tiny_app):
-        injector = FaultInjector(tiny_app)
-        injector.degrade("backend", "1.0.0", "api", latency_factor=3.0)
-        assert injector.restore_all() == 1
-        runtime = Runtime(tiny_app, seed=1)
-        assert runtime.execute(make_request()).duration_ms == pytest.approx(30.0)
-
     def test_invalid_factor(self, tiny_app):
         with pytest.raises(ConfigurationError):
             FaultInjector(tiny_app).degrade("backend", "1.0.0", "api", latency_factor=0.0)
 
 
 class TestGenerator:
-    def test_wiring_is_closed(self):
-        app = random_application(num_services=12, endpoints_per_service=3, seed=2)
-        assert app.validate_wiring() == []
-
-    def test_service_count(self):
-        app = random_application(num_services=8, seed=3)
-        assert len(app.service_names) == 8
-        assert "frontend" in app.service_names
-
     def test_acyclic_execution(self):
-        app = random_application(num_services=10, seed=4)
-        runtime = Runtime(app, seed=5)
-        outcome = runtime.execute(make_request(entry="frontend.ep0"))
+        runtime = Runtime(sample_application(), seed=5)
+        outcome = runtime.execute(make_request(entry="frontend.index"))
         assert outcome.duration_ms > 0
-
-    def test_deterministic(self):
-        a = random_application(num_services=6, seed=7)
-        b = random_application(num_services=6, seed=7)
-        assert a.service_names == b.service_names
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigurationError):
-            random_application(num_services=0)

@@ -2,7 +2,7 @@
 
 
 from repro.bifrost import Bifrost
-from repro.bifrost.model import Phase, PhaseType, Strategy, StrategyOutcome
+from repro.bifrost.model import Phase, PhaseType, Strategy
 from repro.traffic.profile import UserGroup
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
@@ -60,35 +60,3 @@ strategy text-strategy
 """
         )
         assert execution.strategy.name == "text-strategy"
-
-
-class TestRunUntilSettled:
-    def test_drives_until_strategy_finishes(self, canary_app):
-        bifrost = Bifrost(canary_app, seed=6)
-        execution = bifrost.submit(short_canary(duration=35.0), at=1.0)
-        population = UserPopulation(100, GROUPS, seed=7)
-
-        def factory(start, duration):
-            workload = WorkloadGenerator(
-                population, entry="frontend.home", seed=int(start) + 8
-            )
-            return workload.poisson(15.0, duration, start=start)
-
-        outcomes = bifrost.run_until_settled(factory, chunk_seconds=20.0)
-        assert execution.outcome is StrategyOutcome.COMPLETED
-        assert outcomes
-
-    def test_stops_at_max_seconds(self, canary_app):
-        bifrost = Bifrost(canary_app, seed=9)
-        bifrost.submit(short_canary(duration=1e9), at=1.0)
-        population = UserPopulation(50, GROUPS, seed=10)
-
-        def factory(start, duration):
-            workload = WorkloadGenerator(
-                population, entry="frontend.home", seed=int(start) + 11
-            )
-            return workload.poisson(5.0, duration, start=start)
-
-        bifrost.run_until_settled(factory, chunk_seconds=30.0, max_seconds=120.0)
-        assert bifrost.simulation.now >= 120.0
-        assert bifrost.engine.running_count() == 1  # still running, bounded

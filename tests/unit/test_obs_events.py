@@ -1,7 +1,5 @@
 """Unit tests for the structured event log and JSONL round-trips."""
 
-import io
-
 import pytest
 
 from repro.errors import ValidationError
@@ -90,15 +88,11 @@ class TestEventLog:
         assert seen == [1, 2, 3, 4, 5, 6]
         assert len(log) == 2
 
-    def test_export_jsonl_round_trips(self):
+    def test_jsonl_lines_round_trip(self):
         log = EventLog()
         log.append("a", 1.0, {"x": 1})
         log.append("b", 2.0, {"y": "z"})
-        buffer = io.StringIO()
-        written = log.export_jsonl(buffer)
-        assert written == 2
-        events = load_jsonl(buffer.getvalue().splitlines())
-        assert events == list(log)
+        assert load_jsonl(log.jsonl_lines()) == list(log)
 
     def test_clear_keeps_sequence_counter(self):
         log = EventLog()

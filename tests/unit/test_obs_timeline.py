@@ -15,7 +15,6 @@ from repro.obs.timeline import (
     diff_timeline_execution,
     reconstruct_timelines,
     render_ascii,
-    render_dot,
     timeline_matches_execution,
 )
 from tests.unit.test_bifrost_engine import canary_phase, run_strategy
@@ -151,11 +150,3 @@ class TestRendering:
         assert "pass=1" in text
         assert "--success--> complete" in text
         assert "winner: 2.0.0" in text
-
-    def test_dot_contains_traversed_edges_only(self):
-        timeline = reconstruct_timelines(synthetic_log())["s"]
-        dot = render_dot(timeline)
-        assert '"canary" -> "canary"' in dot
-        assert '"canary" -> "complete"' in dot
-        assert "@21.0s" in dot
-        assert "rollback" not in dot  # never traversed

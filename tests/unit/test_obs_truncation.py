@@ -55,11 +55,6 @@ class TestTruncationSentinel:
         assert len(lines) == 6  # sentinel + 5 retained
         assert '"obs.truncated"' in lines[0]
 
-    def test_export_jsonl_counts_sentinel_line(self):
-        log = filled_log(capacity=5, appended=12)
-        buffer = io.StringIO()
-        assert log.export_jsonl(buffer) == 6
-
     def test_helpers(self):
         log = filled_log(capacity=5, appended=12)
         sentinel = log.truncation_sentinel()

@@ -1,67 +1,14 @@
 """Tests for remaining code paths across subsystems."""
 
-import pytest
-
 from repro.bifrost import Bifrost
 from repro.bifrost.model import Phase, PhaseType, Strategy, StrategyOutcome, Check
 from repro.microservices.service import ServiceVersion
-from repro.simulation.executor import SimulatedExecutor
-from repro.traffic.profile import UserGroup, flat_profile
+from repro.traffic.profile import UserGroup
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
 from tests.conftest import constant_endpoint
 
 GROUPS = (UserGroup("eu", 0.6), UserGroup("na", 0.4))
-
-
-class TestWorkloadFromProfile:
-    def test_follows_profile_shape(self):
-        # Two-slot profile: busy slot then quiet slot.
-        profile = flat_profile(2, 3600.0, GROUPS)  # 1 req/s per slot
-        population = UserPopulation(100, GROUPS, seed=1)
-        generator = WorkloadGenerator(population, seed=2)
-        requests = list(generator.from_profile(profile, scale=1.0))
-        first_slot = [r for r in requests if r.timestamp < 3600.0]
-        second_slot = [r for r in requests if r.timestamp >= 3600.0]
-        assert 3000 <= len(first_slot) <= 4200
-        assert 3000 <= len(second_slot) <= 4200
-
-    def test_scale_reduces_volume(self):
-        profile = flat_profile(1, 3600.0, GROUPS)
-        population = UserPopulation(100, GROUPS, seed=1)
-        full = len(list(
-            WorkloadGenerator(population, seed=3).from_profile(profile, scale=1.0)
-        ))
-        tenth = len(list(
-            WorkloadGenerator(population, seed=3).from_profile(profile, scale=0.1)
-        ))
-        assert tenth < full / 5
-
-    def test_zero_volume_slots_skipped(self):
-        from repro.traffic.profile import TrafficProfile
-
-        profile = TrafficProfile([0.0, 3600.0], GROUPS)
-        population = UserPopulation(50, GROUPS, seed=1)
-        requests = list(
-            WorkloadGenerator(population, seed=4).from_profile(profile)
-        )
-        assert all(r.timestamp >= 3600.0 for r in requests)
-
-
-class TestExecutorSeries:
-    def test_busy_bucket_saturates(self):
-        executor = SimulatedExecutor()
-        executor.submit(0.0, 1.0)  # fills bucket [0,1) completely
-        executor.submit(5.0, 0.2)
-        series = dict(executor.utilization_series(1.0))
-        assert series[0.0] == pytest.approx(1.0)
-        assert series[5.0] == pytest.approx(0.2)
-
-    def test_work_spanning_buckets_distributed(self):
-        executor = SimulatedExecutor()
-        executor.submit(0.5, 1.0)  # busy 0.5..1.5
-        series = dict(executor.utilization_series(1.0))
-        assert series[0.5] == pytest.approx(0.5, abs=1e-9) or series.get(0.5)
 
 
 class TestFrameworkAnalyzeOptions:

@@ -252,8 +252,8 @@ class TestRuntimeResilience:
         assert outcome.duration_ms == pytest.approx(10.0 + 20 * 2 + 5 + 2)
         assert [e.kind for e in layer.events] == ["retry", "fallback"]
         # The fallback shows up as a metric sample for trace analysis.
-        assert runtime.monitor.resilience_count(
-            "backend", "1.0.0", "fallback", 0.0, 1.0
+        assert runtime.monitor.store.aggregate(
+            "backend", "1.0.0", "resilience.fallback", "count", 0.0, 1.0
         ) == 1.0
 
     def test_timeout_caps_observed_wait(self):

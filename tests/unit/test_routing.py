@@ -60,12 +60,6 @@ class TestRules:
     def test_empty_audience_matches_all(self):
         assert AudienceFilter().matches(make_request())
 
-    def test_with_variants_copy(self):
-        route = ExperimentRoute("exp", "svc", canary_split("1.0", "2.0", 0.1))
-        stepped = route.with_variants(rollout_split("1.0", "2.0", 0.5))
-        assert stepped.experiment == "exp"
-        assert stepped.variants[1].fraction == 0.5
-
     def test_route_needs_variants_or_shadow(self):
         with pytest.raises(ConfigurationError):
             ExperimentRoute("exp", "svc", ())

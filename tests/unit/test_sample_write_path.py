@@ -167,19 +167,6 @@ class TestMetricStoreBulkPaths:
                                    "metric": "m", "samples": []}]})
         assert store.keys() == []
 
-    def test_merge_lands_each_key_in_one_call(self, monkeypatch):
-        target, reference = self.filled(), self.filled()
-        other = MetricStore()
-        for ts, value in [(2.5, 7.0), (0.1, 8.0)]:
-            other.record("svc", "1.0", "m", ts, value)
-            reference.record("svc", "1.0", "m", ts, value)
-        other.record("new", "1.0", "m", 1.0, 1.0)
-        reference.record("new", "1.0", "m", 1.0, 1.0)
-        calls = count_writes(monkeypatch)
-        target.merge(other)
-        assert target.snapshot() == reference.snapshot()
-        assert calls == {("extend_columns", "m"): 2}
-
     def test_series_miss_returns_a_detached_empty_series(self):
         store = self.filled()
         missing = store.series("svc", "9.9", "m")

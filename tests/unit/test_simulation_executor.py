@@ -63,14 +63,6 @@ class TestReporting:
         with pytest.raises(SimulationError):
             SimulatedExecutor().report()
 
-    def test_utilization_series_bounds(self):
-        executor = SimulatedExecutor()
-        for i in range(10):
-            executor.submit(i * 0.5, 0.25)
-        series = executor.utilization_series(1.0)
-        assert series
-        assert all(0.0 <= u <= 1.0 for _, u in series)
-
     def test_saturated_utilization_is_one(self):
         executor = SimulatedExecutor()
         for i in range(10):

@@ -8,7 +8,6 @@ from repro.errors import StatisticsError
 from repro.stats.descriptive import (
     mean,
     median,
-    moving_average,
     percentile,
     stddev,
     summarize,
@@ -82,28 +81,6 @@ class TestPercentile:
 
     def test_single_value(self):
         assert percentile([7], 99) == 7
-
-
-class TestMovingAverage:
-    def test_window_one_is_identity(self):
-        assert moving_average([1, 2, 3], 1) == [1, 2, 3]
-
-    def test_window_smoothing(self):
-        out = moving_average([0, 10, 20, 30], 2)
-        assert out == [0.0, 5.0, 15.0, 25.0]
-
-    def test_prefix_uses_shorter_window(self):
-        out = moving_average([6, 0, 0], 3)
-        assert out[0] == 6.0
-        assert out[1] == 3.0
-        assert out[2] == 2.0
-
-    def test_same_length_as_input(self):
-        assert len(moving_average(list(range(10)), 4)) == 10
-
-    def test_invalid_window(self):
-        with pytest.raises(StatisticsError):
-            moving_average([1.0], 0)
 
 
 class TestSummarize:

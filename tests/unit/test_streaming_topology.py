@@ -292,11 +292,6 @@ class TestLiveTopologyDiff:
         assert live.current() is not first
         assert live.refreshes == 2
 
-    def test_use_windows_requires_ring(self):
-        baseline, builder, _collector = self.baseline_and_builder()
-        with pytest.raises(ValidationError):
-            LiveTopologyDiff(baseline, builder, use_windows=True)
-
     def test_windowed_diff_uses_window_merge(self):
         baseline = InteractionGraph("baseline")
         collector = TraceCollector()

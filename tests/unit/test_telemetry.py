@@ -104,13 +104,6 @@ class TestMetricStore:
         store.record("a", "1", "m", 0.0, 1.0)
         assert store.keys()[0] == MetricKey("a", "1", "m")
 
-    def test_merge(self):
-        a, b = MetricStore(), MetricStore()
-        a.record("svc", "1", "m", 0.0, 1.0)
-        b.record("svc", "1", "m", 1.0, 3.0)
-        a.merge(b)
-        assert a.aggregate("svc", "1", "m", "mean", 0, 2) == 2.0
-
     def test_versions_are_separate_streams(self):
         store = MetricStore()
         store.record("svc", "1.0", "m", 0.0, 1.0)
@@ -250,7 +243,7 @@ class TestHistogramEviction:
 
 
 class TestResilienceMetrics:
-    """Version mapping of resilience events and wildcard aggregation."""
+    """Version mapping of resilience events."""
 
     def make_event(self, kind="retry", version="", time=1.0):
         from repro.microservices.resilience import ResilienceEvent
@@ -259,39 +252,20 @@ class TestResilienceMetrics:
             kind=kind, time=time, service="checkout", version=version
         )
 
+    @staticmethod
+    def retries(monitor, version):
+        return monitor.store.aggregate(
+            "checkout", version, "resilience.retry", "count", 0.0, 2.0
+        )
+
     def test_versioned_event_recorded_under_real_version(self):
         monitor = Monitor()
         monitor.observe_resilience(self.make_event(version="2.0.0"))
-        assert (
-            monitor.resilience_count("checkout", "2.0.0", "retry", 0.0, 2.0)
-            == 1.0
-        )
+        assert self.retries(monitor, "2.0.0") == 1.0
         # Nothing leaks into the wildcard bucket.
-        assert (
-            monitor.resilience_count("checkout", "*", "retry", 0.0, 2.0) == 0.0
-        )
+        assert self.retries(monitor, "*") is None
 
     def test_versionless_event_falls_back_to_wildcard(self):
         monitor = Monitor()
         monitor.observe_resilience(self.make_event(version=""))
-        assert (
-            monitor.resilience_count("checkout", "*", "retry", 0.0, 2.0) == 1.0
-        )
-
-    def test_count_all_sums_versions_and_wildcard(self):
-        monitor = Monitor()
-        monitor.observe_resilience(self.make_event(version="1.0.0"))
-        monitor.observe_resilience(self.make_event(version="2.0.0", time=1.5))
-        monitor.observe_resilience(self.make_event(version="", time=1.7))
-        monitor.observe_resilience(
-            self.make_event(kind="breaker_open", version="", time=1.8)
-        )
-        assert (
-            monitor.resilience_count_all("checkout", "retry", 0.0, 2.0) == 3.0
-        )
-        assert (
-            monitor.resilience_count_all("checkout", "breaker_open", 0.0, 2.0)
-            == 1.0
-        )
-        # Other services' series do not contaminate the sum.
-        assert monitor.resilience_count_all("billing", "retry", 0.0, 2.0) == 0.0
+        assert self.retries(monitor, "*") == 1.0

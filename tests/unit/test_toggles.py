@@ -1,12 +1,10 @@
 """Unit tests for the feature-toggle subsystem."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.microservices.runtime import Runtime
-from repro.toggles.debt import assess_toggle_debt, estimate_test_effort
+from repro.toggles.debt import assess_toggle_debt
 from repro.toggles.router import ToggleRouter
 from repro.toggles.store import FeatureToggle, ToggleState, ToggleStore
 from tests.unit.test_microservices import make_request
@@ -68,20 +66,6 @@ class TestToggleStore:
         store.set_rollout("f", 1.0)
         assert store.is_enabled("f", "u1")
 
-    def test_disable_is_kill_switch(self):
-        store = ToggleStore()
-        store.register(FeatureToggle("f", "svc", rollout_fraction=1.0))
-        store.disable("f")
-        assert not store.is_enabled("f", "u1")
-        assert store.get("f").state is ToggleState.DISABLED
-
-    def test_retire(self):
-        store = ToggleStore()
-        store.register(FeatureToggle("f", "svc", rollout_fraction=1.0))
-        store.retire("f")
-        assert store.get("f").state is ToggleState.RETIRED
-        assert store.active_toggles() == []
-
     def test_active_toggles_by_service(self):
         store = ToggleStore()
         store.register(FeatureToggle("a", "svc1"))
@@ -128,14 +112,6 @@ class TestToggleStoreErrorPaths:
         with pytest.raises(ConfigurationError):
             ToggleStore().set_rollout("ghost", 0.5)
 
-    def test_disable_unknown_toggle(self):
-        with pytest.raises(ConfigurationError):
-            ToggleStore().disable("ghost")
-
-    def test_retire_unknown_toggle(self):
-        with pytest.raises(ConfigurationError):
-            ToggleStore().retire("ghost")
-
     @pytest.mark.parametrize("fraction", [-0.01, 1.01])
     def test_constructor_out_of_range_fraction(self, fraction):
         with pytest.raises(ConfigurationError):
@@ -157,8 +133,9 @@ class TestToggleStoreSnapshot:
                 enabled_groups=frozenset({"beta"}), created_at=7.0,
             )
         )
-        store.register(FeatureToggle("b", "svc2", rollout_fraction=1.0))
-        store.disable("b")
+        store.register(
+            FeatureToggle("b", "svc2", rollout_fraction=1.0, state=ToggleState.DISABLED)
+        )
         store.is_enabled("a", "u1")
         return store
 
@@ -225,13 +202,6 @@ class TestToggleRouter:
         # backend 2.0.0 is 30ms; no proxy overhead at all.
         assert outcome.duration_ms == pytest.approx(40.0)
 
-    def test_stop_experiment(self, canary_app):
-        router = ToggleRouter()
-        router.start_experiment("backend", "2.0.0", fraction=1.0)
-        router.stop_experiment("backend")
-        decision = router.route(make_request(), "backend")
-        assert decision.version is None
-
     def test_double_start_rejected(self):
         router = ToggleRouter()
         router.start_experiment("backend", "2.0.0", fraction=0.5)
@@ -251,8 +221,7 @@ class TestToggleDebt:
         store.register(FeatureToggle("a", "svc1", created_at=0.0))
         store.register(FeatureToggle("b", "svc1", created_at=0.0))
         store.register(FeatureToggle("c", "svc2", created_at=100.0))
-        store.register(FeatureToggle("d", "svc2"))
-        store.disable("d")
+        store.register(FeatureToggle("d", "svc2", state=ToggleState.DISABLED))
         return store
 
     def test_counts(self):
@@ -275,10 +244,3 @@ class TestToggleDebt:
         report = assess_toggle_debt(self.make_store())
         assert report.exceeds(max_active_per_service=1) == ["svc1"]
         assert report.exceeds(max_active_per_service=5) == []
-
-    def test_effort_explodes(self):
-        store = ToggleStore()
-        for i in range(70):
-            store.register(FeatureToggle(f"t{i}", "svc"))
-        report = assess_toggle_debt(store)
-        assert math.isinf(estimate_test_effort(report))

@@ -61,14 +61,6 @@ class TestInteractionGraph:
         graph.add_node(key("a", "2.0"))
         assert graph.versions_of("a") == {"1.0", "2.0"}
 
-    def test_subtree_size(self):
-        graph = InteractionGraph()
-        graph.observe_call(key("a"), key("b"), 1.0, False)
-        graph.observe_call(key("b"), key("c"), 1.0, False)
-        graph.observe_call(key("a"), key("d"), 1.0, False)
-        assert graph.subtree_size(key("a")) == 4
-        assert graph.subtree_size(key("b")) == 2
-
     def test_unknown_node_raises(self):
         with pytest.raises(TopologyError):
             InteractionGraph().node_stats(key("ghost"))

@@ -1,5 +1,5 @@
 """Traffic-layer edge cases: zero-traffic windows, single-user
-populations, half-open window boundaries, flash crowds, heavy tails.
+populations, half-open window boundaries, heavy tails.
 
 The scenario fuzzer stresses these paths constantly, so each edge gets a
 pinned unit test rather than relying on the fuzzer stumbling over it.
@@ -8,12 +8,7 @@ pinned unit test rather than relying on the fuzzer stumbling over it.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.traffic.profile import (
-    DEFAULT_GROUPS,
-    UserGroup,
-    flat_profile,
-    with_flash_crowd,
-)
+from repro.traffic.profile import DEFAULT_GROUPS, UserGroup, flat_profile
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
 
@@ -26,19 +21,6 @@ def make_generator(seed: int = 5, population_size: int = 50) -> WorkloadGenerato
 
 
 class TestZeroTrafficWindows:
-    def test_zero_volume_slots_yield_no_requests(self):
-        profile = flat_profile(3, 0.0)
-        assert list(make_generator().from_profile(profile)) == []
-
-    def test_zero_slot_between_busy_slots_is_silent(self):
-        profile = with_flash_crowd(flat_profile(3, 7200.0), slot=1, magnitude=0.0)
-        requests = list(make_generator().from_profile(profile))
-        assert requests, "busy slots must still produce traffic"
-        slot_seconds = profile.slot_duration_hours * 3600.0
-        assert all(
-            not slot_seconds <= r.timestamp < 2 * slot_seconds for r in requests
-        )
-
     def test_zero_rate_per_second(self):
         assert flat_profile(2, 0.0).rate_per_second(1) == 0.0
 
@@ -86,30 +68,6 @@ class TestHalfOpenWindows:
     def test_constant_includes_start_excludes_end_count(self):
         requests = list(make_generator().constant(1.0, 5, start=10.0))
         assert [r.timestamp for r in requests] == [10.0, 11.0, 12.0, 13.0, 14.0]
-
-    def test_flash_crowd_window_is_half_open(self):
-        profile = with_flash_crowd(flat_profile(4, 100.0), slot=1, magnitude=3.0, width=2)
-        assert profile.volumes() == [100.0, 300.0, 300.0, 100.0]
-
-    def test_flash_crowd_clipped_at_horizon(self):
-        profile = with_flash_crowd(flat_profile(3, 10.0), slot=2, magnitude=2.0, width=5)
-        assert profile.volumes() == [10.0, 10.0, 20.0]
-
-    def test_flash_crowd_validation(self):
-        profile = flat_profile(3, 10.0)
-        with pytest.raises(ConfigurationError):
-            with_flash_crowd(profile, slot=3, magnitude=2.0)
-        with pytest.raises(ConfigurationError):
-            with_flash_crowd(profile, slot=-1, magnitude=2.0)
-        with pytest.raises(ConfigurationError):
-            with_flash_crowd(profile, slot=0, magnitude=-0.5)
-        with pytest.raises(ConfigurationError):
-            with_flash_crowd(profile, slot=0, magnitude=2.0, width=0)
-
-    def test_flash_crowd_leaves_original_untouched(self):
-        profile = flat_profile(3, 10.0)
-        with_flash_crowd(profile, slot=0, magnitude=9.0)
-        assert profile.volumes() == [10.0, 10.0, 10.0]
 
 
 class TestHeavyTailArrivals:

@@ -5,11 +5,7 @@ from repro.bifrost.model import Check, Strategy
 from repro.routing.proxy import VersionRouter
 from repro.routing.rules import ExperimentRoute
 from repro.routing.splitter import canary_split
-from repro.verification import (
-    Severity,
-    verify_strategies_compatible,
-    verify_strategy,
-)
+from repro.verification import Severity, verify_strategy
 from tests.unit.test_bifrost_model import make_check, make_phase
 
 
@@ -172,22 +168,8 @@ class TestInterference:
         report = verify_strategy(strategy_for(canary_app), canary_app, router)
         assert not any(f.code == "live-conflict" for f in report.findings)
 
-    def test_concurrent_strategies_overlap(self):
-        a = Strategy("a", (make_phase("p", service="svc"),))
-        b = Strategy("b", (make_phase("p", service="svc"),))
-        report = verify_strategies_compatible([a, b])
-        assert not report.ok
-        assert any(f.code == "overlap" for f in report.errors)
-
-    def test_disjoint_strategies_compatible(self):
-        a = Strategy("a", (make_phase("p", service="svc1"),))
-        b = Strategy("b", (make_phase("p", service="svc2"),))
-        assert verify_strategies_compatible([a, b]).ok
-
-    def test_report_describe(self):
-        a = Strategy("a", (make_phase("p", service="svc"),))
-        b = Strategy("b", (make_phase("p", service="svc"),))
-        report = verify_strategies_compatible([a, b])
+    def test_report_describe(self, canary_app):
+        report = verify_strategy(strategy_for(canary_app, service="ghost"), canary_app)
         text = report.describe()
         assert "error" in text.lower()
         assert report.findings[0].severity is Severity.ERROR
