@@ -22,6 +22,7 @@ smoke floor.
 import json
 import os
 import time
+import tracemalloc
 
 from _util import OUTPUT_DIR, emit, format_rows
 
@@ -152,7 +153,9 @@ def build_strategy() -> Strategy:
 
 
 def test_million_users_batch_kernel() -> None:
+    build_start = time.perf_counter()
     population = UserPopulation(POPULATION, DEFAULT_GROUPS, seed=1)
+    population_build_s = time.perf_counter() - build_start
 
     # -- batch path: the full replay ------------------------------------
     bifrost = Bifrost(build_app(), seed=7)
@@ -171,7 +174,12 @@ def test_million_users_batch_kernel() -> None:
     # -- scalar baseline: identical scenario, shorter sample ------------
     scalar_bifrost = Bifrost(build_app(), seed=7)
     scalar_bifrost.submit(build_strategy(), at=1.0)
+    # The twin population is built under tracemalloc: what it retains is
+    # the population's footprint (timing comes from the untraced build).
+    tracemalloc.start()
     scalar_population = UserPopulation(POPULATION, DEFAULT_GROUPS, seed=1)
+    population_retained_mib = tracemalloc.get_traced_memory()[0] / 2**20
+    tracemalloc.stop()
     scalar_generator = WorkloadGenerator(
         scalar_population, entry="frontend.index", seed=2
     )
@@ -231,7 +239,9 @@ def test_million_users_batch_kernel() -> None:
         f"canary outcome: {execution.outcome.value}; "
         f"distinct canary-assigned users: {canary_assigned:,}\n"
         f"fast slices: {result.fast_slices}; "
-        f"fallback slices: {result.fallback_slices}",
+        f"fallback slices: {result.fallback_slices}\n"
+        f"population: built in {population_build_s:.2f} s, "
+        f"retains {population_retained_mib:.2f} MiB",
     )
     payload = {
         "mode": "smoke" if SMOKE else "full",
@@ -248,6 +258,8 @@ def test_million_users_batch_kernel() -> None:
         "fallback_slices": result.fallback_slices,
         "canary_outcome": execution.outcome.value,
         "canary_distinct_users": canary_assigned,
+        "population_build_s": population_build_s,
+        "population_retained_mib": population_retained_mib,
     }
     os.makedirs(OUTPUT_DIR, exist_ok=True)
     with open(

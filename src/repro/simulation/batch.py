@@ -583,14 +583,14 @@ class RequestKernel:
                     spans = []
                 # Per-request context: user index (or the Request), group
                 # code, trace id, span sink (None = no spans), group name,
-                # user id.
+                # user id (formatted only for the span tags that carry it).
                 ctx = (
                     user,
                     group_code,
                     trace_id,
                     spans,
                     group_names[group_code],
-                    population.user_at(user),
+                    population.user_at(user) if spans is not None else None,
                 )
                 duration, error = dispatch(edge, None, now, 0, False, None, ctx)
                 if spans is not None:

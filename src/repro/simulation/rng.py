@@ -10,9 +10,24 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Sequence, TypeVar
+from itertools import accumulate
+from math import isfinite
+from typing import Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
+
+
+def cumulative_weights(weights: Iterable[float]) -> tuple[list[float], float]:
+    """Left-to-right accumulated *weights* and their float total, built and
+    checked as :meth:`random.Random.choices` does — bulk draws that bisect
+    ``random() * total`` over all but the last boundary replay it exactly."""
+    cum = list(accumulate(weights))
+    total = cum[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    return cum, total
 
 
 class SeededRng:
@@ -70,10 +85,10 @@ class SeededRng:
     def randrange(self, stop: int) -> int:
         """Uniform integer in ``[0, stop)``.
 
-        Consumes exactly the same underlying draws as ``choice`` on a
-        *stop*-element sequence — the batch workload generator relies on
-        this to pick user *indices* while staying bit-identical to the
-        scalar generator's ``choice`` over the id tuple.
+        The user draw of both request paths: the scalar generator calls
+        it per request and the batch generator inlines its loop.  Consumes
+        exactly the underlying draws of ``choice`` on a *stop*-element
+        sequence, which is what ``UserPopulation.sample`` relies on.
         """
         return self._random.randrange(stop)
 

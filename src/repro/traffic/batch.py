@@ -12,9 +12,9 @@ Determinism contract (property-tested in
 ``tests/property/test_batch_equivalence.py``): a batch generator with the
 same seed consumes the *same underlying RNG draws in the same order* as
 the scalar generator, so the produced arrivals are bit-identical —
-``randrange(n)`` consumes exactly what ``choice`` on the id tuple would,
-and the entry-mix pick replays :meth:`random.Random.choices` internals
-(one uniform draw, bisect over left-to-right accumulated weights).
+the user draw is ``randrange(len(population))`` on both paths, and the
+entry-mix pick replays :meth:`random.Random.choices` internals (one
+uniform draw, bisect over left-to-right accumulated weights).
 :meth:`RequestBatch.request` materializes any row back into a scalar
 ``Request`` with the id, headers, and group the scalar generator would
 have produced — which is what the batch executor's fallback path uses.
@@ -24,14 +24,12 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import accumulate
-from math import isfinite
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.simulation.rng import SeededRng
+from repro.simulation.rng import SeededRng, cumulative_weights
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import Request
 
@@ -50,7 +48,8 @@ class RequestBatch:
             request id ``r{base_id + i:09d}``, matching the scalar
             generator's numbering.
         timestamps: float64 arrival times, non-decreasing.
-        user_indices: int64 indices into ``population.ids``.
+        user_indices: int64 user indices (``population.user_at(i)`` is
+            the id, ``population.group_codes()[i]`` the group code).
         entry_codes: int16 indices into ``entries``.
         entries: the distinct ``service.endpoint`` entry points.
         population: the issuing user population.
@@ -68,12 +67,14 @@ class RequestBatch:
 
     def request(self, row: int) -> Request:
         """Materialize one row as the scalar :class:`Request` it encodes."""
-        user_id = self.population.user_at(int(self.user_indices[row]))
+        population = self.population
+        index = int(self.user_indices[row])
+        user_id = population.user_at(index)
         return Request(
             request_id=f"r{self.base_id + row:09d}",
             timestamp=float(self.timestamps[row]),
             user_id=user_id,
-            group=self.population.group_of(user_id),
+            group=population.group_names[population.group_codes()[index]],
             entry=self.entries[self.entry_codes[row]],
             headers={"user-id": user_id},
         )
@@ -111,14 +112,9 @@ class BatchWorkloadGenerator:
             raise ConfigurationError("entry_mix must not be empty when given")
         if entry_mix:
             self._entries = tuple(entry_mix)
-            # Replicates random.Random.choices: left-to-right accumulated
-            # weights, total coerced to float, draw scaled by the total.
-            self._cum_weights = list(accumulate(entry_mix.values()))
-            self._total_weight = self._cum_weights[-1] + 0.0
-            if self._total_weight <= 0.0:
-                raise ValueError("Total of weights must be greater than zero")
-            if not isfinite(self._total_weight):
-                raise ValueError("Total of weights must be finite")
+            self._cum_weights, self._total_weight = cumulative_weights(
+                entry_mix.values()
+            )
         else:
             self._entries = (entry,)
             self._cum_weights = None
@@ -134,13 +130,15 @@ class BatchWorkloadGenerator:
             raise ConfigurationError("rate_per_second must be positive")
         if duration <= 0:
             raise ConfigurationError("duration must be positive")
-        expovariate = self._rng.expovariate
+        expovariate = self._rng.raw.expovariate
+        end = start + duration
 
-        def gaps() -> Iterator[float]:
-            while True:
-                yield expovariate(rate_per_second)
+        def arrivals() -> Iterator[float]:
+            t = start
+            while (t := t + expovariate(rate_per_second)) < end:
+                yield t
 
-        return self._generate(gaps(), start, start + duration)
+        return self._generate(arrivals())
 
     def heavy_tail(
         self,
@@ -160,13 +158,15 @@ class BatchWorkloadGenerator:
             )
         mean_gap = 1.0 / rate_per_second
         unit = (alpha - 1.0) / alpha
-        paretovariate = self._rng.paretovariate
+        paretovariate = self._rng.raw.paretovariate
+        end = start + duration
 
-        def gaps() -> Iterator[float]:
-            while True:
-                yield mean_gap * unit * paretovariate(alpha)
+        def arrivals() -> Iterator[float]:
+            t = start
+            while (t := t + mean_gap * unit * paretovariate(alpha)) < end:
+                yield t
 
-        return self._generate(gaps(), start, start + duration)
+        return self._generate(arrivals())
 
     def constant(
         self, interval: float, count: int, start: float = 0.0
@@ -176,55 +176,37 @@ class BatchWorkloadGenerator:
             raise ConfigurationError("interval must be positive")
         if count <= 0:
             raise ConfigurationError("count must be positive")
-        return self._constant(interval, count, start)
-
-    def _constant(
-        self, interval: float, count: int, start: float
-    ) -> Iterator[RequestBatch]:
-        timestamps: list[float] = []
-        users: list[int] = []
-        entries: list[int] = []
-        for i in range(count):
-            timestamps.append(start + i * interval)
-            self._fill_row(users, entries)
-            if len(timestamps) >= self.batch_size:
-                yield self._flush(timestamps, users, entries)
-                timestamps, users, entries = [], [], []
-        if timestamps:
-            yield self._flush(timestamps, users, entries)
+        return self._generate(start + i * interval for i in range(count))
 
     # -- internals ---------------------------------------------------------
 
-    def _fill_row(self, users: list[int], entries: list[int]) -> None:
-        """Draw the user and entry columns of one request.
+    def _generate(self, arrivals: Iterable[float]) -> Iterator[RequestBatch]:
+        """Draw the user and entry columns of each arrival, in batches.
 
-        Draw order matches the scalar ``_make_request``: user first
-        (one ``randrange`` = one ``choice``), then the entry-mix pick
-        (one uniform), so the shared stream stays aligned.
+        Draw order matches the scalar ``_make_request``: the user first —
+        the body of CPython's ``_randbelow_with_getrandbits``, the same
+        words ``randrange(size)`` consumes — then the entry-mix pick (one
+        uniform), so the shared stream stays aligned.
         """
-        users.append(self._rng.randrange(len(self.population)))
-        if self._cum_weights is None:
-            entries.append(0)
-        else:
-            r = self._rng.random() * self._total_weight
-            entries.append(
-                bisect(self._cum_weights, r, 0, len(self._entries) - 1)
-            )
-
-    def _generate(
-        self, gaps: Iterator[float], start: float, end: float
-    ) -> Iterator[RequestBatch]:
+        size = len(self.population)
+        bits = size.bit_length()
+        getrandbits = self._rng.raw.getrandbits
+        random = self._rng.raw.random
+        cum_weights, total = self._cum_weights, self._total_weight
+        last_entry = len(self._entries) - 1
+        batch_size = self.batch_size
         timestamps: list[float] = []
         users: list[int] = []
         entries: list[int] = []
-        t = start
-        for gap in gaps:
-            t += gap
-            if t >= end:
-                break
+        for t in arrivals:
             timestamps.append(t)
-            self._fill_row(users, entries)
-            if len(timestamps) >= self.batch_size:
+            user = getrandbits(bits)
+            while user >= size:
+                user = getrandbits(bits)
+            users.append(user)
+            if cum_weights is not None:
+                entries.append(bisect(cum_weights, random() * total, 0, last_entry))
+            if len(timestamps) >= batch_size:
                 yield self._flush(timestamps, users, entries)
                 timestamps, users, entries = [], [], []
         if timestamps:
@@ -237,7 +219,7 @@ class BatchWorkloadGenerator:
             base_id=self._next_id,
             timestamps=np.asarray(timestamps, dtype=np.float64),
             user_indices=np.asarray(users, dtype=np.int64),
-            entry_codes=np.asarray(entries, dtype=np.int16),
+            entry_codes=np.asarray(entries or [0] * len(timestamps), dtype=np.int16),
             entries=self._entries,
             population=self.population,
         )

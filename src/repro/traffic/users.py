@@ -10,10 +10,13 @@ experiments use non-overlapping user sets.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError
-from repro.simulation.rng import SeededRng
+from repro.simulation.rng import SeededRng, cumulative_weights
 from repro.traffic.profile import UserGroup
 
 #: Cap on memoized per-salt MD5 prefix states (see :func:`bucket_user`).
@@ -79,12 +82,48 @@ def in_rollout(user_id: str, salt: str, fraction: float) -> bool:
     return bucket_user(user_id, salt, 10_000) < fraction * 10_000
 
 
+#: Users drawn per step of the population fill (bounds the transient floats).
+_FILL_CHUNK = 65_536
+
+
+def _user_id(index: int) -> str:
+    # f"u{index:07d}" for index >= 0, at half the cost of a format spec.
+    return "u" + str(index).zfill(7)
+
+
+def _draw_group_codes(
+    size: int, shares: Sequence[float], rng: SeededRng
+) -> "bytes | array[int]":
+    """One group code per user, bit-identical to *size* calls of
+    :meth:`SeededRng.weighted_choice`.
+
+    Replays ``random.choices(..., k=1)``: one uniform per user scaled by
+    the total weight and bisected (right) over all but the last of the
+    :func:`cumulative_weights`.  Returns ``bytes`` or an ``array``: both
+    index to a plain ``int`` at tuple speed, where an ndarray would hand
+    the request kernel's per-request ``group_codes[user]`` numpy scalars.
+    """
+    cum, total = cumulative_weights(shares)
+    random = rng.raw.random
+    last = len(cum) - 1
+    codes = array("B" if last < 2**8 else "H" if last < 2**16 else "L")
+    for lo in range(0, size, _FILL_CHUNK):
+        draws = np.array([random() for _ in range(min(_FILL_CHUNK, size - lo))])
+        picks = np.searchsorted(cum, draws * total, side="right")
+        codes.frombytes(
+            np.minimum(picks, last).astype(f"u{codes.itemsize}").tobytes()
+        )
+    return bytes(codes) if codes.typecode == "B" else codes
+
+
 class UserPopulation:
     """A synthetic user base partitioned into user groups.
 
     Users are identified by opaque string ids; each user belongs to
     exactly one :class:`UserGroup` with probability proportional to the
-    group's traffic share.
+    group's traffic share.  Stored columnar: the size, the group names
+    and one group code per user — ids are formatted from the index on
+    demand, so a million users cost a megabyte.
     """
 
     def __init__(
@@ -94,75 +133,62 @@ class UserPopulation:
             raise ConfigurationError(f"population size must be positive, got {size}")
         if not groups:
             raise ConfigurationError("population needs at least one group")
-        self._groups = list(groups)
-        rng = SeededRng(seed)
-        names = [g.name for g in self._groups]
-        shares = [g.share for g in self._groups]
-        self._group_of: dict[str, str] = {}
-        self._members: dict[str, list[str]] = {name: [] for name in names}
-        group_indices: list[int] = []
-        index_of = {name: i for i, name in enumerate(names)}
-        for i in range(size):
-            user_id = f"u{i:07d}"
-            group = rng.weighted_choice(names, shares)
-            self._group_of[user_id] = group
-            self._members[group].append(user_id)
-            group_indices.append(index_of[group])
-        # Frozen columnar views of the population: the id tuple keeps
-        # sample() O(1) instead of rebuilding a list per draw, and the
-        # group-code column is what the batch workload generator ships
-        # around instead of per-request group strings.
-        self._ids: tuple[str, ...] = tuple(self._group_of)
-        self._group_names_tuple: tuple[str, ...] = tuple(names)
-        self._group_codes: tuple[int, ...] = tuple(group_indices)
+        names = tuple(g.name for g in groups)
+        if len(set(names)) != len(names):
+            raise ConfigurationError(f"duplicate user group names in {list(names)}")
+        self._size = size
+        self._group_names_tuple: tuple[str, ...] = names
+        self._group_codes = _draw_group_codes(
+            size, [g.share for g in groups], SeededRng(seed)
+        )
 
     def __len__(self) -> int:
-        return len(self._group_of)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        """All user ids as an immutable tuple (no copy)."""
-        return self._ids
+        return self._size
 
     @property
     def group_names(self) -> tuple[str, ...]:
         """Group names in declaration order; codes index into this."""
         return self._group_names_tuple
 
-    def group_codes(self) -> tuple[int, ...]:
+    def group_codes(self) -> Sequence[int]:
         """Per-user group index into :attr:`group_names` (no copy).
 
-        Element *i* is the group of user ``ids[i]`` — the columnar
+        Element *i* is the group of user ``user_at(i)`` — the columnar
         encoding batch workloads carry instead of group-name strings.
         """
         return self._group_codes
 
     def user_at(self, index: int) -> str:
         """The id of the *index*-th user (generation order)."""
-        return self._ids[index]
+        size = self._size
+        if not -size <= index < size:
+            raise IndexError("user index out of range")
+        return _user_id(index % size)
 
     @property
     def user_ids(self) -> list[str]:
-        """All user ids (copy)."""
-        return list(self._group_of)
+        """All user ids (derived, O(n))."""
+        return list(map(_user_id, range(self._size)))
 
     def group_of(self, user_id: str) -> str:
         """The group a user belongs to."""
-        try:
-            return self._group_of[user_id]
-        except KeyError:
-            raise ConfigurationError(f"unknown user {user_id!r}") from None
+        digits = user_id[1:]
+        index = int(digits) if digits.isascii() and digits.isdigit() else self._size
+        if index >= self._size or _user_id(index) != user_id:
+            raise ConfigurationError(f"unknown user {user_id!r}")
+        return self._group_names_tuple[self._group_codes[index]]
 
     def members(self, group: str) -> list[str]:
-        """All users of *group* (copy)."""
-        if group not in self._members:
+        """All users of *group* in generation order (derived, O(n))."""
+        if group not in self._group_names_tuple:
             raise ConfigurationError(f"unknown user group {group!r}")
-        return list(self._members[group])
+        code = self._group_names_tuple.index(group)
+        return [_user_id(i) for i, c in enumerate(self._group_codes) if c == code]
 
     def sample(self, rng: SeededRng, groups: Iterable[str] | None = None) -> str:
         """Draw one user uniformly, optionally restricted to *groups*."""
         if groups is None:
-            return rng.choice(self._ids)
+            return self.user_at(rng.randrange(self._size))
         pool: list[str] = []
         for group in groups:
             pool.extend(self.members(group))

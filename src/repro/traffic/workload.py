@@ -66,7 +66,9 @@ class WorkloadGenerator:
         self._entry_mix = dict(entry_mix) if entry_mix else None
 
     def _make_request(self, timestamp: float) -> Request:
-        user_id = self.population.sample(self._rng)
+        population = self.population
+        index = self._rng.randrange(len(population))
+        user_id = population.user_at(index)
         if self._entry_mix:
             entries = list(self._entry_mix)
             weights = [self._entry_mix[e] for e in entries]
@@ -77,7 +79,7 @@ class WorkloadGenerator:
             request_id=f"r{next(self._counter):09d}",
             timestamp=timestamp,
             user_id=user_id,
-            group=self.population.group_of(user_id),
+            group=population.group_names[population.group_codes()[index]],
             entry=entry,
             headers={"user-id": user_id},
         )
