@@ -1,12 +1,15 @@
 """P1 — Fast Fenrir: evaluation throughput of the fastfit layer.
 
 Measures fitness evaluations per second on the 15-experiment instance of
-Fig 3.4 under the seed evaluator (full recomputation per candidate) and
-under the fastfit delta path, on the workload search algorithms actually
-generate: single-gene neighborhood proposals around an evolving
-incumbent.  The delta path must be **bit-identical** to full evaluation
-at every step and at least 3× faster; memo-cache behaviour and the GA's
-end-to-end wall time are reported alongside.
+Fig 3.4 under the seed evaluator (:func:`repro.fenrir.fitness.evaluate`,
+full recomputation per candidate) and under the fastfit
+:class:`~repro.fenrir.fastfit.Scorer`, on the workload search algorithms
+actually generate: single-gene neighborhood proposals around an evolving
+incumbent.  The scorer must be **bit-identical** to the seed evaluator
+at every step and at least 3× faster.  Reported alongside: the GA's
+wall time under default options and under ``SEED_OPTIONS``, and the
+wall time, best fitness and evaluation counts of all four algorithms on
+the 40-experiment HIGH instance of docs/FENRIR_PERF.md.
 
 ``FASTFIT_SMOKE=1`` switches to a reduced configuration for CI: the
 exactness assertions stay, the timing assertion is skipped (shared
@@ -17,18 +20,22 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 from _util import OUTPUT_DIR, emit, format_rows
 
 from repro.fenrir import (
-    DeltaEvaluator,
     GeneticAlgorithm,
+    LocalSearch,
+    RandomSampling,
     SEED_OPTIONS,
     SampleSizeBand,
+    SimulatedAnnealing,
     evaluate,
     random_experiments,
 )
+from repro.fenrir.fastfit import EvaluatorOptions, Scorer
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.operators import mutate_gene, random_schedule
 from repro.simulation.rng import SeededRng
@@ -38,14 +45,14 @@ SMOKE = os.environ.get("FASTFIT_SMOKE") == "1"
 STEPS = 300 if SMOKE else 2000
 REPEATS = 2 if SMOKE else 5
 GA_BUDGET = 300 if SMOKE else 1200
+SEARCH_BUDGET = 150 if SMOKE else 1000
+SEARCH_REPEATS = 1 if SMOKE else 5
 MIN_SPEEDUP = 3.0
 
 
-def build_problem() -> SchedulingProblem:
+def build_problem(count: int = 15, band: SampleSizeBand = SampleSizeBand.MEDIUM):
     profile = diurnal_profile(days=7, seed=3)
-    experiments = random_experiments(
-        profile, count=15, band=SampleSizeBand.MEDIUM, seed=4
-    )
+    experiments = random_experiments(profile, count=count, band=band, seed=4)
     return SchedulingProblem(profile, experiments)
 
 
@@ -82,36 +89,52 @@ def best_time(fn, repeats: int) -> float:
     return best
 
 
+def search_walls() -> list[dict]:
+    """Four algorithms on the 40/HIGH instance, default vs SEED_OPTIONS."""
+    problem = build_problem(40, SampleSizeBand.HIGH)
+    rows = []
+    for algorithm in (
+        LocalSearch(), SimulatedAnnealing(), GeneticAlgorithm(), RandomSampling()
+    ):
+        row = {"algorithm": algorithm.name}
+        for label, options in (("default", EvaluatorOptions()), ("seed", SEED_OPTIONS)):
+            runs = [
+                algorithm.optimize(problem, budget=SEARCH_BUDGET, seed=1, options=options)
+                for _ in range(SEARCH_REPEATS)
+            ]
+            stats = runs[0].eval_stats
+            row[f"{label}_wall_ms"] = 1000 * statistics.median(
+                r.wall_time_s for r in runs
+            )
+            row[f"{label}_fitness"] = runs[0].fitness
+            row[f"{label}_full_evals"] = stats.full_evals
+            row[f"{label}_cache_hits"] = stats.cache_hits
+        rows.append(row)
+    return rows
+
+
 def run_throughput():
     problem = build_problem()
     steps = build_workload(problem, STEPS)
 
-    # Exactness first: every delta evaluation must equal the full one.
-    # Priming with the starting schedule puts its state in the store, so
-    # every subsequent proposal has a known parent.
-    delta = DeltaEvaluator(problem)
-    delta.evaluate(steps[0][0])
-    delta_used = 0
-    for parent, child, changed in steps:
-        got, used_delta = delta.evaluate(child, parent=parent, changed=changed)
-        delta_used += used_delta
-        assert got == evaluate(child), "delta evaluation diverged from full"
+    # Exactness first: one scorer across the whole chain, so its per-gene
+    # memo is warm, must equal the seed evaluator at every step.
+    scorer = Scorer(problem)
+    for _, child, _ in steps:
+        assert scorer.evaluate(child) == evaluate(child), "scorer diverged"
 
     def seed_loop():
         for _, child, _ in steps:
             evaluate(child)
 
-    def fastfit_loop():
-        evaluator = DeltaEvaluator(problem)
-        evaluator.evaluate(steps[0][0])
-        for parent, child, changed in steps:
-            evaluator.evaluate(child, parent=parent, changed=changed)
+    def scorer_loop():
+        fresh = Scorer(problem)
+        for _, child, _ in steps:
+            fresh.evaluate(child)
 
     t_seed = best_time(seed_loop, REPEATS)
-    t_fast = best_time(fastfit_loop, REPEATS)
+    t_scorer = best_time(scorer_loop, REPEATS)
 
-    # Memoization: replaying the identical proposals through the GA's
-    # evaluator layer answers repeats from cache.
     ga = GeneticAlgorithm(population_size=20)
     t0 = time.perf_counter()
     default_run = ga.optimize(problem, budget=GA_BUDGET, seed=1)
@@ -124,15 +147,16 @@ def run_throughput():
     return {
         "mode": "smoke" if SMOKE else "full",
         "steps": len(steps),
-        "delta_evals": delta_used,
         "seed_evals_per_s": len(steps) / t_seed,
-        "fastfit_evals_per_s": len(steps) / t_fast,
-        "speedup": t_seed / t_fast,
+        "scorer_evals_per_s": len(steps) / t_scorer,
+        "speedup": t_seed / t_scorer,
         "ga_default_wall_s": t_ga_default,
         "ga_seed_options_wall_s": t_ga_seed,
         "ga_stats": stats.as_dict(),
         "ga_cache_hit_rate": stats.cache_hits
         / max(1, stats.cache_hits + stats.computed_evals),
+        "search_budget": SEARCH_BUDGET,
+        "search_walls": search_walls(),
     }
 
 
@@ -140,22 +164,26 @@ def test_fastfit_throughput(benchmark):
     report = benchmark.pedantic(run_throughput, rounds=1, iterations=1)
     rows = [
         {"metric": "seed evals/s", "value": report["seed_evals_per_s"]},
-        {"metric": "fastfit evals/s", "value": report["fastfit_evals_per_s"]},
+        {"metric": "scorer evals/s", "value": report["scorer_evals_per_s"]},
         {"metric": "speedup", "value": report["speedup"]},
-        {"metric": "delta share", "value": report["delta_evals"] / report["steps"]},
         {"metric": "GA wall s (default)", "value": report["ga_default_wall_s"]},
         {"metric": "GA wall s (seed opts)", "value": report["ga_seed_options_wall_s"]},
         {"metric": "GA cache hit rate", "value": report["ga_cache_hit_rate"]},
     ]
+    for row in report["search_walls"]:
+        for label in ("default", "seed"):
+            rows.append(
+                {
+                    "metric": f"40/HIGH {row['algorithm']} wall ms ({label})",
+                    "value": row[f"{label}_wall_ms"],
+                }
+            )
     emit("Fastfit evaluation throughput (15 experiments)", format_rows(rows))
     os.makedirs(OUTPUT_DIR, exist_ok=True)
     with open(os.path.join(OUTPUT_DIR, "BENCH_fenrir_fastfit.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
 
-    # Every proposal differs from its parent in one gene, so all of them
-    # should flow through the delta path.
-    assert report["delta_evals"] == report["steps"]
     if not SMOKE:
         assert report["speedup"] >= MIN_SPEEDUP, (
-            f"fastfit speedup {report['speedup']:.2f}x below {MIN_SPEEDUP}x"
+            f"scorer speedup {report['speedup']:.2f}x below {MIN_SPEEDUP}x"
         )

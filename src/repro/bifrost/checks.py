@@ -8,7 +8,7 @@ engine then re-executes phases instead of deciding on no evidence
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.bifrost.model import Check, CheckOutcome
@@ -64,48 +64,38 @@ class CheckEvaluator:
         :attr:`CheckResult.duration_s`.
         """
         t0 = perf_counter()
-        result = self._evaluate(check, now)
-        return replace(result, duration_s=perf_counter() - t0)
-
-    def _evaluate(self, check: Check, now: float) -> CheckResult:
         start = now - check.window_seconds
         values = self.store.values_in_window(
             check.service, check.version, check.metric, start, now
         )
-        samples = len(values)
         observed = aggregate_values(check.aggregation, values)
-        if observed is None:
-            return CheckResult(
-                check, now, CheckOutcome.INCONCLUSIVE, None, None, samples=samples
-            )
-        if check.is_relative:
-            baseline = self.store.aggregate(
-                check.service,
-                check.baseline_version or "",
-                check.metric,
-                check.aggregation,
-                start,
-                now,
-            )
-            if baseline is None:
-                return CheckResult(
-                    check,
+        reference = None
+        outcome = CheckOutcome.INCONCLUSIVE
+        if observed is not None:
+            if check.is_relative:
+                baseline = self.store.aggregate(
+                    check.service,
+                    check.baseline_version or "",
+                    check.metric,
+                    check.aggregation,
+                    start,
                     now,
-                    CheckOutcome.INCONCLUSIVE,
-                    observed,
-                    None,
-                    samples=samples,
                 )
-            reference = baseline * check.tolerance
-        else:
-            assert check.threshold is not None
-            reference = check.threshold * check.tolerance
-        outcome = (
-            CheckOutcome.PASS
-            if check.compare(observed, reference)
-            else CheckOutcome.FAIL
+                if baseline is not None:
+                    reference = baseline * check.tolerance
+            else:
+                assert check.threshold is not None
+                reference = check.threshold * check.tolerance
+            if reference is not None:
+                outcome = (
+                    CheckOutcome.PASS
+                    if check.compare(observed, reference)
+                    else CheckOutcome.FAIL
+                )
+        return CheckResult(
+            check, now, outcome, observed, reference,
+            duration_s=perf_counter() - t0, samples=len(values),
         )
-        return CheckResult(check, now, outcome, observed, reference, samples=samples)
 
     def evaluate_all(self, checks: tuple[Check, ...], now: float) -> list[CheckResult]:
         """Evaluate every check at time *now*."""

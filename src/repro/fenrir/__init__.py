@@ -21,7 +21,6 @@ from repro.fenrir.fitness import (
     evaluate,
 )
 from repro.fenrir.fastfit import (
-    DeltaEvaluator,
     EvalStats,
     EvaluatorOptions,
     FitnessCache,
@@ -50,7 +49,6 @@ __all__ = [
     "FitnessWeights",
     "ScheduleEvaluation",
     "evaluate",
-    "DeltaEvaluator",
     "EvalStats",
     "EvaluatorOptions",
     "FitnessCache",

@@ -5,7 +5,7 @@ accepted with probability ``exp(delta / T)`` under an exponentially
 cooling temperature, allowing escapes from local optima early on.
 
 Each proposal differs from the current schedule in one gene (unless
-repair moved more), so it is scored incrementally via the fastfit layer.
+repair moved more), so the fastfit layer recomputes only that gene.
 """
 
 from __future__ import annotations
@@ -67,13 +67,9 @@ class SimulatedAnnealing(SearchAlgorithm):
             neighbor = current.replaced(
                 index, mutate_gene(problem, spec, current.genes[index], rng)
             )
-            changed: frozenset[int] | None = frozenset({index})
             if rng.random() < self.repair_rate:
                 neighbor = pack_repair(neighbor, rng, locked)
-                changed = None  # repair may move any free gene
-            score = evaluator.evaluate(
-                neighbor, parent=current, changed=changed
-            ).penalized
+            score = evaluator.evaluate(neighbor).penalized
             delta = score - current_score
             if delta >= 0 or rng.random() < math.exp(delta / max(temperature, 1e-9)):
                 current, current_score = neighbor, score

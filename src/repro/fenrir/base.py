@@ -7,11 +7,10 @@ improved ("time to best") — the paper's execution-time comparison hinges
 on how quickly an algorithm reaches its final quality.
 
 The evaluator is layered over :mod:`repro.fenrir.fastfit`: evaluations
-are memoized by chromosome fingerprint and children are scored
-incrementally from cached parent states when the caller names a parent —
-both behind :class:`EvaluatorOptions`, with
-:data:`repro.fenrir.fastfit.SEED_OPTIONS` restoring the original
-recompute-everything behaviour.
+are memoized by chromosome fingerprint (switched off by
+:data:`repro.fenrir.fastfit.SEED_OPTIONS`, the paper's accounting) and
+computed by a :class:`~repro.fenrir.fastfit.Scorer` that reuses each
+gene's components across candidates.
 """
 
 from __future__ import annotations
@@ -19,14 +18,9 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.fenrir.fastfit import (
-    DeltaEvaluator,
-    EvalStats,
-    EvaluatorOptions,
-    FitnessCache,
-)
+from repro.fenrir.fastfit import EvalStats, EvaluatorOptions, FitnessCache, Scorer
 from repro.fenrir.fitness import FitnessWeights, ScheduleEvaluation, evaluate
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.schedule import Schedule
@@ -60,8 +54,8 @@ class BudgetedEvaluator:
     falls back to the penalized score among invalid ones, so a search that
     never finds a feasible schedule still returns its least-bad attempt.
 
-    Budget semantics: only *computed* evaluations (full or delta) consume
-    budget; memo-cache hits are free.  Because free hits let a converged
+    Budget semantics: only *computed* evaluations consume budget;
+    memo-cache hits are free.  Because free hits let a converged
     search loop without spending budget, :attr:`exhausted` additionally
     trips after ``50 × budget`` total evaluation requests — a stall guard
     that never fires on healthy runs.
@@ -86,8 +80,7 @@ class BudgetedEvaluator:
         self._start = time.perf_counter()
         self.time_to_best_s = 0.0
         self._cache = FitnessCache() if self.options.use_cache else None
-        self._delta: DeltaEvaluator | None = None
-        self._problem: SchedulingProblem | None = None
+        self._scorer: Scorer | None = None
         self.obs: Observer = self.options.observer or NULL_OBSERVER
 
     @property
@@ -115,81 +108,43 @@ class BudgetedEvaluator:
             self.time_to_best_s = time.perf_counter() - self._start
 
     def _fast_path(self, schedule: Schedule) -> bool:
-        """Whether the cache/delta layer applies to *schedule*.
+        """Whether the cache and the scorer apply to *schedule*.
 
-        The layer is bound to the first problem it sees; schedules of a
-        different problem instance (a misuse, but a cheap one to survive)
-        bypass it and are evaluated directly.
+        They are bound to the first problem the evaluator sees; schedules
+        of a different problem instance (a misuse, but a cheap one to
+        survive) bypass them and are evaluated by the reference.
         """
-        if self._problem is None:
-            self._problem = schedule.problem
-        return schedule.problem is self._problem
+        if self._scorer is None:
+            self._scorer = Scorer(schedule.problem, self.weights)
+        return schedule.problem is self._scorer.problem
 
-    def evaluate(
-        self,
-        schedule: Schedule,
-        parent: Schedule | None = None,
-        changed: Iterable[int] | None = None,
-    ) -> ScheduleEvaluation:
-        """Evaluate one schedule, updating budget and incumbent.
-
-        *parent* may name an already-evaluated schedule the candidate was
-        derived from; with the delta layer enabled the evaluation is then
-        computed incrementally.  *changed* optionally narrows the delta to
-        the given gene indices (a superset is fine; ``None`` diffs the
-        chromosomes).
-        """
+    def evaluate(self, schedule: Schedule) -> ScheduleEvaluation:
+        """Evaluate one schedule: cache, then scorer, then incumbent."""
         t0 = time.perf_counter()
         self.calls += 1
-        if not self._fast_path(schedule):
-            self.used += 1
-            self.stats.full_evals += 1
-            evaluation = evaluate(schedule, self.weights)
-            self._consider(schedule, evaluation, self.used)
-            self.stats.wall_time_s += time.perf_counter() - t0
-            return evaluation
-        key = schedule.key()
-        if self._cache is not None:
-            hit = self._cache.get(key)
+        fast = self._fast_path(schedule)
+        cache = self._cache if fast else None
+        if cache is not None:
+            key = schedule.key()
+            hit = cache.get(key)
             if hit is not None:
                 self.stats.cache_hits += 1
                 self.stats.wall_time_s += time.perf_counter() - t0
                 return hit
         self.used += 1
-        evaluation = self._compute(schedule, key, parent, changed)
-        if self._cache is not None:
-            self._cache.put(key, evaluation)
+        self.stats.full_evals += 1
+        if fast:
+            evaluation = self._scorer.evaluate(schedule)
+        else:
+            evaluation = evaluate(schedule, self.weights)
+        if cache is not None:
+            cache.put(key, evaluation)
         self._consider(schedule, evaluation, self.used)
         self.stats.wall_time_s += time.perf_counter() - t0
         return evaluation
 
-    def _compute(
-        self,
-        schedule: Schedule,
-        key: tuple,
-        parent: Schedule | None,
-        changed: Iterable[int] | None,
-    ) -> ScheduleEvaluation:
-        if self.options.use_delta:
-            if self._delta is None:
-                self._delta = DeltaEvaluator(schedule.problem, self.weights)
-            evaluation, used_delta = self._delta.evaluate(
-                schedule, parent=parent, changed=changed, key=key
-            )
-            if used_delta:
-                self.stats.delta_evals += 1
-            else:
-                self.stats.full_evals += 1
-            return evaluation
-        self.stats.full_evals += 1
-        return evaluate(schedule, self.weights)
-
     def evaluate_population(
-        self,
-        schedules: Sequence[Schedule],
-        parents: Sequence[Schedule | None] | None = None,
-        changed_sets: Sequence[Iterable[int] | None] | None = None,
-        enforce_budget: bool = True,
+        self, schedules: Sequence[Schedule], enforce_budget: bool = True
     ) -> list[ScheduleEvaluation]:
         """Score a population in order, one :meth:`evaluate` per schedule.
 
@@ -197,16 +152,12 @@ class BudgetedEvaluator:
         with :meth:`ScheduleEvaluation.worst`, keeping rankings
         well-defined.
         """
-        parents = parents if parents is not None else [None] * len(schedules)
-        changed_sets = (
-            changed_sets if changed_sets is not None else [None] * len(schedules)
-        )
         out: list[ScheduleEvaluation] = []
-        for schedule, parent, changed in zip(schedules, parents, changed_sets):
+        for schedule in schedules:
             if enforce_budget and self.exhausted:
                 out.append(ScheduleEvaluation.worst())
             else:
-                out.append(self.evaluate(schedule, parent=parent, changed=changed))
+                out.append(self.evaluate(schedule))
         return out
 
     def result(self, algorithm: str) -> SearchResult:
@@ -288,6 +239,6 @@ class SearchAlgorithm(abc.ABC):
             initial: an existing schedule to improve (reevaluation mode).
             locked: indices of genes that must not change (already-running
                 experiments during reevaluation).
-            options: evaluation-layer configuration (memoization, delta
-                evaluation, observer).
+            options: evaluation-layer configuration (memoization,
+                observer).
         """

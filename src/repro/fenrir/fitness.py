@@ -20,7 +20,7 @@ through infeasible regions toward feasible optima.
 
 The per-gene helpers (:func:`_gene_constraints`, :func:`_gene_objectives`,
 :func:`_finalize`) are shared with :mod:`repro.fenrir.fastfit`'s
-incremental evaluator, so the full and delta paths cannot drift apart.
+scorer, so the reference and the memoized path cannot drift apart.
 """
 
 from __future__ import annotations

@@ -5,10 +5,9 @@ on the penalized score, one-point crossover at experiment boundaries
 (Fig 3.2), per-gene mutation, a greedy overlap repair applied to a share
 of the offspring, and elitism.
 
-Offspring are scored through the fastfit layer: each child names the
-parent it descends from (and, for mutation-only children, the exact genes
-touched), so the evaluator can score it incrementally; elites re-enter
-scoring as free cache hits.
+Offspring are scored through the fastfit layer: genes a child shares with
+schedules already scored reuse their memoized components, and elites
+re-enter scoring as free cache hits.
 """
 
 from __future__ import annotations
@@ -85,10 +84,6 @@ class GeneticAlgorithm(SearchAlgorithm):
             next_population: list[Schedule] = [
                 population[i] for i in ranked[: self.elite]
             ]
-            # Per-child provenance for incremental scoring: the parent the
-            # child descends from and, when exactly known, the changed genes.
-            parents: list[Schedule | None] = [None] * len(next_population)
-            changed_sets: list[frozenset[int] | None] = [None] * len(next_population)
             # Penalized score of each child's parent (None for elites), so
             # the observer can report how many offspring beat their parent.
             parent_scores: list[float | None] = [None] * len(next_population)
@@ -103,29 +98,20 @@ class GeneticAlgorithm(SearchAlgorithm):
                     crossovers += 1
                 else:
                     child_a, child_b = parent_a.copy(), parent_b.copy()
-                for child, parent, pi in (
-                    (child_a, parent_a, ia),
-                    (child_b, parent_b, ib),
-                ):
+                for child, pi in ((child_a, ia), (child_b, ib)):
                     mutated, mutated_idx = self._mutated(
                         problem, child, rng, mutation_rate, locked
                     )
                     mutations += len(mutated_idx)
-                    changed = None if crossed else mutated_idx
                     if rng.random() < self.repair_rate:
                         mutated = pack_repair(mutated, rng, locked)
-                        changed = None  # repair may move any free gene
                         repairs += 1
                     next_population.append(mutated)
-                    parents.append(parent)
-                    changed_sets.append(changed)
                     parent_scores.append(scores[pi].penalized)
                     if len(next_population) >= self.population_size:
                         break
             population = next_population
-            scores = evaluator.evaluate_population(
-                population, parents=parents, changed_sets=changed_sets
-            )
+            scores = evaluator.evaluate_population(population)
             generation += 1
             if obs.enabled:
                 offspring = [

@@ -1,9 +1,9 @@
 """Local search baseline (Section 3.5.3): first-improvement hill climbing
 with random restarts.
 
-Neighbors differ from the incumbent in exactly one gene (unless repair
-moved more), so they are scored incrementally through the fastfit layer
-by naming the incumbent as delta parent.
+Neighbors differ from the incumbent in one gene (unless repair moved
+more), so scoring one through the fastfit layer recomputes only the
+genes it has not seen before.
 """
 
 from __future__ import annotations
@@ -66,21 +66,19 @@ class LocalSearch(SearchAlgorithm):
         schedule: Schedule,
         rng: SeededRng,
         locked: frozenset[int],
-    ) -> tuple[Schedule, frozenset[int] | None]:
-        """A mutated neighbor and the changed genes (None when unknown)."""
+    ) -> Schedule:
+        """A neighbor: one free gene mutated, then repaired at a rate."""
         free = [i for i in range(len(schedule.genes)) if i not in locked]
         if not free:
-            return schedule.copy(), frozenset()
+            return schedule.copy()
         index = rng.choice(free)
         spec = problem.experiments[index]
         neighbor = schedule.replaced(
             index, mutate_gene(problem, spec, schedule.genes[index], rng)
         )
-        changed: frozenset[int] | None = frozenset({index})
         if rng.random() < self.repair_rate:
             neighbor = pack_repair(neighbor, rng, locked)
-            changed = None  # repair may move any free gene
-        return neighbor, changed
+        return neighbor
 
     def optimize(
         self,
@@ -100,10 +98,8 @@ class LocalSearch(SearchAlgorithm):
         )
         stall = 0
         while not evaluator.exhausted:
-            neighbor, changed = self._neighbor(problem, current, rng, locked)
-            score = evaluator.evaluate(
-                neighbor, parent=current, changed=changed
-            ).penalized
+            neighbor = self._neighbor(problem, current, rng, locked)
+            score = evaluator.evaluate(neighbor).penalized
             if score > current_score:
                 current, current_score = neighbor, score
                 stall = 0

@@ -223,7 +223,7 @@ def pack_repair(
     search trajectories depend on; it is held equal to the per-cell
     reference in ``tests/property/test_pack_repair_equivalence.py``.  A
     gene that ends up where it was is returned as the same object, so its
-    cached fingerprint and the delta evaluator's ``is`` test survive.
+    cached fingerprint and the scorer's per-gene memo entry survive.
     """
     problem = schedule.problem
     horizon = problem.horizon

@@ -1,14 +1,11 @@
 """Random sampling baseline (Section 3.5.2): best of N random schedules.
 
-Independent draws share no parent, so random sampling gains nothing from
-delta evaluation and switches it off: every draw is one plain full
-evaluation.  It still flows through the fastfit layer for memoization
+Independent draws share few genes, so the per-gene memo rarely helps
+here; draws still flow through the fastfit layer for memoization
 (duplicate draws are free) and the evaluation counters.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from repro.fenrir.base import BudgetedEvaluator, SearchAlgorithm, SearchResult
 from repro.fenrir.fastfit import EvaluatorOptions
@@ -38,7 +35,6 @@ class RandomSampling(SearchAlgorithm):
         options: EvaluatorOptions | None = None,
     ) -> SearchResult:
         rng = SeededRng(seed)
-        options = replace(options or EvaluatorOptions(), use_delta=False)
         evaluator = BudgetedEvaluator(budget, weights, options=options)
         if initial is not None:
             evaluator.evaluate(initial)

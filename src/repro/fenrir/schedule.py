@@ -137,7 +137,7 @@ class Schedule:
         return usage
 
     def key(self) -> tuple:
-        """Canonical chromosome fingerprint (memoization / delta-state key).
+        """Canonical chromosome fingerprint (the fitness cache's key).
 
         Genes are value objects, so the fingerprint is simply the tuple of
         per-gene value tuples with the group set in sorted order.  The

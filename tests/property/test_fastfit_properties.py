@@ -1,25 +1,30 @@
-"""Property: incremental (delta) evaluation is exactly full evaluation.
+"""Property: the memoized scorer is exactly the reference evaluation.
 
-For randomly generated problems and random gene-delta sequences, the
-:class:`DeltaEvaluator` must return evaluations *equal* to a fresh full
-:func:`evaluate` — same fitness, penalized score, validity, violations
-(as sequences, hence also as multisets), and per-experiment scores.
-Generated genes are deliberately allowed to be infeasible (beyond the
+For random problems and random chains of search children — mutation,
+crossover and ``pack_repair`` — one :class:`Scorer` held across the whole
+chain (so its per-gene memo is warm) must return evaluations *equal* to a
+fresh :func:`evaluate` — same fitness, penalized score, validity,
+violations (as sequences, hence also as multisets), and per-experiment
+scores.  Genes are deliberately allowed to be infeasible (beyond the
 horizon, out of bounds, oversubscribed) so every violation kind flows
-through the delta path.
+through the scorer.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fenrir.fastfit import DeltaEvaluator
+from repro.fenrir import fastfit
+from repro.fenrir.fastfit import Scorer
 from repro.fenrir.fitness import FitnessWeights, evaluate
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
+from repro.fenrir.operators import crossover, mutate_gene, pack_repair, random_schedule
 from repro.fenrir.schedule import Gene, Schedule
+from repro.simulation.rng import SeededRng
 from repro.traffic.profile import UserGroup, flat_profile
 
 GROUP_NAMES = ("alpha", "beta", "gamma", "delta")
@@ -74,41 +79,66 @@ def problems(draw):
 
 
 def raw_genes(problem: SchedulingProblem):
-    """Arbitrary (possibly infeasible) genes for *problem*."""
+    """Arbitrary (possibly infeasible, possibly horizon-clipped) genes."""
     names = list(problem.group_names)
     horizon = problem.horizon
     return st.builds(
         Gene,
         start=st.integers(min_value=0, max_value=horizon + 4),
         duration=st.integers(min_value=1, max_value=horizon + 4),
-        fraction=st.floats(
-            min_value=0.001, max_value=1.0, exclude_min=False
-        ),
+        fraction=st.floats(min_value=0.001, max_value=1.0),
         groups=st.frozensets(
             st.sampled_from(names), min_size=1, max_size=len(names)
         ),
     )
 
 
+#: One step of a chain: a child of the previous schedule and a pool member.
+MOVES = ("mutate", "crossover", "repair", "patch")
+
+
 @st.composite
-def delta_chains(draw):
-    """A problem, an initial chromosome, and a sequence of gene patches."""
+def search_chains(draw):
+    """A problem, a pool of starting schedules, and a chain of moves."""
     problem = draw(problems())
     gene = raw_genes(problem)
     n = len(problem.experiments)
-    initial = draw(st.lists(gene, min_size=n, max_size=n))
+    pool = [
+        Schedule(problem, draw(st.lists(gene, min_size=n, max_size=n)))
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
     steps = draw(
         st.lists(
-            st.lists(
-                st.tuples(st.integers(min_value=0, max_value=n - 1), gene),
-                min_size=1,
-                max_size=max(1, n),
+            st.tuples(
+                st.sampled_from(MOVES),
+                st.integers(min_value=0, max_value=n - 1),
+                gene,
             ),
             min_size=1,
-            max_size=8,
+            max_size=12,
         )
     )
-    return problem, initial, steps
+    return problem, pool, steps, draw(st.integers(min_value=0, max_value=2**16))
+
+
+def chain(problem, pool, steps, seed):
+    """The schedules a search would score: the pool, then one child a step."""
+    rng = SeededRng(seed)
+    yield from pool
+    current = pool[0]
+    for move, index, gene in steps:
+        if move == "mutate":
+            spec = problem.experiments[index]
+            current = current.replaced(
+                index, mutate_gene(problem, spec, current.genes[index], rng)
+            )
+        elif move == "crossover":
+            current, _ = crossover(current, pool[index % len(pool)], rng)
+        elif move == "repair":
+            current = pack_repair(current, rng)
+        else:
+            current = current.replaced(index, gene)
+        yield current
 
 
 def assert_equivalent(got, want):
@@ -121,61 +151,85 @@ def assert_equivalent(got, want):
     assert got == want
 
 
-class TestDeltaExactness:
+class TestScorerExactness:
     @settings(max_examples=60, deadline=None)
-    @given(delta_chains())
-    def test_delta_chain_equals_full_evaluation(self, chain):
-        problem, initial, steps = chain
-        delta = DeltaEvaluator(problem)
-        current = Schedule(problem, initial)
-        got, used_delta = delta.evaluate(current)
-        assert not used_delta
-        assert_equivalent(got, evaluate(current))
-        for patches in steps:
-            genes = list(current.genes)
-            changed = set()
-            for index, gene in patches:
-                genes[index] = gene
-                changed.add(index)
-            child = Schedule(problem, genes)
-            got, _ = delta.evaluate(child, parent=current, changed=changed)
-            assert_equivalent(got, evaluate(child))
-            current = child
-
-    @settings(max_examples=40, deadline=None)
-    @given(delta_chains())
-    def test_inferred_diff_equals_hinted_diff(self, chain):
-        problem, initial, steps = chain
-        hinted = DeltaEvaluator(problem)
-        inferred = DeltaEvaluator(problem)
-        current = Schedule(problem, initial)
-        hinted.evaluate(current)
-        inferred.evaluate(current)
-        for patches in steps:
-            genes = list(current.genes)
-            changed = set()
-            for index, gene in patches:
-                genes[index] = gene
-                changed.add(index)
-            child = Schedule(problem, genes)
-            with_hint, _ = hinted.evaluate(child, parent=current, changed=changed)
-            without, _ = inferred.evaluate(child, parent=current, changed=None)
-            assert_equivalent(with_hint, without)
-            current = child
+    @given(search_chains())
+    def test_chain_equals_reference(self, case):
+        problem, pool, steps, seed = case
+        scorer = Scorer(problem)
+        for schedule in chain(problem, pool, steps, seed):
+            assert_equivalent(scorer.evaluate(schedule), evaluate(schedule))
 
     @settings(max_examples=30, deadline=None)
-    @given(delta_chains())
-    def test_nondefault_weights_flow_through_delta(self, chain):
-        problem, initial, steps = chain
+    @given(search_chains())
+    def test_nondefault_weights(self, case):
+        problem, pool, steps, seed = case
         weights = FitnessWeights(duration=0.2, start=0.3, coverage=0.5)
-        delta = DeltaEvaluator(problem, weights=weights)
-        current = Schedule(problem, initial)
-        delta.evaluate(current)
-        for patches in steps[:3]:
-            genes = list(current.genes)
-            for index, gene in patches:
-                genes[index] = gene
-            child = Schedule(problem, genes)
-            got, _ = delta.evaluate(child, parent=current)
-            assert_equivalent(got, evaluate(child, weights))
-            current = child
+        scorer = Scorer(problem, weights)
+        for schedule in chain(problem, pool, steps, seed):
+            assert_equivalent(scorer.evaluate(schedule), evaluate(schedule, weights))
+
+
+def one_group_problem(n_experiments: int, num_slots: int = 4) -> SchedulingProblem:
+    profile = flat_profile(num_slots, 100.0, (UserGroup("all", 1.0),))
+    specs = [ExperimentSpec(f"exp-{i}", 10.0) for i in range(n_experiments)]
+    return SchedulingProblem(profile, specs)
+
+
+class TestPinnedCases:
+    def test_usage_is_summed_in_gene_order(self):
+        # 0.1 + 0.7 + 0.3 is 1.0999999999999999 left to right and 1.1
+        # right to left: the overlap penalty tells the two orders apart.
+        problem = one_group_problem(3)
+        all_ = frozenset({"all"})
+        schedule = Schedule(
+            problem, [Gene(0, 1, f, all_) for f in (0.1, 0.7, 0.3)]
+        )
+        assert schedule.group_usage()[(0, "all")] == 1.0999999999999999
+        want = evaluate(schedule)
+        assert_equivalent(Scorer(problem).evaluate(schedule), want)
+        reversed_order = Schedule(problem, schedule.genes[::-1])
+        assert evaluate(reversed_order).penalized != want.penalized
+
+    def test_memo_clears_do_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(fastfit, "_MEMO_LIMIT", 2)
+        problem = SchedulingProblem(
+            flat_profile(24, 500.0),
+            [ExperimentSpec(f"exp-{i}", 2000.0, 2, 12) for i in range(5)],
+        )
+        rng = SeededRng(3)
+        scorer = Scorer(problem)
+        schedules = [random_schedule(problem, rng, packed=i % 2 == 0) for i in range(6)]
+        for first, second in zip(schedules, schedules[1:]):
+            child, _ = crossover(first, second, rng)
+            for schedule in (first, child, pack_repair(child, rng)):
+                assert_equivalent(scorer.evaluate(schedule), evaluate(schedule))
+                assert len(scorer._memo) <= 2
+
+    def test_equal_genes_iterating_differently_are_not_shared(self):
+        # Names that all hash alike iterate in insertion order, so two
+        # equal group sets can sum their shares in different orders —
+        # as any hash seed can make real names do.
+        class Name(str):
+            def __hash__(self):
+                return 0
+
+        a, b, c, d = map(Name, "abcd")
+        groups = [UserGroup(a, 0.1), UserGroup(b, 0.2), UserGroup(c, 0.3), UserGroup(d, 0.4)]
+        problem = SchedulingProblem(
+            flat_profile(4, 1000.0, groups), [ExperimentSpec("x", 5000.0)]
+        )
+        forward = Schedule(problem, [Gene(0, 3, 0.5, frozenset([a, b, c]))])
+        backward = Schedule(problem, [Gene(0, 3, 0.5, frozenset([c, b, a]))])
+        assert forward.genes == backward.genes
+        assert evaluate(forward) != evaluate(backward)
+        scorer = Scorer(problem)
+        for schedule in (forward, backward, forward):
+            assert_equivalent(scorer.evaluate(schedule), evaluate(schedule))
+
+    @pytest.mark.parametrize("start", [3, 4, 9], ids=["clipped", "at-horizon", "beyond"])
+    def test_genes_past_the_horizon(self, start):
+        problem = one_group_problem(2)
+        all_ = frozenset({"all"})
+        schedule = Schedule(problem, [Gene(start, 3, 0.6, all_), Gene(0, 4, 0.6, all_)])
+        assert_equivalent(Scorer(problem).evaluate(schedule), evaluate(schedule))

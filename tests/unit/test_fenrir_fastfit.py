@@ -1,5 +1,5 @@
-"""The fastfit evaluation layer: memoization, deltas, population scoring,
-budget accounting, and the evaluation counters surfaced in results."""
+"""The fastfit evaluation layer: memoization, population scoring, budget
+accounting, and the evaluation counters surfaced in results."""
 
 from __future__ import annotations
 
@@ -7,18 +7,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fenrir.base import BudgetedEvaluator
-from repro.fenrir.fastfit import (
-    SEED_OPTIONS,
-    DeltaEvaluator,
-    EvaluatorOptions,
-    FitnessCache,
-)
+from repro.fenrir.fastfit import SEED_OPTIONS, EvaluatorOptions, FitnessCache
 from repro.fenrir.fitness import ScheduleEvaluation, evaluate
 from repro.fenrir.genetic import GeneticAlgorithm
 from repro.fenrir.generator import SampleSizeBand, random_experiments
 from repro.fenrir.local_search import LocalSearch
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
-from repro.fenrir.operators import mutate_gene, random_schedule
+from repro.fenrir.operators import random_schedule
 from repro.fenrir.random_sampling import RandomSampling
 from repro.fenrir.annealing import SimulatedAnnealing
 from repro.obs.observer import Observer
@@ -83,68 +78,6 @@ class TestFitnessCache:
         assert len(cache) == 2
 
 
-class TestDeltaEvaluator:
-    def test_single_mutation_matches_full(self, problem):
-        rng = SeededRng(3)
-        parent = random_schedule(problem, rng)
-        delta = DeltaEvaluator(problem)
-        base, used_delta = delta.evaluate(parent)
-        assert not used_delta
-        assert base == evaluate(parent)
-        child = parent.replaced(
-            1, mutate_gene(problem, problem.experiments[1], parent.genes[1], rng)
-        )
-        got, used_delta = delta.evaluate(child, parent=parent, changed={1})
-        assert used_delta
-        assert got == evaluate(child)
-
-    def test_superset_changed_hint_is_sanitized(self, problem):
-        rng = SeededRng(4)
-        parent = random_schedule(problem, rng)
-        delta = DeltaEvaluator(problem)
-        delta.evaluate(parent)
-        child = parent.replaced(
-            0, mutate_gene(problem, problem.experiments[0], parent.genes[0], rng)
-        )
-        # Hint names every index; only gene 0 actually differs.
-        got, used_delta = delta.evaluate(
-            child, parent=parent, changed=range(len(child.genes))
-        )
-        assert used_delta
-        assert got == evaluate(child)
-
-    def test_unknown_parent_falls_back_to_full(self, problem):
-        rng = SeededRng(5)
-        parent = random_schedule(problem, rng)
-        child = random_schedule(problem, rng)
-        delta = DeltaEvaluator(problem)
-        got, used_delta = delta.evaluate(child, parent=parent)
-        assert not used_delta
-        assert got == evaluate(child)
-
-    def test_large_change_sets_use_full_path(self, problem):
-        rng = SeededRng(6)
-        parent = random_schedule(problem, rng)
-        delta = DeltaEvaluator(problem, max_delta_fraction=0.2)
-        delta.evaluate(parent)
-        child = random_schedule(problem, rng)  # every gene differs
-        got, used_delta = delta.evaluate(child, parent=parent)
-        assert not used_delta
-        assert got == evaluate(child)
-
-    def test_state_store_is_bounded(self, problem):
-        delta = DeltaEvaluator(problem, state_size=3)
-        schedules = distinct_schedules(problem, 5, seed=7)
-        for s in schedules:
-            delta.evaluate(s)
-        assert not delta.has_state(schedules[0])
-        assert delta.has_state(schedules[-1])
-
-    def test_rejects_nonpositive_state_size(self, problem):
-        with pytest.raises(ConfigurationError):
-            DeltaEvaluator(problem, state_size=0)
-
-
 class TestBudgetedEvaluatorAccounting:
     def test_budget_exhaustion_boundary(self, problem):
         evaluator = BudgetedEvaluator(3)
@@ -179,7 +112,7 @@ class TestBudgetedEvaluatorAccounting:
         evaluator = BudgetedEvaluator(5, options=SEED_OPTIONS)
         schedule = random_schedule(problem, SeededRng(11))
         evaluator.evaluate(schedule)
-        evaluator.evaluate(schedule, parent=schedule, changed=frozenset())
+        evaluator.evaluate(schedule)
         assert evaluator.used == 2
         assert evaluator.stats.cache_hits == 0
         assert evaluator.stats.delta_evals == 0
@@ -189,8 +122,8 @@ class TestBudgetedEvaluatorAccounting:
         result = LocalSearch().optimize(problem, budget=120, seed=1)
         stats = result.eval_stats
         assert stats is not None
-        assert result.evaluations_used == stats.computed_evals
-        assert stats.delta_evals > 0  # single-gene moves score incrementally
+        assert result.evaluations_used == stats.full_evals
+        assert stats.delta_evals == 0
 
 
 class TestTelemetryExport:
