@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -441,7 +440,7 @@ class RequestKernel:
         """Vectorize variant assignment for certainly-reached services.
 
         For every routed service that *every* request in the slice is
-        guaranteed to traverse (reachable from each present entry point
+        guaranteed to traverse (reachable from the batch's entry point
         through probability-1.0 calls only, across all servable
         versions), bucket the slice's distinct users in one
         :meth:`~repro.routing.assignment.StickyAssigner.assign_many`
@@ -457,24 +456,12 @@ class RequestKernel:
         routed = router.routed_services
         if not routed:
             return
-        if len(batch.entries) == 1:
-            present = [batch.entries[0]]
-        else:
-            present = [
-                batch.entries[code]
-                for code in np.unique(batch.entry_codes[lo:hi]).tolist()
-            ]
-        certain: set[str] | None = None
-        for entry in present:
-            services = self._certain_services(entry)
-            certain = services if certain is None else certain & services
-            if not certain:
-                return
+        certain = self._certain_services(batch.entry)
         population = self._population
         group_codes = self._group_codes
         distinct = np.unique(batch.user_indices[lo:hi]).tolist()
         for service in routed:
-            if certain is None or service not in certain:
+            if service not in certain:
                 continue
             route = router.active_route(service)
             if not route.variants:
@@ -549,11 +536,7 @@ class RequestKernel:
         """
         timestamps = batch.timestamps[lo:hi].tolist()
         user_indices = batch.user_indices[lo:hi].tolist()
-        if len(batch.entries) == 1:
-            edges = repeat(self.entry_edge(batch.entries[0]))
-        else:
-            table = [self.entry_edge(entry) for entry in batch.entries]
-            edges = [table[code] for code in batch.entry_codes[lo:hi].tolist()]
+        edge = self.entry_edge(batch.entry)
         group_codes = self._group_codes
         runtime = self._runtime
         durations: list = []
@@ -561,7 +544,7 @@ class RequestKernel:
         errors = 0
         if not self._general:
             execute = self._execute
-            for ts, user, edge in zip(timestamps, user_indices, edges):
+            for ts, user in zip(timestamps, user_indices):
                 if ts > now:
                     now = ts
                 duration, error = execute(edge, now, user, group_codes[user], 0)
@@ -574,7 +557,7 @@ class RequestKernel:
             collector = runtime.collector
             dispatch = self._dispatch
             trace_id = spans = None
-            for ts, user, edge in zip(timestamps, user_indices, edges):
+            for ts, user in zip(timestamps, user_indices):
                 if ts > now:
                     now = ts
                 group_code = group_codes[user]

@@ -85,10 +85,11 @@ class SeededRng:
     def randrange(self, stop: int) -> int:
         """Uniform integer in ``[0, stop)``.
 
-        The user draw of both request paths: the scalar generator calls
-        it per request and the batch generator inlines its loop.  Consumes
-        exactly the underlying draws of ``choice`` on a *stop*-element
-        sequence, which is what ``UserPopulation.sample`` relies on.
+        The user draw of every request stream, which
+        ``BatchWorkloadGenerator`` inlines, and of ``UserPopulation.sample``.
+        Consumes exactly the underlying draws of ``choice`` on a
+        *stop*-element sequence, which is what ``UserPopulation.sample``
+        relies on.
         """
         return self._random.randrange(stop)
 

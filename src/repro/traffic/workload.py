@@ -1,20 +1,20 @@
 """Workload generation: request streams for the simulated application.
 
 The Bifrost and topology evaluations drive a simulated microservice
-application with end-user requests.  :class:`WorkloadGenerator` produces
+application with end-user requests.  :class:`WorkloadGenerator` yields
 Poisson, heavy-tailed or evenly spaced request arrivals at a configurable
 rate, each tagged with a user drawn from a
-:class:`~repro.traffic.users.UserPopulation`.
+:class:`~repro.traffic.users.UserPopulation`, one :class:`Request` at a
+time.  It draws nothing itself: each stream is the rows of the matching
+:class:`~repro.traffic.batch.BatchWorkloadGenerator` stream, so it draws
+up to one batch ahead of what it has yielded (see that module).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from repro.errors import ConfigurationError
-from repro.simulation.rng import SeededRng
 from repro.traffic.users import UserPopulation
 
 
@@ -40,14 +40,12 @@ class Request:
 
 
 class WorkloadGenerator:
-    """Generates request streams over simulated time.
+    """Generates request streams over simulated time, one request at a time.
 
     Args:
         population: users issuing the requests.
-        entry: default ``service.endpoint`` requests target.
+        entry: the ``service.endpoint`` requests target.
         seed: RNG seed for arrivals and user selection.
-        entry_mix: optional mapping of entry point -> weight to spread
-            requests over several frontend endpoints.
     """
 
     def __init__(
@@ -55,50 +53,17 @@ class WorkloadGenerator:
         population: UserPopulation,
         entry: str = "frontend.index",
         seed: int = 23,
-        entry_mix: Mapping[str, float] | None = None,
     ) -> None:
-        self.population = population
-        self.entry = entry
-        self._rng = SeededRng(seed)
-        self._counter = itertools.count()
-        if entry_mix is not None and not entry_mix:
-            raise ConfigurationError("entry_mix must not be empty when given")
-        self._entry_mix = dict(entry_mix) if entry_mix else None
+        # Imported here: the batch module imports Request from this one.
+        from repro.traffic.batch import BatchWorkloadGenerator
 
-    def _make_request(self, timestamp: float) -> Request:
-        population = self.population
-        index = self._rng.randrange(len(population))
-        user_id = population.user_at(index)
-        if self._entry_mix:
-            entries = list(self._entry_mix)
-            weights = [self._entry_mix[e] for e in entries]
-            entry = self._rng.weighted_choice(entries, weights)
-        else:
-            entry = self.entry
-        return Request(
-            request_id=f"r{next(self._counter):09d}",
-            timestamp=timestamp,
-            user_id=user_id,
-            group=population.group_names[population.group_codes()[index]],
-            entry=entry,
-            headers={"user-id": user_id},
-        )
+        self._batches = BatchWorkloadGenerator(population, entry, seed)
 
     def poisson(
         self, rate_per_second: float, duration: float, start: float = 0.0
     ) -> Iterator[Request]:
-        """Yield Poisson arrivals at *rate_per_second* for *duration* seconds."""
-        if rate_per_second <= 0:
-            raise ConfigurationError("rate_per_second must be positive")
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        t = start
-        end = start + duration
-        while True:
-            t += self._rng.expovariate(rate_per_second)
-            if t >= end:
-                return
-            yield self._make_request(t)
+        """Poisson arrivals at *rate_per_second* for *duration* seconds."""
+        return self._rows(self._batches._poisson(rate_per_second, duration, start))
 
     def heavy_tail(
         self,
@@ -107,39 +72,17 @@ class WorkloadGenerator:
         alpha: float = 1.5,
         start: float = 0.0,
     ) -> Iterator[Request]:
-        """Yield arrivals with Pareto inter-arrival gaps (bursty traffic).
-
-        Gaps are ``(1/rate) * ((alpha-1)/alpha) * X`` with ``X`` a unit
-        Pareto of shape *alpha*, so the mean rate matches the Poisson
-        generator while small alphas produce the burst-then-lull pattern
-        that stresses sliding-window checks and breakers far harder than
-        memoryless arrivals.
-        """
-        if rate_per_second <= 0:
-            raise ConfigurationError("rate_per_second must be positive")
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if alpha <= 1.0:
-            raise ConfigurationError(
-                f"alpha must be > 1 for a finite mean gap, got {alpha}"
-            )
-        mean_gap = 1.0 / rate_per_second
-        unit = (alpha - 1.0) / alpha
-        t = start
-        end = start + duration
-        while True:
-            t += mean_gap * unit * self._rng.paretovariate(alpha)
-            if t >= end:
-                return
-            yield self._make_request(t)
+        """Pareto inter-arrival gaps (see ``BatchWorkloadGenerator.heavy_tail``)."""
+        return self._rows(
+            self._batches._heavy_tail(rate_per_second, duration, alpha, start)
+        )
 
     def constant(
         self, interval: float, count: int, start: float = 0.0
     ) -> Iterator[Request]:
-        """Yield *count* evenly spaced requests, one every *interval* s."""
-        if interval <= 0:
-            raise ConfigurationError("interval must be positive")
-        if count <= 0:
-            raise ConfigurationError("count must be positive")
-        for i in range(count):
-            yield self._make_request(start + i * interval)
+        """*count* evenly spaced requests, one every *interval* s."""
+        return self._rows(self._batches._constant(interval, count, start))
+
+    def _rows(self, arrivals: Iterator[float]) -> Iterator[Request]:
+        for batch in self._batches._generate(arrivals):
+            yield from batch.requests()

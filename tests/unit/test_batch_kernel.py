@@ -7,6 +7,7 @@ detection and hop selection, and trace-id bookkeeping.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -146,6 +147,15 @@ class TestRecordTrace:
 
     def test_has_subscribers_defaults_false(self):
         assert not TraceCollector().has_subscribers
+
+
+def _chunks(batches, n: int):
+    """Re-cut request batches into *n*-row chunks."""
+    for b in batches:
+        for lo in range(0, len(b), n):
+            cut = slice(lo, lo + n)
+            yield replace(b, base_id=b.base_id + lo, timestamps=b.timestamps[cut],
+                          user_indices=b.user_indices[cut])
 
 
 class _OpaqueGate:
@@ -404,12 +414,10 @@ class TestRunBatchesDriver:
         bifrost = Bifrost(sample_application(), seed=1)
         bifrost.runtime.network = _OpaqueGate()
         population = UserPopulation(50, DEFAULT_GROUPS, seed=1)
-        generator = BatchWorkloadGenerator(
-            population, entry="frontend.index", seed=3, batch_size=8
-        )
+        generator = BatchWorkloadGenerator(population, entry="frontend.index", seed=3)
         # 120 requests in chunks of 8 -> 15 chunks, all behind the opaque
         # gate, with no engine events between them: one stretch.
-        result = bifrost.run_batches(generator.constant(0.25, 120))
+        result = bifrost.run_batches(_chunks(generator.constant(0.25, 120), 8))
         assert result.fallback_requests == 120
         assert result.fallback_slices == 1
         assert result.fallback_reasons["network-gate"] == 1
@@ -429,10 +437,8 @@ class TestRunBatchesDriver:
                 label="toggle-gate",
             )
         population = UserPopulation(50, DEFAULT_GROUPS, seed=1)
-        generator = BatchWorkloadGenerator(
-            population, entry="frontend.index", seed=3, batch_size=8
-        )
-        result = bifrost.run_batches(generator.constant(0.25, 160), until=40.0)
+        generator = BatchWorkloadGenerator(population, entry="frontend.index", seed=3)
+        result = bifrost.run_batches(_chunks(generator.constant(0.25, 160), 8), until=40.0)
         assert result.fast_requests == 80
         assert result.fallback_requests == 80
         assert result.fallback_slices == 2

@@ -1,13 +1,14 @@
-"""Unit tests for columnar workload generation and traffic hashing.
+"""Unit tests for workload generation and traffic hashing.
 
-Covers the :class:`BatchWorkloadGenerator` stream-for-stream equality
-contract against the scalar :class:`WorkloadGenerator`, the memoized
-``bucket_user`` salt-midstate cache (pinned against reference digests so
-the cache can never drift), bulk sticky assignment, and the traffic
-profile's prefix-sum volume queries.
+Covers both generators' streams (pinned by golden fingerprints) and
+their ``traffic.generate`` spans, the memoized ``bucket_user``
+salt-midstate cache (pinned against reference digests so the cache can
+never drift), and bulk sticky assignment.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -15,86 +16,71 @@ from repro.errors import ConfigurationError
 from repro.routing.assignment import StickyAssigner
 from repro.routing.splitter import canary_split
 from repro.traffic.batch import BatchWorkloadGenerator
-from repro.traffic.profile import (
-    DEFAULT_GROUPS,
-    TrafficProfile,
-    UserGroup,
-    diurnal_profile,
-)
+from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation, bucket_user, bucket_users
 from repro.traffic.workload import WorkloadGenerator
 
+TRACER = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "tracer.py"
 
-def _pair(seed=5, entry_mix=None, batch_size=64):
+
+def _generators(seed):
     population = UserPopulation(120, DEFAULT_GROUPS, seed=1)
-    scalar = WorkloadGenerator(
-        population, entry="frontend.index", seed=seed, entry_mix=entry_mix
-    )
-    batch = BatchWorkloadGenerator(
-        population,
-        entry="frontend.index",
-        seed=seed,
-        entry_mix=entry_mix,
-        batch_size=batch_size,
-    )
-    return scalar, batch
+    return WorkloadGenerator(population, seed=seed), BatchWorkloadGenerator(population, seed=seed)
 
 
-def _materialize(batches):
-    return [request for batch in batches for request in batch.requests()]
+def _fingerprint(requests):
+    requests = list(requests)
+    return len(requests), hashlib.sha256(repr(requests).encode()).hexdigest()[:16]
 
 
 class TestBatchGeneratorEquality:
-    """Every stream builder must reproduce the scalar stream exactly:
-    same ids, timestamps, users, groups, entries, headers."""
+    """Both generators reproduce, request for request, the streams the last
+    independent scalar draw loop produced: (count, sha256 of the request
+    list) recorded from it.  Regenerate only for a change *meant* to alter
+    what a stream draws."""
+
+    def _check(self, seed, streams, golden):
+        scalar, batch = _generators(seed)
+        rows = [r for name, args in streams for r in getattr(scalar, name)(*args)]
+        chunks = [c for name, args in streams for c in getattr(batch, name)(*args)]
+        assert _fingerprint(rows) == golden
+        assert _fingerprint(r for chunk in chunks for r in chunk.requests()) == golden
 
     def test_poisson(self):
-        scalar, batch = _pair()
-        assert _materialize(batch.poisson(40.0, 10.0)) == list(
-            scalar.poisson(40.0, 10.0)
-        )
+        # ≈ 20 k requests: the stream crosses a batch boundary.
+        self._check(5, [("poisson", (2_000.0, 10.0))], (20005, "9f6bb13a2626e033"))
 
     def test_heavy_tail(self):
-        scalar, batch = _pair(seed=11)
-        assert _materialize(batch.heavy_tail(40.0, 10.0, alpha=1.6)) == list(
-            scalar.heavy_tail(40.0, 10.0, alpha=1.6)
-        )
+        self._check(11, [("heavy_tail", (40.0, 10.0, 1.6, 3.5))], (294, "fc1021dc209c1eec"))
 
     def test_constant(self):
-        scalar, batch = _pair(seed=2)
-        assert _materialize(batch.constant(0.25, 100)) == list(
-            scalar.constant(0.25, 100)
-        )
-
-    def test_entry_mix(self):
-        mix = {"frontend.index": 0.7, "frontend.search": 0.3}
-        scalar, batch = _pair(seed=9, entry_mix=mix)
-        assert _materialize(batch.poisson(40.0, 8.0)) == list(
-            scalar.poisson(40.0, 8.0)
-        )
+        self._check(2, [("constant", (0.25, 100))], (100, "c4d08f84f6f0f0d9"))
 
     def test_ids_continue_across_streams(self):
-        scalar, batch = _pair(seed=4)
-        assert _materialize(batch.constant(0.5, 10)) == list(
-            scalar.constant(0.5, 10)
-        )
-        # A second stream from the same generator keeps numbering from
-        # where the first left off, exactly like the scalar counter.
-        assert _materialize(batch.constant(0.5, 10)) == list(
-            scalar.constant(0.5, 10)
-        )
+        streams = [
+            ("poisson", (30.0, 2.0)),
+            ("constant", (0.5, 10, 2.0)),
+            ("heavy_tail", (30.0, 2.0, 1.6, 7.0)),
+        ]
+        self._check(4, streams, (133, "7c2d6f60965b3d8f"))
 
-    def test_batch_size_does_not_change_content(self):
-        _, small = _pair(seed=8, batch_size=7)
-        _, large = _pair(seed=8, batch_size=512)
-        assert _materialize(small.poisson(40.0, 6.0)) == _materialize(
-            large.poisson(40.0, 6.0)
-        )
 
-    def test_rejects_bad_batch_size(self):
-        population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
-        with pytest.raises(ConfigurationError):
-            BatchWorkloadGenerator(population, batch_size=0)
+def test_tracer_counts_each_generated_request_once():
+    # benchmarks/e2e/tracer.py times both classes' own ``poisson`` as
+    # ``traffic.generate``; one running through the other counts twice.
+    spec = importlib.util.spec_from_file_location("e2e_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        scalar, batch = _generators(3)
+        produced = len(list(scalar.poisson(200.0, 2.0)))
+        produced += sum(map(len, batch.poisson(200.0, 2.0)))
+    finally:
+        tracer.uninstall()
+    assert produced > 0
+    assert tracer.aggregate()["traffic.generate"]["units"] == produced
 
 
 class TestBucketHashing:

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.simulation.rng import SeededRng
-from repro.traffic.batch import BatchWorkloadGenerator
 from repro.traffic.profile import DEFAULT_GROUPS, UserGroup
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
@@ -181,12 +180,9 @@ class TestDuplicateGroupNames:
 
 class TestBuildersReadTheColumn:
     def test_scalar_and_batch_requests_carry_the_users_group(self):
+        # The scalar stream is the batch rows, built by RequestBatch.request.
         population = UserPopulation(300, DEFAULT_GROUPS, seed=8)
-        [batch] = BatchWorkloadGenerator(population, seed=6).constant(0.01, 500)
-        scalar = WorkloadGenerator(population, seed=6).constant(0.01, 500)
-        for row, expected in enumerate(scalar):
-            request = batch.request(row)
-            assert request == expected
+        for request in WorkloadGenerator(population, seed=6).constant(0.01, 500):
             assert request.group == population.group_of(request.user_id)
 
 

@@ -179,13 +179,6 @@ class TestWorkloadGenerator:
         assert request.group == population.group_of(request.user_id)
         assert request.headers["user-id"] == request.user_id
 
-    def test_entry_mix(self, population):
-        generator = WorkloadGenerator(
-            population, seed=6, entry_mix={"a.x": 0.5, "b.y": 0.5}
-        )
-        entries = {r.entry for r in generator.constant(1.0, 50)}
-        assert entries == {"a.x", "b.y"}
-
     def test_unique_request_ids(self, population):
         generator = WorkloadGenerator(population, seed=7)
         ids = [r.request_id for r in generator.constant(1.0, 100)]
@@ -195,3 +188,13 @@ class TestWorkloadGenerator:
         generator = WorkloadGenerator(population)
         with pytest.raises(ConfigurationError):
             list(generator.poisson(0.0, 1.0))
+
+    def test_bad_arguments_raise_at_the_call(self, population):
+        # Regression: validation used to wait for the first next(), mid-run.
+        generator = WorkloadGenerator(population)
+        with pytest.raises(ConfigurationError):
+            generator.poisson(0.0, 10.0)
+        with pytest.raises(ConfigurationError):
+            generator.heavy_tail(5.0, 10.0, alpha=1.0)
+        with pytest.raises(ConfigurationError):
+            generator.constant(1.0, 0)

@@ -31,9 +31,6 @@ KEEP = {
     "repro.bifrost.journal.snapshot_from_dict": ("K1", "validates a persisted snapshot on load"),
     "repro.bifrost.dsl.parse_file": ("K1", "reads a strategy file from disk, errors included"),
     "repro.fenrir.schedule.Schedule.group_usage": ("K1", "the ledger pack_repair's tests check"),
-    **dict.fromkeys(("repro.traffic.workload.WorkloadGenerator.constant",
-                     "repro.traffic.batch.BatchWorkloadGenerator.constant"),
-                    ("K1", "exact-count arrivals the scalar/batch equivalence tests pin")),
     "repro.study.interviews": ("K2", f"Table 2.1 -- {_ARTEFACT}"),
     "repro.study.comparison": ("K2", f"Table 2.5 -- {_ARTEFACT}"),
     "repro.study.data.published_table": ("K2", f"Tables 2.2-2.9 by number -- {_ARTEFACT}"),
