@@ -7,9 +7,9 @@ full recomputation per candidate) and under the fastfit
 actually generate: single-gene neighborhood proposals around an evolving
 incumbent.  The scorer must be **bit-identical** to the seed evaluator
 at every step and at least 3× faster.  Reported alongside: the GA's
-wall time under default options and under ``SEED_OPTIONS``, and the
-wall time, best fitness and evaluation counts of all four algorithms on
-the 40-experiment HIGH instance of docs/FENRIR_PERF.md.
+wall time, and the wall time, best fitness and evaluation count of all
+four algorithms on the 40-experiment HIGH instance of
+docs/FENRIR_PERF.md.
 
 ``FASTFIT_SMOKE=1`` switches to a reduced configuration for CI: the
 exactness assertions stay, the timing assertion is skipped (shared
@@ -29,13 +29,12 @@ from repro.fenrir import (
     GeneticAlgorithm,
     LocalSearch,
     RandomSampling,
-    SEED_OPTIONS,
     SampleSizeBand,
     SimulatedAnnealing,
     evaluate,
     random_experiments,
 )
-from repro.fenrir.fastfit import EvaluatorOptions, Scorer
+from repro.fenrir.fastfit import Scorer
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.operators import mutate_gene, random_schedule
 from repro.simulation.rng import SeededRng
@@ -90,26 +89,24 @@ def best_time(fn, repeats: int) -> float:
 
 
 def search_walls() -> list[dict]:
-    """Four algorithms on the 40/HIGH instance, default vs SEED_OPTIONS."""
+    """Four algorithms on the 40/HIGH instance, one row each."""
     problem = build_problem(40, SampleSizeBand.HIGH)
     rows = []
     for algorithm in (
         LocalSearch(), SimulatedAnnealing(), GeneticAlgorithm(), RandomSampling()
     ):
-        row = {"algorithm": algorithm.name}
-        for label, options in (("default", EvaluatorOptions()), ("seed", SEED_OPTIONS)):
-            runs = [
-                algorithm.optimize(problem, budget=SEARCH_BUDGET, seed=1, options=options)
-                for _ in range(SEARCH_REPEATS)
-            ]
-            stats = runs[0].eval_stats
-            row[f"{label}_wall_ms"] = 1000 * statistics.median(
-                r.wall_time_s for r in runs
-            )
-            row[f"{label}_fitness"] = runs[0].fitness
-            row[f"{label}_full_evals"] = stats.full_evals
-            row[f"{label}_cache_hits"] = stats.cache_hits
-        rows.append(row)
+        runs = [
+            algorithm.optimize(problem, budget=SEARCH_BUDGET, seed=1)
+            for _ in range(SEARCH_REPEATS)
+        ]
+        rows.append(
+            {
+                "algorithm": algorithm.name,
+                "wall_ms": 1000 * statistics.median(r.wall_time_s for r in runs),
+                "fitness": runs[0].fitness,
+                "full_evals": runs[0].eval_stats.full_evals,
+            }
+        )
     return rows
 
 
@@ -135,14 +132,11 @@ def run_throughput():
     t_seed = best_time(seed_loop, REPEATS)
     t_scorer = best_time(scorer_loop, REPEATS)
 
-    ga = GeneticAlgorithm(population_size=20)
     t0 = time.perf_counter()
-    default_run = ga.optimize(problem, budget=GA_BUDGET, seed=1)
-    t_ga_default = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ga.optimize(problem, budget=GA_BUDGET, seed=1, options=SEED_OPTIONS)
-    t_ga_seed = time.perf_counter() - t0
-    stats = default_run.eval_stats
+    ga_run = GeneticAlgorithm(population_size=20).optimize(
+        problem, budget=GA_BUDGET, seed=1
+    )
+    t_ga = time.perf_counter() - t0
 
     return {
         "mode": "smoke" if SMOKE else "full",
@@ -150,11 +144,8 @@ def run_throughput():
         "seed_evals_per_s": len(steps) / t_seed,
         "scorer_evals_per_s": len(steps) / t_scorer,
         "speedup": t_seed / t_scorer,
-        "ga_default_wall_s": t_ga_default,
-        "ga_seed_options_wall_s": t_ga_seed,
-        "ga_stats": stats.as_dict(),
-        "ga_cache_hit_rate": stats.cache_hits
-        / max(1, stats.cache_hits + stats.computed_evals),
+        "ga_wall_s": t_ga,
+        "ga_stats": ga_run.eval_stats.as_dict(),
         "search_budget": SEARCH_BUDGET,
         "search_walls": search_walls(),
     }
@@ -166,18 +157,12 @@ def test_fastfit_throughput(benchmark):
         {"metric": "seed evals/s", "value": report["seed_evals_per_s"]},
         {"metric": "scorer evals/s", "value": report["scorer_evals_per_s"]},
         {"metric": "speedup", "value": report["speedup"]},
-        {"metric": "GA wall s (default)", "value": report["ga_default_wall_s"]},
-        {"metric": "GA wall s (seed opts)", "value": report["ga_seed_options_wall_s"]},
-        {"metric": "GA cache hit rate", "value": report["ga_cache_hit_rate"]},
+        {"metric": "GA wall s", "value": report["ga_wall_s"]},
     ]
     for row in report["search_walls"]:
-        for label in ("default", "seed"):
-            rows.append(
-                {
-                    "metric": f"40/HIGH {row['algorithm']} wall ms ({label})",
-                    "value": row[f"{label}_wall_ms"],
-                }
-            )
+        rows.append(
+            {"metric": f"40/HIGH {row['algorithm']} wall ms", "value": row["wall_ms"]}
+        )
     emit("Fastfit evaluation throughput (15 experiments)", format_rows(rows))
     os.makedirs(OUTPUT_DIR, exist_ok=True)
     with open(os.path.join(OUTPUT_DIR, "BENCH_fenrir_fastfit.json"), "w") as fh:

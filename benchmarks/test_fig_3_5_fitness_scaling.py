@@ -6,6 +6,10 @@ result): all algorithms are close on small instances, but with >= 20
 experiments and high sample sizes the genetic algorithm keeps finding
 valid schedules at clearly higher fitness (paper: GA 62% vs LS/SA
 42–43% at 40 experiments / high sample sizes).
+
+GA ≥ LS and GA ≥ SA at 40/HIGH are asserted.  GA ≥ random sampling
+there is recorded, not asserted: the artefact's last line reads
+``holds`` or ``deviates`` with both measured values.
 """
 
 from _util import emit, format_rows
@@ -48,14 +52,24 @@ def run_sweep():
     return rows
 
 
+def random_verdict(hard: dict) -> str:
+    """The GA-vs-random claim at 40/HIGH, as measured."""
+    ga, random = hard["genetic"], hard["random"]
+    verdict = "holds" if ga >= random else "deviates"
+    return f"GA ≥ random at 40/HIGH: {verdict} ({ga:.3f} vs {random:.3f})"
+
+
 def test_fig_3_5(benchmark):
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    emit("Fig 3.5 fitness vs number of experiments per band", format_rows(rows))
-
     hard = next(
         row for row in rows
         if row["band"] == "HIGH" and row["experiments"] == 40
     )
+    emit(
+        "Fig 3.5 fitness vs number of experiments per band",
+        format_rows(rows) + "\n" + random_verdict(hard),
+    )
+
     # The GA keeps producing good valid schedules on the hardest instance
     # and beats local search and annealing there (who-wins shape).
     assert hard["genetic"] > 0.45

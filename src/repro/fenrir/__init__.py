@@ -10,7 +10,8 @@ and preferred-group coverage.
 
 Four solvers are provided, mirroring the paper's comparison: a genetic
 algorithm (Fenrir proper), random sampling, local search, and simulated
-annealing — all driven by an equal fitness-evaluation budget.
+annealing — all driven by an equal fitness-evaluation budget in which
+every evaluation is charged.
 """
 
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
@@ -20,12 +21,7 @@ from repro.fenrir.fitness import (
     ScheduleEvaluation,
     evaluate,
 )
-from repro.fenrir.fastfit import (
-    EvalStats,
-    EvaluatorOptions,
-    FitnessCache,
-    SEED_OPTIONS,
-)
+from repro.fenrir.fastfit import EvalStats
 from repro.fenrir.genetic import GeneticAlgorithm
 from repro.fenrir.random_sampling import RandomSampling
 from repro.fenrir.local_search import LocalSearch
@@ -50,9 +46,6 @@ __all__ = [
     "ScheduleEvaluation",
     "evaluate",
     "EvalStats",
-    "EvaluatorOptions",
-    "FitnessCache",
-    "SEED_OPTIONS",
     "GeneticAlgorithm",
     "RandomSampling",
     "LocalSearch",

@@ -6,11 +6,11 @@ both their final best schedule and the wall-clock moment they last
 improved ("time to best") — the paper's execution-time comparison hinges
 on how quickly an algorithm reaches its final quality.
 
-The evaluator is layered over :mod:`repro.fenrir.fastfit`: evaluations
-are memoized by chromosome fingerprint (switched off by
-:data:`repro.fenrir.fastfit.SEED_OPTIONS`, the paper's accounting) and
-computed by a :class:`~repro.fenrir.fastfit.Scorer` that reuses each
-gene's components across candidates.
+Every evaluation a search requests is computed and charged, the
+paper's accounting: a schedule proposed twice costs two budget units.
+The evaluator computes them with a :class:`~repro.fenrir.fastfit.Scorer`
+that reuses each gene's components across candidates, which saves work
+but never budget.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.fenrir.fastfit import EvalStats, EvaluatorOptions, FitnessCache, Scorer
+from repro.fenrir.fastfit import EvalStats, Scorer
 from repro.fenrir.fitness import FitnessWeights, ScheduleEvaluation, evaluate
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.schedule import Schedule
@@ -53,40 +53,31 @@ class BudgetedEvaluator:
     The incumbent ordering prefers *valid* schedules by strict fitness and
     falls back to the penalized score among invalid ones, so a search that
     never finds a feasible schedule still returns its least-bad attempt.
-
-    Budget semantics: only *computed* evaluations consume budget;
-    memo-cache hits are free.  Because free hits let a converged
-    search loop without spending budget, :attr:`exhausted` additionally
-    trips after ``50 × budget`` total evaluation requests — a stall guard
-    that never fires on healthy runs.
+    Every :meth:`evaluate` call is charged one budget unit.
     """
 
     def __init__(
         self,
         budget: int,
         weights: FitnessWeights | None = None,
-        options: EvaluatorOptions | None = None,
+        observer: Observer | None = None,
     ) -> None:
         self.budget = budget
         self.weights = weights or FitnessWeights()
-        self.options = options or EvaluatorOptions()
         self.used = 0
-        self.calls = 0
-        self._call_cap = max(budget * 50, budget + 1000)
         self.stats = EvalStats()
         self.best_schedule: Schedule | None = None
         self.best_evaluation: ScheduleEvaluation | None = None
         self.history: list[tuple[int, float]] = []
         self._start = time.perf_counter()
         self.time_to_best_s = 0.0
-        self._cache = FitnessCache() if self.options.use_cache else None
         self._scorer: Scorer | None = None
-        self.obs: Observer = self.options.observer or NULL_OBSERVER
+        self.obs: Observer = observer or NULL_OBSERVER
 
     @property
     def exhausted(self) -> bool:
-        """Whether the evaluation budget (or the stall guard) is spent."""
-        return self.used >= self.budget or self.calls >= self._call_cap
+        """Whether the evaluation budget is spent."""
+        return self.used >= self.budget
 
     def _better(self, e: ScheduleEvaluation) -> bool:
         incumbent = self.best_evaluation
@@ -108,53 +99,38 @@ class BudgetedEvaluator:
             self.time_to_best_s = time.perf_counter() - self._start
 
     def _fast_path(self, schedule: Schedule) -> bool:
-        """Whether the cache and the scorer apply to *schedule*.
+        """Whether the scorer applies to *schedule*.
 
-        They are bound to the first problem the evaluator sees; schedules
-        of a different problem instance (a misuse, but a cheap one to
-        survive) bypass them and are evaluated by the reference.
+        It is bound to the first problem the evaluator sees; schedules of
+        a different problem instance (a misuse, but a cheap one to
+        survive) bypass it and are evaluated by the reference.
         """
         if self._scorer is None:
             self._scorer = Scorer(schedule.problem, self.weights)
         return schedule.problem is self._scorer.problem
 
     def evaluate(self, schedule: Schedule) -> ScheduleEvaluation:
-        """Evaluate one schedule: cache, then scorer, then incumbent."""
+        """Evaluate and charge one schedule: scorer, then incumbent."""
         t0 = time.perf_counter()
-        self.calls += 1
-        fast = self._fast_path(schedule)
-        cache = self._cache if fast else None
-        if cache is not None:
-            key = schedule.key()
-            hit = cache.get(key)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                self.stats.wall_time_s += time.perf_counter() - t0
-                return hit
         self.used += 1
         self.stats.full_evals += 1
-        if fast:
+        if self._fast_path(schedule):
             evaluation = self._scorer.evaluate(schedule)
         else:
             evaluation = evaluate(schedule, self.weights)
-        if cache is not None:
-            cache.put(key, evaluation)
         self._consider(schedule, evaluation, self.used)
         self.stats.wall_time_s += time.perf_counter() - t0
         return evaluation
 
-    def evaluate_population(
-        self, schedules: Sequence[Schedule], enforce_budget: bool = True
-    ) -> list[ScheduleEvaluation]:
+    def evaluate_population(self, schedules: Sequence[Schedule]) -> list[ScheduleEvaluation]:
         """Score a population in order, one :meth:`evaluate` per schedule.
 
-        With ``enforce_budget`` every request past exhaustion is padded
-        with :meth:`ScheduleEvaluation.worst`, keeping rankings
-        well-defined.
+        Every schedule past exhaustion is padded with
+        :meth:`ScheduleEvaluation.worst`, keeping rankings well-defined.
         """
         out: list[ScheduleEvaluation] = []
         for schedule in schedules:
-            if enforce_budget and self.exhausted:
+            if self.exhausted:
                 out.append(ScheduleEvaluation.worst())
             else:
                 out.append(self.evaluate(schedule))
@@ -163,27 +139,17 @@ class BudgetedEvaluator:
     def result(self, algorithm: str) -> SearchResult:
         """Finalize into a :class:`SearchResult`.
 
-        When a glass-box observer is wired through the options, the
-        evaluation counters are bridged into registry metrics (labeled
-        by algorithm) and a ``fenrir.search_completed`` event is emitted
-        with the logical timestamp set to evaluations consumed.
+        When a glass-box observer is wired in, the evaluation count is
+        bridged into a registry counter (labeled by algorithm) and a
+        ``fenrir.search_completed`` event is emitted with the logical
+        timestamp set to evaluations consumed.
         """
         assert self.best_schedule is not None and self.best_evaluation is not None
         stats = self.stats.copy()
         if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter(
+            self.obs.metrics.counter(
                 "fenrir_full_evals_total", algorithm=algorithm
             ).increment(stats.full_evals)
-            metrics.counter(
-                "fenrir_delta_evals_total", algorithm=algorithm
-            ).increment(stats.delta_evals)
-            metrics.counter(
-                "fenrir_cache_hits_total", algorithm=algorithm
-            ).increment(stats.cache_hits)
-            metrics.gauge(
-                "fenrir_cache_hit_rate", algorithm=algorithm
-            ).set(stats.cache_hits / max(1, self.calls))
             # Events must be seed-reproducible; wall_time_s is the one
             # wall-clock field in EvalStats, so it stays out of the
             # payload (SearchResult.eval_stats still carries it).
@@ -195,7 +161,6 @@ class BudgetedEvaluator:
                 float(self.used),
                 algorithm=algorithm,
                 evaluations_used=self.used,
-                calls=self.calls,
                 fitness=self.best_evaluation.fitness,
                 penalized=self.best_evaluation.penalized,
                 valid=self.best_evaluation.valid,
@@ -227,7 +192,7 @@ class SearchAlgorithm(abc.ABC):
         weights: FitnessWeights | None = None,
         initial: Schedule | None = None,
         locked: frozenset[int] = frozenset(),
-        options: EvaluatorOptions | None = None,
+        observer: Observer | None = None,
     ) -> SearchResult:
         """Search for a high-fitness schedule.
 
@@ -239,6 +204,7 @@ class SearchAlgorithm(abc.ABC):
             initial: an existing schedule to improve (reevaluation mode).
             locked: indices of genes that must not change (already-running
                 experiments during reevaluation).
-            options: evaluation-layer configuration (memoization,
-                observer).
+            observer: a glass-box observer the search emits progress and
+                completion events into (logical timestamp = evaluations
+                consumed); ``None`` runs dark.
         """

@@ -3,35 +3,26 @@
 Search algorithms spend their whole budget scoring candidates, yet the
 candidates they produce are almost never *new*: GA offspring share most
 genes with their parents, elites are re-scored verbatim every
-generation, and hill climbing/annealing mutate one gene per step.  This
-module exploits that structure at two grains:
-
-- :class:`FitnessCache` — **whole-schedule memoization**.  An LRU cache
-  keyed by the canonical chromosome fingerprint (:meth:`Schedule.key`).
-  A cache hit does *not* consume evaluation budget (the work was never
-  done); :data:`SEED_OPTIONS` has no cache, so there every requested
-  evaluation is charged — the paper's accounting.
-- :class:`Scorer` — **per-gene memoization**.  Each gene's constraint
-  checks, objective score and usage cells are computed once per gene
-  object at its index; the slot × group usage grid is summed in one
-  order-preserving :func:`numpy.bincount`.  Results are bit-identical to
-  :func:`repro.fenrir.fitness.evaluate`, which stays the readable
-  reference.
+generation, and hill climbing/annealing mutate one gene per step.
+:class:`Scorer` exploits that structure per gene: each gene's
+constraint checks, objective score and usage cells are computed once per
+gene object at its index, and the slot × group usage grid is summed in
+one order-preserving :func:`numpy.bincount`.  Results are bit-identical
+to :func:`repro.fenrir.fitness.evaluate`, which stays the readable
+reference.  The memo saves work, never budget: every evaluation a search
+requests is charged, the paper's accounting.
 
 :class:`repro.fenrir.base.BudgetedEvaluator` reads top to bottom as
-cache → scorer → incumbent, so all four algorithms go through the same
-code.  See ``docs/FENRIR_PERF.md`` for the design and determinism
-guarantees.
+scorer → incumbent, so all four algorithms go through the same code.
+See ``docs/FENRIR_PERF.md`` for the design and determinism guarantees.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.fenrir.fitness import (
     FitnessWeights,
     ScheduleEvaluation,
@@ -42,7 +33,6 @@ from repro.fenrir.fitness import (
 )
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.schedule import Gene, Schedule
-from repro.obs.observer import Observer
 
 
 # ---------------------------------------------------------------------------
@@ -53,22 +43,17 @@ from repro.obs.observer import Observer
 class EvalStats:
     """Evaluation counters of one search run.
 
-    ``full_evals`` is the number of fitness computations actually
-    performed; ``cache_hits`` were answered from memory.  ``delta_evals``
-    is kept for readers of older counter sets and is always 0.
-    ``wall_time_s`` is the time spent inside the evaluator (computation
-    plus cache handling), not the whole search loop.
+    ``full_evals`` is the number of evaluations performed, each one
+    charged to the budget.  ``delta_evals`` and ``cache_hits`` are kept
+    for readers of older counter sets and are always 0.
+    ``wall_time_s`` is the time spent inside the evaluator, not the
+    whole search loop.
     """
 
     full_evals: int = 0
     delta_evals: int = 0
     cache_hits: int = 0
     wall_time_s: float = 0.0
-
-    @property
-    def computed_evals(self) -> int:
-        """Evaluations that ran fitness code."""
-        return self.full_evals + self.delta_evals
 
     def as_dict(self) -> dict[str, float]:
         """Counter name → value, the exported telemetry vocabulary."""
@@ -82,42 +67,6 @@ class EvalStats:
     def copy(self) -> "EvalStats":
         """Snapshot for embedding in an immutable result."""
         return replace(self)
-
-
-# ---------------------------------------------------------------------------
-# Memoization
-
-
-class FitnessCache:
-    """LRU cache of schedule fingerprint → :class:`ScheduleEvaluation`."""
-
-    def __init__(self, maxsize: int = 4096) -> None:
-        if maxsize <= 0:
-            raise ConfigurationError("fitness cache maxsize must be positive")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[tuple, ScheduleEvaluation] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> ScheduleEvaluation | None:
-        """The cached evaluation for *key*, refreshing its recency."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: tuple, evaluation: ScheduleEvaluation) -> None:
-        """Insert or refresh one entry, evicting the least recently used."""
-        self._entries[key] = evaluation
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
 
 
 # ---------------------------------------------------------------------------
@@ -221,30 +170,3 @@ class Scorer:
             gene, tuple(violations), shortfall, score,
             firsts, (run,) * k, (gene.fraction,) * k,
         )
-
-
-# ---------------------------------------------------------------------------
-# Configuration bundle
-
-
-@dataclass(frozen=True)
-class EvaluatorOptions:
-    """Knobs of the evaluation performance layer.
-
-    Attributes:
-        use_cache: memoize evaluations by chromosome fingerprint; a hit
-            is free, so the budget bounds *computed* evaluations.
-        observer: a glass-box :class:`~repro.obs.observer.Observer` the
-            search emits per-generation progress and completion events
-            into (logical timestamp = evaluations consumed), bridging
-            :class:`EvalStats` into registry metrics.  ``None`` runs
-            dark.
-    """
-
-    use_cache: bool = True
-    observer: Observer | None = None
-
-
-#: Seed-faithful accounting: no schedule cache, so every request is
-#: computed and charged — the pre-fastfit behaviour.
-SEED_OPTIONS = EvaluatorOptions(use_cache=False)

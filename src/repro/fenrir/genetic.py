@@ -6,19 +6,19 @@ on the penalized score, one-point crossover at experiment boundaries
 of the offspring, and elitism.
 
 Offspring are scored through the fastfit layer: genes a child shares with
-schedules already scored reuse their memoized components, and elites
-re-enter scoring as free cache hits.
+schedules already scored reuse their memoized components.  Every scored
+individual is charged, elites and the initial population included.
 """
 
 from __future__ import annotations
 
 from repro.fenrir.base import BudgetedEvaluator, SearchAlgorithm, SearchResult
-from repro.fenrir.fastfit import EvaluatorOptions
 from repro.fenrir.fitness import FitnessWeights, ScheduleEvaluation
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.operators import crossover, mutate_gene, pack_repair, random_schedule
 from repro.fenrir.schedule import Schedule
 from repro.obs.events import FENRIR_GENERATION
+from repro.obs.observer import Observer
 from repro.simulation.rng import SeededRng
 
 
@@ -49,10 +49,10 @@ class GeneticAlgorithm(SearchAlgorithm):
         weights: FitnessWeights | None = None,
         initial: Schedule | None = None,
         locked: frozenset[int] = frozenset(),
-        options: EvaluatorOptions | None = None,
+        observer: Observer | None = None,
     ) -> SearchResult:
         rng = SeededRng(seed)
-        evaluator = BudgetedEvaluator(budget, weights, options=options)
+        evaluator = BudgetedEvaluator(budget, weights, observer)
         n_genes = len(problem.experiments)
         mutation_rate = min(0.5, 2.0 / max(1, n_genes))
 
@@ -69,9 +69,7 @@ class GeneticAlgorithm(SearchAlgorithm):
                     problem, rng, packed=True, initial=initial, locked=locked
                 )
             population.append(candidate)
-        scores: list[ScheduleEvaluation] = evaluator.evaluate_population(
-            population, enforce_budget=False
-        )
+        scores: list[ScheduleEvaluation] = evaluator.evaluate_population(population)
 
         obs = evaluator.obs
         generation = 0

@@ -9,11 +9,11 @@ genes it has not seen before.
 from __future__ import annotations
 
 from repro.fenrir.base import BudgetedEvaluator, SearchAlgorithm, SearchResult
-from repro.fenrir.fastfit import EvaluatorOptions
 from repro.fenrir.fitness import FitnessWeights
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.operators import mutate_gene, pack_repair, random_schedule
 from repro.fenrir.schedule import Schedule
+from repro.obs.observer import Observer
 from repro.simulation.rng import SeededRng
 
 
@@ -88,10 +88,10 @@ class LocalSearch(SearchAlgorithm):
         weights: FitnessWeights | None = None,
         initial: Schedule | None = None,
         locked: frozenset[int] = frozenset(),
-        options: EvaluatorOptions | None = None,
+        observer: Observer | None = None,
     ) -> SearchResult:
         rng = SeededRng(seed)
-        evaluator = BudgetedEvaluator(budget, weights, options=options)
+        evaluator = BudgetedEvaluator(budget, weights, observer)
         current, current_score = _warm_start(
             problem, evaluator, rng, initial, locked,
             draws=min(self.warm_start, max(1, budget // 10)),

@@ -222,8 +222,8 @@ def pack_repair(
     state left behind — is a function of ``(schedule, rng, locked)`` that
     search trajectories depend on; it is held equal to the per-cell
     reference in ``tests/property/test_pack_repair_equivalence.py``.  A
-    gene that ends up where it was is returned as the same object, so its
-    cached fingerprint and the scorer's per-gene memo entry survive.
+    gene that ends up where it was is returned as the same object, so the
+    scorer's per-gene memo entry survives.
     """
     problem = schedule.problem
     horizon = problem.horizon

@@ -1,18 +1,18 @@
 """Random sampling baseline (Section 3.5.2): best of N random schedules.
 
 Independent draws share few genes, so the per-gene memo rarely helps
-here; draws still flow through the fastfit layer for memoization
-(duplicate draws are free) and the evaluation counters.
+here; draws still flow through the fastfit layer for the evaluation
+counters, and every draw is charged.
 """
 
 from __future__ import annotations
 
 from repro.fenrir.base import BudgetedEvaluator, SearchAlgorithm, SearchResult
-from repro.fenrir.fastfit import EvaluatorOptions
 from repro.fenrir.fitness import FitnessWeights
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.operators import random_schedule
 from repro.fenrir.schedule import Schedule
+from repro.obs.observer import Observer
 from repro.simulation.rng import SeededRng
 
 
@@ -32,10 +32,10 @@ class RandomSampling(SearchAlgorithm):
         weights: FitnessWeights | None = None,
         initial: Schedule | None = None,
         locked: frozenset[int] = frozenset(),
-        options: EvaluatorOptions | None = None,
+        observer: Observer | None = None,
     ) -> SearchResult:
         rng = SeededRng(seed)
-        evaluator = BudgetedEvaluator(budget, weights, options=options)
+        evaluator = BudgetedEvaluator(budget, weights, observer)
         if initial is not None:
             evaluator.evaluate(initial)
         while not evaluator.exhausted:

@@ -19,7 +19,6 @@ from typing import Mapping
 
 from repro.errors import ValidationError
 from repro.fenrir.base import SearchAlgorithm, SearchResult
-from repro.fenrir.fastfit import EvaluatorOptions
 from repro.fenrir.fitness import FitnessWeights
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
 from repro.fenrir.schedule import Gene, Schedule
@@ -205,15 +204,12 @@ def reevaluate(
     budget: int = 2000,
     seed: int = 0,
     weights: FitnessWeights | None = None,
-    options: EvaluatorOptions | None = None,
 ) -> tuple[ReevaluationPlan, SearchResult]:
     """Rebuild the problem at *now_slot* and re-optimize with *algorithm*.
 
     LS and SA start from the existing (typically GA-produced) schedule —
     the reason the paper observed the fitness gap between algorithms to
-    narrow under reevaluation.  Reevaluation is the paper's recurring
-    workload, so *options* lets continuous re-runs keep the fastfit
-    evaluation layer (and its telemetry) configured consistently.
+    narrow under reevaluation.
     """
     plan = build_reevaluation(schedule, now_slot, canceled, new_experiments)
     result = algorithm.optimize(
@@ -223,6 +219,5 @@ def reevaluate(
         weights=weights,
         initial=plan.initial,
         locked=plan.locked,
-        options=options,
     )
     return plan, result

@@ -48,19 +48,6 @@ class Gene:
         """Exclusive end slot."""
         return self.start + self.duration
 
-    def fingerprint(self) -> tuple:
-        """Canonical value tuple, with the group set in sorted order.
-
-        Cached on the instance: genes are immutable and shared between a
-        schedule and its mutated copies, so fingerprinting a child
-        schedule reuses every untouched gene's tuple.
-        """
-        fp = getattr(self, "_fp", None)
-        if fp is None:
-            fp = (self.start, self.duration, self.fraction, tuple(sorted(self.groups)))
-            object.__setattr__(self, "_fp", fp)
-        return fp
-
     def slots(self) -> range:
         """The slots the experiment occupies."""
         return range(self.start, self.end)
@@ -80,7 +67,6 @@ class Schedule:
             )
         self.problem = problem
         self.genes = list(genes)
-        self._key: tuple | None = None
 
     def __iter__(self) -> Iterator[tuple[ExperimentSpec, Gene]]:
         return iter(zip(self.problem.experiments, self.genes))
@@ -135,18 +121,6 @@ class Schedule:
                     key = (slot, group)
                     usage[key] = usage.get(key, 0.0) + gene.fraction
         return usage
-
-    def key(self) -> tuple:
-        """Canonical chromosome fingerprint (the fitness cache's key).
-
-        Genes are value objects, so the fingerprint is simply the tuple of
-        per-gene value tuples with the group set in sorted order.  The
-        result is cached: search code never mutates ``genes`` in place
-        (mutation and crossover always construct new schedules).
-        """
-        if self._key is None:
-            self._key = tuple(g.fingerprint() for g in self.genes)
-        return self._key
 
     def copy(self) -> "Schedule":
         """Shallow copy (genes are immutable)."""

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import InfeasibleScheduleError
 from repro.fenrir.base import SearchAlgorithm, SearchResult
-from repro.fenrir.fastfit import EvaluatorOptions
 from repro.fenrir.fitness import FitnessWeights
 from repro.fenrir.genetic import GeneticAlgorithm
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
@@ -70,12 +69,10 @@ class Fenrir:
         self,
         algorithm: SearchAlgorithm | None = None,
         weights: FitnessWeights | None = None,
-        options: EvaluatorOptions | None = None,
         observer: Observer | None = None,
     ) -> None:
         self.algorithm = algorithm or GeneticAlgorithm()
         self.weights = weights or FitnessWeights()
-        self.options = options
         self.observer = observer or NULL_OBSERVER
 
     def schedule(
@@ -94,14 +91,6 @@ class Fenrir:
         caller can inspect ``result.valid``.
         """
         problem = SchedulingProblem(profile, list(experiments))
-        options = self.options
-        if self.observer.enabled:
-            # Thread the facade's observer down into the evaluator unless
-            # the caller already wired one through the options.
-            if options is None:
-                options = EvaluatorOptions(observer=self.observer)
-            elif options.observer is None:
-                options = replace(options, observer=self.observer)
         with self.observer.timed(
             "fenrir_schedule_seconds", algorithm=self.algorithm.name
         ):
@@ -110,7 +99,7 @@ class Fenrir:
                 budget=budget,
                 seed=seed,
                 weights=self.weights,
-                options=options,
+                observer=self.observer,
             )
         if self.observer.enabled:
             self.observer.emit(

@@ -361,7 +361,7 @@ class TestAlgorithmsSeeNoDifference:
         reference = search()
 
         assert shipped.history == reference.history
-        assert shipped.best_schedule.key() == reference.best_schedule.key()
+        assert shipped.best_schedule.genes == reference.best_schedule.genes
         assert shipped.fitness == reference.fitness
         assert shipped.evaluations_used == reference.evaluations_used
         for counter in ("full_evals", "delta_evals", "cache_hits"):

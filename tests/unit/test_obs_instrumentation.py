@@ -133,6 +133,7 @@ class TestFenrirInstrumentation:
         completed = observer.events.events(kinds={FENRIR_SEARCH_COMPLETED})[0]
         assert completed.data["fitness"] == result.fitness
         assert completed.data["evaluations_used"] == 300
+        assert "calls" not in completed.data
         stats = result.search.eval_stats
         assert completed.data["stats"]["cache_hits"] == stats.cache_hits
 
@@ -156,24 +157,19 @@ class TestFenrirInstrumentation:
         assert lit.fitness == dark.fitness
         assert lit.schedule.genes == dark.schedule.genes
 
-    def test_cache_metrics_bridged_from_eval_stats(self):
+    def test_full_evals_bridged_from_eval_stats(self):
         observer = Observer(enabled=True)
         profile, specs = self.make_inputs()
         result = Fenrir(observer=observer).schedule(
             profile, specs, budget=300, seed=1
         )
-        stats = result.search.eval_stats
-        metrics = observer.metrics
         assert (
-            metrics.value("fenrir_cache_hits_total", algorithm="genetic")
-            == stats.cache_hits
+            observer.metrics.value("fenrir_full_evals_total", algorithm="genetic")
+            == result.search.eval_stats.full_evals
+            == 300
         )
-        assert (
-            metrics.value("fenrir_full_evals_total", algorithm="genetic")
-            == stats.full_evals
-        )
-        rate = metrics.value("fenrir_cache_hit_rate", algorithm="genetic")
-        assert 0.0 <= rate <= 1.0
+        for gone in ("fenrir_delta_evals_total", "fenrir_cache_hits_total"):
+            assert observer.metrics.value(gone, algorithm="genetic") is None
 
 
 class TestTopologyInstrumentation:
