@@ -69,6 +69,17 @@ class TestBudgetedEvaluatorAccounting:
         assert evaluator.used == evaluator.stats.full_evals == 2
         assert evaluator.exhausted
 
+    def test_seed_options_disable_cache_and_delta(self, problem):
+        # The seed's accounting is now the only one: no cache, no delta path.
+        evaluator = BudgetedEvaluator(5)
+        schedule = random_schedule(problem, SeededRng(11))
+        evaluator.evaluate(schedule)
+        evaluator.evaluate(schedule)
+        assert evaluator.used == 2
+        assert evaluator.stats.cache_hits == 0
+        assert evaluator.stats.delta_evals == 0
+        assert evaluator.stats.full_evals == 2
+
     def test_used_matches_computed_evals(self, problem):
         result = LocalSearch().optimize(problem, budget=120, seed=1)
         stats = result.eval_stats
