@@ -316,7 +316,6 @@ class Bifrost:
         self,
         batches: "Iterable",
         until: float | None = None,
-        options=None,
     ):
         """Replay columnar request batches through the batch kernel.
 
@@ -326,18 +325,15 @@ class Bifrost:
         a :class:`~repro.simulation.batch.BatchRunResult`.  Engine events
         interleave with requests exactly as in :meth:`run`, and the
         kernel itself executes fault campaigns, resilience policies and
-        breakers, partitions, shadow routes and trace subscribers
-        bit-identically; only a custom router or an unknown network gate
-        makes a slice fall back to the scalar path.  Unlike :meth:`run`,
+        breakers, partitions, shadow routes, custom routers, network
+        gates and trace subscribers bit-identically.  Unlike :meth:`run`,
         per-request outcomes are not retained, and traces reach
-        :attr:`collector` only with ``record_traces=True`` or while it
-        has subscribers — see ``docs/PERF_KERNEL.md``.
+        :attr:`collector` only while it has subscribers — see
+        ``docs/PERF_KERNEL.md``.
         """
         from repro.simulation.batch import run_batches
 
-        return run_batches(
-            self.simulation, self.runtime, batches, until=until, options=options
-        )
+        return run_batches(self.simulation, self.runtime, batches, until=until)
 
     def outcome_of(self, strategy_name: str) -> StrategyOutcome:
         """Terminal (or running) status of a submitted strategy."""

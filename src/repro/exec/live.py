@@ -266,7 +266,8 @@ class LiveCluster:
     def observe(
         self, service: str, version: str, start: float, duration_ms: float, error: bool
     ) -> None:
-        """Record one handler observation — Monitor.observe_span's triple."""
+        """Record one handler observation as the triple a
+        :class:`~repro.telemetry.monitor.SpanSampleBuffer` flush writes."""
         self.store.record(service, version, "response_time", start, duration_ms)
         self.store.record(service, version, "error", start, 1.0 if error else 0.0)
         self.store.record(service, version, "throughput", start, 1.0)

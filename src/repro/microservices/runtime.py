@@ -12,7 +12,8 @@ and the shadow replay — lives in one place,
 runs over columnar rows and :meth:`Runtime.execute` runs over one
 :class:`~repro.traffic.workload.Request`.  This module owns what
 surrounds it: the routing protocol, the load window, trace ids, and
-handing the finished spans to the collector and the monitor.
+handing the finished spans to the collector and the kernel's sample
+buffer.
 
 Load is modelled as the ratio of recent arrival rate to a version's
 deployed capacity; the latency models translate load > 1 into inflated
@@ -203,10 +204,9 @@ class Runtime:
         trace_id, spans, duration, error = compiled.execute_request(request, self.clock.now)
         self.collector.record_all(spans)
         # A request that raised mid-tree never gets here: no samples.
+        compiled.samples.add_spans(spans)
         if kernel is None:
-            self.monitor.observe_spans(spans)
-        else:
-            kernel.samples.add_spans(spans)
+            compiled.flush()
         self.requests_executed += 1
         return RequestOutcome(request, Trace(trace_id, spans), duration, error)
 

@@ -26,14 +26,9 @@ from repro.simulation.rng import SeededRng
 
 # Imported last: repro.simulation.batch reaches into modules that
 # themselves import repro.simulation submodules during package init.
-from repro.simulation.batch import (
-    BatchOptions,
-    BatchRunResult,
-    run_batches,
-)
+from repro.simulation.batch import BatchRunResult, run_batches
 
 __all__ = [
-    "BatchOptions",
     "BatchRunResult",
     "run_batches",
     "SimulationClock",

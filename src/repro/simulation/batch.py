@@ -26,16 +26,12 @@ pinned by ``tests/integration/test_scalar_golden.py``):
   kernel can observe.  The *plain* hop covers slices where every
   per-hop hook is a no-op.  The *general* hop — the one
   ``Runtime.execute`` always runs — additionally executes call policies
-  (timeouts, retries, fallbacks), circuit breakers, network partitions
-  and dark-launch shadow replays, and materializes spans for the trace
-  collector when traces are recorded or the collector has stream
+  (timeouts, retries, fallbacks), circuit breakers, network partitions,
+  dark-launch shadow replays and routers the kernel cannot compile, and
+  materializes spans for the trace collector when it has stream
   subscribers.  Fault campaigns need no hook at all: they rewrite
   endpoint specs at engine events, and nodes are compiled from the
-  specs per kernel.
-- Only what the kernel cannot resolve per batch row — a custom router or
-  an unknown network-gate implementation — makes a slice fall back to
-  ``Request`` objects wholesale (:class:`BatchRunResult` counts slices
-  and reasons).  Event boundaries delimit slices, and all of these
+  specs per kernel.  Event boundaries delimit slices, and all of these
   conditions only change at events, so a condition can never flip
   mid-slice.
 
@@ -55,7 +51,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.errors import ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.simulation.latency import (
     ConstantLatency,
     LoadSensitiveLatency,
@@ -73,26 +69,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _MAX_CALL_DEPTH = 32
 
-@dataclass(frozen=True)
-class BatchOptions:
-    """Tuning knobs of :func:`run_batches`.
-
-    Attributes:
-        record_traces: when True, the fast path materializes real spans
-            and feeds the trace collector per request (slower, but the
-            traces are bit-identical to the scalar path's); when False
-            (default), spans are built only while the collector has
-            stream subscribers, otherwise traces are skipped and only
-            metrics are recorded — trace ids are still consumed so
-            later scalar requests keep their scalar-run ids.
-    """
-
-    record_traces: bool = False
-
 
 @dataclass
 class BatchRunResult:
-    """Aggregate outcome of one :func:`run_batches` replay."""
+    """Aggregate outcome of one :func:`run_batches` replay.
+
+    Every request runs on the kernel, so ``fast_requests == requests``;
+    ``fallback_requests``, ``fallback_slices`` and ``fallback_reasons``
+    always read 0 and stay only because the benchmark ledger reads them.
+    """
 
     requests: int = 0
     errors: int = 0
@@ -119,13 +104,6 @@ class BatchRunResult:
         self.fast_requests += n
         self.errors += error_count
         self.duration_sum_ms += math.fsum(durations)
-
-    def _add_scalar(self, duration_ms: float, error: bool) -> None:
-        self.requests += 1
-        self.fallback_requests += 1
-        if error:
-            self.errors += 1
-        self.duration_sum_ms += duration_ms
 
 
 def _compile_sampler(model, kernel):
@@ -232,6 +210,22 @@ def _split_entry(entry: str) -> tuple[str, str]:
     return service, endpoint
 
 
+class _VariantNodes(dict):
+    """A routed edge's ``{version: node}``, each compiled on first use: a
+    version no request reaches is never compiled, so one that lacks the
+    endpoint fails only when routed to — as ``router.route`` does."""
+
+    __slots__ = ("_compile",)
+
+    def __init__(self, compile_node) -> None:
+        super().__init__()
+        self._compile = compile_node
+
+    def __missing__(self, version: str):
+        node = self[version] = self._compile(version)
+        return node
+
+
 class RequestKernel:
     """Compiled execution state for one event-free stretch of requests.
 
@@ -239,31 +233,42 @@ class RequestKernel:
     and subscribers only change at engine events (= stretch boundaries), so
     everything resolved here — samplers, error rates, children, variant
     thresholds, which hop runs — is constant for the kernel's lifetime.
-    Children are resolved *lazily* during execution (descriptors, not
-    node references) so a probabilistic call cycle trips the depth guard
-    only when a request actually recurses past the limit.
+    Children and variant nodes are resolved *lazily* during execution
+    (descriptors, not node references) so a probabilistic call cycle trips
+    the depth guard, and a variant without the endpoint fails, only when a
+    request actually gets there.
 
     With a *population* the requests are rows of a
-    :class:`~repro.traffic.batch.RequestBatch` (:meth:`run_slice`): a hop
-    resolves its version through the memoized records compiled from
-    *router*'s routes, and buffers its sample in :attr:`samples` as it
-    finishes.  Without one they are :class:`~repro.traffic.workload.Request`
-    objects (:meth:`execute_request`, what ``Runtime.execute`` runs): a hop
-    asks ``runtime.router.route`` — any ``Router`` — and always builds
-    spans, which the caller records or (``Runtime.replay``) buffers in
-    :attr:`samples` once the request has returned.  Whoever drives the
-    kernel calls :meth:`flush` before an engine event can read the store.
+    :class:`~repro.traffic.batch.RequestBatch` (:meth:`run_slice`), and a
+    hop buffers its sample in :attr:`samples` as it finishes.  Without one
+    they are :class:`~repro.traffic.workload.Request` objects
+    (:meth:`execute_request`, what ``Runtime.execute`` runs), and the
+    caller buffers the spans in :attr:`samples` once the request has
+    returned.  Rows resolve their versions through memoized records
+    compiled from a :class:`~repro.routing.proxy.VersionRouter`'s routes
+    (a ``StaticRouter`` compiles to none); ``Request`` objects, and rows
+    under any other ``Router``, ask ``runtime.router.route`` on every hop,
+    with the row's ``Request`` in hand.  Spans are built for ``Request``
+    objects, and for rows while the collector has stream subscribers.
+    Whoever drives the kernel calls :meth:`flush` before an engine event
+    can read the store.
     """
 
-    def __init__(
-        self,
-        runtime: "Runtime",
-        router=None,
-        population=None,
-        record_traces: bool = True,
-    ) -> None:
+    def __init__(self, runtime: "Runtime", population=None) -> None:
+        # Imported here: microservices.runtime imports this module at
+        # module level, and routing.proxy imports microservices.runtime.
+        from repro.microservices.runtime import StaticRouter
+        from repro.routing.proxy import VersionRouter
+
+        router = runtime.router
+        compiled = population is not None and isinstance(
+            router, (VersionRouter, StaticRouter)
+        )
         self._runtime = runtime
-        self._router = router
+        self._router = (
+            router if compiled and isinstance(router, VersionRouter) else None
+        )
+        self._route_per_hop = not compiled
         self._app = runtime.application
         self._proxy_ms = runtime.proxy_overhead_ms
         self._window = runtime.load.window_seconds
@@ -290,13 +295,14 @@ class RequestKernel:
             if network is not None and getattr(network, "partitions", True)
             else None
         )
-        self._spans = record_traces or runtime.collector.has_subscribers
+        self._spans = population is None or runtime.collector.has_subscribers
         self._general = (
             self._spans
+            or self._route_per_hop
             or self._network is not None
             or not runtime.resilience.passthrough
             or (
-                router is not None
+                self._router is not None
                 and any(
                     router.active_route(service).shadow_versions
                     for service in router.routed_services
@@ -311,8 +317,8 @@ class RequestKernel:
 
     def _edge(self, service: str, endpoint: str):
         """An edge is ``(route_record | None, node | {version: node} | None,
-        policy | None, shadow nodes, service, endpoint)``; for ``Request``
-        objects only the policy is compiled — the router picks the node per hop."""
+        policy | None, shadow nodes, service, endpoint)``; when routing per
+        hop only the policy is compiled — the router picks the node."""
         key = (service, endpoint)
         edge = self._edges.get(key)
         if edge is not None:
@@ -320,23 +326,16 @@ class RequestKernel:
         policy = self._resilience.policy_for(service, endpoint)
         router = self._router
         route = router.active_route(service) if router is not None else None
-        if self._population is None:
+        if self._route_per_hop:
             edge = (None, None, policy, (), service, endpoint)
         elif route is None:
             node = self._node(service, endpoint, None, 0.0)
             edge = (None, node, policy, (), service, endpoint)
         else:
             rec = self._route_rec(service, route)
-            nodes = {}
-            for variant in route.variants:
-                nodes[variant.version] = self._node(
-                    service, endpoint, variant.version, self._proxy_ms
-                )
-            stable = rec[4]
-            if stable not in nodes:
-                nodes[stable] = self._node(
-                    service, endpoint, stable, self._proxy_ms
-                )
+            nodes = _VariantNodes(
+                lambda version: self._node(service, endpoint, version, self._proxy_ms)
+            )
             shadows = self._shadow_nodes(service, endpoint, route.shadow_versions)
             edge = (rec, nodes, policy, shadows, service, endpoint)
         self._edges[key] = edge
@@ -510,7 +509,7 @@ class RequestKernel:
             for version_name in version_names:
                 try:
                     spec = svc.get(version_name).endpoint(ep)
-                except Exception:
+                except ConfigurationError:  # no such version or endpoint
                     shared = set()
                     break
                 calls = {
@@ -556,8 +555,14 @@ class RequestKernel:
             group_names = population.group_names
             collector = runtime.collector
             dispatch = self._dispatch
+            # A router asked per hop gets the row's Request.
+            subjects = (
+                map(batch.request, range(lo, hi))
+                if self._route_per_hop
+                else user_indices
+            )
             trace_id = spans = None
-            for ts, user in zip(timestamps, user_indices):
+            for ts, user, subject in zip(timestamps, user_indices, subjects):
                 if ts > now:
                     now = ts
                 group_code = group_codes[user]
@@ -568,7 +573,7 @@ class RequestKernel:
                 # code, trace id, span sink (None = no spans), group name,
                 # user id (formatted only for the span tags that carry it).
                 ctx = (
-                    user,
+                    subject,
                     group_code,
                     trace_id,
                     spans,
@@ -706,7 +711,7 @@ class RequestKernel:
         shadows = ()
         if forced is not None:
             node = forced
-        elif self._population is None:
+        elif self._route_per_hop:
             # ctx[0] is the Request itself; any Router resolves it.
             _, _, _, _, service, endpoint = edge
             decision = self._runtime.router.route(user, service)
@@ -854,54 +859,20 @@ class RequestKernel:
         self.samples.flush(self._runtime.monitor.store)
 
 
-def slice_blockers(runtime: "Runtime") -> list[str]:
-    """Why a slice cannot run as batch rows ([] = it can).
-
-    Only implementations the kernel cannot resolve for a row block: a
-    router that is neither :class:`StaticRouter` nor
-    :class:`VersionRouter` (it wants a ``Request``), and a network gate
-    that does not expose its ``partitions``.  Both can only be swapped
-    between slices, so checking once per slice is sound.
-    """
-    from repro.microservices.runtime import StaticRouter
-    from repro.routing.proxy import VersionRouter
-
-    reasons: list[str] = []
-    if runtime.network is not None and not hasattr(runtime.network, "partitions"):
-        reasons.append("network-gate")
-    if not isinstance(runtime.router, (VersionRouter, StaticRouter)):
-        reasons.append("custom-router")
-    return reasons
-
-
 def run_batches(
     simulation: "SimulationEngine",
     runtime: "Runtime",
     batches: Iterable["RequestBatch"],
     *,
     until: float | None = None,
-    options: BatchOptions | None = None,
 ) -> BatchRunResult:
     """Replay columnar request batches interleaved with engine events.
 
     The event-interleaving contract is ``Runtime.replay``'s: every event
     with time <= a request's timestamp runs before that request.  Between
-    events, requests execute as one kernel slice (or, if a blocker is
-    present, as ``Request`` objects through ``Runtime.replay`` — the same
-    hop either way, only speed differs).
+    events, requests execute as one kernel slice.
     """
-    options = options or BatchOptions()
     result = BatchRunResult()
-
-    from repro.routing.proxy import VersionRouter
-
-    # A logical fallback slice is delimited by engine events (or a fast
-    # slice), not by chunk boundaries: a blocked stretch that happens to
-    # span several input chunks is still one slice and its reasons count
-    # once per stretch, not once per chunk.
-    in_fallback_stretch = False
-    stretch_reasons: set[str] = set()
-
     for batch in batches:
         timestamps = batch.timestamps
         size = len(batch)
@@ -918,39 +889,16 @@ def run_batches(
                     simulation.run_until(
                         max(float(timestamps[lo]), simulation.now)
                     )
-                    in_fallback_stretch = False
-                    stretch_reasons.clear()
                     continue
-            blockers = slice_blockers(runtime)
-            if blockers:
-                if not in_fallback_stretch:
-                    result.fallback_slices += 1
-                    in_fallback_stretch = True
-                fresh = [r for r in blockers if r not in stretch_reasons]
-                if fresh:
-                    result.fallback_reasons.update(fresh)
-                    stretch_reasons.update(fresh)
-                rows = (batch.request(row) for row in range(lo, hi))
-                for outcome in runtime.replay(simulation, rows):
-                    result._add_scalar(outcome.duration_ms, outcome.error)
-            else:
-                in_fallback_stretch = False
-                stretch_reasons.clear()
-                router = runtime.router
-                kernel = RequestKernel(
-                    runtime,
-                    router if isinstance(router, VersionRouter) else None,
-                    batch.population,
-                    options.record_traces,
-                )
-                kernel.prefill_assignments(batch, lo, hi)
-                now, durations, errors = kernel.run_slice(
-                    batch, lo, hi, simulation.now
-                )
-                kernel.flush()
-                runtime.clock.advance_to(now)
-                result.fast_slices += 1
-                result._add_fast(durations, errors)
+            kernel = RequestKernel(runtime, batch.population)
+            kernel.prefill_assignments(batch, lo, hi)
+            now, durations, errors = kernel.run_slice(
+                batch, lo, hi, simulation.now
+            )
+            kernel.flush()
+            runtime.clock.advance_to(now)
+            result.fast_slices += 1
+            result._add_fast(durations, errors)
             lo = hi
     if until is not None:
         simulation.run_until(until)

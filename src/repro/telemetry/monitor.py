@@ -1,10 +1,11 @@
 """Monitors: the bridge from the runtime to the metric store.
 
-A :class:`Monitor` observes completed requests/spans and derives the
-standard application-level metrics the dissertation's checks consume:
-``response_time`` (ms), ``error`` (0/1 per request, so a windowed mean is
-the error rate), and ``throughput`` (1 per request, so a windowed count is
-requests served).
+Every completed span becomes the standard application-level metrics the
+dissertation's checks consume: ``response_time`` (ms), ``error`` (0/1 per
+request, so a windowed mean is the error rate), and ``throughput`` (1 per
+request, so a windowed count is requests served).  A
+:class:`SpanSampleBuffer` is their one writer; a :class:`Monitor` owns
+the store and reads them back.
 
 Resilience events (retries, timeouts, fallbacks, breaker transitions)
 are recorded as ``resilience.<kind>`` count metrics per (service,
@@ -19,7 +20,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.telemetry.store import MetricStore
-from repro.tracing.span import Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.microservices.resilience import ResilienceEvent
@@ -34,12 +34,12 @@ _LIST_FLUSH_MAX = 64
 class SpanSampleBuffer:
     """Span samples on their way to a store, as per-(service, version) columns.
 
-    The bulk form of :meth:`Monitor.observe_span` and the one writer of the
-    ``response_time``/``error``/``throughput`` triple for every bulk driver
-    (batch slices, ``Runtime.replay``, REPLAY, the fleet feed): :meth:`add`
-    samples, or append to a key's :meth:`columns` in place, then
-    :meth:`flush`.  Per key the store ends up exactly as if every sample
-    had been recorded one at a time, in order.
+    The one writer of the ``response_time``/``error``/``throughput`` triple
+    for every simulated driver (batch slices, ``Runtime.execute`` and ``replay``,
+    REPLAY, the fleet feed): :meth:`add` samples, or append to a key's
+    :meth:`columns` in place, then :meth:`flush`.  Per key the store ends
+    up exactly as if every sample had been recorded one at a time, in
+    order.
     """
 
     def __init__(self) -> None:
@@ -59,7 +59,7 @@ class SpanSampleBuffer:
         errors.append(error)
 
     def add_spans(self, spans) -> None:
-        """Buffer what :meth:`Monitor.observe_spans` would record."""
+        """Buffer every span's sample, in order."""
         for span in spans:
             self.add(span.service, span.version, span.start, span.duration_ms, span.error)
 
@@ -82,25 +82,11 @@ class SpanSampleBuffer:
 
 
 class Monitor:
-    """Derives per-service-version metrics from spans."""
+    """Per-service-version metrics: the store, resilience and durability
+    writers, and the windowed reads checks use."""
 
     def __init__(self, store: MetricStore | None = None) -> None:
         self.store = store or MetricStore()
-
-    def observe_span(self, span: Span) -> None:
-        """Record the metrics implied by one completed span."""
-        self.store.record(
-            span.service, span.version, "response_time", span.start, span.duration_ms
-        )
-        self.store.record(
-            span.service, span.version, "error", span.start, 1.0 if span.error else 0.0
-        )
-        self.store.record(span.service, span.version, "throughput", span.start, 1.0)
-
-    def observe_spans(self, spans: list[Span]) -> None:
-        """Record metrics for many spans."""
-        for span in spans:
-            self.observe_span(span)
 
     def observe_resilience(self, event: "ResilienceEvent") -> None:
         """Record one resilience event as a count metric sample.

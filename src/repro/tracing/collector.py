@@ -114,10 +114,10 @@ class TraceCollector:
     def has_subscribers(self) -> bool:
         """Whether any stream subscriber is attached.
 
-        The batch execution kernel checks this once per slice: with
-        subscribers present it materializes spans and feeds
-        :meth:`record_trace` even without ``record_traces=True``, so the
-        streaming pipeline is never starved.
+        The batch execution kernel checks this once per slice: it
+        materializes spans and feeds :meth:`record_trace` exactly while
+        subscribers are present, so the streaming pipeline is never
+        starved.
         """
         return bool(self._complete_subscribers or self._evict_subscribers)
 

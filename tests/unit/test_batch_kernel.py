@@ -2,12 +2,12 @@
 
 The scalar-vs-batch *equivalence* is covered by
 ``tests/property/test_batch_equivalence.py``; here we pin the individual
-pieces: the columnar append paths, bulk trace ingestion, blocker
-detection and hop selection, and trace-id bookkeeping.
+pieces: the columnar append paths, bulk trace ingestion, hop selection,
+and trace-id bookkeeping — plus every scalar golden case driven through
+``run_batches``.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -20,6 +20,7 @@ from repro.microservices.faults import (
     LatencySpike,
     NetworkState,
 )
+from repro.microservices.service import EndpointSpec, ServiceVersion
 from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
 from repro.simulation.batch import (
     _N_ERROR_RATE,
@@ -27,8 +28,8 @@ from repro.simulation.batch import (
     _N_SAMPLE,
     RequestKernel,
     run_batches,
-    slice_blockers,
 )
+from repro.simulation.latency import ConstantLatency
 from repro.stats.timeseries import TimeSeries
 from repro.telemetry.store import MetricStore
 from repro.tracing.collector import TraceCollector
@@ -39,9 +40,15 @@ from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
 
 from repro.topology.scenarios import sample_application
+from tests.integration.test_scalar_golden import CASES, _ParityRouter
 from tests.property.test_batch_equivalence import (
+    UNTIL,
     Hostile,
+    assert_equivalent,
     build_app,
+    build_bifrost,
+    dump_traces,
+    make_workload,
     run_batch,
 )
 
@@ -149,20 +156,15 @@ class TestRecordTrace:
         assert not TraceCollector().has_subscribers
 
 
-def _chunks(batches, n: int):
-    """Re-cut request batches into *n*-row chunks."""
-    for b in batches:
-        for lo in range(0, len(b), n):
-            cut = slice(lo, lo + n)
-            yield replace(b, base_id=b.base_id + lo, timestamps=b.timestamps[cut],
-                          user_indices=b.user_indices[cut])
-
-
 class _OpaqueGate:
-    """A network gate the kernel cannot inspect (no ``partitions``)."""
+    """A network gate the kernel cannot inspect (no ``partitions``),
+    optionally fronting a real one."""
+
+    def __init__(self, inner=None) -> None:
+        self._inner = inner
 
     def is_partitioned(self, caller: str, callee: str) -> bool:
-        return False
+        return self._inner is not None and self._inner.is_partitioned(caller, callee)
 
 
 def _both_paths(build, requests: int = 200):
@@ -180,16 +182,22 @@ def _both_paths(build, requests: int = 200):
             population, entry="frontend.index", seed=3
         ).constant(0.05, requests)
     )
-    assert result.fallback_reasons == {}
     assert result.fast_requests == requests
     assert batch.store.snapshot() == scalar.store.snapshot()
     return scalar, batch
 
 
+def _row_kernel(bifrost) -> RequestKernel:
+    return RequestKernel(bifrost.runtime, UserPopulation(10, DEFAULT_GROUPS, seed=1))
+
+
 class TestSliceBlockers:
     def test_default_bifrost_is_fast(self):
-        bifrost = Bifrost(sample_application(), seed=1)
-        assert slice_blockers(bifrost.runtime) == []
+        """A default middleware's rows compile its routes and run the
+        plain hop."""
+        kernel = _row_kernel(Bifrost(sample_application(), seed=1))
+        assert not kernel._route_per_hop
+        assert not kernel._general
 
     def test_fault_campaign_does_not_block(self):
         """Faults rewrite endpoint specs at engine events; a kernel built
@@ -204,12 +212,11 @@ class TestSliceBlockers:
         population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
 
         def compiled_error_rate():
-            kernel = RequestKernel(bifrost.runtime, bifrost.router, population, False)
+            kernel = RequestKernel(bifrost.runtime, population)
             return kernel.entry_edge("catalog.list")[1][_N_ERROR_RATE]
 
         pristine = compiled_error_rate()
         bifrost.simulation.run_until(5.0)
-        assert slice_blockers(bifrost.runtime) == []
         assert compiled_error_rate() == pristine + 0.5
         bifrost.simulation.run_until(10.0)
         assert compiled_error_rate() == pristine
@@ -227,7 +234,7 @@ class TestSliceBlockers:
             target.install_campaign(campaign)
             target.simulation.run_until(0.0)
         population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
-        kernel = RequestKernel(bifrost.runtime, bifrost.router, population, False)
+        kernel = RequestKernel(bifrost.runtime, population)
         catalog = kernel.entry_edge("catalog.search")[1]
         frontend = kernel.entry_edge("frontend.index")[1]
         assert catalog[_N_NEEDS_LOAD] is False  # LogNormal base
@@ -242,8 +249,8 @@ class TestSliceBlockers:
             ]
 
     def test_collector_subscribers_select_the_span_hop(self):
-        """Subscribers are fed without ``record_traces``; with neither,
-        the kernel retains no traces (clean and hostile slices alike)."""
+        """Subscribers make the kernel build and feed every trace; without
+        one it retains no traces (clean and hostile slices alike)."""
         seen: list[str] = []
 
         def build():
@@ -252,7 +259,6 @@ class TestSliceBlockers:
             return bifrost
 
         scalar, batch = _both_paths(build, requests=40)
-        assert slice_blockers(batch.runtime) == []
         assert seen[:40] == seen[40:] == scalar.collector.trace_ids
         assert batch.collector.trace_ids == scalar.collector.trace_ids
 
@@ -260,6 +266,8 @@ class TestSliceBlockers:
         assert len(silent.collector) == 0
 
     def test_shadow_routes_and_header_audiences_do_not_block(self):
+        """Both compile into route records: a shadow selects the general
+        hop, a header audience keeps the plain one."""
         bifrost = Bifrost(sample_application(), seed=1)
         bifrost.router.install(
             ExperimentRoute(
@@ -269,7 +277,8 @@ class TestSliceBlockers:
                 shadow_versions=("2.0.0",),
             )
         )
-        assert slice_blockers(bifrost.runtime) == []
+        kernel = _row_kernel(bifrost)
+        assert not kernel._route_per_hop and kernel._general
         bifrost.router.uninstall("catalog")
         bifrost.router.install(
             ExperimentRoute(
@@ -279,7 +288,8 @@ class TestSliceBlockers:
                 audience=AudienceFilter(headers={"beta": "1"}),
             )
         )
-        assert slice_blockers(bifrost.runtime) == []
+        kernel = _row_kernel(bifrost)
+        assert not kernel._route_per_hop and not kernel._general
 
     @pytest.mark.parametrize(
         "headers, expected_users",
@@ -334,27 +344,63 @@ class TestSliceBlockers:
         assert seen == scalar.router.assigner("inventory-split")._seen
         assert 0 < len(seen) < 60
 
-    def test_unknown_router_and_network_block(self):
-        bifrost = Bifrost(sample_application(), seed=1)
-        runtime = bifrost.runtime
-        original_router = runtime.router
-        runtime.router = object()
-        assert slice_blockers(runtime) == ["custom-router"]
-        runtime.router = original_router
+    def test_variant_without_the_endpoint_keeps_assignment_lazy(self):
+        """catalog 3.0.0 lacks ``search`` and sits in a 0 % arm, so no
+        request is routed there and the run equals scalar; certainty stops
+        at catalog, so inventory (reached for sure only through it) is
+        assigned lazily, user by user, like scalar."""
 
-        runtime.network = _OpaqueGate()
-        assert slice_blockers(runtime) == ["network-gate"]
-        # A NetworkState is inspectable, partitioned or not.
-        runtime.network = NetworkState()
-        runtime.network.partition("frontend", "catalog")
-        assert slice_blockers(runtime) == []
+        def build():
+            app = build_app(0.0, 0.6, False)
+            app.deploy(
+                ServiceVersion(
+                    "catalog", "3.0.0", {"list": EndpointSpec("list", ConstantLatency(1.0))}
+                )
+            )
+            bifrost = Bifrost(app, seed=1)
+            for experiment, service, variants in (
+                ("catalog-ramp", "catalog", (Variant("1.0.0", 1.0), Variant("3.0.0", 0.0))),
+                ("inventory-split", "inventory", (Variant("1.0.0", 0.5), Variant("2.0.0", 0.5))),
+            ):
+                bifrost.router.install(ExperimentRoute(experiment, service, variants))
+            return bifrost
+
+        scalar, batch = _both_paths(build, requests=60)
+        assert _row_kernel(batch)._certain_services("frontend.index") == {"frontend", "catalog"}
+        for experiment in ("catalog-ramp", "inventory-split"):
+            batch_assigner = batch.router.assigner(experiment)
+            scalar_assigner = scalar.router.assigner(experiment)
+            assert batch_assigner._seen == scalar_assigner._seen
+            assert batch_assigner._counts == scalar_assigner._counts
+
+    def test_custom_router_and_opaque_gate_run_on_the_kernel(self):
+        """A router the kernel cannot compile is asked on every hop with
+        the row's ``Request``, a gate without ``partitions`` is asked on
+        every call: both on the kernel's general hop, equal to scalar."""
+
+        def build():
+            bifrost = Bifrost(build_app(0.0, 0.6, False), seed=1)
+            network = NetworkState()
+            network.partition("catalog", "inventory")
+            bifrost.runtime.router = _ParityRouter()
+            bifrost.runtime.network = _OpaqueGate(network)
+            return bifrost
+
+        scalar, batch = _both_paths(build)
+        kernel = _row_kernel(batch)
+        assert kernel._route_per_hop and kernel._general
+        assert kernel._network is batch.runtime.network
+        versions = {key.version for key in batch.store.keys() if key.service == "catalog"}
+        assert versions == {"1.0.0", "2.0.0"}
+        # No subscriber: the rows build no spans, though a router is asked.
+        assert len(batch.collector) == 0
 
 
 class TestHostileGuard:
     """Tier-1 guard: the four ``hostile_canary`` benchmark configurations
     (shadow route, fault campaign, retry + breaker, trace subscriber)
-    must stay on the kernel — a re-introduced blocker fails here instead
-    of silently costing 4x in ``benchmarks/e2e``."""
+    run every request, and feed the subscriber and live health exactly
+    when one is attached."""
 
     @pytest.mark.parametrize(
         "hostile",
@@ -370,9 +416,6 @@ class TestHostileGuard:
         params = (0.02, 1.0, False, 0.1, 5, "constant")
         bifrost, _, seen, result = run_batch(params, hostile=hostile)
         assert result.requests == 480
-        assert result.fallback_reasons == {}
-        assert result.fallback_slices == 0
-        assert result.fast_requests == result.requests
         assert len(seen) == (result.requests if hostile.subscriber else 0)
         if hostile.live_health:
             assert bifrost.streaming_builder.trace_count == result.requests
@@ -406,40 +449,48 @@ class TestRunBatchesDriver:
         assert result.requests == 0
         assert bifrost.simulation.now == 25.0
 
-    def test_fallback_reasons_count_stretches_not_chunks(self):
-        # Regression (PR 9): a blocked stretch spanning several input
-        # chunks used to increment fallback_reasons once *per chunk*,
-        # inflating the diagnostic — "why did we fall back" reported the
-        # same cause dozens of times for one contiguous stretch.
-        bifrost = Bifrost(sample_application(), seed=1)
-        bifrost.runtime.network = _OpaqueGate()
-        population = UserPopulation(50, DEFAULT_GROUPS, seed=1)
-        generator = BatchWorkloadGenerator(population, entry="frontend.index", seed=3)
-        # 120 requests in chunks of 8 -> 15 chunks, all behind the opaque
-        # gate, with no engine events between them: one stretch.
-        result = bifrost.run_batches(_chunks(generator.constant(0.25, 120), 8))
-        assert result.fallback_requests == 120
-        assert result.fallback_slices == 1
-        assert result.fallback_reasons["network-gate"] == 1
 
-    def test_fallback_reasons_recount_after_fast_slice(self):
-        # Distinct stretches (separated by traffic that takes the fast
-        # path while an engine event has the gate removed) each count
-        # their reasons.
-        bifrost = Bifrost(sample_application(), seed=1)
-        runtime = bifrost.runtime
-        gate = _OpaqueGate()
-        runtime.network = gate
-        for time, network in ((10.0, None), (20.0, gate), (30.0, None)):
-            bifrost.simulation.schedule_at(
-                time,
-                lambda network=network: setattr(runtime, "network", network),
-                label="toggle-gate",
+class TestGoldenCasesOnTheKernel:
+    """Every scalar golden case through ``run_batches``, with and without
+    a trace subscriber, and three of them behind a gate the kernel cannot
+    inspect: equal to scalar ``Bifrost.run`` (span for span while
+    subscribed), every request on the kernel."""
+
+    @staticmethod
+    def build(name: str, opaque_gate: bool, subscriber: bool):
+        params, hostile, extra = CASES[name]
+        bifrost, execution, seen = build_bifrost(params, hostile)
+        if extra is not None:
+            extra(bifrost)
+        if opaque_gate:
+            bifrost.runtime.network = _OpaqueGate(bifrost.runtime.network)
+        if subscriber:
+            bifrost.collector.subscribe(
+                lambda trace: seen.append((trace.trace_id, len(trace.spans)))
             )
-        population = UserPopulation(50, DEFAULT_GROUPS, seed=1)
-        generator = BatchWorkloadGenerator(population, entry="frontend.index", seed=3)
-        result = bifrost.run_batches(_chunks(generator.constant(0.25, 160), 8), until=40.0)
-        assert result.fast_requests == 80
-        assert result.fallback_requests == 80
-        assert result.fallback_slices == 2
-        assert result.fallback_reasons["network-gate"] == 2
+        return bifrost, execution, seen
+
+    @pytest.mark.parametrize("subscriber", [False, True], ids=["silent", "subscribed"])
+    @pytest.mark.parametrize(
+        "name, opaque_gate",
+        [pytest.param(name, False, id=name) for name in sorted(CASES)]
+        + [
+            pytest.param(name, True, id=f"{name}+opaque-gate")
+            for name in ("clean", "custom-router", "everything")
+        ],
+    )
+    def test_run_batches_equals_scalar_run(self, name, opaque_gate, subscriber):
+        params = CASES[name][0]
+        population = UserPopulation(300, DEFAULT_GROUPS, seed=1)
+
+        def workload(generator_class):
+            generator = generator_class(population, entry="frontend.index", seed=params[4])
+            return make_workload(generator, params[5])
+
+        scalar = self.build(name, opaque_gate, subscriber)
+        scalar[0].run(workload(WorkloadGenerator), until=UNTIL)
+        batch = self.build(name, opaque_gate, subscriber)
+        result = batch[0].run_batches(workload(BatchWorkloadGenerator), until=UNTIL)
+        assert_equivalent(scalar, (*batch, result))
+        if subscriber:
+            assert dump_traces(batch[0].collector) == dump_traces(scalar[0].collector)

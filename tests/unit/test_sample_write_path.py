@@ -18,7 +18,7 @@ from repro.microservices.runtime import Runtime
 from repro.microservices.service import DownstreamCall, ServiceVersion
 from repro.simulation.engine import SimulationEngine
 from repro.stats.timeseries import TimeSeries
-from repro.telemetry import MetricStore, Monitor
+from repro.telemetry import MetricStore
 from repro.telemetry.monitor import SpanSampleBuffer
 from repro.topology.scenarios import sample_application
 from repro.tracing.span import Span, next_span_id
@@ -26,7 +26,7 @@ from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import Request, WorkloadGenerator
 from tests.conftest import constant_endpoint
-from tests.property.test_write_path_equivalence import reference_replay
+from tests.property.test_write_path_equivalence import observe_spans, reference_replay
 from tests.unit.test_fleet_orchestrator import fast_config, make_schedule
 
 TRIPLE = {"response_time", "error", "throughput"}
@@ -107,14 +107,14 @@ class TestSpanSampleBuffer:
     ]
 
     def test_flush_equals_observe_spans(self):
-        monitor = Monitor()
-        monitor.observe_spans(self.SPANS)
+        reference = MetricStore()
+        observe_spans(reference, self.SPANS)
         store = MetricStore()
         samples = SpanSampleBuffer()
         samples.add_spans(self.SPANS)
         assert store.keys() == []  # nothing lands before the flush
         samples.flush(store)
-        assert store.snapshot() == monitor.store.snapshot()
+        assert store.snapshot() == reference.snapshot()
 
     def test_flush_empties_the_buffer_and_can_be_repeated(self):
         store = MetricStore()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.telemetry.metrics import Counter, Gauge, Histogram
-from repro.telemetry.monitor import Monitor
+from repro.telemetry.monitor import Monitor, SpanSampleBuffer
 from repro.telemetry.store import MetricKey, MetricStore, supported_aggregations
 from tests.unit.test_tracing import make_span
 
@@ -112,18 +112,25 @@ class TestMetricStore:
         assert store.aggregate("svc", "2.0", "m", "mean", 0, 1) == 9.0
 
 
+def observe(monitor: Monitor, *spans) -> None:
+    """Land spans in the monitor's store the way every driver does."""
+    samples = SpanSampleBuffer()
+    for span in spans:
+        samples.add(span.service, span.version, span.start, span.duration_ms, span.error)
+    samples.flush(monitor.store)
+
+
 class TestMonitor:
     def test_observe_span_derives_metrics(self):
         monitor = Monitor()
-        monitor.observe_span(make_span(duration_ms=42.0))
+        observe(monitor, make_span(duration_ms=42.0))
         assert monitor.mean_response_time("frontend", "1.0.0", 0, 1) == 42.0
         assert monitor.error_rate("frontend", "1.0.0", 0, 1) == 0.0
         assert monitor.throughput("frontend", "1.0.0", 0, 1) == 1.0
 
     def test_error_rate(self):
         monitor = Monitor()
-        monitor.observe_span(make_span("s1", error=True))
-        monitor.observe_span(make_span("s2", error=False))
+        observe(monitor, make_span("s1", error=True), make_span("s2", error=False))
         assert monitor.error_rate("frontend", "1.0.0", 0, 1) == 0.5
 
     def test_no_traffic_is_none(self):
