@@ -1,8 +1,8 @@
 """A canary that completes across two engine crashes.
 
 The durability layer separates the control plane from the data plane:
-every engine decision is journaled before it takes effect, periodic
-snapshots fold the journal into checkpoints, and a supervisor restarts
+every engine decision is applied to the execution state and then
+journaled, periodic snapshots fold the journal into checkpoints, and a supervisor restarts
 the crashed engine from snapshot + replay.  The routes installed by the
 dead engine keep serving in the meantime, so users never notice — the
 recovered run promotes the same version over the same ``version_path``

@@ -11,10 +11,14 @@ CPU-utilization and check-delay measurements of Figs 4.7–4.10.
 
 When wired with a write-ahead journal (:mod:`repro.bifrost.journal`),
 every durable decision — submissions, phase entries, check rounds,
-transitions, route installs, finalizations — is appended to the log
-before the engine acts on it, and snapshots are taken on the journal's
-cadence.  A killed engine (:meth:`BifrostEngine.kill`) stops processing
-events; :meth:`BifrostEngine.adopt` lets a recovered successor resume
+transitions, route installs, finalizations — is appended to the log,
+and snapshots are taken on the journal's cadence.  A decision that
+changes a :class:`StrategyExecution` goes through the execution's
+reducer methods first and is journaled second, so a snapshot taken on
+any append already holds that record; recovery folds the journal
+through the same methods.  A killed engine
+(:meth:`BifrostEngine.kill`) stops processing events;
+:meth:`BifrostEngine.adopt` lets a recovered successor resume
 executions, replaying decision points missed during the outage at their
 *original* simulated timestamps so the recovered timeline matches the
 crash-free one.
@@ -25,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ExecutionError
 from repro.bifrost.checks import CheckEvaluator, CheckResult
@@ -79,6 +83,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.alerts import AlertEngine
     from repro.obs.events import Event
     from repro.toggles.store import ToggleStore
+
+_OUTCOME_FOR_TERMINAL = {
+    TERMINAL_COMPLETE: StrategyOutcome.COMPLETED,
+    TERMINAL_ROLLBACK: StrategyOutcome.ROLLED_BACK,
+    TERMINAL_ABORT: StrategyOutcome.ABORTED,
+}
+_ACTION_FOR_TERMINAL = {
+    TERMINAL_COMPLETE: Action.PROMOTE,
+    TERMINAL_ROLLBACK: Action.ROLLBACK,
+    TERMINAL_ABORT: Action.ABORT,
+}
 
 
 @dataclass(frozen=True)
@@ -139,6 +154,76 @@ class StrategyExecution:
     def current_phase(self) -> Phase:
         """The phase the execution currently runs."""
         return self.strategy.phase(self.state)
+
+    # -- the reducer: one method per journal record kind ---------------------
+    #
+    # The engine applies every decision through these methods *before* it
+    # journals the record, and recovery folds journal records through the
+    # same methods, so the live execution, a snapshot taken on any append
+    # and a recovered execution all hold the same state.
+
+    @classmethod
+    def submitted(cls, strategy: Strategy, start: float) -> "StrategyExecution":
+        """A ``submitted`` record: a fresh execution waiting to start."""
+        return cls(
+            strategy=strategy,
+            machine=StateMachine(strategy),
+            state=strategy.entry.name,
+            started_at=start,
+            phase_started_at=start,
+        )
+
+    def enter_phase(self, phase_name: str, time: float) -> None:
+        """A ``phase_entered`` record: (re)start *phase_name* at *time*."""
+        self.state = phase_name
+        self.phase_started_at = time
+        self.rollout_step = -1
+        self.check_next_due = {}
+        self.check_last = {}
+        self.last_tick_at = None
+        self.phase_entries += 1
+        self.phase_first_entered.setdefault(phase_name, time)
+
+    def record_tick(
+        self,
+        time: float,
+        results: Sequence[CheckResult],
+        next_due: Sequence[float],
+        errors: int,
+    ) -> None:
+        """A ``tick`` record: one check round and each check's next due time."""
+        self.last_tick_at = time
+        self.evaluation_errors += errors
+        self.check_log.extend(results)
+        for result, due in zip(results, next_due):
+            self.check_last[result.check.name] = result.outcome
+            self.check_next_due[result.check.name] = due
+
+    def record_rollout(self, step: int) -> None:
+        """A ``rollout`` record: the gradual rollout moved to *step*."""
+        self.rollout_step = step
+
+    def record_winner(self, version: str) -> None:
+        """A ``winner`` record: the A/B phase picked *version*."""
+        self.winner = version
+
+    def record_transition(
+        self, time: float, source: str, target: str, trigger: str, action: Action
+    ) -> None:
+        """A ``transition`` record; a terminal *target* also finishes."""
+        self.transitions.append(TransitionRecord(time, source, target, trigger, action))
+        if action is Action.REPEAT:
+            self.repeats[source] = self.repeats.get(source, 0) + 1
+        if trigger == "deadline":
+            self.deadline_exceeded = source
+        if target in TERMINAL_STATES:
+            self.finalize(target, time)
+
+    def finalize(self, terminal: str, time: float) -> None:
+        """A ``finalized`` record: the execution ended in *terminal*."""
+        self.state = terminal
+        self.outcome = _OUTCOME_FOR_TERMINAL[terminal]
+        self.finished_at = time
 
 
 class _CatchupQueue:
@@ -352,13 +437,8 @@ class BifrostEngine:
                         f"strategy {strategy.name!r}, phase {phase.name!r}: "
                         f"{phase.service}@{version} is not deployed"
                     )
-        execution = StrategyExecution(
-            strategy=strategy,
-            machine=StateMachine(strategy),
-            state=strategy.entry.name,
-            started_at=start,
-            phase_started_at=start,
-        )
+        execution = StrategyExecution.submitted(strategy, start)
+        self.executions.append(execution)
         self._journal_append(
             "submitted", {"strategy": strategy_to_dict(strategy), "start": start}
         )
@@ -372,7 +452,6 @@ class BifrostEngine:
                 phases=[phase.name for phase in strategy.phases],
             )
             self.obs.metrics.counter("bifrost_submissions_total").increment()
-        self.executions.append(execution)
         self._schedule_at(
             start,
             lambda: self._enter_phase(execution, strategy.entry.name),
@@ -386,13 +465,7 @@ class BifrostEngine:
         if not execution.running:
             return
         now = self._now
-        execution.state = phase_name
-        execution.phase_started_at = now
-        execution.rollout_step = -1
-        execution.check_next_due = {}
-        execution.check_last = {}
-        execution.last_tick_at = None
-        execution.phase_entries += 1
+        execution.enter_phase(phase_name, now)
         phase = execution.current_phase
         self._journal_append(
             "phase_entered",
@@ -416,9 +489,8 @@ class BifrostEngine:
             # stall the strategy.  Re-arming on every entry keeps the
             # watchdog alive across engine restarts; duplicate firings
             # are no-ops once the first one transitioned.
-            first = execution.phase_first_entered.setdefault(phase_name, now)
             self._schedule_at(
-                first + phase.deadline_seconds,
+                execution.phase_first_entered[phase_name] + phase.deadline_seconds,
                 lambda: self._deadline_expired(execution, phase_name),
                 label=f"deadline:{execution.strategy.name}:{phase_name}",
             )
@@ -433,30 +505,9 @@ class BifrostEngine:
         """Watchdog: force a rollback when a phase blew its time budget."""
         if not execution.running or execution.state != phase_name:
             return
-        execution.deadline_exceeded = phase_name
-        self._journal_append(
-            "transition",
-            {
-                "strategy": execution.strategy.name,
-                "source": phase_name,
-                "target": TERMINAL_ROLLBACK,
-                "trigger": "deadline",
-                "action": Action.ROLLBACK.value,
-            },
-        )
-        execution.transitions.append(
-            TransitionRecord(
-                self._now,
-                phase_name,
-                TERMINAL_ROLLBACK,
-                "deadline",
-                Action.ROLLBACK,
-            )
-        )
-        self._emit_transition(
+        self._record_transition(
             execution, phase_name, TERMINAL_ROLLBACK, "deadline", Action.ROLLBACK
         )
-        self._finalize(execution, TERMINAL_ROLLBACK)
 
     def _schedule_tick(self, execution: StrategyExecution, phase: Phase) -> None:
         self._schedule_at(
@@ -470,7 +521,6 @@ class BifrostEngine:
             return
         now = self._now
         phase = execution.current_phase
-        execution.last_tick_at = now
         # Fig 4.3's time-based execution: every check carries its own
         # evaluation interval (defaulting to the phase's), so only the
         # checks that are *due* run this tick.
@@ -498,21 +548,19 @@ class BifrostEngine:
                 results.append(
                     CheckResult(check, now, CheckOutcome.INCONCLUSIVE, None, None)
                 )
-        execution.evaluation_errors += errors
-        execution.check_log.extend(results)
         observing = self.obs.enabled
+        next_due = []
         journal_checks = []
         for check, result in zip(due, results):
-            execution.check_last[check.name] = result.outcome
-            interval = check.interval_seconds or phase.check_interval_seconds
-            execution.check_next_due[check.name] = now + interval
+            due_at = now + (check.interval_seconds or phase.check_interval_seconds)
+            next_due.append(due_at)
             journal_checks.append(
                 {
                     "check": check_to_dict(check),
                     "outcome": result.outcome.value,
                     "observed": result.observed,
                     "reference": result.reference,
-                    "next_due": now + interval,
+                    "next_due": due_at,
                 }
             )
             if observing:
@@ -554,6 +602,7 @@ class BifrostEngine:
         # trigger: a crash (or torn write) between the two leaves a
         # decisive round without a recorded decision — recovery detects
         # exactly that and degrades the round to inconclusive.
+        execution.record_tick(now, results, next_due, errors)
         self._journal_append(
             "tick",
             {
@@ -586,7 +635,7 @@ class BifrostEngine:
                 self._transition(execution, phase, "inconclusive")
                 return
             if phase.type is PhaseType.AB_TEST:
-                execution.winner = self._pick_winner(execution, phase)
+                execution.record_winner(self._pick_winner(execution, phase))
                 self._journal_append(
                     "winner",
                     {
@@ -677,7 +726,7 @@ class BifrostEngine:
         step_duration = phase.duration_seconds / len(phase.steps)
         step = min(int(elapsed / step_duration), len(phase.steps) - 1)
         if step != execution.rollout_step:
-            execution.rollout_step = step
+            execution.record_rollout(step)
             self._journal_append(
                 "rollout",
                 {
@@ -778,60 +827,46 @@ class BifrostEngine:
                 target = execution.machine.next_state(phase.name, "failure")
                 trigger = "failure"
             else:
-                execution.repeats[phase.name] = used + 1
-                self._journal_append(
-                    "transition",
-                    {
-                        "strategy": execution.strategy.name,
-                        "source": phase.name,
-                        "target": phase.name,
-                        "trigger": "inconclusive",
-                        "action": Action.REPEAT.value,
-                    },
+                self._record_transition(
+                    execution, phase.name, phase.name, trigger, Action.REPEAT
                 )
-                execution.transitions.append(
-                    TransitionRecord(
-                        self._now, phase.name, phase.name,
-                        "inconclusive", Action.REPEAT,
-                    )
-                )
-                self._emit_transition(
-                    execution, phase.name, phase.name, "inconclusive", Action.REPEAT
-                )
-                self._enter_phase(execution, phase.name)
                 return
-        action = self._action_for(target, trigger)
+        action = _ACTION_FOR_TERMINAL.get(target, Action.CONTINUE)
+        self._record_transition(execution, phase.name, target, trigger, action)
+
+    def _record_transition(
+        self,
+        execution: StrategyExecution,
+        source: str,
+        target: str,
+        trigger: str,
+        action: Action,
+    ) -> None:
+        """Apply, journal and announce one transition, then act on it.
+
+        The only place a ``transition`` record is written: the execution
+        holds the transition before the append (which may snapshot), and
+        a terminal *target* is finalized, any other one entered.
+        """
+        execution.record_transition(self._now, source, target, trigger, action)
         self._journal_append(
             "transition",
             {
                 "strategy": execution.strategy.name,
-                "source": phase.name,
+                "source": source,
                 "target": target,
                 "trigger": trigger,
                 "action": action.value,
             },
         )
-        execution.transitions.append(
-            TransitionRecord(self._now, phase.name, target, trigger, action)
-        )
-        self._emit_transition(execution, phase.name, target, trigger, action)
+        self._emit_transition(execution, source, target, trigger, action)
         if target in TERMINAL_STATES:
             self._finalize(execution, target)
         else:
             self._enter_phase(execution, target)
 
-    def _action_for(self, target: str, trigger: str) -> Action:
-        if target == TERMINAL_COMPLETE:
-            return Action.PROMOTE
-        if target == TERMINAL_ROLLBACK:
-            return Action.ROLLBACK
-        if target == TERMINAL_ABORT:
-            return Action.ABORT
-        return Action.CONTINUE
-
     def _finalize(self, execution: StrategyExecution, terminal: str) -> None:
-        execution.state = terminal
-        execution.finished_at = self._now
+        execution.finalize(terminal, self._now)
         for service in execution.strategy.services:
             self.router.uninstall(service)
         self.executor.submit(
@@ -841,7 +876,6 @@ class BifrostEngine:
         )
         promoted: str | None = None
         if terminal == TERMINAL_COMPLETE:
-            execution.outcome = StrategyOutcome.COMPLETED
             final_phase = execution.strategy.phases[-1]
             winner = execution.winner or self._experimental_version(
                 execution, final_phase
@@ -850,10 +884,6 @@ class BifrostEngine:
             if service.has_version(winner):
                 service.promote(winner)
                 promoted = winner
-        elif terminal == TERMINAL_ROLLBACK:
-            execution.outcome = StrategyOutcome.ROLLED_BACK
-        else:
-            execution.outcome = StrategyOutcome.ABORTED
         self._journal_append(
             "finalized",
             {
@@ -1006,10 +1036,7 @@ class BifrostEngine:
                     ),
                     label=f"recover-route:{name}",
                 )
-                if (
-                    phase.deadline_seconds is not None
-                    and phase.name in execution.phase_first_entered
-                ):
+                if phase.deadline_seconds is not None:
                     self._schedule_at(
                         execution.phase_first_entered[phase.name]
                         + phase.deadline_seconds,
@@ -1080,33 +1107,13 @@ class BifrostEngine:
         for execution in self.executions:
             if execution.strategy.name == strategy_name:
                 if execution.running:
-                    self._journal_append(
-                        "transition",
-                        {
-                            "strategy": strategy_name,
-                            "source": execution.state,
-                            "target": TERMINAL_ABORT,
-                            "trigger": "canceled",
-                            "action": Action.ABORT.value,
-                        },
-                    )
-                    execution.transitions.append(
-                        TransitionRecord(
-                            self._now,
-                            execution.state,
-                            TERMINAL_ABORT,
-                            "canceled",
-                            Action.ABORT,
-                        )
-                    )
-                    self._emit_transition(
+                    self._record_transition(
                         execution,
                         execution.state,
                         TERMINAL_ABORT,
                         "canceled",
                         Action.ABORT,
                     )
-                    self._finalize(execution, TERMINAL_ABORT)
                 return execution
         raise ExecutionError(f"no strategy named {strategy_name!r} submitted")
 

@@ -4,8 +4,8 @@ A live experiment is a long-running state machine; losing the engine
 process must not lose the experiment.  The engine therefore appends one
 JSON record per durable decision — strategy submissions, phase entries,
 check-evaluation rounds, transitions, route installations, finalizations
-— to an append-only :class:`Journal` *before* acting on it, and
-periodically folds the accumulated records into a compact
+— to an append-only :class:`Journal` right after applying it to the
+execution's state, and periodically folds the accumulated records into a compact
 :class:`Snapshot` (engine executions, metric/toggle store contents,
 installed routes).  Recovery (:mod:`repro.bifrost.recovery`) restores the
 latest snapshot and replays the journal suffix.

@@ -1,13 +1,14 @@
 """Rebuilding a Bifrost engine from snapshot + journal replay.
 
-Recovery is split in two: the :class:`RecoveryManager` performs *pure*
-state reconstruction — restore the latest snapshot, then fold every
-journal record after it back into :class:`StrategyExecution` objects,
-with no side effects — and then hands the rebuilt executions to
-:meth:`BifrostEngine.adopt`, which resumes them live (re-installing
-routes exactly once, re-arming deadlines from first-entry times, and
-replaying decision points missed during the outage at their original
-logical timestamps).
+Recovery is split in two.  The :class:`RecoveryManager` rebuilds state:
+it restores the latest snapshot, then decodes every journal record after
+it and folds it through the same :class:`StrategyExecution` reducer
+methods the live engine applied before journaling it, so a recovered
+execution equals the one the engine held.  It then hands the rebuilt
+executions to :meth:`BifrostEngine.adopt`, which resumes them live
+(re-installing routes exactly once, re-arming deadlines from first-entry
+times, and replaying decision points missed during the outage at their
+original logical timestamps).
 
 The :class:`EngineSupervisor` sits above both: it owns the current
 engine object, kills it when an :class:`~repro.microservices.faults.EngineCrash`
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.bifrost.checks import CheckResult
-from repro.bifrost.engine import BifrostEngine, StrategyExecution, TransitionRecord
+from repro.bifrost.engine import BifrostEngine, StrategyExecution
 from repro.bifrost.journal import (
     FINALIZED,
     PHASE_ENTERED,
@@ -41,11 +42,9 @@ from repro.bifrost.model import (
     TERMINAL_STATES,
     Action,
     CheckOutcome,
-    StrategyOutcome,
     check_from_dict,
     strategy_from_dict,
 )
-from repro.bifrost.state_machine import StateMachine
 from repro.errors import ValidationError
 from repro.obs.events import (
     RECOVERY_CRASH,
@@ -56,12 +55,6 @@ from repro.obs.events import (
 )
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.telemetry.monitor import Monitor
-
-_OUTCOME_FOR_ACTION = {
-    Action.PROMOTE: StrategyOutcome.COMPLETED,
-    Action.ROLLBACK: StrategyOutcome.ROLLED_BACK,
-    Action.ABORT: StrategyOutcome.ABORTED,
-}
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,7 @@ class RecoveryManager:
             # A transition made it to the journal but the phase entry it
             # must have caused did not (torn tail): enter the phase now
             # so the resumed execution does not re-run the old one.
-            self._enter(executions[name], target, time)
+            executions[name].enter_phase(target, time)
         now = engine.simulation.now
         self.journal.append(
             RECOVERED,
@@ -184,7 +177,7 @@ class RecoveryManager:
             inflight=tuple(inflight),
         )
 
-    # -- pure journal folding ----------------------------------------------
+    # -- decoding records into the execution reducer --------------------------
 
     def _apply(
         self,
@@ -192,18 +185,13 @@ class RecoveryManager:
         executions: dict[str, StrategyExecution],
         pending: dict[str, tuple[str, float]],
     ) -> None:
-        """Fold one journal record into the reconstructed state."""
-        kind, data = record.kind, record.data
+        """Decode one journal record and fold it through the reducer."""
+        kind, time, data = record.kind, record.time, record.data
         if kind == SUBMITTED:
-            strategy = strategy_from_dict(data["strategy"])
-            start = float(data["start"])
-            executions[strategy.name] = StrategyExecution(
-                strategy=strategy,
-                machine=StateMachine(strategy),
-                state=strategy.entry.name,
-                started_at=start,
-                phase_started_at=start,
+            execution = StrategyExecution.submitted(
+                strategy_from_dict(data["strategy"]), float(data["start"])
             )
+            executions[execution.strategy.name] = execution
             return
         if kind == RECOVERED:
             return
@@ -216,71 +204,43 @@ class RecoveryManager:
             )
         if kind == PHASE_ENTERED:
             pending.pop(name, None)
-            self._enter(execution, data["phase"], record.time)
+            execution.enter_phase(data["phase"], time)
         elif kind == TICK:
-            execution.last_tick_at = record.time
-            execution.evaluation_errors += int(data["errors"])
-            for entry in data["checks"]:
-                check = check_from_dict(entry["check"])
-                outcome = CheckOutcome(entry["outcome"])
-                execution.check_log.append(
+            entries = data["checks"]
+            execution.record_tick(
+                time,
+                [
                     CheckResult(
-                        check,
-                        record.time,
-                        outcome,
+                        check_from_dict(entry["check"]),
+                        time,
+                        CheckOutcome(entry["outcome"]),
                         entry["observed"],
                         entry["reference"],
                     )
-                )
-                execution.check_last[check.name] = outcome
-                execution.check_next_due[check.name] = float(entry["next_due"])
-        elif kind == ROLLOUT:
-            execution.rollout_step = int(data["step"])
-        elif kind == WINNER:
-            execution.winner = data["version"]
-        elif kind == TRANSITION:
-            source = data["source"]
-            target = data["target"]
-            trigger = data["trigger"]
-            action = Action(data["action"])
-            execution.transitions.append(
-                TransitionRecord(record.time, source, target, trigger, action)
+                    for entry in entries
+                ],
+                [float(entry["next_due"]) for entry in entries],
+                int(data["errors"]),
             )
-            if action is Action.REPEAT:
-                execution.repeats[source] = execution.repeats.get(source, 0) + 1
-            if trigger == "deadline":
-                execution.deadline_exceeded = source
-            if target in TERMINAL_STATES:
-                execution.state = target
-                execution.finished_at = record.time
-                execution.outcome = _OUTCOME_FOR_ACTION.get(
-                    action, StrategyOutcome.ABORTED
-                )
-            else:
+        elif kind == ROLLOUT:
+            execution.record_rollout(int(data["step"]))
+        elif kind == WINNER:
+            execution.record_winner(data["version"])
+        elif kind == TRANSITION:
+            target = data["target"]
+            execution.record_transition(
+                time, data["source"], target, data["trigger"], Action(data["action"])
+            )
+            if target not in TERMINAL_STATES:
                 # The matching phase_entered record normally follows
                 # immediately; track it so a torn tail can be repaired.
-                pending[name] = (target, record.time)
+                pending[name] = (target, time)
         elif kind == FINALIZED:
             pending.pop(name, None)
-            execution.state = data["terminal"]
-            execution.outcome = StrategyOutcome(data["outcome"])
-            execution.finished_at = record.time
+            execution.finalize(data["terminal"], time)
         # ROUTE records carry no execution state: routes live in the data
         # plane, which survives an engine crash; adopt() re-installs them
         # for resumed phases regardless.
-
-    @staticmethod
-    def _enter(execution: StrategyExecution, phase_name: str, time: float) -> None:
-        """Apply the state effects of entering a phase (replay-side twin
-        of the engine's ``_enter_phase``, without any side effects)."""
-        execution.state = phase_name
-        execution.phase_started_at = time
-        execution.rollout_step = -1
-        execution.check_next_due = {}
-        execution.check_last = {}
-        execution.last_tick_at = None
-        execution.phase_entries += 1
-        execution.phase_first_entered.setdefault(phase_name, time)
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,19 @@ def run_scenario(crash_windows, snapshot_policy=None, corrupt_tail_at=None):
     return bifrost, app, outcomes
 
 
+def transition_log(bifrost):
+    execution = bifrost.engine.executions[0]
+    return [
+        (t.time, t.source, t.target, t.trigger, t.action)
+        for t in execution.transitions
+    ]
+
+
+def check_log(bifrost):
+    execution = bifrost.engine.executions[0]
+    return [(r.time, r.check.name, r.outcome) for r in execution.check_log]
+
+
 class TestCrashMidPhase:
     def test_canary_completes_across_two_crashes(self):
         b_base, app_base, out_base = run_scenario([])
@@ -139,15 +152,7 @@ class TestCrashMidPhase:
     def test_transition_log_identical_to_baseline(self):
         b_base, _, _ = run_scenario([])
         b_crash, _, _ = run_scenario([(30.0, 45.0), (70.0, 85.0)])
-
-        def log(b):
-            execution = b.engine.executions[0]
-            return [
-                (t.time, t.source, t.target, t.trigger, t.action)
-                for t in execution.transitions
-            ]
-
-        assert log(b_crash) == log(b_base)
+        assert transition_log(b_crash) == transition_log(b_base)
 
     def test_crash_with_snapshots_and_compaction(self):
         b_base, _, out_base = run_scenario([])
@@ -158,6 +163,8 @@ class TestCrashMidPhase:
         assert b_crash.snapshots.taken >= 1
         assert all(r.snapshot_restored for r in b_crash.supervisor.reports)
         assert b_crash.outcome_of("catalog-canary") is StrategyOutcome.COMPLETED
+        assert transition_log(b_crash) == transition_log(b_base)
+        assert check_log(b_crash) == check_log(b_base)
         assert [o.version_path for o in out_crash] == [
             o.version_path for o in out_base
         ]

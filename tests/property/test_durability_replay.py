@@ -9,11 +9,20 @@ this hold — telemetry survives the crash, so late evaluations see the
 data the crash-free engine saw.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bifrost import Bifrost
-from repro.bifrost.model import Check, Phase, PhaseType, Strategy, StrategyOutcome
+from repro.bifrost import Bifrost, SnapshotPolicy
+from repro.bifrost.journal import execution_to_dict
+from repro.bifrost.model import (
+    TERMINAL_COMPLETE,
+    Check,
+    Phase,
+    PhaseType,
+    Strategy,
+    StrategyOutcome,
+)
 from repro.microservices.application import Application
 from repro.microservices.faults import EngineCrash, FaultCampaign, FaultInjector
 from repro.microservices.service import EndpointSpec, ServiceVersion
@@ -134,3 +143,75 @@ def test_crash_spanning_phase_end_converges_outside_the_dead_window():
         assert ts_base == ts_crash
         if not window[0] <= ts_base <= window[1]:
             assert path_base == path_crash
+
+
+def chained_canary() -> Strategy:
+    """Two 30 s canary phases, ``one`` then ``two``, checked every 5 s."""
+
+    def phase(name: str, on_success: str) -> Phase:
+        return Phase(
+            name=name,
+            type=PhaseType.CANARY,
+            service="frontend",
+            stable_version="1.0.0",
+            experimental_version="2.0.0",
+            fraction=0.25,
+            duration_seconds=30.0,
+            check_interval_seconds=5.0,
+            on_success=on_success,
+            checks=canary_strategy(0.5).phases[0].checks,
+        )
+
+    return Strategy(
+        "chained-canary", (phase("one", "two"), phase("two", TERMINAL_COMPLETE))
+    )
+
+
+def run_snapshotted(scenario, every_records, crash_window):
+    """One seeded run snapshotting every *every_records* journal appends.
+
+    ``chained`` runs :func:`chained_canary` (its ``one`` → ``two``
+    transition lands at t = 31); ``resubmitted`` runs the single-phase
+    canary and submits a second one at t = 100, after the first finished.
+    """
+    app = build_app()
+    bifrost = Bifrost(
+        app,
+        seed=SEED,
+        durable=True,
+        snapshot_policy=SnapshotPolicy(every_records=every_records),
+    )
+    if crash_window is not None:
+        campaign = FaultCampaign(FaultInjector(app))
+        campaign.add(EngineCrash(*crash_window))
+        bifrost.install_campaign(campaign)
+    if scenario == "chained":
+        bifrost.submit(chained_canary(), at=1.0)
+    else:
+        bifrost.submit(canary_strategy(0.5), at=1.0)
+        second = Strategy("second-canary", canary_strategy(0.5).phases)
+        bifrost.simulation.schedule_at(100.0, lambda: bifrost.submit(second))
+    population = UserPopulation(300, DEFAULT_GROUPS, seed=SEED + 1)
+    workload = WorkloadGenerator(population, entry="frontend.home", seed=SEED + 2)
+    bifrost.run(workload.poisson(12.0, 130.0), until=240.0)
+    return bifrost
+
+
+# A snapshot may land on any append: on a transition (cadences 5 and 10
+# of ``chained``) or on a later strategy's submission (3, 6, 9 and 18 of
+# ``resubmitted``) it must already hold that record, and the recovered
+# executions must equal the crash-free ones field for field.  The dicts
+# are compared because ``StateMachine`` compares by identity.
+@pytest.mark.parametrize("every_records", [3, 5, 6, 9, 10, 18, 25])
+@pytest.mark.parametrize(
+    "scenario, crash_window",
+    [("chained", (31.5, 34.0)), ("resubmitted", (100.5, 105.0))],
+)
+def test_snapshot_on_any_append_recovers_equal(scenario, crash_window, every_records):
+    baseline = run_snapshotted(scenario, every_records, None)
+    crashed = run_snapshotted(scenario, every_records, crash_window)
+    assert crashed.supervisor.restarts == 1
+    assert crashed.supervisor.restart_failures == 0
+    assert [execution_to_dict(e) for e in crashed.engine.executions] == [
+        execution_to_dict(e) for e in baseline.engine.executions
+    ]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bifrost.journal import TICK, Journal
+from repro.bifrost.journal import TICK, Journal, execution_to_dict
 from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import (
     TERMINAL_COMPLETE,
@@ -50,12 +50,50 @@ def canary_phase(**kwargs) -> Phase:
     return Phase(**defaults)
 
 
-def durable_run(app, strategy, crash_at=None, restart_at=None, **bifrost_kwargs):
+def inconclusive_strategy() -> Strategy:
+    # "saturation" is never recorded, so every check round is
+    # inconclusive and the phase REPEATs once before giving up.
+    phase = canary_phase(
+        checks=(
+            Check(
+                name="sat",
+                service="backend",
+                version="2.0.0",
+                metric="saturation",
+                threshold=0.5,
+                window_seconds=20.0,
+            ),
+        ),
+        on_inconclusive="repeat",
+        max_repeats=1,
+    )
+    return Strategy("s", (phase,))
+
+
+def ghost_audience_strategy() -> Strategy:
+    # No traffic reaches the audience, so the phase repeats forever;
+    # only the deadline (armed at first entry) can end it.
+    phase = canary_phase(
+        audience_groups=frozenset({"ghost-group"}),
+        duration_seconds=30.0,
+        max_repeats=50,
+        deadline_seconds=100.0,
+    )
+    return Strategy("s", (phase,))
+
+
+def durable_run(
+    app, strategy, crash_at=None, restart_at=None, cancel_at=None, **bifrost_kwargs
+):
     """Drive a durable Bifrost, optionally crashing the engine manually."""
     bifrost = Bifrost(app, seed=3, durable=True, **bifrost_kwargs)
     execution = bifrost.submit(strategy, at=1.0)
     population = UserPopulation(400, GROUPS, seed=4)
     workload = WorkloadGenerator(population, entry="frontend.home", seed=5)
+    if cancel_at is not None:
+        bifrost.simulation.schedule_at(
+            cancel_at, lambda: bifrost.engine.cancel(strategy.name)
+        )
     if crash_at is not None:
         bifrost.simulation.schedule_at(
             crash_at, lambda: bifrost.supervisor.crash(crash_at)
@@ -146,6 +184,63 @@ class TestRecoveryManager:
         assert "recovered" in kinds
 
 
+class TestRecoveryFoldsWithTheEngineReducer:
+    """Recovery applies journal records through the same reducer the live
+    engine used, so a finished run recovered from its whole journal (no
+    snapshot) into a fresh engine equals the live execution field for
+    field.  Each case reaches one record kind."""
+
+    @pytest.mark.parametrize(
+        "strategy, cancel_at, reached",
+        [
+            pytest.param(
+                inconclusive_strategy(), None, lambda e: e.repeats == {"canary": 1},
+                id="repeat",
+            ),
+            pytest.param(
+                ghost_audience_strategy(), None,
+                lambda e: e.deadline_exceeded == "canary",
+                id="deadline",
+            ),
+            pytest.param(
+                Strategy("s", (canary_phase(
+                    type=PhaseType.AB_TEST,
+                    experimental_version="1.0.0",
+                    second_version="2.0.0",
+                    fraction=0.5,
+                ),)),
+                None,
+                lambda e: e.winner == "1.0.0",
+                id="winner",
+            ),
+            pytest.param(
+                Strategy("s", (canary_phase(
+                    type=PhaseType.GRADUAL_ROLLOUT, steps=(0.2, 0.5, 1.0)
+                ),)),
+                None,
+                lambda e: e.rollout_step == 2,
+                id="rollout",
+            ),
+            pytest.param(
+                Strategy("s", (canary_phase(),)), 20.0,
+                lambda e: e.outcome is StrategyOutcome.ABORTED,
+                id="cancel",
+            ),
+        ],
+    )
+    def test_whole_journal_recovers_the_live_execution(
+        self, canary_app, strategy, cancel_at, reached
+    ):
+        bifrost, _ = durable_run(canary_app, strategy, cancel_at=cancel_at)
+        live = bifrost.engine.executions
+        assert not live[0].running and reached(live[0])
+        fresh = bifrost.supervisor.factory()
+        RecoveryManager(bifrost.journal).recover(fresh)
+        assert [execution_to_dict(e) for e in fresh.executions] == [
+            execution_to_dict(e) for e in live
+        ]
+
+
 class TestInFlightOutcome:
     def _truncate_after_decisive_tick(self, bifrost) -> None:
         """Cut the journal right after the first FAIL tick record,
@@ -186,25 +281,6 @@ class TestInFlightOutcome:
 
 
 class TestCatchupRouteReinstall:
-    def _inconclusive_strategy(self) -> Strategy:
-        # "saturation" is never recorded, so every check round is
-        # inconclusive and the phase REPEATs once before giving up.
-        phase = canary_phase(
-            checks=(
-                Check(
-                    name="sat",
-                    service="backend",
-                    version="2.0.0",
-                    metric="saturation",
-                    threshold=0.5,
-                    window_seconds=20.0,
-                ),
-            ),
-            on_inconclusive="repeat",
-            max_repeats=1,
-        )
-        return Strategy("s", (phase,))
-
     def _route_count(self, bifrost) -> int:
         return sum(1 for r in bifrost.journal.records() if r.kind == "route")
 
@@ -214,7 +290,7 @@ class TestCatchupRouteReinstall:
         # re-entry — which installs and journals the phase route itself.
         # The recover-route step then fired *again* on the re-entered
         # phase, journaling a route update the crash-free run never made.
-        baseline, _ = durable_run(canary_app, self._inconclusive_strategy())
+        baseline, _ = durable_run(canary_app, inconclusive_strategy())
         # Entry + one REPEAT re-entry: exactly two installs.
         assert self._route_count(baseline) == 2
 
@@ -222,7 +298,7 @@ class TestCatchupRouteReinstall:
 
         crashed, _ = durable_run(
             copy.deepcopy(canary_app),
-            self._inconclusive_strategy(),
+            inconclusive_strategy(),
             crash_at=30.0,
             restart_at=75.0,  # past the first round's end at t=61
         )
@@ -311,17 +387,11 @@ class TestSnapshotRecovery:
 
 class TestDeadlineAcrossRestart:
     def test_deadline_measured_from_first_entry_survives_crash(self, canary_app):
-        # No traffic reaches the audience, so the phase repeats forever;
-        # only the deadline (armed at first entry) can end it — and it
-        # must still fire although the engine restarted in between.
-        phase = canary_phase(
-            audience_groups=frozenset({"ghost-group"}),
-            duration_seconds=30.0,
-            max_repeats=50,
-            deadline_seconds=100.0,
+        # The deadline must still fire although the engine restarted in
+        # between.
+        bifrost, _ = durable_run(
+            canary_app, ghost_audience_strategy(), crash_at=50.0, restart_at=70.0
         )
-        strategy = Strategy("s", (phase,))
-        bifrost, _ = durable_run(canary_app, strategy, crash_at=50.0, restart_at=70.0)
         execution = bifrost.engine.executions[0]
         assert execution.deadline_exceeded == "canary"
         assert execution.outcome is StrategyOutcome.ROLLED_BACK
