@@ -28,10 +28,10 @@ from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVer
 from repro.obs import (
     JsonlEventSink,
     Observer,
+    build_provenance,
     diff_timeline_execution,
     glass_box_panel,
     load_jsonl,
-    reconstruct_timelines,
     render_ascii,
     render_prometheus,
 )
@@ -158,8 +158,7 @@ def main() -> None:
     run_search(observer)
 
     execution = bifrost.engine.executions[0]
-    timelines = reconstruct_timelines(observer.events)
-    timeline = timelines["catalog-canary"]
+    timeline = build_provenance(observer.events).strategy("catalog-canary")
 
     print("--- glass-box canary (two engine crashes) ---")
     print(f"strategy outcome: {execution.outcome.value}")

@@ -197,10 +197,11 @@ class ReplayBackend:
 def diff_replay(recording: Recording, result: ReplayRunResult) -> ReplayDiff:
     """Compare a replay against its recording, outcome by outcome.
 
-    Reconstructs the recorded timelines from the recording's event
-    stream (refusing a truncated one), diffs each replayed execution
-    against its recorded timeline field by field, and compares the run
-    digests — full store contents, transitions, check log, terminals.
+    Folds the recording's event stream into provenance records — each
+    one the strategy's timeline — refusing a truncated stream, diffs
+    each replayed execution against its record field by field, and
+    compares the run digests — full store contents, transitions, check
+    log, terminals.
     """
     sentinel = recording.truncated
     if sentinel is not None:

@@ -1074,12 +1074,7 @@ def fleet_outcomes_for_reevaluation(result: FleetResult) -> dict[str, str]:
     return dict(result.outcomes)
 
 
-# Re-exported for FleetConfig.from_dict simplicity: dataclasses.replace
-# users sometimes want the spec of overridable fields.
-CONFIG_FIELDS = tuple(FleetConfig().to_dict())
-
 __all__ = [
-    "CONFIG_FIELDS",
     "EXPERIMENTAL_VERSION",
     "ExperimentFaults",
     "FLEET_FORMAT",

@@ -4,10 +4,11 @@
 :mod:`repro.obs` watches the *experimenter*: a structured
 :class:`EventLog` of typed events with monotonic sequence numbers and
 logical timestamps, a labeled :class:`MetricRegistry`, exporters
-(Prometheus-style exposition, streaming JSONL), timelines reconstructed
-purely from events, an ASCII self-observability dashboard, a decision
-:mod:`provenance <repro.obs.provenance>` graph (every promotion explains
-itself), and multi-window burn-rate :mod:`alerts <repro.obs.alerts>`.
+(Prometheus-style exposition, streaming JSONL), a decision
+:mod:`provenance <repro.obs.provenance>` graph folded purely from events
+(every promotion explains itself, and each strategy's record is also its
+:mod:`timeline <repro.obs.timeline>`), an ASCII self-observability
+dashboard, and multi-window burn-rate :mod:`alerts <repro.obs.alerts>`.
 The whole layer collapses to near-zero cost behind :data:`NULL_OBSERVER`
 when disabled.  See ``docs/OBSERVABILITY.md`` for the event taxonomy.
 """
@@ -35,7 +36,6 @@ from repro.obs.events import (
     RECOVERY_REFUSED,
     RECOVERY_REPLAYED,
     RECOVERY_RESTART,
-    TIMELINE_KINDS,
     TOPOLOGY_HEALTH,
     Event,
     EventLog,
@@ -61,9 +61,6 @@ from repro.obs.exporters import (
     sanitize_metric_name,
 )
 from repro.obs.timeline import (
-    CheckPoint,
-    ExperimentTimeline,
-    PhaseSpan,
     diff_timeline_execution,
     reconstruct_timelines,
     render_ascii,
@@ -81,6 +78,7 @@ from repro.obs.provenance import (
     REPORT_FORMATS,
     Decision,
     Evidence,
+    PhaseSpan,
     ProvenanceGraph,
     ProvenanceTracker,
     StrategyProvenance,
@@ -112,7 +110,6 @@ __all__ = [
     "RECOVERY_REFUSED",
     "RECOVERY_REPLAYED",
     "RECOVERY_RESTART",
-    "TIMELINE_KINDS",
     "TOPOLOGY_HEALTH",
     "Event",
     "EventLog",
@@ -136,9 +133,6 @@ __all__ = [
     "format_sample",
     "render_prometheus",
     "sanitize_metric_name",
-    "CheckPoint",
-    "ExperimentTimeline",
-    "PhaseSpan",
     "diff_timeline_execution",
     "reconstruct_timelines",
     "render_ascii",
@@ -152,6 +146,7 @@ __all__ = [
     "REPORT_FORMATS",
     "Decision",
     "Evidence",
+    "PhaseSpan",
     "ProvenanceGraph",
     "ProvenanceTracker",
     "StrategyProvenance",

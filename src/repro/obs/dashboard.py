@@ -13,10 +13,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.obs.registry import COUNTER, GAUGE, HISTOGRAM
-from repro.obs.timeline import ExperimentTimeline, reconstruct_timelines
+from repro.obs.timeline import reconstruct_timelines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observer import Observer
+    from repro.obs.provenance import StrategyProvenance
     from repro.telemetry.store import MetricStore
 
 
@@ -25,9 +26,9 @@ def _rule(title: str, width: int) -> str:
     return body + "=" * max(0, width - len(body))
 
 
-def _timeline_line(timeline: ExperimentTimeline) -> str:
+def _timeline_line(timeline: "StrategyProvenance") -> str:
     state = timeline.outcome or ("running" if timeline.phases else "submitted")
-    checks = len(timeline.check_points)
+    checks = len(timeline.evidence)
     parts = [
         f"{timeline.strategy:<24s} {state:<10s}",
         f"phases={len(timeline.phases)}",

@@ -67,10 +67,7 @@ RECOVERY_REPLAYED = "recovery.replayed"
 
 FLEET_PLANNED = "fleet.planned"
 FLEET_SLOT_STARTED = "fleet.slot_started"
-FLEET_ADMITTED = "fleet.admitted"
-FLEET_QUEUED = "fleet.queued"
 FLEET_SHED = "fleet.shed"
-FLEET_PAUSED = "fleet.paused"
 FLEET_EXPERIMENT_CRASHED = "fleet.experiment_crashed"
 FLEET_EXPERIMENT_RESTARTED = "fleet.experiment_restarted"
 FLEET_EXPERIMENT_OUTCOME = "fleet.experiment_outcome"
@@ -97,18 +94,6 @@ DECISION_RECORDED = "decision.recorded"
 #: Sentinel record kind marking that a bounded ring evicted events before
 #: an export, so the exported stream is missing an unknown-length prefix.
 OBS_TRUNCATED = "obs.truncated"
-
-#: The engine-lifecycle kinds the timeline reconstruction consumes.
-TIMELINE_KINDS = frozenset(
-    {
-        ENGINE_SUBMITTED,
-        ENGINE_PHASE_ENTERED,
-        ENGINE_CHECK,
-        ENGINE_TRANSITION,
-        ENGINE_WINNER,
-        ENGINE_FINALIZED,
-    }
-)
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,21 @@ causal DAG:
   faults active at decision time, and the triggering transition event's
   sequence number;
 * :data:`~repro.obs.events.ALERT_FIRED` / ``alert.resolved`` pairs
-  become :class:`AlertSpan` intervals.
+  become :class:`AlertSpan` intervals;
+* every :data:`~repro.obs.events.ENGINE_PHASE_ENTERED` opens a
+  :class:`PhaseSpan` that the next matching
+  :data:`~repro.obs.events.ENGINE_TRANSITION` closes, so each
+  :class:`StrategyProvenance` is also the strategy's timeline
+  (:mod:`repro.obs.timeline` verifies and renders it).
 
-The same fold runs in two places.  The engine feeds each event it emits
-into its observer's :class:`ProvenanceTracker` the moment it is emitted,
-so the engine-side graph is always live; :func:`build_provenance` runs
-an identical fresh fold over nothing but an exported event stream.  The
-two graphs are equal *by construction* — the property suite pins the
-remaining risk, export → JSONL → load fidelity, across randomized
-topologies and across REPLAY of a SIM recording.
+This is the only fold over engine-lifecycle events, and it runs in two
+places.  The engine feeds each event it emits into its observer's
+:class:`ProvenanceTracker` the moment it is emitted, so the engine-side
+graph is always live; :func:`build_provenance` runs an identical fresh
+fold over nothing but an exported event stream.  The two graphs are
+equal *by construction* — the property suite pins the remaining risk,
+export → JSONL → load fidelity, across randomized topologies and across
+REPLAY of a SIM recording.
 
 :func:`render_decision_report` answers "why did this canary roll back?"
 in one call: the terminal decision, each linked evidence record with its
@@ -46,6 +52,7 @@ from repro.obs.events import (
     ENGINE_FINALIZED,
     ENGINE_PHASE_ENTERED,
     ENGINE_SUBMITTED,
+    ENGINE_TRANSITION,
     ENGINE_WINNER,
     Event,
     is_truncation,
@@ -200,18 +207,62 @@ class AlertSpan:
 
 
 @dataclass
+class PhaseSpan:
+    """One stay in one phase: entry, evidence, and the exit transition."""
+
+    name: str
+    entered_at: float
+    exited_at: float | None = None
+    trigger: str | None = None
+    target: str | None = None
+    action: str | None = None
+    evidence: list[Evidence] = field(default_factory=list)
+
+    def outcome_counts(self) -> dict[str, int]:
+        """Check outcomes observed during this stay, by outcome value."""
+        counts: dict[str, int] = {}
+        for item in self.evidence:
+            counts[item.outcome] = counts.get(item.outcome, 0) + 1
+        return counts
+
+
+@dataclass
 class StrategyProvenance:
-    """The causal record of one strategy execution."""
+    """The causal record, and the timeline, of one strategy execution.
+
+    ``phases`` and ``truncated_dropped`` stay out of :meth:`as_dict`:
+    the stays regroup the evidence and decisions the dict already holds.
+    """
 
     strategy: str
     submitted_at: float | None = None
     evidence: dict[int, Evidence] = field(default_factory=dict)
     decisions: list[Decision] = field(default_factory=list)
+    phases: list[PhaseSpan] = field(default_factory=list)
     winner: str | None = None
     terminal: str | None = None
     outcome: str | None = None
     promoted: str | None = None
     finished_at: float | None = None
+    #: Events evicted before the stream this record was folded from —
+    #: nonzero means the history below is a *suffix*, not the full run.
+    truncated_dropped: int = 0
+
+    @property
+    def open_phase(self) -> PhaseSpan | None:
+        """The phase currently being executed (None once finished)."""
+        if self.phases and self.phases[-1].exited_at is None:
+            return self.phases[-1]
+        return None
+
+    @property
+    def transitions(self) -> list[tuple[float, str, str, str, str]]:
+        """Each decision's transition as ``(time, source, target, trigger,
+        action)`` — the engine records one decision per transition."""
+        return [
+            (d.time, d.source, d.target, d.trigger, d.action)
+            for d in self.decisions
+        ]
 
     def terminal_decision(self) -> Decision | None:
         """The decision that ended the execution (None while running)."""
@@ -330,17 +381,14 @@ class ProvenanceTracker:
 
     The engine holds one per observer and feeds every event it emits;
     :func:`build_provenance` runs the identical fold over an exported
-    stream.  Besides the graph, the tracker maintains the *current phase
-    stay* index — the latest evidence seq per check since the last phase
-    entry — which is what the engine consults (via
-    :meth:`stay_evidence`) to link a decision to its evidence.
+    stream.  The engine links each decision to its evidence through
+    :meth:`stay_evidence`, which reads the strategy's latest phase stay.
     """
 
     def __init__(self) -> None:
         self._strategies: dict[str, StrategyProvenance] = {}
         self._alerts: list[AlertSpan] = []
         self._open_alerts: dict[str, AlertSpan] = {}
-        self._stay: dict[str, dict[str, int]] = {}
 
     def _strategy(self, name: str) -> StrategyProvenance:
         record = self._strategies.get(name)
@@ -357,16 +405,27 @@ class ProvenanceTracker:
             evidence = evidence_from_event(event)
             record = self._strategy(evidence.strategy)
             record.evidence[evidence.seq] = evidence
-            self._stay.setdefault(evidence.strategy, {})[
-                evidence.check
-            ] = evidence.seq
+            span = record.open_phase
+            if span is None:
+                # Defensive: a check without an open stay still shows up.
+                span = PhaseSpan(name=evidence.phase, entered_at=event.time)
+                record.phases.append(span)
+            span.evidence.append(evidence)
         elif kind == DECISION_RECORDED:
             decision = decision_from_event(event)
             self._strategy(decision.strategy).decisions.append(decision)
         elif kind == ENGINE_PHASE_ENTERED:
-            name = str(data.get("strategy", ""))
-            self._strategy(name)
-            self._stay[name] = {}
+            record = self._strategy(str(data.get("strategy", "")))
+            record.phases.append(
+                PhaseSpan(name=str(data.get("phase", "")), entered_at=event.time)
+            )
+        elif kind == ENGINE_TRANSITION:
+            span = self._strategy(str(data.get("strategy", ""))).open_phase
+            if span is not None and span.name == data.get("source"):
+                span.exited_at = event.time
+                span.trigger = str(data.get("trigger", ""))
+                span.target = str(data.get("target", ""))
+                span.action = str(data.get("action", ""))
         elif kind == ENGINE_SUBMITTED:
             record = self._strategy(str(data.get("strategy", "")))
             record.submitted_at = float(data.get("start", event.time))
@@ -397,8 +456,16 @@ class ProvenanceTracker:
                 span.resolved_seq = event.seq
 
     def stay_evidence(self, strategy: str) -> tuple[int, ...]:
-        """Evidence seqs of the current phase stay (latest per check)."""
-        return tuple(sorted(self._stay.get(strategy, {}).values()))
+        """Evidence seqs of the latest phase stay (latest per check).
+
+        The stay counts whether or not it is closed: the engine asks just
+        after emitting the transition that closed it.
+        """
+        record = self._strategies.get(strategy)
+        if record is None or not record.phases:
+            return ()
+        latest = {item.check: item.seq for item in record.phases[-1].evidence}
+        return tuple(sorted(latest.values()))
 
     def graph(self) -> ProvenanceGraph:
         """The graph folded so far (a live view, not a copy)."""
@@ -416,9 +483,11 @@ def build_provenance(
     the result equals the engine-side graph exactly (digest-equal).  A
     stream carrying an :data:`~repro.obs.events.OBS_TRUNCATED` sentinel
     is refused — a DAG folded from a suffix would silently drop evidence
-    decisions still link to — unless ``allow_truncated=True``.
+    decisions still link to — unless ``allow_truncated=True``, which
+    labels every record with the evicted count (``truncated_dropped``).
     """
     tracker = ProvenanceTracker()
+    evicted = 0
     for event in events:
         if is_truncation(event):
             if not allow_truncated:
@@ -428,9 +497,13 @@ def build_provenance(
                     f"stream ({dropped} events evicted before export); pass "
                     "allow_truncated=True to fold the surviving tail anyway"
                 )
+            evicted += int(event.data.get("dropped", 0) or 0)
             continue
         tracker.record(event)
-    return tracker.graph()
+    graph = tracker.graph()
+    for record in graph.strategies.values():
+        record.truncated_dropped = evicted
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +541,8 @@ def _render_ascii(graph: ProvenanceGraph, record: StrategyProvenance) -> str:
     lines = [f"strategy {record.strategy} — {verdict}"]
     if record.finished_at is not None:
         lines[0] += f" at {record.finished_at:.1f}s"
+    if record.truncated_dropped:
+        lines.insert(0, f"[TRUNCATED: {record.truncated_dropped} events dropped]")
     if record.winner is not None:
         lines.append(f"  winner: {record.winner}")
     if record.promoted:
@@ -550,6 +625,7 @@ __all__ = [
     "AlertSpan",
     "Decision",
     "Evidence",
+    "PhaseSpan",
     "ProvenanceGraph",
     "ProvenanceTracker",
     "REPORT_FORMATS",

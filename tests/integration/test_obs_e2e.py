@@ -77,6 +77,8 @@ class TestTimelineEqualsEngineRecord:
         assert bifrost.supervisor.restarts == 2
         timeline = reconstruct_timelines(observer.events)["catalog-canary"]
         assert diff_timeline_execution(timeline, execution) == []
+        live = observer.provenance.graph().strategy("catalog-canary")
+        assert diff_timeline_execution(live, execution) == []
 
     def test_crashed_and_crash_free_timelines_agree(self):
         # Recovery replays the journal without re-emitting: the event
@@ -90,8 +92,8 @@ class TestTimelineEqualsEngineRecord:
         assert base.transitions == crash.transitions
         assert base.outcome == crash.outcome
         assert base.finished_at == crash.finished_at
-        check_key = [(p.time, p.outcome) for p in base.check_points]
-        assert check_key == [(p.time, p.outcome) for p in crash.check_points]
+        check_key = [(p.time, p.outcome) for p in base.evidence.values()]
+        assert check_key == [(p.time, p.outcome) for p in crash.evidence.values()]
 
     def test_recovery_events_present_with_original_timestamps(self):
         _, observer = run_observed([(30.0, 45.0), (70.0, 85.0)])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.exec import ExecutionRouter, Recording
 from repro.obs.provenance import build_provenance
+from repro.obs.timeline import diff_timeline_execution
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
@@ -129,6 +130,12 @@ class TestEngineGraphEqualsOfflineFold:
             for decision in record.decisions
             for seq in decision.evidence
         )
+        # The live record is a timeline: it matches the engine's own
+        # record, and its phase stays equal the offline fold's.
+        (execution,) = report.details.executions
+        live_record = live.strategy(strategy.name)
+        assert diff_timeline_execution(live_record, execution) == []
+        assert live_record.phases == record.phases
 
     @given(
         seed=st.integers(min_value=1, max_value=10_000),

@@ -194,6 +194,9 @@ class TestFold:
             build_provenance(stream)
         graph = build_provenance(stream, allow_truncated=True)
         assert "s" in graph.strategies
+        report = render_decision_report(graph, "s", fmt="ascii")
+        banner = f"[TRUNCATED: {log.dropped} events dropped]"
+        assert report.splitlines()[0] == banner
 
 
 class TestDecisionReport:

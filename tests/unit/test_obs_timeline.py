@@ -89,10 +89,10 @@ class TestReconstruction:
 
     def test_checks_attach_to_open_phase(self):
         timeline = reconstruct_timelines(synthetic_log())["s"]
-        assert len(timeline.phases[0].checks) == 1
-        assert timeline.phases[0].checks[0].observed == 0.01
+        assert len(timeline.phases[0].evidence) == 1
+        assert timeline.phases[0].evidence[0].observed == 0.01
         assert timeline.phases[0].outcome_counts() == {"pass": 1}
-        assert len(timeline.check_points) == 1
+        assert len(timeline.evidence) == 1
 
     def test_unrelated_kinds_are_ignored(self):
         log = synthetic_log()
@@ -127,7 +127,7 @@ class TestVerificationAgainstEngine:
         strategy = Strategy("s", (canary_phase(),))
         _, execution = run_strategy(canary_app, strategy, observer=observer)
         timeline = reconstruct_timelines(observer.events)["s"]
-        timeline.phases[0].checks.pop()
+        timeline.phases[0].evidence.pop()
         problems = diff_timeline_execution(timeline, execution)
         assert any("checks" in p for p in problems)
 
