@@ -10,6 +10,7 @@ simulated clock.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigurationError
@@ -29,6 +30,7 @@ from repro.microservices.resilience import ResilienceLayer
 from repro.microservices.runtime import RequestOutcome, Runtime
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.routing.proxy import VersionRouter
+from repro.simulation.batch import RequestKernel, drive
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import SimulationEngine
 from repro.toggles.store import ToggleStore
@@ -304,9 +306,23 @@ class Bifrost:
 
         Returns the request outcomes of this run (also appended to
         :attr:`outcomes`).  With *until*, the engine keeps running after
-        the workload drains — e.g. to let strategies finish.
+        the workload drains — e.g. to let strategies finish.  A request
+        earlier than one before it runs at the later time: the clock
+        never goes back.
         """
-        produced = list(self.runtime.replay(self.simulation, workload))
+        requests = list(workload)
+        produced: list[RequestOutcome] = []
+
+        def run_stretch(lo: int, hi: int) -> None:
+            kernel = RequestKernel(self.runtime)
+            try:
+                for request in requests[lo:hi]:
+                    produced.append(self.runtime.execute(request, kernel))
+            finally:
+                kernel.flush()
+
+        timestamps = list(accumulate((request.timestamp for request in requests), max))
+        drive(self.simulation, timestamps, run_stretch)
         if until is not None:
             self.simulation.run_until(until)
         self.outcomes.extend(produced)

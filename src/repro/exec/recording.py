@@ -119,7 +119,7 @@ class RecordedRequests(Sequence):
     It still reads as a sequence of :class:`RecordedRequest` — ``len``,
     index, slice, iteration and ``==`` against any other sequence of them —
     each one materialised on access; bulk readers (:meth:`jsonl_lines`,
-    :meth:`arrivals`) walk the columns instead.
+    REPLAY's stretches) walk the columns instead.
 
     Byte-compatibility contract: :meth:`jsonl_lines` yields, per request,
     exactly ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
@@ -248,15 +248,6 @@ class RecordedRequests(Sequence):
         self.errors.append(bool(error))
         self.header_ends.append(len(self.header_keys))
         self.span_ends.append(len(self.span_starts))
-
-    def arrivals(self) -> Iterator[tuple[float, list[tuple]]]:
-        """Per request, its timestamp and its (service, version, start,
-        duration_ms, error) span rows, off the columns: what REPLAY walks."""
-        spans = zip(
-            self.span_services, self.span_versions, self.span_starts,
-            self.span_durations, self.span_errors,
-        )
-        return zip(self.timestamps, map(list, _runs(spans, self.span_ends)))
 
     def jsonl_lines(self) -> Iterator[str]:
         """One canonical ``request`` line per request, off the columns."""

@@ -2,11 +2,11 @@
 
 The replay rebuilds a fresh engine stack (clock, simulation queue,
 router, metric store, observer) and re-presents the recording's request
-stream *as observations*: for each recorded request, the simulation
-advances to the original arrival timestamp (firing any engine decisions
-due first, exactly like ``Runtime.replay``) and the recorded spans'
-samples reach the store, in their original order, before the next engine
-event.  Because every check evaluation reads nothing but the store, the
+stream *as observations* through SIM's interleave loop,
+:func:`~repro.simulation.batch.drive`: engine decisions due at or before
+a recorded arrival run first, exactly as they did live, and the recorded
+spans' samples reach the store, in their original order, before the next
+engine event.  Because every check evaluation reads nothing but the store, the
 replayed engine sees byte-identical inputs at identical logical times — so
 a faithful replay is *digest-equal* to the recording
 (:func:`~repro.exec.recording.run_digest`), and :func:`diff_replay` reports
@@ -24,7 +24,9 @@ different experiment.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 from repro.bifrost.dsl import parse_strategy
@@ -36,6 +38,7 @@ from repro.microservices.application import Application
 from repro.obs.observer import Observer
 from repro.obs.timeline import diff_timeline_execution, reconstruct_timelines
 from repro.routing.proxy import VersionRouter
+from repro.simulation.batch import drive
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import SimulationEngine
 from repro.telemetry.monitor import SpanSampleBuffer
@@ -172,18 +175,24 @@ class ReplayBackend:
             observer=observer,
         )
         engine.submit(strategy, at=recording.submit_at)
-        # Runtime.replay's loop: flush before an event can read the store.
+        requests = recording.requests
+        span_ends = requests.span_ends
+        columns = (requests.span_services, requests.span_versions, requests.span_starts,
+                   requests.span_durations, requests.span_errors)
         samples = SpanSampleBuffer()
-        for timestamp, spans in recording.requests.arrivals():
-            target = max(timestamp, simulation.now)
-            due = simulation.queue.peek_time()
-            if due is not None and due <= target:
-                samples.flush(store)
-            simulation.run_until(target)
-            for span in spans:
+
+        def land_spans(lo: int, hi: int) -> None:
+            first, last = span_ends[lo - 1] if lo else 0, span_ends[hi - 1]
+            for span in zip(*(column[first:last] for column in columns)):
                 samples.add(*span)
-        samples.flush(store)
-        simulation.run_until(max(recording.end_time, simulation.now))
+            samples.flush(store)
+
+        # The clock never goes back: an arrival earlier than the one before
+        # it was observed at the later time, and the run ends at the later
+        # of the recording's end and its last arrival.
+        timestamps = array("d", accumulate(requests.timestamps, max))
+        drive(simulation, timestamps, land_spans)
+        simulation.run_until(max([recording.end_time, *timestamps[-1:]]))
         return ReplayRunResult(
             engine=engine,
             store=store,

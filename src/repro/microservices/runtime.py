@@ -35,14 +35,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol
+from typing import Protocol
 
 from repro.errors import ExecutionError
 from repro.microservices.application import Application
 from repro.microservices.resilience import ResilienceLayer
 from repro.simulation.batch import RequestKernel
 from repro.simulation.clock import SimulationClock
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import SeededRng
 from repro.telemetry.monitor import Monitor
 from repro.tracing.collector import TraceCollector
@@ -192,11 +191,12 @@ class Runtime:
         The one-request form: a :class:`RequestKernel` (endpoint specs,
         call policies, breaker/partition presence, resolved once) is
         compiled for this call, so the request sees every mutation made
-        before it, and its samples are in the store when it returns.  To
-        run a workload use :meth:`replay`, the loop API: it passes its own
-        *kernel*, which then holds the samples until the loop flushes it.
-        The shared clock is advanced to the request's arrival time first,
-        so requests must come in timestamp order.
+        before it, and its samples are in the store when it returns.  A
+        workload runs through :meth:`repro.bifrost.Bifrost.run`, whose
+        interleave driver passes one *kernel* per event-free stretch; the
+        kernel then holds the samples until the stretch flushes it.  The
+        shared clock is advanced to the request's arrival time first, so
+        a request earlier than the clock runs at the clock's time.
         """
         if request.timestamp > self.clock.now:
             self.clock.advance_to(request.timestamp)
@@ -209,29 +209,3 @@ class Runtime:
             compiled.flush()
         self.requests_executed += 1
         return RequestOutcome(request, Trace(trace_id, spans), duration, error)
-
-    def replay(
-        self, simulation: SimulationEngine, requests: Iterable[Request]
-    ) -> Iterator[RequestOutcome]:
-        """Execute *requests* interleaved with *simulation*'s events.
-
-        Every event due at or before a request's timestamp runs before
-        that request.  The world only changes at engine events, so the
-        kernel is compiled once per event-free stretch and the stretch's
-        samples reach the store in one flush: before the next event runs,
-        and when the iterator is exhausted or closed.  Lazy: a request
-        executes when its outcome is pulled, and between pulls the store
-        may lag behind the outcomes already returned.
-        """
-        kernel = RequestKernel(self)
-        try:
-            for request in requests:
-                target = max(request.timestamp, simulation.now)
-                due = simulation.queue.peek_time()
-                if due is not None and due <= target:
-                    kernel.flush()
-                if simulation.run_until(target):
-                    kernel = RequestKernel(self)
-                yield self.execute(request, kernel)
-        finally:
-            kernel.flush()

@@ -5,9 +5,9 @@ the draw sequence that turns routing, load, faults and shadow
 duplication into latencies.  ``Runtime.execute`` runs one
 :class:`~repro.traffic.workload.Request` through it; :func:`run_batches`
 replays columnar :class:`~repro.traffic.batch.RequestBatch` chunks
-through it, interleaved with simulation-engine events exactly like the
-``Bifrost.run`` loop — but between events it executes whole *slices* of
-requests instead of materializing one ``Request``/``Span``/
+through it, interleaved with engine events by :func:`drive`, the loop
+``Bifrost.run`` and REPLAY share — but between events it executes whole
+*slices* of requests instead of materializing one ``Request``/``Span``/
 ``RequestOutcome`` object chain per arrival.
 
 Equivalence contract (property-tested in
@@ -45,9 +45,10 @@ state, not O(run).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -859,6 +860,33 @@ class RequestKernel:
         self.samples.flush(self._runtime.monitor.store)
 
 
+def drive(
+    simulation: "SimulationEngine",
+    timestamps: Sequence[float],
+    run_stretch: Callable[[int, int], None],
+) -> None:
+    """Run rows with non-decreasing *timestamps*, interleaved with events.
+
+    Every event due at or before a row's time (the later of its timestamp
+    and the clock) runs before that row.  ``run_stretch(lo, hi)`` executes
+    the event-free rows ``[lo, hi)`` and lands their samples before it
+    returns, so no event reads a store that lags the rows before it.
+    """
+    lo, size = 0, len(timestamps)
+    while lo < size:
+        due = simulation.queue.peek_time()
+        if due is None:
+            hi = size
+        else:
+            now = simulation.now
+            hi = lo if due <= now else bisect_left(timestamps, due, lo)
+            if hi == lo:
+                simulation.run_until(max(float(timestamps[lo]), now))
+                continue
+        run_stretch(lo, hi)
+        lo = hi
+
+
 def run_batches(
     simulation: "SimulationEngine",
     runtime: "Runtime",
@@ -868,28 +896,13 @@ def run_batches(
 ) -> BatchRunResult:
     """Replay columnar request batches interleaved with engine events.
 
-    The event-interleaving contract is ``Runtime.replay``'s: every event
-    with time <= a request's timestamp runs before that request.  Between
-    events, requests execute as one kernel slice.
+    Each batch goes through :func:`drive`, so a stretch never spans two
+    batches; every stretch runs as one kernel slice.
     """
     result = BatchRunResult()
     for batch in batches:
-        timestamps = batch.timestamps
-        size = len(batch)
-        lo = 0
-        while lo < size:
-            next_event = simulation.queue.peek_time()
-            if next_event is None:
-                hi = size
-            else:
-                hi = int(np.searchsorted(timestamps, next_event, side="left"))
-                if hi <= lo:
-                    # Events due at or before the next request: run them
-                    # all, exactly like Runtime.replay's run_until.
-                    simulation.run_until(
-                        max(float(timestamps[lo]), simulation.now)
-                    )
-                    continue
+
+        def run_slice(lo: int, hi: int) -> None:
             kernel = RequestKernel(runtime, batch.population)
             kernel.prefill_assignments(batch, lo, hi)
             now, durations, errors = kernel.run_slice(
@@ -899,7 +912,8 @@ def run_batches(
             runtime.clock.advance_to(now)
             result.fast_slices += 1
             result._add_fast(durations, errors)
-            lo = hi
+
+        drive(simulation, batch.timestamps, run_slice)
     if until is not None:
         simulation.run_until(until)
     return result

@@ -16,7 +16,6 @@ Utilization and delay then fall out of elementary bookkeeping:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.errors import SimulationError
 from repro.stats.descriptive import SummaryStats, summarize
@@ -128,13 +127,3 @@ class SimulatedExecutor:
             utilization=min(1.0, self._busy_time / span),
             delay_stats=summarize(delays),
         )
-
-
-def replay(
-    arrivals: Iterable[tuple[float, float, str]],
-) -> SimulatedExecutor:
-    """Build an executor and replay ``(arrival, cost, label)`` tuples."""
-    executor = SimulatedExecutor()
-    for arrival, cost, label in sorted(arrivals, key=lambda item: item[0]):
-        executor.submit(arrival, cost, label)
-    return executor

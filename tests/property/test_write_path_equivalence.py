@@ -1,6 +1,6 @@
 """Property: the buffered sample write path equals the per-sample one.
 
-``Runtime.replay``, ``ReplayBackend.execute`` and ``SlotTrafficFeed.feed``
+``Bifrost.run``, ``ReplayBackend.execute`` and ``SlotTrafficFeed.feed``
 buffer span samples per (service, version) and land them with
 ``extend_columns``; they used to call ``MetricStore.record`` three times
 per span.  The old loops live on here, verbatim, as oracles: for random
@@ -77,7 +77,7 @@ def reference_execute(runtime, request, kernel):
 
 
 def reference_replay(runtime, simulation, requests):
-    """``Runtime.replay`` as it was: no buffer, no flush points."""
+    """``Bifrost.run``'s loop as it was: no buffer, no flush points."""
     kernel = None
     for request in requests:
         ran = simulation.run_until(max(request.timestamp, simulation.now))
@@ -146,7 +146,7 @@ def reference_feed(
     return count, rng
 
 
-# -- Runtime.replay -----------------------------------------------------------
+# -- Bifrost.run --------------------------------------------------------------
 
 HOSTILES = [
     Hostile(),
@@ -158,7 +158,7 @@ HOSTILES = [
 ]
 
 
-def drive(params, hostile, probe_picks, between, replay):
+def run_probed(params, hostile, probe_picks, between, run):
     """One run; returns (bifrost, execution, what each probe event saw).
 
     Probes are engine events that read the store: some at exactly a
@@ -177,10 +177,14 @@ def drive(params, hostile, probe_picks, between, replay):
     times = [requests[pick % len(requests)].timestamp for pick in probe_picks]
     for at in times + list(between):
         bifrost.simulation.schedule_at(at, probe, "probe")
-    outcomes = list(replay(bifrost.runtime, bifrost.simulation, requests))
+    outcomes = run(bifrost, requests)
     bifrost.simulation.run_until(UNTIL)
     assert len(outcomes) == len(requests)
     return bifrost, execution, seen
+
+
+def reference_run(bifrost, requests):
+    return list(reference_replay(bifrost.runtime, bifrost.simulation, requests))
 
 
 class TestRuntimeReplayEqualsPerSample:
@@ -202,13 +206,11 @@ class TestRuntimeReplayEqualsPerSample:
         probe_picks, between,
     ):
         params = (canary_error, call_probability, parallel, 0.3, seed, kind)
-        buffered = drive(
+        buffered = run_probed(
             params, hostile, probe_picks, between,
-            lambda runtime, simulation, requests: runtime.replay(
-                simulation, requests
-            ),
+            lambda bifrost, requests: bifrost.run(requests),
         )
-        reference = drive(params, hostile, probe_picks, between, reference_replay)
+        reference = run_probed(params, hostile, probe_picks, between, reference_run)
         assert buffered[0].store.snapshot() == reference[0].store.snapshot()
         assert run_digest(
             buffered[0].store, buffered[0].engine.executions

@@ -1,9 +1,10 @@
 """Unit tests for the one sample write path (docs/PERF_KERNEL.md).
 
 The span-sample buffer, the list branch of ``TimeSeries.extend_columns``,
-the flush points of ``Runtime.replay``, and a call-count guard that keeps
-``MetricStore.record`` off the bulk drivers.  Whole-run equivalence with
-the per-sample loops is in ``tests/property/test_write_path_equivalence.py``.
+the flush points of ``Bifrost.run``'s stretches, and a call-count guard
+that keeps ``MetricStore.record`` off the bulk drivers.  Whole-run
+equivalence with the per-sample loops is in
+``tests/property/test_write_path_equivalence.py``.
 """
 
 from collections import Counter
@@ -16,7 +17,6 @@ from repro.fleet import FleetOrchestrator
 from repro.microservices.application import Application
 from repro.microservices.runtime import Runtime
 from repro.microservices.service import DownstreamCall, ServiceVersion
-from repro.simulation.engine import SimulationEngine
 from repro.stats.timeseries import TimeSeries
 from repro.telemetry import MetricStore
 from repro.telemetry.monitor import SpanSampleBuffer
@@ -241,19 +241,23 @@ def requests(*entries):
 
 
 class TestReplayFlushPoints:
+    """``Bifrost.run`` lands a stretch's samples when the stretch ends:
+    before the next engine event, and also when a request raises."""
+
     def test_a_request_that_raises_leaves_no_samples(self):
-        stores = []
-        for replay in (Runtime.replay, reference_replay):
-            runtime = Runtime(two_entry_app(), seed=1)
-            stream = replay(runtime, SimulationEngine(runtime.clock),
-                            requests("ok.x", "ok.x", "loop.x", "ok.x"))
-            assert len([next(stream), next(stream)]) == 2
-            with pytest.raises(ExecutionError):
-                next(stream)
-            stores.append(runtime.monitor.store)
-        assert stores[0].snapshot() == stores[1].snapshot()
-        assert len(stores[0].series("ok", "1.0", "throughput")) == 2
-        assert not [key for key in stores[0].keys() if key.service == "loop"]
+        bifrost = Bifrost(two_entry_app(), seed=1)
+        with pytest.raises(ExecutionError):
+            bifrost.run(requests("ok.x", "ok.x", "loop.x", "ok.x"))
+        reference = Bifrost(two_entry_app(), seed=1)
+        stream = reference_replay(reference.runtime, reference.simulation,
+                                  requests("ok.x", "ok.x", "loop.x", "ok.x"))
+        with pytest.raises(ExecutionError):
+            list(stream)
+        store = bifrost.store
+        assert store.snapshot() == reference.store.snapshot()
+        assert len(store.series("ok", "1.0", "throughput")) == 2
+        assert not [key for key in store.keys() if key.service == "loop"]
+        assert bifrost.outcomes == []
 
     def test_bare_execute_that_raises_leaves_no_samples(self):
         runtime = Runtime(two_entry_app(), seed=1)
@@ -261,32 +265,13 @@ class TestReplayFlushPoints:
             runtime.execute(requests("loop.x")[0])
         assert runtime.monitor.store.keys() == []
 
-    def test_closing_the_iterator_early_flushes_what_was_pulled(self):
-        stores = []
-        for replay in (Runtime.replay, reference_replay):
-            runtime = Runtime(two_entry_app(), seed=1)
-            stream = replay(runtime, SimulationEngine(runtime.clock),
-                            requests(*["ok.x"] * 6))
-            pulled = [next(stream) for _ in range(3)]
-            stream.close()
-            assert runtime.requests_executed == len(pulled) == 3
-            stores.append(runtime.monitor.store)
-        assert stores[0].snapshot() == stores[1].snapshot()
-        assert len(stores[0].series("leaf", "1.0", "throughput")) == 3
-
-    def test_the_store_is_complete_when_an_event_runs_not_between_pulls(self):
-        runtime = Runtime(two_entry_app(), seed=1)
-        simulation = SimulationEngine(runtime.clock)
-        store = runtime.monitor.store
+    def test_the_store_is_complete_when_an_event_runs(self):
+        bifrost = Bifrost(two_entry_app(), seed=1)
+        store = bifrost.store
         seen = []
-        simulation.schedule_at(
+        bifrost.simulation.schedule_at(
             2.0, lambda: seen.append(len(store.series("ok", "1.0", "throughput")))
         )
-        stream = runtime.replay(simulation, requests(*["ok.x"] * 4))
-        next(stream)
-        next(stream)
-        assert store.keys() == []  # buffered: documented laziness
-        next(stream)  # the event at t=2.0 runs before the third request
-        assert seen == [2]
-        list(stream)
+        bifrost.run(requests(*["ok.x"] * 4))
+        assert seen == [2]  # the event at t=2.0 runs before the third request
         assert len(store.series("ok", "1.0", "throughput")) == 4

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.executor import SimulatedExecutor, replay
+from repro.simulation.executor import SimulatedExecutor
 
 
 class TestSubmit:
@@ -76,8 +76,3 @@ class TestReporting:
         row = executor.report().as_row()
         assert "cpu_utilization" in row
         assert "mean_delay_ms" in row
-
-    def test_replay_sorts_arrivals(self):
-        executor = replay([(1.0, 0.1, "b"), (0.0, 0.1, "a")])
-        labels = [r.label for r in executor.records]
-        assert labels == ["a", "b"]

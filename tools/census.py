@@ -4,7 +4,7 @@ A module that ``examples/`` + ``benchmarks/`` do not import (transitively), or a
 class or method of >= 8 lines that nothing outside ``tests/`` names, is deleted with its tests --
 unless ``KEEP`` gives it one reason: K1 safety code (outside input, durability, the reference a
 safety-net test compares against), K2 transcribes a numbered paper artefact no benchmark reads
-yet (ROADMAP item 3's list), K3 reserved by a named open ROADMAP item.  A reference is an
+yet (ROADMAP item 5 (e)), K3 reserved by a named open ROADMAP item.  A reference is an
 identifier (``Name``, ``Attribute``, import alias, string constant -- ``benchmarks/e2e/tracer.py``
 wraps entry points by name) in another file, or in the defining file outside the definition, so
 a same-named attribute elsewhere keeps a name alive: the census under-reports, never accuses.
@@ -40,8 +40,8 @@ KEEP = {
     "repro.bifrost.state_machine.StateMachine.to_dot": ("K2", f"Fig 4.2 -- {_ARTEFACT}"),
     **dict.fromkeys(("repro.stats.abtest", "repro.stats.sequential", "repro.stats.hypothesis",
                      "repro.stats.power"),
-                    ("K3", "ROADMAP items 4 (b) / 5 (d): `kind test` calls it or it is deleted")),
-    "repro.routing.assignment.StickyAssigner.distinct_users": ("K3", "ROADMAP item 5 (b): SRM"),
+                    ("K3", "ROADMAP items 6 (b) / 7 (d): `kind test` calls it or it is deleted")),
+    "repro.routing.assignment.StickyAssigner.distinct_users": ("K3", "ROADMAP item 7 (b): SRM"),
 }
 
 
