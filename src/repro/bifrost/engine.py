@@ -64,6 +64,7 @@ from repro.obs.events import (
     ENGINE_WINNER,
     JOURNAL_SNAPSHOT,
 )
+from repro.obs.canonical import dump, number, quote
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.provenance import evidence_margin
 from repro.routing.proxy import VersionRouter
@@ -94,6 +95,23 @@ _ACTION_FOR_TERMINAL = {
     TERMINAL_ROLLBACK: Action.ROLLBACK,
     TERMINAL_ABORT: Action.ABORT,
 }
+
+
+def tick_payload(strategy: str, phase: str, rows, errors: int) -> str:
+    """A ``tick`` payload's canonical text, written from a template: equal to
+    ``dump({"strategy", "phase", "errors", "checks": [{"check":
+    check_to_dict(check), "next_due", "observed", "outcome", "reference"}]})``
+    for *rows* of (the check's memoised canonical text, its result, next due).
+    """
+    checks = ",".join(
+        '{"check":%s,"next_due":%s,"observed":%s,"outcome":%s,"reference":%s}'
+        % (text, number(due), number(result.observed),
+           quote(result.outcome.value), number(result.reference))
+        for text, result, due in rows
+    )
+    return '{"checks":[%s],"errors":%d,"phase":%s,"strategy":%s}' % (
+        checks, errors, quote(phase), quote(strategy)
+    )
 
 
 @dataclass(frozen=True)
@@ -144,6 +162,11 @@ class StrategyExecution:
     deadline_exceeded: str | None = None
     last_tick_at: float | None = None
     phase_entries: int = 0
+    #: Engine memo, not state: the phase's effective checks with their
+    #: canonical text, filled on its first tick and cleared on entry.
+    tick_checks: tuple[tuple[Check, str], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def running(self) -> bool:
@@ -182,6 +205,7 @@ class StrategyExecution:
         self.check_last = {}
         self.last_tick_at = None
         self.phase_entries += 1
+        self.tick_checks = None
         self.phase_first_entered.setdefault(phase_name, time)
 
     def record_tick(
@@ -521,15 +545,19 @@ class BifrostEngine:
             return
         now = self._now
         phase = execution.current_phase
+        if execution.tick_checks is None:
+            execution.tick_checks = tuple(
+                (check, dump(check_to_dict(check)))
+                for check in self._effective_checks(execution, phase)
+            )
         # Fig 4.3's time-based execution: every check carries its own
         # evaluation interval (defaulting to the phase's), so only the
         # checks that are *due* run this tick.
-        effective = self._effective_checks(execution, phase)
-        due = tuple(
-            check
-            for check in effective
+        due = [
+            (check, text)
+            for check, text in execution.tick_checks
             if now + 1e-9 >= execution.check_next_due.get(check.name, 0.0)
-        )
+        ]
         # Charge the engine for this evaluation round.
         cost = self.costs.tick_base + self.costs.per_check * len(due)
         self.executor.submit(
@@ -540,7 +568,7 @@ class BifrostEngine:
         # counts as inconclusive and is retried on the next due tick.
         results = []
         errors = 0
-        for check in due:
+        for check, _ in due:
             try:
                 results.append(self.evaluator.evaluate(check, now))
             except ExecutionError:
@@ -550,18 +578,9 @@ class BifrostEngine:
                 )
         observing = self.obs.enabled
         next_due = []
-        journal_checks = []
-        for check, result in zip(due, results):
-            due_at = now + (check.interval_seconds or phase.check_interval_seconds)
-            next_due.append(due_at)
-            journal_checks.append(
-                {
-                    "check": check_to_dict(check),
-                    "outcome": result.outcome.value,
-                    "observed": result.observed,
-                    "reference": result.reference,
-                    "next_due": due_at,
-                }
+        for (check, _), result in zip(due, results):
+            next_due.append(
+                now + (check.interval_seconds or phase.check_interval_seconds)
             )
             if observing:
                 # The payload is a complete Evidence record (see
@@ -605,12 +624,12 @@ class BifrostEngine:
         execution.record_tick(now, results, next_due, errors)
         self._journal_append(
             "tick",
-            {
-                "strategy": execution.strategy.name,
-                "phase": phase.name,
-                "checks": journal_checks,
-                "errors": errors,
-            },
+            tick_payload(
+                execution.strategy.name,
+                phase.name,
+                zip([text for _, text in due], results, next_due),
+                errors,
+            ),
         )
 
         if any(result.outcome is CheckOutcome.FAIL for result in results):
@@ -626,7 +645,7 @@ class BifrostEngine:
             # produced data counts as inconclusive.
             last_outcomes = {
                 execution.check_last.get(check.name, CheckOutcome.INCONCLUSIVE)
-                for check in effective
+                for check, _ in execution.tick_checks
             }
             if (
                 CheckOutcome.INCONCLUSIVE in last_outcomes

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Mapping, NamedTuple, Protocol
 
 from repro.bifrost.engine import StrategyExecution, TransitionRecord
 from repro.bifrost.checks import CheckResult
@@ -36,6 +37,7 @@ from repro.bifrost.model import (
 )
 from repro.bifrost.state_machine import StateMachine
 from repro.errors import ValidationError
+from repro.obs.canonical import dump, number, quote
 from repro.obs.events import JOURNAL_APPEND, JOURNAL_COMPACT, JOURNAL_SNAPSHOT
 from repro.obs.observer import NULL_OBSERVER, Observer
 
@@ -55,22 +57,26 @@ ROUTE = "route"
 FINALIZED = "finalized"
 RECOVERED = "recovered"
 
+_ENVELOPE = '{"data":%%s,"kind":%%s,"lsn":%%d,"time":%%s,"v":%d}' % SCHEMA_VERSION
 
-@dataclass(frozen=True)
-class JournalRecord:
+
+class JournalRecord(NamedTuple):
     """One durable engine decision.
+
+    A named tuple: one is built per append and per decoded line.
 
     Attributes:
         lsn: log sequence number, strictly increasing per journal.
         kind: record kind (one of the module-level constants).
         time: simulated time the decision was taken at.
-        data: kind-specific JSON-compatible payload.
+        data: kind-specific JSON object — or, on a record just appended
+            from a template, that object's canonical text.
     """
 
     lsn: int
     kind: str
     time: float
-    data: dict
+    data: dict | str
 
 
 class JournalStorage(Protocol):
@@ -148,18 +154,11 @@ class FileJournalStorage:
 
 
 def encode_record(record: JournalRecord) -> str:
-    """Encode one record as a single JSON line."""
-    return json.dumps(
-        {
-            "v": SCHEMA_VERSION,
-            "lsn": record.lsn,
-            "kind": record.kind,
-            "time": record.time,
-            "data": record.data,
-        },
-        separators=(",", ":"),
-        sort_keys=True,
-    )
+    """One record as its canonical JSON line, written into the envelope; a
+    ``str`` *data* is the payload's canonical text already (the engine's
+    ``tick`` template) and is spliced in as it is."""
+    data = record.data if isinstance(record.data, str) else dump(record.data)
+    return _ENVELOPE % (data, quote(record.kind), record.lsn, number(record.time))
 
 
 def decode_record(line: str) -> JournalRecord:
@@ -202,8 +201,9 @@ class Journal:
         """LSN of the most recently appended record (0 when empty)."""
         return self._next_lsn - 1
 
-    def append(self, kind: str, time: float, data: dict) -> JournalRecord:
-        """Durably append one record and return it."""
+    def append(self, kind: str, time: float, data: dict | str) -> JournalRecord:
+        """Durably append one record and return it (*data* as in
+        :func:`encode_record`)."""
         record = JournalRecord(self._next_lsn, kind, time, data)
         self.storage.append_line(encode_record(record))
         self._next_lsn += 1
@@ -222,19 +222,23 @@ class Journal:
         dropped (a WAL cannot trust records past a gap), and recovery
         resumes from the last good record.
         """
+        return self._load()[1:]
+
+    def _load(self) -> tuple[list[str], list[JournalRecord], int]:
+        """:meth:`load` plus the stored lines; record *i* is line *i*."""
         lines = self.storage.read_lines()
         records: list[JournalRecord] = []
         for index, line in enumerate(lines):
             try:
                 record = decode_record(line)
             except ValidationError:
-                return records, len(lines) - index
+                return lines, records, len(lines) - index
             if records and record.lsn <= records[-1].lsn:
                 # Out-of-order LSNs mean the tail was rewritten or
                 # interleaved — treat like corruption from here on.
-                return records, len(lines) - index
+                return lines, records, len(lines) - index
             records.append(record)
-        return records, 0
+        return lines, records, 0
 
     def records(self) -> list[JournalRecord]:
         """All decodable records (corrupt tail silently dropped)."""
@@ -250,32 +254,33 @@ class Journal:
 
         Recovery must do this before appending: a torn line left in the
         storage would make every record written after it unreachable on
-        the next load.  Returns how many lines were removed.
+        the next load.  Good lines stay verbatim.  Returns how many lines
+        were removed.
         """
-        records, dropped = self.load()
+        lines, records, dropped = self._load()
         if dropped:
-            self.storage.rewrite([encode_record(r) for r in records])
+            self.storage.rewrite(lines[: len(records)])
             self._next_lsn = (records[-1].lsn + 1) if records else 1
         return dropped
 
     def compact(self, upto_lsn: int) -> int:
         """Drop records with ``lsn <= upto_lsn`` (folded into a snapshot).
 
-        Returns how many records were removed.  The journal keeps its LSN
-        counter, so post-compaction appends stay monotonic.
+        Returns how many records were removed; kept lines stay verbatim.
+        The journal keeps its LSN counter, so post-compaction appends stay
+        monotonic.
         """
-        records, _ = self.load()
-        keep = [r for r in records if r.lsn > upto_lsn]
-        removed = len(records) - len(keep)
+        lines, records, _ = self._load()
+        removed = bisect_right([r.lsn for r in records], upto_lsn)
         if removed:
-            self.storage.rewrite([encode_record(r) for r in keep])
+            self.storage.rewrite(lines[removed : len(records)])
             if self.obs.enabled:
                 self.obs.emit(
                     JOURNAL_COMPACT,
-                    records[-1].time if records else 0.0,
+                    records[-1].time,
                     upto_lsn=upto_lsn,
                     removed=removed,
-                    kept=len(keep),
+                    kept=len(records) - removed,
                 )
         return removed
 

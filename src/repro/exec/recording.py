@@ -32,11 +32,11 @@ from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import islice
-from math import isfinite
 from operator import eq
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.errors import ValidationError
+from repro.obs.canonical import BOOL, dump, floats, quote, quoted
 from repro.obs.events import Event, event_from_dict, stream_truncation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,26 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.store import MetricStore
 
 FORMAT_VERSION = 1
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_BOOL = ("false", "true")
-
-
-def _dump(doc) -> str:
-    """The canonical JSON of every persisted line and of the digest."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _floats(column: Iterable[float]) -> Iterator[str]:
-    """Each double of *column* as ``json.dumps`` spells it."""
-    if all(map(isfinite, column)):
-        return map(repr, column)
-    return (repr(v) if isfinite(v) else _NON_FINITE[repr(v)] for v in column)
-
-
-def _quoted(column: list[str]) -> Iterator[str]:
-    """Each string of *column* as a JSON string, escaped once per distinct one."""
-    return map({text: json.dumps(text) for text in set(column)}.__getitem__, column)
 
 
 def _runs(items: Iterator, ends: array) -> Iterator[Iterator]:
@@ -253,30 +233,30 @@ class RecordedRequests(Sequence):
         """One canonical ``request`` line per request, off the columns."""
         headers = map(
             "%s:%s".__mod__,
-            zip(_quoted(self.header_keys), _quoted(self.header_values)),
+            zip(quoted(self.header_keys), quoted(self.header_values)),
         )
         spans = map(
             "[%s,%s,%s,%s,%s]".__mod__,
             zip(
-                _quoted(self.span_services),
-                _quoted(self.span_versions),
-                _floats(self.span_starts),
-                _floats(self.span_durations),
-                map(_BOOL.__getitem__, self.span_errors),
+                quoted(self.span_services),
+                quoted(self.span_versions),
+                floats(self.span_starts),
+                floats(self.span_durations),
+                map(BOOL.__getitem__, self.span_errors),
             ),
         )
         return map(
             '{"duration_ms":%s,"entry":%s,"error":%s,"group":%s,"headers":{%s},'
             '"spans":[%s],"t":%s,"type":"request","user":%s}'.__mod__,
             zip(
-                _floats(self.durations),
-                _quoted(self.entries),
-                map(_BOOL.__getitem__, self.errors),
-                _quoted(self.groups),
+                floats(self.durations),
+                quoted(self.entries),
+                map(BOOL.__getitem__, self.errors),
+                quoted(self.groups),
                 map(",".join, _runs(headers, self.header_ends)),
                 map(",".join, _runs(spans, self.span_ends)),
-                _floats(self.timestamps),
-                _quoted(self.users),
+                floats(self.timestamps),
+                quoted(self.users),
             ),
         )
 
@@ -305,13 +285,13 @@ def run_digest(
     for index, key in enumerate(store.keys()):
         series = store.series(key.service, key.version, key.metric)
         samples = ",".join(
-            map("[%s,%s]".__mod__, zip(_floats(series.timestamps), _floats(series.values)))
+            map("[%s,%s]".__mod__, zip(floats(series.timestamps), floats(series.values)))
         )
         sha.update(
             (
-                f'{"," if index else ""}{{"metric":{json.dumps(key.metric)},'
-                f'"samples":[{samples}],"service":{json.dumps(key.service)},'
-                f'"version":{json.dumps(key.version)}}}'
+                f'{"," if index else ""}{{"metric":{quote(key.metric)},'
+                f'"samples":[{samples}],"service":{quote(key.service)},'
+                f'"version":{quote(key.version)}}}'
             ).encode("ascii")
         )
     sha.update(b']},"strategies":')
@@ -334,7 +314,7 @@ def run_digest(
         }
         for execution in sorted(executions, key=lambda e: e.strategy.name)
     ]
-    sha.update(_dump(strategies).encode("ascii"))
+    sha.update(dump(strategies).encode("ascii"))
     sha.update(b"}")
     return sha.hexdigest()
 
@@ -401,11 +381,11 @@ class Recording:
         }
         if self.strategy_doc is not None:
             meta["strategy"] = self.strategy_doc
-        yield _dump(meta)
+        yield dump(meta)
         for event in self.events:
-            yield _dump({"type": "event", **event.as_dict()})
+            yield dump({"type": "event", **event.as_dict()})
         yield from self.requests.jsonl_lines()
-        yield _dump(
+        yield dump(
             {"type": "digest", "value": self.digest, "outcomes": dict(self.outcomes)}
         )
 

@@ -594,12 +594,13 @@ class FleetOrchestrator:
         self.crash_after_appends = crash_after_appends
         self._fleet_appends = 0
 
-        names = {spec.name for spec, _ in schedule}
+        #: Every experiment's name, in schedule order.
+        self.names = tuple(spec.name for spec, _ in schedule)
         for name in self.world:
-            if name not in names:
+            if name not in self.names:
                 raise ValidationError(f"world entry for unknown experiment {name!r}")
         for name in self.faults:
-            if name not in names:
+            if name not in self.names:
                 raise ValidationError(f"faults entry for unknown experiment {name!r}")
 
         self.admission = AdmissionController(
@@ -696,10 +697,6 @@ class FleetOrchestrator:
         self.journal.append(kind, time, data)
 
     # -- state queries -------------------------------------------------------
-
-    @property
-    def names(self) -> list[str]:
-        return [spec.name for spec, _ in self.schedule]
 
     @property
     def done(self) -> bool:
@@ -923,9 +920,10 @@ class FleetOrchestrator:
                 self.outcomes[name] = OUTCOME_INCONCLUSIVE
 
         # Restart crashed engines at slot end; a refused restart means
-        # the budget is spent — the fleet sheds the crash-looper.
+        # the budget is spent — the fleet sheds the crash-looper.  (Past
+        # admission ``started`` is fixed: holding = holders without outcome.)
         restarted: list[str] = []
-        for name in list(self._holding()):
+        for name in [name for name in holders if name not in self.outcomes]:
             bulkhead = self.bulkheads[name]
             if bulkhead.quarantined or bulkhead.engine.alive:
                 continue
@@ -945,7 +943,7 @@ class FleetOrchestrator:
                     )
 
         # Harvest newly-terminal engine outcomes.
-        for name in list(self._holding()):
+        for name in [name for name in holders if name not in self.outcomes]:
             outcome = self.bulkheads[name].engine_outcome()
             if outcome is not None:
                 slot_outcomes[name] = outcome
@@ -1046,14 +1044,15 @@ class FleetOrchestrator:
         self.ledger.append(row)
         self.cursor = slot + 1
         if self.obs.enabled:
+            running = len(self._holding())
             self.obs.emit(
                 FLEET_SLOT_COMMITTED,
                 time,
                 slot=slot,
-                running=len(self._holding()),
+                running=running,
                 terminal=len(self.outcomes),
             )
-            self.obs.metrics.gauge("fleet_running").set(float(len(self._holding())))
+            self.obs.metrics.gauge("fleet_running").set(float(running))
             self.obs.metrics.counter("fleet_slots_total").increment()
 
 

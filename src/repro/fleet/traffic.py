@@ -12,6 +12,8 @@ lands in exactly the state the crashed process had.
 
 from __future__ import annotations
 
+from math import cos, log, sin, sqrt, tau
+
 from repro.fenrir.model import SchedulingProblem
 from repro.simulation.rng import SeededRng
 from repro.telemetry.monitor import SpanSampleBuffer
@@ -34,6 +36,7 @@ class SlotTrafficFeed:
     ) -> None:
         self.problem = problem
         self.seed = seed
+        self._rng = SeededRng(seed)
         self.slot_seconds = float(slot_seconds)
         self.base_error = base_error
         self.base_latency_ms = base_latency_ms
@@ -73,22 +76,31 @@ class SlotTrafficFeed:
         count = self.sample_count(slot, fraction, groups)
         if count == 0:
             return 0
-        raw = SeededRng(self.seed).fork(f"feed:{name}:{slot}").raw
-        uniform, gauss = raw.uniform, raw.gauss
+        random = self._rng.fork(f"feed:{name}:{slot}").raw.random
         t0 = slot * self.slot_seconds
         step = self.slot_seconds / count
-        exp_error = min(1.0, self.base_error + error_delta)
-        exp_latency = self.base_latency_ms * latency_factor
+        base_error, base_latency = self.base_error, self.base_latency_ms
+        exp_error = min(1.0, base_error + error_delta)
+        exp_latency = base_latency * latency_factor
+        base_sigma, exp_sigma = base_latency * 0.1, exp_latency * 0.1
         samples = SpanSampleBuffer()
-        lanes = (
-            (*samples.columns(service, stable), self.base_error, self.base_latency_ms),
-            (*samples.columns(service, experimental), exp_error, exp_latency),
-        )
+        base_starts, base_durations, base_errors = samples.columns(service, stable)
+        exp_starts, exp_durations, exp_errors = samples.columns(service, experimental)
+        # The draws of uniform(0, 1) and gauss per lane, four per sample:
+        # stable error; a Box-Muller pair (cosine: stable latency, sine,
+        # gauss's cached value: experimental); experimental error.  The
+        # latency floor ``x if x > 1.0 else 1.0`` is ``max(1.0, x)``.
         for i in range(count):
             at = t0 + (i + 0.5) * step
-            for starts, durations, errors, err_rate, latency in lanes:
-                errors.append(1.0 if uniform(0.0, 1.0) < err_rate else 0.0)
-                durations.append(max(1.0, gauss(latency, latency * 0.1)))
-                starts.append(at)
+            base_errors.append(1.0 if random() < base_error else 0.0)
+            x2pi = random() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - random()))
+            latency = base_latency + cos(x2pi) * g2rad * base_sigma
+            base_durations.append(latency if latency > 1.0 else 1.0)
+            exp_errors.append(1.0 if random() < exp_error else 0.0)
+            latency = exp_latency + sin(x2pi) * g2rad * exp_sigma
+            exp_durations.append(latency if latency > 1.0 else 1.0)
+            base_starts.append(at)
+            exp_starts.append(at)
         samples.flush(store)
         return count

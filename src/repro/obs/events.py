@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import ValidationError
+from repro.obs.canonical import dump
 
 
 class TruncatedStreamWarning(UserWarning):
@@ -329,11 +330,9 @@ class EventLog:
         """
         sentinel = self.truncation_sentinel()
         if sentinel is not None:
-            yield json.dumps(
-                sentinel.as_dict(), separators=(",", ":"), sort_keys=True
-            )
+            yield dump(sentinel.as_dict())
         for event in tuple(self._ring):
-            yield json.dumps(event.as_dict(), separators=(",", ":"), sort_keys=True)
+            yield dump(event.as_dict())
 
     def clear(self) -> None:
         """Drop retained events (sequence numbers keep increasing)."""

@@ -17,9 +17,9 @@ Two ways out of the glass box:
 
 from __future__ import annotations
 
-import json
 from typing import IO, TYPE_CHECKING
 
+from repro.obs.canonical import dump
 from repro.obs.events import Event, EventLog
 from repro.obs.registry import LabelSet, MetricRegistry
 
@@ -155,7 +155,7 @@ class JsonlEventSink:
         if self._closed:
             return
         self._handle.write(
-            json.dumps(event.as_dict(), separators=(",", ":"), sort_keys=True) + "\n"
+            dump(event.as_dict()) + "\n"
         )
         self._handle.flush()
         self.written += 1

@@ -39,11 +39,11 @@ were live — as ASCII, graphviz dot, or JSONL.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.errors import ValidationError
+from repro.obs.canonical import dump
 from repro.obs.events import (
     ALERT_FIRED,
     ALERT_RESOLVED,
@@ -325,10 +325,7 @@ class ProvenanceGraph:
 
     def digest(self) -> str:
         """Content digest of the canonical JSON form."""
-        canonical = json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return hashlib.sha256(dump(self.as_dict()).encode("utf-8")).hexdigest()
 
 
 def evidence_from_event(event: Event) -> Evidence:
@@ -598,9 +595,6 @@ def _render_dot(graph: ProvenanceGraph, record: StrategyProvenance) -> str:
 
 
 def _render_jsonl(graph: ProvenanceGraph, record: StrategyProvenance) -> str:
-    def dump(doc: dict) -> str:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
     lines = [
         dump(
             {

@@ -65,13 +65,14 @@ class TimeSeries:
         is the same stable timestamp-sort either way — but sorts the chunk
         first (stable numpy argsort), so everything past the usually tiny
         out-of-order prefix lands via ``frombytes`` with no per-sample
-        work.  Plain lists that are already ascending and start at or after
-        the series tail need neither sort nor insertion and skip numpy: a
-        24-sample flush (one fleet slot) costs less than converting it.
+        work.  Plain lists (times may also be an ``array('d')``) that are
+        already ascending and start at or after the series tail need
+        neither sort nor insertion and skip numpy: a 24-sample flush (one
+        fleet slot) costs less than converting it.
         """
         if (
-            type(times) is list
-            and type(values) is list
+            type(values) is list
+            and (type(times) is list or type(times) is array and times.typecode == "d")
             and len(times) == len(values)
             and times
             and (not self._times or times[0] >= self._times[-1])
@@ -79,7 +80,9 @@ class TimeSeries:
         ):
             # Convert both columns before either grows: a bad value raises
             # here and leaves the series as it was.
-            times, values = array("d", times), array("d", values)
+            values = array("d", values)
+            if type(times) is list:
+                times = array("d", times)
             self._times.extend(times)
             self._values.extend(values)
             return

@@ -15,6 +15,7 @@ with the same windowed aggregations as any other metric.
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,9 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.microservices.resilience import ResilienceEvent
 
 
-#: Keys with up to this many buffered samples (a fleet slot has 24) flush as
-#: plain lists; longer ones (a batch slice has ~10^5) convert the start column
-#: their three metrics share once, which numpy's per-call cost then repays.
+#: A key's start column, shared by its three metrics, is converted once per
+#: flush: to an ``array('d')`` up to this many samples (a fleet slot has 24),
+#: to numpy above (a batch slice has ~10^5), where numpy's call cost repays.
 _LIST_FLUSH_MAX = 64
 
 
@@ -72,7 +73,7 @@ class SpanSampleBuffer:
             if count > _LIST_FLUSH_MAX:
                 times, ones = np.asarray(starts, dtype=np.float64), np.ones(count)
             else:
-                times, ones = starts, [1.0] * count
+                times, ones = array("d", starts), [1.0] * count
             store.extend_columns(service, version, "response_time", times, durations)
             store.extend_columns(service, version, "error", times, errors)
             store.extend_columns(service, version, "throughput", times, ones)

@@ -65,16 +65,17 @@ def aggregate_values(aggregation: str, values: list[float]) -> float | None:
 
 
 class MetricStore:
-    """Timestamped samples per :class:`MetricKey` with windowed aggregation."""
+    """Timestamped samples per :class:`MetricKey` with windowed aggregation
+    (held under plain tuple keys, which hash at C speed)."""
 
     def __init__(self) -> None:
-        self._series: dict[MetricKey, TimeSeries] = {}
+        self._series: dict[tuple[str, str, str], TimeSeries] = {}
 
     def _open(self, service: str, version: str, metric: str) -> TimeSeries:
-        key = MetricKey(service, version, metric)
+        key = (service, version, metric)
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = TimeSeries(str(key))
+            series = self._series[key] = TimeSeries(str(MetricKey(*key)))
         return series
 
     def record(
@@ -94,13 +95,14 @@ class MetricStore:
 
     def keys(self) -> list[MetricKey]:
         """All metric keys with at least one sample."""
-        return sorted(self._series)
+        return [MetricKey(*key) for key in sorted(self._series)]
 
     def series(self, service: str, version: str, metric: str) -> TimeSeries:
         """The raw time series for a key (empty series if absent)."""
-        key = MetricKey(service, version, metric)
-        series = self._series.get(key)
-        return TimeSeries(str(key)) if series is None else series
+        series = self._series.get((service, version, metric))
+        if series is None:
+            return TimeSeries(str(MetricKey(service, version, metric)))
+        return series
 
     def values_in_window(
         self,
@@ -142,12 +144,12 @@ class MetricStore:
         return {
             "series": [
                 {
-                    "service": key.service,
-                    "version": key.version,
-                    "metric": key.metric,
-                    "samples": [[ts, value] for ts, value in self._series[key]],
+                    "service": service,
+                    "version": version,
+                    "metric": metric,
+                    "samples": [[ts, value] for ts, value in series],
                 }
-                for key in sorted(self._series)
+                for (service, version, metric), series in sorted(self._series.items())
             ]
         }
 

@@ -1,7 +1,14 @@
 """Tests for remaining code paths across subsystems."""
 
 from repro.bifrost import Bifrost
-from repro.bifrost.model import Phase, PhaseType, Strategy, StrategyOutcome, Check
+from repro.bifrost.model import (
+    Check,
+    Phase,
+    PhaseType,
+    Strategy,
+    StrategyOutcome,
+    check_to_dict,
+)
 from repro.microservices.service import ServiceVersion
 from repro.traffic.profile import UserGroup
 from repro.traffic.users import UserPopulation
@@ -31,9 +38,7 @@ class TestFrameworkAnalyzeOptions:
 
 
 class TestWinnerFollowThrough:
-    def test_rollout_checks_follow_ab_winner(self, canary_app):
-        """After the A/B picks 2.1.0, the rollout phase's checks written
-        against 2.0.0 must evaluate 2.1.0 instead (and pass)."""
+    def run_ab_then_rollout(self, canary_app, durable=False):
         canary_app.deploy(
             ServiceVersion(
                 "backend", "2.1.0", {"api": constant_endpoint("api", 10.0)}
@@ -74,11 +79,17 @@ class TestWinnerFollowThrough:
             ),
         )
         strategy = Strategy("s", (ab, rollout))
-        bifrost = Bifrost(canary_app, seed=8)
+        bifrost = Bifrost(canary_app, seed=8, durable=durable)
         execution = bifrost.submit(strategy, at=1.0)
         population = UserPopulation(300, GROUPS, seed=9)
         workload = WorkloadGenerator(population, entry="frontend.home", seed=10)
         bifrost.run(workload.poisson(40.0, 100.0), until=120.0)
+        return bifrost, execution
+
+    def test_rollout_checks_follow_ab_winner(self, canary_app):
+        """After the A/B picks 2.1.0, the rollout phase's checks written
+        against 2.0.0 must evaluate 2.1.0 instead (and pass)."""
+        _, execution = self.run_ab_then_rollout(canary_app)
         assert execution.winner == "2.1.0"
         assert execution.outcome is StrategyOutcome.COMPLETED
         # The rollout's check log must show evaluations against 2.1.0.
@@ -87,6 +98,23 @@ class TestWinnerFollowThrough:
         ]
         assert rollout_checks
         assert canary_app.stable_version("backend") == "2.1.0"
+
+    def test_tick_records_journal_the_checks_evaluated(self, canary_app):
+        """Each phase's tick records carry that phase's effective checks
+        (the memoised canonical text is per phase, winner substituted)."""
+        bifrost, execution = self.run_ab_then_rollout(canary_app, durable=True)
+        ticks = [r for r in bifrost.journal.records() if r.kind == "tick"]
+        journaled = [
+            (r.data["phase"], r.time, entry["check"], entry["outcome"])
+            for r in ticks
+            for entry in r.data["checks"]
+        ]
+        assert {phase for phase, *_ in journaled} == {"rollout"}
+        assert journaled == [
+            ("rollout", result.time, check_to_dict(result.check), result.outcome.value)
+            for result in execution.check_log
+        ]
+        assert {check["version"] for _, _, check, _ in journaled} == {"2.1.0"}
 
 
 class TestVerificationReporting:

@@ -1,5 +1,7 @@
 """Unit tests for the telemetry package."""
 
+from array import array
+
 import pytest
 
 from repro.errors import ValidationError
@@ -176,6 +178,49 @@ class TestMetricStoreSnapshot:
 
         with _pytest.raises(ValidationError):
             MetricStore().restore({"series": [{"service": "x"}]})
+
+
+class TestMetricStoreKeys:
+    """The store keeps one series per (service, version, metric) on every path."""
+
+    def test_every_path_lands_in_one_series_per_key(self):
+        store = MetricStore()
+        store.record("svc", "1.0", "error", 0.0, 1.0)
+        store.extend_columns("svc", "1.0", "error", [1.0, 2.0], [0.0, 1.0])
+        store.extend_columns("svc", "2.0", "error", array("d", [0.5]), [1.0])
+        assert store.keys() == [
+            MetricKey("svc", "1.0", "error"),
+            MetricKey("svc", "2.0", "error"),
+        ]
+        series = store.series("svc", "1.0", "error")
+        assert series is store.series("svc", "1.0", "error")
+        assert series.name == "svc@1.0/error"
+        assert (series.timestamps, series.values) == ([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])
+        assert store.snapshot()["series"][0] == {
+            "service": "svc",
+            "version": "1.0",
+            "metric": "error",
+            "samples": [[0.0, 1.0], [1.0, 0.0], [2.0, 1.0]],
+        }
+
+    def test_absent_series_is_empty_and_not_stored(self):
+        store = MetricStore()
+        assert len(store.series("svc", "1.0", "error")) == 0
+        assert store.series("svc", "1.0", "error").name == "svc@1.0/error"
+        assert store.keys() == []
+
+    def test_writes_after_restore_land_in_the_restored_series(self):
+        source = MetricStore()
+        source.extend_columns("svc", "1.0", "error", [0.0, 1.0], [1.0, 0.0])
+        store = MetricStore()
+        store.restore(source.snapshot())
+        store.record("svc", "1.0", "error", 2.0, 1.0)
+        store.extend_columns("svc", "1.0", "error", [3.0], [0.0])
+        assert store.keys() == [MetricKey("svc", "1.0", "error")]
+        series = store.series("svc", "1.0", "error")
+        assert series.timestamps == [0.0, 1.0, 2.0, 3.0]
+        assert store.aggregate("svc", "1.0", "error", "sum", 0.0, 4.0) == 2.0
+        assert len(store.snapshot()["series"]) == 1
 
 
 class TestDurabilityMetrics:
