@@ -24,8 +24,14 @@ pinned by ``tests/integration/test_scalar_golden.py``):
   statistically close.
 - A slice runs one of two hops, picked once per slice from state the
   kernel can observe.  The *plain* hop covers slices where every
-  per-hop hook is a no-op.  The *general* hop — the one
-  ``Runtime.execute`` always runs — additionally executes call policies
+  per-hop hook is a no-op, and runs the slice as columns: it compiles
+  the entry's call tree into a plan of call sites, draws each sub-block's
+  uniforms in bulk (:func:`~repro.simulation.rng.random_block`), finds
+  where every hop's draws fall with one composed offset table, then
+  computes latencies, loads, durations and errors one call site at a
+  time (``tests/property/test_columnar_slice.py``).  The *general* hop —
+  the one ``Runtime.execute`` always runs, and the plain slices whose
+  plan refuses them — additionally executes call policies
   (timeouts, retries, fallbacks), circuit breakers, network partitions,
   dark-launch shadow replays and routers the kernel cannot compile, and
   materializes spans for the trace collector when it has stream
@@ -39,15 +45,18 @@ Memory behaviour: samples wait in a per-(service, version)
 :class:`~repro.telemetry.monitor.SpanSampleBuffer` flushed at slice ends
 (the store keeps ``array('d')`` columns) and the result keeps running
 totals only — so a ten-million request replay holds O(slice) transient
-state, not O(run).
+state, not O(run); the plain hop's block arrays are O(sub-block).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from random import NV_MAGICCONST
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -59,6 +68,7 @@ from repro.simulation.latency import (
     LogNormalLatency,
     ParetoLatency,
 )
+from repro.simulation.rng import random_block
 from repro.telemetry.monitor import SpanSampleBuffer
 from repro.tracing.span import Span, next_span_id
 
@@ -107,81 +117,78 @@ class BatchRunResult:
         self.duration_sum_ms += math.fsum(durations)
 
 
-def _compile_sampler(model, kernel):
-    """Specialize one latency model into ``(sample(load) -> ms, needs_load)``.
+def _recipe(model):
+    """A latency model as ``(draw, a, b, ops)``, or None for any other type.
 
-    Known model types bind their parameters and the raw RNG method
-    directly (skipping attribute lookups and the :class:`SeededRng`
-    delegation layer); unknown subclasses fall back to generic
-    ``model.sample(rng, load)`` dispatch, conservatively marked
-    load-dependent.  Either way the *draws* are ``model.sample``'s.
+    The one dispatch on the model type behind both the scalar sampler and
+    the columnar slice.  *draw* is ``"const"`` (value *a*), ``"normal"``
+    (``exp`` of a Kinderman–Monahan normal with mu *a* and sigma *b*) or
+    ``"pareto"`` (scale *a* times a Pareto variate of shape *b*); *ops*,
+    innermost first, multiply the draw by the load inflation
+    (``("load", pressure)``) or a fault's factor (``("scale", factor)``).
     """
-    kind = type(model)
-    if kind is ConstantLatency:
-        value = model.value_ms
-        return (lambda load, _v=value: _v), False
-    if kind is LogNormalLatency:
-        if model.sigma == 0:
-            value = model.median_ms
-            return (lambda load, _v=value: _v), False
-        draw = kernel.raw.lognormvariate
-        return (
-            lambda load, _d=draw, _mu=model._mu, _s=model.sigma: _d(_mu, _s)
-        ), False
-    if kind is ParetoLatency:
-        draw = kernel.raw.paretovariate
-        return (
-            lambda load, _d=draw, _sc=model.scale_ms, _a=model.alpha: _sc * _d(_a)
-        ), False
-    if kind is LoadSensitiveLatency:
-        # Flatten the common base models into a single closure — the
-        # per-hop call chain (wrapper -> base -> SeededRng -> Random) is
-        # measurable at millions of samples.  Float semantics match
-        # ``sample``: base sample first, then multiply by the inflation.
-        base = model.base
-        base_kind = type(base)
-        pressure = model.pressure
-        if base_kind is LogNormalLatency and base.sigma != 0:
-            draw = kernel.raw.lognormvariate
-
-            def sample(load, _d=draw, _mu=base._mu, _s=base.sigma, _p=pressure):
-                return _d(_mu, _s) * (1.0 + _p * max(0.0, load - 1.0))
-
-            return sample, True
-        if base_kind is ConstantLatency or base_kind is LogNormalLatency:
-            value = (
-                base.value_ms if base_kind is ConstantLatency else base.median_ms
-            )
-
-            def sample(load, _v=value, _p=pressure):
-                return _v * (1.0 + _p * max(0.0, load - 1.0))
-
-            return sample, True
-        if base_kind is ParetoLatency:
-            draw = kernel.raw.paretovariate
-
-            def sample(
-                load, _d=draw, _sc=base.scale_ms, _a=base.alpha, _p=pressure
-            ):
-                return _sc * _d(_a) * (1.0 + _p * max(0.0, load - 1.0))
-
-            return sample, True
-        inner, _ = _compile_sampler(base, kernel)
-
-        def sample(load, _inner=inner, _p=pressure):
-            return _inner(load) * (1.0 + _p * max(0.0, load - 1.0))
-
-        return sample, True
     # Imported here: faults imports the simulation package at module level.
     from repro.microservices.faults import _ScaledLatency
 
-    if kind is _ScaledLatency:
-        inner, needs_load = _compile_sampler(model.base, kernel)
-        return (
-            lambda load, _inner=inner, _f=model.factor: _inner(load) * _f
-        ), needs_load
-    seeded = kernel.seeded
-    return (lambda load, _m=model, _rng=seeded: _m.sample(_rng, load)), True
+    kind = type(model)
+    if kind is ConstantLatency:
+        return "const", model.value_ms, None, ()
+    if kind is LogNormalLatency:
+        if model.sigma == 0:
+            return "const", model.median_ms, None, ()
+        return "normal", model._mu, model.sigma, ()
+    if kind is ParetoLatency:
+        return "pareto", model.scale_ms, model.alpha, ()
+    if kind is LoadSensitiveLatency:
+        op = ("load", model.pressure)
+    elif kind is _ScaledLatency:
+        op = ("scale", model.factor)
+    else:
+        return None
+    inner = _recipe(model.base)
+    return None if inner is None else (*inner[:3], inner[3] + (op,))
+
+
+def _compile_sampler(model, recipe, kernel):
+    """Specialize one latency model into ``(sample(load) -> ms, needs_load)``.
+
+    A model with a *recipe* binds its parameters and the raw RNG method
+    directly (skipping attribute lookups and the :class:`SeededRng`
+    delegation layer); any other falls back to generic
+    ``model.sample(rng, load)`` dispatch, conservatively marked
+    load-dependent.  Either way the *draws* and the float operations are
+    ``model.sample``'s: base sample first, then each factor.
+    """
+    if recipe is None:
+        seeded = kernel.seeded
+        return (lambda load, _m=model, _rng=seeded: _m.sample(_rng, load)), True
+    draw, a, b, ops = recipe
+    needs_load = any(op == "load" for op, _ in ops)
+    if draw == "const":
+        sample = lambda load, _v=a: _v  # noqa: E731
+    elif draw == "normal" and ops[:1] and ops[0][0] == "load":
+        # The model of every endpoint in topology.scenarios: one closure,
+        # not two, for the general hop's per-hop call.
+        draw, (_, pressure), ops = kernel.raw.lognormvariate, ops[0], ops[1:]
+
+        def sample(load, _d=draw, _mu=a, _s=b, _p=pressure):
+            return _d(_mu, _s) * (1.0 + _p * max(0.0, load - 1.0))
+
+    elif draw == "normal":
+        draw = kernel.raw.lognormvariate
+        sample = lambda load, _d=draw, _mu=a, _s=b: _d(_mu, _s)  # noqa: E731
+    else:
+        draw = kernel.raw.paretovariate
+        sample = lambda load, _d=draw, _sc=a, _a=b: _sc * _d(_a)  # noqa: E731
+    for op, arg in ops:
+        if op == "scale":
+            sample = lambda load, _i=sample, _f=arg: _i(load) * _f  # noqa: E731
+        else:
+
+            def sample(load, _i=sample, _p=arg):
+                return _i(load) * (1.0 + _p * max(0.0, load - 1.0))
+
+    return sample, needs_load
 
 
 # Node record layout (plain list: index access beats attribute access in
@@ -200,6 +207,7 @@ _N_PROXY_MS = 10  # per-hop proxy overhead (routed services only)
 _N_SERVICE = 11
 _N_VERSION = 12
 _N_ENDPOINT = 13
+_N_RECIPE = 14  # the latency model's recipe (None = not columnar)
 
 
 def _split_entry(entry: str) -> tuple[str, str]:
@@ -214,17 +222,168 @@ def _split_entry(entry: str) -> tuple[str, str]:
 class _VariantNodes(dict):
     """A routed edge's ``{version: node}``, each compiled on first use: a
     version no request reaches is never compiled, so one that lacks the
-    endpoint fails only when routed to — as ``router.route`` does."""
+    endpoint fails only when routed to — as ``router.route`` does.  The
+    kernel is held weakly, so a finished kernel is freed without the
+    cyclic collector."""
 
-    __slots__ = ("_compile",)
+    __slots__ = ("_site",)
 
-    def __init__(self, compile_node) -> None:
+    def __init__(self, kernel: "RequestKernel", service: str, endpoint: str) -> None:
         super().__init__()
-        self._compile = compile_node
+        self._site = (weakref.ref(kernel), service, endpoint)
 
     def __missing__(self, version: str):
-        node = self[version] = self._compile(version)
+        kernel, service, endpoint = self._site
+        kernel = kernel()
+        node = self[version] = kernel._node(service, endpoint, version, kernel._proxy_ms)
         return node
+
+
+#: Rows per columnar sub-block: bounds the block's tables (not a knob).
+_SUB_BLOCK = 4096
+#: Extra uniforms drawn per block beyond the expected need.
+_BLOCK_SLACK = 64
+#: Kinderman–Monahan acceptance tests within this relative distance of
+#: the boundary are decided with ``math.log``, not ``np.log``.
+_LOG_GUARD = 1e-12
+#: Expected uniforms per latency sample (K–M: two per pair, ≈ 1.37 pairs).
+_DRAWS = {"const": 0.0, "normal": 2.74, "pareto": 1.0}
+
+
+class _Position:
+    """One call site of a slice's plan: the versions rows can take there,
+    their one draw kind, and the child call sites in call order."""
+
+    __slots__ = (
+        "key", "rec", "versions", "codes", "kind", "certain", "children",
+        "parallel", "proxy", "pre", "post",
+    )
+
+
+class _Block:
+    """One sub-block's uniforms and the draw-offset tables over them.
+
+    An offset indexes ``u``; ``over`` (its length + 1) marks a walk that
+    ran past the block, and every table maps it to itself.  ``first[s]``
+    is the first accepted Kinderman–Monahan pair at or after *s* in steps
+    of two, ``z`` the pair's normal deviate.
+    """
+
+    __slots__ = ("u", "z", "first", "km", "step", "over")
+
+    def __init__(self, u: np.ndarray) -> None:
+        n = len(u)
+        self.over = over = n + 1
+        # Past the end a probability draw is never taken; its walk is
+        # already ``over`` either way.
+        self.u = np.concatenate((u, (2.0, 2.0)))
+        self.step = np.minimum(np.arange(1, n + 3), over)
+        u2 = 1.0 - u[1:]
+        self.z = z = NV_MAGICCONST * (u[:-1] - 0.5) / u2
+        zz = z * z / 4.0
+        bound = -np.log(u2)
+        accept = zz <= bound
+        for j in np.flatnonzero(np.abs(zz - bound) <= _LOG_GUARD * bound).tolist():
+            accept[j] = zz[j] <= -math.log(u2[j])
+        first = np.full(n + 2, n - 1)
+        first[: n - 1] = np.where(accept, np.arange(n - 1), n - 1)
+        for parity in (0, 1):
+            lane = first[parity : n - 1 : 2]
+            lane[:] = np.minimum.accumulate(lane[::-1])[::-1]
+        self.first = first
+        self.km = first + 2
+
+
+def _expected_draws(pos: _Position) -> float:
+    draws = _DRAWS[pos.kind] + 1.0
+    for probability, child in pos.children:
+        below = _expected_draws(child)
+        draws += below if probability >= 1.0 else 1.0 + probability * below
+    return draws
+
+
+def _table(pos: _Position, block: _Block) -> np.ndarray:
+    """Draw offset after *pos*'s whole subtree, for every start offset."""
+    if pos.kind == "const":
+        table = block.step  # the error draw
+    else:
+        table = block.step[block.km if pos.kind == "normal" else block.step]
+    for probability, child in pos.children:
+        below = _table(child, block)
+        if probability < 1.0:
+            drawn = block.step[table]
+            table = np.where(block.u[table] < probability, below[drawn], drawn)
+        else:
+            table = below[table]
+    return table
+
+
+def _chain(table: np.ndarray, rows: int, over: int) -> list:
+    """Each row's first draw offset while the rows fit the block, then the
+    offset after the last one."""
+    offsets = [0]
+    append = offsets.append
+    step = table.item
+    offset = 0
+    for _ in range(rows):
+        offset = step(offset)
+        if offset == over:
+            break
+        append(offset)
+    return offsets
+
+
+def _latency(recipe, block: _Block, offsets: np.ndarray, load):
+    """A latency column for hops whose draws start at *offsets*, with the
+    scalar sampler's float operations (``exp`` and ``**`` as Python
+    floats); returns it and the offsets of the hops' error draws."""
+    draw, a, b, ops = recipe
+    n = len(offsets)
+    if draw == "const":
+        column = np.full(n, a)
+    elif draw == "normal":
+        pairs = block.first[offsets]
+        column = np.fromiter(map(math.exp, (a + block.z[pairs] * b).tolist()), float, n)
+        offsets = pairs + 2
+    else:
+        exponents = repeat(-1.0 / b, n)
+        column = a * np.fromiter(
+            map(pow, (1.0 - block.u[offsets]).tolist(), exponents), float, n
+        )
+        offsets = offsets + 1
+    for op, arg in ops:
+        if op == "scale":
+            column = column * arg
+        else:
+            column = column * (1.0 + arg * np.maximum(0.0, load - 1.0))
+    return column, offsets
+
+
+def _arrive(arrivals, starts: list, window: float) -> list:
+    """Append each start to a load deque, expiring what falls out of the
+    window as the hop does; returns the deque length each hop saw."""
+    append, popleft = arrivals.append, arrivals.popleft
+    counts = []
+    for start in starts:
+        append(start)
+        cutoff = start - window
+        while arrivals[0] < cutoff:
+            popleft()
+        counts.append(len(arrivals))
+    return counts
+
+
+def _hop_order(entries: list, positions: int) -> list:
+    """Lists of the columns ``(order, rows, *columns)`` of one or more
+    positions, in global hop order: by row, then by *order* in the row."""
+    if len(entries) == 1:
+        return [c if type(c) is list else c.tolist() for c in entries[0][2:]]
+    key = np.concatenate([rows * positions + order for order, rows, *_ in entries])
+    order = np.argsort(key)
+    return [
+        np.concatenate([entry[i] for entry in entries])[order].tolist()
+        for i in range(2, len(entries[0]))
+    ]
 
 
 class RequestKernel:
@@ -240,8 +399,9 @@ class RequestKernel:
     request actually gets there.
 
     With a *population* the requests are rows of a
-    :class:`~repro.traffic.batch.RequestBatch` (:meth:`run_slice`), and a
-    hop buffers its sample in :attr:`samples` as it finishes.  Without one
+    :class:`~repro.traffic.batch.RequestBatch` (:meth:`run_slice`), and
+    their samples land in :attr:`samples` in hop-completion order (per
+    sub-block on the plain hop, per hop on the general one).  Without one
     they are :class:`~repro.traffic.workload.Request` objects
     (:meth:`execute_request`, what ``Runtime.execute`` runs), and the
     caller buffers the spans in :attr:`samples` once the request has
@@ -334,9 +494,7 @@ class RequestKernel:
             edge = (None, node, policy, (), service, endpoint)
         else:
             rec = self._route_rec(service, route)
-            nodes = _VariantNodes(
-                lambda version: self._node(service, endpoint, version, self._proxy_ms)
-            )
+            nodes = _VariantNodes(self, service, endpoint)
             shadows = self._shadow_nodes(service, endpoint, route.shadow_versions)
             edge = (rec, nodes, policy, shadows, service, endpoint)
         self._edges[key] = edge
@@ -390,7 +548,8 @@ class RequestKernel:
             return node
         version = self._app.service(service).get(version_name)
         spec = version.endpoint(endpoint)
-        sample, needs_load = _compile_sampler(spec.latency, self)
+        recipe = _recipe(spec.latency)
+        sample, needs_load = _compile_sampler(spec.latency, recipe, self)
         buffers = self.samples.columns(service, version_name)
         node = [
             sample,
@@ -407,6 +566,7 @@ class RequestKernel:
             service,
             version_name,
             endpoint,
+            recipe,
         ]
         self._nodes[key] = node
         return node
@@ -534,24 +694,18 @@ class RequestKernel:
         per request when spans are materialized, otherwise the same number
         is burned in O(1).
         """
-        timestamps = batch.timestamps[lo:hi].tolist()
-        user_indices = batch.user_indices[lo:hi].tolist()
-        edge = self.entry_edge(batch.entry)
-        group_codes = self._group_codes
         runtime = self._runtime
-        durations: list = []
-        append = durations.append
-        errors = 0
-        if not self._general:
-            execute = self._execute
-            for ts, user in zip(timestamps, user_indices):
-                if ts > now:
-                    now = ts
-                duration, error = execute(edge, now, user, group_codes[user], 0)
-                append(duration)
-                if error:
-                    errors += 1
+        plan = None if self._general else self._plan(batch.entry)
+        if plan is not None:
+            now, durations, errors = self._run_columns(plan, batch, lo, hi, now)
         else:
+            timestamps = batch.timestamps[lo:hi].tolist()
+            user_indices = batch.user_indices[lo:hi].tolist()
+            edge = self.entry_edge(batch.entry)
+            group_codes = self._group_codes
+            durations = []
+            append = durations.append
+            errors = 0
             population = self._population
             group_names = population.group_names
             collector = runtime.collector
@@ -592,6 +746,214 @@ class RequestKernel:
         runtime.requests_executed += len(durations)
         return now, durations, errors
 
+    # -- the columnar slice (the plain hop) -----------------------------------
+
+    def _plan(self, entry: str):
+        """The entry's call tree as positions in pre-order, or None when the
+        columnar slice cannot express the slice and the general hop runs it:
+        a latency model without a recipe, a cycle, a load deque shared by
+        two positions where one reads the load, or a call site whose
+        versions differ in their calls or their draw kinds."""
+        positions: list = []
+        plan = (positions, [], {})
+        if self._position(*_split_entry(entry), True, (), plan) is None:
+            return None
+        for count, reads in plan[2].values():
+            if count > 1 and reads:
+                return None
+        return positions
+
+    def _position(self, service: str, endpoint: str, certain: bool, path, plan):
+        positions, finished, deques = plan
+        if (service, endpoint) in path or len(path) > _MAX_CALL_DEPTH:
+            return None
+        router = self._router
+        route = router.active_route(service) if router is not None else None
+        try:
+            svc = self._app.service(service)
+            if route is None:
+                rec, versions = None, (svc.stable_version,)
+            else:
+                rec = self._route_rec(service, route)
+                versions = tuple(dict.fromkeys((rec[4], *(v.version for v in rec[2]))))
+            specs = [svc.get(version).endpoint(endpoint) for version in versions]
+        except ConfigurationError:  # raised by the general hop, if reached
+            return None
+        recipes = [_recipe(spec.latency) for spec in specs]
+        calls = {
+            tuple((c.probability, c.service, c.endpoint) for c in spec.calls)
+            for spec in specs
+        }
+        kinds = {None if recipe is None else recipe[0] for recipe in recipes}
+        if (
+            None in kinds
+            or len(kinds) > 1
+            or len(calls) > 1
+            or len({bool(spec.parallel_calls) for spec in specs}) > 1
+        ):
+            return None
+        for version, recipe in zip(versions, recipes):
+            use = deques.setdefault((service, version), [0, False])
+            use[0] += 1
+            use[1] = use[1] or any(op == "load" for op, _ in recipe[3])
+        pos = _Position()
+        pos.key, pos.rec, pos.versions, pos.kind = (service, endpoint), rec, versions, kinds.pop()
+        pos.codes = {version: code for code, version in enumerate(versions)}
+        pos.certain, pos.parallel = certain, bool(specs[0].parallel_calls)
+        pos.proxy = 0.0 if rec is None else self._proxy_ms
+        pos.pre = len(positions)
+        positions.append(pos)
+        path = (*path, (service, endpoint))
+        children = []
+        for probability, child_service, child_endpoint in calls.pop():
+            child = self._position(
+                child_service, child_endpoint, certain and probability >= 1.0, path, plan
+            )
+            if child is None:
+                return None
+            children.append((probability, child))
+        pos.children = tuple(children)
+        pos.post = len(finished)
+        finished.append(pos)
+        return pos
+
+    def _codes(self, pos: _Position, users: list) -> np.ndarray:
+        """Each user's version at *pos* as an index into ``pos.versions``,
+        assigning (in row order) users reaching it for the first time."""
+        rec = pos.rec
+        memo = rec[0]
+        while True:
+            try:
+                return np.fromiter(
+                    map(pos.codes.__getitem__, map(memo.__getitem__, users)),
+                    np.intp,
+                    len(users),
+                )
+            except KeyError:
+                for user in users:
+                    if user not in memo:
+                        self._assign(rec, user, self._group_codes[user])
+
+    def _run_columns(self, positions: list, batch: "RequestBatch", lo: int, hi: int, now: float):
+        """Rows [lo, hi) as columns, a sub-block at a time: one bulk draw,
+        each row's draw offsets from the composed table, then every
+        position's hops at once (see docs/PERF_KERNEL.md, "The two hops")."""
+        raw = self.raw
+        root = positions[0]
+        routed = [pos for pos in positions if pos.rec is not None and pos.certain]
+        per_row = _expected_draws(root) * 1.05
+        durations: list = []
+        errors = 0
+        while lo < hi:
+            rows = min(_SUB_BLOCK, hi - lo)
+            users = batch.user_indices[lo : lo + rows]
+            user_list = users.tolist()
+            codes = {pos: self._codes(pos, user_list) for pos in routed}
+            size = max(2, math.ceil(rows * per_row) + _BLOCK_SLACK)
+            while True:
+                state = raw.getstate()
+                block = _Block(random_block(raw, size))
+                offsets = _chain(_table(root, block), rows, block.over)
+                raw.setstate(state)
+                if len(offsets) > 1:
+                    break
+                size *= 2
+            # Keep exactly the draws the rows consumed.
+            raw.getrandbits(64 * offsets[-1])
+            done = len(offsets) - 1
+            starts = np.maximum.accumulate(
+                np.concatenate(((now,), batch.timestamps[lo : lo + done]))
+            )[1:]
+            ctx = (users, codes, {}, {})
+            duration, error, _ = self._hop(
+                root, np.arange(done), starts, np.array(offsets[:-1]), block, ctx
+            )
+            for arrivals, entries in ctx[2].values():
+                _arrive(arrivals, _hop_order(entries, len(positions))[0], self._window)
+            for node, entries in ctx[3].values():
+                for buffer, column in zip(
+                    node[_N_TS_BUF : _N_ERR_BUF + 1], _hop_order(entries, len(positions))
+                ):
+                    buffer.extend(column)
+            durations.extend(duration.tolist())
+            errors += int(np.count_nonzero(error))
+            now = starts[-1].item()
+            lo += done
+        return now, durations, errors
+
+    def _hop(self, pos: _Position, rows, start, offsets, block: _Block, ctx):
+        """*pos*'s hops for *rows* (ascending sub-block indices) starting at
+        *start* with their first draw at *offsets*, children included;
+        returns their durations, errors and next draw offsets."""
+        users, codes, arrivals, samples = ctx
+        n = len(rows)
+        edge = self._edges.get(pos.key) or self._edge(*pos.key)
+        if pos.rec is None:
+            picks = None
+        elif pos.certain:
+            picks = codes[pos][rows]
+        else:
+            picks = self._codes(pos, users[rows].tolist())
+        own = np.empty(n)
+        error = np.empty(n, bool)
+        after = np.empty(n, np.intp)
+        groups = []
+        for code, version in enumerate(pos.versions):
+            if picks is None:
+                node, sel = edge[1], slice(None)
+            else:
+                sel = np.flatnonzero(picks == code)
+                if not len(sel):
+                    continue
+                node = edge[1][version]
+            # One float object per start, shared by the deque and the buffer.
+            begin = start[sel].tolist()
+            groups.append((node, sel, begin))
+            load = None
+            if node[_N_NEEDS_LOAD]:
+                counts = _arrive(node[_N_ARRIVALS], begin, self._window)
+                capacity = node[_N_CAPACITY]
+                load = (
+                    np.array(counts, float) / self._window / capacity
+                    if capacity > 0
+                    else np.zeros(len(counts))
+                )
+            else:
+                arrivals.setdefault(
+                    id(node[_N_ARRIVALS]), (node[_N_ARRIVALS], [])
+                )[1].append((pos.pre, rows[sel], begin))
+            own[sel], drawn = _latency(node[_N_RECIPE], block, offsets[sel], load)
+            error[sel] = block.u[drawn] < node[_N_ERROR_RATE]
+            after[sel] = drawn + 1
+        if pos.children:
+            child_start = start + 0.3 * own / 1000.0
+            total = np.zeros(n)
+            slowest = np.zeros(n)
+            for probability, child in pos.children:
+                taken = slice(None)
+                if probability < 1.0:
+                    taken = np.flatnonzero(block.u[after] < probability)
+                    after = after + 1
+                    if not len(taken):
+                        continue
+                begin = child_start[taken]
+                if not pos.parallel:
+                    begin = begin + total[taken] / 1000.0
+                took, failed, after[taken] = self._hop(
+                    child, rows[taken], begin, after[taken], block, ctx
+                )
+                total[taken] += took
+                slowest[taken] = np.maximum(slowest[taken], took)
+                error[taken] |= failed
+            duration = own + pos.proxy + (slowest if pos.parallel else total)
+        else:
+            duration = own + pos.proxy
+        for node, sel, begin in groups:
+            samples.setdefault(id(node[_N_TS_BUF]), (node, []))[1].append(
+                (pos.post, rows[sel], begin, duration[sel], error[sel])
+            )
+        return duration, error, after
+
     def execute_request(self, request: "Request", start: float):
         """Run one :class:`Request` through the general hop with spans on;
         returns (trace id, spans, duration ms, error).  Recording the
@@ -602,67 +964,6 @@ class RequestKernel:
         ctx = (request, None, trace_id, spans, request.group, request.user_id)
         duration, error = self._dispatch(edge, None, start, 0, False, None, ctx)
         return trace_id, spans, duration, error
-
-    def _execute(self, edge, start: float, user: int, group_code: int, depth: int):
-        """The plain hop (plus children): the general hop draw for draw
-        when no policy, breaker, partition, shadow, or span applies."""
-        if depth > _MAX_CALL_DEPTH:
-            raise ExecutionError(
-                f"call depth exceeded {_MAX_CALL_DEPTH}; cyclic topology?"
-            )
-        rec = edge[0]
-        if rec is None:
-            node = edge[1]
-        else:
-            version = rec[0].get(user)
-            if version is None:
-                version = self._assign(rec, user, group_code)
-            node = edge[1][version]
-        arrivals = node[_N_ARRIVALS]
-        arrivals.append(start)
-        cutoff = start - self._window
-        while arrivals[0] < cutoff:
-            arrivals.popleft()
-        if node[_N_NEEDS_LOAD]:
-            capacity = node[_N_CAPACITY]
-            load = (
-                (len(arrivals) / self._window) / capacity if capacity > 0 else 0.0
-            )
-        else:
-            load = 0.0
-        own_latency = node[_N_SAMPLE](load)
-        error = self._random() < node[_N_ERROR_RATE]
-        children = node[_N_CHILDREN]
-        if children:
-            child_start = start + 0.3 * own_latency / 1000.0
-            children_duration = 0.0
-            slowest_child = 0.0
-            parallel = node[_N_PARALLEL]
-            random = self._random
-            edges = self._edges
-            for probability, child_service, child_endpoint in children:
-                if probability < 1.0 and random() >= probability:
-                    continue
-                child_edge = edges.get((child_service, child_endpoint))
-                if child_edge is None:
-                    child_edge = self._edge(child_service, child_endpoint)
-                offset = 0.0 if parallel else children_duration / 1000.0
-                child_duration, failed = self._execute(
-                    child_edge, child_start + offset, user, group_code, depth + 1
-                )
-                children_duration += child_duration
-                if child_duration > slowest_child:
-                    slowest_child = child_duration
-                if failed:
-                    error = True
-            waited = slowest_child if parallel else children_duration
-            duration = own_latency + node[_N_PROXY_MS] + waited
-        else:
-            duration = own_latency + node[_N_PROXY_MS]
-        node[_N_TS_BUF].append(start)
-        node[_N_DUR_BUF].append(duration)
-        node[_N_ERR_BUF].append(error)
-        return duration, error
 
     def _dispatch(
         self, edge, caller, start: float, depth: int, shadow: bool, parent_id, ctx
@@ -802,10 +1103,16 @@ class RequestKernel:
             if child_edge is None:
                 child_edge = self._edge(child_service, child_endpoint)
             offset = 0.0 if parallel else children_duration / 1000.0
-            child_duration, failed = self._dispatch(
-                child_edge, service, child_start + offset, depth + 1, shadow,
-                span_id, ctx,
-            )
+            if child_edge[2] is None:  # no policy: _dispatch's own shortcut
+                child_duration, failed, _ = self._call(
+                    child_edge, None, service, child_start + offset, depth + 1,
+                    shadow, span_id, ctx, 0,
+                )
+            else:
+                child_duration, failed = self._dispatch(
+                    child_edge, service, child_start + offset, depth + 1, shadow,
+                    span_id, ctx,
+                )
             children_duration += child_duration
             if child_duration > slowest_child:
                 slowest_child = child_duration

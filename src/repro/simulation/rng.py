@@ -14,6 +14,8 @@ from itertools import accumulate
 from math import isfinite
 from typing import Iterable, Sequence, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 
 
@@ -28,6 +30,22 @@ def cumulative_weights(weights: Iterable[float]) -> tuple[list[float], float]:
     if not isfinite(total):
         raise ValueError("Total of weights must be finite")
     return cum, total
+
+
+def random_block(raw: random.Random, n: int) -> np.ndarray:
+    """*n* successive ``raw.random()`` values as a float64 array, bit for bit.
+
+    One ``getrandbits(64 * n)`` call draws the same 2 *n* Mersenne-Twister
+    words, least significant first, that *n* ``random()`` calls would, and
+    leaves *raw* in the same state; each pair becomes
+    ``(a >> 5, b >> 6)`` scaled exactly as ``random()`` scales it.  To keep
+    only the first *k* values, restore the state from before the call and
+    call ``raw.getrandbits(64 * k)``.  ``gauss`` keeps its cached variate.
+    """
+    words = np.frombuffer(raw.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (
+        1.0 / 9007199254740992.0
+    )
 
 
 class SeededRng:

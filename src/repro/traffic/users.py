@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.simulation.rng import SeededRng, cumulative_weights
+from repro.simulation.rng import SeededRng, cumulative_weights, random_block
 from repro.traffic.profile import UserGroup
 
 #: Cap on memoized per-salt MD5 prefix states (see :func:`bucket_user`).
@@ -97,18 +97,18 @@ def _draw_group_codes(
     """One group code per user, bit-identical to *size* calls of
     :meth:`SeededRng.weighted_choice`.
 
-    Replays ``random.choices(..., k=1)``: one uniform per user scaled by
+    Replays ``random.choices(..., k=1)``: one uniform per user (drawn in
+    bulk by :func:`~repro.simulation.rng.random_block`) scaled by
     the total weight and bisected (right) over all but the last of the
     :func:`cumulative_weights`.  Returns ``bytes`` or an ``array``: both
     index to a plain ``int`` at tuple speed, where an ndarray would hand
     the request kernel's per-request ``group_codes[user]`` numpy scalars.
     """
     cum, total = cumulative_weights(shares)
-    random = rng.raw.random
     last = len(cum) - 1
     codes = array("B" if last < 2**8 else "H" if last < 2**16 else "L")
     for lo in range(0, size, _FILL_CHUNK):
-        draws = np.array([random() for _ in range(min(_FILL_CHUNK, size - lo))])
+        draws = random_block(rng.raw, min(_FILL_CHUNK, size - lo))
         picks = np.searchsorted(cum, draws * total, side="right")
         codes.frombytes(
             np.minimum(picks, last).astype(f"u{codes.itemsize}").tobytes()
