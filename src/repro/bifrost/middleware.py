@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.bifrost.dsl import parse_strategy
 from repro.bifrost.engine import BifrostEngine, EngineCosts, StrategyExecution
 from repro.bifrost.journal import Journal, SnapshotPolicy, SnapshotStore
-from repro.bifrost.model import EXECUTION_MODES, Strategy, StrategyOutcome
+from repro.bifrost.model import Strategy, StrategyOutcome
 from repro.bifrost.recovery import EngineSupervisor, RestartPolicy
 from repro.microservices.application import Application
 from repro.microservices.faults import (
@@ -63,19 +63,7 @@ class Bifrost:
         restart_policy: RestartPolicy | None = None,
         toggles: ToggleStore | None = None,
         observer: Observer | None = None,
-        mode: str = "sim",
     ) -> None:
-        # The middleware *is* the SIM substrate; `mode` declares which
-        # substrate this instance stands in for, so strategies that pin
-        # a different execution mode in their DSL are rejected at submit
-        # time instead of silently running simulated.  The other modes
-        # live behind repro.exec.ExecutionRouter.
-        if mode not in EXECUTION_MODES:
-            raise ConfigurationError(
-                f"unknown execution mode {mode!r} "
-                f"(expected one of {sorted(EXECUTION_MODES)})"
-            )
-        self.mode = mode
         self.application = application
         self.observer = observer or NULL_OBSERVER
         self.clock = SimulationClock()
@@ -283,21 +271,20 @@ class Bifrost:
     def submit(self, strategy: Strategy | str, at: float | None = None) -> StrategyExecution:
         """Submit a strategy object or DSL text for execution.
 
-        A strategy that pins a different execution mode in its DSL
-        (``mode live`` on a plain simulated middleware, say) is rejected
-        — running it here would silently substitute the simulator for
-        the substrate the author asked for.  Strategies with the default
-        ``mode sim`` run on any substrate; route mode-pinned strategies
-        through :class:`repro.exec.ExecutionRouter`.
+        The middleware is the SIM substrate, so a strategy that pins
+        another execution mode in its DSL (``mode live``, say) is
+        rejected — running it here would silently substitute the
+        simulator for the substrate the author asked for.  Route
+        mode-pinned strategies through :class:`repro.exec.ExecutionRouter`,
+        whose backends submit to :attr:`engine` directly.
         """
         if isinstance(strategy, str):
             strategy = parse_strategy(strategy)
-        if strategy.execution_mode not in ("sim", self.mode):
+        if strategy.execution_mode != "sim":
             raise ConfigurationError(
                 f"strategy {strategy.name!r} pins execution mode "
                 f"{strategy.execution_mode!r} but this middleware is the "
-                f"{self.mode!r} substrate; run it via "
-                "repro.exec.ExecutionRouter"
+                "'sim' substrate; run it via repro.exec.ExecutionRouter"
             )
         return self.engine.submit(strategy, at=at)
 

@@ -11,10 +11,14 @@ runs unmodified against
   sockets, routed by the same proxy layer the engine installs
   experiment routes into.
 
+All three run the engine on a :class:`~repro.bifrost.middleware.Bifrost`
+facade and return one :class:`RunResult`; the router turns it into one
+:class:`ExecutionReport`.
+
 See ``docs/EXECUTION_MODES.md`` for the mode matrix and workflows.
 """
 
-from repro.exec.live import LiveBackend, LiveCluster, LiveOptions, LiveRunResult
+from repro.exec.live import LiveBackend, LiveCluster, LiveOptions
 from repro.exec.recording import (
     RecordedRequest,
     RecordedRequests,
@@ -22,14 +26,9 @@ from repro.exec.recording import (
     Recording,
     run_digest,
 )
-from repro.exec.replay import (
-    ReplayBackend,
-    ReplayDiff,
-    ReplayRunResult,
-    diff_replay,
-)
+from repro.exec.replay import ReplayBackend, ReplayDiff, diff_replay
 from repro.exec.router import ExecutionMode, ExecutionReport, ExecutionRouter
-from repro.exec.sim import SimBackend, SimRunResult
+from repro.exec.sim import RunResult, SimBackend
 
 __all__ = [
     "ExecutionMode",
@@ -38,16 +37,14 @@ __all__ = [
     "LiveBackend",
     "LiveCluster",
     "LiveOptions",
-    "LiveRunResult",
     "RecordedRequest",
     "RecordedRequests",
     "RecordedSpan",
     "Recording",
     "ReplayBackend",
     "ReplayDiff",
-    "ReplayRunResult",
+    "RunResult",
     "SimBackend",
-    "SimRunResult",
     "diff_replay",
     "run_digest",
 ]

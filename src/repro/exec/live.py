@@ -23,19 +23,19 @@ from __future__ import annotations
 
 import asyncio
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.bifrost.engine import BifrostEngine, StrategyExecution
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Strategy
 from repro.errors import ExecutionError
+from repro.exec.sim import RunResult
 from repro.microservices.application import Application
 from repro.microservices.service import EndpointSpec
 from repro.obs.observer import Observer
 from repro.routing.proxy import VersionRouter
-from repro.simulation.clock import SimulationClock
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import SeededRng
+from repro.telemetry.monitor import SpanSampleBuffer
 from repro.telemetry.store import MetricStore
 from repro.traffic.workload import Request
 
@@ -66,30 +66,6 @@ class LiveOptions:
     request_timeout_s: float = 10.0
     max_wall_s: float = 55.0
     max_inflight: int = 64
-
-
-@dataclass
-class LiveRunResult:
-    """What one live execution produced."""
-
-    engine: BifrostEngine
-    store: MetricStore
-    observer: Observer
-    requests: int = 0
-    errors: int = 0
-    wall_seconds: float = 0.0
-    ports: dict = field(default_factory=dict)
-
-    @property
-    def executions(self) -> list[StrategyExecution]:
-        return self.engine.executions
-
-    @property
-    def provenance(self):
-        """The live engine's decision-provenance graph (None when the
-        observer's provenance fold was disabled)."""
-        tracker = self.observer.provenance
-        return None if tracker is None else tracker.graph()
 
 
 class _LiveServer:
@@ -234,6 +210,7 @@ class LiveCluster:
         self._rng = SeededRng(seed)
         self._t0 = _time.perf_counter()
         self._shadow_tasks: set[asyncio.Task] = set()
+        self._samples = SpanSampleBuffer()
 
     def logical_now(self) -> float:
         """Wall time since cluster start, on the logical clock."""
@@ -266,11 +243,10 @@ class LiveCluster:
     def observe(
         self, service: str, version: str, start: float, duration_ms: float, error: bool
     ) -> None:
-        """Record one handler observation as the triple a
-        :class:`~repro.telemetry.monitor.SpanSampleBuffer` flush writes."""
-        self.store.record(service, version, "response_time", start, duration_ms)
-        self.store.record(service, version, "error", start, 1.0 if error else 0.0)
-        self.store.record(service, version, "throughput", start, 1.0)
+        """Land one handler observation in the store, as the
+        :class:`~repro.telemetry.monitor.SpanSampleBuffer` every driver writes through."""
+        self._samples.add(service, version, start, duration_ms, error)
+        self._samples.flush(self.store)
 
     def resolve(self, service: str, user_id: str, group: str) -> tuple[str, tuple[str, ...]]:
         """Pick the target version for one call via the shared router."""
@@ -344,8 +320,6 @@ class LiveCluster:
 class LiveBackend:
     """Drives a strategy end-to-end over real sockets."""
 
-    mode = "live"
-
     def __init__(
         self,
         application_factory: Callable[[], Application],
@@ -362,7 +336,7 @@ class LiveBackend:
         workload: Iterable[Request],
         until: float | None = None,
         submit_at: float = 0.0,
-    ) -> LiveRunResult:
+    ) -> RunResult:
         """Run *strategy* against the live cluster under *workload*."""
         return asyncio.run(self._run(strategy, workload, until, submit_at))
 
@@ -372,23 +346,17 @@ class LiveBackend:
         workload: Iterable[Request],
         until: float | None,
         submit_at: float,
-    ) -> LiveRunResult:
+    ) -> RunResult:
         options = self.options
-        application = self.application_factory()
-        clock = SimulationClock()
-        simulation = SimulationEngine(clock)
-        router = VersionRouter()
-        store = MetricStore()
-        observer = Observer(enabled=True)
-        engine = BifrostEngine(
-            simulation=simulation,
-            application=application,
-            router=router,
-            store=store,
-            observer=observer,
+        middleware = Bifrost(
+            self.application_factory(), seed=self.seed, observer=Observer(enabled=True)
         )
-        cluster = LiveCluster(application, router, store, options, seed=self.seed)
-        result = LiveRunResult(engine=engine, store=store, observer=observer)
+        simulation, engine = middleware.simulation, middleware.engine
+        cluster = LiveCluster(
+            middleware.application, middleware.router, middleware.store, options,
+            seed=self.seed,
+        )
+        result = RunResult(middleware=middleware, strategy=strategy, requests=0, errors=0)
         requests = sorted(workload, key=lambda r: r.timestamp)
         wall_start = _time.perf_counter()
 

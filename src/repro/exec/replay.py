@@ -1,7 +1,7 @@
 """REPLAY backend: re-drive a recorded experiment and diff the outcome.
 
-The replay rebuilds a fresh engine stack (clock, simulation queue,
-router, metric store, observer) and re-presents the recording's request
+The replay builds a fresh :class:`~repro.bifrost.middleware.Bifrost`
+facade — the engine stack SIM runs on — and re-presents the recording's request
 stream *as observations* through SIM's interleave loop,
 :func:`~repro.simulation.batch.drive`: engine decisions due at or before
 a recorded arrival run first, exactly as they did live, and the recorded
@@ -30,46 +30,16 @@ from itertools import accumulate
 from typing import Callable
 
 from repro.bifrost.dsl import parse_strategy
-from repro.bifrost.engine import BifrostEngine, StrategyExecution
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Strategy, strategy_from_dict
 from repro.errors import ReplayError
 from repro.exec.recording import Recording, run_digest
+from repro.exec.sim import RunResult
 from repro.microservices.application import Application
 from repro.obs.observer import Observer
 from repro.obs.timeline import diff_timeline_execution, reconstruct_timelines
-from repro.routing.proxy import VersionRouter
 from repro.simulation.batch import drive
-from repro.simulation.clock import SimulationClock
-from repro.simulation.engine import SimulationEngine
 from repro.telemetry.monitor import SpanSampleBuffer
-from repro.telemetry.store import MetricStore
-
-
-@dataclass
-class ReplayRunResult:
-    """What one replay produced: a fresh engine run on recorded inputs."""
-
-    engine: BifrostEngine
-    store: MetricStore
-    observer: Observer
-    strategy: Strategy
-    requests: int
-    digest: str
-
-    @property
-    def executions(self) -> list[StrategyExecution]:
-        return self.engine.executions
-
-    @property
-    def provenance(self):
-        """The replayed engine's decision-provenance graph.
-
-        For a faithful replay this is digest-equal to the recording's
-        :meth:`~repro.exec.recording.Recording.provenance` — the same
-        fold over the same event stream.
-        """
-        tracker = self.observer.provenance
-        return None if tracker is None else tracker.graph()
 
 
 @dataclass
@@ -127,9 +97,7 @@ class ReplayDiff:
 
 
 class ReplayBackend:
-    """Re-drives recordings against a fresh engine stack."""
-
-    mode = "replay"
+    """Re-drives recordings against a fresh :class:`Bifrost` facade."""
 
     def __init__(
         self,
@@ -141,7 +109,7 @@ class ReplayBackend:
         self,
         recording: Recording,
         strategy: Strategy | None = None,
-    ) -> ReplayRunResult:
+    ) -> RunResult:
         """Replay *recording*; *strategy* overrides the recorded one.
 
         Raises :class:`ReplayError` when the recording's event stream is
@@ -162,19 +130,9 @@ class ReplayBackend:
                 strategy = parse_strategy(recording.strategy_dsl)
             else:
                 raise ReplayError("recording carries no strategy definition")
-        clock = SimulationClock()
-        simulation = SimulationEngine(clock)
-        router = VersionRouter()
-        store = MetricStore()
-        observer = Observer(enabled=True)
-        engine = BifrostEngine(
-            simulation=simulation,
-            application=self.application_factory(),
-            router=router,
-            store=store,
-            observer=observer,
-        )
-        engine.submit(strategy, at=recording.submit_at)
+        middleware = Bifrost(self.application_factory(), observer=Observer(enabled=True))
+        middleware.engine.submit(strategy, at=recording.submit_at)
+        simulation, store = middleware.simulation, middleware.store
         requests = recording.requests
         span_ends = requests.span_ends
         columns = (requests.span_services, requests.span_versions, requests.span_starts,
@@ -193,17 +151,16 @@ class ReplayBackend:
         timestamps = array("d", accumulate(requests.timestamps, max))
         drive(simulation, timestamps, land_spans)
         simulation.run_until(max([recording.end_time, *timestamps[-1:]]))
-        return ReplayRunResult(
-            engine=engine,
-            store=store,
-            observer=observer,
+        return RunResult(
+            middleware=middleware,
             strategy=strategy,
-            requests=len(recording.requests),
-            digest=run_digest(store, engine.executions),
+            requests=len(requests),
+            errors=sum(requests.errors),
+            digest=run_digest(store, middleware.engine.executions),
         )
 
 
-def diff_replay(recording: Recording, result: ReplayRunResult) -> ReplayDiff:
+def diff_replay(recording: Recording, result: RunResult) -> ReplayDiff:
     """Compare a replay against its recording, outcome by outcome.
 
     Folds the recording's event stream into provenance records — each

@@ -3,12 +3,15 @@
 The paper's portability claim made executable: the *same* DSL strategy
 file runs unmodified against
 
-- **SIM** — the in-process simulator (:class:`~repro.exec.sim.SimBackend`,
-  wrapping the full :class:`~repro.bifrost.middleware.Bifrost` facade),
+- **SIM** — the in-process simulator (:class:`~repro.exec.sim.SimBackend`),
 - **REPLAY** — a recorded run re-driven and diffed
   (:class:`~repro.exec.replay.ReplayBackend` + :func:`~repro.exec.replay.diff_replay`),
 - **LIVE** — real asyncio HTTP servers on loopback sockets
   (:class:`~repro.exec.live.LiveBackend`).
+
+Every backend runs its engine on a :class:`~repro.bifrost.middleware.Bifrost`
+facade and returns one :class:`~repro.exec.sim.RunResult`, from which the
+router builds one :class:`ExecutionReport`.
 
 Mode selection is layered: an explicit ``mode=`` argument wins, then the
 strategy's own ``mode sim|replay|live`` DSL declaration, then SIM.  The
@@ -25,15 +28,10 @@ from typing import Callable, Iterable
 from repro.bifrost.dsl import parse_strategy
 from repro.bifrost.model import Strategy, StrategyOutcome
 from repro.errors import ConfigurationError
-from repro.exec.live import LiveBackend, LiveOptions, LiveRunResult
+from repro.exec.live import LiveBackend, LiveOptions
 from repro.exec.recording import Recording
-from repro.exec.replay import (
-    ReplayBackend,
-    ReplayDiff,
-    ReplayRunResult,
-    diff_replay,
-)
-from repro.exec.sim import SimBackend, SimRunResult
+from repro.exec.replay import ReplayBackend, ReplayDiff, diff_replay
+from repro.exec.sim import RunResult, SimBackend
 from repro.microservices.application import Application
 from repro.traffic.workload import Request
 
@@ -164,100 +162,55 @@ class ExecutionRouter:
         if isinstance(strategy, str):
             strategy = parse_strategy(strategy)
         resolved = self.resolve_mode(strategy, mode, recording)
+        if record and resolved is not ExecutionMode.SIM:
+            raise ConfigurationError(
+                "recording is currently a SIM-mode feature; run the "
+                "strategy under mode='sim' with record=True"
+            )
         if resolved is ExecutionMode.REPLAY:
             if recording is None:
                 raise ConfigurationError("replay mode needs a recording")
             result = self.replay.execute(recording, strategy=strategy)
-            return self._replay_report(recording, result)
+            return self._report(resolved, result, diff_replay(recording, result))
         if strategy is None:
             raise ConfigurationError(f"{resolved.value} mode needs a strategy")
         if workload is None:
             raise ConfigurationError(f"{resolved.value} mode needs a workload")
         if resolved is ExecutionMode.SIM:
-            sim_result = self.sim.execute(
+            result = self.sim.execute(
                 strategy, workload, until=until, submit_at=submit_at, record=record
             )
-            return self._sim_report(strategy, sim_result)
-        if record:
+        else:
+            result = self.live.execute(strategy, workload, until=until, submit_at=submit_at)
+        return self._report(resolved, result)
+
+    def _report(
+        self, mode: ExecutionMode, result: RunResult, replay: ReplayDiff | None = None
+    ) -> ExecutionReport:
+        strategy = result.strategy
+        for execution in result.executions:
+            if execution.strategy.name == strategy.name:
+                break
+        else:
             raise ConfigurationError(
-                "recording is currently a SIM-mode feature; run the "
-                "strategy under mode='sim' with record=True"
+                f"no execution found for strategy {strategy.name!r}"
             )
-        live_result = self.live.execute(
-            strategy, workload, until=until, submit_at=submit_at
-        )
-        return self._live_report(strategy, live_result)
-
-    # -- report assembly ---------------------------------------------------
-
-    def _execution_of(self, executions, strategy_name: str):
-        for execution in executions:
-            if execution.strategy.name == strategy_name:
-                return execution
-        raise ConfigurationError(
-            f"no execution found for strategy {strategy_name!r}"
-        )
-
-    def _stable_after(self, application: Application, strategy: Strategy) -> dict:
-        return {
-            service: application.service(service).stable_version
-            for service in sorted(strategy.services)
-        }
-
-    def _sim_report(
-        self, strategy: Strategy, result: SimRunResult
-    ) -> ExecutionReport:
-        execution = self._execution_of(result.executions, strategy.name)
+        application = result.middleware.application
         return ExecutionReport(
-            mode=ExecutionMode.SIM,
+            mode=mode,
             strategy=strategy.name,
             outcome=execution.outcome,
             state=execution.state,
             winner=execution.winner,
-            stable_after=self._stable_after(
-                result.middleware.application, strategy
-            ),
-            requests=len(result.outcomes),
-            errors=sum(1 for o in result.outcomes if o.error),
-            sim_seconds=result.middleware.simulation.now,
-            recording=result.recording,
-            details=result,
-        )
-
-    def _replay_report(
-        self, recording: Recording, result: ReplayRunResult
-    ) -> ExecutionReport:
-        execution = self._execution_of(result.executions, result.strategy.name)
-        return ExecutionReport(
-            mode=ExecutionMode.REPLAY,
-            strategy=result.strategy.name,
-            outcome=execution.outcome,
-            state=execution.state,
-            winner=execution.winner,
-            stable_after=self._stable_after(
-                result.engine.application, result.strategy
-            ),
-            requests=result.requests,
-            errors=sum(recording.requests.errors),
-            sim_seconds=result.engine.simulation.now,
-            replay=diff_replay(recording, result),
-            details=result,
-        )
-
-    def _live_report(
-        self, strategy: Strategy, result: LiveRunResult
-    ) -> ExecutionReport:
-        execution = self._execution_of(result.executions, strategy.name)
-        return ExecutionReport(
-            mode=ExecutionMode.LIVE,
-            strategy=strategy.name,
-            outcome=execution.outcome,
-            state=execution.state,
-            winner=execution.winner,
-            stable_after=self._stable_after(result.engine.application, strategy),
+            stable_after={
+                service: application.service(service).stable_version
+                for service in sorted(strategy.services)
+            },
             requests=result.requests,
             errors=result.errors,
-            sim_seconds=result.engine.simulation.now,
+            sim_seconds=result.middleware.simulation.now,
             wall_seconds=result.wall_seconds,
+            recording=result.recording,
+            replay=replay,
             details=result,
         )

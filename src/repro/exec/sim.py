@@ -1,16 +1,19 @@
-"""SIM backend: the in-process simulator behind the execution router.
+"""SIM backend, and the run result every backend returns.
 
 Thin composition over the :class:`~repro.bifrost.middleware.Bifrost`
 facade (so everything the simulator supports — fault campaigns,
-durability, the PR-8 batch kernel — stays available) plus the recording
+durability, the batch kernel — stays available) plus the recording
 tap: when asked to record, a lossless event subscription and per-request
 span extraction produce a :class:`~repro.exec.recording.Recording` the
 REPLAY backend can re-drive.
+
+REPLAY and LIVE build the same facade, so one :class:`RunResult` carries
+what any of the three substrates produced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.bifrost.middleware import Bifrost
@@ -24,12 +27,26 @@ from repro.traffic.workload import Request
 
 
 @dataclass
-class SimRunResult:
-    """What one SIM execution produced."""
+class RunResult:
+    """What one execution produced, whatever the substrate.
+
+    ``outcomes`` and ``recording`` come from SIM, ``digest`` from REPLAY,
+    ``wall_seconds`` and ``ports`` from LIVE.
+    """
 
     middleware: Bifrost
-    outcomes: list[RequestOutcome]
+    strategy: Strategy
+    requests: int
+    errors: int
+    outcomes: list[RequestOutcome] | None = None
     recording: Recording | None = None
+    digest: str | None = None
+    wall_seconds: float | None = None
+    ports: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def engine(self):
+        return self.middleware.engine
 
     @property
     def executions(self):
@@ -50,8 +67,6 @@ class SimRunResult:
 class SimBackend:
     """Runs a strategy against a fresh simulated application."""
 
-    mode = "sim"
-
     def __init__(
         self,
         application_factory: Callable[[], Application],
@@ -69,7 +84,7 @@ class SimBackend:
         until: float | None = None,
         submit_at: float = 0.0,
         record: bool = False,
-    ) -> SimRunResult:
+    ) -> RunResult:
         """Submit *strategy*, replay *workload*, optionally record.
 
         Recording attaches a lossless subscriber to the observer's event
@@ -120,8 +135,13 @@ class SimBackend:
                     e.strategy.name: e.outcome.value
                     for e in middleware.engine.executions
                 },
-                mode=self.mode,
+                mode="sim",
             )
-        return SimRunResult(
-            middleware=middleware, outcomes=outcomes, recording=recording
+        return RunResult(
+            middleware=middleware,
+            strategy=strategy,
+            requests=len(outcomes),
+            errors=sum(1 for outcome in outcomes if outcome.error),
+            outcomes=outcomes,
+            recording=recording,
         )

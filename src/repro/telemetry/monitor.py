@@ -36,8 +36,8 @@ class SpanSampleBuffer:
     """Span samples on their way to a store, as per-(service, version) columns.
 
     The one writer of the ``response_time``/``error``/``throughput`` triple
-    for every simulated driver (batch slices, ``Runtime.execute`` and
-    ``Bifrost.run``, REPLAY, the fleet feed): :meth:`add` samples, or
+    for every driver (batch slices, ``Runtime.execute`` and
+    ``Bifrost.run``, REPLAY, LIVE, the fleet feed): :meth:`add` samples, or
     append to a key's :meth:`columns` in place, then :meth:`flush`.  Per key the store ends
     up exactly as if every sample had been recorded one at a time, in
     order.

@@ -28,6 +28,7 @@ from repro.exec import (
     ExecutionRouter,
     LiveOptions,
     Recording,
+    RunResult,
 )
 from repro.microservices.application import Application
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
@@ -183,6 +184,8 @@ def test_live_canary_over_real_sockets(canary_error_rate, expected):
         mode="live",
     )
     assert report.mode is ExecutionMode.LIVE
+    assert isinstance(report.details, RunResult)
+    assert report.details.provenance is not None
     assert report.outcome is expected
     assert report.requests > MIN_REQUESTS
     assert report.wall_seconds is not None and report.wall_seconds < 55.0

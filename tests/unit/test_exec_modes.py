@@ -35,6 +35,7 @@ from repro.exec import (
     RecordedSpan,
     Recording,
     ReplayBackend,
+    RunResult,
     diff_replay,
     run_digest,
 )
@@ -137,10 +138,6 @@ class TestCheckVersionRoundTrip:
 
 
 class TestBifrostModeGuard:
-    def test_rejects_unknown_middleware_mode(self, tiny_app):
-        with pytest.raises(ConfigurationError, match="execution mode"):
-            Bifrost(tiny_app, mode="warp")
-
     def test_rejects_mode_pinned_strategy(self, canary_app):
         bifrost = Bifrost(canary_app)
         with pytest.raises(ConfigurationError, match="ExecutionRouter"):
@@ -150,11 +147,6 @@ class TestBifrostModeGuard:
         bifrost = Bifrost(canary_app)
         execution = bifrost.submit(canary_strategy(), at=1.0)
         assert execution.strategy.name == "s"
-
-    def test_matching_pinned_mode_accepted(self, canary_app):
-        bifrost = Bifrost(canary_app, mode="live")
-        execution = bifrost.submit(canary_strategy(execution_mode="live"))
-        assert execution.strategy.execution_mode == "live"
 
 
 class TestModeResolution:
@@ -210,6 +202,13 @@ class TestModeResolution:
             self.router(canary_app).run(
                 canary_strategy(), workload=[], mode="live", record=True
             )
+
+    def test_replay_cannot_record(self, canary_app):
+        recording = Recording(
+            strategy_to_dsl(canary_strategy()), seed=1, submit_at=0.0, end_time=1.0
+        )
+        with pytest.raises(ConfigurationError, match="SIM-mode feature"):
+            self.router(canary_app).run(recording=recording, record=True)
 
 
 class TestRecordingFormat:
@@ -334,6 +333,12 @@ class TestRecordReplayUnit:
         assert replay_report.replay.digest_match
         assert replay_report.replay.identical, replay_report.replay.describe()
         assert replay_report.outcome == report.outcome
+        assert (replay_report.requests, replay_report.errors, replay_report.sim_seconds) == (
+            report.requests, report.errors, report.sim_seconds
+        )
+        for run in (report, replay_report):
+            assert isinstance(run.details, RunResult)
+            assert run.details.provenance is not None
 
     def test_replay_survives_serialization(self, canary_app):
         router, report = self.run_recorded(canary_app)

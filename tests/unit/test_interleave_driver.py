@@ -111,8 +111,8 @@ def recording(times, probes, seen):
                 )
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.exec.replay.MetricStore", CapturedStore)
-        patch.setattr("repro.exec.replay.SimulationEngine", ProbedEngine)
+        patch.setattr("repro.telemetry.monitor.MetricStore", CapturedStore)
+        patch.setattr("repro.bifrost.middleware.SimulationEngine", ProbedEngine)
         result = ReplayBackend(build_app).execute(report.recording)
     assert result.requests == len(times)
     return result.store
