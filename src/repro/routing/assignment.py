@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.routing.rules import Variant
-from repro.traffic.users import bucket_user, bucket_users
+from repro.traffic.users import _user_id, bucket_indices, bucket_user
 
 _BUCKETS = 10_000
 
@@ -26,6 +26,8 @@ class StickyAssigner:
 
     Also counts how many distinct assignments each variant received,
     which experiment analysis uses to track collected sample sizes.
+    :meth:`assign_many` leaves its rows pending and every read settles
+    them first, in call order, so each read sees the eager ledger.
     """
 
     def __init__(self, salt: str) -> None:
@@ -34,6 +36,10 @@ class StickyAssigner:
         self.salt = salt
         self._counts: Counter[str] = Counter()
         self._seen: set[str] = set()
+        # (user indices, variant picks, versions) per assign_many call,
+        # holding only indices no earlier call sighted: O(distinct users).
+        self._pending: list[tuple[np.ndarray, np.ndarray, tuple[str, ...]]] = []
+        self._sighted = np.zeros(0, bool)
 
     def assign(self, user_id: str, variants: Sequence[Variant]) -> str:
         """Return the version of the variant *user_id* falls into."""
@@ -47,20 +53,21 @@ class StickyAssigner:
             if bucket < cumulative * _BUCKETS:
                 chosen = variant.version
                 break
+        self._settle()
         if user_id not in self._seen:
             self._seen.add(user_id)
             self._counts[chosen] += 1
         return chosen
 
     def assign_many(
-        self, user_ids: Sequence[str], variants: Sequence[Variant]
-    ) -> list[str]:
-        """Assign many users at once; element *i* equals
-        ``assign(user_ids[i], variants)`` exactly, including the
-        distinct-user bookkeeping.
+        self, indices: np.ndarray, variants: Sequence[Variant]
+    ) -> np.ndarray:
+        """Assign the users of many population indices at once; element *i*
+        is the index into *variants* of ``assign(user_at(indices[i]),
+        variants)``, distinct-user bookkeeping included.
 
-        Buckets the whole array with one memoized salt midstate, then
-        picks variants via a vectorized threshold search.  The thresholds
+        Buckets the whole column with :func:`bucket_indices`, then picks
+        variants via a vectorized threshold search.  The thresholds
         are accumulated with the same left-to-right float additions as the
         scalar loop, and the comparison (``bucket < cumulative * buckets``)
         is exact in float64 for bucket counts this small — so the split is
@@ -68,9 +75,8 @@ class StickyAssigner:
         """
         if not variants:
             raise ConfigurationError("cannot assign across zero variants")
-        buckets = np.asarray(
-            bucket_users(user_ids, self.salt, _BUCKETS), dtype=np.float64
-        )
+        indices = np.asarray(indices, np.int64)
+        buckets = bucket_indices(indices, self.salt, _BUCKETS)
         thresholds = []
         cumulative = 0.0
         for variant in variants:
@@ -80,24 +86,36 @@ class StickyAssigner:
         # bucket — the scalar loop's `bucket < cumulative * _BUCKETS`;
         # buckets past every threshold fall to the last variant, like the
         # scalar loop's default.
-        indices = np.searchsorted(
-            np.asarray(thresholds), buckets, side="right"
+        picks = np.minimum(
+            np.searchsorted(np.asarray(thresholds), buckets, side="right"),
+            len(variants) - 1,
         )
-        last = len(variants) - 1
-        versions = [v.version for v in variants]
-        chosen = [versions[min(i, last)] for i in indices.tolist()]
-        seen = self._seen
-        counts = self._counts
-        for user_id, version in zip(user_ids, chosen):
-            if user_id not in seen:
-                seen.add(user_id)
-                counts[version] += 1
-        return chosen
+        # Only a first sighting can change the ledger, so only those wait.
+        if len(indices) and indices.max() >= len(self._sighted):
+            self._sighted = np.append(self._sighted, np.zeros(indices.max() + 1, bool))
+        fresh = ~self._sighted[indices]
+        if fresh.any():
+            self._sighted[indices] = True
+            self._pending.append(
+                (indices[fresh], picks[fresh], tuple(v.version for v in variants))
+            )
+        return picks
+
+    def _settle(self) -> None:
+        """Fold the pending rows into the ledger, in call order."""
+        for indices, picks, versions in self._pending:
+            for user_id, pick in zip(map(_user_id, indices.tolist()), picks.tolist()):
+                if user_id not in self._seen:
+                    self._seen.add(user_id)
+                    self._counts[versions[pick]] += 1
+        self._pending.clear()
 
     def distinct_users(self, version: str) -> int:
         """How many distinct users have been assigned to *version*."""
+        self._settle()
         return self._counts[version]
 
     def total_distinct_users(self) -> int:
         """Distinct users assigned across all variants."""
+        self._settle()
         return len(self._seen)

@@ -513,7 +513,8 @@ class RequestKernel:
     def _route_rec(self, service: str, route):
         """Per-service routing record: [memo, assigner, variants, eligible
         group codes (None = all), stable version, required headers (None =
-        none)]."""
+        none), prefilled columns (None = none, see
+        :meth:`prefill_assignments`)]."""
         rec = self._route_recs.get(service)
         if rec is None:
             eligible = None
@@ -534,6 +535,7 @@ class RequestKernel:
                 eligible,
                 stable,
                 route.audience.headers or None,
+                None,
             ]
             self._route_recs[service] = rec
         return rec
@@ -587,6 +589,12 @@ class RequestKernel:
         return all(row.get(key) == value for key, value in rec[5].items())
 
     def _assign(self, rec, user_index: int, group_code: int) -> str:
+        if rec[6] is not None:  # a memo miss after a prefill: take the columns
+            distinct, picks, versions = rec[6]
+            rec[6] = None
+            rec[0].update(zip(distinct.tolist(), map(versions.__getitem__, picks.tolist())))
+            if user_index in rec[0]:
+                return rec[0][user_index]
         if rec[2] and self._matches(rec, user_index, group_code):
             version = rec[1].assign(
                 self._population.user_at(user_index), rec[2]
@@ -604,22 +612,26 @@ class RequestKernel:
         through probability-1.0 calls only, across all servable
         versions), bucket the slice's distinct users in one
         :meth:`~repro.routing.assignment.StickyAssigner.assign_many`
-        call.  Probabilistically-reached services keep the lazy per-user
+        call.  The route record keeps the result as columns — the sorted
+        distinct users and each one's index into ``(*variants, stable)``
+        — which :meth:`_codes` reads for the rows of ``[lo, hi)``.
+        Probabilistically-reached services keep the lazy per-user
         path so the assigner's distinct-user bookkeeping only ever sees
         users a request-by-request run would have assigned.  A partition or an
         open breaker can cut any call short, so with either present
         nothing is certain and every assignment stays lazy.
         """
         router = self._router
-        if router is None or self._breakers or self._network is not None:
+        if router is None or self._breakers or self._network is not None or lo >= hi:
             return
         routed = router.routed_services
         if not routed:
             return
         certain = self._certain_services(batch.entry)
-        population = self._population
         group_codes = self._group_codes
-        distinct = np.unique(batch.user_indices[lo:hi]).tolist()
+        # Sorted distinct users; numpy 2.4's hashing np.unique is ≈ 18× slower.
+        users = np.sort(batch.user_indices[lo:hi])
+        distinct = users[np.concatenate(((True,), users[1:] != users[:-1]))]
         for service in routed:
             if service not in certain:
                 continue
@@ -627,21 +639,17 @@ class RequestKernel:
             if not route.variants:
                 continue
             rec = self._route_rec(service, route)
-            memo, assigner, variants, eligible, stable, headers = rec
-            kept = distinct
-            if eligible is not None or headers is not None:
-                kept = []
-                for index in distinct:
-                    if self._matches(rec, index, group_codes[index]):
-                        kept.append(index)
-                    else:
-                        memo[index] = stable
-            if kept:
-                kept_ids = [population.user_at(i) for i in kept]
-                for index, version in zip(
-                    kept, assigner.assign_many(kept_ids, variants)
-                ):
-                    memo[index] = version
+            assigner, variants = rec[1], rec[2]
+            # Users outside the audience take the stable version, last.
+            picks = np.full(len(distinct), len(variants))
+            kept = slice(None)
+            if rec[3] is not None or rec[5] is not None:
+                matches = [self._matches(rec, i, group_codes[i]) for i in distinct.tolist()]
+                kept = np.array(matches, bool)
+            chosen = distinct[kept]
+            if len(chosen):
+                picks[kept] = assigner.assign_many(chosen, variants)
+            rec[6] = (distinct, picks, (*(v.version for v in variants), rec[4]))
 
     def _certain_services(self, entry: str) -> set[str]:
         """Services every request entering at *entry* traverses for sure.
@@ -817,11 +825,19 @@ class RequestKernel:
         finished.append(pos)
         return pos
 
-    def _codes(self, pos: _Position, users: list) -> np.ndarray:
-        """Each user's version at *pos* as an index into ``pos.versions``,
-        assigning (in row order) users reaching it for the first time."""
+    def _codes(self, pos: _Position, users: np.ndarray) -> np.ndarray:
+        """Each user's version at *pos* as an index into ``pos.versions``:
+        read from the prefilled columns when they hold every user, else
+        from the memo, assigning (in row order) users reaching it for the
+        first time."""
         rec = pos.rec
+        if rec[6] is not None:
+            distinct, picks, versions = rec[6]
+            at = np.minimum(np.searchsorted(distinct, users), len(distinct) - 1)
+            if np.array_equal(distinct[at], users):
+                return np.array([pos.codes[v] for v in versions])[picks[at]]
         memo = rec[0]
+        users = users.tolist()
         while True:
             try:
                 return np.fromiter(
@@ -847,8 +863,7 @@ class RequestKernel:
         while lo < hi:
             rows = min(_SUB_BLOCK, hi - lo)
             users = batch.user_indices[lo : lo + rows]
-            user_list = users.tolist()
-            codes = {pos: self._codes(pos, user_list) for pos in routed}
+            codes = {pos: self._codes(pos, users) for pos in routed}
             size = max(2, math.ceil(rows * per_row) + _BLOCK_SLACK)
             while True:
                 state = raw.getstate()
@@ -893,7 +908,7 @@ class RequestKernel:
         elif pos.certain:
             picks = codes[pos][rows]
         else:
-            picks = self._codes(pos, users[rows].tolist())
+            picks = self._codes(pos, users[rows])
         own = np.empty(n)
         error = np.empty(n, bool)
         after = np.empty(n, np.intp)

@@ -13,7 +13,7 @@ streams' rows one request object at a time.
 
 from repro.traffic.batch import BatchWorkloadGenerator, RequestBatch
 from repro.traffic.profile import TrafficProfile, UserGroup, diurnal_profile
-from repro.traffic.users import UserPopulation, bucket_user, bucket_users
+from repro.traffic.users import UserPopulation, bucket_user
 from repro.traffic.workload import Request, WorkloadGenerator
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "diurnal_profile",
     "UserPopulation",
     "bucket_user",
-    "bucket_users",
     "Request",
     "WorkloadGenerator",
     "BatchWorkloadGenerator",

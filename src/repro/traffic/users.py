@@ -10,6 +10,7 @@ experiments use non-overlapping user sets.
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
 from typing import Iterable, Sequence
 
@@ -55,23 +56,78 @@ def bucket_user(user_id: str, salt: str, buckets: int = 1000) -> int:
     return int.from_bytes(state.digest()[:8], "big") % buckets
 
 
-def bucket_users(
-    user_ids: Iterable[str], salt: str, buckets: int = 1000
-) -> list[int]:
-    """Bucket many users at once — the array form of :func:`bucket_user`.
+#: Below this many indices :func:`bucket_indices` hashes row by row: the
+#: lane-wise MD5 costs a fixed ≈ 0.4–0.9 ms a call, which per-row hashlib
+#: only beats on small slices (measured crossover, see docs/PERF_KERNEL.md).
+_LANE_MD5_MIN = 512
 
-    Shares one memoized salt midstate across the whole batch; element
-    *i* equals ``bucket_user(user_ids[i], salt, buckets)`` exactly.
+_MD5_SHIFTS = [7, 12, 17, 22] * 4 + [5, 9, 14, 20] * 4 + [4, 11, 16, 23] * 4 + [6, 10, 15, 21] * 4
+_MD5_SINES = [int(abs(math.sin(i)) * 2**32) for i in range(1, 65)]
+#: The message word each of the 64 rounds adds, and each quarter's mix.
+_MD5_WORDS = [(i, 5 * i + 1, 3 * i + 5, 7 * i)[i // 16] % 16 for i in range(64)]
+_MD5_MIX = (
+    lambda b, c, d: d ^ (b & (c ^ d)),
+    lambda b, c, d: c ^ (d & (b ^ c)),
+    lambda b, c, d: b ^ c ^ d,
+    lambda b, c, d: c ^ (b | ~d),
+)
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _md5_lanes(blocks: np.ndarray) -> list[np.ndarray]:
+    """MD5 of many equal-length padded messages at once: *blocks* is
+    ``(blocks per message, 16 words, messages)`` little-endian ``uint32``;
+    returns the four state words, one lane per message."""
+    initial = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476)
+    state = [np.full(blocks.shape[2], word, np.uint32) for word in initial]
+    for words in blocks:
+        a, b, c, d = state
+        for i, shift in enumerate(_MD5_SHIFTS):
+            f = _MD5_MIX[i // 16](b, c, d)
+            f += a
+            f += words[_MD5_WORDS[i]]
+            f += _MD5_SINES[i]
+            a, d, c = d, c, b
+            b = b + (f << shift | f >> (32 - shift))
+        state = [old + new for old, new in zip(state, (a, b, c, d))]
+    return state
+
+
+def bucket_indices(indices: np.ndarray, salt: str, buckets: int = 1000) -> np.ndarray:
+    """:func:`bucket_user` over the ids of many non-negative user indices.
+
+    Element *i* equals ``bucket_user(_user_id(indices[i]), salt, buckets)``
+    exactly.  The ``salt:u`` + digits messages are built as a byte matrix
+    straight from the integers (one per id width) and hashed in ``uint32``
+    lanes, one lane per user; small arrays take the per-row path.
     """
     if buckets <= 0:
         raise ConfigurationError(f"buckets must be positive, got {buckets}")
-    base = _salted_md5(salt)
-    from_bytes = int.from_bytes
-    out: list[int] = []
-    for user_id in user_ids:
-        state = base.copy()
-        state.update(user_id.encode("utf-8"))
-        out.append(from_bytes(state.digest()[:8], "big") % buckets)
+    indices = np.asarray(indices, np.int64)
+    if len(indices) < _LANE_MD5_MIN:
+        ids = map(_user_id, indices.tolist())
+        return np.array([bucket_user(i, salt, buckets) for i in ids], np.int64)
+    prefix = np.frombuffer(f"{salt}:u".encode("utf-8"), np.uint8)
+    # Ids are zero-filled to 7 digits; larger indices print wider.
+    digits = np.maximum(np.searchsorted(_POWERS_OF_TEN, indices, "right") + 1, 7)
+    out = np.empty(len(indices), np.int64)
+    for width in np.flatnonzero(np.bincount(digits)).tolist():
+        rows = np.flatnonzero(digits == width)
+        values = indices[rows]
+        size = len(prefix) + width
+        padded = (size + 8) // 64 * 64 + 64
+        message = np.zeros((len(rows), padded), np.uint8)
+        message[:, : len(prefix)] = prefix
+        for column in range(size - 1, len(prefix) - 1, -1):
+            message[:, column] = values % 10 + 48
+            values = values // 10
+        message[:, size] = 0x80
+        message[:, -8:] = np.frombuffer((8 * size).to_bytes(8, "little"), np.uint8)
+        blocks = message.view("<u4").reshape(len(rows), padded // 64, 16)
+        a, b, _, _ = _md5_lanes(np.ascontiguousarray(blocks.transpose(1, 2, 0)))
+        # The digest's first 8 bytes read big-endian: byte-swapped a, then b.
+        head = a.byteswap().astype(np.uint64) << 32 | b.byteswap()
+        out[rows] = head % buckets
     return out
 
 

@@ -394,8 +394,10 @@ def assert_equivalent(scalar, batch) -> None:
     batch_assigners = batch_bifrost.router._assigners
     assert batch_assigners.keys() == scalar_assigners.keys()
     for experiment, scalar_assigner in scalar_assigners.items():
-        assert batch_assigners[experiment]._counts == scalar_assigner._counts
-        assert batch_assigners[experiment]._seen == scalar_assigner._seen
+        batch_assigner = batch_assigners[experiment]
+        batch_assigner._settle()  # fold the pending bulk rows
+        assert batch_assigner._counts == scalar_assigner._counts
+        assert batch_assigner._seen == scalar_assigner._seen
     # Same trace stream into subscribers.
     assert batch_seen == scalar_seen
 

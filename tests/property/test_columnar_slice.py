@@ -154,16 +154,28 @@ def build_app(models: dict, call_probability: float, parallel: bool) -> Applicat
     return app
 
 
+#: Routes for inventory, a second routed service every row reaches.  The
+#: "audience" one lists the candidate first and admits one group, so rows
+#: map the prefilled ``(*variants, stable)`` picks to the plan's versions.
+INVENTORY_ROUTES = {
+    True: dict(variants=(Variant("1.0.0", 0.6), Variant("1.1.0", 0.4))),
+    "audience": dict(
+        variants=(Variant("1.1.0", 0.4), Variant("1.0.0", 0.6)),
+        audience=AudienceFilter(groups=frozenset({DEFAULT_GROUPS[1].name})),
+    ),
+}
+
+
 def build_bifrost(
-    app: Application, fraction: float, faults: bool, route_inventory: bool = False
+    app: Application, fraction: float, faults: bool, route_inventory: bool | str = False
 ) -> Bifrost:
     bifrost = Bifrost(app, seed=7)
-    if route_inventory:  # a second routed service every row reaches
+    if route_inventory:
         bifrost.router.install(
             ExperimentRoute(
                 experiment="inventory-ab",
                 service="inventory",
-                variants=(Variant("1.0.0", 0.6), Variant("1.1.0", 0.4)),
+                **INVENTORY_ROUTES[route_inventory],
             )
         )
     bifrost.router.install(
@@ -257,7 +269,7 @@ class TestColumnarSlice:
         faults=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
         sub_block=st.sampled_from([None, 7, 1]),
-        route_inventory=st.booleans(),
+        route_inventory=st.sampled_from([False, True, "audience"]),
     )
     def test_run_batches_matches_run(
         self,
@@ -318,6 +330,13 @@ class TestHopSelection:
         to versions whose models differ in parameters only."""
         app = lambda: plain_app(1.0, inventory_variant=ConstantLatency(3.0))  # noqa: E731
         assert_same_state(*run_both(app, route_inventory=True, sub_block=50))
+        assert hops["columns"] > 0 and hops["rows"] == 0
+
+    def test_certain_route_with_an_audience_runs_columnar(self, hops):
+        """inventory's candidate is listed first and one group is outside
+        its audience: rows still read their prefilled versions columnar."""
+        app = lambda: plain_app(1.0, inventory_variant=ConstantLatency(3.0))  # noqa: E731
+        assert_same_state(*run_both(app, route_inventory="audience", sub_block=50))
         assert hops["columns"] > 0 and hops["rows"] == 0
 
     def test_fault_windows_run_columnar(self, hops):

@@ -187,6 +187,12 @@ def _both_paths(build, requests: int = 200):
     return scalar, batch
 
 
+def _settled(assigner):
+    """*assigner* with its pending bulk rows folded into the ledger."""
+    assigner._settle()
+    return assigner
+
+
 def _row_kernel(bifrost) -> RequestKernel:
     return RequestKernel(bifrost.runtime, UserPopulation(10, DEFAULT_GROUPS, seed=1))
 
@@ -318,8 +324,8 @@ class TestSliceBlockers:
             return bifrost
 
         scalar, batch = _both_paths(build)
-        assert batch.router.assigner("header-exp")._seen == expected_users
-        assert scalar.router.assigner("header-exp")._seen == expected_users
+        assert _settled(batch.router.assigner("header-exp"))._seen == expected_users
+        assert _settled(scalar.router.assigner("header-exp"))._seen == expected_users
 
     def test_partition_keeps_assignment_lazy(self):
         """inventory is "certainly" reached through catalog, but with the
@@ -340,8 +346,8 @@ class TestSliceBlockers:
             return bifrost
 
         scalar, batch = _both_paths(build, requests=60)
-        seen = batch.router.assigner("inventory-split")._seen
-        assert seen == scalar.router.assigner("inventory-split")._seen
+        seen = _settled(batch.router.assigner("inventory-split"))._seen
+        assert seen == _settled(scalar.router.assigner("inventory-split"))._seen
         assert 0 < len(seen) < 60
 
     def test_variant_without_the_endpoint_keeps_assignment_lazy(self):
@@ -368,8 +374,8 @@ class TestSliceBlockers:
         scalar, batch = _both_paths(build, requests=60)
         assert _row_kernel(batch)._certain_services("frontend.index") == {"frontend", "catalog"}
         for experiment in ("catalog-ramp", "inventory-split"):
-            batch_assigner = batch.router.assigner(experiment)
-            scalar_assigner = scalar.router.assigner(experiment)
+            batch_assigner = _settled(batch.router.assigner(experiment))
+            scalar_assigner = _settled(scalar.router.assigner(experiment))
             assert batch_assigner._seen == scalar_assigner._seen
             assert batch_assigner._counts == scalar_assigner._counts
 

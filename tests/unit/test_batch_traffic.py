@@ -10,6 +10,7 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -17,7 +18,7 @@ from repro.routing.assignment import StickyAssigner
 from repro.routing.splitter import canary_split
 from repro.traffic.batch import BatchWorkloadGenerator
 from repro.traffic.profile import DEFAULT_GROUPS
-from repro.traffic.users import UserPopulation, bucket_user, bucket_users
+from repro.traffic.users import UserPopulation, _user_id, bucket_indices, bucket_user
 from repro.traffic.workload import WorkloadGenerator
 
 TRACER = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "tracer.py"
@@ -107,35 +108,38 @@ class TestBucketHashing:
             expected = int.from_bytes(digest[:8], "big") % 1000
             assert bucket_user(user_id, salt) == expected
 
-    def test_bucket_users_matches_bucket_user(self):
-        user_ids = [f"u{i:05d}" for i in range(200)]
-        assert bucket_users(user_ids, "exp", 1000) == [
-            bucket_user(user_id, "exp", 1000) for user_id in user_ids
-        ]
+    def test_bucket_indices_matches_bucket_user(self):
+        for size in (200, 2000):  # both sides of the per-row crossover
+            indices = np.arange(size) * 7919
+            assert bucket_indices(indices, "exp", 1000).tolist() == [
+                bucket_user(_user_id(i), "exp", 1000) for i in indices.tolist()
+            ]
 
     def test_rejects_non_positive_buckets(self):
         with pytest.raises(ConfigurationError):
             bucket_user("u", "s", 0)
         with pytest.raises(ConfigurationError):
-            bucket_users(["u"], "s", -1)
+            bucket_indices(np.arange(3), "s", -1)
 
 
 class TestAssignMany:
     def test_matches_repeated_assign(self):
         variants = canary_split("1.0.0", "2.0.0", 0.2)
-        user_ids = [f"u{i % 60:04d}" for i in range(200)]  # repeats included
+        versions = [v.version for v in variants]
+        indices = np.arange(200) % 60  # repeats included
         bulk = StickyAssigner("exp")
         scalar = StickyAssigner("exp")
-        assert bulk.assign_many(user_ids, variants) == [
-            scalar.assign(user_id, variants) for user_id in user_ids
+        assert [versions[p] for p in bulk.assign_many(indices, variants)] == [
+            scalar.assign(_user_id(i), variants) for i in indices.tolist()
         ]
+        bulk._settle()
         assert bulk._counts == scalar._counts
         assert bulk._seen == scalar._seen
 
     def test_bulk_then_scalar_stays_sticky(self):
         variants = canary_split("1.0.0", "2.0.0", 0.3)
         assigner = StickyAssigner("exp")
-        bulk = assigner.assign_many([f"u{i}" for i in range(50)], variants)
-        for i, version in enumerate(bulk):
-            assert assigner.assign(f"u{i}", variants) == version
+        bulk = assigner.assign_many(np.arange(50), variants)
+        for i, pick in enumerate(bulk.tolist()):
+            assert assigner.assign(_user_id(i), variants) == variants[pick].version
         assert assigner.total_distinct_users() == 50
