@@ -6,7 +6,7 @@ genes with their parents, elites are re-scored verbatim every
 generation, and hill climbing/annealing mutate one gene per step.
 :class:`Scorer` exploits that structure per gene: each gene's
 constraint checks, objective score and usage cells are computed once per
-gene object at its index, and the slot × group usage grid is summed in
+gene value at its index, and the slot × group usage grid is summed in
 one order-preserving :func:`numpy.bincount`.  Results are bit-identical
 to :func:`repro.fenrir.fitness.evaluate`, which stays the readable
 reference.  The memo saves work, never budget: every evaluation a search
@@ -84,11 +84,9 @@ class Scorer:
 
     Per-gene components — violations, sample shortfall, weighted score,
     the flat usage cells the gene's groups start at and its run length
-    clipped to the horizon — are memoized per gene *object*: search
-    candidates share most ``Gene`` objects with schedules already
-    scored.  Not per gene value: the sample shortfall sums group shares
-    in the group set's iteration order, and two equal sets may iterate
-    differently.  The slot × group usage grid is summed by one
+    clipped to the horizon — are memoized per (index, gene) value:
+    search candidates share most genes with schedules already scored.
+    The slot × group usage grid is summed by one
     :func:`numpy.bincount` over the genes' cells listed in gene-index
     order; ``bincount`` adds its weights sequentially from 0.0, the
     association order of the reference's ``usage[cell] += fraction``
@@ -101,7 +99,7 @@ class Scorer:
     ) -> None:
         self.problem = problem
         self.weights = weights or FitnessWeights()
-        self._memo: dict[tuple[int, int], tuple] = {}
+        self._memo: dict[tuple[int, Gene], tuple] = {}
 
     def evaluate(self, schedule: Schedule) -> ScheduleEvaluation:
         """The evaluation of *schedule*, a schedule of :attr:`problem`."""
@@ -117,13 +115,13 @@ class Scorer:
         lengths: list[int] = []
         fractions: list[float] = []
         for index, gene in enumerate(schedule.genes):
-            key = (index, id(gene))
+            key = (index, gene)
             parts = memo.get(key)
             if parts is None:
                 if len(memo) >= _MEMO_LIMIT:
                     memo.clear()
                 parts = memo[key] = self._parts(index, gene)
-            _, gene_violations, shortfall, score, firsts, runs, fracs = parts
+            gene_violations, shortfall, score, firsts, runs, fracs = parts
             violations.extend(gene_violations)
             shortfall_penalty += shortfall
             scores.append(score)
@@ -165,8 +163,6 @@ class Scorer:
         firsts = tuple(first + group_index[g] for g in gene.groups)
         k = len(firsts)
         run = max(0, min(gene.end, horizon) - gene.start)
-        # The entry holds *gene*, so its id cannot be reused while cached.
         return (
-            gene, tuple(violations), shortfall, score,
-            firsts, (run,) * k, (gene.fraction,) * k,
+            tuple(violations), shortfall, score, firsts, (run,) * k, (gene.fraction,) * k
         )

@@ -90,6 +90,7 @@ class SchedulingProblem:
             prefix.append(prefix[-1] + self.profile.volume(slot))
         self._prefix = prefix
         self._share = {g.name: g.share for g in self.profile.groups}
+        self._share_of: dict[frozenset[str] | tuple[str, ...], float] = {}
         for spec in self.experiments:
             unknown = spec.preferred_groups - known
             if unknown:
@@ -139,9 +140,17 @@ class SchedulingProblem:
         """Traffic volume of *groups* combined in *slot*."""
         return self.profile.volume(slot) * self.group_share(groups)
 
-    def group_share(self, groups: frozenset[str]) -> float:
-        """Summed traffic share of *groups*."""
-        return sum(self._share[g] for g in groups)
+    def group_share(self, groups: frozenset[str] | tuple[str, ...]) -> float:
+        """Summed traffic share of *groups*, added in profile order.
+
+        A sum in set iteration order would depend on string hashing.  Memoized
+        per *groups* value; an unknown name raises ``KeyError``.
+        """
+        share = self._share_of.get(groups)
+        if share is None:
+            ordered = sorted(groups, key=self._group_index.__getitem__)
+            share = self._share_of[groups] = sum(self._share[g] for g in ordered)
+        return share
 
     def window_volume(self, start: int, end: int, groups: frozenset[str]) -> float:
         """Traffic volume of *groups* over slots [start, end) — O(1)."""

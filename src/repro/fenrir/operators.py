@@ -221,9 +221,7 @@ def pack_repair(
     Contract: the result — every fraction to the last bit, and the RNG
     state left behind — is a function of ``(schedule, rng, locked)`` that
     search trajectories depend on; it is held equal to the per-cell
-    reference in ``tests/property/test_pack_repair_equivalence.py``.  A
-    gene that ends up where it was is returned as the same object, so the
-    scorer's per-gene memo entry survives.
+    reference in ``tests/property/test_pack_repair_equivalence.py``.
     """
     problem = schedule.problem
     horizon = problem.horizon
@@ -261,7 +259,6 @@ def pack_repair(
         gene = genes[index]
         cols = [usage[group_index[g]] for g in gene.groups]
         placed = gene if index in locked else None
-        # Summed on this very frozenset: a float sum follows its iteration order.
         share = problem.group_share(gene.groups)
         required = spec.required_samples
         low, high = spec.min_traffic_fraction, spec.max_traffic_fraction
@@ -294,8 +291,6 @@ def pack_repair(
             # Nowhere to fit: keep the (repaired) original plan; the
             # evaluation penalty steers the search away from it.
             placed = repair_gene(problem, spec, gene)
-            if placed == gene:
-                placed = gene
             cols = [usage[group_index[g]] for g in placed.groups]
         new_genes[index] = placed
         start, end, fraction = placed.start, placed.end, placed.fraction

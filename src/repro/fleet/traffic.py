@@ -50,7 +50,7 @@ class SlotTrafficFeed:
         if not 0 <= slot < profile.num_slots:
             return 0
         volume = profile.volume(slot)
-        share = self.problem.group_share(frozenset(groups))
+        share = self.problem.group_share(groups)
         raw = volume * share * fraction * self.samples_per_volume
         return max(self.min_samples, min(self.max_samples, int(raw)))
 

@@ -176,6 +176,24 @@ def one_group_problem(n_experiments: int, num_slots: int = 4) -> SchedulingProbl
     return SchedulingProblem(profile, specs)
 
 
+class CollidingName(str):
+    """A group name hashing like every other: sets of them iterate in
+    insertion order, so equal sets can iterate differently — as any hash
+    seed can make real names do."""
+
+    def __hash__(self):
+        return 0
+
+
+def colliding_problem() -> tuple[SchedulingProblem, tuple[str, ...]]:
+    names = tuple(map(CollidingName, "abcd"))
+    groups = [UserGroup(name, share) for name, share in zip(names, (0.1, 0.2, 0.3, 0.4))]
+    problem = SchedulingProblem(
+        flat_profile(4, 1000.0, groups), [ExperimentSpec("x", 5000.0)]
+    )
+    return problem, names
+
+
 class TestPinnedCases:
     def test_usage_is_summed_in_gene_order(self):
         # 0.1 + 0.7 + 0.3 is 1.0999999999999999 left to right and 1.1
@@ -206,26 +224,24 @@ class TestPinnedCases:
                 assert_equivalent(scorer.evaluate(schedule), evaluate(schedule))
                 assert len(scorer._memo) <= 2
 
-    def test_equal_genes_iterating_differently_are_not_shared(self):
-        # Names that all hash alike iterate in insertion order, so two
-        # equal group sets can sum their shares in different orders —
-        # as any hash seed can make real names do.
-        class Name(str):
-            def __hash__(self):
-                return 0
+    def test_group_share_sums_in_profile_order(self):
+        _, (a, b, c, _) = colliding_problem()
+        forward, backward = frozenset([a, b, c]), frozenset([c, b, a])
+        assert list(forward) != list(backward)
+        for groups in (backward, forward):
+            problem, _ = colliding_problem()  # a fresh group_share memo
+            # 0.1 + 0.2 + 0.3 is 0.6000000000000001; 0.3 + 0.2 + 0.1 is 0.6.
+            assert problem.group_share(groups) == (0.1 + 0.2) + 0.3
 
-        a, b, c, d = map(Name, "abcd")
-        groups = [UserGroup(a, 0.1), UserGroup(b, 0.2), UserGroup(c, 0.3), UserGroup(d, 0.4)]
-        problem = SchedulingProblem(
-            flat_profile(4, 1000.0, groups), [ExperimentSpec("x", 5000.0)]
-        )
+    def test_equal_genes_any_order_share_an_entry(self):
+        problem, (a, b, c, _) = colliding_problem()
         forward = Schedule(problem, [Gene(0, 3, 0.5, frozenset([a, b, c]))])
         backward = Schedule(problem, [Gene(0, 3, 0.5, frozenset([c, b, a]))])
-        assert forward.genes == backward.genes
-        assert evaluate(forward) != evaluate(backward)
+        assert evaluate(forward) == evaluate(backward)
         scorer = Scorer(problem)
         for schedule in (forward, backward, forward):
             assert_equivalent(scorer.evaluate(schedule), evaluate(schedule))
+        assert len(scorer._memo) == 1  # one _parts call served both genes
 
     @pytest.mark.parametrize("start", [3, 4, 9], ids=["clipped", "at-horizon", "beyond"])
     def test_genes_past_the_horizon(self, start):

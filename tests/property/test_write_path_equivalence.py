@@ -9,9 +9,6 @@ request's timestamp, out-of-order span starts (children start after but
 finish before their parent), shadow hops, retries, breakers, partitions —
 both paths must leave a byte-equal ``MetricStore.snapshot()``, an equal
 ``run_digest``, and show every engine event the same store.
-
-CI runs this file under ``PYTHONHASHSEED=0`` and ``=1``: the feed's
-``sample_count`` sums group shares over a ``frozenset``.
 """
 
 from unittest import mock

@@ -73,6 +73,11 @@ class TestSchedulingProblem:
         problem = SchedulingProblem(profile, [make_spec()])
         assert problem.group_share(frozenset({"eu", "na"})) == pytest.approx(1.0)
 
+    def test_group_share_rejects_unknown_group(self, profile):
+        problem = SchedulingProblem(profile, [make_spec()])
+        with pytest.raises(KeyError, match="mars"):
+            problem.group_share(frozenset({"eu", "mars"}))
+
     def test_spec_lookup(self, profile):
         problem = SchedulingProblem(profile, [make_spec("a")])
         assert problem.spec("a").name == "a"
