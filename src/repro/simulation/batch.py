@@ -374,14 +374,14 @@ def _arrive(arrivals, starts: list, window: float) -> list:
 
 
 def _hop_order(entries: list, positions: int) -> list:
-    """Lists of the columns ``(order, rows, *columns)`` of one or more
+    """The array columns ``(order, rows, *columns)`` of one or more
     positions, in global hop order: by row, then by *order* in the row."""
     if len(entries) == 1:
-        return [c if type(c) is list else c.tolist() for c in entries[0][2:]]
+        return entries[0][2:]
     key = np.concatenate([rows * positions + order for order, rows, *_ in entries])
     order = np.argsort(key)
     return [
-        np.concatenate([entry[i] for entry in entries])[order].tolist()
+        np.concatenate([entry[i] for entry in entries])[order]
         for i in range(2, len(entries[0]))
     ]
 
@@ -884,12 +884,11 @@ class RequestKernel:
                 root, np.arange(done), starts, np.array(offsets[:-1]), block, ctx
             )
             for arrivals, entries in ctx[2].values():
-                _arrive(arrivals, _hop_order(entries, len(positions))[0], self._window)
+                _arrive(arrivals, _hop_order(entries, len(positions))[0].tolist(), self._window)
             for node, entries in ctx[3].values():
-                for buffer, column in zip(
-                    node[_N_TS_BUF : _N_ERR_BUF + 1], _hop_order(entries, len(positions))
-                ):
-                    buffer.extend(column)
+                self.samples.add_columns(
+                    node[_N_SERVICE], node[_N_VERSION], *_hop_order(entries, len(positions))
+                )
             durations.extend(duration.tolist())
             errors += int(np.count_nonzero(error))
             now = starts[-1].item()
@@ -921,12 +920,11 @@ class RequestKernel:
                 if not len(sel):
                     continue
                 node = edge[1][version]
-            # One float object per start, shared by the deque and the buffer.
-            begin = start[sel].tolist()
+            begin = start[sel]
             groups.append((node, sel, begin))
             load = None
             if node[_N_NEEDS_LOAD]:
-                counts = _arrive(node[_N_ARRIVALS], begin, self._window)
+                counts = _arrive(node[_N_ARRIVALS], begin.tolist(), self._window)
                 capacity = node[_N_CAPACITY]
                 load = (
                     np.array(counts, float) / self._window / capacity

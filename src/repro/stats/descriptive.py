@@ -34,7 +34,11 @@ def mean(values: Iterable[float]) -> float:
 
 def median(values: Iterable[float]) -> float:
     """Median of *values* (average of the two middle items for even n)."""
-    data = sorted(_as_list(values, "median"))
+    return sorted_median(sorted(_as_list(values, "median")))
+
+
+def sorted_median(data: list[float]) -> float:
+    """:func:`median` of an already-sorted, non-empty list of floats."""
     n = len(data)
     mid = n // 2
     if n % 2 == 1:
@@ -61,7 +65,11 @@ def percentile(values: Iterable[float], q: float) -> float:
     """Linear-interpolated percentile ``q`` (0..100) of *values*."""
     if not 0.0 <= q <= 100.0:
         raise StatisticsError(f"percentile q must be in [0, 100], got {q}")
-    data = sorted(_as_list(values, "percentile"))
+    return sorted_percentile(sorted(_as_list(values, "percentile")), q)
+
+
+def sorted_percentile(data: list[float], q: float) -> float:
+    """:func:`percentile` of an already-sorted, non-empty list of floats."""
     if len(data) == 1:
         return data[0]
     rank = (q / 100.0) * (len(data) - 1)

@@ -63,12 +63,13 @@ class TimeSeries:
 
         Equivalent to appending each sample in order — the final series
         is the same stable timestamp-sort either way — but sorts the chunk
-        first (stable numpy argsort), so everything past the usually tiny
+        first (stable numpy argsort, skipped when one O(n) pass finds the
+        times already ascending), so everything past the usually tiny
         out-of-order prefix lands via ``frombytes`` with no per-sample
-        work.  Plain lists (times may also be an ``array('d')``) that are
-        already ascending and start at or after the series tail need
-        neither sort nor insertion and skip numpy: a 24-sample flush (one
-        fleet slot) costs less than converting it.
+        work and no intermediate copy.  Plain lists (times may also be an
+        ``array('d')``) that are already ascending and start at or after
+        the series tail need neither sort nor insertion and skip numpy: a
+        24-sample flush (one fleet slot) costs less than converting it.
         """
         if (
             type(values) is list
@@ -88,17 +89,18 @@ class TimeSeries:
             return
         import numpy as np
 
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
+        times = np.ascontiguousarray(times, dtype=np.float64)
+        values = np.ascontiguousarray(values, dtype=np.float64)
         if len(times) != len(values):
             raise StatisticsError(
                 f"column lengths differ: {len(times)} times, {len(values)} values"
             )
         if len(times) == 0:
             return
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        values = values[order]
+        if not (times[1:] >= times[:-1]).all():
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            values = values[order]
         if self._times:
             last = self._times[-1]
             if times[0] < last:
@@ -109,8 +111,8 @@ class TimeSeries:
                 values = values[prefix:]
                 if len(times) == 0:
                     return
-        self._times.frombytes(np.ascontiguousarray(times).tobytes())
-        self._values.frombytes(np.ascontiguousarray(values).tobytes())
+        self._times.frombytes(memoryview(times).cast("B"))
+        self._values.frombytes(memoryview(values).cast("B"))
 
     @property
     def timestamps(self) -> list[float]:
@@ -131,11 +133,25 @@ class TimeSeries:
         Every windowed consumer (``last``, :class:`MetricStore`
         aggregation, Bifrost check evaluation) inherits this convention.
         """
+        return self._values[slice(*self._bounds(start, end))].tolist()
+
+    def count(self, start: float, end: float) -> int:
+        """How many samples :meth:`window` would return: two bisects."""
+        lo, hi = self._bounds(start, end)
+        return hi - lo
+
+    def _bounds(self, start: float, end: float) -> tuple[int, int]:
         if end < start:
             raise StatisticsError(f"window end {end} precedes start {start}")
-        lo = bisect.bisect_left(self._times, start)
-        hi = bisect.bisect_left(self._times, end)
-        return self._values[lo:hi].tolist()
+        return bisect.bisect_left(self._times, start), bisect.bisect_left(self._times, end)
+
+    def ones(self, name: str) -> "TimeSeries":
+        """A new series on this one's timestamps with every value 1.0 (the
+        series of events this one measures, so a windowed count counts them)."""
+        derived = TimeSeries(name)
+        derived._times = array("d", self._times)
+        derived._values = array("d", [1.0]) * len(self._times)
+        return derived
 
     def last(self, duration: float, now: float) -> list[float]:
         """Values in the trailing half-open window ``[now - duration, now)``.

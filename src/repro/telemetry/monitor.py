@@ -3,9 +3,10 @@
 Every completed span becomes the standard application-level metrics the
 dissertation's checks consume: ``response_time`` (ms), ``error`` (0/1 per
 request, so a windowed mean is the error rate), and ``throughput`` (1 per
-request, so a windowed count is requests served).  A
-:class:`SpanSampleBuffer` is their one writer; a :class:`Monitor` owns
-the store and reads them back.
+request, so a windowed count is requests served; the store reads it from
+``response_time``'s times instead of storing it).  A
+:class:`SpanSampleBuffer` is the one writer of the stored pair; a
+:class:`Monitor` owns the store and reads all three back.
 
 Resilience events (retries, timeouts, fallbacks, breaker transitions)
 are recorded as ``resilience.<kind>`` count metrics per (service,
@@ -26,25 +27,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.microservices.resilience import ResilienceEvent
 
 
-#: A key's start column, shared by its three metrics, is converted once per
-#: flush: to an ``array('d')`` up to this many samples (a fleet slot has 24),
-#: to numpy above (a batch slice has ~10^5), where numpy's call cost repays.
+#: A key's list-only samples, up to this many (a fleet slot has 24), land
+#: with their start column as one ``array('d')`` shared by both metrics and
+#: no numpy call; above it (a batch slice has ~10^5) they take numpy's sort.
 _LIST_FLUSH_MAX = 64
 
 
 class SpanSampleBuffer:
     """Span samples on their way to a store, as per-(service, version) columns.
 
-    The one writer of the ``response_time``/``error``/``throughput`` triple
-    for every driver (batch slices, ``Runtime.execute`` and
-    ``Bifrost.run``, REPLAY, LIVE, the fleet feed): :meth:`add` samples, or
-    append to a key's :meth:`columns` in place, then :meth:`flush`.  Per key the store ends
-    up exactly as if every sample had been recorded one at a time, in
-    order.
+    The one writer of the ``response_time``/``error`` pair for every driver
+    (batch slices, ``Runtime.execute`` and ``Bifrost.run``, REPLAY, LIVE,
+    the fleet feed): :meth:`add` samples, append to a key's :meth:`columns`
+    in place, or hand over numpy blocks with :meth:`add_columns`, then
+    :meth:`flush`.  Per key the store ends up exactly as if every sample
+    had been recorded one at a time, in order.
     """
 
     def __init__(self) -> None:
         self._columns: dict[tuple[str, str], tuple[list, list, list]] = {}
+        # Per key, numpy (starts, durations, errors) blocks in arrival
+        # order, ahead of whatever its lists hold.
+        self._chunks: dict[tuple[str, str], list[tuple]] = {}
 
     def columns(self, service: str, version: str) -> tuple[list, list, list]:
         """The key's parallel (starts, durations ms, errors) lists."""
@@ -64,22 +68,41 @@ class SpanSampleBuffer:
         for span in spans:
             self.add(span.service, span.version, span.start, span.duration_ms, span.error)
 
+    def add_columns(
+        self, service: str, version: str, starts, durations, errors
+    ) -> None:
+        """Buffer a block of samples given as numpy columns (held, not copied)."""
+        pending = self.columns(service, version)
+        chunks = self._chunks.setdefault((service, version), [])
+        if pending[0]:
+            # Samples added one at a time before this block land before it.
+            chunks.append(tuple(np.array(column) for column in pending))
+            for column in pending:
+                column.clear()
+        chunks.append((starts, durations, errors))
+
     def flush(self, store: MetricStore) -> None:
-        """Land every buffered sample in *store* and empty the buffer."""
-        for (service, version), (starts, durations, errors) in self._columns.items():
-            count = len(starts)
-            if not count:
-                continue
-            if count > _LIST_FLUSH_MAX:
-                times, ones = np.asarray(starts, dtype=np.float64), np.ones(count)
+        """Land every buffered sample in *store* and empty the buffer: per
+        key one stable sort by start, whose times both metrics share."""
+        for key, pending in self._columns.items():
+            chunks = self._chunks.pop(key, [])
+            starts, durations, errors = pending
+            if not chunks and len(starts) <= _LIST_FLUSH_MAX:
+                if not starts:
+                    continue
+                times = array("d", starts)
             else:
-                times, ones = array("d", starts), [1.0] * count
-            store.extend_columns(service, version, "response_time", times, durations)
-            store.extend_columns(service, version, "error", times, errors)
-            store.extend_columns(service, version, "throughput", times, ones)
-            starts.clear()
-            durations.clear()
-            errors.clear()
+                if starts:
+                    chunks.append(pending)
+                starts, durations, errors = (
+                    np.concatenate([chunk[i] for chunk in chunks]) for i in range(3)
+                )
+                order = np.argsort(starts, kind="stable")
+                times, durations, errors = starts[order], durations[order], errors[order]
+            store.extend_columns(*key, "response_time", times, durations)
+            store.extend_columns(*key, "error", times, errors)
+            for column in pending:
+                column.clear()
 
 
 class Monitor:

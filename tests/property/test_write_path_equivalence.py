@@ -57,7 +57,6 @@ def observe_spans(store, spans):
         store.record(
             span.service, span.version, "error", span.start, 1.0 if span.error else 0.0
         )
-        store.record(span.service, span.version, "throughput", span.start, 1.0)
 
 
 def reference_execute(runtime, request, kernel):
@@ -106,7 +105,6 @@ def reference_replay_backend(recording, application_factory):
                 span.service, span.version, "error", span.start,
                 1.0 if span.error else 0.0,
             )
-            store.record(span.service, span.version, "throughput", span.start, 1.0)
     simulation.run_until(max(recording.end_time, simulation.now))
     return store, engine
 
@@ -139,7 +137,6 @@ def reference_feed(
                 at,
                 max(1.0, rng.gauss(latency, latency * 0.1)),
             )
-            store.record(service, version, "throughput", at, 1.0)
     return count, rng
 
 

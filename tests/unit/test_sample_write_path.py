@@ -7,19 +7,21 @@ equivalence with the per-sample loops is in
 ``tests/property/test_write_path_equivalence.py``.
 """
 
+import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.bifrost import Bifrost
-from repro.errors import ExecutionError, StatisticsError
+from repro.errors import ExecutionError, StatisticsError, ValidationError
 from repro.fleet import FleetOrchestrator
 from repro.microservices.application import Application
 from repro.microservices.runtime import Runtime
 from repro.microservices.service import DownstreamCall, ServiceVersion
 from repro.stats.timeseries import TimeSeries
 from repro.telemetry import MetricStore
-from repro.telemetry.monitor import SpanSampleBuffer
+from repro.telemetry.monitor import Monitor, SpanSampleBuffer
 from repro.topology.scenarios import sample_application
 from repro.tracing.span import Span, next_span_id
 from repro.traffic.profile import DEFAULT_GROUPS
@@ -40,8 +42,9 @@ def appended(samples, seed=()):
 
 
 class TestExtendColumnsListBranch:
-    """Ascending plain lists at or after the tail skip numpy; everything
-    else takes the general path.  Either way: repeated ``append``."""
+    """Ascending plain lists at or after the tail skip numpy, ascending
+    numpy columns skip the sort; everything else takes the general path.
+    Either way: repeated ``append``."""
 
     SEED = [(10.0, 1.0), (20.0, 2.0)]
 
@@ -54,15 +57,19 @@ class TestExtendColumnsListBranch:
             ([5.0, 6.0], [3.0, 4.0]),  # wholly before the tail
             ([20, 30, 40], [3, True, 5]),  # int- and bool-valued
             ([], []),
+            # ascending, starts before the tail and ties it
+            ([15.0, 20.0, 20.0, 20.0, 25.0], [3.0, 4.0, 5.0, 6.0, 7.0]),
+            ([30.0, 30.0, 30.0], [3.0, 4.0, 5.0]),  # all equal
         ],
     )
     def test_equals_repeated_append(self, times, values):
         for seed in ([], self.SEED):
-            series = TimeSeries("col")
-            for ts, value in seed:
-                series.append(ts, value)
-            series.extend_columns(list(times), list(values))
-            assert repr(list(series)) == repr(appended(zip(times, values), seed))
+            for column in (list, lambda c: np.array(c, dtype=np.float64)):
+                series = TimeSeries("col")
+                for ts, value in seed:
+                    series.append(ts, value)
+                series.extend_columns(column(times), column(values))
+                assert repr(list(series)) == repr(appended(zip(times, values), seed))
 
     def test_other_sequences_keep_the_general_path(self):
         series = TimeSeries("col")
@@ -128,6 +135,25 @@ class TestSpanSampleBuffer:
         assert store.series("svc", "1.0", "error").values == [0.0, 1.0]
         assert store.series("svc", "1.0", "throughput").values == [1.0, 1.0]
 
+    def test_blocks_and_single_samples_land_in_arrival_order(self):
+        spans = self.SPANS + [span("svc", "1.0", 1.0, 40.0), span("svc", "1.0", 0.5, 50.0)]
+        reference = MetricStore()
+        observe_spans(reference, spans)
+        store = MetricStore()
+        samples = SpanSampleBuffer()
+        samples.add_spans(spans[:2])
+        block = [s for s in spans[2:5] if (s.service, s.version) == ("svc", "1.0")]
+        samples.add_columns(
+            "svc", "1.0",
+            np.array([s.start for s in block]),
+            np.array([s.duration_ms for s in block]),
+            np.array([s.error for s in block]),
+        )
+        samples.add_spans([s for s in spans[2:5] if s not in block])
+        samples.add_spans(spans[5:])
+        samples.flush(store)
+        assert store.snapshot() == reference.snapshot()
+
     def test_columns_are_the_lists_add_appends_to(self):
         samples = SpanSampleBuffer()
         starts, durations, errors = samples.columns("svc", "1.0")
@@ -176,6 +202,86 @@ class TestMetricStoreBulkPaths:
         assert store.series("svc", "1.0", "m") is store.series("svc", "1.0", "m")
 
 
+class TestDerivedThroughput:
+    """``throughput`` is read from ``response_time``'s times, never stored."""
+
+    def filled(self):
+        store = MetricStore()
+        samples = SpanSampleBuffer()
+        for start in (3.0, 1.0, 2.0, 2.0, 5.0):
+            samples.add("svc", "1.0", start, 10.0 * start, start > 2.0)
+        samples.add("db", "2.0", 0.5, 1.0, False)
+        samples.flush(store)
+        store.record("svc", "1.0", "cpu", 1.0, 0.5)
+        return store
+
+    def test_writes_of_throughput_raise(self):
+        store = MetricStore()
+        with pytest.raises(ValidationError, match="derived from response_time"):
+            store.record("svc", "1.0", "throughput", 1.0, 1.0)
+        with pytest.raises(ValidationError, match="derived from response_time"):
+            store.extend_columns("svc", "1.0", "throughput", [1.0], [1.0])
+        assert store.keys() == []
+
+    def test_throughput_is_listed_and_read_beside_response_time(self):
+        store = self.filled()
+        assert [str(k) for k in store.keys()] == [
+            "db@2.0/error", "db@2.0/response_time", "db@2.0/throughput",
+            "svc@1.0/cpu", "svc@1.0/error", "svc@1.0/response_time",
+            "svc@1.0/throughput",
+        ]
+        series = store.series("svc", "1.0", "throughput")
+        assert series.name == "svc@1.0/throughput"
+        assert list(series) == [(t, 1.0) for t in (1.0, 2.0, 2.0, 3.0, 5.0)]
+        assert store.values_in_window("svc", "1.0", "throughput", 2.0, 5.0) == [1.0] * 3
+        assert store.aggregate("svc", "1.0", "throughput", "sum", 0.0, 9.0) == 5.0
+        assert store.aggregate("svc", "1.0", "throughput", "count", 6.0, 9.0) is None
+        assert len(store.series("svc", "9.9", "throughput")) == 0
+
+    def test_monitor_throughput_counts_response_time_samples(self):
+        store = self.filled()
+        monitor = Monitor(store)
+        for start, end in [(0.0, 9.0), (2.0, 3.0), (2.0, 2.0), (5.0, 9.0), (6.0, 9.0)]:
+            served = len(store.values_in_window("svc", "1.0", "response_time", start, end))
+            assert monitor.throughput("svc", "1.0", start, end) == served
+        with pytest.raises(StatisticsError):
+            monitor.throughput("svc", "1.0", 3.0, 2.0)
+
+    def test_snapshot_restore_round_trip_is_byte_equal(self):
+        snapshot = self.filled().snapshot()
+        assert [e["metric"] for e in snapshot["series"]].count("throughput") == 2
+        restored = MetricStore()
+        restored.restore(json.loads(json.dumps(snapshot)))
+        assert json.dumps(restored.snapshot()) == json.dumps(snapshot)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda samples: samples.pop(),  # a response_time sample has no throughput
+            lambda samples: samples.append([9.0, 1.0]),  # a throughput sample has no span
+            lambda samples: samples[0].__setitem__(1, 2.0),  # not a count
+            lambda samples: samples.clear(),  # the entry is gone
+        ],
+        ids=["missing-sample", "extra-sample", "not-a-count", "empty"],
+    )
+    def test_restore_of_a_disagreeing_dump_raises(self, corrupt):
+        store = self.filled()
+        before = store.snapshot()
+        dump = json.loads(json.dumps(before))
+        entry = next(e for e in dump["series"]
+                     if e["metric"] == "throughput" and e["service"] == "svc")
+        corrupt(entry["samples"])
+        with pytest.raises(ValidationError, match="throughput"):
+            store.restore(dump)
+        assert store.snapshot() == before
+
+    def test_restore_of_throughput_without_response_time_raises(self):
+        dump = {"series": [{"service": "s", "version": "1", "metric": "throughput",
+                            "samples": [[1.0, 1.0]]}]}
+        with pytest.raises(ValidationError, match="throughput"):
+            MetricStore().restore(dump)
+
+
 def count_writes(monkeypatch) -> Counter:
     """Count ``MetricStore`` write calls by (method, metric) from now on."""
     calls: Counter = Counter()
@@ -206,17 +312,17 @@ class TestBulkDriversNeverRecordTheTriple:
         spans = sum(len(o.trace.spans) for o in outcomes)
         extends = sum(n for (name, _), n in calls.items() if name == "extend_columns")
         assert not [key for key in calls if key[0] == "record" and key[1] in TRIPLE]
-        # Three calls per key per event-free stretch — not three per span.
-        assert 0 < extends <= 3 * len(span_keys) * (len(ticks) + 1)
+        # Two calls per key per event-free stretch — not two per span.
+        assert 0 < extends <= 2 * len(span_keys) * (len(ticks) + 1)
         assert extends < spans / 20
 
-    def test_one_fleet_slot_makes_six_calls_per_feed(self, monkeypatch):
+    def test_one_fleet_slot_makes_four_calls_per_feed(self, monkeypatch):
         fleet = FleetOrchestrator(make_schedule(4), config=fast_config())
         calls = count_writes(monkeypatch)
         fleet.advance_slot()
         assert not [key for key in calls if key[0] == "record" and key[1] in TRIPLE]
         assert {key: n for key, n in calls.items() if key[1] in TRIPLE} == {
-            ("extend_columns", metric): 2 * 4 for metric in TRIPLE
+            ("extend_columns", metric): 2 * 4 for metric in ("response_time", "error")
         }
 
 
