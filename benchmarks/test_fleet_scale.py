@@ -7,9 +7,10 @@ and the fleet WAL all on the measured path.  Each sweep point injects a
 fixed fault mix (one crash-looper, a wave of crashing versions, one
 genuinely bad version) so the supervision machinery is exercised, not
 idle.  Reported per fleet size: wall-clock, slots, outcomes, restarts,
-sheds, and the aggregated engine-executor CPU/delay numbers that the
-dissertation tracks ("more than a hundred experiments in parallel
-without ... significant performance degradation").
+sheds, and the aggregated engine CPU/delay numbers (each bulkhead's
+journal priced by ``engine_load``) that the dissertation tracks ("more
+than a hundred experiments in parallel without ... significant
+performance degradation").
 
 ``FLEET_SMOKE=1`` switches to a reduced configuration for CI: fewer and
 smaller fleets, same fault mix, same invariants.
@@ -21,6 +22,7 @@ import time
 
 from _util import OUTPUT_DIR, emit, format_rows
 
+from repro.bifrost.engine import engine_load
 from repro.errors import SimulationError
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
 from repro.fenrir.schedule import Gene, Schedule
@@ -114,8 +116,8 @@ def measure(n: int) -> dict[str, float]:
     assert result.sheds.get("exp000") is not None  # looper gave up
     assert result.outcomes[f"exp{n - 1:03d}"] != OUTCOME_PROMOTED
 
-    # Aggregate the per-bulkhead executor reports into fleet-wide
-    # CPU/delay numbers, weighting means by task count.
+    # Aggregate the per-bulkhead engine loads into fleet-wide CPU/delay
+    # numbers, weighting means by task count.
     tasks = 0
     busy_weighted = 0.0
     delay_weighted = 0.0
@@ -123,7 +125,7 @@ def measure(n: int) -> dict[str, float]:
     worst = 0.0
     for bulkhead in orchestrator.bulkheads.values():
         try:
-            report = bulkhead.engine.executor.report()
+            report = engine_load(bulkhead.journal.records()).report()
         except SimulationError:  # engine never ran a task (shed early)
             continue
         tasks += report.tasks

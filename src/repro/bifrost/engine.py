@@ -5,9 +5,10 @@ when a phase starts, periodically evaluates the phase's checks, and
 enacts the conditional chaining — advancing to the next phase on success,
 rolling back on failure, and re-executing on inconclusive data.
 
-Engine work (check evaluations, route updates) is charged to a
-:class:`~repro.simulation.executor.SimulatedExecutor`, which yields the
-CPU-utilization and check-delay measurements of Figs 4.7–4.10.
+The engine does not price its own work.  :func:`engine_load` folds the
+journal the engine writes (check rounds, route installs, teardowns) onto
+a :class:`~repro.simulation.executor.SimulatedExecutor` at fixed prices,
+which yields the CPU-utilization and check-delay figures of Figs 4.7–4.10.
 
 When wired with a write-ahead journal (:mod:`repro.bifrost.journal`),
 every durable decision — submissions, phase entries, check rounds,
@@ -31,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ValidationError
 from repro.bifrost.checks import CheckEvaluator, CheckResult
 from repro.bifrost.model import (
     Check,
@@ -80,7 +81,7 @@ from repro.simulation.executor import SimulatedExecutor
 from repro.telemetry.store import MetricStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.bifrost.journal import Journal, SnapshotStore
+    from repro.bifrost.journal import Journal, JournalRecord, SnapshotStore
     from repro.obs.alerts import AlertEngine
     from repro.obs.events import Event
     from repro.toggles.store import ToggleStore
@@ -114,18 +115,43 @@ def tick_payload(strategy: str, phase: str, rows, errors: int) -> str:
     )
 
 
-@dataclass(frozen=True)
-class EngineCosts:
-    """Simulated processing costs of engine operations, in seconds.
+#: Prices of journaled engine work, in simulated seconds.  Calibrated so
+#: that a handful of strategies is effectively free while hundreds of
+#: strategies with many checks approach saturation of the single-threaded
+#: engine — the regime the paper probes.
+TICK_COST = 0.0010
+CHECK_COST = 0.0004
+ROUTE_COST = 0.0020
 
-    Calibrated so that a handful of strategies is effectively free while
-    hundreds of strategies with many checks approach saturation of the
-    single-threaded engine — the regime the paper probes.
+
+def engine_load(records: Sequence["JournalRecord"]) -> SimulatedExecutor:
+    """The engine work a journal records, queued FIFO on one worker.
+
+    A ``tick`` costs :data:`TICK_COST` plus :data:`CHECK_COST` per check
+    it evaluated; a ``route`` install and a ``finalized`` teardown each
+    cost :data:`ROUTE_COST`.  A ``recovered`` record starts a fresh
+    worker, as a restarted engine does: the crashed one's queued work is
+    lost, so the result is the load of the engine that wrote the last
+    records.  *records* must be a whole journal (``Journal.records()``):
+    one that does not start at LSN 1 was compacted or sliced and would
+    under-count, so it raises :class:`ValidationError`.
     """
-
-    tick_base: float = 0.0010
-    per_check: float = 0.0004
-    route_update: float = 0.0020
+    if records and records[0].lsn != 1:
+        raise ValidationError(
+            f"engine load needs a whole journal; this one starts at LSN {records[0].lsn}"
+        )
+    load = SimulatedExecutor()
+    for record in records:
+        kind = record.kind
+        if kind == "tick":
+            load.submit(
+                record.time, TICK_COST + CHECK_COST * len(record.data["checks"])
+            )
+        elif kind == "route" or kind == "finalized":
+            load.submit(record.time, ROUTE_COST)
+        elif kind == "recovered":
+            load = SimulatedExecutor()
+    return load
 
 
 @dataclass
@@ -286,8 +312,6 @@ class BifrostEngine:
         application: Application,
         router: VersionRouter,
         store: MetricStore,
-        costs: EngineCosts | None = None,
-        executor: SimulatedExecutor | None = None,
         journal: "Journal | None" = None,
         snapshots: "SnapshotStore | None" = None,
         toggles: "ToggleStore | None" = None,
@@ -297,8 +321,6 @@ class BifrostEngine:
         self.application = application
         self.router = router
         self.store = store
-        self.costs = costs or EngineCosts()
-        self.executor = executor or SimulatedExecutor()
         self.evaluator = CheckEvaluator(store)
         self.executions: list[StrategyExecution] = []
         self.journal = journal
@@ -519,10 +541,6 @@ class BifrostEngine:
                 label=f"deadline:{execution.strategy.name}:{phase_name}",
             )
         self._install_route(execution, phase)
-        self.executor.submit(
-            now, self.costs.route_update,
-            label=f"{execution.strategy.name}:route",
-        )
         self._schedule_tick(execution, phase)
 
     def _deadline_expired(self, execution: StrategyExecution, phase_name: str) -> None:
@@ -558,11 +576,6 @@ class BifrostEngine:
             for check, text in execution.tick_checks
             if now + 1e-9 >= execution.check_next_due.get(check.name, 0.0)
         ]
-        # Charge the engine for this evaluation round.
-        cost = self.costs.tick_base + self.costs.per_check * len(due)
-        self.executor.submit(
-            now, cost, label=f"{execution.strategy.name}:{phase.name}"
-        )
         # A check whose evaluation blows up (bad aggregation, store
         # trouble) must not take the engine down mid-simulation: it
         # counts as inconclusive and is retried on the next due tick.
@@ -764,11 +777,6 @@ class BifrostEngine:
                     fraction=phase.steps[step],
                 )
             self._install_route(execution, phase)
-            self.executor.submit(
-                self._now,
-                self.costs.route_update,
-                label=f"{execution.strategy.name}:rollout-step",
-            )
 
     # -- transitions and actions -------------------------------------------
 
@@ -888,11 +896,6 @@ class BifrostEngine:
         execution.finalize(terminal, self._now)
         for service in execution.strategy.services:
             self.router.uninstall(service)
-        self.executor.submit(
-            self._now,
-            self.costs.route_update,
-            label=f"{execution.strategy.name}:teardown",
-        )
         promoted: str | None = None
         if terminal == TERMINAL_COMPLETE:
             final_phase = execution.strategy.phases[-1]
@@ -1097,8 +1100,8 @@ class BifrostEngine:
         the routes itself.  Also skipped when catch-up *re-entered* a
         phase (an inconclusive round replayed with REPEAT lands back in
         the same state): the re-entry installed the route and journaled
-        it already, and installing again here would journal and charge a
-        route update the crash-free run never made.
+        it already, and installing again here would journal a route
+        update the crash-free run never made.
         """
         if not execution.running or execution.state != phase_name:
             return
@@ -1108,11 +1111,6 @@ class BifrostEngine:
         ):
             return
         self._install_route(execution, execution.current_phase)
-        self.executor.submit(
-            self._now,
-            self.costs.route_update,
-            label=f"{execution.strategy.name}:recover-route",
-        )
 
     # -- operator actions ------------------------------------------------------
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigurationError
 from repro.bifrost.dsl import parse_strategy
-from repro.bifrost.engine import BifrostEngine, EngineCosts, StrategyExecution
+from repro.bifrost.engine import BifrostEngine, StrategyExecution
 from repro.bifrost.journal import Journal, SnapshotPolicy, SnapshotStore
 from repro.bifrost.model import Strategy, StrategyOutcome
 from repro.bifrost.recovery import EngineSupervisor, RestartPolicy
@@ -54,7 +54,6 @@ class Bifrost:
         application: Application,
         seed: int = 42,
         proxy_overhead_ms: float = 2.0,
-        costs: EngineCosts | None = None,
         resilience: ResilienceLayer | None = None,
         network: NetworkState | None = None,
         durable: bool = False,
@@ -93,14 +92,13 @@ class Bifrost:
 
             def factory() -> BifrostEngine:
                 # Every (re)started engine shares the durable journal,
-                # snapshot store, and surviving data plane, but gets a
-                # fresh executor: a crashed engine's queued work is lost.
+                # snapshot store, and surviving data plane; only its
+                # in-memory execution state is new.
                 engine = BifrostEngine(
                     simulation=self.simulation,
                     application=application,
                     router=self.router,
                     store=self.runtime.monitor.store,
-                    costs=costs,
                     journal=self.journal,
                     snapshots=self.snapshots,
                     toggles=toggles,
@@ -128,7 +126,6 @@ class Bifrost:
                 application=application,
                 router=self.router,
                 store=self.runtime.monitor.store,
-                costs=costs,
                 toggles=toggles,
                 observer=self.observer,
             )

@@ -7,8 +7,9 @@ reproducible on a laptop.  The kernel provides:
 - :class:`SimulationClock` — the single source of simulated time,
 - :class:`EventQueue` / :class:`SimulationEngine` — a discrete-event loop,
 - :class:`SimulatedExecutor` — a single-threaded executor with explicit
-  per-task costs, used to measure Bifrost engine "CPU utilization" and
-  check-evaluation delay (Figs 4.7–4.10),
+  per-task costs, onto which :func:`repro.bifrost.engine.engine_load`
+  folds journaled engine work for the "CPU utilization" and
+  check-evaluation delay of Figs 4.7–4.10,
 - latency models for simulated service handlers.
 """
 

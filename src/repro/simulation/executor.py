@@ -25,7 +25,6 @@ from repro.stats.descriptive import SummaryStats, summarize
 class TaskRecord:
     """Bookkeeping for one executed task."""
 
-    label: str
     arrival: float
     start: float
     finish: float
@@ -51,18 +50,6 @@ class ExecutorReport:
     utilization: float
     delay_stats: SummaryStats
 
-    def as_row(self) -> dict[str, float]:
-        """Flat dict for table printing in the benches."""
-        return {
-            "tasks": self.tasks,
-            "busy_time_s": self.busy_time,
-            "span_s": self.span,
-            "cpu_utilization": self.utilization,
-            "mean_delay_ms": self.delay_stats.mean * 1000.0,
-            "p95_delay_ms": self.delay_stats.p95 * 1000.0,
-            "max_delay_ms": self.delay_stats.maximum * 1000.0,
-        }
-
 
 class SimulatedExecutor:
     """Single worker processing tasks in arrival order.
@@ -76,8 +63,6 @@ class SimulatedExecutor:
         self._available_at = 0.0
         self._records: list[TaskRecord] = []
         self._busy_time = 0.0
-        self._first_arrival: float | None = None
-        self._last_finish = 0.0
 
     @property
     def records(self) -> list[TaskRecord]:
@@ -89,7 +74,7 @@ class SimulatedExecutor:
         """Total simulated seconds the worker spent processing."""
         return self._busy_time
 
-    def submit(self, arrival: float, cost: float, label: str = "") -> TaskRecord:
+    def submit(self, arrival: float, cost: float) -> TaskRecord:
         """Process a task arriving at *arrival* with processing *cost*."""
         if cost < 0:
             raise SimulationError(f"task cost must be >= 0, got {cost}")
@@ -101,24 +86,17 @@ class SimulatedExecutor:
         start = max(arrival, self._available_at)
         finish = start + cost
         self._available_at = finish
-        record = TaskRecord(label, arrival, start, finish)
+        record = TaskRecord(arrival, start, finish)
         self._records.append(record)
         self._busy_time += cost
-        if self._first_arrival is None:
-            self._first_arrival = arrival
-        self._last_finish = max(self._last_finish, finish)
         return record
-
-    def backlog(self, now: float) -> float:
-        """Seconds of queued-but-unprocessed work at simulated time *now*."""
-        return max(0.0, self._available_at - now)
 
     def report(self) -> ExecutorReport:
         """Summarize the whole run."""
         if not self._records:
             raise SimulationError("executor has processed no tasks")
-        origin = self._first_arrival or 0.0
-        span = max(self._last_finish - origin, 1e-12)
+        # FIFO: the last task finishes last.
+        span = max(self._available_at - self._records[0].arrival, 1e-12)
         delays = [record.delay for record in self._records]
         return ExecutorReport(
             tasks=len(self._records),

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bifrost.engine import CHECK_COST, ROUTE_COST, TICK_COST, engine_load
+from repro.bifrost.journal import FileJournalStorage, Journal, SnapshotPolicy
 from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import (
     Check,
@@ -10,6 +12,8 @@ from repro.bifrost.model import (
     Strategy,
     StrategyOutcome,
 )
+from repro.errors import ValidationError
+from repro.microservices.faults import EngineCrash, FaultCampaign, FaultInjector
 from repro.microservices.service import ServiceVersion
 from repro.traffic.profile import UserGroup
 from repro.traffic.users import UserPopulation
@@ -19,9 +23,19 @@ from tests.conftest import constant_endpoint
 GROUPS = (UserGroup("eu", 0.6), UserGroup("na", 0.4))
 
 
-def run_strategy(app, strategy, duration=200.0, rate=40.0, seed=3, observer=None):
-    """Submit *strategy* at t=1 and drive a Poisson workload through it."""
-    bifrost = Bifrost(app, seed=seed, observer=observer)
+def run_strategy(
+    app, strategy, duration=200.0, rate=40.0, seed=3, observer=None,
+    crashes=(), **options,
+):
+    """Submit *strategy* at t=1 and drive a Poisson workload through it,
+    killing the engine over each ``(start, end)`` window in *crashes*;
+    *options* go to the :class:`Bifrost` constructor."""
+    bifrost = Bifrost(app, seed=seed, observer=observer, **options)
+    if crashes:
+        campaign = FaultCampaign(FaultInjector(app))
+        for start, end in crashes:
+            campaign.add(EngineCrash(start, end))
+        bifrost.install_campaign(campaign)
     execution = bifrost.submit(strategy, at=1.0)
     population = UserPopulation(400, GROUPS, seed=seed + 1)
     workload = WorkloadGenerator(population, entry="frontend.home", seed=seed + 2)
@@ -213,13 +227,63 @@ class TestMultiPhase:
         assert execution.outcome is StrategyOutcome.COMPLETED
 
 
+ENGINE_WORK = ("tick", "route", "finalized")
+
+
 class TestEngineAccounting:
     def test_executor_charged_per_tick(self, canary_app):
         strategy = Strategy("s", (canary_phase(),))
-        bifrost, _ = run_strategy(canary_app, strategy)
-        report = bifrost.engine.executor.report()
-        assert report.tasks >= 10
+        bifrost, _ = run_strategy(canary_app, strategy, durable=True)
+        kinds = [r.kind for r in bifrost.journal.records() if r.kind in ENGINE_WORK]
+        report = engine_load(bifrost.journal.records()).report()
+        ticks = kinds.count("tick")
+        assert ticks >= 10
+        assert report.tasks == len(kinds)
+        # One check per tick; every route install and teardown is priced.
+        assert report.busy_time == pytest.approx(
+            ticks * (TICK_COST + CHECK_COST) + (len(kinds) - ticks) * ROUTE_COST
+        )
         assert report.utilization < 0.05  # one strategy is nearly free
+
+    def test_load_restarts_with_the_recovered_engine(self, canary_app):
+        strategy = Strategy("s", (canary_phase(),))
+        bifrost, _ = run_strategy(
+            canary_app, strategy, durable=True, crashes=[(22.0, 33.0)]
+        )
+        assert bifrost.engine.outcomes() == {"s": StrategyOutcome.COMPLETED}
+        records = bifrost.journal.records()
+        kinds = [r.kind for r in records]
+        assert kinds.count("recovered") == 1
+        after = records[kinds.index("recovered") + 1:]
+        tasks = engine_load(records).records
+        # Exactly the recovered engine's work: its catch-up ticks, its
+        # route re-install and teardown, none of the crashed engine's.
+        assert [t.arrival for t in tasks] == [
+            r.time for r in after if r.kind in ENGINE_WORK
+        ]
+        assert {r.kind for r in after if r.kind in ENGINE_WORK} == set(ENGINE_WORK)
+        assert len(tasks) < sum(1 for kind in kinds if kind in ENGINE_WORK)
+
+    def test_load_reads_offline_from_the_log(self, canary_app, tmp_path):
+        strategy = Strategy("s", (canary_phase(),))
+        path = str(tmp_path / "engine.wal")
+        run_strategy(canary_app, strategy, journal=Journal(FileJournalStorage(path)))
+        offline = engine_load(Journal(FileJournalStorage(path)).records()).report()
+        canary_app.service("backend").promote("1.0.0")
+        bifrost, _ = run_strategy(canary_app, strategy, durable=True)
+        assert offline == engine_load(bifrost.journal.records()).report()
+
+    def test_load_refuses_a_compacted_journal(self, canary_app):
+        strategy = Strategy("s", (canary_phase(),))
+        bifrost, _ = run_strategy(
+            canary_app, strategy,
+            snapshot_policy=SnapshotPolicy(every_records=10, compact=True),
+            durable=True,
+        )
+        records = bifrost.journal.records()
+        assert records[0].lsn > 1
+        with pytest.raises(ValidationError, match="starts at LSN"):
+            engine_load(records)
 
     def test_outcomes_summary(self, canary_app):
         strategy = Strategy("s", (canary_phase(),))

@@ -42,12 +42,6 @@ class TestSubmit:
         with pytest.raises(SimulationError):
             executor.submit(4.0, 0.1)
 
-    def test_backlog(self):
-        executor = SimulatedExecutor()
-        executor.submit(0.0, 2.0)
-        assert executor.backlog(1.0) == pytest.approx(1.0)
-        assert executor.backlog(5.0) == 0.0
-
 
 class TestReporting:
     def test_report_counts(self):
@@ -69,10 +63,3 @@ class TestReporting:
             executor.submit(float(i), 1.0)
         report = executor.report()
         assert report.utilization == pytest.approx(1.0)
-
-    def test_as_row_keys(self):
-        executor = SimulatedExecutor()
-        executor.submit(0.0, 0.1)
-        row = executor.report().as_row()
-        assert "cpu_utilization" in row
-        assert "mean_delay_ms" in row
