@@ -95,14 +95,20 @@ class RecoveryManager:
         self.obs = observer or NULL_OBSERVER
 
     def recover(
-        self, engine: BifrostEngine, restore_stores: bool = False
+        self,
+        engine: BifrostEngine,
+        restore_stores: bool = False,
+        handles: Iterable[StrategyExecution] = (),
     ) -> RecoveryReport:
         """Reconstruct executions into *engine* and resume them.
 
         With ``restore_stores`` the snapshot's metric/toggle contents are
         loaded back into the engine's stores — needed for full process
         recovery, redundant (and off by default) for an in-simulation
-        crash where the data plane survived.
+        crash where the data plane survived.  *handles* are executions a
+        crashed engine handed out: each recovered execution's state is
+        moved into the handle of the same strategy, which *engine* then
+        runs, so a caller's reference keeps tracking its strategy.
         """
         snapshot = self.snapshots.latest if self.snapshots is not None else None
         executions: dict[str, StrategyExecution] = {}
@@ -141,6 +147,11 @@ class RecoveryManager:
                 "executions": sorted(executions),
             },
         )
+        for handle in handles:
+            recovered = executions.get(handle.strategy.name)
+            if recovered is not None:
+                vars(handle).update(vars(recovered))
+                executions[handle.strategy.name] = handle
         inflight = engine.adopt(list(executions.values()))
         if self.obs.enabled:
             self.obs.emit(
@@ -362,15 +373,18 @@ class EngineSupervisor:
             return
         self.restarts += 1
         self.restart_times.append(now)
+        crashed = self.engine
         try:
             self.engine = self.factory()
             manager = RecoveryManager(
                 self.journal, self.snapshots, self.monitor, observer=self.obs
             )
-            report = manager.recover(self.engine)
+            report = manager.recover(self.engine, handles=crashed.executions)
         except Exception as exc:
             self.restart_failures += 1
             self.engine.kill()
+            # The crashed engine keeps the handles for the next attempt.
+            self.engine = crashed
             if self.obs.enabled:
                 self.obs.emit(
                     RECOVERY_RESTART_FAILED,

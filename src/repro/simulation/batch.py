@@ -29,16 +29,18 @@ pinned by ``tests/integration/test_scalar_golden.py``):
   uniforms in bulk (:func:`~repro.simulation.rng.random_block`), finds
   where every hop's draws fall with one composed offset table, then
   computes latencies, loads, durations and errors one call site at a
-  time (``tests/property/test_columnar_slice.py``).  The *general* hop —
-  the one ``Runtime.execute`` always runs, and the plain slices whose
-  plan refuses them — additionally executes call policies
+  time (``tests/property/test_columnar_slice.py``).  While the trace
+  collector has stream subscribers it then builds each sub-block's spans
+  from those columns and records one trace per row, as the general hop
+  would (``tests/property/test_columnar_spans.py``).  The *general*
+  hop — the one ``Runtime.execute`` always runs, and the plain slices
+  whose plan refuses them — additionally executes call policies
   (timeouts, retries, fallbacks), circuit breakers, network partitions,
-  dark-launch shadow replays and routers the kernel cannot compile, and
-  materializes spans for the trace collector when it has stream
-  subscribers.  Fault campaigns need no hook at all: they rewrite
-  endpoint specs at engine events, and nodes are compiled from the
-  specs per kernel.  Event boundaries delimit slices, and all of these
-  conditions only change at events, so a condition can never flip
+  dark-launch shadow replays and routers the kernel cannot compile,
+  building spans as it goes.  Fault campaigns need no hook at all: they
+  rewrite endpoint specs at engine events, and nodes are compiled from
+  the specs per kernel.  Event boundaries delimit slices, and all of
+  these conditions only change at events, so a condition can never flip
   mid-slice.
 
 Memory behaviour: samples wait in a per-(service, version)
@@ -409,10 +411,13 @@ class RequestKernel:
     compiled from a :class:`~repro.routing.proxy.VersionRouter`'s routes
     (a ``StaticRouter`` compiles to none); ``Request`` objects, and rows
     under any other ``Router``, ask ``runtime.router.route`` on every hop,
-    with the row's ``Request`` in hand.  Spans are built for ``Request``
-    objects, and for rows while the collector has stream subscribers.
-    Whoever drives the kernel calls :meth:`flush` before an engine event
-    can read the store.
+    with the row's ``Request`` in hand.  ``Request`` objects, and rows
+    under such a router, a partition, a call policy, a breaker or a
+    shadow route, run the general hop; other rows run as columns unless
+    the plan refuses the slice.  Spans are built for ``Request`` objects,
+    and on either hop for rows while the collector has stream
+    subscribers.  Whoever drives the kernel calls :meth:`flush` before an
+    engine event can read the store.
     """
 
     def __init__(self, runtime: "Runtime", population=None) -> None:
@@ -458,8 +463,7 @@ class RequestKernel:
         )
         self._spans = population is None or runtime.collector.has_subscribers
         self._general = (
-            self._spans
-            or self._route_per_hop
+            self._route_per_hop
             or self._network is not None
             or not runtime.resilience.passthrough
             or (
@@ -889,6 +893,8 @@ class RequestKernel:
                 self.samples.add_columns(
                     node[_N_SERVICE], node[_N_VERSION], *_hop_order(entries, len(positions))
                 )
+            if self._spans:
+                self._record_traces(positions, ctx[3], users[:done])
             durations.extend(duration.tolist())
             errors += int(np.count_nonzero(error))
             now = starts[-1].item()
@@ -966,6 +972,55 @@ class RequestKernel:
                 (pos.post, rows[sel], begin, duration[sel], error[sel])
             )
         return duration, error, after
+
+    def _record_traces(self, positions: list, samples: dict, users: np.ndarray) -> None:
+        """Build the sub-block's spans from its sample columns and record
+        one trace per row, in row order, as the general hop does: span ids
+        in pre-order, spans in post-order, ``{"group", "user"}`` tags."""
+        runtime = self._runtime
+        record = runtime.collector.record_trace
+        rows = len(users)
+        endpoints = [None] * len(positions)
+        parents = [None] * len(positions)
+        for pos in positions:
+            endpoints[pos.post] = pos.key[1]
+            for _, child in pos.children:
+                parents[child.post] = pos.post
+        # cells[post][row]: the row's hop at that position, or None.  One
+        # buffer serves every endpoint of a version: the key holds no endpoint.
+        cells = [[None] * rows for _ in positions]
+        for node, entries in samples.values():
+            service, version = node[_N_SERVICE], node[_N_VERSION]
+            for post, at, starts, durations, errors in entries:
+                column, endpoint = cells[post], endpoints[post]
+                for row, start, duration, error in zip(
+                    at.tolist(), starts.tolist(), durations.tolist(), errors.tolist()
+                ):
+                    column[row] = (service, version, endpoint, start, duration, error)
+        pre_order = [pos.post for pos in positions]
+        population = self._population
+        group_names = population.group_names
+        group_codes = self._group_codes
+        for row, user in enumerate(users.tolist()):
+            trace_id = runtime.next_trace_id()
+            ids = [None] * len(positions)
+            for post in pre_order:
+                if cells[post][row] is not None:
+                    ids[post] = next_span_id()
+            group, user_id = group_names[group_codes[user]], population.user_at(user)
+            spans = []
+            for column, span_id, parent in zip(cells, ids, parents):
+                if span_id is not None:
+                    spans.append(
+                        Span(
+                            span_id,
+                            trace_id,
+                            None if parent is None else ids[parent],
+                            *column[row],
+                            {"group": group, "user": user_id},
+                        )
+                    )
+            record(trace_id, spans)
 
     def execute_request(self, request: "Request", start: float):
         """Run one :class:`Request` through the general hop with spans on;

@@ -34,19 +34,13 @@ def trace_observations(
 ) -> list[Observation]:
     """Extract *trace*'s graph observations in depth-first walk order."""
     out: list[Observation] = []
+    keys: dict[str, NodeKey] = {}  # span id -> its node key, built once
     for span, parent in trace.walk():
+        key = keys[span.span_id] = NodeKey(span.service, span.version, span.endpoint)
         if not include_shadow and span.tags.get("shadow") == "true":
             continue
-        caller = NodeKey(*parent.node_key) if parent is not None else None
-        out.append(
-            Observation(
-                caller,
-                NodeKey(*span.node_key),
-                span.duration_ms,
-                span.error,
-                span.start,
-            )
-        )
+        caller = keys[parent.span_id] if parent is not None else None
+        out.append(Observation(caller, key, span.duration_ms, span.error, span.start))
     return out
 
 

@@ -85,6 +85,9 @@ class InteractionGraph:
     _nodes: dict[NodeKey, NodeStats] = field(default_factory=dict)
     _succ: dict[NodeKey, dict[NodeKey, EdgeStats]] = field(default_factory=dict)
     _pred: dict[NodeKey, set[NodeKey]] = field(default_factory=dict)
+    #: ``(caller, callee)`` -> (callee's node stats, edge stats or None):
+    #: records are never replaced, so the pair resolves once.
+    _observed: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- construction --------------------------------------------------------
 
@@ -118,9 +121,15 @@ class InteractionGraph:
         error: bool,
     ) -> None:
         """Record one observed call (caller None for entry requests)."""
-        self.add_node(callee).observe(duration_ms, error)
-        if caller is not None:
-            self.add_edge(caller, callee).observe(duration_ms, error)
+        records = self._observed.get((caller, callee))
+        if records is None:
+            node = self.add_node(callee)
+            edge = None if caller is None else self.add_edge(caller, callee)
+            records = self._observed[caller, callee] = (node, edge)
+        node, edge = records
+        node.observe(duration_ms, error)
+        if edge is not None:
+            edge.observe(duration_ms, error)
 
     # -- queries --------------------------------------------------------------
 

@@ -171,7 +171,8 @@ class GraphWindowRing:
 
     def observe(self, obs: Observation) -> None:
         """Fold one observation into its window (and the merge)."""
-        idx = self.index_of(obs.start)
+        caller, callee, duration_ms, error, start = obs
+        idx = self.index_of(start)
         if self._expired_through is not None and idx <= self._expired_through:
             self.late_observations_dropped += 1
             return
@@ -179,11 +180,9 @@ class GraphWindowRing:
         if window is None:
             window = InteractionGraph(f"window-{idx}")
             self._windows[idx] = window
-        window.observe_call(obs.caller, obs.callee, obs.duration_ms, obs.error)
+        window.observe_call(caller, callee, duration_ms, error)
         if not self._merged_dirty:
-            self._merged.observe_call(
-                obs.caller, obs.callee, obs.duration_ms, obs.error
-            )
+            self._merged.observe_call(caller, callee, duration_ms, error)
         while len(self._windows) > self.capacity:
             self._expire(min(self._windows))
 
@@ -299,13 +298,13 @@ class StreamingGraphBuilder:
             if not delta:
                 return
         self._applied[trace.trace_id] = observations
+        observe, windows = self.graph.observe_call, self.windows
         for obs, count in delta.items():
+            caller, callee, duration_ms, error, _ = obs
             for _ in range(count):
-                self.graph.observe_call(
-                    obs.caller, obs.callee, obs.duration_ms, obs.error
-                )
-                if self.windows is not None:
-                    self.windows.observe(obs)
+                observe(caller, callee, duration_ms, error)
+                if windows is not None:
+                    windows.observe(obs)
         self._version += 1
         for subscriber in self._subscribers:
             subscriber(trace, delta)

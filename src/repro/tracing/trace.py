@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator
 
 from repro.errors import ValidationError
 from repro.tracing.span import Span, SpanId
+
+_START = attrgetter("start")
 
 
 class Trace:
@@ -14,30 +17,37 @@ class Trace:
     def __init__(self, trace_id: str, spans: list[Span]) -> None:
         if not spans:
             raise ValidationError(f"trace {trace_id!r} has no spans")
-        if any(span.trace_id != trace_id for span in spans):
-            raise ValidationError(f"trace {trace_id!r} contains foreign spans")
+        # One pass indexes the spans; the checks then run in a fixed order.
         self.trace_id = trace_id
-        self._spans = {span.span_id: span for span in spans}
-        if len(self._spans) != len(spans):
+        self._spans = by_id = {}
+        self._children: dict[SpanId, list[Span]] = {}
+        roots = []
+        foreign = False
+        for span in spans:
+            foreign = foreign or span.trace_id != trace_id
+            by_id[span.span_id] = span
+            if span.parent_id is None:
+                roots.append(span)
+            else:
+                self._children.setdefault(span.parent_id, []).append(span)
+        if foreign:
+            raise ValidationError(f"trace {trace_id!r} contains foreign spans")
+        if len(by_id) != len(spans):
             raise ValidationError(f"trace {trace_id!r} has duplicate span ids")
-        roots = [s for s in spans if s.parent_id is None]
         if len(roots) != 1:
             raise ValidationError(
                 f"trace {trace_id!r} must have exactly one root span, "
                 f"found {len(roots)}"
             )
         self._root = roots[0]
-        self._children: dict[SpanId, list[Span]] = {}
-        for span in spans:
-            if span.parent_id is not None:
-                if span.parent_id not in self._spans:
-                    raise ValidationError(
-                        f"span {span.span_id} references unknown parent "
-                        f"{span.parent_id}"
-                    )
-                self._children.setdefault(span.parent_id, []).append(span)
+        if not by_id.keys() >= self._children.keys():
+            orphan = next(s for s in spans if s.parent_id not in (None, *by_id))
+            raise ValidationError(
+                f"span {orphan.span_id} references unknown parent {orphan.parent_id}"
+            )
         for children in self._children.values():
-            children.sort(key=lambda s: s.start)
+            if len(children) > 1:
+                children.sort(key=_START)
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -74,7 +84,7 @@ class Trace:
         while stack:
             span, parent = stack.pop()
             yield span, parent
-            for child in reversed(self.children(span.span_id)):
+            for child in reversed(self._children.get(span.span_id, ())):
                 stack.append((child, span))
 
     @property

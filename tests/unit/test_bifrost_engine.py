@@ -297,6 +297,21 @@ class TestEngineAccounting:
             bifrost.outcome_of("ghost")
 
 
+class TestDurableHandle:
+    def test_submitted_handle_tracks_the_restarted_engine(self, canary_app):
+        """A 60 s canary whose engine is down over 22–33 s: the execution
+        ``submit`` returned is the one the restarted engine finishes."""
+        strategy = Strategy("s", (canary_phase(),))
+        bifrost, execution = run_strategy(
+            canary_app, strategy, durable=True, crashes=[(22.0, 33.0)]
+        )
+        assert bifrost.supervisor.restarts == 1
+        assert execution.outcome is bifrost.outcome_of("s")
+        assert execution.outcome is StrategyOutcome.COMPLETED
+        assert bifrost.engine.executions[0] is execution
+        assert execution.last_tick_at > 33.0
+
+
 class TestPerCheckIntervals:
     def test_checks_evaluated_at_their_own_cadence(self, canary_app):
         """Fig 4.3: a check with a longer interval runs less often."""

@@ -115,16 +115,15 @@ class TestSupervisor:
         assert len(bifrost.supervisor.reports) == 1
         assert bifrost.supervisor.reports[0].executions_recovered == 1
 
-    def test_submitted_execution_object_goes_stale(self, canary_app):
-        # The caller's handle belongs to the crashed engine; the current
-        # engine's execution carries the recovered, completed state.
+    def test_submitted_execution_object_tracks_the_restart(self, canary_app):
+        # Recovery moves the recovered state into the caller's handle, and
+        # the restarted engine runs that object to completion.
         strategy = Strategy("s", (canary_phase(),))
-        bifrost, stale = durable_run(
+        bifrost, handle = durable_run(
             canary_app, strategy, crash_at=20.0, restart_at=35.0
         )
-        current = bifrost.engine.executions[0]
-        assert current is not stale
-        assert current.outcome is StrategyOutcome.COMPLETED
+        assert bifrost.engine.executions[0] is handle
+        assert handle.outcome is StrategyOutcome.COMPLETED
 
     def test_crash_is_idempotent(self, canary_app):
         bifrost = Bifrost(canary_app, durable=True)

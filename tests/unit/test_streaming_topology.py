@@ -4,7 +4,11 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.telemetry.store import MetricStore
-from repro.topology.builder import Observation, build_interaction_graph
+from repro.topology.builder import (
+    Observation,
+    build_interaction_graph,
+    trace_observations,
+)
 from repro.topology.diff import diff_graphs
 from repro.topology.graph import InteractionGraph, NodeKey
 from repro.topology.streaming import (
@@ -413,3 +417,103 @@ class TestLiveHealthMonitor:
                 MetricStore(),
                 publish_interval=-1.0,
             )
+
+
+def exact(graph):
+    """A graph's nodes and edges with their stats records, for ``==``."""
+    return (
+        {key: graph.node_stats(key) for key in graph.nodes},
+        {(caller, callee): stats for caller, callee, stats in graph.edges()},
+    )
+
+
+def random_trace(trace_id, start, rng):
+    """frontend → (backend → db, cache, backend): two calls per trace reach
+    one backend node, so the order within a trace reaches the totals."""
+    version = rng.choice(["1.0.0", "2.0.0"])
+
+    def span(name, parent, service, version, endpoint, offset):
+        return make_span(
+            f"{trace_id}-{name}",
+            trace_id=trace_id,
+            parent_id=None if parent is None else f"{trace_id}-{parent}",
+            service=service,
+            version=version,
+            endpoint=endpoint,
+            start=start + offset,
+            duration_ms=rng.uniform(0.1, 50.0),
+            error=rng.random() < 0.2,
+        )
+
+    return [
+        span("db", "backend", "db", "1.0.0", "query", 0.002),
+        span("backend", "root", "backend", version, "api", 0.001),
+        span("cache", "root", "cache", "1.0.0", "get", 0.003),
+        span("again", "root", "backend", version, "api", 0.004),
+        span("root", None, "frontend", "1.0.0", "home", 0.0),
+    ]
+
+
+class TestExactFold:
+    """The fold applies each trace's observations in the batch builder's
+    order, so every float total is the batch builder's bit for bit."""
+
+    def test_stream_with_a_regrown_trace_equals_batch_exactly(self):
+        import random
+
+        rng = random.Random(5)
+        collector = TraceCollector()
+        builder = StreamingGraphBuilder(window_seconds=5.0, window_capacity=100)
+        builder.attach(collector)
+        for i in range(40):
+            collector.record_trace(f"t{i}", random_trace(f"t{i}", 0.5 * i, rng))
+        # The last trace grows: a dark-launch duplicate of its backend call,
+        # started last, so it is also last in the walk.
+        late = make_span(
+            "t39-shadow",
+            trace_id="t39",
+            parent_id="t39-root",
+            service="backend",
+            version="3.0.0",
+            endpoint="api",
+            start=0.5 * 39 + 0.005,
+            duration_ms=rng.uniform(0.1, 50.0),
+            tags={"shadow": "true"},
+        )
+        collector.record_trace("t39", [late])
+        assert builder.trace_count == 40
+        batch = build_interaction_graph(collector.traces())
+        assert exact(builder.graph) == exact(batch)
+        assert graphs_equal(builder.graph, batch, rel_tol=0)
+        ring = builder.windows
+        assert ring.expired_windows == 0
+        assert exact(ring.merged()) == exact(batch)
+        for idx in ring.window_indexes:
+            expected = InteractionGraph()
+            for trace in collector.traces():
+                for o in trace_observations(trace):
+                    if ring.index_of(o.start) == idx:
+                        expected.observe_call(o.caller, o.callee, o.duration_ms, o.error)
+            assert exact(ring.window(idx)) == exact(expected)
+
+    def test_observe_call_updates_the_records_the_graph_hands_out(self):
+        caller = NodeKey("frontend", "1.0.0", "home")
+        callee = NodeKey("backend", "1.0.0", "api")
+        graph = InteractionGraph()
+        graph.observe_call(caller, callee, 5.0, False)
+        node, edge = graph.add_node(callee), graph.add_edge(caller, callee)
+        assert (node.calls, edge.calls) == (1, 1)
+        other = InteractionGraph()
+        other.observe_call(caller, callee, 7.0, True)
+        merge_graph_into(graph, other)
+        assert graph.add_node(callee) is node and graph.add_edge(caller, callee) is edge
+        graph.observe_call(caller, callee, 1.0, False)
+        graph.observe_call(None, caller, 2.0, True)
+        assert (node.calls, node.errors, node.total_response_ms) == (3, 1, 13.0)
+        assert (edge.calls, edge.errors, edge.total_response_ms) == (3, 1, 13.0)
+        assert graph.node_stats(caller).calls == 1  # calling it counts on the callee
+        # Records made first by add_edge are the ones observe_call updates.
+        fresh = InteractionGraph()
+        made = fresh.add_edge(caller, callee)
+        fresh.observe_call(caller, callee, 4.0, False)
+        assert made.calls == 1 and fresh.node_stats(callee).calls == 1

@@ -78,6 +78,29 @@ class TestTrace:
         assert visited["c"].span_id == "b"
         assert len(visited) == 4
 
+    def test_walk_keeps_list_order_for_siblings_with_equal_starts(self):
+        spans = [
+            make_span("root"),
+            make_span("y", parent_id="root", start=0.5),
+            make_span("x", parent_id="root", start=0.5),
+            make_span("w", parent_id="root", start=0.2),
+            make_span("y1", parent_id="y", start=0.6),
+        ]
+        trace = Trace("t1", spans)
+        order = ["root", "w", "y", "y1", "x"]
+        assert [span.span_id for span, _ in trace.walk()] == order
+        trace.children("root").clear()  # a copy: the walk is unaffected
+        assert [span.span_id for span, _ in trace.walk()] == order
+
+    def test_unknown_parent_error_names_the_first_orphan(self):
+        spans = [
+            make_span("root"),
+            make_span("x", parent_id="ghost"),
+            make_span("y", parent_id="phantom"),
+        ]
+        with pytest.raises(ValidationError, match="span x references unknown parent ghost"):
+            Trace("t1", spans)
+
     def test_requires_single_root(self):
         with pytest.raises(ValidationError):
             Trace("t1", [make_span("r1"), make_span("r2")])
