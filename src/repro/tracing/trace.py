@@ -46,8 +46,7 @@ class Trace:
                 f"span {orphan.span_id} references unknown parent {orphan.parent_id}"
             )
         for children in self._children.values():
-            if len(children) > 1:
-                children.sort(key=_START)
+            children.sort(key=_START)
 
     def __len__(self) -> int:
         return len(self._spans)
