@@ -30,9 +30,10 @@ pinned by ``tests/integration/test_scalar_golden.py``):
   where every hop's draws fall with one composed offset table, then
   computes latencies, loads, durations and errors one call site at a
   time (``tests/property/test_columnar_slice.py``).  While the trace
-  collector has stream subscribers it then builds each sub-block's spans
-  from those columns and records one trace per row, as the general hop
-  would (``tests/property/test_columnar_spans.py``).  The *general*
+  collector has stream subscribers it then hands each sub-block's hops
+  to their column entry points if every subscriber has one, or else
+  builds the spans from the columns and records one trace per row, as
+  the general hop would (``tests/property/test_columnar_spans.py``).  The *general*
   hop — the one ``Runtime.execute`` always runs, and the plain slices
   whose plan refuses them — additionally executes call policies
   (timeouts, retries, fallbacks), circuit breakers, network partitions,
@@ -47,7 +48,8 @@ Memory behaviour: samples wait in a per-(service, version)
 :class:`~repro.telemetry.monitor.SpanSampleBuffer` flushed at slice ends
 (the store keeps ``array('d')`` columns) and the result keeps running
 totals only — so a ten-million request replay holds O(slice) transient
-state, not O(run); the plain hop's block arrays are O(sub-block).
+state, not O(run), live health on columns too; block arrays are
+O(sub-block).  Recorded spans (general hop, span subscribers) are O(run).
 """
 
 from __future__ import annotations
@@ -415,8 +417,9 @@ class RequestKernel:
     under such a router, a partition, a call policy, a breaker or a
     shadow route, run the general hop; other rows run as columns unless
     the plan refuses the slice.  Spans are built for ``Request`` objects,
-    and on either hop for rows while the collector has stream
-    subscribers.  Whoever drives the kernel calls :meth:`flush` before an
+    and for rows while the collector has stream subscribers, unless every
+    one has a column entry point: then the columnar slice hands its hops
+    to those instead.  Whoever drives the kernel calls :meth:`flush` before an
     engine event can read the store.
     """
 
@@ -462,6 +465,7 @@ class RequestKernel:
             else None
         )
         self._spans = population is None or runtime.collector.has_subscribers
+        self._folds = None if population is None else runtime.collector.column_subscribers
         self._general = (
             self._route_per_hop
             or self._network is not None
@@ -893,7 +897,10 @@ class RequestKernel:
                 self.samples.add_columns(
                     node[_N_SERVICE], node[_N_VERSION], *_hop_order(entries, len(positions))
                 )
-            if self._spans:
+            if self._folds:
+                self._fold_columns(positions, ctx[3], done)
+                self._runtime.advance_trace_ids(done)
+            elif self._spans:
                 self._record_traces(positions, ctx[3], users[:done])
             durations.extend(duration.tolist())
             errors += int(np.count_nonzero(error))
@@ -972,6 +979,32 @@ class RequestKernel:
                 (pos.post, rows[sel], begin, duration[sel], error[sel])
             )
         return duration, error, after
+
+    def _fold_columns(self, positions: list, samples: dict, rows: int) -> None:
+        """Hand the sub-block's hops, in the order ``Trace.walk`` visits the
+        spans :meth:`_record_traces` builds, to the column subscribers."""
+        keys: dict = {}
+        ids = np.full((len(positions), rows), -1)  # key index per position and row
+        parents = np.full(len(positions), -1)
+        entries = []
+        by_post = {pos.post: pos for pos in positions}
+        for pos in positions:
+            for _, child in pos.children:
+                parents[child.pre] = pos.pre
+        for node, node_entries in samples.values():
+            for post, at, starts, durations, errors in node_entries:
+                pos = by_post[post]
+                key = (node[_N_SERVICE], node[_N_VERSION], pos.key[1])
+                ids[pos.pre, at] = keys.setdefault(key, len(keys))
+                pres = np.full(len(at), pos.pre)
+                entries.append((pos.pre, at, at, pres, starts, durations, errors))
+        at, pres, starts, durations, errors = _hop_order(entries, len(positions))
+        callers = np.where(parents[pres] < 0, -1, ids[parents[pres], at])
+        root = pres == 0
+        ends = starts[root] + durations[root] / 1000.0
+        hops = (callers, ids[pres, at], durations, errors)
+        for fold in self._folds:
+            fold(list(keys), at, hops, starts, ends)
 
     def _record_traces(self, positions: list, samples: dict, users: np.ndarray) -> None:
         """Build the sub-block's spans from its sample columns and record

@@ -113,6 +113,16 @@ class InteractionGraph:
             self._pred[callee].add(caller)
         return stats
 
+    def records(self, caller: NodeKey | None, callee: NodeKey) -> tuple:
+        """The (node stats, edge stats or None) one call updates, both
+        registered on the pair's first call."""
+        records = self._observed.get((caller, callee))
+        if records is None:
+            node = self.add_node(callee)
+            edge = None if caller is None else self.add_edge(caller, callee)
+            records = self._observed[caller, callee] = (node, edge)
+        return records
+
     def observe_call(
         self,
         caller: NodeKey | None,
@@ -121,12 +131,7 @@ class InteractionGraph:
         error: bool,
     ) -> None:
         """Record one observed call (caller None for entry requests)."""
-        records = self._observed.get((caller, callee))
-        if records is None:
-            node = self.add_node(callee)
-            edge = None if caller is None else self.add_edge(caller, callee)
-            records = self._observed[caller, callee] = (node, edge)
-        node, edge = records
+        node, edge = self._observed.get((caller, callee)) or self.records(caller, callee)
         node.observe(duration_ms, error)
         if edge is not None:
             edge.observe(duration_ms, error)

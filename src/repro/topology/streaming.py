@@ -32,9 +32,13 @@ from __future__ import annotations
 
 from collections import Counter as Multiset
 from collections import OrderedDict
+from functools import reduce
 from math import isclose
 from dataclasses import dataclass, field
+from operator import add
 from typing import TYPE_CHECKING, Callable
+
+import numpy as np
 
 from repro.errors import ValidationError
 from repro.topology.builder import Observation, trace_observations
@@ -44,7 +48,7 @@ from repro.topology.diff import (
     edges_by_service_endpoint,
     versions_by_service_endpoint,
 )
-from repro.topology.graph import InteractionGraph
+from repro.topology.graph import InteractionGraph, NodeKey
 from repro.topology.heuristics.base import RankingHeuristic, normalized
 from repro.topology.heuristics.hybrid import HybridHeuristic
 from repro.obs.events import TOPOLOGY_HEALTH
@@ -93,6 +97,32 @@ def copy_graph(graph: InteractionGraph, name: str | None = None) -> InteractionG
     out = InteractionGraph(name or graph.name)
     merge_graph_into(out, graph)
     return out
+
+
+def add_columns(graph: InteractionGraph, keys: list, hops) -> None:
+    """Fold *hops* — ``(callers, callees, durations, errors)`` columns;
+    callers and callees index *keys*, -1 is no caller — into *graph* as
+    ``observe_call`` one hop at a time does: the same records in the same
+    order, each total grown by the same ``operator.add`` sequence (not
+    ``sum``, which compensates from Python 3.12, nor pairwise ``np.sum``)."""
+    callers, callees, durations, errors = hops
+    width = len(keys)
+    pairs = (callers + 1) * width + callees
+    nodes, edges = {}, {}
+    for pair in dict.fromkeys(pairs.tolist()):
+        caller, callee = divmod(pair, width)
+        nodes[callee], edges[pair] = graph.records(
+            keys[caller - 1] if caller else None, keys[callee]
+        )
+    for groups, records in ((callees, nodes), (pairs, edges)):
+        for group, stats in records.items():
+            if stats is not None:
+                taken = groups == group
+                stats.calls += int(np.count_nonzero(taken))
+                stats.errors += int(np.count_nonzero(errors & taken))
+                stats.total_response_ms = reduce(
+                    add, durations[taken].tolist(), stats.total_response_ms
+                )
 
 
 def _stats_equal(sa, sb, rel_tol: float) -> bool:
@@ -161,7 +191,7 @@ class GraphWindowRing:
         self._windows: OrderedDict[int, InteractionGraph] = OrderedDict()
         self._merged = InteractionGraph("windows-merged")
         self._merged_dirty = False
-        self._expired_through: int | None = None
+        self._expired_through = float("-inf")
         self.late_observations_dropped = 0
         self.expired_windows = 0
 
@@ -173,7 +203,7 @@ class GraphWindowRing:
         """Fold one observation into its window (and the merge)."""
         caller, callee, duration_ms, error, start = obs
         idx = self.index_of(start)
-        if self._expired_through is not None and idx <= self._expired_through:
+        if idx <= self._expired_through:
             self.late_observations_dropped += 1
             return
         window = self._windows.get(idx)
@@ -186,13 +216,38 @@ class GraphWindowRing:
         while len(self._windows) > self.capacity:
             self._expire(min(self._windows))
 
+    def observe_columns(self, keys: list, hops, starts) -> None:
+        """Fold *hops* (see :func:`add_columns`) starting at *starts* as
+        :meth:`observe` one at a time does: a window creation that expires
+        a window is a cut.  ``np.floor_divide`` is Python's float ``//``
+        (numpy's ``npy_divmod`` is CPython's algorithm)."""
+        indexes = np.floor_divide(starts, self.window_seconds).astype(np.int64)
+        lo = 0
+        while lo < len(indexes):
+            rest = indexes[lo:]
+            late = rest <= self._expired_through
+            cut = len(rest)
+            for at in np.flatnonzero(~(late | np.isin(rest, list(self._windows)))).tolist():
+                idx = int(rest[at])
+                if idx not in self._windows:
+                    self._windows[idx] = InteractionGraph(f"window-{idx}")
+                    if len(self._windows) > self.capacity:
+                        cut = at + 1
+                        break
+            self.late_observations_dropped += int(np.count_nonzero(late[:cut]))
+            kept = np.flatnonzero(~late[:cut]) + lo
+            for idx in dict.fromkeys(indexes[kept].tolist()):
+                at = kept[indexes[kept] == idx]
+                add_columns(self._windows[idx], keys, [column[at] for column in hops])
+            if len(kept) and not self._merged_dirty:
+                add_columns(self._merged, keys, [column[kept] for column in hops])
+            if len(self._windows) > self.capacity:
+                self._expire(min(self._windows))
+            lo += cut
+
     def _expire(self, idx: int) -> None:
         del self._windows[idx]
-        self._expired_through = (
-            idx
-            if self._expired_through is None
-            else max(self._expired_through, idx)
-        )
+        self._expired_through = max(self._expired_through, idx)
         self.expired_windows += 1
         self._merged_dirty = True
 
@@ -230,7 +285,8 @@ class StreamingGraphBuilder:
     complete trace grows (late dark-launch duplicates), and because
     graph statistics are commutative sums, applying only the difference
     keeps the cumulative graph exactly equal to the batch builder's
-    output over the same traces.
+    output over the same traces.  The batch kernel's columnar slice
+    hands its hops to :meth:`on_columns` instead, with no trace at all.
 
     An optional :class:`GraphWindowRing` additionally buckets the same
     observations by span start time for recency-scoped diffing.
@@ -255,7 +311,7 @@ class StreamingGraphBuilder:
         self._applied: dict[str, Multiset[Observation]] = {}
         self._version = 0
         self._trace_count = 0
-        self._subscribers: list[Callable[[Trace, Multiset[Observation]], None]] = []
+        self._watchers: list[tuple[Callable[[float], bool], Callable[[float], object]]] = []
 
     @property
     def version(self) -> int:
@@ -268,15 +324,16 @@ class StreamingGraphBuilder:
         return self._trace_count
 
     def attach(self, collector: "TraceCollector") -> "StreamingGraphBuilder":
-        """Subscribe to *collector*'s completion and eviction streams."""
-        collector.subscribe(self.on_trace, self.on_evict)
+        """Subscribe to *collector*'s completion and eviction streams, and
+        offer it the column entry point :meth:`on_columns`."""
+        collector.subscribe(self.on_trace, self.on_evict, self.on_columns)
         return self
 
-    def subscribe(
-        self, on_update: Callable[[Trace, Multiset[Observation]], None]
-    ) -> None:
-        """Call *on_update* (trace, newly applied observations) per fold."""
-        self._subscribers.append(on_update)
+    def watch(self, due: Callable[[float], bool], act: Callable[[float], object]) -> None:
+        """After each fold of a trace whose root ends at *end*, call
+        ``act(end)`` if ``due(end)``.  Both read only *end*, so
+        :meth:`on_columns` can cut its block after every due row."""
+        self._watchers.append((due, act))
 
     def on_trace(self, trace: Trace) -> None:
         """Fold one (possibly re-notified) complete trace into the graph."""
@@ -287,27 +344,54 @@ class StreamingGraphBuilder:
         self._fold(trace)
 
     def _fold(self, trace: Trace) -> None:
-        """The fold itself (multiset delta application); see :meth:`on_trace`."""
-        observations = Multiset(trace_observations(trace, self.include_shadow))
+        """The fold itself (multiset delta application); see :meth:`on_trace`.
+        A new trace is applied in walk order, as the batch builder does."""
+        observations = trace_observations(trace, self.include_shadow)
+        counted = Multiset(observations)
         already = self._applied.get(trace.trace_id)
         if already is None:
             delta = observations
             self._trace_count += 1
         else:
-            delta = observations - already
+            delta = list((counted - already).elements())
             if not delta:
                 return
-        self._applied[trace.trace_id] = observations
+        self._applied[trace.trace_id] = counted
         observe, windows = self.graph.observe_call, self.windows
-        for obs, count in delta.items():
+        for obs in delta:
             caller, callee, duration_ms, error, _ = obs
-            for _ in range(count):
-                observe(caller, callee, duration_ms, error)
-                if windows is not None:
-                    windows.observe(obs)
+            observe(caller, callee, duration_ms, error)
+            if windows is not None:
+                windows.observe(obs)
         self._version += 1
-        for subscriber in self._subscribers:
-            subscriber(trace, delta)
+        end = trace.root.end
+        for due, act in self._watchers:
+            if due(end):
+                act(end)
+
+    def on_columns(self, keys, rows, hops, starts, ends) -> None:
+        """Fold a sub-block of the columnar slice, one trace per row (the
+        layout is :attr:`TraceCollector.column_subscribers`'s).  Rows fold
+        in segments that end at each row a watcher is due after, so it
+        acts on the state the span path leaves after that row's trace;
+        ``topology_fold_seconds`` times each segment."""
+        keys = [NodeKey(*key) for key in keys]
+        lo, last = 0, len(ends) - 1
+        for row, end in enumerate(ends.tolist()):
+            acting = [act for due, act in self._watchers if due(end)]
+            if not acting and row < last:
+                continue
+            with self.observer.timed("topology_fold_seconds"):
+                a, b = np.searchsorted(rows, (lo, row + 1)).tolist()
+                segment = [column[a:b] for column in hops]
+                add_columns(self.graph, keys, segment)
+                if self.windows is not None:
+                    self.windows.observe_columns(keys, segment, starts[a:b])
+            self._trace_count += row + 1 - lo
+            self._version += row + 1 - lo
+            lo = row + 1
+            for act in acting:
+                act(end)
 
     def on_evict(self, trace_id: str) -> None:
         """Drop per-trace bookkeeping once the collector evicted the trace.
@@ -505,9 +589,9 @@ class HealthScorer:
 class LiveHealthMonitor:
     """Publishes live health scores into a :class:`MetricStore`.
 
-    Subscribes to a :class:`StreamingGraphBuilder`; whenever a trace is
+    Watches a :class:`StreamingGraphBuilder`; whenever a trace is
     folded in and at least *publish_interval* simulated seconds passed
-    since the last publication, it refreshes the live diff, scores it,
+    since the last publication (:meth:`due`), it refreshes the live diff, scores it,
     and records ``health.score`` per service under version
     :data:`HEALTH_VERSION` plus the overall score under service
     :data:`OVERALL_SERVICE` — exactly where Bifrost ``health`` checks
@@ -532,16 +616,15 @@ class LiveHealthMonitor:
         self._last_publish: float | None = None
         self.publishes = 0
         self.last_report: HealthReport | None = None
-        builder.subscribe(self._on_update)
+        builder.watch(self.due, self.publish)
 
-    def _on_update(self, trace: Trace, _delta: Multiset[Observation]) -> None:
-        timestamp = trace.root.end
-        if (
-            self._last_publish is not None
-            and timestamp - self._last_publish < self._interval
-        ):
-            return
-        self.publish(timestamp)
+    def due(self, timestamp: float) -> bool:
+        """Whether a fold of a trace ending at *timestamp* publishes: the
+        first one does, then one *publish_interval* after the last."""
+        return (
+            self._last_publish is None
+            or timestamp - self._last_publish >= self._interval
+        )
 
     def publish(self, timestamp: float) -> HealthReport:
         """Force one score computation + publication at *timestamp*."""

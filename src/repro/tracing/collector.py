@@ -90,6 +90,7 @@ class TraceCollector:
         self.late_spans_dropped = Counter("tracing.late_spans_dropped")
         self._complete_subscribers: list[Callable[[Trace], None]] = []
         self._evict_subscribers: list[Callable[[str], None]] = []
+        self._column_subscribers: list[Callable[..., None]] | None = []
 
     # -- streaming subscriptions ------------------------------------------
 
@@ -97,6 +98,7 @@ class TraceCollector:
         self,
         on_complete: Callable[[Trace], None],
         on_evict: Callable[[str], None] | None = None,
+        on_columns: Callable[..., None] | None = None,
     ) -> None:
         """Register a trace-stream subscriber.
 
@@ -104,22 +106,36 @@ class TraceCollector:
         receives the trace again, re-assembled, when more spans arrive
         for it later (subscribers must treat notifications as cumulative
         snapshots, not deltas).  *on_evict* receives the trace id when a
-        trace is evicted under the capacity bound.
+        trace is evicted under the capacity bound.  *on_columns* is the
+        subscriber's column entry point (see :attr:`column_subscribers`).
         """
         self._complete_subscribers.append(on_complete)
         if on_evict is not None:
             self._evict_subscribers.append(on_evict)
+        if on_columns is None:
+            self._column_subscribers = None
+        elif self._column_subscribers is not None:
+            self._column_subscribers.append(on_columns)
 
     @property
     def has_subscribers(self) -> bool:
         """Whether any stream subscriber is attached.
 
-        The batch execution kernel checks this once per slice: it
-        materializes spans and feeds :meth:`record_trace` exactly while
-        subscribers are present, so the streaming pipeline is never
-        starved.
+        The batch execution kernel checks this once per slice: it builds
+        spans and feeds :meth:`record_trace` exactly while subscribers
+        are present, unless :attr:`column_subscribers` takes its columns.
         """
         return bool(self._complete_subscribers or self._evict_subscribers)
+
+    @property
+    def column_subscribers(self) -> list[Callable[..., None]] | None:
+        """The column entry points, while every subscriber has one: the
+        columnar slice then records no trace and calls each per sub-block
+        with ``(keys, rows, hops, starts, ends)`` — ``(service, version,
+        endpoint)`` keys; per hop in (row, pre-order) order its row,
+        ``(caller, callee, duration, error)`` (keys as indexes, -1 for an
+        entry call) and start; each row's root end."""
+        return self._column_subscribers or None
 
     def _notify_complete(self, trace_id: str) -> None:
         if not self._complete_subscribers:
@@ -127,7 +143,7 @@ class TraceCollector:
         state = self._assembly.get(trace_id)
         if state is None or not state.assemblable:
             return
-        trace = Trace(trace_id, self._spans_by_trace[trace_id])
+        trace = Trace.assembled(trace_id, self._spans_by_trace[trace_id])
         for subscriber in self._complete_subscribers:
             subscriber(trace)
 

@@ -1,15 +1,27 @@
-"""Property: spans built from the columnar slice equal the general hop's.
+"""Property: the columnar slice feeds live health as the general hop does.
 
-With a trace subscriber attached, a slice the plan accepts runs as columns
-and builds its spans from the columns afterwards
-(``RequestKernel._record_traces``).  The same slice with the general hop
-forced — ``RequestKernel._plan`` patched to refuse every slice — must hand
-the collector the same ``record_trace`` calls: trace ids, span ids
-(allocation order), parent ids, tags, starts, durations, errors and list
-order.  The streaming builder's graphs and the published ``health.score``
-series must match too.  Topologies draw a latency family per service, so
-every plan is accepted; calls are probabilistic, catalog and pricing are
-routed (pricing behind a group audience) and inventory optionally as well.
+Two paths leave the columnar slice for a trace subscriber, and the
+general hop — ``RequestKernel._plan`` patched to refuse every slice — is
+the oracle of both:
+
+- **Spans from columns.**  With a span subscriber attached (a no-op one
+  forces spans), the slice builds its spans from the columns afterwards
+  (``RequestKernel._record_traces``) and must hand the collector the same
+  ``record_trace`` calls: trace ids, span ids (allocation order), parent
+  ids, tags, starts, durations, errors and list order.
+- **The column fold.**  With the streaming builder the only subscriber,
+  the slice records no trace and hands the builder its columns
+  (``StreamingGraphBuilder.on_columns``).  The builder's graph, every
+  live window and the window merge must equal the oracle's at
+  ``rel_tol=0`` and in insertion order (``_per_service`` adds node
+  totals in node order, which sets the ``health.score`` bits), and so
+  must ``version``, ``trace_count``, the next trace id, the publishes and
+  the store.  Windows are drawn small enough to be created, expired and
+  to drop late observations inside one sub-block.
+
+Topologies draw a latency family per service, so every plan is accepted;
+calls are probabilistic, catalog and pricing are routed (pricing behind a
+group audience) and inventory optionally as well.
 """
 
 import functools
@@ -26,7 +38,7 @@ from repro.simulation.latency import (
     ParetoLatency,
 )
 from repro.topology.builder import build_interaction_graph
-from repro.topology.streaming import HEALTH_METRIC
+from repro.topology.streaming import HEALTH_METRIC, graphs_equal
 from repro.traffic.batch import BatchWorkloadGenerator
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation
@@ -75,9 +87,14 @@ def family(models: dict):
     )
 
 
-def traced_run(app, *, general: bool, route_inventory, faults, seed, sub_block):
-    """One ``run_batches`` replay with live health on; returns the
-    middleware and every ``record_trace`` call as ``(trace id, spans)``."""
+def traced_run(
+    app, *, general: bool, spans: bool, route_inventory, faults, seed, sub_block,
+    window=(3.0, 8),
+):
+    """One ``run_batches`` replay with live health on (*window* is its
+    ``(window_seconds, window_capacity)``) and, with *spans*, a no-op
+    span subscriber; returns the middleware and every ``record_trace``
+    call as ``(trace id, spans)``."""
     population = UserPopulation(300, DEFAULT_GROUPS, seed=1)
     bifrost = build_bifrost(app, 0.3, faults, route_inventory)
     calls = []
@@ -88,8 +105,13 @@ def traced_run(app, *, general: bool, route_inventory, faults, seed, sub_block):
         record(trace_id, spans)
 
     bifrost.collector.record_trace = recorded
+    if spans:
+        bifrost.collector.subscribe(lambda trace: None)
     bifrost.enable_live_health(
-        baseline=baseline(), window_seconds=3.0, publish_interval=1.0
+        baseline=baseline(),
+        window_seconds=window[0],
+        window_capacity=window[1],
+        publish_interval=1.0,
     )
     bifrost.submit(build_strategy(0.3), at=1.0)
     generator = BatchWorkloadGenerator(population, entry="frontend.index", seed=seed)
@@ -141,8 +163,8 @@ def normalized(calls):
 
 
 def assert_same_stream(app_factory, **options) -> None:
-    columnar, columnar_calls = traced_run(app_factory(), general=False, **options)
-    general, general_calls = traced_run(app_factory(), general=True, **options)
+    columnar, columnar_calls = traced_run(app_factory(), general=False, spans=True, **options)
+    general, general_calls = traced_run(app_factory(), general=True, spans=True, **options)
     assert columnar_calls
     assert normalized(columnar_calls) == normalized(general_calls)
     assert columnar.streaming_builder.graph == general.streaming_builder.graph
@@ -153,6 +175,37 @@ def assert_same_stream(app_factory, **options) -> None:
     health = [key for key in general.store.keys() if key.metric == HEALTH_METRIC]
     assert health and columnar.live_health.publishes == general.live_health.publishes
     assert columnar.store.snapshot() == general.store.snapshot()
+
+
+def assert_same_graph(a, b) -> None:
+    """Equal records (exact floats) in the same insertion order."""
+    assert a == b and graphs_equal(a, b, rel_tol=0)
+    assert a.nodes == b.nodes
+    assert [(c, e) for c, e, _ in a.edges()] == [(c, e) for c, e, _ in b.edges()]
+
+
+def assert_same_fold(app_factory, **options):
+    """The builder-only column fold against the general hop with spans;
+    returns the column side's window ring."""
+    columnar, calls = traced_run(app_factory(), general=False, spans=False, **options)
+    general, _ = traced_run(app_factory(), general=True, spans=True, **options)
+    assert not calls and len(columnar.collector) == 0
+    ours, oracle = columnar.streaming_builder, general.streaming_builder
+    assert_same_graph(ours.graph, oracle.graph)
+    ring, oracle_ring = ours.windows, oracle.windows
+    assert ring.window_indexes == oracle_ring.window_indexes
+    for idx in ring.window_indexes:
+        assert_same_graph(ring.window(idx), oracle_ring.window(idx))
+    assert (ring.expired_windows, ring.late_observations_dropped) == (
+        oracle_ring.expired_windows,
+        oracle_ring.late_observations_dropped,
+    )
+    assert_same_graph(ring.merged(), oracle_ring.merged())
+    assert (ours.version, ours.trace_count) == (oracle.version, oracle.trace_count)
+    assert columnar.runtime.next_trace_id() == general.runtime.next_trace_id()
+    assert columnar.live_health.publishes == general.live_health.publishes > 0
+    assert columnar.store.snapshot() == general.store.snapshot()
+    return ring
 
 
 @functools.cache
@@ -177,6 +230,7 @@ class TestSpansFromColumns:
         faults=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
         sub_block=st.sampled_from([kernel_module._SUB_BLOCK, 7, 1]),
+        window=st.sampled_from([(3.0, 8), (0.25, 2), (0.05, 1)]),
     )
     def test_record_trace_calls_match_the_general_hop(
         self,
@@ -190,6 +244,7 @@ class TestSpansFromColumns:
         faults,
         seed,
         sub_block,
+        window,
     ):
         def model(drawn, which, ms, families=FAMILIES):
             kind, first, second = drawn
@@ -210,16 +265,27 @@ class TestSpansFromColumns:
                 parallel,
             )
 
-        assert_same_stream(
-            app,
-            route_inventory=route_inventory,
-            faults=faults,
-            seed=seed,
-            sub_block=sub_block,
+        options = dict(
+            route_inventory=route_inventory, faults=faults, seed=seed, sub_block=sub_block
         )
+        assert_same_stream(app, **options)
+        assert_same_fold(app, window=window, **options)
 
     def test_plain_topology_across_sub_blocks(self):
         """The fixed topology, split into sub-blocks of 50 rows."""
         assert_same_stream(
             plain_app, route_inventory="audience", faults=True, seed=3, sub_block=50
         )
+
+    def test_windows_expire_and_drop_inside_one_sub_block(self):
+        """Default sub-blocks, so each slice is one sub-block: window
+        creations, expiries and late drops are cuts inside it."""
+        ring = assert_same_fold(
+            plain_app,
+            route_inventory="audience",
+            faults=True,
+            seed=3,
+            sub_block=kernel_module._SUB_BLOCK,
+            window=(0.05, 1),
+        )
+        assert ring.expired_windows > 10 and ring.late_observations_dropped > 0

@@ -204,3 +204,38 @@ class TestTopologyInstrumentation:
             observer.metrics.value("topology_health_overall")
             == monitor.last_report.overall
         )
+
+    def test_column_fold_is_timed_once_per_segment(self, canary_app):
+        """On the columnar slice ``topology_fold_seconds`` observes one fold
+        segment: the rows of a sub-block up to each health publish, and
+        the rest — not one trace."""
+        from repro.bifrost.middleware import Bifrost
+        from repro.traffic.batch import BatchWorkloadGenerator
+        from repro.traffic.users import UserPopulation
+
+        observer = Observer(enabled=True)
+        bifrost = Bifrost(canary_app, seed=3, observer=observer)
+        monitor = bifrost.enable_live_health(publish_interval=5.0)
+        builder = bifrost.streaming_builder
+        on_columns, segments = builder.on_columns, []
+
+        def counted(keys, rows, hops, starts, ends):
+            before = monitor.publishes
+            on_columns(keys, rows, hops, starts, ends)
+            tail = monitor._last_publish != ends[-1].item()
+            segments.append(monitor.publishes - before + tail)
+
+        bifrost.collector._column_subscribers = [counted]
+        population = UserPopulation(
+            200, (UserGroup("eu", 0.6), UserGroup("na", 0.4)), seed=4
+        )
+        workload = BatchWorkloadGenerator(population, entry="frontend.home", seed=5)
+        bifrost.run_batches(workload.poisson(30.0, 30.0), until=31.0)
+        assert segments and len(bifrost.collector) == 0
+        assert monitor.publishes > 1
+        [folds] = [
+            sample.value
+            for sample in observer.metrics.collect()
+            if sample.name == "topology_fold_seconds_count"
+        ]
+        assert folds == sum(segments) < builder.trace_count

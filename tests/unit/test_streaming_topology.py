@@ -229,15 +229,19 @@ class TestStreamingGraphBuilder:
         root = NodeKey("frontend", "1.0.0", "home")
         assert builder.graph.node_stats(root).calls == 2
 
-    def test_subscribers_receive_trace_and_delta(self):
+    def test_watchers_act_after_the_fold_of_their_trace(self):
         collector = TraceCollector()
         builder = StreamingGraphBuilder().attach(collector)
-        seen = []
-        builder.subscribe(
-            lambda trace, delta: seen.append((trace.trace_id, sum(delta.values())))
+        asked, acted = [], []
+        builder.watch(
+            lambda end: asked.append(end) or end > 1.5,
+            lambda end: acted.append((end, builder.trace_count)),
         )
         collector.record_all(trace_spans("t1"))
-        assert seen == [("t1", 2)]
+        collector.record_all(trace_spans("t2", start=2.0))
+        # Each root ends 10 ms after its start; only t2 is due.
+        assert asked == [0.01, 2.01]
+        assert acted == [(2.01, 2)]
 
     def test_window_ring_wired_through(self):
         collector = TraceCollector()

@@ -1,5 +1,7 @@
 """Unit tests for the distributed tracing substrate."""
 
+import re
+
 import pytest
 
 from repro.errors import ValidationError
@@ -242,6 +244,72 @@ class TestCollectorSubscriptions:
         collector.record(make_span("r0", trace_id="t0"))
         collector.record(make_span("r1", trace_id="t1"))
         assert evicted == ["t0"]
+
+
+class TestValidateOnce:
+    """A notified trace is built from the bucket the collector's assembly
+    state already checked; every bad tree still fails with its message."""
+
+    @staticmethod
+    def collector_with_subscriber():
+        collector = TraceCollector()
+        seen = []
+        collector.subscribe(seen.append)
+        return collector, seen
+
+    def test_notification_does_not_recheck_the_tree(self, monkeypatch):
+        collector, seen = self.collector_with_subscriber()
+        spans = make_trace().spans
+
+        def checked(*_):
+            raise AssertionError("the tree was checked twice")
+
+        monkeypatch.setattr(Trace, "__init__", checked)
+        collector.record_trace("t1", spans[::-1])
+        [trace] = seen
+        assert trace.root.span_id == "root"
+        assert [span.span_id for span, _ in trace.walk()] == ["root", "a", "b", "c"]
+
+    def test_no_spans(self):
+        with pytest.raises(ValidationError, match=re.escape("trace 't1' has no spans")):
+            Trace("t1", [])
+
+    def test_foreign_spans_rejected_by_record_trace(self):
+        collector, seen = self.collector_with_subscriber()
+        foreign = [make_span("root"), make_span("x", trace_id="t2", parent_id="root")]
+        message = re.escape("trace 't1' contains foreign spans")
+        with pytest.raises(ValidationError, match=message):
+            collector.record_trace("t1", foreign)
+        with pytest.raises(ValidationError, match=message):
+            Trace("t1", foreign)
+        assert seen == []
+
+    @pytest.mark.parametrize(
+        "spans, message",
+        [
+            (
+                [make_span("root"), make_span("root", parent_id="root")],
+                "trace 't1' has duplicate span ids",
+            ),
+            (
+                [make_span("r1"), make_span("r2")],
+                "trace 't1' must have exactly one root span, found 2",
+            ),
+            (
+                [make_span("root"), make_span("x", parent_id="ghost")],
+                "span x references unknown parent ghost",
+            ),
+        ],
+        ids=["duplicate", "two-roots", "orphan"],
+    )
+    def test_bad_tree_is_never_notified_and_keeps_its_message(self, spans, message):
+        collector, seen = self.collector_with_subscriber()
+        collector.record_trace("t1", spans)
+        assert seen == []
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            collector.trace("t1")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            collector.traces(strict=True)
 
 
 class TestQuery:
