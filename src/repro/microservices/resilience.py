@@ -167,6 +167,7 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         self.transitions: list[BreakerTransition] = []
         self._window: deque[bool] = deque(maxlen=self.config.window_size)
+        self._failures = 0  # failed outcomes in ``_window``
         self._opened_at = 0.0
         self._probes_admitted = 0
         self._probe_successes = 0
@@ -182,7 +183,7 @@ class CircuitBreaker:
         """Failure rate over the current window (0.0 when empty)."""
         if not self._window:
             return 0.0
-        return sum(1 for ok in self._window if not ok) / len(self._window)
+        return self._failures / len(self._window)
 
     def allow(self, now: float) -> bool:
         """Whether a call may proceed at simulated time *now*."""
@@ -210,6 +211,7 @@ class CircuitBreaker:
                 self._probe_successes += 1
                 if self._probe_successes >= self.config.half_open_successes:
                     self._window.clear()
+                    self._failures = 0
                     self._move(now, BreakerState.CLOSED)
             else:
                 self._opened_at = now
@@ -219,9 +221,14 @@ class CircuitBreaker:
             # A call that was already in flight when the breaker opened;
             # its outcome no longer matters.
             return
-        self._window.append(success)
+        window = self._window
+        if len(window) == window.maxlen and not window[0]:
+            self._failures -= 1  # the append evicts the oldest outcome
+        window.append(success)
+        if not success:
+            self._failures += 1
         if (
-            len(self._window) >= self.config.min_calls
+            len(window) >= self.config.min_calls
             and self.failure_rate() >= self.config.failure_threshold
         ):
             self._opened_at = now

@@ -76,7 +76,12 @@ class StickyAssigner:
         if not variants:
             raise ConfigurationError("cannot assign across zero variants")
         indices = np.asarray(indices, np.int64)
-        buckets = bucket_indices(indices, self.salt, _BUCKETS)
+        # One variant (a dark launch, a finished rollout) takes every
+        # bucket, so no id is hashed.
+        if len(variants) > 1:
+            buckets = bucket_indices(indices, self.salt, _BUCKETS)
+        else:
+            buckets = np.zeros(len(indices), np.int64)
         thresholds = []
         cumulative = 0.0
         for variant in variants:

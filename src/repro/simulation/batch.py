@@ -25,24 +25,25 @@ pinned by ``tests/integration/test_scalar_golden.py``):
 - A slice runs one of two hops, picked once per slice from state the
   kernel can observe.  The *plain* hop covers slices where every
   per-hop hook is a no-op, and runs the slice as columns: it compiles
-  the entry's call tree into a plan of call sites, draws each sub-block's
-  uniforms in bulk (:func:`~repro.simulation.rng.random_block`), finds
-  where every hop's draws fall with one composed offset table, then
-  computes latencies, loads, durations and errors one call site at a
-  time (``tests/property/test_columnar_slice.py``).  While the trace
+  the entry's call tree into a plan of call sites, each dark-launch
+  shadow replay one more call site, draws each sub-block's uniforms in
+  bulk (:func:`~repro.simulation.rng.random_block`), finds where every
+  hop's draws fall with one composed offset table per combination of
+  shadow audiences, then computes latencies, loads, durations and
+  errors one call site at a time
+  (``tests/property/test_columnar_slice.py``).  While the trace
   collector has stream subscribers it then hands each sub-block's hops
   to their column entry points if every subscriber has one, or else
   builds the spans from the columns and records one trace per row, as
   the general hop would (``tests/property/test_columnar_spans.py``).  The *general*
   hop — the one ``Runtime.execute`` always runs, and the plain slices
   whose plan refuses them — additionally executes call policies
-  (timeouts, retries, fallbacks), circuit breakers, network partitions,
-  dark-launch shadow replays and routers the kernel cannot compile,
-  building spans as it goes.  Fault campaigns need no hook at all: they
-  rewrite endpoint specs at engine events, and nodes are compiled from
-  the specs per kernel.  Event boundaries delimit slices, and all of
-  these conditions only change at events, so a condition can never flip
-  mid-slice.
+  (timeouts, retries, fallbacks), circuit breakers, network partitions
+  and routers the kernel cannot compile, building spans as it goes.
+  Fault campaigns need no hook at all: they rewrite endpoint specs at
+  engine events, and nodes are compiled from the specs per kernel.
+  Event boundaries delimit slices, and all of these conditions only
+  change at events, so a condition can never flip mid-slice.
 
 Memory behaviour: samples wait in a per-(service, version)
 :class:`~repro.telemetry.monitor.SpanSampleBuffer` flushed at slice ends
@@ -256,11 +257,15 @@ _DRAWS = {"const": 0.0, "normal": 2.74, "pareto": 1.0}
 
 class _Position:
     """One call site of a slice's plan: the versions rows can take there,
-    their one draw kind, and the child call sites in call order."""
+    their one draw kind, the child call sites in call order and the
+    dark-launch duplicates (``shadows``) replayed after them.  A duplicate
+    runs for the rows its *gate* (the primary's route record, None when
+    every user is in its audience) admits; *dark* marks a duplicate and
+    every call site below one."""
 
     __slots__ = (
         "key", "rec", "versions", "codes", "kind", "certain", "children",
-        "parallel", "proxy", "pre", "post",
+        "shadows", "gate", "dark", "parallel", "proxy", "pre", "post",
     )
 
 
@@ -303,38 +308,54 @@ def _expected_draws(pos: _Position) -> float:
     for probability, child in pos.children:
         below = _expected_draws(child)
         draws += below if probability >= 1.0 else 1.0 + probability * below
-    return draws
+    return draws + sum(map(_expected_draws, pos.shadows))
 
 
-def _table(pos: _Position, block: _Block) -> np.ndarray:
-    """Draw offset after *pos*'s whole subtree, for every start offset."""
+def _table(pos: _Position, block: _Block, admitted) -> np.ndarray:
+    """Draw offset after *pos*'s whole subtree and its duplicates, for
+    every start offset, for rows whose gates are the ids in *admitted*."""
     if pos.kind == "const":
         table = block.step  # the error draw
     else:
         table = block.step[block.km if pos.kind == "normal" else block.step]
     for probability, child in pos.children:
-        below = _table(child, block)
+        below = _table(child, block, admitted)
         if probability < 1.0:
             drawn = block.step[table]
             table = np.where(block.u[table] < probability, below[drawn], drawn)
         else:
             table = below[table]
+    for shadow in pos.shadows:
+        if shadow.gate is None or id(shadow.gate) in admitted:
+            table = _table(shadow, block, admitted)[table]
     return table
 
 
-def _chain(table: np.ndarray, rows: int, over: int) -> list:
+def _chain(steps, over: int) -> list:
     """Each row's first draw offset while the rows fit the block, then the
-    offset after the last one."""
+    offset after the last one; *steps* maps each row's first offset to
+    the next row's."""
     offsets = [0]
     append = offsets.append
-    step = table.item
     offset = 0
-    for _ in range(rows):
+    for step in steps:
         offset = step(offset)
         if offset == over:
             break
         append(offset)
     return offsets
+
+
+def _walk(pos: _Position, cuts: dict, order: list) -> None:
+    """Append the pres of *pos*'s subtree in ``Trace.walk`` order: siblings
+    by start, stably in span order.  A duplicate starts with its primary,
+    so it comes before the primary's children except the first
+    ``cuts[pos]``, which start at the same instant."""
+    order.append(pos.pre)
+    children = [child for _, child in pos.children]
+    cut = cuts.get(pos, 0)
+    for child in (*children[:cut], *pos.shadows, *children[cut:]):
+        _walk(child, cuts, order)
 
 
 def _latency(recipe, block: _Block, offsets: np.ndarray, load):
@@ -414,13 +435,13 @@ class RequestKernel:
     (a ``StaticRouter`` compiles to none); ``Request`` objects, and rows
     under any other ``Router``, ask ``runtime.router.route`` on every hop,
     with the row's ``Request`` in hand.  ``Request`` objects, and rows
-    under such a router, a partition, a call policy, a breaker or a
-    shadow route, run the general hop; other rows run as columns unless
-    the plan refuses the slice.  Spans are built for ``Request`` objects,
-    and for rows while the collector has stream subscribers, unless every
-    one has a column entry point: then the columnar slice hands its hops
-    to those instead.  Whoever drives the kernel calls :meth:`flush` before an
-    engine event can read the store.
+    under such a router, a partition, a call policy or a breaker, run
+    the general hop; other rows, shadow routes included, run as columns
+    unless the plan refuses the slice.  Spans are built for ``Request``
+    objects, and for rows while the collector has stream subscribers,
+    unless every one has a column entry point: then the columnar slice
+    hands its hops to those instead.  Whoever drives the kernel calls
+    :meth:`flush` before an engine event can read the store.
     """
 
     def __init__(self, runtime: "Runtime", population=None) -> None:
@@ -470,13 +491,6 @@ class RequestKernel:
             self._route_per_hop
             or self._network is not None
             or not runtime.resilience.passthrough
-            or (
-                self._router is not None
-                and any(
-                    router.active_route(service).shadow_versions
-                    for service in router.routed_services
-                )
-            )
         )
 
     # -- compilation -------------------------------------------------------
@@ -486,8 +500,8 @@ class RequestKernel:
 
     def _edge(self, service: str, endpoint: str):
         """An edge is ``(route_record | None, node | {version: node} | None,
-        policy | None, shadow nodes, service, endpoint)``; when routing per
-        hop only the policy is compiled — the router picks the node."""
+        policy | None, shadow versions, service, endpoint)``; when routing
+        per hop only the policy is compiled — the router picks the node."""
         key = (service, endpoint)
         edge = self._edges.get(key)
         if edge is not None:
@@ -503,14 +517,14 @@ class RequestKernel:
         else:
             rec = self._route_rec(service, route)
             nodes = _VariantNodes(self, service, endpoint)
-            shadows = self._shadow_nodes(service, endpoint, route.shadow_versions)
-            edge = (rec, nodes, policy, shadows, service, endpoint)
+            edge = (rec, nodes, policy, route.shadow_versions, service, endpoint)
         self._edges[key] = edge
         return edge
 
     def _shadow_nodes(self, service: str, endpoint: str, versions):
         """Dark-launch duplicates are forced to their version and bypass
-        the proxy; versions the service does not have are skipped."""
+        the proxy; versions the service does not have are skipped.  Asked
+        per replay, so a duplicate no request replays is never compiled."""
         svc = self._app.service(service)
         return tuple(
             self._node(service, endpoint, version, 0.0)
@@ -765,7 +779,8 @@ class RequestKernel:
     # -- the columnar slice (the plain hop) -----------------------------------
 
     def _plan(self, entry: str):
-        """The entry's call tree as positions in pre-order, or None when the
+        """The entry's call tree as positions in pre-order, each call site's
+        dark-launch duplicates right after its subtree, or None when the
         columnar slice cannot express the slice and the general hop runs it:
         a latency model without a recipe, a cycle, a load deque shared by
         two positions where one reads the load, or a call site whose
@@ -779,15 +794,21 @@ class RequestKernel:
                 return None
         return positions
 
-    def _position(self, service: str, endpoint: str, certain: bool, path, plan):
+    def _position(
+        self, service: str, endpoint: str, certain: bool, path, plan, dark=False, forced=None
+    ):
+        """One call site (a duplicate forced to version *forced*) and its
+        subtree; *path* holds one call site per level of depth."""
         positions, finished, deques = plan
-        if (service, endpoint) in path or len(path) > _MAX_CALL_DEPTH:
+        if len(path) > _MAX_CALL_DEPTH or (forced is None and (service, endpoint) in path):
             return None
         router = self._router
         route = router.active_route(service) if router is not None else None
         try:
             svc = self._app.service(service)
-            if route is None:
+            if forced is not None:
+                rec, versions = None, (forced,)
+            elif route is None:
                 rec, versions = None, (svc.stable_version,)
             else:
                 rec = self._route_rec(service, route)
@@ -817,13 +838,14 @@ class RequestKernel:
         pos.codes = {version: code for code, version in enumerate(versions)}
         pos.certain, pos.parallel = certain, bool(specs[0].parallel_calls)
         pos.proxy = 0.0 if rec is None else self._proxy_ms
+        pos.gate, pos.dark = None, dark
         pos.pre = len(positions)
         positions.append(pos)
         path = (*path, (service, endpoint))
         children = []
         for probability, child_service, child_endpoint in calls.pop():
             child = self._position(
-                child_service, child_endpoint, certain and probability >= 1.0, path, plan
+                child_service, child_endpoint, certain and probability >= 1.0, path, plan, dark
             )
             if child is None:
                 return None
@@ -831,6 +853,20 @@ class RequestKernel:
         pos.children = tuple(children)
         pos.post = len(finished)
         finished.append(pos)
+        # ``_call`` replays each duplicate after the primary's subtree, one
+        # level deeper, forced and without the proxy; rows outside the
+        # route's audience skip it, and so no row reaches it for sure.
+        shadows = []
+        if rec is not None:
+            gate = rec if rec[3] is not None or rec[5] is not None else None
+            for version in route.shadow_versions:
+                if svc.has_version(version):
+                    shadow = self._position(service, endpoint, False, path, plan, True, version)
+                    if shadow is None:
+                        return None
+                    shadow.gate = gate
+                    shadows.append(shadow)
+        pos.shadows = tuple(shadows)
         return pos
 
     def _codes(self, pos: _Position, users: np.ndarray) -> np.ndarray:
@@ -865,6 +901,8 @@ class RequestKernel:
         raw = self.raw
         root = positions[0]
         routed = [pos for pos in positions if pos.rec is not None and pos.certain]
+        gates = {id(pos.gate): pos.gate for pos in positions if pos.gate is not None}
+        group_codes = self._group_codes
         per_row = _expected_draws(root) * 1.05
         durations: list = []
         errors = 0
@@ -872,11 +910,26 @@ class RequestKernel:
             rows = min(_SUB_BLOCK, hi - lo)
             users = batch.user_indices[lo : lo + rows]
             codes = {pos: self._codes(pos, users) for pos in routed}
+            # Each gate's admitted rows; rows admitted by the same gates
+            # share a composed table.
+            masks = {
+                key: np.array([self._matches(rec, u, group_codes[u]) for u in users.tolist()])
+                for key, rec in gates.items()
+            }
+            admitted = list(zip(*(mask.tolist() for mask in masks.values())))
             size = max(2, math.ceil(rows * per_row) + _BLOCK_SLACK)
             while True:
                 state = raw.getstate()
                 block = _Block(random_block(raw, size))
-                offsets = _chain(_table(root, block), rows, block.over)
+                if masks:
+                    tables = {
+                        combo: _table(root, block, {k for k, on in zip(masks, combo) if on}).item
+                        for combo in dict.fromkeys(admitted)
+                    }
+                    steps = map(tables.__getitem__, admitted)
+                else:
+                    steps = repeat(_table(root, block, ()).item, rows)
+                offsets = _chain(steps, block.over)
                 raw.setstate(state)
                 if len(offsets) > 1:
                     break
@@ -887,7 +940,7 @@ class RequestKernel:
             starts = np.maximum.accumulate(
                 np.concatenate(((now,), batch.timestamps[lo : lo + done]))
             )[1:]
-            ctx = (users, codes, {}, {})
+            ctx = (users, codes, {}, {}, masks)
             duration, error, _ = self._hop(
                 root, np.arange(done), starts, np.array(offsets[:-1]), block, ctx
             )
@@ -912,9 +965,8 @@ class RequestKernel:
         """*pos*'s hops for *rows* (ascending sub-block indices) starting at
         *start* with their first draw at *offsets*, children included;
         returns their durations, errors and next draw offsets."""
-        users, codes, arrivals, samples = ctx
+        users, codes, arrivals, samples, masks = ctx
         n = len(rows)
-        edge = self._edges.get(pos.key) or self._edge(*pos.key)
         if pos.rec is None:
             picks = None
         elif pos.certain:
@@ -927,12 +979,12 @@ class RequestKernel:
         groups = []
         for code, version in enumerate(pos.versions):
             if picks is None:
-                node, sel = edge[1], slice(None)
+                sel = slice(None)
             else:
                 sel = np.flatnonzero(picks == code)
                 if not len(sel):
                     continue
-                node = edge[1][version]
+            node = self._node(*pos.key, version, pos.proxy)
             begin = start[sel]
             groups.append((node, sel, begin))
             load = None
@@ -978,46 +1030,84 @@ class RequestKernel:
             samples.setdefault(id(node[_N_TS_BUF]), (node, []))[1].append(
                 (pos.post, rows[sel], begin, duration[sel], error[sel])
             )
+        # Duplicates start with the primary; their durations and errors
+        # stay their own.
+        for shadow in pos.shadows:
+            taken = slice(None)
+            if shadow.gate is not None:
+                taken = np.flatnonzero(masks[id(shadow.gate)][rows])
+                if not len(taken):
+                    continue
+            _, _, after[taken] = self._hop(
+                shadow, rows[taken], start[taken], after[taken], block, ctx
+            )
         return duration, error, after
 
     def _fold_columns(self, positions: list, samples: dict, rows: int) -> None:
         """Hand the sub-block's hops, in the order ``Trace.walk`` visits the
         spans :meth:`_record_traces` builds, to the column subscribers."""
         keys: dict = {}
-        ids = np.full((len(positions), rows), -1)  # key index per position and row
-        parents = np.full(len(positions), -1)
-        entries = []
+        width = len(positions)
+        ids = np.full((width, rows), -1)  # key index per position and row
+        begins = np.full((width, rows), np.nan)
+        parents = np.full(width, -1)
+        dark = np.zeros(width, bool)
+        parts = []
         by_post = {pos.post: pos for pos in positions}
         for pos in positions:
-            for _, child in pos.children:
+            dark[pos.pre] = pos.dark
+            for child in (*(child for _, child in pos.children), *pos.shadows):
                 parents[child.pre] = pos.pre
         for node, node_entries in samples.values():
             for post, at, starts, durations, errors in node_entries:
                 pos = by_post[post]
                 key = (node[_N_SERVICE], node[_N_VERSION], pos.key[1])
                 ids[pos.pre, at] = keys.setdefault(key, len(keys))
-                pres = np.full(len(at), pos.pre)
-                entries.append((pos.pre, at, at, pres, starts, durations, errors))
-        at, pres, starts, durations, errors = _hop_order(entries, len(positions))
+                begins[pos.pre, at] = starts
+                parts.append((pos.pre, at, starts, durations, errors))
+        # Walk order per row: where duplicates fall among their primary's
+        # children depends on which children start with the primary.
+        forks = [pos for pos in positions if pos.shadows and pos.children]
+        cuts = np.zeros((rows, len(forks)), np.intp)
+        for fork, pos in enumerate(forks):
+            for index, (_, child) in enumerate(pos.children, 1):
+                cuts[begins[child.pre] == begins[pos.pre], fork] = index
+        walks, walk_of = (
+            np.unique(cuts, axis=0, return_inverse=True)
+            if forks
+            else (cuts[:1], np.zeros(rows, np.intp))
+        )
+        ranks = np.empty((len(walks), width), np.intp)
+        for rank, walk in zip(ranks, walks.tolist()):
+            order: list = []
+            _walk(positions[0], dict(zip(forks, walk)), order)
+            rank[order] = np.arange(width)
+        entries = [
+            (ranks[walk_of[at], pre], at, at, np.full(len(at), pre), starts, durations, errors)
+            for pre, at, starts, durations, errors in parts
+        ]
+        at, pres, starts, durations, errors = _hop_order(entries, width)
         callers = np.where(parents[pres] < 0, -1, ids[parents[pres], at])
         root = pres == 0
         ends = starts[root] + durations[root] / 1000.0
         hops = (callers, ids[pres, at], durations, errors)
         for fold in self._folds:
-            fold(list(keys), at, hops, starts, ends)
+            fold(list(keys), at, hops, starts, ends, dark[pres])
 
     def _record_traces(self, positions: list, samples: dict, users: np.ndarray) -> None:
         """Build the sub-block's spans from its sample columns and record
         one trace per row, in row order, as the general hop does: span ids
-        in pre-order, spans in post-order, ``{"group", "user"}`` tags."""
+        in pre-order, spans in post-order, ``{"group", "user"}`` tags and
+        ``"shadow": "true"`` on a duplicate and below it."""
         runtime = self._runtime
         record = runtime.collector.record_trace
         rows = len(users)
         endpoints = [None] * len(positions)
         parents = [None] * len(positions)
+        darks = [False] * len(positions)
         for pos in positions:
-            endpoints[pos.post] = pos.key[1]
-            for _, child in pos.children:
+            endpoints[pos.post], darks[pos.post] = pos.key[1], pos.dark
+            for child in (*(child for _, child in pos.children), *pos.shadows):
                 parents[child.post] = pos.post
         # cells[post][row]: the row's hop at that position, or None.  One
         # buffer serves every endpoint of a version: the key holds no endpoint.
@@ -1042,15 +1132,18 @@ class RequestKernel:
                     ids[post] = next_span_id()
             group, user_id = group_names[group_codes[user]], population.user_at(user)
             spans = []
-            for column, span_id, parent in zip(cells, ids, parents):
+            for column, span_id, parent, dark in zip(cells, ids, parents, darks):
                 if span_id is not None:
+                    tags = {"group": group, "user": user_id}
+                    if dark:
+                        tags["shadow"] = "true"
                     spans.append(
                         Span(
                             span_id,
                             trace_id,
                             None if parent is None else ids[parent],
                             *column[row],
-                            {"group": group, "user": user_id},
+                            tags,
                         )
                     )
             record(trace_id, spans)
@@ -1136,9 +1229,8 @@ class RequestKernel:
             if version is None:
                 version = self._assign(rec, user, group_code)
             node = edge[1][version]
-            shadows = edge[3]
-            if shadows and not self._matches(rec, user, group_code):
-                shadows = ()
+            if edge[3] and self._matches(rec, user, group_code):
+                shadows = self._shadow_nodes(edge[4], edge[5], edge[3])
         service = node[_N_SERVICE]
         version = node[_N_VERSION]
         tags = None

@@ -133,7 +133,7 @@ def _stats_equal(sa, sb, rel_tol: float) -> bool:
             sa.total_response_ms,
             sb.total_response_ms,
             rel_tol=rel_tol,
-            abs_tol=1e-9,
+            abs_tol=1e-9 if rel_tol else 0.0,
         )
     )
 
@@ -148,7 +148,8 @@ def graphs_equal(
     heuristics consume.  Call and error counts must match exactly;
     response-time totals are compared with *rel_tol* because streaming
     and batch builders accumulate the same float terms in different
-    orders, and float addition is not associative.
+    orders, and float addition is not associative.  ``rel_tol=0`` is
+    exact: the 1e-9 ms absolute slack applies only with a tolerance.
     """
     if set(a.nodes) != set(b.nodes):
         return False
@@ -369,12 +370,17 @@ class StreamingGraphBuilder:
             if due(end):
                 act(end)
 
-    def on_columns(self, keys, rows, hops, starts, ends) -> None:
+    def on_columns(self, keys, rows, hops, starts, ends, shadow) -> None:
         """Fold a sub-block of the columnar slice, one trace per row (the
         layout is :attr:`TraceCollector.column_subscribers`'s).  Rows fold
         in segments that end at each row a watcher is due after, so it
         acts on the state the span path leaves after that row's trace;
-        ``topology_fold_seconds`` times each segment."""
+        ``topology_fold_seconds`` times each segment.  Without
+        ``include_shadow`` the *shadow* hops are dropped first."""
+        if not self.include_shadow and shadow.any():
+            kept = ~shadow
+            rows, starts = rows[kept], starts[kept]
+            hops = [column[kept] for column in hops]
         keys = [NodeKey(*key) for key in keys]
         lo, last = 0, len(ends) - 1
         for row, end in enumerate(ends.tolist()):

@@ -131,10 +131,11 @@ class TraceCollector:
     def column_subscribers(self) -> list[Callable[..., None]] | None:
         """The column entry points, while every subscriber has one: the
         columnar slice then records no trace and calls each per sub-block
-        with ``(keys, rows, hops, starts, ends)`` — ``(service, version,
-        endpoint)`` keys; per hop in (row, pre-order) order its row,
-        ``(caller, callee, duration, error)`` (keys as indexes, -1 for an
-        entry call) and start; each row's root end."""
+        with ``(keys, rows, hops, starts, ends, shadow)`` — ``(service,
+        version, endpoint)`` keys; per hop in (row, ``Trace.walk``) order
+        its row, ``(caller, callee, duration, error)`` (keys as indexes,
+        -1 for an entry call) and start; each row's root end; per hop
+        whether its span carries the ``shadow`` tag."""
         return self._column_subscribers or None
 
     def _notify_complete(self, trace_id: str) -> None:

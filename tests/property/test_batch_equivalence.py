@@ -439,8 +439,10 @@ class TestBatchEquivalence:
 
 
 class TestHostileEquivalence:
-    """Shadows, policies, breakers, partitions, faults and subscribers run
-    on the kernel's general hop, with and without a trace subscriber."""
+    """Shadows, policies, breakers, partitions, faults and subscribers,
+    with and without a trace subscriber: policies, breakers and
+    partitions put a slice on the kernel's general hop; shadows (plan
+    positions), faults and subscribers alone keep it columnar."""
 
     @settings(max_examples=12, deadline=None)
     @given(

@@ -9,8 +9,10 @@ trace-id counter.  The topologies mix every latency model the plan knows,
 one it does not, fan-out and sequential calls, calls with probability < 1,
 one non-load endpoint at two call sites, routed variants whose models
 differ (at up to three call sites at once, in parameters or in draw
-kind), an audience-filtered route and fault windows; a patched sub-block
-size splits slices into many sub-blocks.
+kind), an audience-filtered route, dark launches (each duplicate is one
+more plan position, taken by the rows its route's audience admits) and
+fault windows; a patched sub-block size splits slices into many
+sub-blocks.
 """
 
 import gc
@@ -163,13 +165,53 @@ INVENTORY_ROUTES = {
         variants=(Variant("1.1.0", 0.4), Variant("1.0.0", 0.6)),
         audience=AudienceFilter(groups=frozenset({DEFAULT_GROUPS[1].name})),
     ),
+    # Catalog's duplicates call inventory, whose own duplicate (1.1.0)
+    # serves the other group only.
+    "nested": dict(
+        variants=(Variant("1.0.0", 1.0),),
+        audience=AudienceFilter(groups=frozenset({DEFAULT_GROUPS[1].name})),
+        shadow_versions=("1.1.0",),
+    ),
+}
+
+#: Dark launches: catalog's (the strategy's first phase) for every user,
+#: for one group, or for one group with inventory shadowed in turn behind
+#: another; or pricing's, instead of its A/B test, behind a ``user-id``
+#: header audience.
+SHADOWS = (None, "all", DEFAULT_GROUPS[0].name, "nested", "header")
+#: The one user pricing's header audience admits: frequent at the fixed
+#: workload seeds 3 and 5.
+HEADER_USER = "u0000288"
+#: pricing's A/B test behind a group audience, or (``True``) its dark
+#: launch for ``HEADER_USER``.
+PRICING_ROUTES = {
+    False: dict(
+        variants=(Variant("1.0.0", 0.5), Variant("2.0.0", 0.5)),
+        audience=AudienceFilter(groups=frozenset({DEFAULT_GROUPS[0].name})),
+    ),
+    True: dict(
+        variants=(Variant("1.0.0", 1.0),),
+        audience=AudienceFilter(headers={"user-id": HEADER_USER}),
+        shadow_versions=("2.0.0",),
+    ),
 }
 
 
+def dark_launch(shadow):
+    """The audience of the strategy's dark-launch phase, if it has one."""
+    return {"nested": DEFAULT_GROUPS[0].name, "header": None}.get(shadow, shadow)
+
+
 def build_bifrost(
-    app: Application, fraction: float, faults: bool, route_inventory: bool | str = False
+    app: Application,
+    fraction: float,
+    faults: bool,
+    route_inventory: bool | str = False,
+    shadow: str | None = None,
 ) -> Bifrost:
     bifrost = Bifrost(app, seed=7)
+    if shadow == "nested":
+        route_inventory = "nested"
     if route_inventory:
         bifrost.router.install(
             ExperimentRoute(
@@ -182,8 +224,7 @@ def build_bifrost(
         ExperimentRoute(
             experiment="pricing-ab",
             service="pricing",
-            variants=(Variant("1.0.0", 0.5), Variant("2.0.0", 0.5)),
-            audience=AudienceFilter(groups=frozenset({DEFAULT_GROUPS[0].name})),
+            **PRICING_ROUTES[shadow == "header"],
         )
     )
     if faults:
@@ -196,20 +237,27 @@ def build_bifrost(
 
 
 def run_both(
-    app_factory, fraction=0.3, faults=False, seed=5, sub_block=None, route_inventory=False
+    app_factory,
+    fraction=0.3,
+    faults=False,
+    seed=5,
+    sub_block=None,
+    route_inventory=False,
+    shadow=None,
 ):
     """(scalar, batch) runs in the shape ``assert_equivalent`` takes."""
     population = UserPopulation(300, DEFAULT_GROUPS, seed=1)
-    scalar_bifrost = build_bifrost(app_factory(), fraction, faults, route_inventory)
-    scalar_execution = scalar_bifrost.submit(build_strategy(fraction), at=1.0)
+    strategy = build_strategy(fraction, dark_launch(shadow))
+    scalar_bifrost = build_bifrost(app_factory(), fraction, faults, route_inventory, shadow)
+    scalar_execution = scalar_bifrost.submit(strategy, at=1.0)
     scalar_bifrost.run(
         WorkloadGenerator(population, entry="frontend.index", seed=seed).poisson(
             RATE, DURATION
         ),
         until=UNTIL,
     )
-    batch_bifrost = build_bifrost(app_factory(), fraction, faults, route_inventory)
-    batch_execution = batch_bifrost.submit(build_strategy(fraction), at=1.0)
+    batch_bifrost = build_bifrost(app_factory(), fraction, faults, route_inventory, shadow)
+    batch_execution = batch_bifrost.submit(strategy, at=1.0)
     generator = BatchWorkloadGenerator(population, entry="frontend.index", seed=seed)
     size = sub_block or kernel_module._SUB_BLOCK
     with mock.patch.object(kernel_module, "_SUB_BLOCK", size):
@@ -270,6 +318,7 @@ class TestColumnarSlice:
         seed=st.integers(min_value=0, max_value=2**16),
         sub_block=st.sampled_from([None, 7, 1]),
         route_inventory=st.sampled_from([False, True, "audience"]),
+        shadow=st.sampled_from(SHADOWS),
     )
     def test_run_batches_matches_run(
         self,
@@ -281,6 +330,7 @@ class TestColumnarSlice:
         seed,
         sub_block,
         route_inventory,
+        shadow,
     ):
         medians = dict(
             frontend=20.0,
@@ -299,7 +349,9 @@ class TestColumnarSlice:
                 parallel,
             )
 
-        scalar, batch = run_both(app, fraction, faults, seed, sub_block, route_inventory)
+        scalar, batch = run_both(
+            app, fraction, faults, seed, sub_block, route_inventory, shadow
+        )
         assert_same_state(scalar, batch)
 
 
@@ -338,6 +390,22 @@ class TestHopSelection:
         app = lambda: plain_app(1.0, inventory_variant=ConstantLatency(3.0))  # noqa: E731
         assert_same_state(*run_both(app, route_inventory="audience", sub_block=50))
         assert hops["columns"] > 0 and hops["rows"] == 0
+
+    @pytest.mark.parametrize("sub_block", [None, 7, 1])
+    @pytest.mark.parametrize("shadow", SHADOWS[1:])
+    def test_dark_launches_run_columnar(self, hops, shadow, sub_block):
+        """Every duplicate is a plan position: gated per row by its route's
+        audience, nested under another duplicate, or admitting one user."""
+        app = lambda: plain_app(1.0, inventory_variant=LogNormalLatency(3.0, 0.2))  # noqa: E731
+        scalar, batch = run_both(app, shadow=shadow, sub_block=sub_block)
+        assert_same_state(scalar, batch)
+        assert hops["columns"] > 0 and hops["rows"] == 0
+        shadowed = {"header": ("pricing", "2.0.0"), "nested": ("inventory", "1.1.0")}
+        service, version = shadowed.get(shadow, ("catalog", "2.0.0"))
+        assert any(
+            (key.service, key.version) == (service, version)
+            for key in batch[0].store.keys()
+        )
 
     def test_fault_windows_run_columnar(self, hops):
         """``_ScaledLatency`` over a constant plus an ``ErrorBurst``: the

@@ -21,12 +21,17 @@ the oracle of both:
 
 Topologies draw a latency family per service, so every plan is accepted;
 calls are probabilistic, catalog and pricing are routed (pricing behind a
-group audience) and inventory optionally as well.
+group audience) and inventory optionally as well.  Dark launches
+(``test_columnar_slice.SHADOWS``) add ``shadow``-tagged spans: the fold
+follows ``Trace.walk``, which puts a duplicate before its primary's
+children unless they start at the same instant, and drops them for a
+builder without ``include_shadow``.
 """
 
 import functools
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,9 +51,11 @@ from repro.traffic.workload import WorkloadGenerator
 from tests.property.test_batch_equivalence import build_strategy
 from tests.property.test_columnar_slice import (
     RATE,
+    SHADOWS,
     UNTIL,
     build_app,
     build_bifrost,
+    dark_launch,
     plain_app,
 )
 
@@ -89,14 +96,14 @@ def family(models: dict):
 
 def traced_run(
     app, *, general: bool, spans: bool, route_inventory, faults, seed, sub_block,
-    window=(3.0, 8),
+    window=(3.0, 8), shadow=None, include_shadow=True,
 ):
     """One ``run_batches`` replay with live health on (*window* is its
     ``(window_seconds, window_capacity)``) and, with *spans*, a no-op
     span subscriber; returns the middleware and every ``record_trace``
     call as ``(trace id, spans)``."""
     population = UserPopulation(300, DEFAULT_GROUPS, seed=1)
-    bifrost = build_bifrost(app, 0.3, faults, route_inventory)
+    bifrost = build_bifrost(app, 0.3, faults, route_inventory, shadow)
     calls = []
     record = bifrost.collector.record_trace
 
@@ -112,8 +119,9 @@ def traced_run(
         window_seconds=window[0],
         window_capacity=window[1],
         publish_interval=1.0,
+        include_shadow=include_shadow,
     )
-    bifrost.submit(build_strategy(0.3), at=1.0)
+    bifrost.submit(build_strategy(0.3, dark_launch(shadow)), at=1.0)
     generator = BatchWorkloadGenerator(population, entry="frontend.index", seed=seed)
     plan = kernel_module.RequestKernel._plan
     hops = []
@@ -162,7 +170,9 @@ def normalized(calls):
     ]
 
 
-def assert_same_stream(app_factory, **options) -> None:
+def assert_same_stream(app_factory, **options) -> list:
+    """The span path against the general hop; returns the ``record_trace``
+    calls."""
     columnar, columnar_calls = traced_run(app_factory(), general=False, spans=True, **options)
     general, general_calls = traced_run(app_factory(), general=True, spans=True, **options)
     assert columnar_calls
@@ -175,6 +185,7 @@ def assert_same_stream(app_factory, **options) -> None:
     health = [key for key in general.store.keys() if key.metric == HEALTH_METRIC]
     assert health and columnar.live_health.publishes == general.live_health.publishes
     assert columnar.store.snapshot() == general.store.snapshot()
+    return columnar_calls
 
 
 def assert_same_graph(a, b) -> None:
@@ -231,6 +242,8 @@ class TestSpansFromColumns:
         seed=st.integers(min_value=0, max_value=2**16),
         sub_block=st.sampled_from([kernel_module._SUB_BLOCK, 7, 1]),
         window=st.sampled_from([(3.0, 8), (0.25, 2), (0.05, 1)]),
+        shadow=st.sampled_from(SHADOWS),
+        include_shadow=st.booleans(),
     )
     def test_record_trace_calls_match_the_general_hop(
         self,
@@ -245,6 +258,8 @@ class TestSpansFromColumns:
         seed,
         sub_block,
         window,
+        shadow,
+        include_shadow,
     ):
         def model(drawn, which, ms, families=FAMILIES):
             kind, first, second = drawn
@@ -266,10 +281,14 @@ class TestSpansFromColumns:
             )
 
         options = dict(
-            route_inventory=route_inventory, faults=faults, seed=seed, sub_block=sub_block
+            route_inventory=route_inventory,
+            faults=faults,
+            seed=seed,
+            sub_block=sub_block,
+            shadow=shadow,
         )
         assert_same_stream(app, **options)
-        assert_same_fold(app, window=window, **options)
+        assert_same_fold(app, window=window, include_shadow=include_shadow, **options)
 
     def test_plain_topology_across_sub_blocks(self):
         """The fixed topology, split into sub-blocks of 50 rows."""
@@ -289,3 +308,51 @@ class TestSpansFromColumns:
             window=(0.05, 1),
         )
         assert ring.expired_windows > 10 and ring.late_observations_dropped > 0
+
+
+class TestDarkLaunchSpans:
+    """Duplicates in the span stream and the fold, with a fixed topology."""
+
+    @pytest.mark.parametrize("include_shadow", [True, False])
+    @pytest.mark.parametrize("shadow", SHADOWS[1:])
+    def test_dark_launches_stream_and_fold(self, shadow, include_shadow):
+        """Tags, parents and pre-order ids of every duplicate, and the fold
+        with and without them, across sub-blocks of 7 rows."""
+        app = lambda: plain_app(1.0, inventory_variant=LogNormalLatency(3.0, 0.2))  # noqa: E731
+        options = dict(route_inventory=False, faults=False, seed=3, sub_block=7, shadow=shadow)
+        calls = assert_same_stream(app, **options)
+        assert any(span.tags.get("shadow") == "true" for _, spans in calls for span in spans)
+        assert_same_fold(app, include_shadow=include_shadow, **options)
+
+    def test_a_zero_latency_primary_keeps_its_children_first(self):
+        """catalog 1.0.0 takes 0 ms, so its inventory call starts with it and
+        ``Trace.walk``'s stable sort keeps that call before the duplicate,
+        which it follows in span order; with a latency it comes after."""
+
+        def app():
+            return plain_app(
+                1.0,
+                catalog_stable=ConstantLatency(0.0),
+                catalog_canary=ConstantLatency(3.0),
+                inventory=LogNormalLatency(4.0, 0.2),
+            )
+
+        options = dict(
+            route_inventory=False,
+            faults=False,
+            seed=3,
+            sub_block=kernel_module._SUB_BLOCK,
+            shadow="all",
+        )
+        calls = assert_same_stream(app, **options)
+        assert_same_fold(app, **options)
+        # Primaries whose call and duplicate both start with them.
+        ties = [
+            span
+            for _, spans in calls
+            for span in spans
+            if span.service == "catalog"
+            and [child.start for child in spans if child.parent_id == span.span_id]
+            == [span.start, span.start]
+        ]
+        assert ties and {span.version for span in ties} == {"1.0.0"}

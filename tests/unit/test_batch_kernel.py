@@ -279,8 +279,9 @@ class TestSliceBlockers:
         assert len(silent.collector) == 0
 
     def test_shadow_routes_and_header_audiences_do_not_block(self):
-        """Both compile into route records: a shadow selects the general
-        hop, a header audience keeps the plain one."""
+        """Both compile into route records and keep the plain hop: a
+        shadow becomes one more plan position, a header audience is
+        decided per user."""
         bifrost = Bifrost(sample_application(), seed=1)
         bifrost.router.install(
             ExperimentRoute(
@@ -291,7 +292,7 @@ class TestSliceBlockers:
             )
         )
         kernel = _row_kernel(bifrost)
-        assert not kernel._route_per_hop and kernel._general
+        assert not kernel._route_per_hop and not kernel._general
         bifrost.router.uninstall("catalog")
         bifrost.router.install(
             ExperimentRoute(
@@ -413,7 +414,8 @@ class TestHostileGuard:
     """Tier-1 guard: the four ``hostile_canary`` benchmark configurations
     (shadow route, fault campaign, retry + breaker, trace subscriber)
     run every request, and feed the subscriber and live health exactly
-    when one is attached."""
+    when one is attached.  Every slice without a call policy or breaker
+    runs columnar; each case prints its slices per hop."""
 
     @pytest.mark.parametrize(
         "hostile",
@@ -425,9 +427,21 @@ class TestHostileGuard:
         ],
         ids=["shadow", "faults", "resilience", "live_health"],
     )
-    def test_hostile_configurations_never_fall_back(self, hostile):
+    def test_hostile_configurations_never_fall_back(self, hostile, request, monkeypatch):
+        plan, columnar = RequestKernel._plan, []
+
+        def counted(self, entry):
+            positions = plan(self, entry)
+            columnar.append(positions is not None)
+            return positions
+
+        monkeypatch.setattr(RequestKernel, "_plan", counted)
         params = (0.02, 1.0, False, 0.1, 5, "constant")
         bifrost, _, seen, result = run_batch(params, hostile=hostile)
+        general = result.fast_slices - sum(columnar)
+        print(f"\n{request.node.callspec.id}: {sum(columnar)} columnar, {general} general slices")
+        if not (hostile.policy or hostile.breaker):
+            assert all(columnar) and general == 0 < len(columnar)
         assert result.requests == 480
         assert len(seen) == (result.requests if hostile.subscriber else 0)
         if hostile.live_health:

@@ -1,6 +1,8 @@
 """Unit tests for the resilience layer: policies, breakers, runtime wiring."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bifrost import Bifrost
 from repro.errors import ConfigurationError
@@ -137,6 +139,52 @@ class TestCircuitBreaker:
             (t.source, t.target) for t in breaker.transitions
         ] == [(BreakerState.CLOSED, BreakerState.OPEN)]
         assert breaker.transitions[0].time == 3.0
+
+    def replay(self, window_size: int, steps) -> CircuitBreaker:
+        """Feed *steps* — ``(success, pause)`` pairs; a pause outlasts the
+        cooldown — through ``allow``/``record``, holding ``failure_rate()``
+        equal to a recount of the window after every step."""
+        breaker = CircuitBreaker(
+            "svc",
+            "1.0",
+            self.config(
+                window_size=window_size,
+                min_calls=1,
+                open_seconds=1.5,
+                half_open_max_calls=1,
+                half_open_successes=1,
+            ),
+        )
+        now = 0.0
+        for success, pause in steps:
+            now += 2.0 if pause else 1.0
+            if breaker.allow(now):
+                breaker.record(now, success)
+            window = breaker._window
+            recount = sum(1 for ok in window if not ok) / len(window) if window else 0.0
+            assert breaker.failure_rate() == recount
+        return breaker
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window_size=st.integers(1, 6),
+        steps=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=60),
+    )
+    def test_failure_rate_equals_a_recount(self, window_size, steps):
+        self.replay(window_size, steps)
+
+    def test_failure_count_survives_wrap_and_half_open_close(self):
+        """The window wraps past a failure, trips, closes from half-open
+        (which clears it) and fills again."""
+        steps = [(True, False)] * 2 + [(False, False)] + [(True, False)] * 3
+        steps += [(False, False)] * 2 + [(True, True), (False, False)]
+        breaker = self.replay(3, steps)
+        assert [(t.source, t.target) for t in breaker.transitions] == [
+            (BreakerState.CLOSED, BreakerState.OPEN),
+            (BreakerState.OPEN, BreakerState.HALF_OPEN),
+            (BreakerState.HALF_OPEN, BreakerState.CLOSED),
+            (BreakerState.CLOSED, BreakerState.OPEN),
+        ]
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):

@@ -112,6 +112,18 @@ class TestGraphHelpers:
         assert not graphs_equal(self.make_graph(), self.make_graph(latency=11.0))
         assert not graphs_equal(self.make_graph(), self.make_graph(error=True))
 
+    def test_zero_tolerance_is_exact(self):
+        """Totals 1e-12 ms apart differ at ``rel_tol=0`` and are equal at
+        the default tolerance."""
+        key = NodeKey("a", "1.0.0", "ep")
+        graphs = []
+        for total in (1.0, 1.0 + 1e-12):
+            graph = InteractionGraph()
+            graph.observe_call(None, key, total, False)
+            graphs.append(graph)
+        assert not graphs_equal(*graphs, rel_tol=0)
+        assert graphs_equal(*graphs)
+
     def test_graphs_equal_detects_shape_differences(self):
         graph = self.make_graph()
         bigger = self.make_graph()
