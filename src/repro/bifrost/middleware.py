@@ -183,7 +183,6 @@ class Bifrost:
         window_seconds: float | None = 60.0,
         window_capacity: int = 8,
         publish_interval: float = 5.0,
-        include_shadow: bool = True,
         scorer: "HealthScorer | None" = None,
     ) -> "LiveHealthMonitor":
         """Attach the streaming topology pipeline to this middleware.
@@ -193,7 +192,8 @@ class Bifrost:
         :class:`~repro.topology.streaming.LiveHealthMonitor` publishes
         ``health.score`` metrics into the shared store — which is where
         ``kind health`` checks of submitted strategies read them, closing
-        the Ch. 4 ↔ Ch. 5 loop.
+        the Ch. 4 ↔ Ch. 5 loop.  Dark-launch duplicates fold like any
+        other call; under :meth:`run_batches` the builder folds columns.
 
         Without an explicit *baseline* graph, the traces collected so
         far (e.g. a pre-experiment warmup run) are batch-built into one.
@@ -210,7 +210,6 @@ class Bifrost:
                 self.collector.traces(), name="baseline"
             )
         builder = StreamingGraphBuilder(
-            include_shadow=include_shadow,
             window_seconds=window_seconds,
             window_capacity=window_capacity,
             observer=self.observer,
@@ -328,7 +327,8 @@ class Bifrost:
         breakers, partitions, shadow routes, custom routers, network
         gates and trace subscribers bit-identically.  Unlike :meth:`run`,
         per-request outcomes are not retained, and traces reach
-        :attr:`collector` only while it has subscribers — see
+        :attr:`collector` only while it has a subscriber without a column
+        entry point (live health alone leaves it empty) — see
         ``docs/PERF_KERNEL.md``.
         """
         from repro.simulation.batch import run_batches

@@ -31,15 +31,15 @@ pinned by ``tests/integration/test_scalar_golden.py``):
   hop's draws fall with one composed offset table per combination of
   shadow audiences, then computes latencies, loads, durations and
   errors one call site at a time
-  (``tests/property/test_columnar_slice.py``).  While the trace
-  collector has stream subscribers it then hands each sub-block's hops
-  to their column entry points if every subscriber has one, or else
-  builds the spans from the columns and records one trace per row, as
-  the general hop would (``tests/property/test_columnar_spans.py``).  The *general*
-  hop — the one ``Runtime.execute`` always runs, and the plain slices
-  whose plan refuses them — additionally executes call policies
-  (timeouts, retries, fallbacks), circuit breakers, network partitions
-  and routers the kernel cannot compile, building spans as it goes.
+  (``tests/property/test_columnar_slice.py``).  It builds no span: while
+  the trace collector has stream subscribers it runs only if every one
+  has a column entry point, and hands those each sub-block's hops
+  (``tests/property/test_columnar_spans.py``).  The *general* hop — the
+  one ``Runtime.execute`` always runs, and the plain slices whose plan
+  refuses them — additionally executes call policies (timeouts, retries,
+  fallbacks), circuit breakers, network partitions and routers the
+  kernel cannot compile, and builds spans as it goes for subscribers
+  without a column entry point.
   Fault campaigns need no hook at all: they rewrite endpoint specs at
   engine events, and nodes are compiled from the specs per kernel.
   Event boundaries delimit slices, and all of these conditions only
@@ -50,7 +50,7 @@ Memory behaviour: samples wait in a per-(service, version)
 (the store keeps ``array('d')`` columns) and the result keeps running
 totals only — so a ten-million request replay holds O(slice) transient
 state, not O(run), live health on columns too; block arrays are
-O(sub-block).  Recorded spans (general hop, span subscribers) are O(run).
+O(sub-block).  Spans recorded for span subscribers are O(run).
 """
 
 from __future__ import annotations
@@ -260,12 +260,11 @@ class _Position:
     their one draw kind, the child call sites in call order and the
     dark-launch duplicates (``shadows``) replayed after them.  A duplicate
     runs for the rows its *gate* (the primary's route record, None when
-    every user is in its audience) admits; *dark* marks a duplicate and
-    every call site below one."""
+    every user is in its audience) admits."""
 
     __slots__ = (
         "key", "rec", "versions", "codes", "kind", "certain", "children",
-        "shadows", "gate", "dark", "parallel", "proxy", "pre", "post",
+        "shadows", "gate", "parallel", "proxy", "pre", "post",
     )
 
 
@@ -436,12 +435,13 @@ class RequestKernel:
     under any other ``Router``, ask ``runtime.router.route`` on every hop,
     with the row's ``Request`` in hand.  ``Request`` objects, and rows
     under such a router, a partition, a call policy or a breaker, run
-    the general hop; other rows, shadow routes included, run as columns
-    unless the plan refuses the slice.  Spans are built for ``Request``
-    objects, and for rows while the collector has stream subscribers,
-    unless every one has a column entry point: then the columnar slice
-    hands its hops to those instead.  Whoever drives the kernel calls
-    :meth:`flush` before an engine event can read the store.
+    the general hop, and so do rows while the collector has a stream
+    subscriber without a column entry point; other rows, shadow routes
+    included, run as columns unless the plan refuses the slice.  The
+    general hop builds spans for ``Request`` objects and, while the
+    collector has stream subscribers, for rows; the columnar slice hands
+    its hops to the column entry points instead.  Whoever drives the
+    kernel calls :meth:`flush` before an engine event can read the store.
     """
 
     def __init__(self, runtime: "Runtime", population=None) -> None:
@@ -491,6 +491,7 @@ class RequestKernel:
             self._route_per_hop
             or self._network is not None
             or not runtime.resilience.passthrough
+            or (self._spans and not self._folds)
         )
 
     # -- compilation -------------------------------------------------------
@@ -795,7 +796,7 @@ class RequestKernel:
         return positions
 
     def _position(
-        self, service: str, endpoint: str, certain: bool, path, plan, dark=False, forced=None
+        self, service: str, endpoint: str, certain: bool, path, plan, forced=None
     ):
         """One call site (a duplicate forced to version *forced*) and its
         subtree; *path* holds one call site per level of depth."""
@@ -838,14 +839,14 @@ class RequestKernel:
         pos.codes = {version: code for code, version in enumerate(versions)}
         pos.certain, pos.parallel = certain, bool(specs[0].parallel_calls)
         pos.proxy = 0.0 if rec is None else self._proxy_ms
-        pos.gate, pos.dark = None, dark
+        pos.gate = None
         pos.pre = len(positions)
         positions.append(pos)
         path = (*path, (service, endpoint))
         children = []
         for probability, child_service, child_endpoint in calls.pop():
             child = self._position(
-                child_service, child_endpoint, certain and probability >= 1.0, path, plan, dark
+                child_service, child_endpoint, certain and probability >= 1.0, path, plan
             )
             if child is None:
                 return None
@@ -861,7 +862,7 @@ class RequestKernel:
             gate = rec if rec[3] is not None or rec[5] is not None else None
             for version in route.shadow_versions:
                 if svc.has_version(version):
-                    shadow = self._position(service, endpoint, False, path, plan, True, version)
+                    shadow = self._position(service, endpoint, False, path, plan, version)
                     if shadow is None:
                         return None
                     shadow.gate = gate
@@ -953,8 +954,6 @@ class RequestKernel:
             if self._folds:
                 self._fold_columns(positions, ctx[3], done)
                 self._runtime.advance_trace_ids(done)
-            elif self._spans:
-                self._record_traces(positions, ctx[3], users[:done])
             durations.extend(duration.tolist())
             errors += int(np.count_nonzero(error))
             now = starts[-1].item()
@@ -1045,17 +1044,15 @@ class RequestKernel:
 
     def _fold_columns(self, positions: list, samples: dict, rows: int) -> None:
         """Hand the sub-block's hops, in the order ``Trace.walk`` visits the
-        spans :meth:`_record_traces` builds, to the column subscribers."""
+        spans the general hop builds, to the column subscribers."""
         keys: dict = {}
         width = len(positions)
         ids = np.full((width, rows), -1)  # key index per position and row
         begins = np.full((width, rows), np.nan)
         parents = np.full(width, -1)
-        dark = np.zeros(width, bool)
         parts = []
         by_post = {pos.post: pos for pos in positions}
         for pos in positions:
-            dark[pos.pre] = pos.dark
             for child in (*(child for _, child in pos.children), *pos.shadows):
                 parents[child.pre] = pos.pre
         for node, node_entries in samples.values():
@@ -1092,61 +1089,7 @@ class RequestKernel:
         ends = starts[root] + durations[root] / 1000.0
         hops = (callers, ids[pres, at], durations, errors)
         for fold in self._folds:
-            fold(list(keys), at, hops, starts, ends, dark[pres])
-
-    def _record_traces(self, positions: list, samples: dict, users: np.ndarray) -> None:
-        """Build the sub-block's spans from its sample columns and record
-        one trace per row, in row order, as the general hop does: span ids
-        in pre-order, spans in post-order, ``{"group", "user"}`` tags and
-        ``"shadow": "true"`` on a duplicate and below it."""
-        runtime = self._runtime
-        record = runtime.collector.record_trace
-        rows = len(users)
-        endpoints = [None] * len(positions)
-        parents = [None] * len(positions)
-        darks = [False] * len(positions)
-        for pos in positions:
-            endpoints[pos.post], darks[pos.post] = pos.key[1], pos.dark
-            for child in (*(child for _, child in pos.children), *pos.shadows):
-                parents[child.post] = pos.post
-        # cells[post][row]: the row's hop at that position, or None.  One
-        # buffer serves every endpoint of a version: the key holds no endpoint.
-        cells = [[None] * rows for _ in positions]
-        for node, entries in samples.values():
-            service, version = node[_N_SERVICE], node[_N_VERSION]
-            for post, at, starts, durations, errors in entries:
-                column, endpoint = cells[post], endpoints[post]
-                for row, start, duration, error in zip(
-                    at.tolist(), starts.tolist(), durations.tolist(), errors.tolist()
-                ):
-                    column[row] = (service, version, endpoint, start, duration, error)
-        pre_order = [pos.post for pos in positions]
-        population = self._population
-        group_names = population.group_names
-        group_codes = self._group_codes
-        for row, user in enumerate(users.tolist()):
-            trace_id = runtime.next_trace_id()
-            ids = [None] * len(positions)
-            for post in pre_order:
-                if cells[post][row] is not None:
-                    ids[post] = next_span_id()
-            group, user_id = group_names[group_codes[user]], population.user_at(user)
-            spans = []
-            for column, span_id, parent, dark in zip(cells, ids, parents, darks):
-                if span_id is not None:
-                    tags = {"group": group, "user": user_id}
-                    if dark:
-                        tags["shadow"] = "true"
-                    spans.append(
-                        Span(
-                            span_id,
-                            trace_id,
-                            None if parent is None else ids[parent],
-                            *column[row],
-                            tags,
-                        )
-                    )
-            record(trace_id, spans)
+            fold(list(keys), at, hops, starts, ends)
 
     def execute_request(self, request: "Request", start: float):
         """Run one :class:`Request` through the general hop with spans on;

@@ -2,7 +2,7 @@
 
 Equivalent to the paper's extraction from Jaeger/Zipkin: every span
 becomes (or updates) a node, every parent→child span pair an edge.
-Shadow (dark-launched) spans are included by default — dark launches are
+Shadow (dark-launched) spans are always included — dark launches are
 exactly the situations where the experimental topology diverges.
 
 :func:`trace_observations` is the single source of truth for how a trace
@@ -29,25 +29,19 @@ class Observation(NamedTuple):
     start: float
 
 
-def trace_observations(
-    trace: Trace, include_shadow: bool = True
-) -> list[Observation]:
+def trace_observations(trace: Trace) -> list[Observation]:
     """Extract *trace*'s graph observations in depth-first walk order."""
     out: list[Observation] = []
     keys: dict[str, NodeKey] = {}  # span id -> its node key, built once
     for span, parent in trace.walk():
         key = keys[span.span_id] = NodeKey(span.service, span.version, span.endpoint)
-        if not include_shadow and span.tags.get("shadow") == "true":
-            continue
         caller = keys[parent.span_id] if parent is not None else None
         out.append(Observation(caller, key, span.duration_ms, span.error, span.start))
     return out
 
 
 def build_interaction_graph(
-    traces: Iterable[Trace],
-    name: str = "graph",
-    include_shadow: bool = True,
+    traces: Iterable[Trace], name: str = "graph"
 ) -> InteractionGraph:
     """Aggregate *traces* into an :class:`InteractionGraph`.
 
@@ -55,11 +49,9 @@ def build_interaction_graph(
         traces: the traces to aggregate (e.g. from a
             :class:`~repro.tracing.query.TraceQuery`).
         name: a label for the resulting graph.
-        include_shadow: whether spans tagged ``shadow`` (dark-launch
-            duplicates) contribute nodes and edges.
     """
     graph = InteractionGraph(name)
     for trace in traces:
-        for obs in trace_observations(trace, include_shadow):
+        for obs in trace_observations(trace):
             graph.observe_call(obs.caller, obs.callee, obs.duration_ms, obs.error)
     return graph

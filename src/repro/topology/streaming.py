@@ -296,13 +296,11 @@ class StreamingGraphBuilder:
     def __init__(
         self,
         name: str = "streaming",
-        include_shadow: bool = True,
         window_seconds: float | None = None,
         window_capacity: int = 8,
         observer: Observer | None = None,
     ) -> None:
         self.graph = InteractionGraph(name)
-        self.include_shadow = include_shadow
         self.observer = observer or NULL_OBSERVER
         self.windows = (
             GraphWindowRing(window_seconds, window_capacity)
@@ -347,7 +345,7 @@ class StreamingGraphBuilder:
     def _fold(self, trace: Trace) -> None:
         """The fold itself (multiset delta application); see :meth:`on_trace`.
         A new trace is applied in walk order, as the batch builder does."""
-        observations = trace_observations(trace, self.include_shadow)
+        observations = trace_observations(trace)
         counted = Multiset(observations)
         already = self._applied.get(trace.trace_id)
         if already is None:
@@ -370,17 +368,12 @@ class StreamingGraphBuilder:
             if due(end):
                 act(end)
 
-    def on_columns(self, keys, rows, hops, starts, ends, shadow) -> None:
+    def on_columns(self, keys, rows, hops, starts, ends) -> None:
         """Fold a sub-block of the columnar slice, one trace per row (the
         layout is :attr:`TraceCollector.column_subscribers`'s).  Rows fold
         in segments that end at each row a watcher is due after, so it
         acts on the state the span path leaves after that row's trace;
-        ``topology_fold_seconds`` times each segment.  Without
-        ``include_shadow`` the *shadow* hops are dropped first."""
-        if not self.include_shadow and shadow.any():
-            kept = ~shadow
-            rows, starts = rows[kept], starts[kept]
-            hops = [column[kept] for column in hops]
+        ``topology_fold_seconds`` times each segment."""
         keys = [NodeKey(*key) for key in keys]
         lo, last = 0, len(ends) - 1
         for row, end in enumerate(ends.tolist()):

@@ -121,9 +121,9 @@ class TraceCollector:
     def has_subscribers(self) -> bool:
         """Whether any stream subscriber is attached.
 
-        The batch execution kernel checks this once per slice: it builds
-        spans and feeds :meth:`record_trace` exactly while subscribers
-        are present, unless :attr:`column_subscribers` takes its columns.
+        The batch execution kernel checks this once per slice: while
+        subscribers are present it hands :attr:`column_subscribers` its
+        columns, or else builds spans and feeds :meth:`record_trace`.
         """
         return bool(self._complete_subscribers or self._evict_subscribers)
 
@@ -131,11 +131,10 @@ class TraceCollector:
     def column_subscribers(self) -> list[Callable[..., None]] | None:
         """The column entry points, while every subscriber has one: the
         columnar slice then records no trace and calls each per sub-block
-        with ``(keys, rows, hops, starts, ends, shadow)`` — ``(service,
-        version, endpoint)`` keys; per hop in (row, ``Trace.walk``) order
-        its row, ``(caller, callee, duration, error)`` (keys as indexes,
-        -1 for an entry call) and start; each row's root end; per hop
-        whether its span carries the ``shadow`` tag."""
+        with ``(keys, rows, hops, starts, ends)`` — ``(service, version,
+        endpoint)`` keys; per hop in (row, ``Trace.walk``) order its row,
+        ``(caller, callee, duration, error)`` (keys as indexes, -1 for an
+        entry call) and start; each row's root end."""
         return self._column_subscribers or None
 
     def _notify_complete(self, trace_id: str) -> None:

@@ -1,31 +1,23 @@
 """Property: the columnar slice feeds live health as the general hop does.
 
-Two paths leave the columnar slice for a trace subscriber, and the
-general hop — ``RequestKernel._plan`` patched to refuse every slice — is
-the oracle of both:
-
-- **Spans from columns.**  With a span subscriber attached (a no-op one
-  forces spans), the slice builds its spans from the columns afterwards
-  (``RequestKernel._record_traces``) and must hand the collector the same
-  ``record_trace`` calls: trace ids, span ids (allocation order), parent
-  ids, tags, starts, durations, errors and list order.
-- **The column fold.**  With the streaming builder the only subscriber,
-  the slice records no trace and hands the builder its columns
-  (``StreamingGraphBuilder.on_columns``).  The builder's graph, every
-  live window and the window merge must equal the oracle's at
-  ``rel_tol=0`` and in insertion order (``_per_service`` adds node
-  totals in node order, which sets the ``health.score`` bits), and so
-  must ``version``, ``trace_count``, the next trace id, the publishes and
-  the store.  Windows are drawn small enough to be created, expired and
-  to drop late observations inside one sub-block.
+With the streaming builder the only trace subscriber, the columnar slice
+records no trace and hands the builder its columns
+(``StreamingGraphBuilder.on_columns``).  Its oracle is the general hop,
+which a no-op span subscriber selects for every slice: it builds and
+records every span, and the builder folds each trace.  The builder's
+graph, every live window and the window merge must equal the oracle's
+at ``rel_tol=0`` and in insertion order (``_per_service`` adds node
+totals in node order, which sets the ``health.score`` bits), and so
+must ``version``, ``trace_count``, the next trace id, the publishes and
+the store.  Windows are drawn small enough to be created, expired and
+to drop late observations inside one sub-block.
 
 Topologies draw a latency family per service, so every plan is accepted;
 calls are probabilistic, catalog and pricing are routed (pricing behind a
 group audience) and inventory optionally as well.  Dark launches
-(``test_columnar_slice.SHADOWS``) add ``shadow``-tagged spans: the fold
-follows ``Trace.walk``, which puts a duplicate before its primary's
-children unless they start at the same instant, and drops them for a
-builder without ``include_shadow``.
+(``test_columnar_slice.SHADOWS``) add ``shadow``-tagged spans to the
+oracle: the fold follows ``Trace.walk``, which puts a duplicate before
+its primary's children unless they start at the same instant.
 """
 
 import functools
@@ -43,7 +35,7 @@ from repro.simulation.latency import (
     ParetoLatency,
 )
 from repro.topology.builder import build_interaction_graph
-from repro.topology.streaming import HEALTH_METRIC, graphs_equal
+from repro.topology.streaming import graphs_equal
 from repro.traffic.batch import BatchWorkloadGenerator
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation
@@ -95,13 +87,13 @@ def family(models: dict):
 
 
 def traced_run(
-    app, *, general: bool, spans: bool, route_inventory, faults, seed, sub_block,
-    window=(3.0, 8), shadow=None, include_shadow=True,
+    app, *, spans: bool, route_inventory, faults, seed, sub_block, window=(3.0, 8), shadow=None
 ):
     """One ``run_batches`` replay with live health on (*window* is its
     ``(window_seconds, window_capacity)``) and, with *spans*, a no-op
-    span subscriber; returns the middleware and every ``record_trace``
-    call as ``(trace id, spans)``."""
+    span subscriber, which puts every slice on the general hop; returns
+    the middleware and every ``record_trace`` call as ``(trace id,
+    spans)``."""
     population = UserPopulation(300, DEFAULT_GROUPS, seed=1)
     bifrost = build_bifrost(app, 0.3, faults, route_inventory, shadow)
     calls = []
@@ -119,7 +111,6 @@ def traced_run(
         window_seconds=window[0],
         window_capacity=window[1],
         publish_interval=1.0,
-        include_shadow=include_shadow,
     )
     bifrost.submit(build_strategy(0.3, dark_launch(shadow)), at=1.0)
     generator = BatchWorkloadGenerator(population, entry="frontend.index", seed=seed)
@@ -127,65 +118,17 @@ def traced_run(
     hops = []
 
     def counted(self, entry):
-        positions = None if general else plan(self, entry)
+        positions = plan(self, entry)
         hops.append(positions is not None)
         return positions
 
     with mock.patch.object(kernel_module.RequestKernel, "_plan", counted), mock.patch.object(
         kernel_module, "_SUB_BLOCK", sub_block
     ):
-        bifrost.run_batches(generator.poisson(RATE, DURATION), until=UNTIL)
-    assert hops and set(hops) == {not general}
+        result = bifrost.run_batches(generator.poisson(RATE, DURATION), until=UNTIL)
+    # The general hop plans no slice.
+    assert result.fast_slices and hops == ([] if spans else [True] * result.fast_slices)
     return bifrost, calls
-
-
-def normalized(calls):
-    """The calls with span ids as allocation ranks: the counter is
-    process-global, so only the order the ids were taken in is compared."""
-    first = min(int(span.span_id[1:], 16) for _, spans in calls for span in spans)
-
-    def rank(span_id):
-        return None if span_id is None else int(span_id[1:], 16) - first
-
-    return [
-        (
-            trace_id,
-            [
-                (
-                    rank(span.span_id),
-                    span.trace_id,
-                    rank(span.parent_id),
-                    span.service,
-                    span.version,
-                    span.endpoint,
-                    span.start,
-                    span.duration_ms,
-                    span.error,
-                    dict(span.tags),
-                )
-                for span in spans
-            ],
-        )
-        for trace_id, spans in calls
-    ]
-
-
-def assert_same_stream(app_factory, **options) -> list:
-    """The span path against the general hop; returns the ``record_trace``
-    calls."""
-    columnar, columnar_calls = traced_run(app_factory(), general=False, spans=True, **options)
-    general, general_calls = traced_run(app_factory(), general=True, spans=True, **options)
-    assert columnar_calls
-    assert normalized(columnar_calls) == normalized(general_calls)
-    assert columnar.streaming_builder.graph == general.streaming_builder.graph
-    assert (
-        columnar.streaming_builder.windows.merged()
-        == general.streaming_builder.windows.merged()
-    )
-    health = [key for key in general.store.keys() if key.metric == HEALTH_METRIC]
-    assert health and columnar.live_health.publishes == general.live_health.publishes
-    assert columnar.store.snapshot() == general.store.snapshot()
-    return columnar_calls
 
 
 def assert_same_graph(a, b) -> None:
@@ -197,9 +140,10 @@ def assert_same_graph(a, b) -> None:
 
 def assert_same_fold(app_factory, **options):
     """The builder-only column fold against the general hop with spans;
-    returns the column side's window ring."""
-    columnar, calls = traced_run(app_factory(), general=False, spans=False, **options)
-    general, _ = traced_run(app_factory(), general=True, spans=True, **options)
+    returns the column side's window ring and the oracle's
+    ``record_trace`` calls."""
+    columnar, calls = traced_run(app_factory(), spans=False, **options)
+    general, oracle_calls = traced_run(app_factory(), spans=True, **options)
     assert not calls and len(columnar.collector) == 0
     ours, oracle = columnar.streaming_builder, general.streaming_builder
     assert_same_graph(ours.graph, oracle.graph)
@@ -216,7 +160,7 @@ def assert_same_fold(app_factory, **options):
     assert columnar.runtime.next_trace_id() == general.runtime.next_trace_id()
     assert columnar.live_health.publishes == general.live_health.publishes > 0
     assert columnar.store.snapshot() == general.store.snapshot()
-    return ring
+    return ring, oracle_calls
 
 
 @functools.cache
@@ -243,7 +187,6 @@ class TestSpansFromColumns:
         sub_block=st.sampled_from([kernel_module._SUB_BLOCK, 7, 1]),
         window=st.sampled_from([(3.0, 8), (0.25, 2), (0.05, 1)]),
         shadow=st.sampled_from(SHADOWS),
-        include_shadow=st.booleans(),
     )
     def test_record_trace_calls_match_the_general_hop(
         self,
@@ -259,7 +202,6 @@ class TestSpansFromColumns:
         sub_block,
         window,
         shadow,
-        include_shadow,
     ):
         def model(drawn, which, ms, families=FAMILIES):
             kind, first, second = drawn
@@ -287,19 +229,18 @@ class TestSpansFromColumns:
             sub_block=sub_block,
             shadow=shadow,
         )
-        assert_same_stream(app, **options)
-        assert_same_fold(app, window=window, include_shadow=include_shadow, **options)
+        assert_same_fold(app, window=window, **options)
 
     def test_plain_topology_across_sub_blocks(self):
         """The fixed topology, split into sub-blocks of 50 rows."""
-        assert_same_stream(
+        assert_same_fold(
             plain_app, route_inventory="audience", faults=True, seed=3, sub_block=50
         )
 
     def test_windows_expire_and_drop_inside_one_sub_block(self):
         """Default sub-blocks, so each slice is one sub-block: window
         creations, expiries and late drops are cuts inside it."""
-        ring = assert_same_fold(
+        ring, _ = assert_same_fold(
             plain_app,
             route_inventory="audience",
             faults=True,
@@ -311,18 +252,16 @@ class TestSpansFromColumns:
 
 
 class TestDarkLaunchSpans:
-    """Duplicates in the span stream and the fold, with a fixed topology."""
+    """Duplicates in the fold, with a fixed topology."""
 
-    @pytest.mark.parametrize("include_shadow", [True, False])
     @pytest.mark.parametrize("shadow", SHADOWS[1:])
-    def test_dark_launches_stream_and_fold(self, shadow, include_shadow):
-        """Tags, parents and pre-order ids of every duplicate, and the fold
-        with and without them, across sub-blocks of 7 rows."""
+    def test_dark_launches_stream_and_fold(self, shadow):
+        """The fold of every duplicate across sub-blocks of 7 rows, against
+        an oracle whose span stream carries them."""
         app = lambda: plain_app(1.0, inventory_variant=LogNormalLatency(3.0, 0.2))  # noqa: E731
         options = dict(route_inventory=False, faults=False, seed=3, sub_block=7, shadow=shadow)
-        calls = assert_same_stream(app, **options)
+        _, calls = assert_same_fold(app, **options)
         assert any(span.tags.get("shadow") == "true" for _, spans in calls for span in spans)
-        assert_same_fold(app, include_shadow=include_shadow, **options)
 
     def test_a_zero_latency_primary_keeps_its_children_first(self):
         """catalog 1.0.0 takes 0 ms, so its inventory call starts with it and
@@ -344,8 +283,7 @@ class TestDarkLaunchSpans:
             sub_block=kernel_module._SUB_BLOCK,
             shadow="all",
         )
-        calls = assert_same_stream(app, **options)
-        assert_same_fold(app, **options)
+        _, calls = assert_same_fold(app, **options)
         # Primaries whose call and duplicate both start with them.
         ties = [
             span

@@ -163,16 +163,13 @@ class TestStreamingEqualsBatch:
     ``build_interaction_graph`` over the assembled traces."""
 
     @settings(max_examples=40, deadline=None)
-    @given(shuffled_span_stream(), st.booleans())
-    def test_streaming_graph_equals_batch_graph(self, stream, include_shadow):
+    @given(shuffled_span_stream())
+    def test_streaming_graph_equals_batch_graph(self, stream):
         collector = TraceCollector()
-        builder = StreamingGraphBuilder(include_shadow=include_shadow)
-        builder.attach(collector)
+        builder = StreamingGraphBuilder().attach(collector)
         for span in stream:
             collector.record(span)
-        batch = build_interaction_graph(
-            collector.traces(), include_shadow=include_shadow
-        )
+        batch = build_interaction_graph(collector.traces())
         assert graphs_equal(builder.graph, batch)
 
     @settings(max_examples=25, deadline=None)

@@ -43,6 +43,7 @@ from repro.traffic.workload import WorkloadGenerator
 
 from repro.topology.builder import Observation
 from repro.topology.scenarios import sample_application
+from repro.topology.streaming import StreamingGraphBuilder
 from repro.tracing.trace import Trace
 from tests.integration.test_scalar_golden import CASES, _ParityRouter
 from tests.property.test_batch_equivalence import (
@@ -278,6 +279,26 @@ class TestSliceBlockers:
         _, silent = _both_paths(lambda: Bifrost(sample_application(), seed=1), 40)
         assert len(silent.collector) == 0
 
+    @pytest.mark.parametrize(
+        "attach",
+        [(), ("builder",), ("spans",), ("builder", "spans"), ("spans", "builder")],
+        ids=["none", "builder", "spans", "builder_then_spans", "spans_then_builder"],
+    )
+    def test_subscriber_kinds_select_the_hop(self, attach):
+        """Only a collector whose subscribers all have a column entry point
+        (or that has none) keeps the columnar slice: a span-only
+        subscriber, attached before or after the streaming builder, puts
+        the rows on the general hop, which builds their spans."""
+        bifrost = Bifrost(sample_application(), seed=1)
+        for kind in attach:
+            if kind == "builder":
+                StreamingGraphBuilder().attach(bifrost.collector)
+            else:
+                bifrost.collector.subscribe(lambda trace: None)
+        columnar = attach in ((), ("builder",))
+        assert _row_kernel(bifrost)._general is not columnar
+        assert bool(bifrost.collector.column_subscribers) is (attach == ("builder",))
+
     def test_shadow_routes_and_header_audiences_do_not_block(self):
         """Both compile into route records and keep the plain hop: a
         shadow becomes one more plan position, a header audience is
@@ -412,10 +433,12 @@ class TestSliceBlockers:
 
 class TestHostileGuard:
     """Tier-1 guard: the four ``hostile_canary`` benchmark configurations
-    (shadow route, fault campaign, retry + breaker, trace subscriber)
-    run every request, and feed the subscriber and live health exactly
-    when one is attached.  Every slice without a call policy or breaker
-    runs columnar; each case prints its slices per hop."""
+    (shadow route, fault campaign, retry + breaker, live health) and a
+    span subscriber run every request, and feed the subscriber and live
+    health exactly when one is attached.  Every slice without a call
+    policy, breaker or span subscriber runs columnar, and every slice of
+    the span subscriber's run the general hop; each case prints its
+    slices per hop."""
 
     @pytest.mark.parametrize(
         "hostile",
@@ -423,9 +446,10 @@ class TestHostileGuard:
             Hostile(shadow="all"),
             Hostile(faults=True),
             Hostile(policy="retry", breaker=True),
-            Hostile(subscriber=True, live_health=True),
+            Hostile(live_health=True),
+            Hostile(subscriber=True),
         ],
-        ids=["shadow", "faults", "resilience", "live_health"],
+        ids=["shadow", "faults", "resilience", "live_health", "span_subscriber"],
     )
     def test_hostile_configurations_never_fall_back(self, hostile, request, monkeypatch):
         plan, columnar = RequestKernel._plan, []
@@ -440,13 +464,16 @@ class TestHostileGuard:
         bifrost, _, seen, result = run_batch(params, hostile=hostile)
         general = result.fast_slices - sum(columnar)
         print(f"\n{request.node.callspec.id}: {sum(columnar)} columnar, {general} general slices")
-        if not (hostile.policy or hostile.breaker):
+        if hostile.subscriber:
+            assert not any(columnar) and general == result.fast_slices > 0
+        elif not (hostile.policy or hostile.breaker):
             assert all(columnar) and general == 0 < len(columnar)
         assert result.requests == 480
         assert len(seen) == (result.requests if hostile.subscriber else 0)
         if hostile.live_health:
             assert bifrost.streaming_builder.trace_count == result.requests
             assert bifrost.live_health.publishes > 0
+            assert len(bifrost.collector) == 0
 
 
 class TestLiveHealthFootprint:

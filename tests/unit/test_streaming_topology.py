@@ -54,9 +54,8 @@ def make_span(
     )
 
 
-def trace_spans(trace_id, start=0.0, error=False, shadow=False):
+def trace_spans(trace_id, start=0.0, error=False):
     """A two-span frontend→backend trace starting at *start*."""
-    tags = {"shadow": "true"} if shadow else {}
     return [
         make_span(f"{trace_id}-root", trace_id=trace_id, start=start),
         make_span(
@@ -67,7 +66,6 @@ def trace_spans(trace_id, start=0.0, error=False, shadow=False):
             endpoint="api",
             start=start + 0.001,
             error=error,
-            tags=tags,
         ),
     ]
 
@@ -192,17 +190,6 @@ class TestStreamingGraphBuilder:
         batch = build_interaction_graph(collector.traces())
         assert graphs_equal(builder.graph, batch)
         assert builder.trace_count == 5
-
-    def test_shadow_exclusion_matches_batch(self):
-        collector = TraceCollector()
-        builder = StreamingGraphBuilder(include_shadow=False).attach(collector)
-        collector.record_all(trace_spans("t1", shadow=True))
-        collector.record_all(trace_spans("t2"))
-        batch = build_interaction_graph(collector.traces(), include_shadow=False)
-        assert graphs_equal(builder.graph, batch)
-        assert not builder.graph.has_node(("backend", "1.0.0", "api")) or (
-            builder.graph.node_stats(NodeKey("backend", "1.0.0", "api")).calls == 1
-        )
 
     def test_regrown_trace_applies_only_the_delta(self):
         collector = TraceCollector()

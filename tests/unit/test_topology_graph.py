@@ -103,12 +103,6 @@ class TestBuilder:
         graph = build_interaction_graph([self.make_trace(shadow=True)])
         assert graph.has_node(NodeKey("backend", "1.0.0", "api"))
 
-    def test_shadow_spans_excludable(self):
-        graph = build_interaction_graph(
-            [self.make_trace(shadow=True)], include_shadow=False
-        )
-        assert not graph.has_node(NodeKey("backend", "1.0.0", "api"))
-
     def test_aggregates_across_traces(self):
         traces = []
         for i in range(3):
