@@ -30,6 +30,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -234,6 +236,24 @@ class CircuitBreaker:
             self._opened_at = now
             self._move(now, BreakerState.OPEN)
 
+    def opens_at(self, failed: np.ndarray) -> int:
+        """Index of the first of *failed* (outcomes in record order, True
+        a failure) whose :meth:`record` would open this closed breaker,
+        else ``len(failed)``: the window's rolling count, int/int rate."""
+        window = self._window
+        past = np.logical_not(np.fromiter(window, bool, len(window)))
+        counts = np.concatenate(((0,), np.cumsum(np.concatenate((past, failed)))))
+        ends = np.arange(len(window) + 1, len(counts))
+        sizes = np.minimum(ends, window.maxlen)
+        rates = (counts[ends] - counts[ends - sizes]) / sizes
+        opens = (sizes >= self.config.min_calls) & (rates >= self.config.failure_threshold)
+        return int(opens.argmax()) if opens.any() else len(failed)
+
+    def absorb(self, failed: np.ndarray) -> None:
+        """:meth:`record` every one of *failed*, none of which opens it."""
+        self._window.extend(np.logical_not(failed[-self._window.maxlen :]).tolist())
+        self._failures = self._window.count(False)
+
 
 #: Event kinds a :class:`ResilienceEvent` may carry.
 RETRY = "retry"
@@ -283,22 +303,6 @@ class ResilienceLayer:
         self._breakers: dict[tuple[str, str], CircuitBreaker] = {}
         self.events: list[ResilienceEvent] = []
         self._subscribers: list[Callable[[ResilienceEvent], None]] = []
-
-    @property
-    def passthrough(self) -> bool:
-        """True when the layer cannot influence any call.
-
-        No policies registered at any scope and no breaker config means
-        ``policy_for`` always returns None, ``admit`` always allows, and
-        ``observe`` is a no-op — so the batch execution kernel's plain
-        hop may skip these hooks entirely.
-        """
-        return (
-            self.breaker_config is None
-            and self._default_policy is None
-            and not self._service_policies
-            and not self._endpoint_policies
-        )
 
     # -- policy registry ---------------------------------------------------
 
@@ -357,6 +361,19 @@ class ResilienceLayer:
         ]
         transitions.sort(key=lambda t: (t.time, t.service, t.version))
         return transitions
+
+    def tripped(self) -> bool:
+        """Whether a breaker is open or half-open: only then may
+        :meth:`admit` refuse a call or move a breaker."""
+        return any(b.state is not BreakerState.CLOSED for b in self._breakers.values())
+
+    def opens_at(self, service: str, version: str, failed: np.ndarray) -> int:
+        """:meth:`CircuitBreaker.opens_at` of (service, version)'s breaker,
+        or of a fresh one while it has none (none is created)."""
+        breaker = self._breakers.get((service, version)) or CircuitBreaker(
+            service, version, self.breaker_config
+        )
+        return breaker.opens_at(failed)
 
     def admit(
         self,

@@ -64,7 +64,29 @@ class StickyAssigner:
     ) -> np.ndarray:
         """Assign the users of many population indices at once; element *i*
         is the index into *variants* of ``assign(user_at(indices[i]),
-        variants)``, distinct-user bookkeeping included.
+        variants)``, distinct-user bookkeeping included."""
+        picks = self.pick_many(indices, variants)
+        self.record_many(indices, picks, tuple(v.version for v in variants))
+        return picks
+
+    def record_many(
+        self, indices: np.ndarray, picks: np.ndarray, versions: tuple[str, ...]
+    ) -> None:
+        """The ledger half of :meth:`assign_many`: the users of *indices*
+        were assigned ``versions[picks[i]]``."""
+        indices = np.asarray(indices, np.int64)
+        # Only a first sighting can change the ledger, so only those wait.
+        if len(indices) and indices.max() >= len(self._sighted):
+            self._sighted = np.append(self._sighted, np.zeros(indices.max() + 1, bool))
+        fresh = ~self._sighted[indices]
+        if fresh.any():
+            self._sighted[indices] = True
+            self._pending.append((indices[fresh], np.asarray(picks)[fresh], versions))
+
+    def pick_many(
+        self, indices: np.ndarray, variants: Sequence[Variant]
+    ) -> np.ndarray:
+        """:meth:`assign_many`'s picks, recording nothing.
 
         Buckets the whole column with :func:`bucket_indices`, then picks
         variants via a vectorized threshold search.  The thresholds
@@ -91,20 +113,10 @@ class StickyAssigner:
         # bucket — the scalar loop's `bucket < cumulative * _BUCKETS`;
         # buckets past every threshold fall to the last variant, like the
         # scalar loop's default.
-        picks = np.minimum(
+        return np.minimum(
             np.searchsorted(np.asarray(thresholds), buckets, side="right"),
             len(variants) - 1,
         )
-        # Only a first sighting can change the ledger, so only those wait.
-        if len(indices) and indices.max() >= len(self._sighted):
-            self._sighted = np.append(self._sighted, np.zeros(indices.max() + 1, bool))
-        fresh = ~self._sighted[indices]
-        if fresh.any():
-            self._sighted[indices] = True
-            self._pending.append(
-                (indices[fresh], picks[fresh], tuple(v.version for v in variants))
-            )
-        return picks
 
     def _settle(self) -> None:
         """Fold the pending rows into the ledger, in call order."""

@@ -23,27 +23,32 @@ pinned by ``tests/integration/test_scalar_golden.py``):
   decision an engine makes on top of them are bit-identical, not
   statistically close.
 - A slice runs one of two hops, picked once per slice from state the
-  kernel can observe.  The *plain* hop covers slices where every
-  per-hop hook is a no-op, and runs the slice as columns: it compiles
-  the entry's call tree into a plan of call sites, each dark-launch
-  shadow replay one more call site, draws each sub-block's uniforms in
-  bulk (:func:`~repro.simulation.rng.random_block`), finds where every
-  hop's draws fall with one composed offset table per combination of
-  shadow audiences, then computes latencies, loads, durations and
-  errors one call site at a time
-  (``tests/property/test_columnar_slice.py``).  It builds no span: while
-  the trace collector has stream subscribers it runs only if every one
-  has a column entry point, and hands those each sub-block's hops
+  kernel can observe.  The *plain* hop runs the slice as columns: it
+  compiles the entry's call tree into a plan of call sites, each
+  dark-launch shadow replay and each retry attempt of a call policy one
+  more call site, draws each sub-block's uniforms in bulk
+  (:func:`~repro.simulation.rng.random_block`), finds where every hop's
+  draws fall with one composed offset table per combination of shadow
+  audiences and of versions where a policy decides, then computes
+  latencies, loads, durations, errors and policy events one call site at
+  a time (``tests/property/test_columnar_slice.py``).  Under circuit
+  breakers each sub-block's outcomes replay the breakers' windows before
+  anything lands: the rows before the first one that would move a
+  breaker land, and the rows from it on run the general hop until every
+  breaker is closed again.  It builds no span: while the trace collector
+  has stream subscribers it runs only if every one has a column entry
+  point, and hands those each sub-block's hops
   (``tests/property/test_columnar_spans.py``).  The *general* hop — the
-  one ``Runtime.execute`` always runs, and the plain slices whose plan
-  refuses them — additionally executes call policies (timeouts, retries,
-  fallbacks), circuit breakers, network partitions and routers the
+  one ``Runtime.execute`` always runs, the plain slices whose plan
+  refuses them and the rows a breaker cut — executes every hook per hop:
+  call policies, circuit breakers, network partitions and routers the
   kernel cannot compile, and builds spans as it goes for subscribers
   without a column entry point.
   Fault campaigns need no hook at all: they rewrite endpoint specs at
   engine events, and nodes are compiled from the specs per kernel.
-  Event boundaries delimit slices, and all of these conditions only
-  change at events, so a condition can never flip mid-slice.
+  Event boundaries delimit slices, and all of these conditions but a
+  breaker's state only change at events, so they can never flip
+  mid-slice.
 
 Memory behaviour: samples wait in a per-(service, version)
 :class:`~repro.telemetry.monitor.SpanSampleBuffer` flushed at slice ends
@@ -60,7 +65,7 @@ import weakref
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from random import NV_MAGICCONST
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -257,14 +262,21 @@ _DRAWS = {"const": 0.0, "normal": 2.74, "pareto": 1.0}
 
 class _Position:
     """One call site of a slice's plan: the versions rows can take there,
-    their one draw kind, the child call sites in call order and the
-    dark-launch duplicates (``shadows``) replayed after them.  A duplicate
-    runs for the rows its *gate* (the primary's route record, None when
-    every user is in its audience) admits."""
+    their one draw kind, error rates and recipes, the child call sites in
+    call order, the dark-launch duplicates (``shadows``) replayed after
+    them and, under a call policy, the retry ``attempts`` placed after
+    those.  A duplicate runs for the rows its *gate* (the primary's route
+    record, None when every user is in its audience) admits, attempt k
+    for the rows whose attempt k − 1 failed.  A policy reads the error of
+    every ``judged`` position and, under a timeout, the duration of every
+    ``timed`` one; ``kids`` are the positions of the spans whose parent
+    is this one's, in span order, and ``done`` counts the positions that
+    finish before this one's policy events."""
 
     __slots__ = (
-        "key", "rec", "versions", "codes", "kind", "certain", "children",
-        "shadows", "gate", "parallel", "proxy", "pre", "post",
+        "key", "rec", "versions", "codes", "kind", "rates", "recipes", "certain",
+        "children", "shadows", "gate", "parallel", "proxy", "pre", "post",
+        "policy", "attempts", "judged", "timed", "kids", "done",
     )
 
 
@@ -282,14 +294,15 @@ class _Block:
     def __init__(self, u: np.ndarray) -> None:
         n = len(u)
         self.over = over = n + 1
-        # Past the end a probability draw is never taken; its walk is
-        # already ``over`` either way.
-        self.u = np.concatenate((u, (2.0, 2.0)))
+        # Past the end every draw reads 0.5, which keeps a duration table's
+        # samples finite; its walk is already ``over`` either way.
+        self.u = np.concatenate((u, (0.5, 0.5)))
         self.step = np.minimum(np.arange(1, n + 3), over)
-        u2 = 1.0 - u[1:]
-        self.z = z = NV_MAGICCONST * (u[:-1] - 0.5) / u2
-        zz = z * z / 4.0
-        bound = -np.log(u2)
+        # The last pair reads a pad: never accepted, but a finite deviate.
+        u2 = 1.0 - self.u[1 : n + 1]
+        self.z = z = NV_MAGICCONST * (self.u[:n] - 0.5) / u2
+        zz = z[:-1] * z[:-1] / 4.0
+        bound = -np.log(u2[:-1])
         accept = zz <= bound
         for j in np.flatnonzero(np.abs(zz - bound) <= _LOG_GUARD * bound).tolist():
             accept[j] = zz[j] <= -math.log(u2[j])
@@ -307,27 +320,86 @@ def _expected_draws(pos: _Position) -> float:
     for probability, child in pos.children:
         below = _expected_draws(child)
         draws += below if probability >= 1.0 else 1.0 + probability * below
-    return draws + sum(map(_expected_draws, pos.shadows))
+    draws += sum(map(_expected_draws, pos.shadows))
+    if pos.attempts:
+        # A retry follows a failure: its jitter draw and its subtree again.
+        policy = pos.policy
+        lost = 1.0 if policy.timeout_ms is not None else max(pos.rates)
+        again = sum(lost**k for k in range(1, len(pos.attempts) + 1))
+        draws += again * (draws + (policy.jitter_ms > 0))
+    return draws
 
 
-def _table(pos: _Position, block: _Block, admitted) -> np.ndarray:
-    """Draw offset after *pos*'s whole subtree and its duplicates, for
-    every start offset, for rows whose gates are the ids in *admitted*."""
-    if pos.kind == "const":
-        table = block.step  # the error draw
-    else:
-        table = block.step[block.km if pos.kind == "normal" else block.step]
+def _table(pos: _Position, block: _Block, combo) -> tuple:
+    """Draw offset after *pos*'s subtree and its duplicates, for every
+    start offset, for rows whose gates are the ids in ``combo[0]`` and
+    whose versions are ``combo[1]`` (route record id -> code); with the
+    error a call policy reads, if ``judged``, and the duration a timeout
+    reads, if ``timed`` (else None)."""
+    admitted, picked = combo
+    # The error draw's offset: the start offset itself for a constant.
+    at = None if pos.kind == "const" else block.km if pos.kind == "normal" else block.step
+    table = block.step if at is None else block.step[at]
+    code = picked.get(id(pos.rec), 0)
+    failed = None
+    if pos.judged:
+        failed = (block.u if at is None else block.u[at]) < pos.rates[code]
+    own = None
+    if pos.timed:
+        offsets = np.arange(len(block.u))
+        own = _latency(pos.recipes[code], block, offsets, None)[0] + pos.proxy
+        total = slowest = 0.0
     for probability, child in pos.children:
-        below = _table(child, block, admitted)
+        end, fail, took = _site_table(child, block, combo)
+        at, taken = table, True
         if probability < 1.0:
-            drawn = block.step[table]
-            table = np.where(block.u[table] < probability, below[drawn], drawn)
+            at, taken = block.step[table], block.u[table] < probability
+            table = np.where(taken, end[at], at)
         else:
-            table = below[table]
+            table = end[at]
+        if failed is not None:
+            failed = failed | (fail[at] & taken)
+        if own is not None:
+            took = np.where(taken, took[at], 0.0)
+            total = total + took
+            slowest = np.maximum(slowest, took)
     for shadow in pos.shadows:
         if shadow.gate is None or id(shadow.gate) in admitted:
-            table = _table(shadow, block, admitted)[table]
-    return table
+            table = _table(shadow, block, combo)[0][table]
+    if own is not None:
+        own = own + (slowest if pos.parallel else total)
+    return table, failed, own
+
+
+def _site_table(pos: _Position, block: _Block, combo) -> tuple:
+    """:func:`_table` of a whole call site: under its call policy, attempt
+    k + 1 runs from where attempt k ended (after a jitter draw) for the
+    offsets whose attempt k failed, by error or timeout, and the elapsed
+    time grows as ``ResilienceLayer.call_with_policy`` grows it.  Every
+    attempt of a row draws as attempt 0 would from the same offset, so
+    one table serves them all."""
+    end, failed, took = _table(pos, block, combo)
+    policy = pos.policy
+    if policy is None:
+        return end, failed, took
+    if policy.timeout_ms is not None:
+        failed = failed | (took > policy.timeout_ms)
+        took = np.minimum(took, policy.timeout_ms)
+    table, lost, elapsed = end, failed, took
+    for n in range(1, policy.max_retries + 1):
+        at = block.step[table] if policy.jitter_ms > 0 else table
+        if elapsed is not None:
+            backoff = policy.backoff_ms(n)
+            if policy.jitter_ms > 0:
+                backoff = backoff + (0.0 + policy.jitter_ms * block.u[table])
+            elapsed = np.where(lost, elapsed + backoff + took[at], elapsed)
+        table = np.where(lost, end[at], table)
+        lost = lost & failed[at]
+    if policy.fallback:
+        if elapsed is not None:
+            elapsed = np.where(lost, elapsed + policy.fallback_latency_ms, elapsed)
+        lost = np.zeros_like(lost)
+    return table, lost, elapsed
 
 
 def _chain(steps, over: int) -> list:
@@ -345,16 +417,14 @@ def _chain(steps, over: int) -> list:
     return offsets
 
 
-def _walk(pos: _Position, cuts: dict, order: list) -> None:
-    """Append the pres of *pos*'s subtree in ``Trace.walk`` order: siblings
-    by start, stably in span order.  A duplicate starts with its primary,
-    so it comes before the primary's children except the first
-    ``cuts[pos]``, which start at the same instant."""
+def _walk(pos: _Position, orders: dict, order: list) -> None:
+    """Append the pres of *pos*'s subtree in ``Trace.walk`` order: each
+    position's kids in ``orders[pos]``'s order (by start, stably in span
+    order), else in span order."""
     order.append(pos.pre)
-    children = [child for _, child in pos.children]
-    cut = cuts.get(pos, 0)
-    for child in (*children[:cut], *pos.shadows, *children[cut:]):
-        _walk(child, cuts, order)
+    kids = pos.kids
+    for index in orders.get(pos, range(len(kids))):
+        _walk(kids[index], orders, order)
 
 
 def _latency(recipe, block: _Block, offsets: np.ndarray, load):
@@ -383,31 +453,60 @@ def _latency(recipe, block: _Block, offsets: np.ndarray, load):
     return column, offsets
 
 
-def _arrive(arrivals, starts: list, window: float) -> list:
-    """Append each start to a load deque, expiring what falls out of the
-    window as the hop does; returns the deque length each hop saw."""
-    append, popleft = arrivals.append, arrivals.popleft
-    counts = []
-    for start in starts:
-        append(start)
-        cutoff = start - window
-        while arrivals[0] < cutoff:
-            popleft()
-        counts.append(len(arrivals))
-    return counts
+def _loads(arrivals, starts: np.ndarray, window: float) -> np.ndarray:
+    """The load deque's length each hop starting at *starts* sees after
+    its append and expiry, leaving the deque as it is.  Hop *i* pops while
+    the head is before its cutoff, so the head stops at an arrival no
+    earlier cutoff passes either: after hop *i* it is the first arrival
+    at or after the running maximum of the cutoffs, a searchsorted over
+    the arrivals' running maximum.  Only the deque's head that can expire
+    is read."""
+    cutoffs = np.maximum.accumulate(starts - window)
+    size = len(arrivals)
+    take = min(size, 2 * len(starts))
+    while True:
+        head = np.fromiter(islice(arrivals, take), float, take)
+        if take == size or head.max() >= cutoffs[-1]:
+            break
+        take = min(size, 2 * take)
+    peaks = np.maximum.accumulate(np.concatenate((head, starts)))
+    return size + np.arange(1, len(starts) + 1) - np.searchsorted(peaks, cutoffs)
+
+
+def _arrive(arrivals, starts: list, window: float) -> None:
+    """Leave a load deque as the hops starting at *starts* would, one
+    append and expiry each: by :func:`_loads`' argument, one expiry
+    against the latest start's cutoff after every append."""
+    arrivals.extend(starts)
+    cutoff = max(starts) - window
+    popleft = arrivals.popleft
+    while arrivals[0] < cutoff:
+        popleft()
 
 
 def _hop_order(entries: list, positions: int) -> list:
-    """The array columns ``(order, rows, *columns)`` of one or more
-    positions, in global hop order: by row, then by *order* in the row."""
+    """The array columns ``(rows, *columns)`` of one or more positions'
+    entries ``(order, rows, *columns)``, in global hop order: by row,
+    then by *order* in the row."""
     if len(entries) == 1:
-        return entries[0][2:]
+        return entries[0][1:]
     key = np.concatenate([rows * positions + order for order, rows, *_ in entries])
     order = np.argsort(key)
     return [
         np.concatenate([entry[i] for entry in entries])[order]
-        for i in range(2, len(entries[0]))
+        for i in range(1, len(entries[0]))
     ]
+
+
+def _before(entries: list, cut: int) -> list:
+    """*entries* ``(order, rows, *columns)`` cut to the rows before *cut*
+    (each entry's rows ascend)."""
+    kept = []
+    for order, rows, *columns in entries:
+        k = int(np.searchsorted(rows, cut))
+        if k:
+            kept.append((order, rows[:k], *(column[:k] for column in columns)))
+    return kept
 
 
 class RequestKernel:
@@ -434,14 +533,16 @@ class RequestKernel:
     (a ``StaticRouter`` compiles to none); ``Request`` objects, and rows
     under any other ``Router``, ask ``runtime.router.route`` on every hop,
     with the row's ``Request`` in hand.  ``Request`` objects, and rows
-    under such a router, a partition, a call policy or a breaker, run
-    the general hop, and so do rows while the collector has a stream
-    subscriber without a column entry point; other rows, shadow routes
-    included, run as columns unless the plan refuses the slice.  The
-    general hop builds spans for ``Request`` objects and, while the
-    collector has stream subscribers, for rows; the columnar slice hands
-    its hops to the column entry points instead.  Whoever drives the
-    kernel calls :meth:`flush` before an engine event can read the store.
+    under such a router or a partition, run the general hop, and so do
+    rows while the collector has a stream subscriber without a column
+    entry point; other rows, shadow routes, call policies and breakers
+    included, run as columns unless the plan refuses the slice, and for
+    the rows from one that would move a breaker until every breaker is
+    closed.  The general hop builds spans for ``Request`` objects and,
+    while the collector has stream subscribers, for rows; the columnar
+    slice hands its hops to the column entry points instead.  Whoever
+    drives the kernel calls :meth:`flush` before an engine event can read
+    the store.
     """
 
     def __init__(self, runtime: "Runtime", population=None) -> None:
@@ -490,7 +591,6 @@ class RequestKernel:
         self._general = (
             self._route_per_hop
             or self._network is not None
-            or not runtime.resilience.passthrough
             or (self._spans and not self._folds)
         )
 
@@ -537,7 +637,8 @@ class RequestKernel:
         """Per-service routing record: [memo, assigner, variants, eligible
         group codes (None = all), stable version, required headers (None =
         none), prefilled columns (None = none, see
-        :meth:`prefill_assignments`)]."""
+        :meth:`prefill_assignments`), versions the columnar slice looked
+        up before the assigner recorded them (see :meth:`_codes`)]."""
         rec = self._route_recs.get(service)
         if rec is None:
             eligible = None
@@ -559,6 +660,7 @@ class RequestKernel:
                 stable,
                 route.audience.headers or None,
                 None,
+                {},
             ]
             self._route_recs[service] = rec
         return rec
@@ -641,8 +743,10 @@ class RequestKernel:
         Probabilistically-reached services keep the lazy per-user
         path so the assigner's distinct-user bookkeeping only ever sees
         users a request-by-request run would have assigned.  A partition or an
-        open breaker can cut any call short, so with either present
-        nothing is certain and every assignment stays lazy.
+        open breaker can cut any call short, so with either configured
+        nothing is certain and every assignment stays lazy: the columnar
+        slice records its rows' users when they land (:meth:`_record`),
+        the general hop when it routes them.
         """
         router = self._router
         if router is None or self._breakers or self._network is not None or lo >= hi:
@@ -651,7 +755,6 @@ class RequestKernel:
         if not routed:
             return
         certain = self._certain_services(batch.entry)
-        group_codes = self._group_codes
         # Sorted distinct users; numpy 2.4's hashing np.unique is ≈ 18× slower.
         users = np.sort(batch.user_indices[lo:hi])
         distinct = users[np.concatenate(((True,), users[1:] != users[:-1]))]
@@ -665,10 +768,7 @@ class RequestKernel:
             assigner, variants = rec[1], rec[2]
             # Users outside the audience take the stable version, last.
             picks = np.full(len(distinct), len(variants))
-            kept = slice(None)
-            if rec[3] is not None or rec[5] is not None:
-                matches = [self._matches(rec, i, group_codes[i]) for i in distinct.tolist()]
-                kept = np.array(matches, bool)
+            kept = self._audience(rec, distinct)
             chosen = distinct[kept]
             if len(chosen):
                 picks[kept] = assigner.assign_many(chosen, variants)
@@ -725,70 +825,77 @@ class RequestKernel:
         per request when spans are materialized, otherwise the same number
         is burned in O(1).
         """
-        runtime = self._runtime
         plan = None if self._general else self._plan(batch.entry)
         if plan is not None:
             now, durations, errors = self._run_columns(plan, batch, lo, hi, now)
         else:
-            timestamps = batch.timestamps[lo:hi].tolist()
-            user_indices = batch.user_indices[lo:hi].tolist()
-            edge = self.entry_edge(batch.entry)
-            group_codes = self._group_codes
-            durations = []
-            append = durations.append
-            errors = 0
-            population = self._population
-            group_names = population.group_names
-            collector = runtime.collector
-            dispatch = self._dispatch
-            # A router asked per hop gets the row's Request.
-            subjects = (
-                map(batch.request, range(lo, hi))
-                if self._route_per_hop
-                else user_indices
-            )
-            trace_id = spans = None
-            for ts, user, subject in zip(timestamps, user_indices, subjects):
-                if ts > now:
-                    now = ts
-                group_code = group_codes[user]
-                if self._spans:
-                    trace_id = runtime.next_trace_id()
-                    spans = []
-                # Per-request context: user index (or the Request), group
-                # code, trace id, span sink (None = no spans), group name,
-                # user id (formatted only for the span tags that carry it).
-                ctx = (
-                    subject,
-                    group_code,
-                    trace_id,
-                    spans,
-                    group_names[group_code],
-                    population.user_at(user) if spans is not None else None,
-                )
-                duration, error = dispatch(edge, None, now, 0, False, None, ctx)
-                if spans is not None:
-                    collector.record_trace(trace_id, spans)
-                append(duration)
-                if error:
-                    errors += 1
+            now, durations, errors = self._run_rows(batch, lo, hi, now)
         if not self._spans:
-            runtime.advance_trace_ids(len(durations))
-        runtime.requests_executed += len(durations)
+            self._runtime.advance_trace_ids(len(durations))
+        self._runtime.requests_executed += len(durations)
+        return now, durations, errors
+
+    def _run_rows(self, batch: "RequestBatch", lo: int, hi: int, now: float):
+        """Rows [lo, hi) on the general hop, one at a time."""
+        runtime = self._runtime
+        timestamps = batch.timestamps[lo:hi].tolist()
+        user_indices = batch.user_indices[lo:hi].tolist()
+        edge = self.entry_edge(batch.entry)
+        group_codes = self._group_codes
+        durations = []
+        append = durations.append
+        errors = 0
+        population = self._population
+        group_names = population.group_names
+        collector = runtime.collector
+        dispatch = self._dispatch
+        # A router asked per hop gets the row's Request.
+        subjects = (
+            map(batch.request, range(lo, hi)) if self._route_per_hop else user_indices
+        )
+        trace_id = spans = None
+        for ts, user, subject in zip(timestamps, user_indices, subjects):
+            if ts > now:
+                now = ts
+            group_code = group_codes[user]
+            if self._spans:
+                trace_id = runtime.next_trace_id()
+                spans = []
+            # Per-request context: user index (or the Request), group
+            # code, trace id, span sink (None = no spans), group name,
+            # user id (formatted only for the span tags that carry it).
+            ctx = (
+                subject,
+                group_code,
+                trace_id,
+                spans,
+                group_names[group_code],
+                population.user_at(user) if spans is not None else None,
+            )
+            duration, error = dispatch(edge, None, now, 0, False, None, ctx)
+            if spans is not None:
+                collector.record_trace(trace_id, spans)
+            append(duration)
+            if error:
+                errors += 1
         return now, durations, errors
 
     # -- the columnar slice (the plain hop) -----------------------------------
 
     def _plan(self, entry: str):
         """The entry's call tree as positions in pre-order, each call site's
-        dark-launch duplicates right after its subtree, or None when the
-        columnar slice cannot express the slice and the general hop runs it:
-        a latency model without a recipe, a cycle, a load deque shared by
-        two positions where one reads the load, or a call site whose
-        versions differ in their calls or their draw kinds."""
+        dark-launch duplicates right after its subtree and its retry
+        attempts after those, or None when the columnar slice cannot
+        express the slice and the general hop runs it: a latency model
+        without a recipe, a cycle, a load deque shared by two positions
+        where one reads the load, a call site whose versions differ in
+        their calls or their draw kinds, a timeout over a load-reading
+        position, or, for column subscribers, retries of the entry call
+        (their spans form no one-root trace)."""
         positions: list = []
         plan = (positions, [], {})
-        if self._position(*_split_entry(entry), True, (), plan) is None:
+        root = self._position(*_split_entry(entry), True, (), plan)
+        if root is None or (self._folds and root.attempts):
             return None
         for count, reads in plan[2].values():
             if count > 1 and reads:
@@ -796,13 +903,21 @@ class RequestKernel:
         return positions
 
     def _position(
-        self, service: str, endpoint: str, certain: bool, path, plan, forced=None
+        self, service: str, endpoint: str, certain: bool, path, plan, forced=None,
+        replay=False, judged=False, timed=False, retry=False,
     ):
-        """One call site (a duplicate forced to version *forced*) and its
-        subtree; *path* holds one call site per level of depth."""
+        """One call site (a duplicate forced to version *forced*, a retry
+        attempt when *retry*) and its subtree; *path* holds one call site
+        per level of depth.  As in :meth:`_dispatch`, no policy applies
+        under a shadow *replay*; below a policy every position is
+        *judged*, and *timed* under a timeout."""
         positions, finished, deques = plan
         if len(path) > _MAX_CALL_DEPTH or (forced is None and (service, endpoint) in path):
             return None
+        replay = replay or forced is not None
+        policy = None if replay or retry else self._resilience.policy_for(service, endpoint)
+        judged = judged or policy is not None
+        timed = timed or (policy is not None and policy.timeout_ms is not None)
         router = self._router
         route = router.active_route(service) if router is not None else None
         try:
@@ -828,6 +943,7 @@ class RequestKernel:
             or len(kinds) > 1
             or len(calls) > 1
             or len({bool(spec.parallel_calls) for spec in specs}) > 1
+            or (timed and any(op == "load" for recipe in recipes for op, _ in recipe[3]))
         ):
             return None
         for version, recipe in zip(versions, recipes):
@@ -837,16 +953,20 @@ class RequestKernel:
         pos = _Position()
         pos.key, pos.rec, pos.versions, pos.kind = (service, endpoint), rec, versions, kinds.pop()
         pos.codes = {version: code for code, version in enumerate(versions)}
+        pos.rates = tuple(spec.error_rate for spec in specs)
+        pos.recipes = tuple(recipes)
         pos.certain, pos.parallel = certain, bool(specs[0].parallel_calls)
         pos.proxy = 0.0 if rec is None else self._proxy_ms
+        pos.policy, pos.judged, pos.timed = policy, judged, timed
         pos.gate = None
         pos.pre = len(positions)
         positions.append(pos)
-        path = (*path, (service, endpoint))
+        below = (*path, (service, endpoint))
         children = []
         for probability, child_service, child_endpoint in calls.pop():
             child = self._position(
-                child_service, child_endpoint, certain and probability >= 1.0, path, plan
+                child_service, child_endpoint, certain and probability >= 1.0, below,
+                plan, replay=replay, judged=judged, timed=timed,
             )
             if child is None:
                 return None
@@ -862,116 +982,296 @@ class RequestKernel:
             gate = rec if rec[3] is not None or rec[5] is not None else None
             for version in route.shadow_versions:
                 if svc.has_version(version):
-                    shadow = self._position(service, endpoint, False, path, plan, version)
+                    shadow = self._position(service, endpoint, False, below, plan, version)
                     if shadow is None:
                         return None
                     shadow.gate = gate
                     shadows.append(shadow)
         pos.shadows = tuple(shadows)
+        pos.kids = (*(a for _, c in children for a in (c, *c.attempts)), *shadows)
+        pos.done = len(finished)
+        # ``call_with_policy`` runs attempt k after attempt k - 1 returned,
+        # duplicates included: a sibling of attempt 0, never certain.
+        attempts = []
+        for _ in range(policy.max_retries if policy is not None else 0):
+            again = self._position(
+                service, endpoint, False, path, plan, judged=True, timed=timed, retry=True
+            )
+            if again is None:
+                return None
+            attempts.append(again)
+        pos.attempts = tuple(attempts)
         return pos
 
     def _codes(self, pos: _Position, users: np.ndarray) -> np.ndarray:
         """Each user's version at *pos* as an index into ``pos.versions``:
         read from the prefilled columns when they hold every user, else
-        from the memo, assigning (in row order) users reaching it for the
-        first time."""
+        from the memo or, for users not in it, picked as :meth:`_assign`
+        picks but recorded nowhere but ``rec[7]`` (:meth:`_record` records
+        the committed rows that reached the position)."""
         rec = pos.rec
         if rec[6] is not None:
             distinct, picks, versions = rec[6]
             at = np.minimum(np.searchsorted(distinct, users), len(distinct) - 1)
             if np.array_equal(distinct[at], users):
                 return np.array([pos.codes[v] for v in versions])[picks[at]]
-        memo = rec[0]
-        users = users.tolist()
-        while True:
-            try:
-                return np.fromiter(
-                    map(pos.codes.__getitem__, map(memo.__getitem__, users)),
-                    np.intp,
-                    len(users),
-                )
-            except KeyError:
-                for user in users:
-                    if user not in memo:
-                        self._assign(rec, user, self._group_codes[user])
+        memo, peeked = rec[0], rec[7]
+        versions = [memo.get(u) or peeked.get(u) for u in users.tolist()]
+        if None in versions:
+            missing = [i for i, version in enumerate(versions) if version is None]
+            unseen = users[missing]
+            picked = self._versions(rec, unseen)
+            peeked.update(zip(unseen.tolist(), picked))
+            for i, version in zip(missing, picked):
+                versions[i] = version
+        return np.fromiter(map(pos.codes.__getitem__, versions), np.intp, len(users))
+
+    def _versions(self, rec, users: np.ndarray) -> list:
+        """The version :meth:`_assign` gives each user at *rec*'s service,
+        recording nothing."""
+        versions = [rec[4]] * len(users)
+        kept = self._audience(rec, users) if rec[2] else ()
+        if kept:
+            names = [variant.version for variant in rec[2]]
+            for i, code in zip(kept, rec[1].pick_many(users[kept], rec[2]).tolist()):
+                versions[i] = names[code]
+        return versions
+
+    def _audience(self, rec, users) -> list:
+        """The indices of the *users* in the route's audience."""
+        if rec[3] is None and rec[5] is None:
+            return list(range(len(users)))
+        group_codes = self._group_codes
+        return [
+            i for i, u in enumerate(users.tolist()) if self._matches(rec, u, group_codes[u])
+        ]
 
     def _run_columns(self, positions: list, batch: "RequestBatch", lo: int, hi: int, now: float):
         """Rows [lo, hi) as columns, a sub-block at a time: one bulk draw,
         each row's draw offsets from the composed table, then every
-        position's hops at once (see docs/PERF_KERNEL.md, "The two hops")."""
+        position's hops at once.  Under breakers, each sub-block's
+        outcomes replay the breakers' windows first; from the first row
+        that would move one, rows run on the general hop until every
+        breaker is closed again (see docs/PERF_KERNEL.md, "The two hops")."""
         raw = self.raw
         root = positions[0]
+        width = len(positions)
         routed = [pos for pos in positions if pos.rec is not None and pos.certain]
         gates = {id(pos.gate): pos.gate for pos in positions if pos.gate is not None}
+        # A policy's decisions read the versions at its routed positions.
+        judged = {
+            id(pos.rec): pos
+            for pos in positions
+            if pos.judged and pos.rec is not None and len(pos.versions) > 1
+        }
         group_codes = self._group_codes
         per_row = _expected_draws(root) * 1.05
         durations: list = []
         errors = 0
+        limit, general = _SUB_BLOCK, False
         while lo < hi:
-            rows = min(_SUB_BLOCK, hi - lo)
+            if general or (self._breakers and self._resilience.tripped()):
+                now, took, failed = self._run_rows(batch, lo, lo + 1, now)
+                durations += took
+                errors += failed
+                lo, general = lo + 1, False
+                continue
+            rows = min(limit, hi - lo)
             users = batch.user_indices[lo : lo + rows]
             codes = {pos: self._codes(pos, users) for pos in routed}
-            # Each gate's admitted rows; rows admitted by the same gates
-            # share a composed table.
+            for pos in routed:
+                codes.update(dict.fromkeys(pos.attempts, codes[pos]))
+            # Rows whose gates admit the same duplicates and that take the
+            # same versions where a policy decides share a composed table.
             masks = {
                 key: np.array([self._matches(rec, u, group_codes[u]) for u in users.tolist()])
                 for key, rec in gates.items()
             }
-            admitted = list(zip(*(mask.tolist() for mask in masks.values())))
+            picked = {
+                key: codes[pos] if pos in codes else self._codes(pos, users)
+                for key, pos in judged.items()
+            }
+            combos = list(zip(*(c.tolist() for c in (*masks.values(), *picked.values()))))
             size = max(2, math.ceil(rows * per_row) + _BLOCK_SLACK)
             while True:
                 state = raw.getstate()
                 block = _Block(random_block(raw, size))
-                if masks:
+                if combos:
                     tables = {
-                        combo: _table(root, block, {k for k, on in zip(masks, combo) if on}).item
-                        for combo in dict.fromkeys(admitted)
+                        combo: _site_table(root, block, (
+                            {k for k, on in zip(masks, combo) if on},
+                            dict(zip(picked, combo[len(masks) :])),
+                        ))[0].item
+                        for combo in dict.fromkeys(combos)
                     }
-                    steps = map(tables.__getitem__, admitted)
+                    steps = map(tables.__getitem__, combos)
                 else:
-                    steps = repeat(_table(root, block, ()).item, rows)
+                    steps = repeat(_site_table(root, block, ((), {}))[0].item, rows)
                 offsets = _chain(steps, block.over)
                 raw.setstate(state)
                 if len(offsets) > 1:
                     break
                 size *= 2
-            # Keep exactly the draws the rows consumed.
-            raw.getrandbits(64 * offsets[-1])
             done = len(offsets) - 1
             starts = np.maximum.accumulate(
                 np.concatenate(((now,), batch.timestamps[lo : lo + done]))
             )[1:]
-            ctx = (users, codes, {}, {}, masks)
-            duration, error, _ = self._hop(
+            ctx = (users, codes, {}, {}, masks, [], [])
+            duration, error, _ = self._site(
                 root, np.arange(done), starts, np.array(offsets[:-1]), block, ctx
             )
-            for arrivals, entries in ctx[2].values():
-                _arrive(arrivals, _hop_order(entries, len(positions))[0].tolist(), self._window)
-            for node, entries in ctx[3].values():
-                self.samples.add_columns(
-                    node[_N_SERVICE], node[_N_VERSION], *_hop_order(entries, len(positions))
-                )
-            if self._folds:
-                self._fold_columns(positions, ctx[3], done)
-                self._runtime.advance_trace_ids(done)
-            durations.extend(duration.tolist())
-            errors += int(np.count_nonzero(error))
-            now = starts[-1].item()
-            lo += done
+            outcomes = [(node, _hop_order(entries, width)) for node, entries in ctx[3].values()]
+            cut = self._trip_row(outcomes, done) if self._breakers else done
+            # Keep exactly the draws the committed rows consumed.
+            raw.getrandbits(64 * offsets[cut])
+            if cut:
+                self._commit(positions, ctx, outcomes, cut)
+                durations.extend(duration[:cut].tolist())
+                errors += int(np.count_nonzero(error[:cut]))
+                now = starts[cut - 1].item()
+                lo += cut
+            general = cut < done
+            limit = min(_SUB_BLOCK, 2 * cut + 1 if general else 2 * limit)
         return now, durations, errors
+
+    def _trip_row(self, outcomes: list, rows: int) -> int:
+        """The first row one of whose outcomes would move a breaker, or
+        *rows*: each (service, version) window replayed over the
+        sub-block's outcomes in (row, post) order, as ``record`` sees
+        them while every breaker is closed."""
+        cut = rows
+        for node, (at, _, _, failed) in outcomes:
+            index = self._resilience.opens_at(node[_N_SERVICE], node[_N_VERSION], failed)
+            if index < len(failed):
+                cut = min(cut, int(at[index]))
+        return cut
+
+    def _commit(self, positions: list, ctx, outcomes: list, cut: int) -> None:
+        """Land the sub-block's rows before *cut*: load deques, samples,
+        breaker windows (breakers created as ``admit`` creates them),
+        assignments, resilience events and column folds."""
+        users, _, arrivals, samples, _, events, reached = ctx
+        width = len(positions)
+        for deque_, entries in arrivals.values():
+            entries = _before(entries, cut)
+            if entries:
+                _arrive(deque_, _hop_order(entries, width)[1].tolist(), self._window)
+        for node, (at, starts, took, failed) in outcomes:
+            k = int(np.searchsorted(at, cut))
+            if k:
+                service, version = node[_N_SERVICE], node[_N_VERSION]
+                self.samples.add_columns(service, version, starts[:k], took[:k], failed[:k])
+                if self._breakers:
+                    self._resilience.breaker(service, version).absorb(failed[:k])
+        self._record(_before(reached, cut), users)
+        # Policy events in row order, then in the order attempts return.
+        emit = self._resilience.emit
+        for event in sorted(event for event in events if event[0] < cut):
+            emit(event[-1])
+        if self._folds:
+            kept = {key: (node, _before(entries, cut)) for key, (node, entries) in samples.items()}
+            self._fold_columns(positions, kept, cut)
+            self._runtime.advance_trace_ids(cut)
+
+    def _record(self, reached: list, users: np.ndarray) -> None:
+        """Memo the users new to a route record among the committed rows
+        that reached one of its positions, and record them in its
+        assigner (as :meth:`_assign` would have, row by row)."""
+        by_rec: dict = {}
+        for rec, rows in reached:
+            by_rec.setdefault(id(rec), (rec, []))[1].append(users[rows])
+        for rec, parts in by_rec.values():
+            memo = rec[0]
+            fresh = np.array(
+                [u for u in dict.fromkeys(np.concatenate(parts).tolist()) if u not in memo],
+                np.int64,
+            )
+            if not len(fresh):
+                continue
+            versions = list(map(rec[7].__getitem__, fresh.tolist()))
+            memo.update(zip(fresh.tolist(), versions))
+            kept = self._audience(rec, fresh) if rec[2] else ()
+            if kept:
+                names = tuple(variant.version for variant in rec[2])
+                picks = [names.index(versions[i]) for i in kept]
+                rec[1].record_many(fresh[kept], np.array(picks, np.intp), names)
+
+    def _site(self, pos: _Position, rows, start, offsets, block: _Block, ctx):
+        """:meth:`_hop` for a whole call site: under its call policy, the
+        retry attempts of the rows whose attempt failed, by error or
+        timeout, timed and charged with ``call_with_policy``'s float
+        operations; the durations returned are its elapsed times.  Its
+        events wait in *ctx* for the commit."""
+        # Imported here: microservices imports this module at module level.
+        from repro.microservices.resilience import FALLBACK, RETRY, TIMEOUT, ResilienceEvent
+
+        duration, error, after = self._hop(pos, rows, start, offsets, block, ctx)
+        policy = pos.policy
+        if policy is None:
+            return duration, error, after
+        service, endpoint = pos.key
+
+        def note(attempt, order, kind, n, at, times, details):
+            """Queue *kind* events of rows *at*, keyed (row, attempt's
+            ``done``, order) for the commit's sort."""
+            versions = repeat(pos.versions[0])
+            if pos.rec is not None:
+                codes = self._codes(pos, ctx[0][rows[at]]).tolist()
+                versions = map(pos.versions.__getitem__, codes)
+            ctx[5].extend(
+                (row, attempt.done, order, ResilienceEvent(kind, t, service, v, endpoint, n, d))
+                for row, t, v, d in zip(rows[at].tolist(), times.tolist(), versions, details)
+            )
+
+        timeout = policy.timeout_ms
+        elapsed = np.zeros(len(rows))
+        at = np.arange(len(rows))  # the rows still trying
+        attempt, begin = pos, start
+        for n, attempt in enumerate((pos, *pos.attempts)):
+            if n:
+                begin = start[at] + elapsed[at] / 1000.0
+                duration, error, after[at] = self._hop(
+                    attempt, rows[at], begin, after[at], block, ctx
+                )
+            if timeout is not None:
+                late = duration > timeout
+                if late.any():
+                    details = [f"{d:.1f}ms > {timeout:.1f}ms" for d in duration[late].tolist()]
+                    note(attempt, 0, TIMEOUT, n, at[late], begin[late], details)
+                    error = error | late
+                    duration = np.where(late, timeout, duration)
+            elapsed[at] += duration
+            at = at[error]
+            if n == policy.max_retries or not len(at):
+                break
+            backoff = policy.backoff_ms(n + 1)
+            if policy.jitter_ms > 0:
+                backoff = backoff + (0.0 + policy.jitter_ms * block.u[after[at]])
+                after[at] += 1
+            elapsed[at] += backoff
+            details = [f"backoff={b:.1f}ms" for b in np.broadcast_to(backoff, len(at)).tolist()]
+            note(attempt, 1, RETRY, n + 1, at, start[at] + elapsed[at] / 1000.0, details)
+        failed = np.zeros(len(rows), bool)
+        if not policy.fallback:
+            failed[at] = True
+        elif len(at):
+            elapsed[at] += policy.fallback_latency_ms
+            note(attempt, 2, FALLBACK, n, at, start[at] + elapsed[at] / 1000.0, repeat(""))
+        return elapsed, failed, after
 
     def _hop(self, pos: _Position, rows, start, offsets, block: _Block, ctx):
         """*pos*'s hops for *rows* (ascending sub-block indices) starting at
         *start* with their first draw at *offsets*, children included;
-        returns their durations, errors and next draw offsets."""
-        users, codes, arrivals, samples, masks = ctx
+        returns their durations, errors and next draw offsets.  Load
+        deques, samples, assignments and events wait in *ctx*."""
+        users, codes, arrivals, samples, masks, _, reached = ctx
         n = len(rows)
         if pos.rec is None:
             picks = None
-        elif pos.certain:
-            picks = codes[pos][rows]
         else:
-            picks = self._codes(pos, users[rows])
+            picks = codes[pos][rows] if pos in codes else self._codes(pos, users[rows])
+            if pos.rec[6] is None:
+                reached.append((pos.rec, rows))
         own = np.empty(n)
         error = np.empty(n, bool)
         after = np.empty(n, np.intp)
@@ -988,17 +1288,16 @@ class RequestKernel:
             groups.append((node, sel, begin))
             load = None
             if node[_N_NEEDS_LOAD]:
-                counts = _arrive(node[_N_ARRIVALS], begin.tolist(), self._window)
+                counts = _loads(node[_N_ARRIVALS], begin, self._window)
                 capacity = node[_N_CAPACITY]
                 load = (
-                    np.array(counts, float) / self._window / capacity
+                    counts / self._window / capacity
                     if capacity > 0
                     else np.zeros(len(counts))
                 )
-            else:
-                arrivals.setdefault(
-                    id(node[_N_ARRIVALS]), (node[_N_ARRIVALS], [])
-                )[1].append((pos.pre, rows[sel], begin))
+            arrivals.setdefault(
+                id(node[_N_ARRIVALS]), (node[_N_ARRIVALS], [])
+            )[1].append((pos.pre, rows[sel], begin))
             own[sel], drawn = _latency(node[_N_RECIPE], block, offsets[sel], load)
             error[sel] = block.u[drawn] < node[_N_ERROR_RATE]
             after[sel] = drawn + 1
@@ -1016,7 +1315,7 @@ class RequestKernel:
                 begin = child_start[taken]
                 if not pos.parallel:
                     begin = begin + total[taken] / 1000.0
-                took, failed, after[taken] = self._hop(
+                took, failed, after[taken] = self._site(
                     child, rows[taken], begin, after[taken], block, ctx
                 )
                 total[taken] += took
@@ -1053,8 +1352,8 @@ class RequestKernel:
         parts = []
         by_post = {pos.post: pos for pos in positions}
         for pos in positions:
-            for child in (*(child for _, child in pos.children), *pos.shadows):
-                parents[child.pre] = pos.pre
+            for kid in pos.kids:
+                parents[kid.pre] = pos.pre
         for node, node_entries in samples.values():
             for post, at, starts, durations, errors in node_entries:
                 pos = by_post[post]
@@ -1062,25 +1361,31 @@ class RequestKernel:
                 ids[pos.pre, at] = keys.setdefault(key, len(keys))
                 begins[pos.pre, at] = starts
                 parts.append((pos.pre, at, starts, durations, errors))
-        # Walk order per row: where duplicates fall among their primary's
-        # children depends on which children start with the primary.
-        forks = [pos for pos in positions if pos.shadows and pos.children]
-        cuts = np.zeros((rows, len(forks)), np.intp)
-        for fork, pos in enumerate(forks):
-            for index, (_, child) in enumerate(pos.children, 1):
-                cuts[begins[child.pre] == begins[pos.pre], fork] = index
+        # Walk order per row: a span's children by start, stably in span
+        # order.  A duplicate ties with a 0 ms primary's children, a retry
+        # can start after a later sibling, so each position's kids are
+        # sorted per row and the walk built per distinct pattern.
+        forks = [pos for pos in positions if len(pos.kids) > 1]
+        patterns = [
+            np.argsort(begins[[kid.pre for kid in fork.kids]].T, axis=1, kind="stable")
+            for fork in forks
+        ]
         walks, walk_of = (
-            np.unique(cuts, axis=0, return_inverse=True)
+            np.unique(np.concatenate(patterns, axis=1), axis=0, return_inverse=True)
             if forks
-            else (cuts[:1], np.zeros(rows, np.intp))
+            else (np.zeros((1, 0), np.intp), np.zeros(rows, np.intp))
         )
         ranks = np.empty((len(walks), width), np.intp)
         for rank, walk in zip(ranks, walks.tolist()):
+            orders, at = {}, 0
+            for fork in forks:
+                orders[fork] = walk[at : at + len(fork.kids)]
+                at += len(fork.kids)
             order: list = []
-            _walk(positions[0], dict(zip(forks, walk)), order)
+            _walk(positions[0], orders, order)
             rank[order] = np.arange(width)
         entries = [
-            (ranks[walk_of[at], pre], at, at, np.full(len(at), pre), starts, durations, errors)
+            (ranks[walk_of[at], pre], at, np.full(len(at), pre), starts, durations, errors)
             for pre, at, starts, durations, errors in parts
         ]
         at, pres, starts, durations, errors = _hop_order(entries, width)

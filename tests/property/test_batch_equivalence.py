@@ -21,10 +21,12 @@ digests in ``tests/integration/test_scalar_golden.py``.
 """
 
 from dataclasses import dataclass
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.simulation.batch as kernel_module
 from repro.bifrost import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.microservices.application import Application
@@ -347,6 +349,22 @@ def dump_traces(collector):
     return out
 
 
+def breakers(layer) -> dict:
+    """Every breaker of a resilience layer, internals included."""
+    return {
+        key: (
+            breaker.state,
+            list(breaker._window),
+            breaker._failures,
+            breaker._opened_at,
+            breaker._probes_admitted,
+            breaker._probe_successes,
+            breaker.rejected_calls,
+        )
+        for key, breaker in layer._breakers.items()
+    }
+
+
 def assert_equivalent(scalar, batch) -> None:
     scalar_bifrost, scalar_execution, scalar_seen = scalar
     batch_bifrost, batch_execution, batch_seen, result = batch
@@ -388,6 +406,8 @@ def assert_equivalent(scalar, batch) -> None:
         batch_bifrost.resilience.breaker_transitions()
         == scalar_bifrost.resilience.breaker_transitions()
     )
+    # Same breakers created, each in the same state, window and counts.
+    assert breakers(batch_bifrost.resilience) == breakers(scalar_bifrost.resilience)
     # Same sticky-assignment state (distinct users per variant), for
     # every experiment that installed a route.
     scalar_assigners = scalar_bifrost.router._assigners
@@ -440,9 +460,10 @@ class TestBatchEquivalence:
 
 class TestHostileEquivalence:
     """Shadows, policies, breakers, partitions, faults and subscribers,
-    with and without a trace subscriber: policies, breakers and
-    partitions put a slice on the kernel's general hop; shadows (plan
-    positions), faults and subscribers alone keep it columnar."""
+    with and without a trace subscriber: partitions and span subscribers
+    put a slice on the kernel's general hop; shadows and retries (plan
+    positions), breakers (replayed per sub-block), faults and live health
+    keep it columnar."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -501,6 +522,52 @@ class TestHostileEquivalence:
             for trace in batch[0].collector.traces()
             for span in trace.spans
         )
+
+
+class TestResilienceColumns:
+    """Call policies and breakers on the columnar slice, against
+    ``Bifrost.run``, across sub-block sizes: every event, breaker and
+    sample, the RNG state, the load deques and the trace-id counter.
+    The ``retry`` and ``timeout`` shapes plan every slice as columns (a
+    timeout over catalog's subtree reads no load); ``fallback``, the
+    default policy, retries ``frontend.index`` too, and its attempts
+    share the load-reading frontend deque, so the plan refuses it."""
+
+    ACCEPTED = {"retry": True, "timeout": True, "fallback": False}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        policy=st.sampled_from(sorted(POLICIES)),
+        breaker=st.booleans(),
+        canary_error=st.sampled_from([0.0, 0.02, 0.4]),
+        sub_block=st.sampled_from([kernel_module._SUB_BLOCK, 7, 1]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_policies_and_breakers_match_scalar(
+        self, policy, breaker, canary_error, sub_block, seed
+    ):
+        params = (canary_error, 1.0, False, 0.3, seed, "poisson")
+        hostile = Hostile(policy=policy, breaker=breaker)
+        scalar = run_scalar(params, hostile)
+        plan, planned = kernel_module.RequestKernel._plan, []
+
+        def counted(self, entry):
+            positions = plan(self, entry)
+            planned.append(positions is not None)
+            return positions
+
+        with mock.patch.object(
+            kernel_module.RequestKernel, "_plan", counted
+        ), mock.patch.object(kernel_module, "_SUB_BLOCK", sub_block):
+            batch = run_batch(params, hostile=hostile)
+        assert_equivalent(scalar, batch)
+        assert planned and set(planned) == {self.ACCEPTED[policy]}
+        scalar_runtime, batch_runtime = scalar[0].runtime, batch[0].runtime
+        assert batch_runtime.rng.raw.getstate() == scalar_runtime.rng.raw.getstate()
+        assert {key: list(d) for key, d in batch_runtime.load._arrivals.items()} == {
+            key: list(d) for key, d in scalar_runtime.load._arrivals.items()
+        }
+        assert batch_runtime.next_trace_id() == scalar_runtime.next_trace_id()
 
 
 class TestFaultCampaignFallback:

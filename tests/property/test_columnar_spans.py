@@ -59,6 +59,8 @@ FAMILIES = {
     "const": [
         ConstantLatency,
         lambda ms: LogNormalLatency(ms, 0.0),
+        # A 0 ms primary starts its children at its own instant.
+        lambda ms: ConstantLatency(0.0),
         lambda ms: LoadSensitiveLatency(ConstantLatency(ms)),
     ],
     "normal": [

@@ -10,7 +10,9 @@ and trace-id bookkeeping — plus every scalar golden case driven through
 import gc
 import random
 import time
+from collections import deque
 
+import numpy as np
 import pytest
 
 from repro.bifrost import Bifrost
@@ -29,6 +31,8 @@ from repro.simulation.batch import (
     _N_NEEDS_LOAD,
     _N_SAMPLE,
     RequestKernel,
+    _arrive,
+    _loads,
     run_batches,
 )
 from repro.simulation.latency import ConstantLatency
@@ -433,43 +437,60 @@ class TestSliceBlockers:
 
 class TestHostileGuard:
     """Tier-1 guard: the four ``hostile_canary`` benchmark configurations
-    (shadow route, fault campaign, retry + breaker, live health) and a
-    span subscriber run every request, and feed the subscriber and live
-    health exactly when one is attached.  Every slice without a call
-    policy, breaker or span subscriber runs columnar, and every slice of
-    the span subscriber's run the general hop; each case prints its
-    slices per hop."""
+    (shadow route, fault campaign, retry + breaker, live health), a
+    breaker storm (a failing canary behind the tight breaker) and a span
+    subscriber run every request, and feed the subscriber and live health
+    exactly when one is attached.  The plan accepts every slice but the
+    span subscriber's, which all run the general hop; each case prints
+    its slices per hop and the rows a breaker's cut sent to the general
+    hop."""
 
     @pytest.mark.parametrize(
-        "hostile",
+        "hostile, canary_error",
         [
-            Hostile(shadow="all"),
-            Hostile(faults=True),
-            Hostile(policy="retry", breaker=True),
-            Hostile(live_health=True),
-            Hostile(subscriber=True),
+            (Hostile(shadow="all"), 0.02),
+            (Hostile(faults=True), 0.02),
+            (Hostile(policy="retry", breaker=True), 0.02),
+            (Hostile(live_health=True), 0.02),
+            (Hostile(policy="retry", breaker=True), 0.4),
+            (Hostile(subscriber=True), 0.02),
         ],
-        ids=["shadow", "faults", "resilience", "live_health", "span_subscriber"],
+        ids=["shadow", "faults", "resilience", "live_health", "breaker_storm", "span_subscriber"],
     )
-    def test_hostile_configurations_never_fall_back(self, hostile, request, monkeypatch):
+    def test_hostile_configurations_never_fall_back(
+        self, hostile, canary_error, request, monkeypatch
+    ):
         plan, columnar = RequestKernel._plan, []
+        run_rows, general_rows = RequestKernel._run_rows, []
 
         def counted(self, entry):
             positions = plan(self, entry)
             columnar.append(positions is not None)
             return positions
 
+        def rows(self, batch, lo, hi, now):
+            general_rows.append(hi - lo)
+            return run_rows(self, batch, lo, hi, now)
+
         monkeypatch.setattr(RequestKernel, "_plan", counted)
-        params = (0.02, 1.0, False, 0.1, 5, "constant")
+        monkeypatch.setattr(RequestKernel, "_run_rows", rows)
+        params = (canary_error, 1.0, False, 0.1, 5, "constant")
         bifrost, _, seen, result = run_batch(params, hostile=hostile)
         general = result.fast_slices - sum(columnar)
-        print(f"\n{request.node.callspec.id}: {sum(columnar)} columnar, {general} general slices")
+        cut = 0 if hostile.subscriber else sum(general_rows)
+        print(
+            f"\n{request.node.callspec.id}: {sum(columnar)} columnar, {general} general "
+            f"slices; {cut} rows after a breaker cut on the general hop "
+            f"({cut / result.requests:.1%})"
+        )
         if hostile.subscriber:
             assert not any(columnar) and general == result.fast_slices > 0
-        elif not (hostile.policy or hostile.breaker):
+        else:
             assert all(columnar) and general == 0 < len(columnar)
         assert result.requests == 480
         assert len(seen) == (result.requests if hostile.subscriber else 0)
+        if canary_error == 0.4:
+            assert bifrost.resilience.breaker_transitions() and 0 < cut < result.requests
         if hostile.live_health:
             assert bifrost.streaming_builder.trace_count == result.requests
             assert bifrost.live_health.publishes > 0
@@ -531,6 +552,66 @@ class TestLiveHealthFootprint:
         once = self.run(15.0)
         twice = self.run(30.0)
         assert abs(twice - once) <= self.SLACK
+
+
+def replay_hops(arrivals, starts, window) -> list:
+    """The general hop's load observation, one hop at a time: append,
+    expire while the head is before the cutoff; each hop's deque length."""
+    lengths = []
+    for start in starts:
+        arrivals.append(start)
+        cutoff = start - window
+        while arrivals[0] < cutoff:
+            arrivals.popleft()
+        lengths.append(len(arrivals))
+    return lengths
+
+
+def hop_starts(rng, clock: float, rows: int) -> list:
+    """Rows' root starts in order, each followed by 0-2 child starts a
+    little later, which may fall after the next rows' roots; some on a
+    1 ms grid, so starts tie."""
+    starts = []
+    for _ in range(rows):
+        clock += rng.expovariate(200.0)
+        starts.append(clock)
+        starts.extend(clock + rng.uniform(0.0, 0.05) for _ in range(rng.randint(0, 2)))
+    if rng.random() < 0.3:
+        starts = [round(start, 3) for start in starts]
+    return starts
+
+
+class TestLoadDeques:
+    """``_loads`` (each hop's deque length, the deque untouched) and
+    ``_arrive`` (the final contents) against the hop-by-hop replay,
+    exactly, over non-monotone starts and random windows."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_lengths_and_contents_match_the_hop_by_hop_replay(self, seed):
+        rng = random.Random(seed)
+        window = rng.choice([1e-3, 0.02, 0.5, 10.0, rng.uniform(1e-3, 2.0)])
+        reference: deque = deque()
+        history = hop_starts(rng, 0.0, rng.randint(0, 400))
+        replay_hops(reference, history, window)
+        starts = hop_starts(rng, history[-1] if history else 0.0, rng.randint(1, 300))
+        ours = deque(reference)
+        lengths = _loads(ours, np.array(starts), window)
+        assert list(ours) == list(reference)
+        assert lengths.tolist() == replay_hops(reference, starts, window)
+        _arrive(ours, starts, window)
+        assert list(ours) == list(reference)
+
+    def test_a_long_deque_that_expires_is_read_in_growing_heads(self):
+        """Far more arrivals expire than the hops number: ``_loads`` reads
+        the deque's head in doubling pieces until it covers them."""
+        reference = deque(i / 1000.0 for i in range(5_000))
+        starts = [10.0, 9.9995, 10.002]
+        ours = deque(reference)
+        assert _loads(ours, np.array(starts), 0.5).tolist() == replay_hops(
+            reference, starts, 0.5
+        )
+        _arrive(ours, starts, 0.5)
+        assert list(ours) == list(reference) == starts
 
 
 class TestTraceIdBookkeeping:
