@@ -262,21 +262,20 @@ _DRAWS = {"const": 0.0, "normal": 2.74, "pareto": 1.0}
 
 class _Position:
     """One call site of a slice's plan: the versions rows can take there,
-    their one draw kind, error rates and recipes, the child call sites in
-    call order, the dark-launch duplicates (``shadows``) replayed after
-    them and, under a call policy, the retry ``attempts`` placed after
-    those.  A duplicate runs for the rows its *gate* (the primary's route
-    record, None when every user is in its audience) admits, attempt k
-    for the rows whose attempt k − 1 failed.  A policy reads the error of
-    every ``judged`` position and, under a timeout, the duration of every
-    ``timed`` one; ``kids`` are the positions of the spans whose parent
-    is this one's, in span order, and ``done`` counts the positions that
-    finish before this one's policy events."""
+    their one draw kind and error rates, the child call sites in call
+    order, the dark-launch duplicates (``shadows``) replayed after them
+    and, under a call policy, the retry ``attempts`` placed after those.
+    A duplicate runs for the rows its *gate* (the primary's route record,
+    None when every user is in its audience) admits, attempt k for the
+    rows whose attempt k − 1 failed.  A policy reads the error of every
+    ``judged`` position; ``kids`` are the positions of the spans whose
+    parent is this one's, in span order, and ``done`` counts the
+    positions that finish before this one's policy events."""
 
     __slots__ = (
-        "key", "rec", "versions", "codes", "kind", "rates", "recipes", "certain",
+        "key", "rec", "versions", "codes", "kind", "rates", "certain",
         "children", "shadows", "gate", "parallel", "proxy", "pre", "post",
-        "policy", "attempts", "judged", "timed", "kids", "done",
+        "policy", "attempts", "judged", "kids", "done",
     )
 
 
@@ -294,15 +293,14 @@ class _Block:
     def __init__(self, u: np.ndarray) -> None:
         n = len(u)
         self.over = over = n + 1
-        # Past the end every draw reads 0.5, which keeps a duration table's
-        # samples finite; its walk is already ``over`` either way.
-        self.u = np.concatenate((u, (0.5, 0.5)))
+        # Past the end a probability draw is never taken; its walk is
+        # already ``over`` either way.
+        self.u = np.concatenate((u, (2.0, 2.0)))
         self.step = np.minimum(np.arange(1, n + 3), over)
-        # The last pair reads a pad: never accepted, but a finite deviate.
-        u2 = 1.0 - self.u[1 : n + 1]
-        self.z = z = NV_MAGICCONST * (self.u[:n] - 0.5) / u2
-        zz = z[:-1] * z[:-1] / 4.0
-        bound = -np.log(u2[:-1])
+        u2 = 1.0 - u[1:]
+        self.z = z = NV_MAGICCONST * (u[:-1] - 0.5) / u2
+        zz = z * z / 4.0
+        bound = -np.log(u2)
         accept = zz <= bound
         for j in np.flatnonzero(np.abs(zz - bound) <= _LOG_GUARD * bound).tolist():
             accept[j] = zz[j] <= -math.log(u2[j])
@@ -323,10 +321,9 @@ def _expected_draws(pos: _Position) -> float:
     draws += sum(map(_expected_draws, pos.shadows))
     if pos.attempts:
         # A retry follows a failure: its jitter draw and its subtree again.
-        policy = pos.policy
-        lost = 1.0 if policy.timeout_ms is not None else max(pos.rates)
+        lost = max(pos.rates)
         again = sum(lost**k for k in range(1, len(pos.attempts) + 1))
-        draws += again * (draws + (policy.jitter_ms > 0))
+        draws += again * (draws + (pos.policy.jitter_ms > 0))
     return draws
 
 
@@ -334,23 +331,17 @@ def _table(pos: _Position, block: _Block, combo) -> tuple:
     """Draw offset after *pos*'s subtree and its duplicates, for every
     start offset, for rows whose gates are the ids in ``combo[0]`` and
     whose versions are ``combo[1]`` (route record id -> code); with the
-    error a call policy reads, if ``judged``, and the duration a timeout
-    reads, if ``timed`` (else None)."""
+    error a call policy reads, if ``judged`` (else None)."""
     admitted, picked = combo
     # The error draw's offset: the start offset itself for a constant.
     at = None if pos.kind == "const" else block.km if pos.kind == "normal" else block.step
     table = block.step if at is None else block.step[at]
-    code = picked.get(id(pos.rec), 0)
     failed = None
     if pos.judged:
-        failed = (block.u if at is None else block.u[at]) < pos.rates[code]
-    own = None
-    if pos.timed:
-        offsets = np.arange(len(block.u))
-        own = _latency(pos.recipes[code], block, offsets, None)[0] + pos.proxy
-        total = slowest = 0.0
+        rate = pos.rates[picked.get(id(pos.rec), 0)]
+        failed = (block.u if at is None else block.u[at]) < rate
     for probability, child in pos.children:
-        end, fail, took = _site_table(child, block, combo)
+        end, fail = _site_table(child, block, combo)
         at, taken = table, True
         if probability < 1.0:
             at, taken = block.step[table], block.u[table] < probability
@@ -359,47 +350,27 @@ def _table(pos: _Position, block: _Block, combo) -> tuple:
             table = end[at]
         if failed is not None:
             failed = failed | (fail[at] & taken)
-        if own is not None:
-            took = np.where(taken, took[at], 0.0)
-            total = total + took
-            slowest = np.maximum(slowest, took)
     for shadow in pos.shadows:
         if shadow.gate is None or id(shadow.gate) in admitted:
             table = _table(shadow, block, combo)[0][table]
-    if own is not None:
-        own = own + (slowest if pos.parallel else total)
-    return table, failed, own
+    return table, failed
 
 
 def _site_table(pos: _Position, block: _Block, combo) -> tuple:
     """:func:`_table` of a whole call site: under its call policy, attempt
     k + 1 runs from where attempt k ended (after a jitter draw) for the
-    offsets whose attempt k failed, by error or timeout, and the elapsed
-    time grows as ``ResilienceLayer.call_with_policy`` grows it.  Every
-    attempt of a row draws as attempt 0 would from the same offset, so
-    one table serves them all."""
-    end, failed, took = _table(pos, block, combo)
+    offsets whose attempt k failed.  Every attempt of a row draws as
+    attempt 0 would from the same offset, so one table serves them all."""
+    end, failed = _table(pos, block, combo)
     policy = pos.policy
     if policy is None:
-        return end, failed, took
-    if policy.timeout_ms is not None:
-        failed = failed | (took > policy.timeout_ms)
-        took = np.minimum(took, policy.timeout_ms)
-    table, lost, elapsed = end, failed, took
-    for n in range(1, policy.max_retries + 1):
+        return end, failed
+    table, lost = end, failed
+    for _ in range(policy.max_retries):
         at = block.step[table] if policy.jitter_ms > 0 else table
-        if elapsed is not None:
-            backoff = policy.backoff_ms(n)
-            if policy.jitter_ms > 0:
-                backoff = backoff + (0.0 + policy.jitter_ms * block.u[table])
-            elapsed = np.where(lost, elapsed + backoff + took[at], elapsed)
         table = np.where(lost, end[at], table)
         lost = lost & failed[at]
-    if policy.fallback:
-        if elapsed is not None:
-            elapsed = np.where(lost, elapsed + policy.fallback_latency_ms, elapsed)
-        lost = np.zeros_like(lost)
-    return table, lost, elapsed
+    return table, np.zeros_like(lost) if policy.fallback else lost
 
 
 def _chain(steps, over: int) -> list:
@@ -765,14 +736,8 @@ class RequestKernel:
             if not route.variants:
                 continue
             rec = self._route_rec(service, route)
-            assigner, variants = rec[1], rec[2]
-            # Users outside the audience take the stable version, last.
-            picks = np.full(len(distinct), len(variants))
-            kept = self._audience(rec, distinct)
-            chosen = distinct[kept]
-            if len(chosen):
-                picks[kept] = assigner.assign_many(chosen, variants)
-            rec[6] = (distinct, picks, (*(v.version for v in variants), rec[4]))
+            picks = self._picks(rec, distinct, True)
+            rec[6] = (distinct, picks, (*(v.version for v in rec[2]), rec[4]))
 
     def _certain_services(self, entry: str) -> set[str]:
         """Services every request entering at *entry* traverses for sure.
@@ -889,13 +854,13 @@ class RequestKernel:
         express the slice and the general hop runs it: a latency model
         without a recipe, a cycle, a load deque shared by two positions
         where one reads the load, a call site whose versions differ in
-        their calls or their draw kinds, a timeout over a load-reading
-        position, or, for column subscribers, retries of the entry call
-        (their spans form no one-root trace)."""
+        their calls or their draw kinds, a call policy with a timeout, or
+        retries of the entry call (the general hop gives each attempt's
+        span no parent, so no one-root trace holds them)."""
         positions: list = []
         plan = (positions, [], {})
         root = self._position(*_split_entry(entry), True, (), plan)
-        if root is None or (self._folds and root.attempts):
+        if root is None or root.attempts:
             return None
         for count, reads in plan[2].values():
             if count > 1 and reads:
@@ -904,20 +869,21 @@ class RequestKernel:
 
     def _position(
         self, service: str, endpoint: str, certain: bool, path, plan, forced=None,
-        replay=False, judged=False, timed=False, retry=False,
+        replay=False, judged=False, retry=False,
     ):
         """One call site (a duplicate forced to version *forced*, a retry
         attempt when *retry*) and its subtree; *path* holds one call site
         per level of depth.  As in :meth:`_dispatch`, no policy applies
         under a shadow *replay*; below a policy every position is
-        *judged*, and *timed* under a timeout."""
+        *judged*."""
         positions, finished, deques = plan
         if len(path) > _MAX_CALL_DEPTH or (forced is None and (service, endpoint) in path):
             return None
         replay = replay or forced is not None
         policy = None if replay or retry else self._resilience.policy_for(service, endpoint)
+        if policy is not None and policy.timeout_ms is not None:
+            return None
         judged = judged or policy is not None
-        timed = timed or (policy is not None and policy.timeout_ms is not None)
         router = self._router
         route = router.active_route(service) if router is not None else None
         try:
@@ -943,7 +909,6 @@ class RequestKernel:
             or len(kinds) > 1
             or len(calls) > 1
             or len({bool(spec.parallel_calls) for spec in specs}) > 1
-            or (timed and any(op == "load" for recipe in recipes for op, _ in recipe[3]))
         ):
             return None
         for version, recipe in zip(versions, recipes):
@@ -954,10 +919,9 @@ class RequestKernel:
         pos.key, pos.rec, pos.versions, pos.kind = (service, endpoint), rec, versions, kinds.pop()
         pos.codes = {version: code for code, version in enumerate(versions)}
         pos.rates = tuple(spec.error_rate for spec in specs)
-        pos.recipes = tuple(recipes)
         pos.certain, pos.parallel = certain, bool(specs[0].parallel_calls)
         pos.proxy = 0.0 if rec is None else self._proxy_ms
-        pos.policy, pos.judged, pos.timed = policy, judged, timed
+        pos.policy, pos.judged = policy, judged
         pos.gate = None
         pos.pre = len(positions)
         positions.append(pos)
@@ -966,7 +930,7 @@ class RequestKernel:
         for probability, child_service, child_endpoint in calls.pop():
             child = self._position(
                 child_service, child_endpoint, certain and probability >= 1.0, below,
-                plan, replay=replay, judged=judged, timed=timed,
+                plan, replay=replay, judged=judged,
             )
             if child is None:
                 return None
@@ -995,7 +959,7 @@ class RequestKernel:
         attempts = []
         for _ in range(policy.max_retries if policy is not None else 0):
             again = self._position(
-                service, endpoint, False, path, plan, judged=True, timed=timed, retry=True
+                service, endpoint, False, path, plan, judged=True, retry=True
             )
             if again is None:
                 return None
@@ -1010,41 +974,40 @@ class RequestKernel:
         picks but recorded nowhere but ``rec[7]`` (:meth:`_record` records
         the committed rows that reached the position)."""
         rec = pos.rec
+        codes = [pos.codes[v.version] for v in rec[2]] + [pos.codes[rec[4]]]
         if rec[6] is not None:
-            distinct, picks, versions = rec[6]
+            distinct, picks, _ = rec[6]
             at = np.minimum(np.searchsorted(distinct, users), len(distinct) - 1)
             if np.array_equal(distinct[at], users):
-                return np.array([pos.codes[v] for v in versions])[picks[at]]
+                return np.array(codes)[picks[at]]
         memo, peeked = rec[0], rec[7]
-        versions = [memo.get(u) or peeked.get(u) for u in users.tolist()]
-        if None in versions:
-            missing = [i for i, version in enumerate(versions) if version is None]
-            unseen = users[missing]
-            picked = self._versions(rec, unseen)
-            peeked.update(zip(unseen.tolist(), picked))
-            for i, version in zip(missing, picked):
-                versions[i] = version
-        return np.fromiter(map(pos.codes.__getitem__, versions), np.intp, len(users))
+        unseen = [u for u in dict.fromkeys(users.tolist()) if u not in memo and u not in peeked]
+        if unseen:
+            unseen = np.array(unseen, np.int64)
+            peeked.update(zip(unseen.tolist(), self._picks(rec, unseen, False).tolist()))
+        return np.fromiter(
+            (pos.codes[memo[u]] if u in memo else codes[peeked[u]] for u in users.tolist()),
+            np.intp,
+            len(users),
+        )
 
-    def _versions(self, rec, users: np.ndarray) -> list:
-        """The version :meth:`_assign` gives each user at *rec*'s service,
-        recording nothing."""
-        versions = [rec[4]] * len(users)
-        kept = self._audience(rec, users) if rec[2] else ()
-        if kept:
-            names = [variant.version for variant in rec[2]]
-            for i, code in zip(kept, rec[1].pick_many(users[kept], rec[2]).tolist()):
-                versions[i] = names[code]
-        return versions
-
-    def _audience(self, rec, users) -> list:
-        """The indices of the *users* in the route's audience."""
-        if rec[3] is None and rec[5] is None:
-            return list(range(len(users)))
-        group_codes = self._group_codes
-        return [
-            i for i, u in enumerate(users.tolist()) if self._matches(rec, u, group_codes[u])
-        ]
+    def _picks(self, rec, users: np.ndarray, record: bool) -> np.ndarray:
+        """Each user's version at *rec*'s service as :meth:`_assign` gives
+        it, as an index into ``(*variants, stable)``: a variant for the
+        users in the route's audience (recorded in the assigner if
+        *record*), the stable version for the rest."""
+        picks = np.full(len(users), len(rec[2]))
+        if not rec[2]:
+            return picks
+        kept = slice(None)
+        if rec[3] is not None or rec[5] is not None:
+            group_codes = self._group_codes
+            kept = np.array([self._matches(rec, u, group_codes[u]) for u in users.tolist()], bool)
+        chosen = users[kept]
+        if len(chosen):
+            pick = rec[1].assign_many if record else rec[1].pick_many
+            picks[kept] = pick(chosen, rec[2])
+        return picks
 
     def _run_columns(self, positions: list, batch: "RequestBatch", lo: int, hi: int, now: float):
         """Rows [lo, hi) as columns, a sub-block at a time: one bulk draw,
@@ -1175,35 +1138,32 @@ class RequestKernel:
 
     def _record(self, reached: list, users: np.ndarray) -> None:
         """Memo the users new to a route record among the committed rows
-        that reached one of its positions, and record them in its
-        assigner (as :meth:`_assign` would have, row by row)."""
+        that reached one of its positions, and record those in its
+        audience in its assigner (as :meth:`_assign` would have, row by
+        row), taking their picks out of ``rec[7]``."""
         by_rec: dict = {}
         for rec, rows in reached:
             by_rec.setdefault(id(rec), (rec, []))[1].append(users[rows])
         for rec, parts in by_rec.values():
-            memo = rec[0]
-            fresh = np.array(
-                [u for u in dict.fromkeys(np.concatenate(parts).tolist()) if u not in memo],
-                np.int64,
-            )
-            if not len(fresh):
+            memo, peeked = rec[0], rec[7]
+            fresh = [u for u in dict.fromkeys(np.concatenate(parts).tolist()) if u not in memo]
+            if not fresh:
                 continue
-            versions = list(map(rec[7].__getitem__, fresh.tolist()))
-            memo.update(zip(fresh.tolist(), versions))
-            kept = self._audience(rec, fresh) if rec[2] else ()
-            if kept:
-                names = tuple(variant.version for variant in rec[2])
-                picks = [names.index(versions[i]) for i in kept]
-                rec[1].record_many(fresh[kept], np.array(picks, np.intp), names)
+            picks = np.array([peeked.pop(u) for u in fresh], np.intp)
+            names = (*(v.version for v in rec[2]), rec[4])
+            memo.update(zip(fresh, map(names.__getitem__, picks.tolist())))
+            kept = picks < len(rec[2])
+            if kept.any():
+                rec[1].record_many(np.array(fresh, np.int64)[kept], picks[kept], names[:-1])
 
     def _site(self, pos: _Position, rows, start, offsets, block: _Block, ctx):
         """:meth:`_hop` for a whole call site: under its call policy, the
-        retry attempts of the rows whose attempt failed, by error or
-        timeout, timed and charged with ``call_with_policy``'s float
-        operations; the durations returned are its elapsed times.  Its
-        events wait in *ctx* for the commit."""
+        retry attempts of the rows whose attempt failed, timed and charged
+        with ``call_with_policy``'s float operations; the durations
+        returned are its elapsed times.  Its events wait in *ctx* for the
+        commit."""
         # Imported here: microservices imports this module at module level.
-        from repro.microservices.resilience import FALLBACK, RETRY, TIMEOUT, ResilienceEvent
+        from repro.microservices.resilience import FALLBACK, RETRY, ResilienceEvent
 
         duration, error, after = self._hop(pos, rows, start, offsets, block, ctx)
         policy = pos.policy
@@ -1223,23 +1183,14 @@ class RequestKernel:
                 for row, t, v, d in zip(rows[at].tolist(), times.tolist(), versions, details)
             )
 
-        timeout = policy.timeout_ms
         elapsed = np.zeros(len(rows))
         at = np.arange(len(rows))  # the rows still trying
-        attempt, begin = pos, start
         for n, attempt in enumerate((pos, *pos.attempts)):
             if n:
                 begin = start[at] + elapsed[at] / 1000.0
                 duration, error, after[at] = self._hop(
                     attempt, rows[at], begin, after[at], block, ctx
                 )
-            if timeout is not None:
-                late = duration > timeout
-                if late.any():
-                    details = [f"{d:.1f}ms > {timeout:.1f}ms" for d in duration[late].tolist()]
-                    note(attempt, 0, TIMEOUT, n, at[late], begin[late], details)
-                    error = error | late
-                    duration = np.where(late, timeout, duration)
             elapsed[at] += duration
             at = at[error]
             if n == policy.max_retries or not len(at):
@@ -1250,13 +1201,13 @@ class RequestKernel:
                 after[at] += 1
             elapsed[at] += backoff
             details = [f"backoff={b:.1f}ms" for b in np.broadcast_to(backoff, len(at)).tolist()]
-            note(attempt, 1, RETRY, n + 1, at, start[at] + elapsed[at] / 1000.0, details)
+            note(attempt, 0, RETRY, n + 1, at, start[at] + elapsed[at] / 1000.0, details)
         failed = np.zeros(len(rows), bool)
         if not policy.fallback:
             failed[at] = True
         elif len(at):
             elapsed[at] += policy.fallback_latency_ms
-            note(attempt, 2, FALLBACK, n, at, start[at] + elapsed[at] / 1000.0, repeat(""))
+            note(attempt, 1, FALLBACK, n, at, start[at] + elapsed[at] / 1000.0, repeat(""))
         return elapsed, failed, after
 
     def _hop(self, pos: _Position, rows, start, offsets, block: _Block, ctx):

@@ -156,7 +156,7 @@ class Hostile:
     """What makes a run hostile; the default is a clean run."""
 
     shadow: str | None = None  # None | "all" | a user-group name
-    policy: str | None = None  # None | "retry" | "timeout" | "fallback"
+    policy: str | None = None  # None or a key of POLICIES
     breaker: bool = False
     partition: bool = False
     faults: bool = False
@@ -176,6 +176,11 @@ POLICIES = {
     "fallback": (
         CallPolicy(max_retries=1, fallback=True, fallback_latency_ms=2.0),
         None,
+        None,
+    ),
+    "catalog_fallback": (
+        CallPolicy(max_retries=1, fallback=True, fallback_latency_ms=2.0),
+        "catalog",
         None,
     ),
 }
@@ -528,12 +533,12 @@ class TestResilienceColumns:
     """Call policies and breakers on the columnar slice, against
     ``Bifrost.run``, across sub-block sizes: every event, breaker and
     sample, the RNG state, the load deques and the trace-id counter.
-    The ``retry`` and ``timeout`` shapes plan every slice as columns (a
-    timeout over catalog's subtree reads no load); ``fallback``, the
-    default policy, retries ``frontend.index`` too, and its attempts
-    share the load-reading frontend deque, so the plan refuses it."""
+    The ``retry`` and ``catalog_fallback`` shapes plan every slice as
+    columns.  The plan refuses a policy with a timeout, and ``fallback``,
+    the default policy, which retries the entry call ``frontend.index``
+    too."""
 
-    ACCEPTED = {"retry": True, "timeout": True, "fallback": False}
+    ACCEPTED = {"retry": True, "catalog_fallback": True, "timeout": False, "fallback": False}
 
     @settings(max_examples=40, deadline=None)
     @given(

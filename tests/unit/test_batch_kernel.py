@@ -24,6 +24,7 @@ from repro.microservices.faults import (
     LatencySpike,
     NetworkState,
 )
+from repro.microservices.resilience import CallPolicy, ResilienceLayer
 from repro.microservices.service import EndpointSpec, ServiceVersion
 from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
 from repro.simulation.batch import (
@@ -265,6 +266,21 @@ class TestSliceBlockers:
             assert [node[_N_SAMPLE](1.5) for _ in range(5)] == [
                 model.sample(twin.runtime.rng, 1.5) for _ in range(5)
             ]
+
+    def test_the_plan_refuses_timeouts_and_entry_retries(self):
+        """Retries below the entry call are plan positions; a timeout, or
+        retries of the entry call, put the slice on the general hop."""
+        population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
+
+        def planned(policy, entry):
+            resilience = ResilienceLayer()
+            resilience.set_policy(policy, "catalog")
+            bifrost = Bifrost(build_app(0.0, 1.0, False), seed=1, resilience=resilience)
+            return RequestKernel(bifrost.runtime, population)._plan(entry) is not None
+
+        assert planned(CallPolicy(max_retries=1), "frontend.index")
+        assert not planned(CallPolicy(max_retries=1), "catalog.search")
+        assert not planned(CallPolicy(timeout_ms=50.0), "frontend.index")
 
     def test_collector_subscribers_select_the_span_hop(self):
         """Subscribers make the kernel build and feed every trace; without
