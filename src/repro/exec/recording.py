@@ -31,7 +31,7 @@ from array import array
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, chain, islice
 from operator import eq
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -45,6 +45,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 FORMAT_VERSION = 1
 
+#: Lines ``save`` writes at once, and parsed ``request`` lines ``from_jsonl``
+#: holds for ``add_docs``: few enough to stay under the cyclic GC's trigger.
+_CHUNK = 64
+
+_DECODER = json.JSONDecoder()
+
+#: ``[t,v]`` pairs :func:`run_digest` hashes at once.
+_PAIRS = 1024
+
+#: :class:`RecordedRequests`' columns with one slot per request or span.
+_COLUMNS = (
+    "timestamps", "users", "groups", "entries", "durations", "errors",
+    "span_services", "span_versions", "span_starts", "span_durations", "span_errors",
+)
+
 
 def _runs(items: Iterator, ends: array) -> Iterator[Iterator]:
     """Per row, the run of *items* that ends at its offset in *ends*; each
@@ -53,6 +68,11 @@ def _runs(items: Iterator, ends: array) -> Iterator[Iterator]:
     for end in ends:
         yield islice(items, end - start)
         start = end
+
+
+def _ends(runs: list, start: int) -> Iterator[int]:
+    """The end offset of each run after *start*, by the runs' lengths."""
+    return islice(accumulate(map(len, runs), initial=start), 1, None)
 
 
 @dataclass(frozen=True)
@@ -99,13 +119,18 @@ class RecordedRequests(Sequence):
     It still reads as a sequence of :class:`RecordedRequest` — ``len``,
     index, slice, iteration and ``==`` against any other sequence of them —
     each one materialised on access; bulk readers (:meth:`jsonl_lines`,
-    REPLAY's stretches) walk the columns instead.
+    REPLAY's stretches) walk the columns instead.  Writers fill whole
+    columns too: SIM's recording tap writes each column in one pass, and
+    :meth:`add_docs` converts a chunk of parsed lines a column at a time,
+    so neither builds a row per request or span.  :meth:`jsonl_lines`
+    escapes each distinct string once and spells each double once per
+    place it takes in a line.
 
     Byte-compatibility contract: :meth:`jsonl_lines` yields, per request,
     exactly ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
     the format-1 document ``{"type": "request", "t", "user", "group",
     "entry", "headers", "spans": [[service, version, start, duration_ms,
-    error], ...], "duration_ms", "error"}``, and :meth:`add_doc` reads that
+    error], ...], "duration_ms", "error"}``, and :meth:`add_docs` reads that
     document back to the same columns.  Numbers are stored as doubles, so
     an ``int`` timestamp is written ``2.0``.
     """
@@ -126,11 +151,8 @@ class RecordedRequests(Sequence):
         self.span_starts = array("d")
         self.span_durations = array("d")
         self.span_errors = bytearray()
-        for r in requests:
-            self.add(
-                r.timestamp, r.user_id, r.group, r.entry, r.headers, r.spans,
-                r.duration_ms, r.error,
-            )
+        requests = list(requests)
+        self.add_requests(requests, requests, [r.spans for r in requests])
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -172,62 +194,78 @@ class RecordedRequests(Sequence):
             error=bool(self.errors[i]),
         )
 
-    def add(
-        self, timestamp, user_id, group, entry, headers, spans, duration_ms, error
-    ) -> None:
-        """Append one request; *spans* is any iterable of objects with
-        ``service``, ``version``, ``start``, ``duration_ms`` and ``error``
-        (the recording tap passes the trace's own spans)."""
-        self._commit(
-            timestamp, user_id, group, entry, sorted(headers.items()),
-            [(s.service, s.version, s.start, s.duration_ms, s.error) for s in spans],
-            duration_ms, error,
+    def add_requests(self, requests: list, results: list, spans: list) -> None:
+        """Append one request per item of the parallel lists: *requests*
+        give ``timestamp``, ``user_id``, ``group``, ``entry`` and ``headers``,
+        *results* ``duration_ms`` and ``error``, and *spans* an iterable of
+        objects with ``service``, ``version``, ``start``, ``duration_ms`` and
+        ``error`` (SIM's recording tap passes each outcome's trace).  Each
+        column is filled straight from them, one at a time."""
+        flat = [span for request_spans in spans for span in request_spans]
+        self._extend(
+            (sorted(request.headers.items()) if request.headers else () for request in requests),
+            _ends(spans, len(self.span_starts)),
+            (request.timestamp for request in requests),
+            (request.user_id for request in requests),
+            (request.group for request in requests),
+            (request.entry for request in requests),
+            (result.duration_ms for result in results),
+            (bool(result.error) for result in results),
+            (span.service for span in flat),
+            (span.version for span in flat),
+            (span.start for span in flat),
+            (span.duration_ms for span in flat),
+            (bool(span.error) for span in flat),
         )
 
     def add_doc(self, doc: Mapping) -> None:
-        """Append one parsed ``request`` line, all or nothing: a malformed
-        document raises :class:`ValidationError` and appends to no column."""
+        """Append one parsed ``request`` line (see :meth:`add_docs`)."""
+        self.add_docs([doc])
+
+    def add_docs(self, docs: list[Mapping]) -> None:
+        """Append parsed ``request`` lines, all or nothing: a malformed
+        document raises :class:`ValidationError` and appends to no column.
+        Spans are read a field at a time, by a strict ``zip`` over them."""
         try:
-            row = (
-                float(doc["t"]),
-                str(doc["user"]),
-                str(doc["group"]),
-                str(doc["entry"]),
-                sorted((str(k), str(v)) for k, v in doc.get("headers", {}).items()),
+            spans = [doc.get("spans", ()) for doc in docs]
+            flat = list(chain.from_iterable(spans))
+            services, versions, starts, lengths, failed = (
+                zip(*flat, strict=True) if flat else ((),) * 5
+            )
+            columns = (
                 [
-                    (str(service), str(version), float(start), float(ms), bool(error))
-                    for service, version, start, ms, error in doc.get("spans", ())
+                    sorted((str(k), str(v)) for k, v in items) if items else ()
+                    for items in [doc.get("headers", {}).items() for doc in docs]
                 ],
-                float(doc.get("duration_ms", 0.0)),
-                bool(doc.get("error", False)),
+                list(_ends(spans, len(self.span_starts))),
+                [float(doc["t"]) for doc in docs],
+                [str(doc["user"]) for doc in docs],
+                [str(doc["group"]) for doc in docs],
+                [str(doc["entry"]) for doc in docs],
+                [float(doc.get("duration_ms", 0.0)) for doc in docs],
+                [bool(doc.get("error", False)) for doc in docs],
+                list(map(str, services)),
+                list(map(str, versions)),
+                list(map(float, starts)),
+                list(map(float, lengths)),
+                list(map(bool, failed)),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed recorded request: {exc}") from exc
-        self._commit(*row)
+        self._extend(*columns)
 
-    def _commit(
-        self, timestamp, user_id, group, entry, headers, spans, duration_ms, error
-    ) -> None:
-        """The one column writer; *headers* are (key, value) rows sorted by
-        key, *spans* (service, version, start, duration_ms, error) rows."""
-        for key, value in headers:
-            self.header_keys.append(key)
-            self.header_values.append(value)
-        if spans:
-            services, versions, starts, durations, errors = zip(*spans)
-            self.span_services.extend(services)
-            self.span_versions.extend(versions)
-            self.span_starts.extend(starts)
-            self.span_durations.extend(durations)
-            self.span_errors.extend(map(bool, errors))
-        self.timestamps.append(timestamp)
-        self.users.append(user_id)
-        self.groups.append(group)
-        self.entries.append(entry)
-        self.durations.append(duration_ms)
-        self.errors.append(bool(error))
-        self.header_ends.append(len(self.header_keys))
-        self.span_ends.append(len(self.span_starts))
+    def _extend(self, headers, span_ends, *columns) -> None:
+        """The one column writer, a column at a time: per request a sorted
+        list of (key, value) *headers* and its span end offset, then the new
+        values of each of :data:`_COLUMNS`, in order."""
+        for rows in headers:
+            for key, value in rows:
+                self.header_keys.append(key)
+                self.header_values.append(value)
+            self.header_ends.append(len(self.header_keys))
+        self.span_ends.extend(span_ends)
+        for name, values in zip(_COLUMNS, columns, strict=True):
+            getattr(self, name).extend(values)
 
     def jsonl_lines(self) -> Iterator[str]:
         """One canonical ``request`` line per request, off the columns."""
@@ -261,6 +299,22 @@ class RecordedRequests(Sequence):
         )
 
 
+def _samples(times: list[str], values: array) -> Iterator[str]:
+    """A series' ``[t,v]`` pairs as text, a block of pairs per piece (a
+    piece per series would hold the whole series' text twice over), given
+    its times spelled; a value column of one double (by its bytes) is
+    spelled once and joined in."""
+    one = values.tobytes() == values[:1].tobytes() * len(values)
+    value = "," + next(floats(values[:1]), "")
+    for lo in range(0, len(times), _PAIRS):
+        block = times[lo : lo + _PAIRS]
+        if one:
+            text = f"{value}],[".join(block) + value
+        else:
+            text = "],[".join(map(",".join, zip(block, floats(values[lo : lo + _PAIRS]))))
+        yield f"{',' if lo else ''}[{text}]"
+
+
 def run_digest(
     store: "MetricStore", executions: Iterable["StrategyExecution"]
 ) -> str:
@@ -276,24 +330,33 @@ def run_digest(
     ``sha256(json.dumps({"store": store.snapshot(), "strategies": [...]},
     sort_keys=True, separators=(",", ":")))``, and every recording on disk
     and every golden digest in the tests holds it to that.  The bytes are
-    streamed into the hash instead of being built: one piece per series,
-    written straight off its columns, so neither ``snapshot()``'s list per
-    sample nor the whole JSON text ever exists.
+    streamed into the hash instead of being built, a block of samples at a
+    time, written straight off the columns, so neither ``snapshot()``'s
+    list per sample nor a series' JSON text ever exists.
+
+    Spelling doubles (``repr``) is the cost, so each is spelled as few
+    times as the text allows.  A ``(service, version)``'s keys are adjacent
+    and its ``error`` and ``throughput`` hold ``response_time``'s times:
+    each distinct time column of a ``(service, version)`` is spelled once,
+    reused by every series whose times are the same *bytes* (``==`` takes
+    ``-0.0`` for ``0.0``).  A value column of one double is spelled once.
     """
     sha = hashlib.sha256()
     sha.update(b'{"store":{"series":[')
+    owner, spelled = None, {}
     for index, key in enumerate(store.keys()):
-        series = store.series(key.service, key.version, key.metric)
-        samples = ",".join(
-            map("[%s,%s]".__mod__, zip(floats(series.timestamps), floats(series.values)))
-        )
-        sha.update(
-            (
-                f'{"," if index else ""}{{"metric":{quote(key.metric)},'
-                f'"samples":[{samples}],"service":{quote(key.service)},'
-                f'"version":{quote(key.version)}}}'
-            ).encode("ascii")
-        )
+        times, values = store.series(key.service, key.version, key.metric).columns
+        if owner != (key.service, key.version):
+            owner, spelled = (key.service, key.version), {}
+        raw = times.tobytes()
+        if raw not in spelled:
+            spelled[raw] = list(floats(times))
+        head = f'{"," if index else ""}{{"metric":{quote(key.metric)},"samples":['
+        sha.update(head.encode("ascii"))
+        for piece in _samples(spelled[raw], values):
+            sha.update(piece.encode("ascii"))
+        tail = f'],"service":{quote(key.service)},"version":{quote(key.version)}}}'
+        sha.update(tail.encode("ascii"))
     sha.update(b']},"strategies":')
     strategies = [
         {
@@ -390,17 +453,20 @@ class Recording:
         )
 
     def save(self, target: str | IO[str]) -> int:
-        """Write the recording as JSONL, line by line; returns the line count."""
+        """Write the recording as JSONL, a chunk of lines per write; returns
+        the line count."""
         opened = (
             open(target, "w", encoding="utf-8")
             if isinstance(target, str)
             else nullcontext(target)
         )
         count = 0
+        lines = self.jsonl_lines()
         with opened as handle:
-            for line in self.jsonl_lines():
-                handle.write(line + "\n")
-                count += 1
+            while chunk := list(islice(lines, _CHUNK)):
+                chunk.append("")
+                handle.write("\n".join(chunk))
+                count += len(chunk) - 1
         return count
 
     @classmethod
@@ -415,6 +481,7 @@ class Recording:
         meta: dict | None = None
         events: list[Event] = []
         requests = RecordedRequests()
+        pending: list[dict] = []
         digest = ""
         outcomes: dict[str, str] = {}
         for line in lines:
@@ -422,7 +489,10 @@ class Recording:
             if not line:
                 continue
             try:
-                doc = json.loads(line)
+                # json.loads on a stripped line, without its per-call checks.
+                doc, end = _DECODER.raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"undecodable recording line: {exc}") from exc
             kind = doc.get("type")
@@ -437,12 +507,16 @@ class Recording:
             elif kind == "event":
                 events.append(event_from_dict(doc))
             elif kind == "request":
-                requests.add_doc(doc)
+                pending.append(doc)
+                if len(pending) == _CHUNK:
+                    requests.add_docs(pending)
+                    pending.clear()
             elif kind == "digest":
                 digest = str(doc.get("value", ""))
                 outcomes = {str(k): str(v) for k, v in doc.get("outcomes", {}).items()}
             else:
                 raise ValidationError(f"unknown recording line type: {kind!r}")
+        requests.add_docs(pending)
         if meta is None:
             raise ValidationError("recording is missing its meta line")
         try:

@@ -115,13 +115,11 @@ class SimBackend:
             from repro.bifrost.model import strategy_to_dict
 
             requests = RecordedRequests()
-            for outcome in outcomes:
-                request = outcome.request
-                requests.add(
-                    request.timestamp, request.user_id, request.group,
-                    request.entry, request.headers, outcome.trace,
-                    outcome.duration_ms, outcome.error,
-                )
+            requests.add_requests(
+                [outcome.request for outcome in outcomes],
+                outcomes,
+                [outcome.trace for outcome in outcomes],
+            )
             recording = Recording(
                 strategy_doc=strategy_to_dict(strategy),
                 strategy_dsl=strategy_to_dsl(strategy),

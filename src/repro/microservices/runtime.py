@@ -202,10 +202,12 @@ class Runtime:
             self.clock.advance_to(request.timestamp)
         compiled = kernel or RequestKernel(self)
         trace_id, spans, duration, error = compiled.execute_request(request, self.clock.now)
-        self.collector.record_all(spans)
+        trace = self.collector.record_trace(trace_id, spans)
+        if trace is None:  # not one tree of exactly these spans: Trace checks, raises
+            trace = Trace(trace_id, spans)
         # A request that raised mid-tree never gets here: no samples.
         compiled.samples.add_spans(spans)
         if kernel is None:
             compiled.flush()
         self.requests_executed += 1
-        return RequestOutcome(request, Trace(trace_id, spans), duration, error)
+        return RequestOutcome(request, trace, duration, error)

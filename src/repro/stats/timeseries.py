@@ -124,6 +124,11 @@ class TimeSeries:
         """All values, ordered by timestamp (copy)."""
         return self._values.tolist()
 
+    @property
+    def columns(self) -> tuple[array, array]:
+        """The timestamp and value columns themselves (no copy: read only)."""
+        return self._times, self._values
+
     def window(self, start: float, end: float) -> list[float]:
         """Values in the **half-open** window ``start <= timestamp < end``.
 

@@ -163,20 +163,23 @@ class TraceCollector:
         for trace_id in touched:
             self._notify_complete(trace_id)
 
-    def record_trace(self, trace_id: str, spans: list[Span]) -> None:
+    def record_trace(self, trace_id: str, spans: list[Span]) -> Trace | None:
         """Bulk-ingest spans known to belong to one trace.
 
         Equivalent to :meth:`record_all` on the same spans (same eviction,
         tombstone, and notification behavior) but skips the per-span
-        trace-id grouping — the batch execution kernel emits whole traces
-        at once, so the grouping is already known.
+        trace-id grouping — the request kernel emits whole traces at
+        once, so the grouping is already known.  Returns the trace when
+        the bucket holds exactly *spans* and they form one tree (the
+        assembly state already checked it; subscribers get the same
+        object), else None.
         """
         if trace_id in self._tombstones:
             for _ in spans:
                 self.late_spans_dropped.increment()
-            return
+            return None
         if not spans:
-            return
+            return None
         bucket = self._spans_by_trace.setdefault(trace_id, [])
         state = self._assembly.setdefault(trace_id, _BucketState())
         bucket.extend(spans)
@@ -186,8 +189,14 @@ class TraceCollector:
             oldest = next(iter(self._spans_by_trace))
             self._evict(oldest)
             if oldest == trace_id:
-                return
-        self._notify_complete(trace_id)
+                return None
+        own = len(bucket) == len(spans)
+        if not (own or self._complete_subscribers) or not state.assemblable:
+            return None
+        trace = Trace.assembled(trace_id, bucket)
+        for subscriber in self._complete_subscribers:
+            subscriber(trace)
+        return trace if own else None
 
     def _ingest(self, span: Span) -> None:
         if span.trace_id in self._tombstones:

@@ -158,6 +158,56 @@ def reference_record_outcome(outcome) -> RecordedRequest:
     )
 
 
+def reference_add(
+    self, timestamp, user_id, group, entry, headers, spans, duration_ms, error
+) -> None:
+    """``RecordedRequests.add`` as it was: a tuple per span, zipped back."""
+    reference_commit(
+        self, timestamp, user_id, group, entry, sorted(headers.items()),
+        [(s.service, s.version, s.start, s.duration_ms, s.error) for s in spans],
+        duration_ms, error,
+    )
+
+
+def reference_commit(
+    self, timestamp, user_id, group, entry, headers, spans, duration_ms, error
+) -> None:
+    """``RecordedRequests._commit`` as it was: the one column writer."""
+    for key, value in headers:
+        self.header_keys.append(key)
+        self.header_values.append(value)
+    if spans:
+        services, versions, starts, durations, errors = zip(*spans)
+        self.span_services.extend(services)
+        self.span_versions.extend(versions)
+        self.span_starts.extend(starts)
+        self.span_durations.extend(durations)
+        self.span_errors.extend(map(bool, errors))
+    self.timestamps.append(timestamp)
+    self.users.append(user_id)
+    self.groups.append(group)
+    self.entries.append(entry)
+    self.durations.append(duration_ms)
+    self.errors.append(bool(error))
+    self.header_ends.append(len(self.header_keys))
+    self.span_ends.append(len(self.span_starts))
+
+
+def reference_tap(outcomes) -> RecordedRequests:
+    """``SimBackend.execute``'s recording tap as it was: it walked each
+    outcome's trace through ``RecordedRequests.add``."""
+    requests = RecordedRequests()
+    for outcome in outcomes:
+        request = outcome.request
+        reference_add(
+            requests,
+            request.timestamp, request.user_id, request.group,
+            request.entry, request.headers, outcome.trace,
+            outcome.duration_ms, outcome.error,
+        )
+    return requests
+
+
 def reference_request_line(request: RecordedRequest) -> str:
     """One ``request`` line as ``Recording.jsonl_lines`` dumped it."""
     return json.dumps(request_as_dict(request), sort_keys=True, separators=(",", ":"))
@@ -221,6 +271,43 @@ def metric_stores(draw):
             store.extend_columns(service, version, metric, [], [])  # empty series
         for timestamp, value in samples:
             store.record(service, version, metric, timestamp, value)
+    return store
+
+
+@st.composite
+def span_stores(draw):
+    """Stores shaped like a run's: ``error`` and ``response_time`` landed
+    through ``SpanSampleBuffer`` (so they share a time column) over 1-3
+    flushes, ``resilience.*`` series at other times under the same keys, a
+    key whose ``error`` times equal its ``response_time`` times under ``==``
+    but not as bytes (a zero of the other sign, maybe a NaN time), and
+    empty series."""
+    store = MetricStore()
+    keys = draw(st.lists(st.tuples(NAMES, NAMES), min_size=1, max_size=4, unique=True))
+    samples = SpanSampleBuffer()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        for service, version in draw(st.lists(st.sampled_from(keys), max_size=10)):
+            samples.add(service, version, draw(TIMES), draw(VALUES), draw(st.booleans()))
+        samples.flush(store)
+    for service, version in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        metric = draw(st.sampled_from(["resilience.retry", "resilience.breaker_open"]))
+        for timestamp in draw(st.lists(TIMES, max_size=4)):
+            store.record(service, version, metric, timestamp, 1.0)
+    if draw(st.booleans()):
+        service, version = draw(st.sampled_from(keys))
+        times = sorted(draw(st.lists(TIMES, max_size=4)) + [0.0, 0.0])
+        if draw(st.booleans()):
+            times.append(math.nan)
+        # 0.0 <-> -0.0 at a drawn subset of the zeros (at least one).
+        flips = draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
+        flips[times.index(0.0)] = True
+        signed = [-t if flip and t == 0 else t for t, flip in zip(times, flips)]
+        durations = [draw(VALUES) for _ in times]
+        store.extend_columns(service + "~", version, "response_time", times, durations)
+        store.extend_columns(service + "~", version, "error", signed, [0.0] * len(times))
+    for service, version in draw(st.lists(st.sampled_from(keys), max_size=2)):
+        metric = draw(st.sampled_from(["error", "resilience.retry", "response_time"]))
+        store.extend_columns(service, version, metric, [], [])  # a no-op if it has samples
     return store
 
 
@@ -314,6 +401,36 @@ class TestStreamedDigestEqualsSnapshotDigest:
         store = MetricStore()
         for i, value in enumerate([math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e16]):
             store.record("svc", "1.0.0", "m", float(i), value)
+        assert run_digest(store, []) == reference_run_digest(store, [])
+
+
+class TestDigestOfSpanShapedStores:
+    """``run_digest`` spells a time column once per ``(service, version)``
+    and reuses it for each series whose times are the same bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(store=span_stores(), runs=executions())
+    def test_digest_bytes_are_the_snapshot_json(self, store, runs):
+        assert run_digest(store, runs) == reference_run_digest(store, runs)
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["zeros", "zeros+nan"])
+    def test_times_equal_under_eq_are_not_reused(self, nan):
+        store = MetricStore()
+        times = [0.0, 1.0, math.nan] if nan else [0.0, 1.0]
+        store.extend_columns("s", "v", "response_time", times, [5.0, 6.0, 7.0][: len(times)])
+        store.extend_columns("s", "v", "error", [-0.0, *times[1:]], [0.0] * len(times))
+        assert store.series("s", "v", "error").timestamps[0] == 0.0  # equal under ==
+        assert run_digest(store, []) == reference_run_digest(store, [])
+
+    def test_shared_times_and_one_double_columns(self):
+        store = MetricStore()
+        samples = SpanSampleBuffer()
+        for i in range(6):
+            samples.add("inventory", "1.0.0", i / 7, 4.0, False)  # one double each
+            samples.add("catalog", "1.0.0", i / 3, 10.0 + i, i == 2)
+        samples.flush(store)
+        store.record("catalog", "1.0.0", "resilience.retry", 0.5, 1.0)
+        store.extend_columns("catalog", "2.0.0", "error", [], [])
         assert run_digest(store, []) == reference_run_digest(store, [])
 
 
@@ -428,12 +545,15 @@ class TestMalformedLineLeavesColumnsUntouched:
 
 
 def record(kind: str, canary_error: float, seed: int, workload: str):
+    """A SIM run recorded under *kind*: ``clean``, ``shadow`` (every user
+    shadowed), a ``POLICIES`` name, or ``<policy>+shadow``."""
+    policy, _, shadowed = kind.partition("+")
     shadow, sim_kwargs = None, {}
-    if kind == "shadow":
+    if "shadow" in (policy, shadowed):
         shadow = "all"
-    elif kind == "retry":
+    if policy in POLICIES:
         resilience = ResilienceLayer()
-        resilience.set_policy(*POLICIES["retry"])
+        resilience.set_policy(*POLICIES[policy])
         sim_kwargs["resilience"] = resilience
 
     def factory():
@@ -487,6 +607,29 @@ class TestReplayOverColumnsEqualsPerObjectLoop:
             # which are not span samples and so are not in a recording:
             # its replay never was digest-equal to it, on either chain.
             assert replayed.digest == recording.digest
+
+
+class TestTapEqualsTraceWalkingTap:
+    """The tap writes the recording's columns straight off the outcomes;
+    the trace-walking tap (``reference_tap``) is its oracle, on every call
+    policy with and without a shadow route, so retry attempts, fallbacks,
+    timeouts and dark-launch duplicates all pass through it."""
+
+    @pytest.mark.parametrize("shadow", ["", "+shadow"], ids=["primary", "shadow"])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_columns_and_lines_equal_the_old_tap(self, policy, shadow):
+        _, report = record(policy + shadow, 0.4, 11, "poisson")
+        outcomes = report.details.outcomes
+        tapped, reference = report.recording.requests, reference_tap(outcomes)
+        assert {name: repr(column) for name, column in vars(tapped).items()} == {
+            name: repr(column) for name, column in vars(reference).items()
+        }
+        assert list(tapped.jsonl_lines()) == list(reference.jsonl_lines())
+        tags = [span.tags for outcome in outcomes for span in outcome.trace]
+        assert len(tapped.span_services) == len(tags) > len(outcomes)
+        assert any("shadow" in t for t in tags) == bool(shadow)
+        if policy in ("retry", "timeout"):
+            assert any("retry_attempt" in t for t in tags)
 
 
 # -- (e) nothing per-request is built on the bulk path -------------------------

@@ -312,6 +312,88 @@ class TestValidateOnce:
             collector.traces(strict=True)
 
 
+class TestRecordTraceEqualsRecordAll:
+    """``Runtime.execute`` hands a request's spans to ``record_trace`` and
+    keeps the trace it returns, building ``Trace(...)`` only when it gets
+    None; it used to call ``record_all`` and then ``Trace(...)``.  Both must
+    leave the collector, its notifications, its drop count and the
+    request's trace (or the error it raises) the same."""
+
+    # (trace id, spans) in the order a runtime would hand them over.
+    STEPS = [
+        ("t1", [make_span("r", "t1"), make_span("a", "t1", parent_id="r", start=0.1)]),
+        ("t2", [make_span("r1", "t2"), make_span("r2", "t2")]),  # two roots
+        ("t3", [make_span("r", "t3"), make_span("b", "t3", parent_id="r")]),  # evicts t1
+        ("t1", [make_span("r", "t1")]),  # tombstoned id: dropped
+        ("t4", [make_span("r", "t4"), make_span("r", "t4", parent_id="r")]),  # duplicate
+        ("t5", [make_span("r", "t5")]),
+        ("t5", [make_span("late", "t5", parent_id="r")]),  # not its own bucket
+        ("t6", [make_span("r", "t6"), make_span("x", "t6", parent_id="ghost")]),
+        ("t7", [make_span("r", "t7"), make_span("c", "t7", parent_id="r"),
+                make_span("d", "t7", parent_id="c")]),
+    ]
+
+    @staticmethod
+    def new_path(collector, trace_id, spans):
+        trace = collector.record_trace(trace_id, spans)
+        return Trace(trace_id, spans) if trace is None else trace
+
+    @staticmethod
+    def old_path(collector, trace_id, spans):
+        collector.record_all(spans)
+        return Trace(trace_id, spans)
+
+    @staticmethod
+    def observe(path, subscribed):
+        collector = TraceCollector(capacity=2)
+        notified, evicted = [], []
+        if subscribed:
+            collector.subscribe(
+                lambda trace: notified.append(
+                    (trace.trace_id, [span.span_id for span, _ in trace.walk()])
+                ),
+                evicted.append,
+            )
+        seen = []
+        for trace_id, spans in TestRecordTraceEqualsRecordAll.STEPS:
+            try:
+                trace = path(collector, trace_id, spans)
+            except ValidationError as exc:
+                outcome = ("raised", str(exc))
+            else:
+                outcome = (trace.trace_id, [(s.span_id, p and p.span_id) for s, p in trace.walk()])
+            state = {
+                trace_id: (vars(bucket).copy(), list(collector._spans_by_trace[trace_id]))
+                for trace_id, bucket in collector._assembly.items()
+            }
+            seen.append(
+                (outcome, state, collector.evicted_ids, collector.late_spans_dropped.value,
+                 list(notified), list(evicted))
+            )
+        return seen
+
+    @pytest.mark.parametrize("subscribed", [True, False], ids=["subscribed", "bare"])
+    def test_same_collector_notifications_drops_and_trace(self, subscribed):
+        new = self.observe(self.new_path, subscribed)
+        assert new == self.observe(self.old_path, subscribed)
+        outcomes = [step[0] for step in new]
+        assert outcomes[1] == ("raised", "trace 't2' must have exactly one root span, found 2")
+        assert outcomes[3] == ("t1", [("r", None)])  # built by Trace(), nothing recorded
+        assert outcomes[6] == ("raised", "trace 't5' must have exactly one root span, found 0")
+        assert new[3][2] == ["t1"] and new[3][3] == 1  # t1 evicted, its late span dropped
+        if subscribed:
+            assert [trace_id for trace_id, _ in new[-1][4]] == ["t1", "t3", "t5", "t5", "t7"]
+
+    def test_the_outcome_trace_is_the_notified_one(self):
+        collector = TraceCollector()
+        notified = []
+        collector.subscribe(notified.append)
+        trace = collector.record_trace("t1", make_trace().spans)
+        assert notified == [trace]
+        assert collector.record_trace("t1", [make_span("z", parent_id="root")]) is None
+        assert len(notified[-1]) == 5
+
+
 class TestQuery:
     @pytest.fixture
     def collector(self) -> TraceCollector:
