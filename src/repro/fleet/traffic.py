@@ -19,6 +19,13 @@ from repro.simulation.rng import SeededRng
 from repro.telemetry.monitor import SpanSampleBuffer
 from repro.telemetry.store import MetricStore
 
+#: The stable version's mean latency; an experimental version scales it.
+BASE_LATENCY_MS = 100.0
+#: Samples per unit of slot volume, and their floor and cap per slot.
+SAMPLES_PER_VOLUME = 0.01
+MIN_SAMPLES = 4
+MAX_SAMPLES = 24
+
 
 class SlotTrafficFeed:
     """Feeds one slot of synthetic samples into an experiment's store."""
@@ -29,20 +36,12 @@ class SlotTrafficFeed:
         seed: int,
         slot_seconds: float,
         base_error: float = 0.02,
-        base_latency_ms: float = 100.0,
-        samples_per_volume: float = 0.01,
-        min_samples: int = 4,
-        max_samples: int = 24,
     ) -> None:
         self.problem = problem
         self.seed = seed
         self._rng = SeededRng(seed)
         self.slot_seconds = float(slot_seconds)
         self.base_error = base_error
-        self.base_latency_ms = base_latency_ms
-        self.samples_per_volume = samples_per_volume
-        self.min_samples = min_samples
-        self.max_samples = max_samples
 
     def sample_count(self, slot: int, fraction: float, groups: tuple[str, ...]) -> int:
         """Samples one slot yields an experiment holding *fraction*."""
@@ -51,8 +50,8 @@ class SlotTrafficFeed:
             return 0
         volume = profile.volume(slot)
         share = self.problem.group_share(groups)
-        raw = volume * share * fraction * self.samples_per_volume
-        return max(self.min_samples, min(self.max_samples, int(raw)))
+        raw = volume * share * fraction * SAMPLES_PER_VOLUME
+        return max(MIN_SAMPLES, min(MAX_SAMPLES, int(raw)))
 
     def feed(
         self,
@@ -79,7 +78,7 @@ class SlotTrafficFeed:
         random = self._rng.fork(f"feed:{name}:{slot}").raw.random
         t0 = slot * self.slot_seconds
         step = self.slot_seconds / count
-        base_error, base_latency = self.base_error, self.base_latency_ms
+        base_error, base_latency = self.base_error, BASE_LATENCY_MS
         exp_error = min(1.0, base_error + error_delta)
         exp_latency = base_latency * latency_factor
         base_sigma, exp_sigma = base_latency * 0.1, exp_latency * 0.1

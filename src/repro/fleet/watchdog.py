@@ -21,10 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import ValidationError
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.topology.streaming import LiveHealthMonitor
+
+
+#: Health scores below these pause admissions and shed running holders.
+PAUSE_BELOW = 0.6
+SHED_BELOW = 0.3
 
 
 @dataclass(frozen=True)
@@ -52,18 +55,9 @@ class FleetWatchdog:
     def __init__(
         self,
         health_of: Callable[[], float | None] | None = None,
-        pause_below: float = 0.6,
-        shed_below: float = 0.3,
         burning_of: Callable[[int], tuple[str, ...]] | None = None,
     ) -> None:
-        if not 0.0 <= shed_below <= pause_below <= 1.0:
-            raise ValidationError(
-                f"need 0 <= shed_below <= pause_below <= 1, got "
-                f"shed_below={shed_below}, pause_below={pause_below}"
-            )
         self.health_of = health_of
-        self.pause_below = pause_below
-        self.shed_below = shed_below
         self.burning_of = burning_of
 
     def assess(self, slot: int) -> WatchdogVerdict:
@@ -82,7 +76,7 @@ class FleetWatchdog:
             )
         return WatchdogVerdict(
             score=score,
-            pause=score < self.pause_below,
-            shed=score < self.shed_below,
+            pause=score < PAUSE_BELOW,
+            shed=score < SHED_BELOW,
             burning=burning,
         )

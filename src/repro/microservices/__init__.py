@@ -9,7 +9,8 @@ through the topology — emitting distributed traces and telemetry exactly
 like an instrumented production system would.
 
 The resilience layer (:mod:`repro.microservices.resilience`) threads
-timeouts, retries, fallbacks, and circuit breakers through every hop;
+retries, fallbacks, and circuit breakers through every call a service
+makes;
 the fault module (:mod:`repro.microservices.faults`) provides both
 static degradations and time-windowed transient fault campaigns.
 """

@@ -6,16 +6,16 @@ that trip circuit breakers and trigger rollbacks.  This module provides
 the self-adaptive failure handling SEAByTE-style artifacts implement in
 the request path:
 
-- :class:`CallPolicy` — per-call timeout, bounded retries with
-  exponential backoff and *seeded* jitter, and an optional fallback
-  response served when every attempt failed (graceful degradation).
+- :class:`CallPolicy` — bounded retries with exponential backoff and
+  *seeded* jitter, and an optional fallback response served when every
+  attempt failed (graceful degradation).
 - :class:`CircuitBreaker` — a per-(service, version) closed → open →
   half-open state machine tripped by the failure rate over a sliding
   window of recent outcomes.
 - :class:`ResilienceLayer` — the registry the
   :class:`~repro.microservices.runtime.Runtime` consults on every hop;
-  it records :class:`ResilienceEvent` occurrences (retries, timeouts,
-  fallbacks, breaker transitions) and forwards them to subscribers such
+  it records :class:`ResilienceEvent` occurrences (retries, fallbacks,
+  breaker transitions) and forwards them to subscribers such
   as the telemetry monitor, so Chapter-5 trace analysis sees them.
 
 Everything is driven by the shared simulated clock and the runtime's
@@ -46,15 +46,17 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+#: Probe calls a half-open breaker admits, and the probe successes that
+#: close it again.
+HALF_OPEN_MAX_CALLS = 3
+HALF_OPEN_SUCCESSES = 2
+
+
 @dataclass(frozen=True)
 class CallPolicy:
-    """Failure-handling policy for calls to one endpoint (or service).
+    """The caller's failure handling for calls to one endpoint (or service).
 
     Attributes:
-        timeout_ms: the caller abandons an attempt that takes longer than
-            this; the abandoned attempt counts as a failure and only
-            ``timeout_ms`` of waiting is charged to the observed
-            duration.  None disables the timeout.
         max_retries: additional attempts after the first failure.
         backoff_base_ms: backoff before the first retry.
         backoff_multiplier: exponential growth factor per further retry.
@@ -64,21 +66,15 @@ class CallPolicy:
             response is served instead of an error (the request succeeds
             from the user's point of view, tagged so telemetry can count
             it).
-        fallback_latency_ms: extra latency charged for producing the
-            fallback response.
     """
 
-    timeout_ms: float | None = None
     max_retries: int = 0
     backoff_base_ms: float = 10.0
     backoff_multiplier: float = 2.0
     jitter_ms: float = 0.0
     fallback: bool = False
-    fallback_latency_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.timeout_ms is not None and self.timeout_ms <= 0:
-            raise ConfigurationError("timeout_ms must be positive when set")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
         if self.backoff_base_ms < 0:
@@ -87,8 +83,6 @@ class CallPolicy:
             raise ConfigurationError("backoff_multiplier must be >= 1")
         if self.jitter_ms < 0:
             raise ConfigurationError("jitter_ms must be >= 0")
-        if self.fallback_latency_ms < 0:
-            raise ConfigurationError("fallback_latency_ms must be >= 0")
 
     def backoff_ms(self, attempt: int) -> float:
         """Deterministic backoff component before retry *attempt* (1-based)."""
@@ -107,17 +101,12 @@ class BreakerConfig:
         window_size: number of recent call outcomes considered.
         min_calls: outcomes required before the rate is meaningful.
         open_seconds: how long the breaker rejects calls before probing.
-        half_open_max_calls: probe calls admitted while half-open.
-        half_open_successes: consecutive probe successes that close the
-            breaker again.
     """
 
     failure_threshold: float = 0.5
     window_size: int = 20
     min_calls: int = 10
     open_seconds: float = 30.0
-    half_open_max_calls: int = 3
-    half_open_successes: int = 2
 
     def __post_init__(self) -> None:
         if not 0.0 < self.failure_threshold <= 1.0:
@@ -128,12 +117,6 @@ class BreakerConfig:
             raise ConfigurationError("min_calls must be >= 1")
         if self.open_seconds <= 0:
             raise ConfigurationError("open_seconds must be > 0")
-        if self.half_open_max_calls < 1:
-            raise ConfigurationError("half_open_max_calls must be >= 1")
-        if not 1 <= self.half_open_successes <= self.half_open_max_calls:
-            raise ConfigurationError(
-                "half_open_successes must be in [1, half_open_max_calls]"
-            )
 
 
 @dataclass(frozen=True)
@@ -155,8 +138,8 @@ class CircuitBreaker:
     reaches ``failure_threshold``, the breaker opens.  Open: calls are
     rejected without reaching the version until ``open_seconds`` of
     simulated time elapsed, then the breaker half-opens.  Half-open: up
-    to ``half_open_max_calls`` probe calls are admitted;
-    ``half_open_successes`` successes close the breaker, any failure
+    to :data:`HALF_OPEN_MAX_CALLS` probe calls are admitted;
+    :data:`HALF_OPEN_SUCCESSES` successes close the breaker, any failure
     reopens it.
     """
 
@@ -200,7 +183,7 @@ class CircuitBreaker:
             self.rejected_calls += 1
             return False
         # HALF_OPEN: admit a bounded number of probes.
-        if self._probes_admitted < self.config.half_open_max_calls:
+        if self._probes_admitted < HALF_OPEN_MAX_CALLS:
             self._probes_admitted += 1
             return True
         self.rejected_calls += 1
@@ -211,7 +194,7 @@ class CircuitBreaker:
         if self.state is BreakerState.HALF_OPEN:
             if success:
                 self._probe_successes += 1
-                if self._probe_successes >= self.config.half_open_successes:
+                if self._probe_successes >= HALF_OPEN_SUCCESSES:
                     self._window.clear()
                     self._failures = 0
                     self._move(now, BreakerState.CLOSED)
@@ -257,7 +240,6 @@ class CircuitBreaker:
 
 #: Event kinds a :class:`ResilienceEvent` may carry.
 RETRY = "retry"
-TIMEOUT = "timeout"
 FALLBACK = "fallback"
 BREAKER_REJECT = "breaker_reject"
 BREAKER_OPEN = "breaker_open"
@@ -437,41 +419,22 @@ class ResilienceLayer:
         """Run one hop under *policy*; returns (observed duration ms, error).
 
         ``attempt(attempt_start, n)`` executes attempt *n* and returns its
-        ``(duration_ms, error, version)``.  The loop applies the timeout
-        and retries failures with exponential backoff plus jitter drawn
-        from *rng* (only when ``jitter_ms > 0``); all attempt durations
-        and backoff pauses are charged to the observed duration.  When
-        every attempt failed and the policy allows it, a fallback
-        response is served instead of an error.  The scalar runtime and
-        the batch kernel both execute policies through this one loop.
+        ``(duration_ms, error, version)``.  The loop retries failures with
+        exponential backoff plus jitter drawn from *rng* (only when
+        ``jitter_ms > 0``); all attempt durations and backoff pauses are
+        charged to the observed duration.  When every attempt failed and
+        the policy allows it, a fallback response is served instead of an
+        error.  The general hop runs this loop; the columnar slice's
+        ``_site`` replays its float operations column-wise, so both give
+        bit-equal durations and the same events.
         """
         elapsed_ms = 0.0
         attempts = policy.max_retries + 1
         version = ""
         for n in range(attempts):
-            attempt_start = start + elapsed_ms / 1000.0
-            duration, error, version = attempt(attempt_start, n)
-            timed_out = (
-                policy.timeout_ms is not None and duration > policy.timeout_ms
-            )
-            if timed_out:
-                # The caller stops waiting at the timeout; the callee's
-                # span keeps its full duration but only the wait charges.
-                elapsed_ms += policy.timeout_ms
-                self.emit(
-                    ResilienceEvent(
-                        TIMEOUT,
-                        attempt_start,
-                        service,
-                        version,
-                        endpoint,
-                        n,
-                        detail=f"{duration:.1f}ms > {policy.timeout_ms:.1f}ms",
-                    )
-                )
-            else:
-                elapsed_ms += duration
-            if not error and not timed_out:
+            duration, error, version = attempt(start + elapsed_ms / 1000.0, n)
+            elapsed_ms += duration
+            if not error:
                 return elapsed_ms, False
             if n + 1 < attempts:
                 backoff = policy.backoff_ms(n + 1)
@@ -490,7 +453,6 @@ class ResilienceLayer:
                     )
                 )
         if policy.fallback:
-            elapsed_ms += policy.fallback_latency_ms
             self.emit(
                 ResilienceEvent(
                     FALLBACK,

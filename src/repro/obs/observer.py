@@ -83,14 +83,11 @@ class Observer:
         self,
         enabled: bool = True,
         event_capacity: int = 65_536,
-        histogram_capacity: int = 4096,
         provenance: bool = True,
     ) -> None:
         self.enabled = enabled
         self.events = EventLog(event_capacity if enabled else 1)
-        self.metrics = MetricRegistry(
-            enabled=enabled, histogram_capacity=histogram_capacity
-        )
+        self.metrics = MetricRegistry(enabled=enabled)
         #: Live decision-provenance fold, fed by the engine and the alert
         #: engine with every event they emit; None when disabled.  Unlike
         #: the ring-buffered event log this never evicts, so the graph

@@ -30,6 +30,8 @@ HISTOGRAM = "histogram"
 
 #: Quantiles a histogram family exposes in :meth:`MetricRegistry.collect`.
 HISTOGRAM_QUANTILES = (50.0, 90.0, 99.0)
+#: Observations each histogram child keeps (a sliding window).
+HISTOGRAM_CAPACITY = 4096
 
 LabelSet = tuple[tuple[str, str], ...]
 
@@ -102,9 +104,8 @@ class MetricRegistry:
     Prometheus-style registry.
     """
 
-    def __init__(self, enabled: bool = True, histogram_capacity: int = 4096) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.histogram_capacity = histogram_capacity
         self._families: dict[str, _Family] = {}
 
     def __len__(self) -> int:
@@ -147,7 +148,7 @@ class MetricRegistry:
             elif kind == GAUGE:
                 child = Gauge(name)
             else:
-                child = Histogram(name, capacity=self.histogram_capacity)
+                child = Histogram(name, capacity=HISTOGRAM_CAPACITY)
             family.children[key] = child
         return child
 

@@ -491,9 +491,13 @@ def _shrink_candidates(spec: ScenarioSpec) -> list[ScenarioSpec]:
     return [c for c in candidates if c is not None]
 
 
+#: Re-checks a shrink may spend before it stops.
+SHRINK_BUDGET = 48
+
+
 def shrink_violation(
     violation: Violation,
-    budget: int = 48,
+    budget: int = SHRINK_BUDGET,
     observer: Observer | None = None,
 ) -> Violation:
     """Greedily minimize *violation*'s spec while it keeps violating.
@@ -567,7 +571,6 @@ class ScenarioFuzzer:
         seed: int = 0,
         archetypes: Sequence[str] | None = None,
         observer: Observer | None = None,
-        shrink_budget: int = 48,
     ) -> None:
         names = tuple(archetypes) if archetypes else tuple(ARCHETYPES_BY_NAME)
         unknown = [n for n in names if n not in ARCHETYPES_BY_NAME]
@@ -578,7 +581,6 @@ class ScenarioFuzzer:
         self.seed = seed
         self.archetypes = tuple(ARCHETYPES_BY_NAME[n] for n in names)
         self.observer = observer or NULL_OBSERVER
-        self.shrink_budget = shrink_budget
         self._rng = SeededRng(seed)
 
     def sample(self, index: int) -> tuple[Archetype, ScenarioSpec]:
@@ -617,11 +619,7 @@ class ScenarioFuzzer:
                         "scenario.violations", invariant=invariant
                     ).increment()
                 if shrink:
-                    violation = shrink_violation(
-                        violation,
-                        budget=self.shrink_budget,
-                        observer=self.observer,
-                    )
+                    violation = shrink_violation(violation, observer=self.observer)
                 report.violations.append(violation)
         self.observer.emit(
             "scenario.fuzz_finished",

@@ -813,7 +813,7 @@ class RequestKernel:
         population = self._population
         group_names = population.group_names
         collector = runtime.collector
-        dispatch = self._dispatch
+        call = self._call
         # A router asked per hop gets the row's Request.
         subjects = (
             map(batch.request, range(lo, hi)) if self._route_per_hop else user_indices
@@ -837,7 +837,7 @@ class RequestKernel:
                 group_names[group_code],
                 population.user_at(user) if spans is not None else None,
             )
-            duration, error = dispatch(edge, None, now, 0, False, None, ctx)
+            duration, error, _ = call(edge, None, None, now, 0, False, None, ctx, 0)
             if spans is not None:
                 collector.record_trace(trace_id, spans)
             append(duration)
@@ -854,13 +854,10 @@ class RequestKernel:
         express the slice and the general hop runs it: a latency model
         without a recipe, a cycle, a load deque shared by two positions
         where one reads the load, a call site whose versions differ in
-        their calls or their draw kinds, a call policy with a timeout, or
-        retries of the entry call (the general hop gives each attempt's
-        span no parent, so no one-root trace holds them)."""
+        their calls or their draw kinds."""
         positions: list = []
         plan = (positions, [], {})
-        root = self._position(*_split_entry(entry), True, (), plan)
-        if root is None or root.attempts:
+        if self._position(*_split_entry(entry), True, (), plan) is None:
             return None
         for count, reads in plan[2].values():
             if count > 1 and reads:
@@ -874,15 +871,16 @@ class RequestKernel:
         """One call site (a duplicate forced to version *forced*, a retry
         attempt when *retry*) and its subtree; *path* holds one call site
         per level of depth.  As in :meth:`_dispatch`, no policy applies
-        under a shadow *replay*; below a policy every position is
-        *judged*."""
+        to the entry call (its caller is the user) or under a shadow
+        *replay*; below a policy every position is *judged*."""
         positions, finished, deques = plan
         if len(path) > _MAX_CALL_DEPTH or (forced is None and (service, endpoint) in path):
             return None
         replay = replay or forced is not None
-        policy = None if replay or retry else self._resilience.policy_for(service, endpoint)
-        if policy is not None and policy.timeout_ms is not None:
-            return None
+        policy = (
+            None if replay or retry or not path
+            else self._resilience.policy_for(service, endpoint)
+        )
         judged = judged or policy is not None
         router = self._router
         route = router.active_route(service) if router is not None else None
@@ -1206,7 +1204,6 @@ class RequestKernel:
         if not policy.fallback:
             failed[at] = True
         elif len(at):
-            elapsed[at] += policy.fallback_latency_ms
             note(attempt, 1, FALLBACK, n, at, start[at] + elapsed[at] / 1000.0, repeat(""))
         return elapsed, failed, after
 
@@ -1355,15 +1352,16 @@ class RequestKernel:
         trace_id = self._runtime.next_trace_id()
         spans: list[Span] = []
         ctx = (request, None, trace_id, spans, request.group, request.user_id)
-        duration, error = self._dispatch(edge, None, start, 0, False, None, ctx)
+        duration, error, _ = self._call(edge, None, None, start, 0, False, None, ctx, 0)
         return trace_id, spans, duration, error
 
     def _dispatch(
         self, edge, caller, start: float, depth: int, shadow: bool, parent_id, ctx
     ):
-        """The general hop under its :class:`CallPolicy` (if any); the
-        attempt loop (timeout, retries with seeded backoff jitter,
-        fallback) is :meth:`ResilienceLayer.call_with_policy`."""
+        """A call from *caller* under its :class:`CallPolicy` (if any); the
+        attempt loop (retries with seeded backoff jitter, fallback) is
+        :meth:`ResilienceLayer.call_with_policy`.  The entry call has no
+        caller, so no policy applies to it: it runs :meth:`_call`."""
         policy = edge[2]
         if policy is None or shadow:
             duration, error, _ = self._call(

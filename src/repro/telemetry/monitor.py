@@ -8,8 +8,8 @@ request, so a windowed count is requests served; the store reads it from
 :class:`SpanSampleBuffer` is the one writer of the stored pair; a
 :class:`Monitor` owns the store and reads all three back.
 
-Resilience events (retries, timeouts, fallbacks, breaker transitions)
-are recorded as ``resilience.<kind>`` count metrics per (service,
+Resilience events (retries, fallbacks, breaker transitions) are
+recorded as ``resilience.<kind>`` count metrics per (service,
 version), so Bifrost checks and trace analysis can reason about them
 with the same windowed aggregations as any other metric.
 """

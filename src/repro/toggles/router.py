@@ -3,8 +3,7 @@
 Implements the :class:`~repro.microservices.runtime.Router` protocol via
 feature toggles instead of routing proxies: the decision which version
 handles a request happens *inside* the service (no proxy hop — zero
-network overhead) but costs an in-process toggle evaluation per call and
-ties the experiment to the service's deployment.
+network overhead) but ties the experiment to the service's deployment.
 
 This is the head-to-head counterpart to
 :class:`~repro.routing.proxy.VersionRouter` for the toggles-vs-routing
@@ -23,19 +22,12 @@ class ToggleRouter:
     """Resolves service versions through feature toggles.
 
     One toggle per experimented service maps "feature enabled" to the
-    experimental version.  Toggle evaluation is modelled as an
-    in-process cost: ``evaluation_cost_ms`` is added to the *service's
-    own* processing time rather than as a proxy hop, captured by
-    reporting ``proxy_hops=0`` and letting callers account the
-    per-evaluation cost via :attr:`evaluation_cost_ms` and the store's
-    evaluation counter.
+    experimental version.  Toggle evaluation happens in process: the
+    router reports ``proxy_hops=0``, and the store counts evaluations.
     """
 
-    def __init__(
-        self, store: ToggleStore | None = None, evaluation_cost_ms: float = 0.05
-    ) -> None:
+    def __init__(self, store: ToggleStore | None = None) -> None:
         self.store = store or ToggleStore()
-        self.evaluation_cost_ms = evaluation_cost_ms
         self._experiments: dict[str, tuple[str, str]] = {}
 
     def start_experiment(

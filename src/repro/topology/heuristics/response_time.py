@@ -15,6 +15,10 @@ from repro.topology.diff import TopologyDiff
 from repro.topology.graph import InteractionGraph
 from repro.topology.heuristics.base import RankingHeuristic
 
+#: Additional score per unit of error-rate increase: breaking changes
+#: degrade correctness, not just latency.
+ERROR_WEIGHT = 200.0
+
 
 def _mean_by_service_endpoint(graph: InteractionGraph) -> dict[tuple[str, str], float]:
     """Call-weighted mean response time per (service, endpoint)."""
@@ -36,14 +40,11 @@ class ResponseTimeHeuristic(RankingHeuristic):
     Args:
         relative: score by relative degradation (delta / baseline) rather
             than by absolute milliseconds — the ``RT-rel`` variant.
-        error_weight: additional score per unit of error-rate increase;
-            breaking changes degrade correctness, not just latency.
     """
 
-    def __init__(self, relative: bool = False, error_weight: float = 200.0) -> None:
+    def __init__(self, relative: bool = False) -> None:
         self.name = "RT-rel" if relative else "RT-abs"
         self.relative = relative
-        self.error_weight = error_weight
 
     def scores(self, diff: TopologyDiff) -> dict[Change, float]:
         base_means = _mean_by_service_endpoint(diff.baseline)
@@ -90,7 +91,7 @@ class ResponseTimeHeuristic(RankingHeuristic):
             exclusive_latency = max(0.0, own_delta - child_latency)
             exclusive_errors = max(0.0, own_error_shift - child_errors)
             out[change] = (
-                exclusive_latency + self.error_weight * exclusive_errors
+                exclusive_latency + ERROR_WEIGHT * exclusive_errors
             )
         return out
 

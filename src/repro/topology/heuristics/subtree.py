@@ -16,6 +16,10 @@ from repro.topology.graph import InteractionGraph, NodeKey
 from repro.topology.heuristics.base import RankingHeuristic
 from repro.topology.uncertainty import UncertaintyModel, uniform_uncertainty
 
+#: Extra complexity each *changed* (added/removed/updated) node inside
+#: the subtree contributes.
+CHANGED_BONUS = 1.5
+
 
 class SubtreeComplexityHeuristic(RankingHeuristic):
     """Scores changes by uncertainty-weighted subtree complexity.
@@ -24,22 +28,18 @@ class SubtreeComplexityHeuristic(RankingHeuristic):
         use_uncertainty: when False, all change types weigh alike (the
             ``SC-plain`` variant).
         uncertainty: custom weights; defaults to the calibrated model.
-        changed_bonus: extra complexity contributed by each *changed*
-            (added/removed/updated) node inside the subtree.
     """
 
     def __init__(
         self,
         use_uncertainty: bool = True,
         uncertainty: UncertaintyModel | None = None,
-        changed_bonus: float = 1.5,
     ) -> None:
         self.name = "SC" if use_uncertainty else "SC-plain"
         if use_uncertainty:
             self.uncertainty = uncertainty or UncertaintyModel()
         else:
             self.uncertainty = uniform_uncertainty()
-        self.changed_bonus = changed_bonus
 
     def scores(self, diff: TopologyDiff) -> dict[Change, float]:
         changed_entries = {
@@ -82,7 +82,7 @@ class SubtreeComplexityHeuristic(RankingHeuristic):
             node = frontier.pop()
             total += 1.0
             if node.service_endpoint in changed_entries:
-                total += self.changed_bonus
+                total += CHANGED_BONUS
             for succ in graph.successors(node):
                 edges += 1
                 if succ not in seen:

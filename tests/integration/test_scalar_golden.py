@@ -72,7 +72,6 @@ CASES = {
         None,
     ),
     "retry-jitter": ((0.4, 1.0, False, 0.3, 11, "poisson"), Hostile(policy="retry"), None),
-    "timeout": ((0.0, 0.6, False, 0.3, 29, "poisson"), Hostile(policy="timeout"), None),
     "fallback": ((0.4, 1.0, True, 0.3, 31, "poisson"), Hostile(policy="fallback"), None),
     "breaker": (
         (0.4, 1.0, False, 0.3, 11, "poisson"),
@@ -168,26 +167,18 @@ GOLDEN = {
         "traces": "d44e69e87f9ce486",
         "subscriber_stream": "4f53cda18c2baa0c",
     },
-    "timeout": {
-        "run_digest": "84d3e502ee95edf5",
-        "resilience_events": 875,
-        "breaker_transitions": (0, "4f53cda18c2baa0c"),
-        "version_paths": (2291, "6c55ceb14fe30990"),
-        "traces": "de249bf953f405ac",
-        "subscriber_stream": "4f53cda18c2baa0c",
-    },
     "fallback": {
-        "run_digest": "4e5162437edcb2fa",
+        "run_digest": "0135d72e8154dda2",
         "resilience_events": 15,
         "breaker_transitions": (0, "4f53cda18c2baa0c"),
         "version_paths": (1898, "8c1860428a8006ea"),
-        "traces": "bfb349076f82c914",
+        "traces": "7cb97eacd0111167",
         "subscriber_stream": "4f53cda18c2baa0c",
     },
     "breaker": {
-        "run_digest": "689cde09adfb811c",
+        "run_digest": "067a4b37701b496c",
         "resilience_events": 117,
-        "breaker_transitions": (8, "bb5a1eabb9f6480e"),
+        "breaker_transitions": (8, "4cf7fb4739751d82"),
         "version_paths": (1655, "d8f5f40f0b28580a"),
         "traces": "3369593de6597c75",
         "subscriber_stream": "4f53cda18c2baa0c",
@@ -233,12 +224,12 @@ GOLDEN = {
         "subscriber_stream": "4f53cda18c2baa0c",
     },
     "everything": {
-        "run_digest": "4aeaefe8a975bf64",
-        "resilience_events": 495,
-        "breaker_transitions": (51, "2e3d324222cfef24"),
-        "version_paths": (867, "6de027ed2990f287"),
-        "traces": "1b2d6dff9f5c55c3",
-        "subscriber_stream": "6bcf3363fcc8324b",
+        "run_digest": "6f34d9651053b860",
+        "resilience_events": 384,
+        "breaker_transitions": (44, "362624d6655ffdce"),
+        "version_paths": (1142, "4db7c2b4d59dfd41"),
+        "traces": "8ddca37c45e5c150",
+        "subscriber_stream": "ab32260a76b655b3",
     },
 }
 
@@ -251,7 +242,6 @@ def test_scalar_run_matches_the_recorded_bytes(name):
 def test_the_matrix_reaches_every_branch():
     """The golden cases would pin nothing if the features never fired."""
     assert GOLDEN["retry-jitter"]["resilience_events"] > 0
-    assert GOLDEN["timeout"]["resilience_events"] > 0
     assert GOLDEN["fallback"]["resilience_events"] > 0
     assert GOLDEN["breaker"]["breaker_transitions"][0] >= 3
     assert GOLDEN["everything"]["breaker_transitions"][0] >= 3

@@ -8,7 +8,7 @@ check evaluations, the same sticky-assignment state, the same promotion
 or abort decision, the same clock.  Hypothesis drives randomized
 topologies, canary fractions, arrival processes, and seeds through both
 drivers and diffs the full observable state — including *hostile* runs
-(shadow routes, retry/timeout/fallback policies, circuit breakers,
+(shadow routes, retry/fallback policies, circuit breakers,
 partitions, trace subscribers), which the kernel executes itself
 instead of falling back.
 
@@ -171,18 +171,9 @@ POLICIES = {
         "catalog",
         None,
     ),
-    # catalog.search takes ~19 ms at the median, so this fires often.
-    "timeout": (CallPolicy(timeout_ms=18.0, max_retries=1), "catalog", "search"),
-    "fallback": (
-        CallPolicy(max_retries=1, fallback=True, fallback_latency_ms=2.0),
-        None,
-        None,
-    ),
-    "catalog_fallback": (
-        CallPolicy(max_retries=1, fallback=True, fallback_latency_ms=2.0),
-        "catalog",
-        None,
-    ),
+    # The default policy: every call but the entry's.
+    "fallback": (CallPolicy(max_retries=1, fallback=True), None, None),
+    "catalog_fallback": (CallPolicy(max_retries=1, fallback=True), "catalog", None),
 }
 
 TIGHT_BREAKER = BreakerConfig(
@@ -190,8 +181,6 @@ TIGHT_BREAKER = BreakerConfig(
     window_size=6,
     min_calls=3,
     open_seconds=1.0,
-    half_open_max_calls=2,
-    half_open_successes=1,
 )
 
 
@@ -404,7 +393,7 @@ def assert_equivalent(scalar, batch) -> None:
     assert batch_bifrost.application.stable_version(
         "catalog"
     ) == scalar_bifrost.application.stable_version("catalog")
-    # Same resilience history: every retry/timeout/fallback/breaker event
+    # Same resilience history: every retry/fallback/breaker event
     # (kind, time, attempt, detail string) and every breaker transition.
     assert batch_bifrost.resilience.events == scalar_bifrost.resilience.events
     assert (
@@ -533,12 +522,8 @@ class TestResilienceColumns:
     """Call policies and breakers on the columnar slice, against
     ``Bifrost.run``, across sub-block sizes: every event, breaker and
     sample, the RNG state, the load deques and the trace-id counter.
-    The ``retry`` and ``catalog_fallback`` shapes plan every slice as
-    columns.  The plan refuses a policy with a timeout, and ``fallback``,
-    the default policy, which retries the entry call ``frontend.index``
-    too."""
-
-    ACCEPTED = {"retry": True, "catalog_fallback": True, "timeout": False, "fallback": False}
+    Every shape plans every slice as columns: ``fallback``, the default
+    policy, too, because no policy applies to the entry call."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -566,7 +551,7 @@ class TestResilienceColumns:
         ), mock.patch.object(kernel_module, "_SUB_BLOCK", sub_block):
             batch = run_batch(params, hostile=hostile)
         assert_equivalent(scalar, batch)
-        assert planned and set(planned) == {self.ACCEPTED[policy]}
+        assert planned and all(planned)
         scalar_runtime, batch_runtime = scalar[0].runtime, batch[0].runtime
         assert batch_runtime.rng.raw.getstate() == scalar_runtime.rng.raw.getstate()
         assert {key: list(d) for key, d in batch_runtime.load._arrivals.items()} == {

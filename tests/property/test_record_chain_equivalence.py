@@ -612,8 +612,8 @@ class TestReplayOverColumnsEqualsPerObjectLoop:
 class TestTapEqualsTraceWalkingTap:
     """The tap writes the recording's columns straight off the outcomes;
     the trace-walking tap (``reference_tap``) is its oracle, on every call
-    policy with and without a shadow route, so retry attempts, fallbacks,
-    timeouts and dark-launch duplicates all pass through it."""
+    policy with and without a shadow route, so retry attempts, fallbacks
+    and dark-launch duplicates all pass through it."""
 
     @pytest.mark.parametrize("shadow", ["", "+shadow"], ids=["primary", "shadow"])
     @pytest.mark.parametrize("policy", sorted(POLICIES))
@@ -628,7 +628,7 @@ class TestTapEqualsTraceWalkingTap:
         tags = [span.tags for outcome in outcomes for span in outcome.trace]
         assert len(tapped.span_services) == len(tags) > len(outcomes)
         assert any("shadow" in t for t in tags) == bool(shadow)
-        if policy in ("retry", "timeout"):
+        if policy == "retry":
             assert any("retry_attempt" in t for t in tags)
 
 

@@ -105,7 +105,7 @@ def run_once(seed: int):
         )
     )
     layer.set_policy(
-        CallPolicy(max_retries=2, backoff_base_ms=5.0, jitter_ms=4.0, timeout_ms=500.0),
+        CallPolicy(max_retries=2, backoff_base_ms=5.0, jitter_ms=4.0),
         service="backend",
     )
     network = NetworkState()

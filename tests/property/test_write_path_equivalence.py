@@ -22,7 +22,7 @@ from repro.exec import ExecutionRouter
 from repro.exec.recording import run_digest
 from repro.exec.replay import ReplayBackend
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
-from repro.fleet.traffic import SlotTrafficFeed
+from repro.fleet.traffic import BASE_LATENCY_MS, SlotTrafficFeed
 from repro.microservices.runtime import RequestOutcome
 from repro.obs.observer import Observer
 from repro.routing.proxy import VersionRouter
@@ -121,11 +121,11 @@ def reference_feed(
     t0 = slot * feed.slot_seconds
     step = feed.slot_seconds / count
     exp_error = min(1.0, feed.base_error + error_delta)
-    exp_latency = feed.base_latency_ms * latency_factor
+    exp_latency = BASE_LATENCY_MS * latency_factor
     for i in range(count):
         at = t0 + (i + 0.5) * step
         for version, err_rate, latency in (
-            (stable, feed.base_error, feed.base_latency_ms),
+            (stable, feed.base_error, BASE_LATENCY_MS),
             (experimental, exp_error, exp_latency),
         ):
             errored = 1.0 if rng.uniform(0.0, 1.0) < err_rate else 0.0
@@ -146,7 +146,7 @@ HOSTILES = [
     Hostile(),
     Hostile(shadow="all"),
     Hostile(shadow="eu", policy="retry"),
-    Hostile(policy="timeout", breaker=True),
+    Hostile(policy="catalog_fallback", breaker=True),
     Hostile(policy="fallback", partition=True, faults=True),
     Hostile(shadow="all", policy="retry", breaker=True, subscriber=True),
 ]

@@ -267,20 +267,14 @@ class TestSliceBlockers:
                 model.sample(twin.runtime.rng, 1.5) for _ in range(5)
             ]
 
-    def test_the_plan_refuses_timeouts_and_entry_retries(self):
-        """Retries below the entry call are plan positions; a timeout, or
-        retries of the entry call, put the slice on the general hop."""
+    def test_the_plan_accepts_a_retried_entry(self):
+        """No policy applies to the entry call (its caller is the user), so
+        a policy on the entry's service leaves the slice on the plan."""
+        resilience = ResilienceLayer()
+        resilience.set_policy(CallPolicy(max_retries=1), "catalog")
+        bifrost = Bifrost(build_app(0.0, 1.0, False), seed=1, resilience=resilience)
         population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
-
-        def planned(policy, entry):
-            resilience = ResilienceLayer()
-            resilience.set_policy(policy, "catalog")
-            bifrost = Bifrost(build_app(0.0, 1.0, False), seed=1, resilience=resilience)
-            return RequestKernel(bifrost.runtime, population)._plan(entry) is not None
-
-        assert planned(CallPolicy(max_retries=1), "frontend.index")
-        assert not planned(CallPolicy(max_retries=1), "catalog.search")
-        assert not planned(CallPolicy(timeout_ms=50.0), "frontend.index")
+        assert RequestKernel(bifrost.runtime, population)._plan("catalog.search") is not None
 
     def test_collector_subscribers_select_the_span_hop(self):
         """Subscribers make the kernel build and feed every trace; without

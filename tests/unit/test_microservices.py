@@ -286,6 +286,15 @@ def _schedule(callback):
     return arm
 
 
+def _fail_backend_then_retry(bifrost):
+    bifrost.application.resolve("backend").endpoint("api").error_rate = 1.0
+    _schedule(
+        lambda bifrost: bifrost.resilience.set_policy(
+            CallPolicy(max_retries=1, backoff_base_ms=5.0), "backend"
+        )
+    )(bifrost)
+
+
 class TestKernelValidity:
     """A compiled request kernel lives until the next engine event in
     ``Bifrost.run`` and for exactly one call in a bare ``Runtime.execute``."""
@@ -297,16 +306,8 @@ class TestKernelValidity:
             (_schedule(_install_canary_route), 10.0 + 30.0 + 2.0),
             # The campaign's own engine event triples backend's 20 ms.
             (_install_latency_spike, 10.0 + 60.0),
-            # 5 ms of waiting, then a 1 ms fallback response.
-            (
-                _schedule(
-                    lambda bifrost: bifrost.resilience.set_policy(
-                        CallPolicy(timeout_ms=5.0, fallback=True, fallback_latency_ms=1.0),
-                        "backend",
-                    )
-                ),
-                10.0 + 5.0 + 1.0,
-            ),
+            # A failed 20 ms attempt, 5 ms of backoff, a second attempt.
+            (_fail_backend_then_retry, 10.0 + 20.0 + 5.0 + 20.0),
         ],
         ids=["route", "endpoint-spec", "call-policy"],
     )

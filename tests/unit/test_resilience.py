@@ -9,6 +9,8 @@ from repro.errors import ConfigurationError
 from repro.microservices.application import Application
 from repro.microservices.faults import NetworkState
 from repro.microservices.resilience import (
+    HALF_OPEN_MAX_CALLS,
+    HALF_OPEN_SUCCESSES,
     BreakerConfig,
     BreakerState,
     CallPolicy,
@@ -40,7 +42,6 @@ def make_request(entry="frontend.home", user="u1", group="eu", t=0.0) -> Request
 class TestCallPolicy:
     def test_defaults_are_noop(self):
         policy = CallPolicy()
-        assert policy.timeout_ms is None
         assert policy.max_retries == 0
         assert not policy.fallback
 
@@ -53,13 +54,10 @@ class TestCallPolicy:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"timeout_ms": 0.0},
-            {"timeout_ms": -5.0},
             {"max_retries": -1},
             {"backoff_base_ms": -1.0},
             {"backoff_multiplier": 0.5},
             {"jitter_ms": -1.0},
-            {"fallback_latency_ms": -1.0},
         ],
     )
     def test_invalid_parameters(self, kwargs):
@@ -74,8 +72,6 @@ class TestCircuitBreaker:
             window_size=10,
             min_calls=4,
             open_seconds=30.0,
-            half_open_max_calls=2,
-            half_open_successes=2,
         )
         defaults.update(overrides)
         return BreakerConfig(**defaults)
@@ -108,8 +104,10 @@ class TestCircuitBreaker:
         assert breaker.allow(40.0)
         assert breaker.state is BreakerState.HALF_OPEN
         breaker.record(40.1, success=True)
-        assert breaker.allow(41.0)
-        breaker.record(41.1, success=True)
+        for n in range(1, HALF_OPEN_SUCCESSES):
+            assert breaker.state is BreakerState.HALF_OPEN
+            assert breaker.allow(40.0 + n)
+            breaker.record(40.1 + n, success=True)
         assert breaker.state is BreakerState.CLOSED
 
     def test_half_open_failure_reopens(self):
@@ -124,12 +122,11 @@ class TestCircuitBreaker:
         assert breaker.allow(75.0)
 
     def test_half_open_bounds_probe_calls(self):
-        breaker = CircuitBreaker("svc", "1.0", self.config(half_open_max_calls=2))
+        breaker = CircuitBreaker("svc", "1.0", self.config())
         for t in range(4):
             breaker.record(float(t), success=False)
-        assert breaker.allow(40.0)
-        assert breaker.allow(40.5)
-        assert not breaker.allow(40.6)
+        assert all(breaker.allow(40.0 + 0.1 * n) for n in range(HALF_OPEN_MAX_CALLS))
+        assert not breaker.allow(40.9)
 
     def test_transitions_recorded_with_times(self):
         breaker = CircuitBreaker("svc", "1.0", self.config())
@@ -147,13 +144,7 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(
             "svc",
             "1.0",
-            self.config(
-                window_size=window_size,
-                min_calls=1,
-                open_seconds=1.5,
-                half_open_max_calls=1,
-                half_open_successes=1,
-            ),
+            self.config(window_size=window_size, min_calls=1, open_seconds=1.5),
         )
         now = 0.0
         for success, pause in steps:
@@ -177,7 +168,8 @@ class TestCircuitBreaker:
         """The window wraps past a failure, trips, closes from half-open
         (which clears it) and fills again."""
         steps = [(True, False)] * 2 + [(False, False)] + [(True, False)] * 3
-        steps += [(False, False)] * 2 + [(True, True), (False, False)]
+        steps += [(False, False)] * 2 + [(True, True)]
+        steps += [(True, False)] * (HALF_OPEN_SUCCESSES - 1) + [(False, False)]
         breaker = self.replay(3, steps)
         assert [(t.source, t.target) for t in breaker.transitions] == [
             (BreakerState.CLOSED, BreakerState.OPEN),
@@ -189,8 +181,6 @@ class TestCircuitBreaker:
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             BreakerConfig(failure_threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            BreakerConfig(half_open_successes=5, half_open_max_calls=3)
 
 
 class TestResilienceLayer:
@@ -290,38 +280,24 @@ class TestRuntimeResilience:
         app = self.failing_app()
         layer = ResilienceLayer()
         layer.set_policy(
-            CallPolicy(max_retries=1, backoff_base_ms=5.0, fallback=True,
-                       fallback_latency_ms=2.0),
+            CallPolicy(max_retries=1, backoff_base_ms=5.0, fallback=True),
             service="backend",
         )
         runtime = Runtime(app, seed=1, resilience=layer)
         outcome = runtime.execute(make_request())
         assert not outcome.error
-        assert outcome.duration_ms == pytest.approx(10.0 + 20 * 2 + 5 + 2)
+        assert outcome.duration_ms == pytest.approx(10.0 + 20 * 2 + 5)
         assert [e.kind for e in layer.events] == ["retry", "fallback"]
         # The fallback shows up as a metric sample for trace analysis.
         assert runtime.monitor.store.aggregate(
             "backend", "1.0.0", "resilience.fallback", "count", 0.0, 1.0
         ) == 1.0
 
-    def test_timeout_caps_observed_wait(self):
-        app = self.failing_app(latency_ms=50.0, error_rate=0.0)
-        layer = ResilienceLayer()
-        layer.set_policy(CallPolicy(timeout_ms=30.0), service="backend")
-        runtime = Runtime(app, seed=1, resilience=layer)
-        outcome = runtime.execute(make_request())
-        # The caller waits only 30 ms, but the callee span keeps 50 ms.
-        assert outcome.duration_ms == pytest.approx(10.0 + 30.0)
-        assert outcome.error
-        backend_span = [s for s in outcome.trace.spans if s.service == "backend"][0]
-        assert backend_span.duration_ms == pytest.approx(50.0)
-        assert [e.kind for e in layer.events] == ["timeout"]
-
     def test_healthy_call_unaffected_by_policy(self):
         app = self.failing_app(error_rate=0.0)
         layer = ResilienceLayer()
         layer.set_policy(
-            CallPolicy(max_retries=3, timeout_ms=100.0, fallback=True),
+            CallPolicy(max_retries=3, fallback=True),
             service="backend",
         )
         runtime = Runtime(app, seed=1, resilience=layer)

@@ -1,5 +1,6 @@
 """The surface census stays clean: tests alone reach nothing in ``src/repro``
-that ``tools/census.py``'s keep-table does not account for."""
+that ``tools/census.py``'s keep-table does not account for, and tests alone
+set no knob that DESIGN.md's committed knob table does not list."""
 
 import importlib.util
 from pathlib import Path
@@ -26,3 +27,99 @@ def test_nothing_is_reached_by_tests_alone_without_a_reason(tool):
 def test_every_keep_entry_carries_one_of_three_reasons(tool):
     assert {code for code, _ in tool.KEEP.values()} <= {"K1", "K2", "K3"}
     assert all(why for _, why in tool.KEEP.values())
+
+
+KNOBS = '''
+import dataclasses
+from dataclasses import dataclass
+
+
+@dataclass
+class Policy:
+    name: str
+    by_position: int = 1
+    by_keyword: int = 2
+    by_replace: int = 3
+    tests_only: int = 4
+
+
+class Spread:
+    def __init__(self, a=1, b=2):
+        self.a, self.b = a, b
+
+
+class Inner:
+    def __init__(self, size=1):
+        self.size = size
+
+
+class Outer:
+    def __init__(self, inner_size=3):
+        self.inner = Inner(size=inner_size)
+'''
+
+USES = '''
+import dataclasses
+from repro.knobs import Outer, Policy, Spread
+
+
+def tweak(policy: Policy) -> Policy:
+    return dataclasses.replace(policy, by_replace=7)
+
+
+tweak(Policy("p", 5, by_keyword=6))
+Spread(**{"a": 1})
+Outer()
+'''
+
+
+@pytest.fixture
+def tree(tool, tmp_path, monkeypatch):
+    """A repository of one module, one example and one test; its DESIGN.md
+    holds both generated tables, empty."""
+    for path, text in {
+        "src/repro/__init__.py": "",
+        "src/repro/knobs.py": KNOBS,
+        "examples/use.py": USES,
+        "tests/test_knobs.py": "from repro.knobs import Inner, Policy\n"
+                               "Policy('p', tests_only=1)\nInner(size=2)\n",
+        "DESIGN.md": f"{tool.BEGIN}\n{tool.END}\n{tool.KNOBS_BEGIN}\n{tool.KNOBS_END}\n",
+    }.items():
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text)
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    return tmp_path
+
+
+def knob_problems(tool):
+    return [p for p in tool.Census().problems() if p.startswith("knob ")]
+
+
+def test_keyword_position_spread_and_replace_each_set_a_knob(tool, tree):
+    census = tool.Census()
+    setters = {k.rpartition(".")[2]: census.knob_setters(k) for k in census.knobs()}
+    example = [tree / "examples" / "use.py"]
+    assert setters == {
+        "by_position": example, "by_keyword": example, "by_replace": example,
+        "a": example, "b": example,  # a ``**`` spread sets every field
+        "inner_size": [],  # Outer() passes none
+        "size": [],  # Outer only passes its own unset knob on
+        "tests_only": [],
+    }
+
+
+def test_a_tests_only_knob_the_table_does_not_list_fails_the_check(tool, tree):
+    assert knob_problems(tool) == [
+        f"knob repro.knobs.{name}: nothing outside tests/ sets it"
+        for name in ("Inner.size", "Outer.inner_size", "Policy.tests_only")
+    ]
+    assert tool.main(["--write"]) == 1  # checked against the table it replaces
+    assert knob_problems(tool) == []
+    assert "| `knobs.Policy.tests_only` | — |" in (tree / "DESIGN.md").read_text()
+
+
+def test_a_listed_knob_that_leaves_passes(tool, tree):
+    tool.main(["--write"])
+    module = tree / "src" / "repro" / "knobs.py"
+    module.write_text(module.read_text().replace("    tests_only: int = 4\n", ""))
+    assert knob_problems(tool) == []

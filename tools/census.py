@@ -11,9 +11,18 @@ a same-named attribute elsewhere keeps a name alive: the census under-reports, n
 Package ``__init__`` files are neither importers nor references; their re-exports are followed
 to the defining module.  Only absolute imports are followed (the repository has no other kind).
 
-    python tools/census.py            # every module and >= 8-line name with its referrers
-    python tools/census.py --check    # exit 1 on an unaccounted name or a stale KEEP entry
-    python tools/census.py --write    # regenerate DESIGN.md's inventory table
+A knob is a defaulted field or ``__init__`` keyword that a public dataclass or class defines
+itself (a call to a subclass that inherits them is not followed).  A call sets it by keyword, by
+position, by a ``*`` / ``**`` spread (every field it can reach) or through ``dataclasses.replace``
+(of the type an annotation gives, else of every class with such a knob); a call matches every
+class of the callee's name, so the knob census too under-reports.  A value an ``__init__``
+passes on from its own parameter sets the callee's knob only where that parameter's knob is set.
+DESIGN.md's knob table is a ratchet: a knob that nothing outside ``tests/`` sets fails the check
+unless the committed table lists it so.
+
+    python tools/census.py            # every module, >= 8-line name and knob with its referrers
+    python tools/census.py --check    # exit 1 on an unaccounted name or knob, or a stale KEEP entry
+    python tools/census.py --write    # regenerate DESIGN.md's inventory and knob tables
 """
 import ast
 import sys
@@ -23,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 AREAS = ("src", "examples", "benchmarks", "tests")
 MIN_LINES = 8
 BEGIN, END = "<!-- census:begin -->", "<!-- census:end -->"
+KNOBS_BEGIN, KNOBS_END = "<!-- knobs:begin -->", "<!-- knobs:end -->"
 _ARTEFACT = "paper artefact no benchmark reads"
 KEEP = {
     "repro.scenarios.corpus": ("K1", "loads the regression corpus CI replays"),
@@ -47,6 +57,18 @@ KEEP = {
 
 def _area(path):
     return path.relative_to(ROOT).parts[0]
+
+
+def _ident(node):
+    """The last name a callee or an annotation spells, if it is a name."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _is_dataclass(node):
+    return any(_ident(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
 
 
 class Census:
@@ -76,6 +98,24 @@ class Census:
                         owner = mod if sub is node else f"{mod}.{node.name}"
                         lines = sub.end_lineno - sub.lineno + 1
                         self.defs.append((f"{owner}.{sub.name}", lines, refs))
+        self.classes, self._quals = {}, {}  # class name -> [ClassDef]; ClassDef -> its name
+        for mod, path in self.modules.items():
+            for node in trees[path].body:
+                if isinstance(node, ast.ClassDef) and node.name[0] != "_":
+                    self.classes.setdefault(node.name, []).append(node)
+                    self._quals[node] = f"{mod}.{node.name}"
+        self._sigs, self._sets, self._forwards = {}, {}, []
+        for path, tree in trees.items():
+            aliases = {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                       for a in n.names if a.asname}
+            self._visit(tree, path, aliases, None, None)
+        changed = True
+        while changed:  # a value an __init__ passes on is set where its own knob is set
+            changed = False
+            for knob, source, path in self._forwards:
+                if path not in self._sets.setdefault(knob, set()) and self.knob_setters(source):
+                    self._sets[knob].add(path)
+                    changed = True
 
     def _origin(self, base, name):
         """The module that defines ``name`` as imported from ``base``."""
@@ -109,11 +149,122 @@ class Census:
                 seen.setdefault(ident, []).append(node.lineno)
         return mods & self.modules.keys(), seen
 
+    def _signature(self, node):
+        """Class *node*'s init parameters, from its own ``__init__`` or dataclass fields, as
+        (name, knob or None, positional): a knob is a parameter with a default."""
+        if node not in self._sigs:
+            init = next((n for n in node.body
+                         if isinstance(n, ast.FunctionDef) and n.name == "__init__"), None)
+            sig = []
+            if init is not None:
+                args = init.args
+                pos = args.posonlyargs + args.args
+                first = len(pos) - len(args.defaults)
+                sig = [(a.arg, i >= first, True) for i, a in enumerate(pos) if i]
+                sig += [(a.arg, d is not None, False)
+                        for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+            elif _is_dataclass(node):
+                for n in node.body:
+                    if not isinstance(n, ast.AnnAssign):
+                        continue
+                    value = n.value
+                    if isinstance(value, ast.Call) and _ident(value.func) == "field":
+                        kw = {k.arg: k.value for k in value.keywords}
+                        if getattr(kw.get("init"), "value", True) is False:
+                            continue
+                        value = kw.get("default", kw.get("default_factory"))
+                    sig.append((n.target.id, value is not None, True))
+            qual = self._quals[node]
+            self._sigs[node] = [(n, f"{qual}.{n}" if d else None, p) for n, d, p in sig]
+        return self._sigs[node]
+
+    def _visit(self, node, path, aliases, cls, func):
+        """Record the knobs each call under *node* sets (*cls* / *func*: the enclosing class
+        and function)."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                self._visit(child, path, aliases, child, None)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._visit(child, path, aliases, cls, child)
+                continue
+            if isinstance(child, ast.Call):
+                for node, args, keywords in self._targets(child, aliases, cls, func):
+                    self._call(node, args, keywords, path, cls, func)
+            self._visit(child, path, aliases, cls, func)
+
+    def _targets(self, call, aliases, cls, func):
+        """(class, positional arguments, keywords) for each class *call* may construct, or
+        copy with ``dataclasses.replace``: of the type an annotation gives, else of any."""
+        callee, name = call.func, _ident(call.func)
+        if name == "replace" and (isinstance(callee, ast.Name)
+                                  or _ident(callee.value) == "dataclasses"):
+            kind = self._type(call.args[0], cls, func) if call.args else None
+            nodes = self.classes.get(kind) or [n for same in self.classes.values() for n in same]
+            return [(node, [], call.keywords) for node in nodes]
+        if name == "cls" and isinstance(callee, ast.Name):
+            nodes = [cls] if cls in self._quals else []
+        else:
+            nodes = self.classes.get(aliases.get(name, name), [])
+        return [(node, call.args, call.keywords) for node in nodes]
+
+    def _type(self, expr, cls, func):
+        """The class name *expr* has by annotation: ``self``, an annotated parameter of
+        *func*, or an annotated field of one of those; None when unknown."""
+        if isinstance(expr, ast.Name):
+            if expr.id == "self":
+                return getattr(cls, "name", None)
+            args = func.args if func is not None else None
+            return next((_ident(a.annotation) for a in (args.posonlyargs + args.args
+                         + args.kwonlyargs if args else ()) if a.arg == expr.id and a.annotation),
+                        None)
+        if isinstance(expr, ast.Attribute):
+            owner = self._type(expr.value, cls, func)
+            for node in self.classes.get(owner, ())[:1]:
+                return next((_ident(n.annotation) for n in node.body if isinstance(
+                    n, ast.AnnAssign) and getattr(n.target, "id", None) == expr.attr), None)
+        return None
+
+    def _call(self, node, args, keywords, path, cls, func):
+        """Record the knobs of class *node* that *args* and *keywords* set."""
+        sig = self._signature(node)
+        positional = [entry for entry in sig if entry[2]]
+        for i, arg in enumerate(args):
+            spread = isinstance(arg, ast.Starred)
+            for _, knob, _ in positional[i:] if spread else positional[i:i + 1]:
+                if knob:
+                    self._set(knob, None if spread else arg, path, cls, func)
+        for kw in keywords:
+            for name, knob, _ in sig:
+                if knob and kw.arg in (None, name):
+                    self._set(knob, kw.value if kw.arg else None, path, cls, func)
+
+    def _set(self, knob, value, path, cls, func):
+        """*path* sets *knob* to *value*; an ``__init__`` that passes on its own knob's
+        parameter sets it only where that knob is set."""
+        if isinstance(value, ast.Name) and getattr(func, "name", None) == "__init__" \
+                and cls in self._quals:
+            source = {n: k for n, k, _ in self._signature(cls)}.get(value.id)
+            if source:
+                self._forwards.append((knob, source, path))
+                return
+        self._sets.setdefault(knob, set()).add(path)
+
+    def knob_setters(self, knob):
+        """Files outside ``tests/`` that set *knob*."""
+        return sorted(p for p in self._sets.get(knob, ()) if _area(p) != "tests")
+
+    def knobs(self):
+        """Every knob of a public class in ``src/repro``, sorted."""
+        return sorted({knob for same in self.classes.values() for node in same
+                       for _, knob, _ in self._signature(node) if knob})
+
     def importers(self, mod):
         return [p for p, (mods, _) in self._scans.items() if mod in mods and p != self.modules[mod]]
 
     def problems(self):
-        """Unaccounted modules and names, then KEEP entries that no longer hold."""
+        """Unaccounted modules and names, KEEP entries that no longer hold, then knobs that
+        nothing outside ``tests/`` sets and DESIGN.md's committed knob table does not list."""
         def _kept(qual):
             return any(qual == key or qual.startswith(key + ".") for key in KEEP)
         out = [f"module {m}: no example or benchmark reaches it"
@@ -127,7 +278,24 @@ class Census:
                 out.append(f"name {qual} ({lines} lines): referenced from {where} and nowhere else")
         known = set(self.modules).union(qual for qual, _, _ in self.defs)
         out += [f"KEEP entry {key}: no such module or name" for key in KEEP if key not in known]
-        return out + [f"KEEP entry {k}: reached from outside tests/" for k in KEEP if k in alive]
+        out += [f"KEEP entry {k}: reached from outside tests/" for k in KEEP if k in alive]
+        design = (ROOT / "DESIGN.md").read_text()
+        listed = design.split(KNOBS_BEGIN)[-1].split(KNOBS_END)[0]
+        return out + [f"knob {knob}: nothing outside tests/ sets it" for knob in self.knobs()
+                      if not self.knob_setters(knob) and self._row(knob, []) not in listed]
+
+    def _row(self, knob, setters):
+        where = ", ".join(f"`{p.relative_to(ROOT)}`" for p in setters) or "—"
+        return f"| `{knob.removeprefix('repro.')}` | {where} |"
+
+    def knob_table(self):
+        """One DESIGN.md row per knob: the files outside ``tests/`` that set it."""
+        knobs = self.knobs()
+        rows = [self._row(knob, self.knob_setters(knob)) for knob in knobs]
+        unset = sum(row.endswith("| — |") for row in rows)
+        return "\n".join([f"{len(knobs)} settable values, {unset} set by nothing outside "
+                          "`tests/`.", "", "| Knob | Set outside `tests/` in |", "|---|---|"]
+                         + rows)
 
     def table(self):
         """One DESIGN.md row per package."""
@@ -146,19 +314,27 @@ class Census:
         return "\n".join(rows)
 
 
+def _splice(text, begin, end, table):
+    head, rest = text.split(begin)
+    return f"{head}{begin}\n{table}\n{end}{rest.split(end)[1]}"
+
+
 def main(argv):
     census = Census()
+    problems = census.problems()  # against the committed knob table, before --write
     if argv == ["--write"]:
         design = ROOT / "DESIGN.md"
-        head, rest = design.read_text().split(BEGIN)
-        design.write_text(f"{head}{BEGIN}\n{census.table()}\n{END}{rest.split(END)[1]}")
+        text = _splice(design.read_text(), BEGIN, END, census.table())
+        design.write_text(_splice(text, KNOBS_BEGIN, KNOBS_END, census.knob_table()))
     if not argv:
         listing = [(m, "reached" if m in census.reachable else "UNREACHED", census.importers(m))
                    for m in sorted(census.modules)]
         listing += [(q, f"{n} lines", refs) for q, n, refs in census.defs if n >= MIN_LINES]
         for what, note, refs in listing:
             print(what, note, *(f"{a}={sum(_area(p) == a for p in refs)}" for a in AREAS))
-    problems = census.problems()
+        for knob in census.knobs():
+            setters = census._sets.get(knob, ())
+            print(knob, "knob", *(f"{a}={sum(_area(p) == a for p in setters)}" for a in AREAS))
     print("\n".join(problems) or "census: every module and public name is accounted for")
     return 1 if problems else 0
 
