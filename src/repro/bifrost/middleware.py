@@ -26,11 +26,12 @@ from repro.microservices.faults import (
     NetworkState,
     describe_fault,
 )
+from repro.microservices.kernel import RequestKernel
 from repro.microservices.resilience import ResilienceLayer
 from repro.microservices.runtime import RequestOutcome, Runtime
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.routing.proxy import VersionRouter
-from repro.simulation.batch import RequestKernel, drive
+from repro.simulation.batch import drive
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import SimulationEngine
 from repro.toggles.store import ToggleStore

@@ -39,8 +39,8 @@ from typing import Protocol
 
 from repro.errors import ExecutionError
 from repro.microservices.application import Application
+from repro.microservices.kernel import RequestKernel
 from repro.microservices.resilience import ResilienceLayer
-from repro.simulation.batch import RequestKernel
 from repro.simulation.clock import SimulationClock
 from repro.simulation.rng import SeededRng
 from repro.telemetry.monitor import Monitor

@@ -26,7 +26,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.simulation.batch as kernel_module
+from repro.microservices.kernel import columns
 from repro.bifrost import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.microservices.application import Application
@@ -530,7 +530,7 @@ class TestResilienceColumns:
         policy=st.sampled_from(sorted(POLICIES)),
         breaker=st.booleans(),
         canary_error=st.sampled_from([0.0, 0.02, 0.4]),
-        sub_block=st.sampled_from([kernel_module._SUB_BLOCK, 7, 1]),
+        sub_block=st.sampled_from([columns._SUB_BLOCK, 7, 1]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_policies_and_breakers_match_scalar(
@@ -539,7 +539,7 @@ class TestResilienceColumns:
         params = (canary_error, 1.0, False, 0.3, seed, "poisson")
         hostile = Hostile(policy=policy, breaker=breaker)
         scalar = run_scalar(params, hostile)
-        plan, planned = kernel_module.RequestKernel._plan, []
+        plan, planned = columns.plan, []
 
         def counted(self, entry):
             positions = plan(self, entry)
@@ -547,8 +547,8 @@ class TestResilienceColumns:
             return positions
 
         with mock.patch.object(
-            kernel_module.RequestKernel, "_plan", counted
-        ), mock.patch.object(kernel_module, "_SUB_BLOCK", sub_block):
+            columns, "plan", counted
+        ), mock.patch.object(columns, "_SUB_BLOCK", sub_block):
             batch = run_batch(params, hostile=hostile)
         assert_equivalent(scalar, batch)
         assert planned and all(planned)

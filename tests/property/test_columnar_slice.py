@@ -1,7 +1,7 @@
 """Property: the columnar slice (the plain hop) is ``Bifrost.run`` bit for bit.
 
 A plain slice runs as columns over one bulk draw per sub-block
-(``RequestKernel._run_columns``); a slice its plan cannot express runs on
+(``repro.microservices.kernel.columns``); a slice its plan cannot express runs on
 the general hop.  Either way ``run_batches`` must leave exactly the state
 a ``Bifrost.run`` replay leaves: every metric sample and engine decision,
 and also the runtime RNG's state, every ``LoadTracker`` deque and the
@@ -34,7 +34,7 @@ from repro.microservices.faults import (
 )
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
 from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
-from repro.simulation import batch as kernel_module
+from repro.microservices.kernel import RequestKernel, columns
 from repro.simulation.latency import (
     CompositeLatency,
     ConstantLatency,
@@ -259,8 +259,8 @@ def run_both(
     batch_bifrost = build_bifrost(app_factory(), fraction, faults, route_inventory, shadow)
     batch_execution = batch_bifrost.submit(strategy, at=1.0)
     generator = BatchWorkloadGenerator(population, entry="frontend.index", seed=seed)
-    size = sub_block or kernel_module._SUB_BLOCK
-    with mock.patch.object(kernel_module, "_SUB_BLOCK", size):
+    size = sub_block or columns._SUB_BLOCK
+    with mock.patch.object(columns, "_SUB_BLOCK", size):
         result = batch_bifrost.run_batches(generator.poisson(RATE, DURATION), until=UNTIL)
     return (scalar_bifrost, scalar_execution, []), (
         batch_bifrost,
@@ -286,14 +286,14 @@ def hops(monkeypatch):
     """Counts plain slices per hop: ``columns`` or, when the plan refuses
     the slice, ``rows`` (the general hop)."""
     seen = Counter()
-    plan = kernel_module.RequestKernel._plan
+    plan = columns.plan
 
     def counted(self, entry):
         positions = plan(self, entry)
         seen["rows" if positions is None else "columns"] += 1
         return positions
 
-    monkeypatch.setattr(kernel_module.RequestKernel, "_plan", counted)
+    monkeypatch.setattr(columns, "plan", counted)
     return seen
 
 
@@ -541,15 +541,15 @@ def test_a_plain_slice_leaves_no_reference_cycles():
             2_000.0, 8.0
         )
     )
-    kernel = kernel_module.RequestKernel(bifrost.runtime, population)
+    kernel = RequestKernel(bifrost.runtime, population)
     kernel.prefill_assignments(batch, 0, len(batch))
     gc.collect()
     gc.disable()
     try:
-        now, durations, _ = kernel.run_slice(batch, 0, len(batch), 0.0)
+        now, durations, _ = columns.run_slice(kernel, batch, 0, len(batch), 0.0)
         kernel.flush()
         del kernel
-        assert len(durations) == len(batch) > kernel_module._SUB_BLOCK
+        assert len(durations) == len(batch) > columns._SUB_BLOCK
         assert gc.collect() == 0
     finally:
         gc.enable()

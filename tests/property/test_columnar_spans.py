@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation import batch as kernel_module
+from repro.microservices.kernel import columns
 from repro.simulation.latency import (
     ConstantLatency,
     LoadSensitiveLatency,
@@ -116,7 +116,7 @@ def traced_run(
     )
     bifrost.submit(build_strategy(0.3, dark_launch(shadow)), at=1.0)
     generator = BatchWorkloadGenerator(population, entry="frontend.index", seed=seed)
-    plan = kernel_module.RequestKernel._plan
+    plan = columns.plan
     hops = []
 
     def counted(self, entry):
@@ -124,8 +124,8 @@ def traced_run(
         hops.append(positions is not None)
         return positions
 
-    with mock.patch.object(kernel_module.RequestKernel, "_plan", counted), mock.patch.object(
-        kernel_module, "_SUB_BLOCK", sub_block
+    with mock.patch.object(columns, "plan", counted), mock.patch.object(
+        columns, "_SUB_BLOCK", sub_block
     ):
         result = bifrost.run_batches(generator.poisson(RATE, DURATION), until=UNTIL)
     # The general hop plans no slice.
@@ -186,7 +186,7 @@ class TestSpansFromColumns:
         route_inventory=st.sampled_from([False, True, "audience"]),
         faults=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
-        sub_block=st.sampled_from([kernel_module._SUB_BLOCK, 7, 1]),
+        sub_block=st.sampled_from([columns._SUB_BLOCK, 7, 1]),
         window=st.sampled_from([(3.0, 8), (0.25, 2), (0.05, 1)]),
         shadow=st.sampled_from(SHADOWS),
     )
@@ -247,7 +247,7 @@ class TestSpansFromColumns:
             route_inventory="audience",
             faults=True,
             seed=3,
-            sub_block=kernel_module._SUB_BLOCK,
+            sub_block=columns._SUB_BLOCK,
             window=(0.05, 1),
         )
         assert ring.expired_windows > 10 and ring.late_observations_dropped > 0
@@ -282,7 +282,7 @@ class TestDarkLaunchSpans:
             route_inventory=False,
             faults=False,
             seed=3,
-            sub_block=kernel_module._SUB_BLOCK,
+            sub_block=columns._SUB_BLOCK,
             shadow="all",
         )
         _, calls = assert_same_fold(app, **options)

@@ -26,7 +26,7 @@ from repro.fleet.traffic import BASE_LATENCY_MS, SlotTrafficFeed
 from repro.microservices.runtime import RequestOutcome
 from repro.obs.observer import Observer
 from repro.routing.proxy import VersionRouter
-from repro.simulation.batch import RequestKernel
+from repro.microservices.kernel import RequestKernel
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import SeededRng

@@ -26,16 +26,12 @@ from repro.microservices.faults import (
 )
 from repro.microservices.resilience import CallPolicy, ResilienceLayer
 from repro.microservices.service import EndpointSpec, ServiceVersion
+from repro.microservices.kernel import RequestKernel, columns
+from repro.microservices.kernel.columns import _arrive, _loads
+from repro.microservices.kernel.core import _N_ERROR_RATE, _N_NEEDS_LOAD, _N_SAMPLE
+from repro.microservices.kernel.plan import plan
 from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
-from repro.simulation.batch import (
-    _N_ERROR_RATE,
-    _N_NEEDS_LOAD,
-    _N_SAMPLE,
-    RequestKernel,
-    _arrive,
-    _loads,
-    run_batches,
-)
+from repro.simulation.batch import run_batches
 from repro.simulation.latency import ConstantLatency
 from repro.stats.timeseries import TimeSeries
 from repro.telemetry.store import MetricStore
@@ -274,7 +270,7 @@ class TestSliceBlockers:
         resilience.set_policy(CallPolicy(max_retries=1), "catalog")
         bifrost = Bifrost(build_app(0.0, 1.0, False), seed=1, resilience=resilience)
         population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
-        assert RequestKernel(bifrost.runtime, population)._plan("catalog.search") is not None
+        assert plan(RequestKernel(bifrost.runtime, population), "catalog.search") is not None
 
     def test_collector_subscribers_select_the_span_hop(self):
         """Subscribers make the kernel build and feed every trace; without
@@ -470,11 +466,11 @@ class TestHostileGuard:
     def test_hostile_configurations_never_fall_back(
         self, hostile, canary_error, request, monkeypatch
     ):
-        plan, columnar = RequestKernel._plan, []
+        planned, columnar = columns.plan, []
         run_rows, general_rows = RequestKernel._run_rows, []
 
-        def counted(self, entry):
-            positions = plan(self, entry)
+        def counted(kernel, entry):
+            positions = planned(kernel, entry)
             columnar.append(positions is not None)
             return positions
 
@@ -482,7 +478,7 @@ class TestHostileGuard:
             general_rows.append(hi - lo)
             return run_rows(self, batch, lo, hi, now)
 
-        monkeypatch.setattr(RequestKernel, "_plan", counted)
+        monkeypatch.setattr(columns, "plan", counted)
         monkeypatch.setattr(RequestKernel, "_run_rows", rows)
         params = (canary_error, 1.0, False, 0.1, 5, "constant")
         bifrost, _, seen, result = run_batch(params, hostile=hostile)
