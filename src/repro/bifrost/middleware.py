@@ -332,6 +332,9 @@ class Bifrost:
         entry point (live health alone leaves it empty) — see
         ``docs/PERF_KERNEL.md``.
         """
+        # Looked up on the module at call time, not bound at import: the
+        # benchmark tracer times the kernel by wrapping
+        # ``repro.simulation.batch.run_batches`` after this module loads.
         from repro.simulation.batch import run_batches
 
         return run_batches(self.simulation, self.runtime, batches, until=until)

@@ -1,61 +1,13 @@
-"""The request kernel and its batch driver: million-request replay.
+"""The request kernel: the one per-hop algorithm of the repo.
 
-:class:`RequestKernel` owns the per-hop algorithm of the whole repo —
-the draw sequence that turns routing, load, faults and shadow
-duplication into latencies.  ``Runtime.execute`` runs one
-:class:`~repro.traffic.workload.Request` through it; :func:`run_batches`
-replays columnar :class:`~repro.traffic.batch.RequestBatch` chunks
-through it, interleaved with engine events by :func:`drive`, the loop
-``Bifrost.run`` and REPLAY share — but between events it executes whole
-*slices* of requests instead of materializing one ``Request``/``Span``/
-``RequestOutcome`` object chain per arrival.
-
-Equivalence contract (property-tested in
-``tests/property/test_batch_equivalence.py``, with the absolute values
-pinned by ``tests/integration/test_scalar_golden.py``):
-
-- Every driver consumes the runtime's RNG stream in the same draw order
-  per hop (latency sample, error draw, per-probabilistic-call draw),
-  maintains the same load-tracker deques, performs the same float
-  arithmetic in the same association order, and feeds the same
-  (timestamp, value) sequences into the metric store — so routing
-  decisions, metric aggregates, and therefore every promotion/abort
-  decision an engine makes on top of them are bit-identical, not
-  statistically close.
-- A slice runs one of two hops, picked once per slice from state the
-  kernel can observe.  The *plain* hop runs the slice as columns: it
-  compiles the entry's call tree into a plan of call sites, each
-  dark-launch shadow replay and each retry attempt of a call policy one
-  more call site, draws each sub-block's uniforms in bulk
-  (:func:`~repro.simulation.rng.random_block`), finds where every hop's
-  draws fall with one composed offset table per combination of shadow
-  audiences and of versions where a policy decides, then computes
-  latencies, loads, durations, errors and policy events one call site at
-  a time (``tests/property/test_columnar_slice.py``).  Under circuit
-  breakers each sub-block's outcomes replay the breakers' windows before
-  anything lands: the rows before the first one that would move a
-  breaker land, and the rows from it on run the general hop until every
-  breaker is closed again.  It builds no span: while the trace collector
-  has stream subscribers it runs only if every one has a column entry
-  point, and hands those each sub-block's hops
-  (``tests/property/test_columnar_spans.py``).  The *general* hop — the
-  one ``Runtime.execute`` always runs, the plain slices whose plan
-  refuses them and the rows a breaker cut — executes every hook per hop:
-  call policies, circuit breakers, network partitions and routers the
-  kernel cannot compile, and builds spans as it goes for subscribers
-  without a column entry point.
-  Fault campaigns need no hook at all: they rewrite endpoint specs at
-  engine events, and nodes are compiled from the specs per kernel.
-  Event boundaries delimit slices, and all of these conditions but a
-  breaker's state only change at events, so they can never flip
-  mid-slice.
-
-Memory behaviour: samples wait in a per-(service, version)
-:class:`~repro.telemetry.monitor.SpanSampleBuffer` flushed at slice ends
-(the store keeps ``array('d')`` columns) and the result keeps running
-totals only — so a ten-million request replay holds O(slice) transient
-state, not O(run), live health on columns too; block arrays are
-O(sub-block).  Spans recorded for span subscribers are O(run).
+``Runtime.execute`` runs a :class:`~repro.traffic.workload.Request`
+through its general hop (:mod:`.core`); :func:`run_slice` runs the rows
+of a :class:`~repro.traffic.batch.RequestBatch` as columns (:mod:`.plan`,
+:mod:`.columns`) or on the general hop.  Either way the runtime's RNG
+stream, load deques, float operations and metric samples are the same,
+in the same order, so every engine decision is bit-identical
+(``tests/property/test_batch_equivalence.py``); docs/PERF_KERNEL.md
+describes both hops.
 """
 
 from repro.microservices.kernel.core import RequestKernel

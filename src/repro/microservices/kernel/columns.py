@@ -1,148 +1,52 @@
-"""The columnar executor: a slice's rows as columns, a sub-block at a time."""
+"""A batch slice's rows: vectorized variant assignment, the columnar
+executor (a sub-block of rows at a time) and the general hop over rows."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from itertools import islice, repeat
-from random import NV_MAGICCONST
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.microservices.kernel.core import (
-    _N_ARRIVALS,
-    _N_CAPACITY,
-    _N_ERROR_RATE,
-    _N_NEEDS_LOAD,
-    _N_RECIPE,
-    _N_SERVICE,
-    _N_TS_BUF,
-    _N_VERSION,
+from repro.errors import ConfigurationError
+from repro.microservices.kernel.core import LOAD_WINDOW_SECONDS, _Route, _split_entry
+from repro.microservices.kernel.plan import (
+    _Block,
+    _chain,
+    _expected_draws,
+    _hop_order,
+    _Position,
+    _site_table,
+    fold_columns,
+    plan,
 )
-from repro.microservices.kernel.plan import _Position, _hop_order, fold_columns, plan
+from repro.microservices.resilience import FALLBACK, RETRY, ResilienceEvent
 from repro.simulation.rng import random_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.microservices.kernel.core import RequestKernel
     from repro.traffic.batch import RequestBatch
 
 #: Rows per columnar sub-block: bounds the block's tables (not a knob).
 _SUB_BLOCK = 4096
 #: Extra uniforms drawn per block beyond the expected need.
 _BLOCK_SLACK = 64
-#: Kinderman–Monahan acceptance tests within this relative distance of
-#: the boundary are decided with ``math.log``, not ``np.log``.
-_LOG_GUARD = 1e-12
-#: Expected uniforms per latency sample (K–M: two per pair, ≈ 1.37 pairs).
-_DRAWS = {"const": 0.0, "normal": 2.74, "pareto": 1.0}
 
 
-class _Block:
-    """One sub-block's uniforms and the draw-offset tables over them.
+@dataclass(slots=True, eq=False)
+class _SubBlock:
+    """One sub-block's rows in flight: what they read, and what their
+    hops leave for the commit, keyed and ordered for :func:`_before`."""
 
-    An offset indexes ``u``; ``over`` (its length + 1) marks a walk that
-    ran past the block, and every table maps it to itself.  ``first[s]``
-    is the first accepted Kinderman–Monahan pair at or after *s* in steps
-    of two, ``z`` the pair's normal deviate.
-    """
-
-    __slots__ = ("u", "z", "first", "km", "step", "over")
-
-    def __init__(self, u: np.ndarray) -> None:
-        n = len(u)
-        self.over = over = n + 1
-        # Past the end a probability draw is never taken; its walk is
-        # already ``over`` either way.
-        self.u = np.concatenate((u, (2.0, 2.0)))
-        self.step = np.minimum(np.arange(1, n + 3), over)
-        u2 = 1.0 - u[1:]
-        self.z = z = NV_MAGICCONST * (u[:-1] - 0.5) / u2
-        zz = z * z / 4.0
-        bound = -np.log(u2)
-        accept = zz <= bound
-        for j in np.flatnonzero(np.abs(zz - bound) <= _LOG_GUARD * bound).tolist():
-            accept[j] = zz[j] <= -math.log(u2[j])
-        first = np.full(n + 2, n - 1)
-        first[: n - 1] = np.where(accept, np.arange(n - 1), n - 1)
-        for parity in (0, 1):
-            lane = first[parity : n - 1 : 2]
-            lane[:] = np.minimum.accumulate(lane[::-1])[::-1]
-        self.first = first
-        self.km = first + 2
-
-
-def _expected_draws(pos: _Position) -> float:
-    draws = _DRAWS[pos.kind] + 1.0
-    for probability, child in pos.children:
-        below = _expected_draws(child)
-        draws += below if probability >= 1.0 else 1.0 + probability * below
-    draws += sum(map(_expected_draws, pos.shadows))
-    if pos.attempts:
-        # A retry follows a failure: its jitter draw and its subtree again.
-        lost = max(pos.rates)
-        again = sum(lost**k for k in range(1, len(pos.attempts) + 1))
-        draws += again * (draws + (pos.policy.jitter_ms > 0))
-    return draws
-
-
-def _table(pos: _Position, block: _Block, combo) -> tuple:
-    """Draw offset after *pos*'s subtree and its duplicates, for every
-    start offset, for rows whose gates are the ids in ``combo[0]`` and
-    whose versions are ``combo[1]`` (route record id -> code); with the
-    error a call policy reads, if ``judged`` (else None)."""
-    admitted, picked = combo
-    # The error draw's offset: the start offset itself for a constant.
-    at = None if pos.kind == "const" else block.km if pos.kind == "normal" else block.step
-    table = block.step if at is None else block.step[at]
-    failed = None
-    if pos.judged:
-        rate = pos.rates[picked.get(id(pos.rec), 0)]
-        failed = (block.u if at is None else block.u[at]) < rate
-    for probability, child in pos.children:
-        end, fail = _site_table(child, block, combo)
-        at, taken = table, True
-        if probability < 1.0:
-            at, taken = block.step[table], block.u[table] < probability
-            table = np.where(taken, end[at], at)
-        else:
-            table = end[at]
-        if failed is not None:
-            failed = failed | (fail[at] & taken)
-    for shadow in pos.shadows:
-        if shadow.gate is None or id(shadow.gate) in admitted:
-            table = _table(shadow, block, combo)[0][table]
-    return table, failed
-
-
-def _site_table(pos: _Position, block: _Block, combo) -> tuple:
-    """:func:`_table` of a whole call site: under its call policy, attempt
-    k + 1 runs from where attempt k ended (after a jitter draw) for the
-    offsets whose attempt k failed.  Every attempt of a row draws as
-    attempt 0 would from the same offset, so one table serves them all."""
-    end, failed = _table(pos, block, combo)
-    policy = pos.policy
-    if policy is None:
-        return end, failed
-    table, lost = end, failed
-    for _ in range(policy.max_retries):
-        at = block.step[table] if policy.jitter_ms > 0 else table
-        table = np.where(lost, end[at], table)
-        lost = lost & failed[at]
-    return table, np.zeros_like(lost) if policy.fallback else lost
-
-
-def _chain(steps, over: int) -> list:
-    """Each row's first draw offset while the rows fit the block, then the
-    offset after the last one; *steps* maps each row's first offset to
-    the next row's."""
-    offsets = [0]
-    append = offsets.append
-    offset = 0
-    for step in steps:
-        offset = step(offset)
-        if offset == over:
-            break
-        append(offset)
-    return offsets
+    users: np.ndarray  # user index per row
+    codes: dict  # position -> version code per row, at certain routed positions
+    masks: dict  # id(gate) -> whether the gate admits each row
+    arrivals: dict = field(default_factory=dict)  # id(deque) -> (deque, [(pre, rows, starts)])
+    samples: dict = field(default_factory=dict)  # id(buffer) -> (node, [(post, rows, ...)])
+    events: list = field(default_factory=list)  # (row, done, order, ResilienceEvent)
+    reached: list = field(default_factory=list)  # (route, rows) its rows assign lazily
 
 
 def _latency(recipe, block: _Block, offsets: np.ndarray, load):
@@ -214,43 +118,141 @@ def _before(entries: list, cut: int) -> list:
 
 
 def run_slice(
-    kernel, batch: "RequestBatch", lo: int, hi: int, now: float
+    kernel: "RequestKernel", batch: "RequestBatch", lo: int, hi: int, now: float
 ) -> tuple[float, list, int]:
     """Execute rows [lo, hi); returns (clock, durations, error count).
 
-    Trace ids match a ``Request``-by-``Request`` run: one is formatted
-    per request when spans are materialized, otherwise the same number
-    is burned in O(1).
+    The rows run as columns when the kernel's hop is not the general one
+    and :func:`~.plan.plan` accepts the entry's call tree, else on the
+    general hop.  Trace ids match a ``Request``-by-``Request`` run: one
+    is formatted per request when spans are materialized, otherwise the
+    same number is burned in O(1).
     """
+    _prefill(kernel, batch, lo, hi)
     positions = None if kernel._general else plan(kernel, batch.entry)
     if positions is not None:
         now, durations, errors = _run_columns(kernel, positions, batch, lo, hi, now)
     else:
-        now, durations, errors = kernel._run_rows(batch, lo, hi, now)
+        now, durations, errors = _run_rows(kernel, batch, lo, hi, now)
     if not kernel._spans:
         kernel._runtime.advance_trace_ids(len(durations))
     kernel._runtime.requests_executed += len(durations)
     return now, durations, errors
 
 
-def _codes(kernel, pos: _Position, users: np.ndarray) -> np.ndarray:
+def _prefill(kernel: "RequestKernel", batch: "RequestBatch", lo: int, hi: int) -> None:
+    """Vectorize variant assignment for certainly-reached services.
+
+    For every routed service that *every* row of ``[lo, hi)`` traverses
+    (:func:`_certain_services`), bucket the distinct users in one
+    :meth:`~repro.routing.assignment.StickyAssigner.assign_many` call;
+    the route keeps the sorted users and each one's index into
+    ``(*variants, stable)`` as columns.  Other services stay lazy, so
+    the assigner only ever sees users a request-by-request run would
+    have assigned.  A partition or a breaker can cut any call short, so
+    with either configured every assignment stays lazy: the columnar
+    slice records its rows' users when they land (:func:`_record`), the
+    general hop when it routes them.
+    """
+    router = kernel._router
+    if router is None or kernel._breakers or kernel._network is not None or lo >= hi:
+        return
+    routed = router.routed_services
+    if not routed:
+        return
+    certain = _certain_services(kernel, batch.entry)
+    # Sorted distinct users; numpy 2.4's hashing np.unique is ≈ 18× slower.
+    users = np.sort(batch.user_indices[lo:hi])
+    distinct = users[np.concatenate(((True,), users[1:] != users[:-1]))]
+    for service in routed:
+        if service not in certain:
+            continue
+        route = router.active_route(service)
+        if not route.variants:
+            continue
+        rec = kernel._route(service, route)
+        picks = _picks(kernel, rec, distinct, True)
+        rec.prefilled = (distinct, picks, (*(v.version for v in rec.variants), rec.stable))
+
+
+def _certain_services(kernel: "RequestKernel", entry: str) -> set[str]:
+    """Services every request entering at *entry* traverses for sure.
+
+    Follows only calls with probability >= 1 that appear in *every*
+    version a service might serve with (stable plus any routed
+    variants) — the conservative closure under which vectorized
+    assignment is safe.
+    """
+    router = kernel._router
+    seen: set[tuple[str, str]] = set()
+    stack = [_split_entry(entry)]
+    services: set[str] = set()
+    while stack:
+        svc_name, ep = stack.pop()
+        if (svc_name, ep) in seen:
+            continue
+        seen.add((svc_name, ep))
+        services.add(svc_name)
+        svc = kernel._app.service(svc_name)
+        version_names = {svc.stable_version}
+        route = router.active_route(svc_name) if router is not None else None
+        if route is not None:
+            version_names.update(v.version for v in route.variants)
+        shared: set[tuple[str, str]] | None = None
+        for version_name in version_names:
+            try:
+                spec = svc.get(version_name).endpoint(ep)
+            except ConfigurationError:  # no such version or endpoint
+                shared = set()
+                break
+            calls = {
+                (c.service, c.endpoint)
+                for c in spec.calls
+                if c.probability >= 1.0
+            }
+            shared = calls if shared is None else shared & calls
+        for child in shared or ():
+            stack.append(child)
+    return services
+
+
+def _picks(kernel: "RequestKernel", rec: _Route, users: np.ndarray, record: bool) -> np.ndarray:
+    """Each user's version at *rec*'s service as ``RequestKernel._assign``
+    gives it, as an index into ``(*variants, stable)``: a variant for the
+    users in the route's audience (recorded in the assigner if
+    *record*), the stable version for the rest."""
+    picks = np.full(len(users), len(rec.variants))
+    if not rec.variants:
+        return picks
+    kept = slice(None)
+    if rec.eligible is not None or rec.headers is not None:
+        group_codes = kernel._group_codes
+        kept = np.array([kernel._matches(rec, u, group_codes[u]) for u in users.tolist()], bool)
+    chosen = users[kept]
+    if len(chosen):
+        pick = rec.assigner.assign_many if record else rec.assigner.pick_many
+        picks[kept] = pick(chosen, rec.variants)
+    return picks
+
+
+def _codes(kernel: "RequestKernel", pos: _Position, users: np.ndarray) -> np.ndarray:
     """Each user's version at *pos* as an index into ``pos.versions``:
     read from the prefilled columns when they hold every user, else
-    from the memo or, for users not in it, picked as :meth:`_assign`
-    picks but recorded nowhere but ``rec[7]`` (:meth:`_record` records
+    from the memo or, for users not in it, picked as ``_assign`` picks
+    but recorded nowhere but ``route.peeked`` (:func:`_record` records
     the committed rows that reached the position)."""
-    rec = pos.rec
-    codes = [pos.codes[v.version] for v in rec[2]] + [pos.codes[rec[4]]]
-    if rec[6] is not None:
-        distinct, picks, _ = rec[6]
+    rec = pos.route
+    codes = [pos.codes[v.version] for v in rec.variants] + [pos.codes[rec.stable]]
+    if rec.prefilled is not None:
+        distinct, picks, _ = rec.prefilled
         at = np.minimum(np.searchsorted(distinct, users), len(distinct) - 1)
         if np.array_equal(distinct[at], users):
             return np.array(codes)[picks[at]]
-    memo, peeked = rec[0], rec[7]
+    memo, peeked = rec.memo, rec.peeked
     unseen = [u for u in dict.fromkeys(users.tolist()) if u not in memo and u not in peeked]
     if unseen:
         unseen = np.array(unseen, np.int64)
-        peeked.update(zip(unseen.tolist(), kernel._picks(rec, unseen, False).tolist()))
+        peeked.update(zip(unseen.tolist(), _picks(kernel, rec, unseen, False).tolist()))
     return np.fromiter(
         (pos.codes[memo[u]] if u in memo else codes[peeked[u]] for u in users.tolist()),
         np.intp,
@@ -258,23 +260,72 @@ def _codes(kernel, pos: _Position, users: np.ndarray) -> np.ndarray:
     )
 
 
-def _run_columns(kernel, positions: list, batch: "RequestBatch", lo: int, hi: int, now: float):
+def _run_rows(kernel: "RequestKernel", batch: "RequestBatch", lo: int, hi: int, now: float):
+    """Rows [lo, hi) on the general hop, one at a time."""
+    runtime = kernel._runtime
+    timestamps = batch.timestamps[lo:hi].tolist()
+    user_indices = batch.user_indices[lo:hi].tolist()
+    edge = kernel.entry_edge(batch.entry)
+    group_codes = kernel._group_codes
+    durations = []
+    append = durations.append
+    errors = 0
+    population = kernel._population
+    group_names = population.group_names
+    collector = runtime.collector
+    call = kernel._call
+    # A router asked per hop gets the row's Request.
+    subjects = (
+        map(batch.request, range(lo, hi)) if kernel._route_per_hop else user_indices
+    )
+    trace_id = spans = None
+    for ts, user, subject in zip(timestamps, user_indices, subjects):
+        if ts > now:
+            now = ts
+        group_code = group_codes[user]
+        if kernel._spans:
+            trace_id = runtime.next_trace_id()
+            spans = []
+        # Per-request context: user index (or the Request), group
+        # code, trace id, span sink (None = no spans), group name,
+        # user id (formatted only for the span tags that carry it).
+        ctx = (
+            subject,
+            group_code,
+            trace_id,
+            spans,
+            group_names[group_code],
+            population.user_at(user) if spans is not None else None,
+        )
+        duration, error, _ = call(edge, None, None, now, 0, False, None, ctx, 0)
+        if spans is not None:
+            collector.record_trace(trace_id, spans)
+        append(duration)
+        if error:
+            errors += 1
+    return now, durations, errors
+
+
+def _run_columns(
+    kernel: "RequestKernel", positions: list, batch: "RequestBatch", lo: int, hi: int, now: float
+):
     """Rows [lo, hi) as columns, a sub-block at a time: one bulk draw,
     each row's draw offsets from the composed table, then every
-    position's hops at once.  Under breakers, each sub-block's
-    outcomes replay the breakers' windows first; from the first row
-    that would move one, rows run on the general hop until every
-    breaker is closed again (see docs/PERF_KERNEL.md, "The two hops")."""
+    position's hops at once.  Under breakers, each sub-block's outcomes
+    replay the breakers' windows first (:func:`_trip_row`); the rows
+    before the first one that would move a breaker land, and the rows
+    from it on run the general hop one at a time until every breaker is
+    closed again."""
     raw = kernel.raw
     root = positions[0]
     width = len(positions)
-    routed = [pos for pos in positions if pos.rec is not None and pos.certain]
+    routed = [pos for pos in positions if pos.route is not None and pos.certain]
     gates = {id(pos.gate): pos.gate for pos in positions if pos.gate is not None}
     # A policy's decisions read the versions at its routed positions.
     judged = {
-        id(pos.rec): pos
+        id(pos.route): pos
         for pos in positions
-        if pos.judged and pos.rec is not None and len(pos.versions) > 1
+        if pos.judged and pos.route is not None and len(pos.versions) > 1
     }
     group_codes = kernel._group_codes
     per_row = _expected_draws(root) * 1.05
@@ -283,7 +334,7 @@ def _run_columns(kernel, positions: list, batch: "RequestBatch", lo: int, hi: in
     limit, general = _SUB_BLOCK, False
     while lo < hi:
         if general or (kernel._breakers and kernel._resilience.tripped()):
-            now, took, failed = kernel._run_rows(batch, lo, lo + 1, now)
+            now, took, failed = _run_rows(kernel, batch, lo, lo + 1, now)
             durations += took
             errors += failed
             lo, general = lo + 1, False
@@ -328,16 +379,16 @@ def _run_columns(kernel, positions: list, batch: "RequestBatch", lo: int, hi: in
         starts = np.maximum.accumulate(
             np.concatenate(((now,), batch.timestamps[lo : lo + done]))
         )[1:]
-        ctx = (users, codes, {}, {}, masks, [], [])
-        duration, error, _ = _site(kernel, 
-            root, np.arange(done), starts, np.array(offsets[:-1]), block, ctx
+        sub = _SubBlock(users, codes, masks)
+        duration, error, _ = _site(
+            kernel, root, np.arange(done), starts, np.array(offsets[:-1]), block, sub
         )
-        outcomes = [(node, _hop_order(entries, width)) for node, entries in ctx[3].values()]
+        outcomes = [(node, _hop_order(entries, width)) for node, entries in sub.samples.values()]
         cut = _trip_row(kernel, outcomes, done) if kernel._breakers else done
         # Keep exactly the draws the committed rows consumed.
         raw.getrandbits(64 * offsets[cut])
         if cut:
-            _commit(kernel, positions, ctx, outcomes, cut)
+            _commit(kernel, positions, sub, outcomes, cut)
             durations.extend(duration[:cut].tolist())
             errors += int(np.count_nonzero(error[:cut]))
             now = starts[cut - 1].item()
@@ -347,78 +398,74 @@ def _run_columns(kernel, positions: list, batch: "RequestBatch", lo: int, hi: in
     return now, durations, errors
 
 
-def _trip_row(kernel, outcomes: list, rows: int) -> int:
+def _trip_row(kernel: "RequestKernel", outcomes: list, rows: int) -> int:
     """The first row one of whose outcomes would move a breaker, or
     *rows*: each (service, version) window replayed over the
     sub-block's outcomes in (row, post) order, as ``record`` sees
     them while every breaker is closed."""
     cut = rows
     for node, (at, _, _, failed) in outcomes:
-        index = kernel._resilience.opens_at(node[_N_SERVICE], node[_N_VERSION], failed)
+        index = kernel._resilience.opens_at(node.service, node.version, failed)
         if index < len(failed):
             cut = min(cut, int(at[index]))
     return cut
 
 
-def _commit(kernel, positions: list, ctx, outcomes: list, cut: int) -> None:
+def _commit(kernel: "RequestKernel", positions: list, sub: _SubBlock, outcomes: list, cut: int):
     """Land the sub-block's rows before *cut*: load deques, samples,
     breaker windows (breakers created as ``admit`` creates them),
     assignments, resilience events and column folds."""
-    users, _, arrivals, samples, _, events, reached = ctx
     width = len(positions)
-    for deque_, entries in arrivals.values():
+    for deque_, entries in sub.arrivals.values():
         entries = _before(entries, cut)
         if entries:
-            _arrive(deque_, _hop_order(entries, width)[1].tolist(), kernel._window)
+            _arrive(deque_, _hop_order(entries, width)[1].tolist(), LOAD_WINDOW_SECONDS)
     for node, (at, starts, took, failed) in outcomes:
         k = int(np.searchsorted(at, cut))
         if k:
-            service, version = node[_N_SERVICE], node[_N_VERSION]
+            service, version = node.service, node.version
             kernel.samples.add_columns(service, version, starts[:k], took[:k], failed[:k])
             if kernel._breakers:
                 kernel._resilience.breaker(service, version).absorb(failed[:k])
-    _record(kernel, _before(reached, cut), users)
+    _record(_before(sub.reached, cut), sub.users)
     # Policy events in row order, then in the order attempts return.
     emit = kernel._resilience.emit
-    for event in sorted(event for event in events if event[0] < cut):
+    for event in sorted(event for event in sub.events if event[0] < cut):
         emit(event[-1])
     if kernel._folds:
-        kept = {key: (node, _before(entries, cut)) for key, (node, entries) in samples.items()}
+        kept = {key: (node, _before(entries, cut)) for key, (node, entries) in sub.samples.items()}
         fold_columns(kernel, positions, kept, cut)
         kernel._runtime.advance_trace_ids(cut)
 
 
-def _record(kernel, reached: list, users: np.ndarray) -> None:
-    """Memo the users new to a route record among the committed rows
-    that reached one of its positions, and record those in its
-    audience in its assigner (as :meth:`_assign` would have, row by
-    row), taking their picks out of ``rec[7]``."""
+def _record(reached: list, users: np.ndarray) -> None:
+    """Memo the users new to a route among the committed rows that
+    reached one of its positions, and record those in its audience in
+    its assigner (as ``_assign`` would have, row by row), taking their
+    picks out of ``route.peeked``."""
     by_rec: dict = {}
     for rec, rows in reached:
         by_rec.setdefault(id(rec), (rec, []))[1].append(users[rows])
     for rec, parts in by_rec.values():
-        memo, peeked = rec[0], rec[7]
+        memo, peeked = rec.memo, rec.peeked
         fresh = [u for u in dict.fromkeys(np.concatenate(parts).tolist()) if u not in memo]
         if not fresh:
             continue
         picks = np.array([peeked.pop(u) for u in fresh], np.intp)
-        names = (*(v.version for v in rec[2]), rec[4])
+        names = (*(v.version for v in rec.variants), rec.stable)
         memo.update(zip(fresh, map(names.__getitem__, picks.tolist())))
-        kept = picks < len(rec[2])
+        kept = picks < len(rec.variants)
         if kept.any():
-            rec[1].record_many(np.array(fresh, np.int64)[kept], picks[kept], names[:-1])
+            rec.assigner.record_many(np.array(fresh, np.int64)[kept], picks[kept], names[:-1])
 
 
-def _site(kernel, pos: _Position, rows, start, offsets, block: _Block, ctx):
-    """:meth:`_hop` for a whole call site: under its call policy, the
+def _site(kernel: "RequestKernel", pos: _Position, rows, start, offsets, block: _Block, sub):
+    """:func:`_hop` for a whole call site: under its call policy, the
     retry attempts of the rows whose attempt failed, timed and charged
     with ``call_with_policy``'s float operations; the durations
-    returned are its elapsed times.  Its events wait in *ctx* for the
+    returned are its elapsed times.  Its events wait in *sub* for the
     commit."""
-    # Imported here: microservices imports this module at module level.
-    from repro.microservices.resilience import FALLBACK, RETRY, ResilienceEvent
-
-    duration, error, after = _hop(kernel, pos, rows, start, offsets, block, ctx)
+    duration, error, after = _hop(kernel, pos, rows, start, offsets, block, sub)
     policy = pos.policy
     if policy is None:
         return duration, error, after
@@ -428,10 +475,10 @@ def _site(kernel, pos: _Position, rows, start, offsets, block: _Block, ctx):
         """Queue *kind* events of rows *at*, keyed (row, attempt's
         ``done``, order) for the commit's sort."""
         versions = repeat(pos.versions[0])
-        if pos.rec is not None:
-            codes = _codes(kernel, pos, ctx[0][rows[at]]).tolist()
+        if pos.route is not None:
+            codes = _codes(kernel, pos, sub.users[rows[at]]).tolist()
             versions = map(pos.versions.__getitem__, codes)
-        ctx[5].extend(
+        sub.events.extend(
             (row, attempt.done, order, ResilienceEvent(kind, t, service, v, endpoint, n, d))
             for row, t, v, d in zip(rows[at].tolist(), times.tolist(), versions, details)
         )
@@ -441,8 +488,8 @@ def _site(kernel, pos: _Position, rows, start, offsets, block: _Block, ctx):
     for n, attempt in enumerate((pos, *pos.attempts)):
         if n:
             begin = start[at] + elapsed[at] / 1000.0
-            duration, error, after[at] = _hop(kernel, 
-                attempt, rows[at], begin, after[at], block, ctx
+            duration, error, after[at] = _hop(
+                kernel, attempt, rows[at], begin, after[at], block, sub
             )
         elapsed[at] += duration
         at = at[error]
@@ -463,19 +510,18 @@ def _site(kernel, pos: _Position, rows, start, offsets, block: _Block, ctx):
     return elapsed, failed, after
 
 
-def _hop(kernel, pos: _Position, rows, start, offsets, block: _Block, ctx):
+def _hop(kernel: "RequestKernel", pos: _Position, rows, start, offsets, block: _Block, sub):
     """*pos*'s hops for *rows* (ascending sub-block indices) starting at
     *start* with their first draw at *offsets*, children included;
     returns their durations, errors and next draw offsets.  Load
-    deques, samples, assignments and events wait in *ctx*."""
-    users, codes, arrivals, samples, masks, _, reached = ctx
+    deques, samples, assignments and events wait in *sub*."""
     n = len(rows)
-    if pos.rec is None:
+    if pos.route is None:
         picks = None
     else:
-        picks = codes[pos][rows] if pos in codes else _codes(kernel, pos, users[rows])
-        if pos.rec[6] is None:
-            reached.append((pos.rec, rows))
+        picks = sub.codes[pos][rows] if pos in sub.codes else _codes(kernel, pos, sub.users[rows])
+        if pos.route.prefilled is None:
+            sub.reached.append((pos.route, rows))
     own = np.empty(n)
     error = np.empty(n, bool)
     after = np.empty(n, np.intp)
@@ -491,19 +537,19 @@ def _hop(kernel, pos: _Position, rows, start, offsets, block: _Block, ctx):
         begin = start[sel]
         groups.append((node, sel, begin))
         load = None
-        if node[_N_NEEDS_LOAD]:
-            counts = _loads(node[_N_ARRIVALS], begin, kernel._window)
-            capacity = node[_N_CAPACITY]
+        if node.needs_load:
+            counts = _loads(node.arrivals, begin, LOAD_WINDOW_SECONDS)
+            capacity = node.capacity
             load = (
-                counts / kernel._window / capacity
+                counts / LOAD_WINDOW_SECONDS / capacity
                 if capacity > 0
                 else np.zeros(len(counts))
             )
-        arrivals.setdefault(
-            id(node[_N_ARRIVALS]), (node[_N_ARRIVALS], [])
-        )[1].append((pos.pre, rows[sel], begin))
-        own[sel], drawn = _latency(node[_N_RECIPE], block, offsets[sel], load)
-        error[sel] = block.u[drawn] < node[_N_ERROR_RATE]
+        sub.arrivals.setdefault(id(node.arrivals), (node.arrivals, []))[1].append(
+            (pos.pre, rows[sel], begin)
+        )
+        own[sel], drawn = _latency(node.recipe, block, offsets[sel], load)
+        error[sel] = block.u[drawn] < node.error_rate
         after[sel] = drawn + 1
     if pos.children:
         child_start = start + 0.3 * own / 1000.0
@@ -519,8 +565,8 @@ def _hop(kernel, pos: _Position, rows, start, offsets, block: _Block, ctx):
             begin = child_start[taken]
             if not pos.parallel:
                 begin = begin + total[taken] / 1000.0
-            took, failed, after[taken] = _site(kernel, 
-                child, rows[taken], begin, after[taken], block, ctx
+            took, failed, after[taken] = _site(
+                kernel, child, rows[taken], begin, after[taken], block, sub
             )
             total[taken] += took
             slowest[taken] = np.maximum(slowest[taken], took)
@@ -529,7 +575,7 @@ def _hop(kernel, pos: _Position, rows, start, offsets, block: _Block, ctx):
     else:
         duration = own + pos.proxy
     for node, sel, begin in groups:
-        samples.setdefault(id(node[_N_TS_BUF]), (node, []))[1].append(
+        sub.samples.setdefault(id(node.start_buf), (node, []))[1].append(
             (pos.post, rows[sel], begin, duration[sel], error[sel])
         )
     # Duplicates start with the primary; their durations and errors
@@ -537,10 +583,10 @@ def _hop(kernel, pos: _Position, rows, start, offsets, block: _Block, ctx):
     for shadow in pos.shadows:
         taken = slice(None)
         if shadow.gate is not None:
-            taken = np.flatnonzero(masks[id(shadow.gate)][rows])
+            taken = np.flatnonzero(sub.masks[id(shadow.gate)][rows])
             if not len(taken):
                 continue
-        _, _, after[taken] = _hop(kernel, 
-            shadow, rows[taken], start[taken], after[taken], block, ctx
+        _, _, after[taken] = _hop(
+            kernel, shadow, rows[taken], start[taken], after[taken], block, sub
         )
     return duration, error, after

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING
+from collections import deque
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
 
 from repro.errors import ConfigurationError, ExecutionError
+from repro.microservices.faults import _ScaledLatency
+from repro.routing.proxy import StaticRouter, VersionRouter
 from repro.simulation.latency import (
     ConstantLatency,
     LoadSensitiveLatency,
@@ -23,6 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traffic.workload import Request
 
 _MAX_CALL_DEPTH = 32
+#: Seconds of arrivals a version's load counts: load is the arrival rate
+#: over this window divided by the version's deployed capacity.
+LOAD_WINDOW_SECONDS = 10.0
 
 
 def _recipe(model):
@@ -35,9 +41,6 @@ def _recipe(model):
     innermost first, multiply the draw by the load inflation
     (``("load", pressure)``) or a fault's factor (``("scale", factor)``).
     """
-    # Imported here: faults imports the simulation package at module level.
-    from repro.microservices.faults import _ScaledLatency
-
     kind = type(model)
     if kind is ConstantLatency:
         return "const", model.value_ms, None, ()
@@ -99,23 +102,53 @@ def _compile_sampler(model, recipe, kernel):
     return sample, needs_load
 
 
-# Node record layout (plain list: index access beats attribute access in
-# the per-hop loop).  One node per (service, endpoint, version).
-_N_SAMPLE = 0  # compiled latency sampler: load -> ms
-_N_ERROR_RATE = 1  # endpoint error probability
-_N_CHILDREN = 2  # tuple of (probability, service, endpoint) descriptors
-_N_PARALLEL = 3  # fan-out vs sequential children
-_N_ARRIVALS = 4  # the runtime LoadTracker's deque for this version
-_N_CAPACITY = 5  # deployed capacity in rps
-_N_TS_BUF = 6  # buffered span start times
-_N_DUR_BUF = 7  # buffered span durations
-_N_ERR_BUF = 8  # buffered span error flags
-_N_NEEDS_LOAD = 9  # whether the sampler reads the load value
-_N_PROXY_MS = 10  # per-hop proxy overhead (routed services only)
-_N_SERVICE = 11
-_N_VERSION = 12
-_N_ENDPOINT = 13
-_N_RECIPE = 14  # the latency model's recipe (None = not columnar)
+@dataclass(slots=True, eq=False)
+class _Node:
+    """One (service, endpoint, version) compiled for the hops."""
+
+    sample: Callable  # load -> ms
+    error_rate: float
+    children: tuple  # (probability, service, endpoint) descriptors
+    parallel: bool  # fan-out, else sequential children
+    arrivals: deque  # the runtime LoadTracker's deque for this version
+    capacity: float  # deployed capacity in rps
+    start_buf: object  # buffered sample columns of (service, version)
+    duration_buf: object
+    error_buf: object
+    needs_load: bool  # whether ``sample`` reads the load
+    proxy_ms: float  # per-hop proxy overhead (routed services only)
+    service: str
+    version: str
+    endpoint: str
+    recipe: tuple | None  # None: the columnar slice cannot draw it
+
+
+@dataclass(slots=True, eq=False)
+class _Route:
+    """A routed service's compiled route, shared by its call sites."""
+
+    memo: dict  # user index -> version, for users already assigned
+    assigner: object  # the route's StickyAssigner (None without variants)
+    variants: tuple
+    eligible: set | None  # audience group codes (None: every group)
+    stable: str
+    headers: dict | None  # audience headers (None: no header filter)
+    prefilled: tuple | None  # see ``columns._prefill``
+    peeked: dict  # user -> pick looked up by the columnar slice, unrecorded
+
+
+@dataclass(slots=True, eq=False)
+class _Edge:
+    """A (service, endpoint) call site on the general hop.  Routing per
+    hop compiles only its policy: the router picks the node."""
+
+    policy: object  # the caller-side CallPolicy, or None
+    service: str
+    endpoint: str
+    route: _Route | None = None
+    node: _Node | None = None  # the stable node of an unrouted service
+    variants: _VariantNodes | None = None  # ``{version: node}`` of a routed one
+    shadows: tuple = ()  # the route's dark-launch versions
 
 
 def _split_entry(entry: str) -> tuple[str, str]:
@@ -150,45 +183,29 @@ class _VariantNodes(dict):
 class RequestKernel:
     """Compiled execution state for one event-free stretch of requests.
 
-    Built fresh per stretch: routes, endpoint specs, policies, partitions,
-    and subscribers only change at engine events (= stretch boundaries), so
-    everything resolved here — samplers, error rates, children, variant
-    thresholds, which hop runs — is constant for the kernel's lifetime.
-    Children and variant nodes are resolved *lazily* during execution
-    (descriptors, not node references) so a probabilistic call cycle trips
-    the depth guard, and a variant without the endpoint fails, only when a
-    request actually gets there.
-
-    With a *population* the requests are rows of a
-    :class:`~repro.traffic.batch.RequestBatch` (:meth:`run_slice`), and
-    their samples land in :attr:`samples` in hop-completion order (per
-    sub-block on the plain hop, per hop on the general one).  Without one
-    they are :class:`~repro.traffic.workload.Request` objects
-    (:meth:`execute_request`, what ``Runtime.execute`` runs), and the
-    caller buffers the spans in :attr:`samples` once the request has
-    returned.  Rows resolve their versions through memoized records
-    compiled from a :class:`~repro.routing.proxy.VersionRouter`'s routes
-    (a ``StaticRouter`` compiles to none); ``Request`` objects, and rows
-    under any other ``Router``, ask ``runtime.router.route`` on every hop,
-    with the row's ``Request`` in hand.  ``Request`` objects, and rows
-    under such a router or a partition, run the general hop, and so do
-    rows while the collector has a stream subscriber without a column
-    entry point; other rows, shadow routes, call policies and breakers
-    included, run as columns unless the plan refuses the slice, and for
-    the rows from one that would move a breaker until every breaker is
-    closed.  The general hop builds spans for ``Request`` objects and,
-    while the collector has stream subscribers, for rows; the columnar
-    slice hands its hops to the column entry points instead.  Whoever
-    drives the kernel calls :meth:`flush` before an engine event can read
-    the store.
+    Routes, endpoint specs, policies, partitions and subscribers change
+    only at engine events, so a kernel built per stretch resolves them
+    once.  Children and variant nodes are compiled on first use, so a
+    probabilistic call cycle trips the depth guard, and a variant without
+    the endpoint fails, only when a request gets there.  With a
+    *population* the requests are rows of a
+    :class:`~repro.traffic.batch.RequestBatch`
+    (:func:`~repro.microservices.kernel.columns.run_slice`); without one,
+    :class:`~repro.traffic.workload.Request` objects
+    (:meth:`execute_request`).  Whoever drives the kernel calls
+    :meth:`flush` before an engine event can read the store.
     """
 
     def __init__(self, runtime: "Runtime", population=None) -> None:
-        # Imported here: microservices.runtime imports this module at
-        # module level, and routing.proxy imports microservices.runtime.
-        from repro.microservices.runtime import StaticRouter
-        from repro.routing.proxy import VersionRouter
-
+        """Pick the stretch's hop.  Rows resolve versions through compiled
+        routes when the router is a :class:`VersionRouter` or a
+        :class:`StaticRouter`; ``Request`` objects, and rows under any
+        other router, ask ``runtime.router.route`` on every hop.  Those,
+        rows under a network gate with partitions (or one that does not
+        expose them), and rows while a collector subscriber lacks a column
+        entry point run the general hop (:attr:`_general`); other rows run
+        as columns unless :func:`~.plan.plan` refuses the slice.
+        """
         router = runtime.router
         compiled = population is not None and isinstance(
             router, (VersionRouter, StaticRouter)
@@ -200,7 +217,6 @@ class RequestKernel:
         self._route_per_hop = not compiled
         self._app = runtime.application
         self._proxy_ms = runtime.proxy_overhead_ms
-        self._window = runtime.load.window_seconds
         self.seeded = runtime.rng
         self.raw = runtime.rng.raw
         self._random = self.raw.random
@@ -210,11 +226,10 @@ class RequestKernel:
         )
         self._nodes: dict = {}
         self._edges: dict = {}
-        self._route_recs: dict = {}
+        self._routes: dict = {}
         self.samples = SpanSampleBuffer()
-        # Which hop this stretch runs.  The runtime's own resilience layer
-        # is used, so breaker state and the event log stay continuous
-        # across kernels.
+        # The runtime's own resilience layer, so breaker state and the
+        # event log stay continuous across kernels.
         self._resilience = runtime.resilience
         self._breakers = runtime.resilience.breaker_config is not None
         # A gate that does not expose its partitions is asked on every hop.
@@ -234,13 +249,10 @@ class RequestKernel:
 
     # -- compilation -------------------------------------------------------
 
-    def entry_edge(self, entry: str):
+    def entry_edge(self, entry: str) -> _Edge:
         return self._edge(*_split_entry(entry))
 
-    def _edge(self, service: str, endpoint: str):
-        """An edge is ``(route_record | None, node | {version: node} | None,
-        policy | None, shadow versions, service, endpoint)``; when routing
-        per hop only the policy is compiled — the router picks the node."""
+    def _edge(self, service: str, endpoint: str) -> _Edge:
         key = (service, endpoint)
         edge = self._edges.get(key)
         if edge is not None:
@@ -248,15 +260,13 @@ class RequestKernel:
         policy = self._resilience.policy_for(service, endpoint)
         router = self._router
         route = router.active_route(service) if router is not None else None
-        if self._route_per_hop:
-            edge = (None, None, policy, (), service, endpoint)
-        elif route is None:
-            node = self._node(service, endpoint, None, 0.0)
-            edge = (None, node, policy, (), service, endpoint)
-        else:
-            rec = self._route_rec(service, route)
-            nodes = _VariantNodes(self, service, endpoint)
-            edge = (rec, nodes, policy, route.shadow_versions, service, endpoint)
+        edge = _Edge(policy=policy, service=service, endpoint=endpoint)
+        if route is not None:
+            edge.route = self._route(service, route)
+            edge.variants = _VariantNodes(self, service, endpoint)
+            edge.shadows = route.shadow_versions
+        elif not self._route_per_hop:
+            edge.node = self._node(service, endpoint, None, 0.0)
         self._edges[key] = edge
         return edge
 
@@ -271,13 +281,8 @@ class RequestKernel:
             if svc.has_version(version)
         )
 
-    def _route_rec(self, service: str, route):
-        """Per-service routing record: [memo, assigner, variants, eligible
-        group codes (None = all), stable version, required headers (None =
-        none), prefilled columns (None = none, see
-        :meth:`prefill_assignments`), versions the columnar slice looked
-        up before the assigner recorded them (see :meth:`_codes`)]."""
-        rec = self._route_recs.get(service)
+    def _route(self, service: str, route) -> _Route:
+        rec = self._routes.get(service)
         if rec is None:
             eligible = None
             if route.audience.groups:
@@ -286,21 +291,16 @@ class RequestKernel:
                     for code, name in enumerate(self._population.group_names)
                     if name in route.audience.groups
                 }
-            assigner = (
-                self._router.assigner(route.experiment) if route.variants else None
+            rec = self._routes[service] = _Route(
+                memo={},
+                assigner=self._router.assigner(route.experiment) if route.variants else None,
+                variants=route.variants,
+                eligible=eligible,
+                stable=self._app.service(service).stable_version,
+                headers=route.audience.headers or None,
+                prefilled=None,
+                peeked={},
             )
-            stable = self._app.service(service).stable_version
-            rec = [
-                {},
-                assigner,
-                route.variants,
-                eligible,
-                stable,
-                route.audience.headers or None,
-                None,
-                {},
-            ]
-            self._route_recs[service] = rec
         return rec
 
     def _node(self, service: str, endpoint: str, version_name: str | None, proxy_ms: float):
@@ -315,201 +315,57 @@ class RequestKernel:
         spec = version.endpoint(endpoint)
         recipe = _recipe(spec.latency)
         sample, needs_load = _compile_sampler(spec.latency, recipe, self)
-        buffers = self.samples.columns(service, version_name)
-        node = [
-            sample,
-            spec.error_rate,
-            tuple((c.probability, c.service, c.endpoint) for c in spec.calls),
-            bool(spec.parallel_calls),
-            self._runtime.load.arrivals_for(service, version_name),
-            version.total_capacity_rps,
-            buffers[0],
-            buffers[1],
-            buffers[2],
-            needs_load,
-            proxy_ms,
-            service,
-            version_name,
-            endpoint,
-            recipe,
-        ]
-        self._nodes[key] = node
+        starts, durations, errors = self.samples.columns(service, version_name)
+        node = self._nodes[key] = _Node(
+            sample=sample,
+            error_rate=spec.error_rate,
+            children=tuple((c.probability, c.service, c.endpoint) for c in spec.calls),
+            parallel=bool(spec.parallel_calls),
+            arrivals=self._runtime.load.arrivals_for(service, version_name),
+            capacity=version.total_capacity_rps,
+            start_buf=starts,
+            duration_buf=durations,
+            error_buf=errors,
+            needs_load=needs_load,
+            proxy_ms=proxy_ms,
+            service=service,
+            version=version_name,
+            endpoint=endpoint,
+            recipe=recipe,
+        )
         return node
 
     # -- variant assignment ------------------------------------------------
 
-    def _matches(self, rec, user_index: int, group_code: int) -> bool:
+    def _matches(self, rec: _Route, user_index: int, group_code: int) -> bool:
         """Whether the route's audience includes this user — scalar
         ``AudienceFilter.matches``.  A batch row's headers are exactly
         ``{"user-id": user_id}`` (``RequestBatch.request``), so a header
         filter is decidable per user."""
-        eligible = rec[3]
-        if eligible is not None and group_code not in eligible:
+        if rec.eligible is not None and group_code not in rec.eligible:
             return False
-        if rec[5] is None:
+        if rec.headers is None:
             return True
         row = {"user-id": self._population.user_at(user_index)}
-        return all(row.get(key) == value for key, value in rec[5].items())
+        return all(row.get(key) == value for key, value in rec.headers.items())
 
-    def _assign(self, rec, user_index: int, group_code: int) -> str:
-        if rec[6] is not None:  # a memo miss after a prefill: take the columns
-            distinct, picks, versions = rec[6]
-            rec[6] = None
-            rec[0].update(zip(distinct.tolist(), map(versions.__getitem__, picks.tolist())))
-            if user_index in rec[0]:
-                return rec[0][user_index]
-        if rec[2] and self._matches(rec, user_index, group_code):
-            version = rec[1].assign(
-                self._population.user_at(user_index), rec[2]
+    def _assign(self, rec: _Route, user_index: int, group_code: int) -> str:
+        if rec.prefilled is not None:  # a memo miss after a prefill: take the columns
+            distinct, picks, versions = rec.prefilled
+            rec.prefilled = None
+            rec.memo.update(zip(distinct.tolist(), map(versions.__getitem__, picks.tolist())))
+            if user_index in rec.memo:
+                return rec.memo[user_index]
+        if rec.variants and self._matches(rec, user_index, group_code):
+            version = rec.assigner.assign(
+                self._population.user_at(user_index), rec.variants
             )
         else:
-            version = rec[4]
-        rec[0][user_index] = version
+            version = rec.stable
+        rec.memo[user_index] = version
         return version
 
-    def prefill_assignments(self, batch: "RequestBatch", lo: int, hi: int) -> None:
-        """Vectorize variant assignment for certainly-reached services.
-
-        For every routed service that *every* request in the slice is
-        guaranteed to traverse (reachable from the batch's entry point
-        through probability-1.0 calls only, across all servable
-        versions), bucket the slice's distinct users in one
-        :meth:`~repro.routing.assignment.StickyAssigner.assign_many`
-        call.  The route record keeps the result as columns — the sorted
-        distinct users and each one's index into ``(*variants, stable)``
-        — which :meth:`_codes` reads for the rows of ``[lo, hi)``.
-        Probabilistically-reached services keep the lazy per-user
-        path so the assigner's distinct-user bookkeeping only ever sees
-        users a request-by-request run would have assigned.  A partition or an
-        open breaker can cut any call short, so with either configured
-        nothing is certain and every assignment stays lazy: the columnar
-        slice records its rows' users when they land (:meth:`_record`),
-        the general hop when it routes them.
-        """
-        router = self._router
-        if router is None or self._breakers or self._network is not None or lo >= hi:
-            return
-        routed = router.routed_services
-        if not routed:
-            return
-        certain = self._certain_services(batch.entry)
-        # Sorted distinct users; numpy 2.4's hashing np.unique is ≈ 18× slower.
-        users = np.sort(batch.user_indices[lo:hi])
-        distinct = users[np.concatenate(((True,), users[1:] != users[:-1]))]
-        for service in routed:
-            if service not in certain:
-                continue
-            route = router.active_route(service)
-            if not route.variants:
-                continue
-            rec = self._route_rec(service, route)
-            picks = self._picks(rec, distinct, True)
-            rec[6] = (distinct, picks, (*(v.version for v in rec[2]), rec[4]))
-
-    def _certain_services(self, entry: str) -> set[str]:
-        """Services every request entering at *entry* traverses for sure.
-
-        Follows only calls with probability >= 1 that appear in *every*
-        version a service might serve with (stable plus any routed
-        variants) — the conservative closure under which vectorized
-        assignment is safe.
-        """
-        router = self._router
-        seen: set[tuple[str, str]] = set()
-        stack = [_split_entry(entry)]
-        services: set[str] = set()
-        while stack:
-            svc_name, ep = stack.pop()
-            if (svc_name, ep) in seen:
-                continue
-            seen.add((svc_name, ep))
-            services.add(svc_name)
-            svc = self._app.service(svc_name)
-            version_names = {svc.stable_version}
-            route = router.active_route(svc_name) if router is not None else None
-            if route is not None:
-                version_names.update(v.version for v in route.variants)
-            shared: set[tuple[str, str]] | None = None
-            for version_name in version_names:
-                try:
-                    spec = svc.get(version_name).endpoint(ep)
-                except ConfigurationError:  # no such version or endpoint
-                    shared = set()
-                    break
-                calls = {
-                    (c.service, c.endpoint)
-                    for c in spec.calls
-                    if c.probability >= 1.0
-                }
-                shared = calls if shared is None else shared & calls
-            for child in shared or ():
-                stack.append(child)
-        return services
-
-    # -- execution ---------------------------------------------------------
-
-    def _run_rows(self, batch: "RequestBatch", lo: int, hi: int, now: float):
-        """Rows [lo, hi) on the general hop, one at a time."""
-        runtime = self._runtime
-        timestamps = batch.timestamps[lo:hi].tolist()
-        user_indices = batch.user_indices[lo:hi].tolist()
-        edge = self.entry_edge(batch.entry)
-        group_codes = self._group_codes
-        durations = []
-        append = durations.append
-        errors = 0
-        population = self._population
-        group_names = population.group_names
-        collector = runtime.collector
-        call = self._call
-        # A router asked per hop gets the row's Request.
-        subjects = (
-            map(batch.request, range(lo, hi)) if self._route_per_hop else user_indices
-        )
-        trace_id = spans = None
-        for ts, user, subject in zip(timestamps, user_indices, subjects):
-            if ts > now:
-                now = ts
-            group_code = group_codes[user]
-            if self._spans:
-                trace_id = runtime.next_trace_id()
-                spans = []
-            # Per-request context: user index (or the Request), group
-            # code, trace id, span sink (None = no spans), group name,
-            # user id (formatted only for the span tags that carry it).
-            ctx = (
-                subject,
-                group_code,
-                trace_id,
-                spans,
-                group_names[group_code],
-                population.user_at(user) if spans is not None else None,
-            )
-            duration, error, _ = call(edge, None, None, now, 0, False, None, ctx, 0)
-            if spans is not None:
-                collector.record_trace(trace_id, spans)
-            append(duration)
-            if error:
-                errors += 1
-        return now, durations, errors
-
-    def _picks(self, rec, users: np.ndarray, record: bool) -> np.ndarray:
-        """Each user's version at *rec*'s service as :meth:`_assign` gives
-        it, as an index into ``(*variants, stable)``: a variant for the
-        users in the route's audience (recorded in the assigner if
-        *record*), the stable version for the rest."""
-        picks = np.full(len(users), len(rec[2]))
-        if not rec[2]:
-            return picks
-        kept = slice(None)
-        if rec[3] is not None or rec[5] is not None:
-            group_codes = self._group_codes
-            kept = np.array([self._matches(rec, u, group_codes[u]) for u in users.tolist()], bool)
-        chosen = users[kept]
-        if len(chosen):
-            pick = rec[1].assign_many if record else rec[1].pick_many
-            picks[kept] = pick(chosen, rec[2])
-        return picks
+    # -- the general hop ---------------------------------------------------
 
     def execute_request(self, request: "Request", start: float):
         """Run one :class:`Request` through the general hop with spans on;
@@ -523,13 +379,13 @@ class RequestKernel:
         return trace_id, spans, duration, error
 
     def _dispatch(
-        self, edge, caller, start: float, depth: int, shadow: bool, parent_id, ctx
+        self, edge: _Edge, caller, start: float, depth: int, shadow: bool, parent_id, ctx
     ):
         """A call from *caller* under its :class:`CallPolicy` (if any); the
         attempt loop (retries with seeded backoff jitter, fallback) is
         :meth:`ResilienceLayer.call_with_policy`.  The entry call has no
         caller, so no policy applies to it: it runs :meth:`_call`."""
-        policy = edge[2]
+        policy = edge.policy
         if policy is None or shadow:
             duration, error, _ = self._call(
                 edge, None, caller, start, depth, shadow, parent_id, ctx, 0
@@ -537,8 +393,8 @@ class RequestKernel:
             return duration, error
         return self._resilience.call_with_policy(
             policy,
-            edge[4],
-            edge[5],
+            edge.service,
+            edge.endpoint,
             start,
             self.seeded,
             lambda attempt_start, attempt: self._call(
@@ -549,7 +405,7 @@ class RequestKernel:
 
     def _call(
         self,
-        edge,
+        edge: _Edge,
         forced,
         caller,
         start: float,
@@ -573,30 +429,29 @@ class RequestKernel:
             node = forced
         elif self._route_per_hop:
             # ctx[0] is the Request itself; any Router resolves it.
-            _, _, _, _, service, endpoint = edge
-            decision = self._runtime.router.route(user, service)
+            decision = self._runtime.router.route(user, edge.service)
             node = self._node(
-                service,
-                endpoint,
+                edge.service,
+                edge.endpoint,
                 decision.version,
                 decision.proxy_hops * self._proxy_ms,
             )
             if decision.shadow_versions:
                 shadows = self._shadow_nodes(
-                    service, endpoint, decision.shadow_versions
+                    edge.service, edge.endpoint, decision.shadow_versions
                 )
-        elif edge[0] is None:
-            node = edge[1]
+        elif edge.route is None:
+            node = edge.node
         else:
-            rec = edge[0]
-            version = rec[0].get(user)
+            rec = edge.route
+            version = rec.memo.get(user)
             if version is None:
                 version = self._assign(rec, user, group_code)
-            node = edge[1][version]
-            if edge[3] and self._matches(rec, user, group_code):
-                shadows = self._shadow_nodes(edge[4], edge[5], edge[3])
-        service = node[_N_SERVICE]
-        version = node[_N_VERSION]
+            node = edge.variants[version]
+            if edge.shadows and self._matches(rec, user, group_code):
+                shadows = self._shadow_nodes(edge.service, edge.endpoint, edge.shadows)
+        service = node.service
+        version = node.version
         tags = None
         if spans is not None:
             tags = {"group": group, "user": user_id}
@@ -618,7 +473,7 @@ class RequestKernel:
             refusal = {"fault": "partition"}
             resilience.observe(service, version, start, success=False)
         elif self._breakers and not resilience.admit(
-            service, version, start, node[_N_ENDPOINT], attempt
+            service, version, start, node.endpoint, attempt
         ):
             refusal = {"breaker": "open"}
         if refusal is not None:
@@ -628,20 +483,20 @@ class RequestKernel:
             return 0.0, True, version
         # Load is the ratio of the recent arrival rate to the version's
         # deployed capacity.
-        arrivals = node[_N_ARRIVALS]
+        arrivals = node.arrivals
         arrivals.append(start)
-        cutoff = start - self._window
+        cutoff = start - LOAD_WINDOW_SECONDS
         while arrivals[0] < cutoff:
             arrivals.popleft()
-        if node[_N_NEEDS_LOAD]:
-            capacity = node[_N_CAPACITY]
+        if node.needs_load:
+            capacity = node.capacity
             load = (
-                (len(arrivals) / self._window) / capacity if capacity > 0 else 0.0
+                (len(arrivals) / LOAD_WINDOW_SECONDS) / capacity if capacity > 0 else 0.0
             )
         else:
             load = 0.0
-        own_latency = node[_N_SAMPLE](load)
-        error = self._random() < node[_N_ERROR_RATE]
+        own_latency = node.sample(load)
+        error = self._random() < node.error_rate
         # Span ids are allocated pre-order (before children, so children
         # can reference their parent), span objects appended post-order.
         span_id = next_span_id() if spans is not None else None
@@ -652,15 +507,15 @@ class RequestKernel:
         # other, with fan-out they all start together and the endpoint
         # waits for the slowest.
         child_start = start + 0.3 * own_latency / 1000.0
-        parallel = node[_N_PARALLEL]
-        for probability, child_service, child_endpoint in node[_N_CHILDREN]:
+        parallel = node.parallel
+        for probability, child_service, child_endpoint in node.children:
             if probability < 1.0 and self._random() >= probability:
                 continue
             child_edge = self._edges.get((child_service, child_endpoint))
             if child_edge is None:
                 child_edge = self._edge(child_service, child_endpoint)
             offset = 0.0 if parallel else children_duration / 1000.0
-            if child_edge[2] is None:  # no policy: _dispatch's own shortcut
+            if child_edge.policy is None:  # _dispatch's own shortcut
                 child_duration, failed, _ = self._call(
                     child_edge, None, service, child_start + offset, depth + 1,
                     shadow, span_id, ctx, 0,
@@ -676,7 +531,7 @@ class RequestKernel:
             if failed:
                 error = True
         waited = slowest_child if parallel else children_duration
-        duration = own_latency + node[_N_PROXY_MS] + waited
+        duration = own_latency + node.proxy_ms + waited
         self._finish(node, ctx, span_id, parent_id, start, duration, error, tags)
         if self._breakers:
             resilience.observe(
@@ -692,7 +547,7 @@ class RequestKernel:
         return duration, error, version
 
     def _finish(
-        self, node, ctx, span_id, parent_id, start, duration, error, tags
+        self, node: _Node, ctx, span_id, parent_id, start, duration, error, tags
     ) -> None:
         """Append one hop's span when spans are on (a refused hop has no
         children, so it gets its id only here) and, for rows, buffer its
@@ -703,9 +558,9 @@ class RequestKernel:
                     span_id=span_id or next_span_id(),
                     trace_id=ctx[2],
                     parent_id=parent_id,
-                    service=node[_N_SERVICE],
-                    version=node[_N_VERSION],
-                    endpoint=node[_N_ENDPOINT],
+                    service=node.service,
+                    version=node.version,
+                    endpoint=node.endpoint,
                     start=start,
                     duration_ms=duration,
                     error=error,
@@ -713,9 +568,9 @@ class RequestKernel:
                 )
             )
         if self._population is not None:
-            node[_N_TS_BUF].append(start)
-            node[_N_DUR_BUF].append(duration)
-            node[_N_ERR_BUF].append(error)
+            node.start_buf.append(start)
+            node.duration_buf.append(duration)
+            node.error_buf.append(error)
 
     def flush(self) -> None:
         """Land the buffered samples in the runtime's store (the

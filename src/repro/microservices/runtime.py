@@ -8,10 +8,10 @@ spans into the trace collector and metrics into the monitor.
 
 The hop itself — the draw sequence, the child loop, the refusal branches
 and the shadow replay — lives in one place,
-:class:`~repro.simulation.batch.RequestKernel`, which the batch driver
+:class:`~repro.microservices.kernel.RequestKernel`, which the batch driver
 runs over columnar rows and :meth:`Runtime.execute` runs over one
 :class:`~repro.traffic.workload.Request`.  This module owns what
-surrounds it: the routing protocol, the load window, trace ids, and
+surrounds it: the routing protocol, the load deques, trace ids, and
 handing the finished spans to the collector and the kernel's sample
 buffer.
 
@@ -21,11 +21,11 @@ response times.  That single mechanism produces both effects the Bifrost
 evaluation reports: dark launches *duplicate* traffic (load up, latency
 up) while A/B tests *split* it (load down, latency down).
 
-Every hop additionally consults the :class:`ResilienceLayer`: a
-:class:`~repro.microservices.resilience.CallPolicy` can time the call
-out, retry it with seeded exponential backoff, or serve a fallback
-response; a per-(service, version) circuit breaker can reject the call
-before it reaches a failing version.  Retry latency and backoff are
+Every hop additionally consults the :class:`ResilienceLayer`: a caller's
+:class:`~repro.microservices.resilience.CallPolicy` can retry the call
+with seeded exponential backoff or serve a fallback response; a
+per-(service, version) circuit breaker can reject the call before it
+reaches a failing version.  Retry latency and backoff are
 charged to the observed duration, and every resilience occurrence is
 emitted as a tagged event so trace analysis sees it.
 """
@@ -37,10 +37,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Protocol
 
-from repro.errors import ExecutionError
 from repro.microservices.application import Application
 from repro.microservices.kernel import RequestKernel
 from repro.microservices.resilience import ResilienceLayer
+from repro.routing.proxy import RoutingDecision, StaticRouter
 from repro.simulation.clock import SimulationClock
 from repro.simulation.rng import SeededRng
 from repro.telemetry.monitor import Monitor
@@ -49,39 +49,12 @@ from repro.tracing.trace import Trace
 from repro.traffic.workload import Request
 
 
-@dataclass(frozen=True)
-class RoutingDecision:
-    """Outcome of routing one service call.
-
-    Attributes:
-        version: concrete version to serve the call, or None for the
-            service's stable version.
-        shadow_versions: versions that additionally receive a *duplicated*
-            (dark-launched) copy of the call; their work does not affect
-            the user-visible response.
-        proxy_hops: number of routing proxies traversed; each hop adds
-            the runtime's configured proxy overhead to the observed
-            latency (the source of Bifrost's end-user overhead).
-    """
-
-    version: str | None = None
-    shadow_versions: tuple[str, ...] = ()
-    proxy_hops: int = 0
-
-
 class Router(Protocol):
     """Anything that can resolve a service call to a concrete version."""
 
     def route(self, request: Request, service: str) -> RoutingDecision:
         """Decide which version of *service* handles *request*."""
         ...  # pragma: no cover - protocol
-
-
-class StaticRouter:
-    """Routes everything to the stable version with no proxy overhead."""
-
-    def route(self, request: Request, service: str) -> RoutingDecision:
-        return RoutingDecision()
 
 
 class NetworkGate(Protocol):
@@ -96,13 +69,11 @@ class LoadTracker:
     """Sliding-window arrival times per (service, version).
 
     The request kernel maintains each deque inline (append, expire, count)
+    over its :data:`~repro.microservices.kernel.core.LOAD_WINDOW_SECONDS`,
     so every driver shares one continuous load window.
     """
 
-    def __init__(self, window_seconds: float = 10.0) -> None:
-        if window_seconds <= 0:
-            raise ExecutionError("load window must be positive")
-        self.window_seconds = window_seconds
+    def __init__(self) -> None:
         self._arrivals: dict[tuple[str, str], deque[float]] = {}
 
     def arrivals_for(self, service: str, version: str) -> deque[float]:
@@ -146,7 +117,6 @@ class Runtime:
         collector: TraceCollector | None = None,
         monitor: Monitor | None = None,
         proxy_overhead_ms: float = 2.0,
-        load_window_seconds: float = 10.0,
         resilience: ResilienceLayer | None = None,
         network: NetworkGate | None = None,
     ) -> None:
@@ -157,7 +127,7 @@ class Runtime:
         self.collector = collector or TraceCollector()
         self.monitor = monitor or Monitor()
         self.proxy_overhead_ms = proxy_overhead_ms
-        self.load = LoadTracker(load_window_seconds)
+        self.load = LoadTracker()
         self.resilience = resilience or ResilienceLayer()
         self.resilience.subscribe(self.monitor.observe_resilience)
         self.network = network

@@ -10,11 +10,39 @@ services go straight to the stable version at zero overhead.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.errors import RoutingError
-from repro.microservices.runtime import RoutingDecision
 from repro.routing.assignment import StickyAssigner
 from repro.routing.rules import ExperimentRoute
 from repro.traffic.workload import Request
+
+
+@dataclass(frozen=True)
+class RoutingDecision:
+    """Outcome of routing one service call.
+
+    Attributes:
+        version: concrete version to serve the call, or None for the
+            service's stable version.
+        shadow_versions: versions that additionally receive a *duplicated*
+            (dark-launched) copy of the call; their work does not affect
+            the user-visible response.
+        proxy_hops: number of routing proxies traversed; each hop adds
+            the runtime's configured proxy overhead to the observed
+            latency (the source of Bifrost's end-user overhead).
+    """
+
+    version: str | None = None
+    shadow_versions: tuple[str, ...] = ()
+    proxy_hops: int = 0
+
+
+class StaticRouter:
+    """Routes everything to the stable version with no proxy overhead."""
+
+    def route(self, request: Request, service: str) -> RoutingDecision:
+        return RoutingDecision()
 
 
 class VersionRouter:

@@ -25,13 +25,7 @@ from repro.simulation.latency import (
 )
 from repro.simulation.rng import SeededRng
 
-# Imported last: repro.simulation.batch reaches into modules that
-# themselves import repro.simulation submodules during package init.
-from repro.simulation.batch import BatchRunResult, run_batches
-
 __all__ = [
-    "BatchRunResult",
-    "run_batches",
     "SimulationClock",
     "EventQueue",
     "ScheduledEvent",

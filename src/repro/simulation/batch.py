@@ -1,10 +1,6 @@
-"""The batch driver: million-request replay on the request kernel.
-
-:func:`run_batches` replays columnar :class:`~repro.traffic.batch.RequestBatch`
-chunks through :class:`~repro.microservices.kernel.RequestKernel`,
-interleaved with engine events by :func:`drive`, the loop ``Bifrost.run``
-and REPLAY share.
-"""
+"""The batch driver: :func:`drive`, the one loop that interleaves rows
+with engine events, and :func:`run_batches`, which runs each event-free
+stretch of a :class:`~repro.traffic.batch.RequestBatch` on the kernel."""
 
 from __future__ import annotations
 
@@ -102,7 +98,6 @@ def run_batches(
 
         def run_stretch(lo: int, hi: int) -> None:
             kernel = RequestKernel(runtime, batch.population)
-            kernel.prefill_assignments(batch, lo, hi)
             now, durations, errors = run_slice(
                 kernel, batch, lo, hi, simulation.now
             )

@@ -13,7 +13,7 @@ ablation: same sticky bucketing semantics, different cost structure.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.microservices.runtime import RoutingDecision
+from repro.routing.proxy import RoutingDecision
 from repro.toggles.store import FeatureToggle, ToggleStore
 from repro.traffic.workload import Request
 

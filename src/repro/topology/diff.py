@@ -157,8 +157,12 @@ def diff_from_indexes(
     # plane but new versions participate.  During a live experiment both
     # the stable and the experimental version serve simultaneously, so
     # the comparison is on version *sets*, and the representative
-    # instance is one involving a new version.
-    for se_edge in set(base_edges) & set(exp_edges):
+    # instance is one involving a new version.  Edges are visited in the
+    # experimental graph's order, so the order of ``changes`` (and of
+    # tied ranks) does not follow the hash seed.
+    for se_edge in exp_edges:
+        if se_edge not in base_edges:
+            continue
         base_caller_versions = {c.version for c, _ in base_edges[se_edge]}
         base_callee_versions = {e.version for _, e in base_edges[se_edge]}
         new_caller_versions = {

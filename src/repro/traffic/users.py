@@ -58,7 +58,7 @@ def bucket_user(user_id: str, salt: str, buckets: int = 1000) -> int:
 
 #: Below this many indices :func:`bucket_indices` hashes row by row: the
 #: lane-wise MD5 costs a fixed ≈ 0.4–0.9 ms a call, which per-row hashlib
-#: only beats on small slices (measured crossover, see docs/PERF_KERNEL.md).
+#: only beats on small slices (measured crossover: docs/PERF_KERNEL_MEASURED.md).
 _LANE_MD5_MIN = 512
 
 _MD5_SHIFTS = [7, 12, 17, 22] * 4 + [5, 9, 14, 20] * 4 + [4, 11, 16, 23] * 4 + [6, 10, 15, 21] * 4

@@ -16,7 +16,7 @@ import hashlib
 import pytest
 
 from repro.exec.recording import run_digest
-from repro.microservices.runtime import RoutingDecision
+from repro.routing.proxy import RoutingDecision
 from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation

@@ -542,7 +542,6 @@ def test_a_plain_slice_leaves_no_reference_cycles():
         )
     )
     kernel = RequestKernel(bifrost.runtime, population)
-    kernel.prefill_assignments(batch, 0, len(batch))
     gc.collect()
     gc.disable()
     try:

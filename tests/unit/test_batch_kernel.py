@@ -24,13 +24,13 @@ from repro.microservices.faults import (
     LatencySpike,
     NetworkState,
 )
-from repro.microservices.resilience import CallPolicy, ResilienceLayer
-from repro.microservices.service import EndpointSpec, ServiceVersion
 from repro.microservices.kernel import RequestKernel, columns
 from repro.microservices.kernel.columns import _arrive, _loads
-from repro.microservices.kernel.core import _N_ERROR_RATE, _N_NEEDS_LOAD, _N_SAMPLE
 from repro.microservices.kernel.plan import plan
+from repro.microservices.resilience import CallPolicy, ResilienceLayer
+from repro.microservices.service import EndpointSpec, ServiceVersion
 from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
+from repro.simulation import batch as batch_module
 from repro.simulation.batch import run_batches
 from repro.simulation.latency import ConstantLatency
 from repro.stats.timeseries import TimeSeries
@@ -228,7 +228,7 @@ class TestSliceBlockers:
 
         def compiled_error_rate():
             kernel = RequestKernel(bifrost.runtime, population)
-            return kernel.entry_edge("catalog.list")[1][_N_ERROR_RATE]
+            return kernel.entry_edge("catalog.list").node.error_rate
 
         pristine = compiled_error_rate()
         bifrost.simulation.run_until(5.0)
@@ -250,16 +250,16 @@ class TestSliceBlockers:
             target.simulation.run_until(0.0)
         population = UserPopulation(10, DEFAULT_GROUPS, seed=1)
         kernel = RequestKernel(bifrost.runtime, population)
-        catalog = kernel.entry_edge("catalog.search")[1]
-        frontend = kernel.entry_edge("frontend.index")[1]
-        assert catalog[_N_NEEDS_LOAD] is False  # LogNormal base
-        assert frontend[_N_NEEDS_LOAD] is True  # LoadSensitive base
+        catalog = kernel.entry_edge("catalog.search").node
+        frontend = kernel.entry_edge("frontend.index").node
+        assert catalog.needs_load is False  # LogNormal base
+        assert frontend.needs_load is True  # LoadSensitive base
         for node, service, endpoint in (
             (catalog, "catalog", "search"),
             (frontend, "frontend", "index"),
         ):
             model = twin.application.resolve(service).endpoint(endpoint).latency
-            assert [node[_N_SAMPLE](1.5) for _ in range(5)] == [
+            assert [node.sample(1.5) for _ in range(5)] == [
                 model.sample(twin.runtime.rng, 1.5) for _ in range(5)
             ]
 
@@ -411,7 +411,9 @@ class TestSliceBlockers:
             return bifrost
 
         scalar, batch = _both_paths(build, requests=60)
-        assert _row_kernel(batch)._certain_services("frontend.index") == {"frontend", "catalog"}
+        assert columns._certain_services(_row_kernel(batch), "frontend.index") == {
+            "frontend", "catalog"
+        }
         for experiment in ("catalog-ramp", "inventory-split"):
             batch_assigner = _settled(batch.router.assigner(experiment))
             scalar_assigner = _settled(scalar.router.assigner(experiment))
@@ -467,19 +469,19 @@ class TestHostileGuard:
         self, hostile, canary_error, request, monkeypatch
     ):
         planned, columnar = columns.plan, []
-        run_rows, general_rows = RequestKernel._run_rows, []
+        run_rows, general_rows = columns._run_rows, []
 
         def counted(kernel, entry):
             positions = planned(kernel, entry)
             columnar.append(positions is not None)
             return positions
 
-        def rows(self, batch, lo, hi, now):
+        def rows(kernel, batch, lo, hi, now):
             general_rows.append(hi - lo)
-            return run_rows(self, batch, lo, hi, now)
+            return run_rows(kernel, batch, lo, hi, now)
 
         monkeypatch.setattr(columns, "plan", counted)
-        monkeypatch.setattr(RequestKernel, "_run_rows", rows)
+        monkeypatch.setattr(columns, "_run_rows", rows)
         params = (canary_error, 1.0, False, 0.1, 5, "constant")
         bifrost, _, seen, result = run_batch(params, hostile=hostile)
         general = result.fast_slices - sum(columnar)
@@ -646,6 +648,21 @@ class TestRunBatchesDriver:
         )
         assert result.requests == 0
         assert bifrost.simulation.now == 25.0
+
+    def test_the_middleware_calls_the_module_attribute(self, monkeypatch):
+        """``Bifrost.run_batches`` looks ``run_batches`` up on its module
+        per call, so a wrapper installed there after import (the
+        benchmark tracer's kernel timer) sees every batch run."""
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(args[1])
+            return run_batches(*args, **kwargs)
+
+        bifrost = Bifrost(sample_application(), seed=1)
+        monkeypatch.setattr(batch_module, "run_batches", wrapped)
+        result = bifrost.run_batches([], until=5.0)
+        assert calls == [bifrost.runtime] and result.requests == 0
 
 
 class TestGoldenCasesOnTheKernel:

@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.microservices.kernel import columns
+from repro.microservices.kernel import columns, plan
 from repro.simulation.rng import random_block
 from tests.property.test_columnar_slice import assert_same_state, plain_app, run_both
 
@@ -72,12 +72,12 @@ def kinderman_monahan_pairs(u):
     return out
 
 
-@pytest.mark.parametrize("guard", [columns._LOG_GUARD, math.inf])
+@pytest.mark.parametrize("guard", [plan._LOG_GUARD, math.inf])
 def test_block_tables_match_the_scalar_acceptance_loop(guard):
     """``math.inf`` sends every acceptance test down the ``math.log`` path."""
     u = random_block(random.Random(5), 3_000)
-    with mock.patch.object(columns, "_LOG_GUARD", guard):
-        block = columns._Block(u)
+    with mock.patch.object(plan, "_LOG_GUARD", guard):
+        block = plan._Block(u)
     n = len(u)
     for start, pair in enumerate(kinderman_monahan_pairs(u.tolist())):
         if pair is None:
@@ -93,7 +93,7 @@ def test_block_tables_match_the_scalar_acceptance_loop(guard):
 def test_near_boundary_log_and_short_blocks_stay_exact():
     """Every acceptance decided by ``math.log``, and blocks so short that
     rows run past them: sub-blocks end early and grow until a row fits."""
-    with mock.patch.object(columns, "_LOG_GUARD", math.inf), mock.patch.object(
+    with mock.patch.object(plan, "_LOG_GUARD", math.inf), mock.patch.object(
         columns, "_BLOCK_SLACK", -(10**9)
     ):
         assert_same_state(*run_both(plain_app, sub_block=50))

@@ -7,7 +7,8 @@ from repro.microservices.application import Application
 from repro.bifrost import Bifrost
 from repro.microservices.faults import FaultCampaign, FaultInjector, LatencySpike
 from repro.microservices.resilience import CallPolicy
-from repro.microservices.runtime import LoadTracker, RoutingDecision, Runtime
+from repro.microservices.runtime import Runtime
+from repro.routing.proxy import RoutingDecision
 from repro.microservices.service import (
     DownstreamCall,
     EndpointSpec,
@@ -136,9 +137,10 @@ class TestApplication:
         assert tiny_app.endpoint_count() == 2
 
 
-def loaded_runtime(window_seconds: float) -> Runtime:
+def loaded_runtime() -> Runtime:
     """One service, two versions of 10 ms base latency that doubles per
-    unit of load above 1, each able to take one request every two seconds."""
+    unit of load above 1, each able to take one request every two seconds
+    (five per 10 s load window)."""
     app = Application()
     for version in ("1.0", "2.0"):
         app.deploy(
@@ -149,40 +151,38 @@ def loaded_runtime(window_seconds: float) -> Runtime:
                 capacity_rps=0.5,
             )
         )
-    return Runtime(app, seed=1, load_window_seconds=window_seconds)
+    return Runtime(app, seed=1)
 
 
 class TestLoadTracker:
     """The sliding load window, observed through the latency it inflates."""
 
     def test_rate_computation(self):
-        runtime = loaded_runtime(window_seconds=10.0)
+        runtime = loaded_runtime()
         for t in range(10):
             outcome = runtime.execute(make_request(entry="svc.ep", t=float(t)))
         # Ten arrivals in ten seconds on 0.5 rps of capacity: load 2.
         assert outcome.duration_ms == pytest.approx(20.0)
 
     def test_window_expiry(self):
-        runtime = loaded_runtime(window_seconds=1.0)
-        for _ in range(3):
-            busy = runtime.execute(make_request(entry="svc.ep", t=0.0))
-        assert busy.duration_ms == pytest.approx(10.0 * (1.0 + 5.0))
-        late = runtime.execute(make_request(entry="svc.ep", t=100.0))
-        assert late.duration_ms == pytest.approx(10.0 * (1.0 + 1.0))
-        assert list(runtime.load.arrivals_for("svc", "1.0")) == [100.0]
+        """An arrival exactly one window old still counts; older ones leave."""
+        runtime = loaded_runtime()
+        for _ in range(10):
+            runtime.execute(make_request(entry="svc.ep", t=0.0))
+        edge = runtime.execute(make_request(entry="svc.ep", t=10.0))
+        assert edge.duration_ms == pytest.approx(10.0 * (1.0 + 1.2))
+        late = runtime.execute(make_request(entry="svc.ep", t=10.5))
+        assert late.duration_ms == pytest.approx(10.0)
+        assert list(runtime.load.arrivals_for("svc", "1.0")) == [10.0, 10.5]
 
     def test_versions_tracked_separately(self):
-        runtime = loaded_runtime(window_seconds=10.0)
+        runtime = loaded_runtime()
         for _ in range(20):
             runtime.execute(make_request(entry="svc.ep", t=0.0))
         runtime.application.service("svc").promote("2.0")
         outcome = runtime.execute(make_request(entry="svc.ep", t=0.0))
         assert outcome.trace.root.version == "2.0"
         assert outcome.duration_ms == pytest.approx(10.0)
-
-    def test_invalid_window(self):
-        with pytest.raises(ExecutionError):
-            LoadTracker(0.0)
 
 
 class TestRuntime:

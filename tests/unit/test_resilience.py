@@ -18,7 +18,8 @@ from repro.microservices.resilience import (
     ResilienceLayer,
     ResilienceSummary,
 )
-from repro.microservices.runtime import RoutingDecision, Runtime
+from repro.microservices.runtime import Runtime
+from repro.routing.proxy import RoutingDecision
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
 from repro.simulation.latency import ConstantLatency
 from repro.traffic.batch import BatchWorkloadGenerator

@@ -1,7 +1,12 @@
 """Unit tests for the topological diff and change-type classification."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.topology.change_types import ChangeType
 from repro.topology.diff import DiffStatus, diff_graphs
 from repro.topology.graph import InteractionGraph, NodeKey
@@ -137,6 +142,28 @@ class TestComposedChangeTypes:
         diff = diff_graphs(base_graph(), experimental)
         identities = {c.identity for c in diff.changes}
         assert ("updated_callee_version", "frontend/ep", "backend/ep") in identities
+
+    def test_change_order_does_not_follow_the_hash_seed(self):
+        """Shared edges are visited in the experimental graph's order, so
+        interpreters that hash strings differently list the same changes
+        in the same order (and rank ties the same way)."""
+        probe = (
+            "from repro.topology.scenarios import scenario2\n"
+            "for change in scenario2(degraded=True).diff().changes:\n"
+            "    print(change.describe())\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        listed = [
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert listed[0].count("\n") > 1 and listed[0] == listed[1]
 
 
 class TestUncertainty:
