@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ExecutionError
 from repro.microservices.faults import _ScaledLatency
 from repro.routing.proxy import StaticRouter, VersionRouter
 from repro.simulation.latency import (
