@@ -12,7 +12,9 @@ import statistics
 
 from _util import emit, format_rows
 
-from repro.fenrir import Fenrir, GeneticAlgorithm, SampleSizeBand, random_experiments
+from repro.fenrir.generator import SampleSizeBand, random_experiments
+from repro.fenrir.genetic import GeneticAlgorithm
+from repro.fenrir.scheduler import Fenrir
 from repro.traffic.profile import diurnal_profile
 
 BUDGET = 1000

@@ -13,14 +13,11 @@ import time
 
 from _util import emit, format_rows
 
-from repro.topology import (
-    aggregate_to_service_level,
-    all_heuristic_variants,
-    diff_graphs,
-    mutate_graph,
-    random_interaction_graph,
-    rank_changes,
-)
+from repro.topology.aggregate import aggregate_to_service_level
+from repro.topology.diff import diff_graphs
+from repro.topology.generator import mutate_graph, random_interaction_graph
+from repro.topology.heuristics.hybrid import all_heuristic_variants
+from repro.topology.ranking import rank_changes
 
 SIZES = (2000, 10000)
 

@@ -12,7 +12,7 @@ import statistics
 
 from _util import emit, format_rows
 
-from repro.topology.heuristics import HybridHeuristic
+from repro.topology.heuristics.hybrid import HybridHeuristic
 from repro.topology.ranking import evaluate_ranking, rank_changes
 from repro.topology.scenarios import scenario1, scenario2
 

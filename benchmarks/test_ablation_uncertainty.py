@@ -14,7 +14,7 @@ import statistics
 from _util import emit, format_rows
 
 from repro.topology.change_types import ChangeType
-from repro.topology.heuristics import SubtreeComplexityHeuristic
+from repro.topology.heuristics.subtree import SubtreeComplexityHeuristic
 from repro.topology.ranking import evaluate_ranking, rank_changes
 from repro.topology.scenarios import scenario1, scenario2
 from repro.topology.uncertainty import UncertaintyModel, uniform_uncertainty

@@ -13,7 +13,8 @@ import time
 
 from _util import emit, format_rows
 
-from repro.bifrost import Bifrost, SnapshotPolicy
+from repro.bifrost.journal import SnapshotPolicy
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy, StrategyOutcome
 from repro.microservices.application import Application
 from repro.microservices.faults import EngineCrash, FaultCampaign, FaultInjector

@@ -25,18 +25,15 @@ import time
 
 from _util import OUTPUT_DIR, emit, format_rows
 
-from repro.fenrir import (
-    GeneticAlgorithm,
-    LocalSearch,
-    RandomSampling,
-    SampleSizeBand,
-    SimulatedAnnealing,
-    evaluate,
-    random_experiments,
-)
+from repro.fenrir.annealing import SimulatedAnnealing
 from repro.fenrir.fastfit import Scorer
+from repro.fenrir.fitness import evaluate
+from repro.fenrir.generator import SampleSizeBand, random_experiments
+from repro.fenrir.genetic import GeneticAlgorithm
+from repro.fenrir.local_search import LocalSearch
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.operators import mutate_gene, random_schedule
+from repro.fenrir.random_sampling import RandomSampling
 from repro.simulation.rng import SeededRng
 from repro.traffic.profile import diurnal_profile
 

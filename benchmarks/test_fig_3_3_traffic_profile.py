@@ -7,7 +7,9 @@ set of scheduled experiments.
 
 from _util import emit, format_rows
 
-from repro.fenrir import Fenrir, GeneticAlgorithm, SampleSizeBand, random_experiments
+from repro.fenrir.generator import SampleSizeBand, random_experiments
+from repro.fenrir.genetic import GeneticAlgorithm
+from repro.fenrir.scheduler import Fenrir
 from repro.traffic.profile import consumption_series, diurnal_profile
 
 

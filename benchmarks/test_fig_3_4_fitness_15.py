@@ -10,15 +10,12 @@ import statistics
 
 from _util import emit, format_rows
 
-from repro.fenrir import (
-    Fenrir,
-    GeneticAlgorithm,
-    LocalSearch,
-    RandomSampling,
-    SampleSizeBand,
-    SimulatedAnnealing,
-    random_experiments,
-)
+from repro.fenrir.annealing import SimulatedAnnealing
+from repro.fenrir.generator import SampleSizeBand, random_experiments
+from repro.fenrir.genetic import GeneticAlgorithm
+from repro.fenrir.local_search import LocalSearch
+from repro.fenrir.random_sampling import RandomSampling
+from repro.fenrir.scheduler import Fenrir
 from repro.traffic.profile import diurnal_profile
 
 SEEDS = (1, 2, 3, 4, 5)

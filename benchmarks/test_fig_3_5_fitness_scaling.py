@@ -14,15 +14,12 @@ there is recorded, not asserted: the artefact's last line reads
 
 from _util import emit, format_rows
 
-from repro.fenrir import (
-    Fenrir,
-    GeneticAlgorithm,
-    LocalSearch,
-    RandomSampling,
-    SampleSizeBand,
-    SimulatedAnnealing,
-    random_experiments,
-)
+from repro.fenrir.annealing import SimulatedAnnealing
+from repro.fenrir.generator import SampleSizeBand, random_experiments
+from repro.fenrir.genetic import GeneticAlgorithm
+from repro.fenrir.local_search import LocalSearch
+from repro.fenrir.random_sampling import RandomSampling
+from repro.fenrir.scheduler import Fenrir
 from repro.traffic.profile import diurnal_profile
 
 COUNTS = (5, 15, 40)

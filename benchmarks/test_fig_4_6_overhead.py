@@ -15,7 +15,7 @@ version calls — the cascading effect the paper cautions about).
 
 from _util import emit, format_rows, format_series
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.microservices.application import Application
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
 from repro.simulation.latency import LoadSensitiveLatency, LogNormalLatency

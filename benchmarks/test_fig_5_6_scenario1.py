@@ -10,7 +10,8 @@ letting engineers toggle heuristics.
 
 from _util import emit, format_rows
 
-from repro.topology import all_heuristic_variants, evaluate_ranking, rank_changes
+from repro.topology.heuristics.hybrid import all_heuristic_variants
+from repro.topology.ranking import evaluate_ranking, rank_changes
 from repro.topology.scenarios import scenario1
 
 

@@ -12,13 +12,10 @@ import time
 
 from _util import emit, format_rows
 
-from repro.topology import (
-    all_heuristic_variants,
-    diff_graphs,
-    mutate_graph,
-    random_interaction_graph,
-    rank_changes,
-)
+from repro.topology.diff import diff_graphs
+from repro.topology.generator import mutate_graph, random_interaction_graph
+from repro.topology.heuristics.hybrid import all_heuristic_variants
+from repro.topology.ranking import rank_changes
 
 SIZES = (1000, 4000, 10000)
 SHAPES = {"deep": 2, "broad": 8}

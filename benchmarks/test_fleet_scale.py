@@ -26,13 +26,13 @@ from repro.bifrost.engine import engine_load
 from repro.errors import SimulationError
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
 from repro.fenrir.schedule import Gene, Schedule
-from repro.fleet import (
+from repro.fleet.admission import usage_within_budget
+from repro.fleet.orchestrator import (
     OUTCOME_PROMOTED,
     OUTCOME_SHED,
     ExperimentFaults,
     FleetConfig,
     FleetOrchestrator,
-    usage_within_budget,
 )
 from repro.traffic.profile import TrafficProfile, UserGroup
 

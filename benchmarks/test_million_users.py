@@ -26,7 +26,7 @@ import tracemalloc
 
 from _util import OUTPUT_DIR, emit, format_rows
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.microservices.application import Application
 from repro.microservices.service import (

@@ -30,11 +30,13 @@ import time
 
 from _util import OUTPUT_DIR, emit, format_rows
 
-from repro.bifrost import Bifrost, SnapshotPolicy
+from repro.bifrost.journal import SnapshotPolicy
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy, StrategyOutcome
 from repro.microservices.application import Application
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
-from repro.obs import AlertRule, Observer
+from repro.obs.alerts import AlertRule
+from repro.obs.observer import Observer
 from repro.simulation.latency import LogNormalLatency
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation

@@ -11,7 +11,7 @@ user-visible error rate stays low in all three regimes.
 
 from _util import emit, format_rows
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.microservices.application import Application
 from repro.microservices.faults import (

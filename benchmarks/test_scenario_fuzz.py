@@ -18,7 +18,8 @@ import time
 
 from _util import OUTPUT_DIR, emit, format_rows
 
-from repro.scenarios import ScenarioFuzzer, check_invariant
+from repro.scenarios.fuzzer import ScenarioFuzzer
+from repro.scenarios.invariants import check_invariant
 
 SMOKE = os.environ.get("SCENARIO_FUZZ_SMOKE") == "1"
 SEED = 2026

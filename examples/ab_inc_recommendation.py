@@ -14,16 +14,13 @@ Run with::
     python examples/ab_inc_recommendation.py
 """
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
 from repro.simulation.latency import LoadSensitiveLatency, LogNormalLatency
-from repro.topology import (
-    all_heuristic_variants,
-    build_interaction_graph,
-    diff_graphs,
-    rank_changes,
-)
-from repro.topology.ranking import ranking_table
+from repro.topology.builder import build_interaction_graph
+from repro.topology.diff import diff_graphs
+from repro.topology.heuristics.hybrid import all_heuristic_variants
+from repro.topology.ranking import rank_changes, ranking_table
 from repro.topology.scenarios import sample_application
 from repro.tracing.query import TraceQuery
 from repro.traffic.profile import DEFAULT_GROUPS

@@ -14,8 +14,8 @@ Run with::
 """
 
 from repro.obs.observer import Observer
-from repro.scenarios import ScenarioFuzzer, run_scenario
-from repro.scenarios.fuzzer import ARCHETYPES_BY_NAME
+from repro.scenarios.fuzzer import ScenarioFuzzer
+from repro.scenarios.runner import run_scenario
 
 SEED = 2026
 

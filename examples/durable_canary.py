@@ -13,7 +13,8 @@ Run with::
     python examples/durable_canary.py
 """
 
-from repro.bifrost import Bifrost, SnapshotPolicy
+from repro.bifrost.journal import SnapshotPolicy
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.microservices.application import Application
 from repro.microservices.faults import EngineCrash, FaultCampaign, FaultInjector

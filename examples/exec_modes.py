@@ -21,7 +21,9 @@ Run with::
 import tempfile
 
 from repro.bifrost.dsl import parse_strategy
-from repro.exec import ExecutionRouter, LiveOptions, Recording
+from repro.exec.live import LiveOptions
+from repro.exec.recording import Recording
+from repro.exec.router import ExecutionRouter
 from repro.microservices.application import Application
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
 from repro.simulation.latency import LogNormalLatency

@@ -12,18 +12,14 @@ Run with::
     python examples/experiment_scheduling.py
 """
 
-from repro.fenrir import (
-    Fenrir,
-    GeneticAlgorithm,
-    LocalSearch,
-    RandomSampling,
-    SampleSizeBand,
-    SimulatedAnnealing,
-    random_experiments,
-    reevaluate,
-    schedule_gantt,
-    utilization_sparkline,
-)
+from repro.fenrir.annealing import SimulatedAnnealing
+from repro.fenrir.generator import SampleSizeBand, random_experiments
+from repro.fenrir.genetic import GeneticAlgorithm
+from repro.fenrir.local_search import LocalSearch
+from repro.fenrir.random_sampling import RandomSampling
+from repro.fenrir.reevaluation import reevaluate
+from repro.fenrir.scheduler import Fenrir
+from repro.fenrir.visualize import schedule_gantt, utilization_sparkline
 from repro.traffic.profile import diurnal_profile
 
 

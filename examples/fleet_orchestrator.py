@@ -20,14 +20,14 @@ from repro.bifrost.journal import Journal, MemoryJournalStorage
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
 from repro.fenrir.reevaluation import build_reevaluation_from_fleet
 from repro.fenrir.schedule import Gene, Schedule
-from repro.fleet import (
+from repro.fleet.orchestrator import (
     ExperimentFaults,
     FleetConfig,
     FleetOrchestrator,
     OrchestratorKilled,
     fleet_outcomes_for_reevaluation,
-    recover_fleet,
 )
+from repro.fleet.recovery import recover_fleet
 from repro.traffic.profile import TrafficProfile, UserGroup
 
 WAVE = 4

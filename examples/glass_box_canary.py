@@ -18,23 +18,20 @@ Run with::
 
 import io
 
-from repro.bifrost import Bifrost, SnapshotPolicy
+from repro.bifrost.journal import SnapshotPolicy
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
-from repro.fenrir import Fenrir
 from repro.fenrir.model import ExperimentSpec
+from repro.fenrir.scheduler import Fenrir
 from repro.microservices.application import Application
 from repro.microservices.faults import EngineCrash, FaultCampaign, FaultInjector
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
-from repro.obs import (
-    JsonlEventSink,
-    Observer,
-    build_provenance,
-    diff_timeline_execution,
-    glass_box_panel,
-    load_jsonl,
-    render_ascii,
-    render_prometheus,
-)
+from repro.obs.dashboard import glass_box_panel
+from repro.obs.events import load_jsonl
+from repro.obs.exporters import JsonlEventSink, render_prometheus
+from repro.obs.observer import Observer
+from repro.obs.provenance import build_provenance
+from repro.obs.timeline import diff_timeline_execution, render_ascii
 from repro.simulation.latency import LogNormalLatency
 from repro.traffic.profile import DEFAULT_GROUPS, UserGroup, flat_profile
 from repro.traffic.users import UserPopulation

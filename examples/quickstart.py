@@ -9,7 +9,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.microservices.service import EndpointSpec, DownstreamCall, ServiceVersion
 from repro.simulation.latency import LoadSensitiveLatency, LogNormalLatency

@@ -10,20 +10,23 @@ Run with::
     python examples/release_workflow.py
 """
 
-from repro.bifrost import Bifrost, parse_strategy
+from repro.bifrost.dsl import parse_strategy
+from repro.bifrost.middleware import Bifrost
 from repro.core.advisor import PlatformContext, advise_technique
 from repro.core.experiment import Experiment, ExperimentPractice
 from repro.microservices.service import EndpointSpec, ServiceVersion
 from repro.simulation.latency import LogNormalLatency
-from repro.topology import build_interaction_graph, diff_graphs, rank_changes
-from repro.topology.heuristics import HybridHeuristic
+from repro.topology.builder import build_interaction_graph
+from repro.topology.diff import diff_graphs
+from repro.topology.heuristics.hybrid import HybridHeuristic
+from repro.topology.ranking import rank_changes
 from repro.topology.scenarios import sample_application
 from repro.topology.visualize import diff_report
 from repro.tracing.query import TraceQuery
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
-from repro.verification import verify_strategy
+from repro.verification.strategy import verify_strategy
 
 STRATEGY = """
 strategy search-canary

@@ -11,7 +11,7 @@ Run with::
     python examples/resilience_canary.py
 """
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.microservices.application import Application
 from repro.microservices.faults import (

@@ -14,7 +14,7 @@ Run with::
     python examples/streaming_health.py
 """
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.microservices.service import EndpointSpec, ServiceVersion
 from repro.simulation.latency import LoadSensitiveLatency, LogNormalLatency
 from repro.topology.scenarios import sample_application

@@ -12,8 +12,8 @@ Run with::
     python examples/topology_health.py
 """
 
-from repro.topology import all_heuristic_variants, evaluate_ranking, rank_changes
-from repro.topology.ranking import ranking_table
+from repro.topology.heuristics.hybrid import all_heuristic_variants
+from repro.topology.ranking import evaluate_ranking, rank_changes, ranking_table
 from repro.topology.scenarios import scenario2
 
 

@@ -19,14 +19,8 @@ A from-scratch reproduction of Gerald Schermann's dissertation
 
 Quickstart::
 
-    from repro.core import ExperimentationFramework
+    from repro.core.framework import ExperimentationFramework
     from repro.topology.scenarios import sample_application
 
     framework = ExperimentationFramework(sample_application())
 """
-
-from repro.errors import ReproError
-
-__version__ = "1.0.0"
-
-__all__ = ["ReproError", "__version__"]

@@ -16,66 +16,7 @@ snapshots, and a supervisor recovers a killed engine so running
 experiments survive their infrastructure.
 """
 
-from repro.bifrost.model import (
-    Action,
-    Check,
-    CheckOutcome,
-    Phase,
-    PhaseType,
-    Strategy,
-    StrategyOutcome,
-)
-from repro.bifrost.dsl import (
-    parse_file,
-    parse_strategies,
-    parse_strategy,
-    strategy_to_dsl,
-)
-from repro.bifrost.state_machine import StateMachine, StrategyState
-from repro.bifrost.checks import CheckEvaluator
-from repro.bifrost.engine import BifrostEngine, StrategyExecution
-from repro.bifrost.journal import (
-    FileJournalStorage,
-    Journal,
-    MemoryJournalStorage,
-    Snapshot,
-    SnapshotPolicy,
-    SnapshotStore,
-)
+# benchmarks/e2e/workloads.py imports this name through the package.
 from repro.bifrost.middleware import Bifrost
-from repro.bifrost.recovery import (
-    EngineSupervisor,
-    RecoveryManager,
-    RecoveryReport,
-    RestartPolicy,
-)
 
-__all__ = [
-    "Action",
-    "Check",
-    "CheckOutcome",
-    "Phase",
-    "PhaseType",
-    "Strategy",
-    "StrategyOutcome",
-    "parse_file",
-    "parse_strategies",
-    "parse_strategy",
-    "strategy_to_dsl",
-    "StateMachine",
-    "StrategyState",
-    "CheckEvaluator",
-    "BifrostEngine",
-    "StrategyExecution",
-    "FileJournalStorage",
-    "Journal",
-    "MemoryJournalStorage",
-    "Snapshot",
-    "SnapshotPolicy",
-    "SnapshotStore",
-    "Bifrost",
-    "EngineSupervisor",
-    "RecoveryManager",
-    "RecoveryReport",
-    "RestartPolicy",
-]
+__all__ = ["Bifrost"]

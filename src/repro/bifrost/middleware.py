@@ -26,7 +26,7 @@ from repro.microservices.faults import (
     NetworkState,
     describe_fault,
 )
-from repro.microservices.kernel import RequestKernel
+from repro.microservices.kernel.core import RequestKernel
 from repro.microservices.resilience import ResilienceLayer
 from repro.microservices.runtime import RequestOutcome, Runtime
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -272,7 +272,7 @@ class Bifrost:
         another execution mode in its DSL (``mode live``, say) is
         rejected — running it here would silently substitute the
         simulator for the substrate the author asked for.  Route
-        mode-pinned strategies through :class:`repro.exec.ExecutionRouter`,
+        mode-pinned strategies through :class:`repro.exec.router.ExecutionRouter`,
         whose backends submit to :attr:`engine` directly.
         """
         if isinstance(strategy, str):
@@ -281,7 +281,7 @@ class Bifrost:
             raise ConfigurationError(
                 f"strategy {strategy.name!r} pins execution mode "
                 f"{strategy.execution_mode!r} but this middleware is the "
-                "'sim' substrate; run it via repro.exec.ExecutionRouter"
+                "'sim' substrate; run it via repro.exec.router.ExecutionRouter"
             )
         return self.engine.submit(strategy, at=at)
 

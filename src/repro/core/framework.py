@@ -18,7 +18,8 @@ from repro.fenrir.scheduler import Fenrir, SchedulingResult
 from repro.microservices.application import Application
 from repro.topology.builder import build_interaction_graph
 from repro.topology.diff import TopologyDiff, diff_graphs
-from repro.topology.heuristics import RankingHeuristic, all_heuristic_variants
+from repro.topology.heuristics.base import RankingHeuristic
+from repro.topology.heuristics.hybrid import all_heuristic_variants
 from repro.topology.ranking import RankedChange, rank_changes
 from repro.tracing.query import TraceQuery
 from repro.traffic.profile import TrafficProfile

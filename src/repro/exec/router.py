@@ -23,17 +23,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.bifrost.dsl import parse_strategy
 from repro.bifrost.model import Strategy, StrategyOutcome
 from repro.errors import ConfigurationError
-from repro.exec.live import LiveBackend, LiveOptions
 from repro.exec.recording import Recording
 from repro.exec.replay import ReplayBackend, ReplayDiff, diff_replay
 from repro.exec.sim import RunResult, SimBackend
 from repro.microservices.application import Application
 from repro.traffic.workload import Request
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.live import LiveBackend, LiveOptions
 
 
 class ExecutionMode(enum.Enum):
@@ -107,7 +109,9 @@ class ExecutionRouter:
         seed: substrate seed, shared by all backends.
         sim_kwargs: extra keyword arguments for the SIM middleware
             (``durable=``, ``resilience=``, ``observer=``, ...).
-        live_options: socket/timing knobs of the LIVE testbed.
+        live_options: socket/timing knobs of the LIVE testbed, which is
+            built on the first LIVE run: a SIM or REPLAY run never loads
+            its asyncio/socket stack.
     """
 
     def __init__(
@@ -124,7 +128,8 @@ class ExecutionRouter:
         self.seed = seed
         self.sim = SimBackend(self._factory, seed=seed, middleware_kwargs=sim_kwargs)
         self.replay = ReplayBackend(self._factory)
-        self.live = LiveBackend(self._factory, seed=seed, options=live_options)
+        self.live_options = live_options
+        self.live: LiveBackend | None = None
 
     def resolve_mode(
         self,
@@ -181,6 +186,10 @@ class ExecutionRouter:
                 strategy, workload, until=until, submit_at=submit_at, record=record
             )
         else:
+            if self.live is None:
+                from repro.exec.live import LiveBackend
+
+                self.live = LiveBackend(self._factory, seed=self.seed, options=self.live_options)
             result = self.live.execute(strategy, workload, until=until, submit_at=submit_at)
         return self._report(resolved, result)
 

@@ -7,71 +7,21 @@ bulkhead per experiment — under per-slot admission control, a health
 watchdog, and a crash-consistent fleet WAL.
 """
 
-from repro.fleet.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    AdmissionRequest,
-    SHED_DEADLINE,
-    SHED_STARVED,
-    usage_within_budget,
-)
+# benchmarks/e2e/workloads.py imports these names through the package.
+from repro.fleet.admission import usage_within_budget
 from repro.fleet.orchestrator import (
-    EXPERIMENTAL_VERSION,
+    OUTCOME_PROMOTED,
     ExperimentFaults,
     FleetConfig,
     FleetOrchestrator,
-    FleetPoison,
-    FleetResult,
     OrchestratorKilled,
-    OUTCOME_ABORTED,
-    OUTCOME_INCONCLUSIVE,
-    OUTCOME_PROMOTED,
-    OUTCOME_ROLLED_BACK,
-    OUTCOME_SHED,
-    SHED_BURN,
-    SHED_CRASH_LOOP,
-    SHED_FLEET_DEADLINE,
-    SHED_HEALTH,
-    STABLE_VERSION,
-    SlotLedger,
-    fleet_outcomes_for_reevaluation,
-    fleet_strategy,
-    service_of,
 )
-from repro.fleet.recovery import recover_fleet
-from repro.fleet.traffic import SlotTrafficFeed
-from repro.fleet.watchdog import FleetWatchdog, WatchdogVerdict
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "AdmissionRequest",
-    "EXPERIMENTAL_VERSION",
+    "OUTCOME_PROMOTED",
     "ExperimentFaults",
     "FleetConfig",
     "FleetOrchestrator",
-    "FleetPoison",
-    "FleetResult",
-    "FleetWatchdog",
     "OrchestratorKilled",
-    "OUTCOME_ABORTED",
-    "OUTCOME_INCONCLUSIVE",
-    "OUTCOME_PROMOTED",
-    "OUTCOME_ROLLED_BACK",
-    "OUTCOME_SHED",
-    "SHED_BURN",
-    "SHED_CRASH_LOOP",
-    "SHED_DEADLINE",
-    "SHED_FLEET_DEADLINE",
-    "SHED_HEALTH",
-    "SHED_STARVED",
-    "STABLE_VERSION",
-    "SlotLedger",
-    "SlotTrafficFeed",
-    "WatchdogVerdict",
-    "fleet_outcomes_for_reevaluation",
-    "fleet_strategy",
-    "recover_fleet",
-    "service_of",
     "usage_within_budget",
 ]

@@ -110,7 +110,7 @@ class _Node:
     error_rate: float
     children: tuple  # (probability, service, endpoint) descriptors
     parallel: bool  # fan-out, else sequential children
-    arrivals: deque  # the runtime LoadTracker's deque for this version
+    arrivals: deque  # the runtime's arrival deque for this version
     capacity: float  # deployed capacity in rps
     start_buf: object  # buffered sample columns of (service, version)
     duration_buf: object
@@ -321,7 +321,7 @@ class RequestKernel:
             error_rate=spec.error_rate,
             children=tuple((c.probability, c.service, c.endpoint) for c in spec.calls),
             parallel=bool(spec.parallel_calls),
-            arrivals=self._runtime.load.arrivals_for(service, version_name),
+            arrivals=self._runtime.arrivals.setdefault((service, version_name), deque()),
             capacity=version.total_capacity_rps,
             start_buf=starts,
             duration_buf=durations,

@@ -8,7 +8,7 @@ spans into the trace collector and metrics into the monitor.
 
 The hop itself — the draw sequence, the child loop, the refusal branches
 and the shadow replay — lives in one place,
-:class:`~repro.microservices.kernel.RequestKernel`, which the batch driver
+:class:`~repro.microservices.kernel.core.RequestKernel`, which the batch driver
 runs over columnar rows and :meth:`Runtime.execute` runs over one
 :class:`~repro.traffic.workload.Request`.  This module owns what
 surrounds it: the routing protocol, the load deques, trace ids, and
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from repro.microservices.application import Application
-from repro.microservices.kernel import RequestKernel
+from repro.microservices.kernel.core import RequestKernel
 from repro.microservices.resilience import ResilienceLayer
 from repro.routing.proxy import RoutingDecision, StaticRouter
 from repro.simulation.clock import SimulationClock
@@ -63,22 +63,6 @@ class NetworkGate(Protocol):
     def is_partitioned(self, caller: str, callee: str) -> bool:
         """Whether calls from *caller* to *callee* currently fail."""
         ...  # pragma: no cover - protocol
-
-
-class LoadTracker:
-    """Sliding-window arrival times per (service, version).
-
-    The request kernel maintains each deque inline (append, expire, count)
-    over its :data:`~repro.microservices.kernel.core.LOAD_WINDOW_SECONDS`,
-    so every driver shares one continuous load window.
-    """
-
-    def __init__(self) -> None:
-        self._arrivals: dict[tuple[str, str], deque[float]] = {}
-
-    def arrivals_for(self, service: str, version: str) -> deque[float]:
-        """The raw arrival deque of (service, version), created on demand."""
-        return self._arrivals.setdefault((service, version), deque())
 
 
 @dataclass(frozen=True)
@@ -127,7 +111,9 @@ class Runtime:
         self.collector = collector or TraceCollector()
         self.monitor = monitor or Monitor()
         self.proxy_overhead_ms = proxy_overhead_ms
-        self.load = LoadTracker()
+        # Arrival times per (service, version); the request kernel appends,
+        # expires and counts each deque over LOAD_WINDOW_SECONDS.
+        self.arrivals: dict[tuple[str, str], deque[float]] = {}
         self.resilience = resilience or ResilienceLayer()
         self.resilience.subscribe(self.monitor.observe_resilience)
         self.network = network
@@ -162,7 +148,7 @@ class Runtime:
         call policies, breaker/partition presence, resolved once) is
         compiled for this call, so the request sees every mutation made
         before it, and its samples are in the store when it returns.  A
-        workload runs through :meth:`repro.bifrost.Bifrost.run`, whose
+        workload runs through :meth:`repro.bifrost.middleware.Bifrost.run`, whose
         interleave driver passes one *kernel* per event-free stretch; the
         kernel then holds the samples until the stretch flushes it.  The
         shared clock is advanced to the request's arrival time first, so

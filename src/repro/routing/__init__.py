@@ -5,29 +5,8 @@ implementation technique that escapes feature-toggle technical debt:
 experimentation logic moves from source code to the network level, and
 services stay black boxes.  Bifrost builds on exactly this mechanism.
 
-This package provides the routing rules (audience filters + sticky
-variant splits + shadow duplication) and :class:`VersionRouter`, the
-router the simulated runtime consults on every service call.
+This package provides the routing rules (audience filters + sticky variant
+splits + shadow duplication) and
+:class:`~repro.routing.proxy.VersionRouter`, the router the simulated
+runtime consults on every service call.
 """
-
-from repro.routing.assignment import StickyAssigner
-from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
-from repro.routing.proxy import VersionRouter
-from repro.routing.splitter import (
-    ab_split,
-    canary_split,
-    dark_launch_split,
-    rollout_split,
-)
-
-__all__ = [
-    "StickyAssigner",
-    "AudienceFilter",
-    "ExperimentRoute",
-    "Variant",
-    "VersionRouter",
-    "ab_split",
-    "canary_split",
-    "dark_launch_split",
-    "rollout_split",
-]

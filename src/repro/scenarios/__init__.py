@@ -9,69 +9,3 @@ strategies, and fault campaigns; cross-layer invariants state what must
 survive; and the fuzzer searches for — then shrinks — configurations
 that falsify them, freezing survivors into the regression corpus.
 """
-
-from repro.scenarios.corpus import (
-    CorpusEntry,
-    load_corpus,
-    load_entry,
-    save_entry,
-)
-from repro.scenarios.fuzzer import (
-    ARCHETYPES,
-    ARCHETYPES_BY_NAME,
-    Archetype,
-    FuzzReport,
-    ScenarioFuzzer,
-    shrink_violation,
-)
-from repro.scenarios.invariants import (
-    INVARIANTS,
-    Violation,
-    cascade_cap_of,
-    check_invariant,
-)
-from repro.scenarios.runner import ScenarioResult, cascade_depth, run_scenario
-from repro.scenarios.spec import (
-    ArrivalSpec,
-    ExperimentSpec,
-    FaultSpec,
-    FlashCrowdSpec,
-    FleetSpec,
-    RegionSpec,
-    ResilienceSpec,
-    ScenarioSpec,
-    ServiceSpec,
-    SloSpec,
-    TopologySpec,
-)
-
-__all__ = [
-    "ARCHETYPES",
-    "ARCHETYPES_BY_NAME",
-    "Archetype",
-    "ArrivalSpec",
-    "CorpusEntry",
-    "ExperimentSpec",
-    "FaultSpec",
-    "FlashCrowdSpec",
-    "FleetSpec",
-    "FuzzReport",
-    "INVARIANTS",
-    "RegionSpec",
-    "ResilienceSpec",
-    "ScenarioFuzzer",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "ServiceSpec",
-    "SloSpec",
-    "TopologySpec",
-    "Violation",
-    "cascade_cap_of",
-    "cascade_depth",
-    "check_invariant",
-    "load_corpus",
-    "load_entry",
-    "run_scenario",
-    "save_entry",
-    "shrink_violation",
-]

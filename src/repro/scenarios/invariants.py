@@ -201,7 +201,7 @@ def check_ranking_floor(
         mutate_graph_logged,
         random_interaction_graph,
     )
-    from repro.topology.heuristics import HybridHeuristic
+    from repro.topology.heuristics.hybrid import HybridHeuristic
     from repro.topology.ranking import evaluate_ranking, rank_changes
 
     topo = spec.topology
@@ -341,7 +341,8 @@ def check_fleet_isolation(
     """
     if not spec.fleet.enabled:
         return None
-    from repro.fleet import FleetOrchestrator, usage_within_budget
+    from repro.fleet.admission import usage_within_budget
+    from repro.fleet.orchestrator import FleetOrchestrator
     from repro.scenarios.factory import build_fleet_plan
 
     schedule, world, faults, config = build_fleet_plan(spec)

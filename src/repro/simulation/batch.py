@@ -10,7 +10,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.microservices.kernel import RequestKernel, run_slice
+from repro.microservices.kernel.columns import run_slice
+from repro.microservices.kernel.core import RequestKernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.microservices.runtime import Runtime

@@ -7,24 +7,3 @@ whose marginals match them (deterministic quota assignment), and
 recomputes every table from that micro-data — the closest faithful
 reproduction available offline.
 """
-
-from repro.study.data import (
-    PUBLISHED_TABLES,
-    SurveyTable,
-    published_table,
-)
-from repro.study.respondents import Respondent, generate_respondents
-from repro.study.tables import recompute_table, table_deviation
-from repro.study.interviews import InterviewParticipant, participants
-
-__all__ = [
-    "PUBLISHED_TABLES",
-    "SurveyTable",
-    "published_table",
-    "Respondent",
-    "generate_respondents",
-    "recompute_table",
-    "table_deviation",
-    "InterviewParticipant",
-    "participants",
-]

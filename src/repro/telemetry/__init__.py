@@ -4,11 +4,5 @@ The dissertation's premise is that "sophisticated telemetry solutions keep
 track of releases" — Bifrost checks read windowed aggregates of metrics
 such as response time, error rate, and CPU utilization per service
 version.  This package provides the metric primitives and a windowed
-:class:`MetricStore` keyed by (service, version, metric).
+:class:`~repro.telemetry.store.MetricStore` keyed by (service, version, metric).
 """
-
-from repro.telemetry.metrics import Counter, Gauge, Histogram
-from repro.telemetry.store import MetricKey, MetricStore
-from repro.telemetry.monitor import Monitor
-
-__all__ = ["Counter", "Gauge", "Histogram", "MetricKey", "MetricStore", "Monitor"]

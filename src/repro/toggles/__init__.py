@@ -8,15 +8,3 @@ flags reactivate dead code.  Bifrost's answer is runtime traffic routing;
 this package implements the toggle alternative so the trade-off can be
 studied head-to-head (see the toggles-vs-routing ablation bench).
 """
-
-from repro.toggles.store import FeatureToggle, ToggleStore
-from repro.toggles.router import ToggleRouter
-from repro.toggles.debt import ToggleDebtReport, assess_toggle_debt
-
-__all__ = [
-    "FeatureToggle",
-    "ToggleStore",
-    "ToggleRouter",
-    "ToggleDebtReport",
-    "assess_toggle_debt",
-]

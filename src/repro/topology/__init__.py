@@ -8,85 +8,3 @@ chapter's change-type taxonomy, and ranks them by their potential
 negative impact on the experiment's health using three heuristic
 families: subtree complexity, response-time analysis, and a hybrid.
 """
-
-from repro.topology.graph import EdgeStats, InteractionGraph, NodeKey, NodeStats
-from repro.topology.builder import (
-    Observation,
-    build_interaction_graph,
-    trace_observations,
-)
-from repro.topology.change_types import Change, ChangeType
-from repro.topology.diff import DiffEntry, DiffStatus, TopologyDiff, diff_graphs
-from repro.topology.uncertainty import UncertaintyModel
-from repro.topology.heuristics import (
-    HeuristicResult,
-    HybridHeuristic,
-    RankingHeuristic,
-    ResponseTimeHeuristic,
-    SubtreeComplexityHeuristic,
-    all_heuristic_variants,
-)
-from repro.topology.ranking import RankedChange, evaluate_ranking, rank_changes
-from repro.topology.generator import mutate_graph, random_interaction_graph
-from repro.topology.visualize import diff_report, diff_to_dot, topology_health_panel
-from repro.topology.aggregate import aggregate_to_service_level
-from repro.topology.streaming import (
-    HEALTH_METRIC,
-    HEALTH_VERSION,
-    OVERALL_SERVICE,
-    GraphWindowRing,
-    HealthReport,
-    HealthScorer,
-    HealthWeights,
-    LiveHealthMonitor,
-    LiveTopologyDiff,
-    StreamingGraphBuilder,
-    copy_graph,
-    graphs_equal,
-    merge_graph_into,
-)
-
-__all__ = [
-    "EdgeStats",
-    "InteractionGraph",
-    "NodeKey",
-    "NodeStats",
-    "build_interaction_graph",
-    "Change",
-    "ChangeType",
-    "DiffEntry",
-    "DiffStatus",
-    "TopologyDiff",
-    "diff_graphs",
-    "UncertaintyModel",
-    "HeuristicResult",
-    "HybridHeuristic",
-    "RankingHeuristic",
-    "ResponseTimeHeuristic",
-    "SubtreeComplexityHeuristic",
-    "all_heuristic_variants",
-    "RankedChange",
-    "evaluate_ranking",
-    "rank_changes",
-    "mutate_graph",
-    "random_interaction_graph",
-    "diff_report",
-    "diff_to_dot",
-    "topology_health_panel",
-    "aggregate_to_service_level",
-    "Observation",
-    "trace_observations",
-    "HEALTH_METRIC",
-    "HEALTH_VERSION",
-    "OVERALL_SERVICE",
-    "GraphWindowRing",
-    "HealthReport",
-    "HealthScorer",
-    "HealthWeights",
-    "LiveHealthMonitor",
-    "LiveTopologyDiff",
-    "StreamingGraphBuilder",
-    "copy_graph",
-    "graphs_equal",
-    "merge_graph_into",
-]

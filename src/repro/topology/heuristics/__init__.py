@@ -8,31 +8,7 @@ Three families, six evaluated variants — mirroring the paper's setup:
   relative degradation deltas,
 - ``HY-abs`` / ``HY-rel``: hybrids combining subtree complexity with
   either response-time variant.
+
+:func:`~repro.topology.heuristics.hybrid.all_heuristic_variants` builds
+all six.
 """
-
-from repro.topology.heuristics.base import HeuristicResult, RankingHeuristic
-from repro.topology.heuristics.subtree import SubtreeComplexityHeuristic
-from repro.topology.heuristics.response_time import ResponseTimeHeuristic
-from repro.topology.heuristics.hybrid import HybridHeuristic
-
-
-def all_heuristic_variants() -> dict[str, RankingHeuristic]:
-    """The six variants evaluated in Figs 5.6 and 5.8."""
-    return {
-        "SC": SubtreeComplexityHeuristic(use_uncertainty=True),
-        "SC-plain": SubtreeComplexityHeuristic(use_uncertainty=False),
-        "RT-abs": ResponseTimeHeuristic(relative=False),
-        "RT-rel": ResponseTimeHeuristic(relative=True),
-        "HY-abs": HybridHeuristic(relative=False),
-        "HY-rel": HybridHeuristic(relative=True),
-    }
-
-
-__all__ = [
-    "HeuristicResult",
-    "RankingHeuristic",
-    "SubtreeComplexityHeuristic",
-    "ResponseTimeHeuristic",
-    "HybridHeuristic",
-    "all_heuristic_variants",
-]

@@ -53,3 +53,15 @@ class HybridHeuristic(RankingHeuristic):
                 change, 0.0
             ) + (1.0 - self.structure_weight) * behavioural.get(change, 0.0)
         return out
+
+
+def all_heuristic_variants() -> dict[str, RankingHeuristic]:
+    """The six variants evaluated in Figs 5.6 and 5.8."""
+    return {
+        "SC": SubtreeComplexityHeuristic(use_uncertainty=True),
+        "SC-plain": SubtreeComplexityHeuristic(use_uncertainty=False),
+        "RT-abs": ResponseTimeHeuristic(relative=False),
+        "RT-rel": ResponseTimeHeuristic(relative=True),
+        "HY-abs": HybridHeuristic(relative=False),
+        "HY-rel": HybridHeuristic(relative=True),
+    }

@@ -49,7 +49,7 @@ from repro.topology.diff import (
     versions_by_service_endpoint,
 )
 from repro.topology.graph import InteractionGraph, NodeKey
-from repro.topology.heuristics.base import RankingHeuristic, normalized
+from repro.topology.heuristics.base import normalized
 from repro.topology.heuristics.hybrid import HybridHeuristic
 from repro.obs.events import TOPOLOGY_HEALTH
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -465,15 +465,6 @@ class LiveTopologyDiff:
 
 
 @dataclass(frozen=True)
-class HealthWeights:
-    """Component weights of the health score (must sum to <= 1)."""
-
-    error: float = 0.45
-    response_time: float = 0.35
-    suspicion: float = 0.20
-
-
-@dataclass(frozen=True)
 class HealthReport:
     """Health scores derived from one diff refresh."""
 
@@ -494,6 +485,10 @@ class HealthReport:
 #: component; a response-time ratio of +100% exhausts the RT component.
 ERROR_FULL_SCALE = 0.5
 RT_FULL_SCALE = 1.0
+#: Component weights of the health score (they sum to 1).
+ERROR_WEIGHT = 0.45
+RT_WEIGHT = 0.35
+SUSPICION_WEIGHT = 0.20
 
 
 def _per_service(graph: InteractionGraph) -> dict[str, tuple[int, int, float]]:
@@ -526,18 +521,15 @@ class HealthScorer:
       healthy rollout — so they attribute blame when something misbehaves
       rather than flat-penalizing every change.
 
-    ``health = 1 - clip(weighted penalty sum)``; the overall score is
-    the minimum across services (an experiment is as healthy as its
-    sickest service).
+    ``health = 1 - clip(weighted penalty sum)``, weighted by
+    :data:`ERROR_WEIGHT`, :data:`RT_WEIGHT` and :data:`SUSPICION_WEIGHT`;
+    the overall score is the minimum across services (an experiment is as
+    healthy as its sickest service).  The suspicion scores are the
+    ``HY-abs`` hybrid heuristic's.
     """
 
-    def __init__(
-        self,
-        weights: HealthWeights | None = None,
-        heuristic: RankingHeuristic | None = None,
-    ) -> None:
-        self.weights = weights or HealthWeights()
-        self.heuristic = heuristic or HybridHeuristic()
+    def __init__(self) -> None:
+        self.heuristic = HybridHeuristic()
 
     def report(self, diff: TopologyDiff) -> HealthReport:
         """Score every service of the diff's experimental graph."""
@@ -571,9 +563,9 @@ class HealthScorer:
             severity = min(1.0, error_penalty + rt_penalty)
             suspicion = suspicion_by_service.get(service, 0.0) * severity
             penalty = (
-                self.weights.error * error_penalty
-                + self.weights.response_time * rt_penalty
-                + self.weights.suspicion * suspicion
+                ERROR_WEIGHT * error_penalty
+                + RT_WEIGHT * rt_penalty
+                + SUSPICION_WEIGHT * suspicion
             )
             services[service] = max(0.0, 1.0 - min(1.0, penalty))
             components[service] = {

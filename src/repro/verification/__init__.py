@@ -9,13 +9,3 @@ as static analysis: strategies are verified against the application
 path) and against the live routing state (a service another experiment
 currently routes may not be touched).
 """
-
-from repro.verification.findings import Finding, Severity, VerificationReport
-from repro.verification.strategy import verify_strategy
-
-__all__ = [
-    "Finding",
-    "Severity",
-    "VerificationReport",
-    "verify_strategy",
-]

@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from repro.bifrost import Bifrost, SnapshotPolicy
+from repro.bifrost.journal import SnapshotPolicy
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import (
     TERMINAL_COMPLETE,
     Check,

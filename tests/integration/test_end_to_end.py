@@ -1,12 +1,15 @@
 """Integration tests: whole subsystems working together."""
 
 
-from repro.bifrost import Bifrost, parse_strategy
+from repro.bifrost.dsl import parse_strategy
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import StrategyOutcome
 from repro.core.experiment import Experiment, ExperimentPractice
 from repro.core.framework import ExperimentationFramework
 from repro.core.lifecycle import LifecyclePhase
-from repro.fenrir import Fenrir, GeneticAlgorithm, random_experiments
+from repro.fenrir.generator import random_experiments
+from repro.fenrir.genetic import GeneticAlgorithm
+from repro.fenrir.scheduler import Fenrir
 from repro.microservices.service import (
     EndpointSpec,
     ServiceVersion,

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.microservices.resilience import RETRY
 from repro.scenarios import factory
 from repro.scenarios.fuzzer import sample_cascade

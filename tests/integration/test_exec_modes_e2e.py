@@ -23,13 +23,10 @@ from repro.bifrost.model import (
     Strategy,
     StrategyOutcome,
 )
-from repro.exec import (
-    ExecutionMode,
-    ExecutionRouter,
-    LiveOptions,
-    Recording,
-    RunResult,
-)
+from repro.exec.live import LiveOptions
+from repro.exec.recording import Recording
+from repro.exec.router import ExecutionMode, ExecutionRouter
+from repro.exec.sim import RunResult
 from repro.microservices.application import Application
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
 from repro.simulation.latency import LogNormalLatency

@@ -20,10 +20,10 @@ from unittest import mock
 
 from repro.bifrost.journal import Journal, MemoryJournalStorage
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
-from repro.exec import ExecutionRouter, Recording
 from repro.exec import replay as replay_module
 from repro.exec import sim as sim_module
-from repro.exec.recording import RecordedRequests
+from repro.exec.recording import RecordedRequests, Recording
+from repro.exec.router import ExecutionRouter
 from repro.microservices.application import Application
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
 from repro.simulation.latency import ConstantLatency, LoadSensitiveLatency, LogNormalLatency

@@ -8,7 +8,7 @@ reaction end to end.
 """
 
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import (
     Check,
     Phase,
@@ -18,8 +18,10 @@ from repro.bifrost.model import (
 )
 from repro.microservices.faults import FaultInjector
 from repro.stats.sequential import SequentialProbabilityRatioTest, SprtDecision
-from repro.topology import build_interaction_graph, diff_graphs, rank_changes
-from repro.topology.heuristics import ResponseTimeHeuristic
+from repro.topology.builder import build_interaction_graph
+from repro.topology.diff import diff_graphs
+from repro.topology.heuristics.response_time import ResponseTimeHeuristic
+from repro.topology.ranking import rank_changes
 from repro.topology.scenarios import sample_application
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation

@@ -11,16 +11,16 @@ run must equal the uncrashed run record-for-record.
 import pytest
 
 from repro.bifrost.journal import Journal, MemoryJournalStorage
-from repro.fleet import (
+from repro.fleet.admission import usage_within_budget
+from repro.fleet.orchestrator import (
     OUTCOME_ROLLED_BACK,
     OUTCOME_SHED,
     SHED_CRASH_LOOP,
     ExperimentFaults,
     FleetOrchestrator,
     OrchestratorKilled,
-    recover_fleet,
-    usage_within_budget,
 )
+from repro.fleet.recovery import recover_fleet
 from tests.unit.test_fleet_orchestrator import fast_config, make_schedule
 
 N = 100

@@ -16,9 +16,9 @@ template, compaction, recovery or the fleet feed's draws fails here:
 import hashlib
 from unittest import mock
 
-from repro.bifrost import SnapshotPolicy
-from repro.bifrost.journal import Journal, MemoryJournalStorage
-from repro.fleet import ExperimentFaults, FleetOrchestrator, OrchestratorKilled, recover_fleet
+from repro.bifrost.journal import Journal, MemoryJournalStorage, SnapshotPolicy
+from repro.fleet.orchestrator import ExperimentFaults, FleetOrchestrator, OrchestratorKilled
+from repro.fleet.recovery import recover_fleet
 from tests.integration.test_durability_e2e import run_scenario
 from tests.unit.test_fleet_orchestrator import fast_config, make_schedule
 

@@ -11,24 +11,22 @@ must reflect what actually happened.
 
 import io
 
-from repro.bifrost import Bifrost, SnapshotPolicy
+from repro.bifrost.journal import SnapshotPolicy
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import StrategyOutcome
 from repro.microservices.faults import EngineCrash, FaultCampaign, FaultInjector
-from repro.obs import (
+from repro.obs.dashboard import glass_box_panel
+from repro.obs.events import (
     ENGINE_CHECK,
     JOURNAL_APPEND,
     RECOVERY_CRASH,
     RECOVERY_REPLAYED,
     RECOVERY_RESTART,
-    JsonlEventSink,
-    Observer,
-    diff_timeline_execution,
-    glass_box_panel,
     load_jsonl,
-    reconstruct_timelines,
-    render_ascii,
-    render_prometheus,
 )
+from repro.obs.exporters import JsonlEventSink, render_prometheus
+from repro.obs.observer import Observer
+from repro.obs.timeline import diff_timeline_execution, reconstruct_timelines, render_ascii
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator

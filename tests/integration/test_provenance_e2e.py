@@ -13,7 +13,7 @@ import pytest
 from repro.bifrost.dsl import parse_strategy, strategy_to_dsl
 from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Strategy, StrategyOutcome
-from repro.fleet import (
+from repro.fleet.orchestrator import (
     OUTCOME_PROMOTED,
     OUTCOME_SHED,
     SHED_BURN,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios import load_entry
+from repro.scenarios.corpus import load_entry
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "regression_corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))

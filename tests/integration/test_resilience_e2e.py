@@ -16,7 +16,7 @@ seed.
 
 import pytest
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy, StrategyOutcome
 from repro.microservices.application import Application
 from repro.microservices.faults import (

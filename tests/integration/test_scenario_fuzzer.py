@@ -11,16 +11,10 @@ import dataclasses
 import pytest
 
 from repro.obs.observer import Observer
-from repro.scenarios import (
-    ScenarioFuzzer,
-    ScenarioSpec,
-    check_invariant,
-    load_corpus,
-    load_entry,
-    save_entry,
-    shrink_violation,
-)
-from repro.scenarios.fuzzer import ARCHETYPES_BY_NAME
+from repro.scenarios.corpus import load_corpus, load_entry, save_entry
+from repro.scenarios.fuzzer import ARCHETYPES_BY_NAME, ScenarioFuzzer, shrink_violation
+from repro.scenarios.invariants import check_invariant
+from repro.scenarios.spec import ScenarioSpec
 
 FUZZ_SEED = 2026
 

@@ -7,7 +7,7 @@ them.  A broken experimental version (injected endpoint fault) must fail
 the health gate; a healthy one must pass it.
 """
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import StrategyOutcome
 from repro.microservices.service import EndpointSpec, ServiceVersion
 from repro.simulation.latency import LoadSensitiveLatency, LogNormalLatency

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.microservices.kernel import columns
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.microservices.application import Application
 from repro.microservices.faults import (
@@ -554,8 +554,8 @@ class TestResilienceColumns:
         assert planned and all(planned)
         scalar_runtime, batch_runtime = scalar[0].runtime, batch[0].runtime
         assert batch_runtime.rng.raw.getstate() == scalar_runtime.rng.raw.getstate()
-        assert {key: list(d) for key, d in batch_runtime.load._arrivals.items()} == {
-            key: list(d) for key, d in scalar_runtime.load._arrivals.items()
+        assert {key: list(d) for key, d in batch_runtime.arrivals.items()} == {
+            key: list(d) for key, d in scalar_runtime.arrivals.items()
         }
         assert batch_runtime.next_trace_id() == scalar_runtime.next_trace_id()
 

@@ -4,7 +4,7 @@ A plain slice runs as columns over one bulk draw per sub-block
 (``repro.microservices.kernel.columns``); a slice its plan cannot express runs on
 the general hop.  Either way ``run_batches`` must leave exactly the state
 a ``Bifrost.run`` replay leaves: every metric sample and engine decision,
-and also the runtime RNG's state, every ``LoadTracker`` deque and the
+and also the runtime RNG's state, every load deque and the
 trace-id counter.  The topologies mix every latency model the plan knows,
 one it does not, fan-out and sequential calls, calls with probability < 1,
 one non-load endpoint at two call sites, routed variants whose models
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.errors import ConfigurationError, ExecutionError
 from repro.microservices.application import Application
 from repro.microservices.faults import (
@@ -34,7 +34,8 @@ from repro.microservices.faults import (
 )
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
 from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
-from repro.microservices.kernel import RequestKernel, columns
+from repro.microservices.kernel import columns
+from repro.microservices.kernel.core import RequestKernel
 from repro.simulation.latency import (
     CompositeLatency,
     ConstantLatency,
@@ -275,8 +276,8 @@ def assert_same_state(scalar, batch) -> None:
     assert_equivalent(scalar, batch)
     scalar_runtime, batch_runtime = scalar[0].runtime, batch[0].runtime
     assert batch_runtime.rng.raw.getstate() == scalar_runtime.rng.raw.getstate()
-    assert {key: list(d) for key, d in batch_runtime.load._arrivals.items()} == {
-        key: list(d) for key, d in scalar_runtime.load._arrivals.items()
+    assert {key: list(d) for key, d in batch_runtime.arrivals.items()} == {
+        key: list(d) for key, d in scalar_runtime.arrivals.items()
     }
     assert batch_runtime.next_trace_id() == scalar_runtime.next_trace_id()
 

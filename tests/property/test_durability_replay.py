@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bifrost import Bifrost, SnapshotPolicy
-from repro.bifrost.journal import execution_to_dict
+from repro.bifrost.journal import SnapshotPolicy, execution_to_dict
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import (
     TERMINAL_COMPLETE,
     Check,

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy, StrategyOutcome
-from repro.exec import ExecutionRouter, LiveOptions, Recording
+from repro.exec.live import LiveOptions
+from repro.exec.recording import Recording
+from repro.exec.router import ExecutionRouter
 from repro.microservices.application import Application
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
 from repro.simulation.latency import ConstantLatency, LogNormalLatency

@@ -20,15 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bifrost.journal import Journal, MemoryJournalStorage
-from repro.fleet import (
-    AdmissionController,
-    AdmissionRequest,
-    ExperimentFaults,
-    FleetOrchestrator,
-    OrchestratorKilled,
-    recover_fleet,
-    usage_within_budget,
-)
+from repro.fleet.admission import AdmissionController, AdmissionRequest, usage_within_budget
+from repro.fleet.orchestrator import ExperimentFaults, FleetOrchestrator, OrchestratorKilled
+from repro.fleet.recovery import recover_fleet
 from tests.unit.test_fleet_orchestrator import fast_config, make_schedule
 
 GROUPS = ("eu", "na", "apac")

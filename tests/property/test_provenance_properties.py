@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
-from repro.exec import ExecutionRouter, Recording
+from repro.exec.recording import Recording
+from repro.exec.router import ExecutionRouter
 from repro.obs.provenance import build_provenance
 from repro.obs.timeline import diff_timeline_execution
 from repro.traffic.profile import DEFAULT_GROUPS

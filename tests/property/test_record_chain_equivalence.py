@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.bifrost.engine import BifrostEngine
 from repro.bifrost.model import strategy_from_dict
 from repro.errors import ValidationError
-from repro.exec import ExecutionRouter
 from repro.exec import recording as recording_module
 from repro.exec.recording import (
     RecordedRequest,
@@ -36,6 +35,7 @@ from repro.exec.recording import (
     run_digest,
 )
 from repro.exec.replay import ReplayBackend
+from repro.exec.router import ExecutionRouter
 from repro.microservices.resilience import ResilienceLayer
 from repro.obs.observer import Observer
 from repro.routing.proxy import VersionRouter

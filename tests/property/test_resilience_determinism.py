@@ -9,7 +9,7 @@ and off and policies inject seeded backoff jitter.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.microservices.application import Application
 from repro.microservices.faults import (

@@ -14,8 +14,9 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios import ScenarioFuzzer, ScenarioSpec, run_scenario
-from repro.scenarios.fuzzer import ARCHETYPES
+from repro.scenarios.fuzzer import ARCHETYPES, ScenarioFuzzer
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import ScenarioSpec
 
 NUM_ARCHETYPES = len(ARCHETYPES)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.topology.builder import build_interaction_graph
 from repro.topology.diff import DiffStatus, diff_graphs
 from repro.topology.generator import mutate_graph, random_interaction_graph
-from repro.topology.heuristics import all_heuristic_variants
+from repro.topology.heuristics.hybrid import all_heuristic_variants
 from repro.topology.ranking import evaluate_ranking, rank_changes
 from repro.topology.streaming import LiveTopologyDiff, StreamingGraphBuilder, graphs_equal
 from repro.tracing.collector import TraceCollector

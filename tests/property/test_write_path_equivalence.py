@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.bifrost.engine import BifrostEngine
 from repro.bifrost.model import strategy_from_dict
-from repro.exec import ExecutionRouter
+from repro.exec.router import ExecutionRouter
 from repro.exec.recording import run_digest
 from repro.exec.replay import ReplayBackend
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
@@ -26,7 +26,7 @@ from repro.fleet.traffic import BASE_LATENCY_MS, SlotTrafficFeed
 from repro.microservices.runtime import RequestOutcome
 from repro.obs.observer import Observer
 from repro.routing.proxy import VersionRouter
-from repro.microservices.kernel import RequestKernel
+from repro.microservices.kernel.core import RequestKernel
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import SeededRng

@@ -12,7 +12,7 @@ from repro.core.experiment import Experiment, ExperimentPractice
 from repro.errors import ConfigurationError
 from repro.topology.diff import diff_graphs
 from repro.topology.graph import InteractionGraph, NodeKey
-from repro.topology.heuristics import SubtreeComplexityHeuristic
+from repro.topology.heuristics.subtree import SubtreeComplexityHeuristic
 from repro.topology.ranking import rank_changes
 from repro.topology.visualize import diff_report, diff_to_dot
 

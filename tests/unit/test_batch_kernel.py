@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.errors import StatisticsError
 from repro.microservices.faults import (
     ErrorBurst,
@@ -24,8 +24,9 @@ from repro.microservices.faults import (
     LatencySpike,
     NetworkState,
 )
-from repro.microservices.kernel import RequestKernel, columns
+from repro.microservices.kernel import columns
 from repro.microservices.kernel.columns import _arrive, _loads
+from repro.microservices.kernel.core import RequestKernel
 from repro.microservices.kernel.plan import plan
 from repro.microservices.resilience import CallPolicy, ResilienceLayer
 from repro.microservices.service import EndpointSpec, ServiceVersion

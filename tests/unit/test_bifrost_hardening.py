@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bifrost import Bifrost
 from repro.bifrost.dsl import parse_strategy, strategy_to_dsl
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import (
     Check,
     Phase,

@@ -1,7 +1,9 @@
-"""Documentation hygiene: every public item carries a docstring."""
+"""Documentation hygiene: every public item carries a docstring, and every
+``from repro… import …`` line in README.md and docs/*.md runs."""
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -48,3 +50,30 @@ class TestDocstrings:
         # The library keeps growing; this guards against the walker
         # silently finding nothing (e.g. a broken import path).
         assert len(ALL_MODULES) >= 50
+
+
+DOCS = pathlib.Path(repro.__file__).parents[2]
+
+
+def _doc_imports():
+    """Each ``from repro… import …`` statement of README.md and docs/*.md,
+    with a parenthesized one's continuation lines, by file and line."""
+    out = []
+    for path in [DOCS / "README.md", *sorted((DOCS / "docs").glob("*.md"))]:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
+            if line.lstrip().startswith("from repro") and " import " in line:
+                statement = [line.strip()]
+                while "(" in statement[0] and not statement[-1].endswith(")"):
+                    statement.append(lines[number - 1 + len(statement)].strip())
+                out.append(pytest.param(" ".join(statement), id=f"{path.name}:{number}"))
+    return out
+
+
+@pytest.mark.parametrize("statement", _doc_imports())
+def test_doc_import_runs(statement):
+    exec(statement, {})
+
+
+def test_docs_hold_imports():
+    assert len(_doc_imports()) >= 10

@@ -28,17 +28,10 @@ from repro.errors import (
     ReplayError,
     ValidationError,
 )
-from repro.exec import (
-    ExecutionMode,
-    ExecutionRouter,
-    RecordedRequest,
-    RecordedSpan,
-    Recording,
-    ReplayBackend,
-    RunResult,
-    diff_replay,
-    run_digest,
-)
+from repro.exec.recording import RecordedRequest, RecordedSpan, Recording, run_digest
+from repro.exec.replay import ReplayBackend, diff_replay
+from repro.exec.router import ExecutionMode, ExecutionRouter
+from repro.exec.sim import RunResult
 from repro.obs.events import EventLog
 from repro.traffic.users import UserPopulation
 from repro.traffic.profile import DEFAULT_GROUPS

@@ -3,18 +3,15 @@
 import pytest
 
 from repro.errors import InfeasibleScheduleError
-from repro.fenrir import (
-    Fenrir,
-    GeneticAlgorithm,
-    LocalSearch,
-    RandomSampling,
-    SampleSizeBand,
-    SimulatedAnnealing,
-    random_experiments,
-)
+from repro.fenrir.annealing import SimulatedAnnealing
 from repro.fenrir.base import BudgetedEvaluator
+from repro.fenrir.generator import SampleSizeBand, random_experiments
+from repro.fenrir.genetic import GeneticAlgorithm
+from repro.fenrir.local_search import LocalSearch
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
 from repro.fenrir.operators import random_schedule
+from repro.fenrir.random_sampling import RandomSampling
+from repro.fenrir.scheduler import Fenrir
 from repro.simulation.rng import SeededRng
 from tests.unit.test_fenrir_model import make_spec
 

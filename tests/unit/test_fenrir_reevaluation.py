@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.fenrir import Fenrir, GeneticAlgorithm, LocalSearch, reevaluate
-from repro.fenrir.reevaluation import build_reevaluation, build_reevaluation_from_fleet
+from repro.fenrir.genetic import GeneticAlgorithm
+from repro.fenrir.local_search import LocalSearch
+from repro.fenrir.reevaluation import build_reevaluation, build_reevaluation_from_fleet, reevaluate
+from repro.fenrir.scheduler import Fenrir
 from tests.unit.test_fenrir_model import make_spec
 
 

@@ -6,10 +6,12 @@ import json
 import pytest
 
 from repro.errors import ValidationError
-from repro.fenrir import Fenrir, GeneticAlgorithm, random_experiments
 from repro.fenrir.fitness import evaluate
+from repro.fenrir.generator import random_experiments
+from repro.fenrir.genetic import GeneticAlgorithm
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
 from repro.fenrir.schedule import Gene, Schedule
+from repro.fenrir.scheduler import Fenrir
 from repro.fenrir.serialize import (
     problem_from_dict,
     problem_to_dict,

@@ -6,21 +6,20 @@ from repro.errors import ValidationError
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
 from repro.fenrir.reevaluation import build_reevaluation_from_fleet
 from repro.fenrir.schedule import Gene, Schedule
-from repro.fleet import (
+from repro.fleet.admission import SHED_STARVED, usage_within_budget
+from repro.fleet.orchestrator import (
     OUTCOME_INCONCLUSIVE,
     OUTCOME_PROMOTED,
     OUTCOME_ROLLED_BACK,
     OUTCOME_SHED,
     SHED_CRASH_LOOP,
     SHED_HEALTH,
-    SHED_STARVED,
     ExperimentFaults,
     FleetConfig,
     FleetOrchestrator,
-    FleetWatchdog,
     fleet_outcomes_for_reevaluation,
-    usage_within_budget,
 )
+from repro.fleet.watchdog import FleetWatchdog
 from repro.traffic.profile import TrafficProfile, UserGroup
 
 ALL = frozenset({"all"})

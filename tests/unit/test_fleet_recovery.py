@@ -4,12 +4,8 @@ import pytest
 
 from repro.bifrost.journal import Journal, MemoryJournalStorage
 from repro.errors import ValidationError
-from repro.fleet import (
-    ExperimentFaults,
-    FleetOrchestrator,
-    OrchestratorKilled,
-    recover_fleet,
-)
+from repro.fleet.orchestrator import ExperimentFaults, FleetOrchestrator, OrchestratorKilled
+from repro.fleet.recovery import recover_fleet
 from tests.unit.test_fleet_orchestrator import fast_config, make_schedule
 
 

@@ -11,9 +11,9 @@ row's samples and none of that row's.
 import numpy as np
 import pytest
 
-from repro.bifrost import Bifrost
-from repro.exec import ExecutionRouter
+from repro.bifrost.middleware import Bifrost
 from repro.exec.replay import ReplayBackend
+from repro.exec.router import ExecutionRouter
 from repro.microservices.application import Application
 from repro.microservices.service import DownstreamCall, ServiceVersion
 from repro.simulation.engine import SimulationEngine

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.microservices.application import Application
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.microservices.faults import FaultCampaign, FaultInjector, LatencySpike
 from repro.microservices.resilience import CallPolicy
 from repro.microservices.runtime import Runtime
@@ -173,7 +173,7 @@ class TestLoadTracker:
         assert edge.duration_ms == pytest.approx(10.0 * (1.0 + 1.2))
         late = runtime.execute(make_request(entry="svc.ep", t=10.5))
         assert late.duration_ms == pytest.approx(10.0)
-        assert list(runtime.load.arrivals_for("svc", "1.0")) == [10.0, 10.5]
+        assert list(runtime.arrivals[("svc", "1.0")]) == [10.0, 10.5]
 
     def test_versions_tracked_separately(self):
         runtime = loaded_runtime()

@@ -1,7 +1,7 @@
 """Unit tests for the Bifrost middleware facade."""
 
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Phase, PhaseType, Strategy
 from repro.traffic.profile import UserGroup
 from repro.traffic.users import UserPopulation

@@ -8,8 +8,8 @@ rather than merely produce output.
 
 from repro.bifrost.checks import CheckEvaluator, CheckResult
 from repro.bifrost.model import CheckOutcome, Strategy, StrategyOutcome
-from repro.fenrir import Fenrir
 from repro.fenrir.model import ExperimentSpec
+from repro.fenrir.scheduler import Fenrir
 from repro.obs.events import (
     ENGINE_CHECK,
     ENGINE_FINALIZED,

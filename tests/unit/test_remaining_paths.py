@@ -1,6 +1,6 @@
 """Tests for remaining code paths across subsystems."""
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import (
     Check,
     Phase,
@@ -21,7 +21,7 @@ GROUPS = (UserGroup("eu", 0.6), UserGroup("na", 0.4))
 class TestFrameworkAnalyzeOptions:
     def test_custom_heuristic_selected(self, canary_app):
         from repro.core.framework import ExperimentationFramework
-        from repro.topology.heuristics import SubtreeComplexityHeuristic
+        from repro.topology.heuristics.subtree import SubtreeComplexityHeuristic
 
         framework = ExperimentationFramework(canary_app, seed=5)
         population = UserPopulation(150, GROUPS, seed=6)
@@ -119,14 +119,14 @@ class TestWinnerFollowThrough:
 
 class TestVerificationReporting:
     def test_clean_report_describe(self, canary_app):
-        from repro.verification import verify_strategy
+        from repro.verification.strategy import verify_strategy
         from tests.unit.test_verification import strategy_for
 
         report = verify_strategy(strategy_for(canary_app), canary_app)
         assert "no findings" in report.describe()
 
     def test_findings_listed_in_describe(self, canary_app):
-        from repro.verification import verify_strategy
+        from repro.verification.strategy import verify_strategy
         from tests.unit.test_verification import strategy_for
 
         strategy = strategy_for(canary_app, experimental_version="9.9.9")

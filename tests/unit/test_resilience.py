@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.errors import ConfigurationError
 from repro.microservices.application import Application
 from repro.microservices.faults import NetworkState

@@ -13,15 +13,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.bifrost import Bifrost
+from repro.bifrost.middleware import Bifrost
 from repro.errors import ExecutionError, StatisticsError, ValidationError
-from repro.fleet import FleetOrchestrator
+from repro.fleet.orchestrator import FleetOrchestrator
 from repro.microservices.application import Application
 from repro.microservices.runtime import Runtime
 from repro.microservices.service import DownstreamCall, ServiceVersion
 from repro.stats.timeseries import TimeSeries
-from repro.telemetry import MetricStore
 from repro.telemetry.monitor import Monitor, SpanSampleBuffer
+from repro.telemetry.store import MetricStore
 from repro.topology.scenarios import sample_application
 from repro.tracing.span import Span, next_span_id
 from repro.traffic.profile import DEFAULT_GROUPS

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError, ValidationError
-from repro.scenarios import (
+from repro.scenarios import factory
+from repro.scenarios.invariants import cascade_cap_of
+from repro.scenarios.spec import (
     ArrivalSpec,
     ExperimentSpec,
     FaultSpec,
@@ -14,9 +16,7 @@ from repro.scenarios import (
     ResilienceSpec,
     ScenarioSpec,
     ServiceSpec,
-    cascade_cap_of,
 )
-from repro.scenarios import factory
 from repro.simulation.latency import (
     CompositeLatency,
     LoadSensitiveLatency,

@@ -102,7 +102,7 @@ class TestMetricReport:
 class TestIntegrationWithStore:
     def test_analysis_on_metric_store_windows(self, canary_app):
         """The analysis consumes Bifrost's telemetry directly."""
-        from repro.bifrost import Bifrost
+        from repro.bifrost.middleware import Bifrost
         from repro.bifrost.model import Phase, PhaseType, Strategy
         from repro.traffic.profile import UserGroup
         from repro.traffic.users import UserPopulation

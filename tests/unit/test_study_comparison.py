@@ -63,7 +63,7 @@ class TestTable25:
 
 class TestSubmitValidation:
     def test_unknown_service_rejected_at_submit(self, canary_app):
-        from repro.bifrost import Bifrost
+        from repro.bifrost.middleware import Bifrost
         from tests.unit.test_bifrost_model import make_phase
         from repro.bifrost.model import Strategy
 
@@ -73,7 +73,7 @@ class TestSubmitValidation:
             bifrost.submit(ghost)
 
     def test_undeployed_version_rejected_at_submit(self, canary_app):
-        from repro.bifrost import Bifrost
+        from repro.bifrost.middleware import Bifrost
         from tests.unit.test_bifrost_model import make_phase
         from repro.bifrost.model import Strategy
 
@@ -86,7 +86,7 @@ class TestSubmitValidation:
             bifrost.submit(missing)
 
     def test_valid_strategy_still_accepted(self, canary_app):
-        from repro.bifrost import Bifrost
+        from repro.bifrost.middleware import Bifrost
         from tests.unit.test_bifrost_model import make_phase
         from repro.bifrost.model import Strategy
 

@@ -1,6 +1,7 @@
 """The surface census stays clean: tests alone reach nothing in ``src/repro``
 that ``tools/census.py``'s keep-table does not account for, and tests alone
-set no knob that DESIGN.md's committed knob table does not list."""
+set no knob that DESIGN.md's committed knob table does not list; a package
+``__init__`` re-exports only what a definition there or the ledger uses."""
 
 import importlib.util
 from pathlib import Path
@@ -123,3 +124,17 @@ def test_a_listed_knob_that_leaves_passes(tool, tree):
     module = tree / "src" / "repro" / "knobs.py"
     module.write_text(module.read_text().replace("    tests_only: int = 4\n", ""))
     assert knob_problems(tool) == []
+
+
+def test_a_reexport_fails_unless_a_definition_there_or_the_ledger_uses_it(tool, tree):
+    (tree / "src" / "repro" / "__init__.py").write_text(
+        "from repro.knobs import Inner, Outer, Policy\n\n\n"
+        "def build():\n    return Outer()\n"
+    )
+    ledger = tree / "benchmarks" / "e2e" / "workloads.py"
+    ledger.parent.mkdir(parents=True)
+    ledger.write_text("from repro import Policy\n")
+    assert tool.Census().reexports() == ["repro.Inner"]
+    assert "re-export repro.Inner: import it from its module" in tool.Census().problems()
+    ledger.write_text("from repro.knobs import Policy\n")
+    assert tool.Census().reexports() == ["repro.Inner", "repro.Policy"]

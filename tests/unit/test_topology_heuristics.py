@@ -6,13 +6,10 @@ from repro.topology.change_types import ChangeType
 from repro.topology.diff import diff_graphs
 from repro.topology.generator import mutate_graph, random_interaction_graph
 from repro.topology.graph import InteractionGraph, NodeKey
-from repro.topology.heuristics import (
-    HybridHeuristic,
-    ResponseTimeHeuristic,
-    SubtreeComplexityHeuristic,
-    all_heuristic_variants,
-)
 from repro.topology.heuristics.base import normalized
+from repro.topology.heuristics.hybrid import HybridHeuristic, all_heuristic_variants
+from repro.topology.heuristics.response_time import ResponseTimeHeuristic
+from repro.topology.heuristics.subtree import SubtreeComplexityHeuristic
 from repro.topology.ranking import evaluate_ranking, rank_changes, ranking_table
 
 

@@ -5,7 +5,8 @@ from repro.bifrost.model import Check, Strategy
 from repro.routing.proxy import VersionRouter
 from repro.routing.rules import ExperimentRoute
 from repro.routing.splitter import canary_split
-from repro.verification import Severity, verify_strategy
+from repro.verification.findings import Severity
+from repro.verification.strategy import verify_strategy
 from tests.unit.test_bifrost_model import make_check, make_phase
 
 

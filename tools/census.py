@@ -10,6 +10,9 @@ wraps entry points by name) in another file, or in the defining file outside the
 a same-named attribute elsewhere keeps a name alive: the census under-reports, never accuses.
 Package ``__init__`` files are neither importers nor references; their re-exports are followed
 to the defining module.  Only absolute imports are followed (the repository has no other kind).
+Each name has one import path, its module's: an import in a package ``__init__`` that no
+definition in that file uses fails the check, unless ``benchmarks/e2e/`` imports the name
+through the package (the ledger's workloads are edited only with the benchmark).
 
 A knob is a defaulted field or ``__init__`` keyword that a public dataclass or class defines
 itself (a call to a subclass that inherits them is not followed).  A call sets it by keyword, by
@@ -21,7 +24,8 @@ DESIGN.md's knob table is a ratchet: a knob that nothing outside ``tests/`` sets
 unless the committed table lists it so.
 
     python tools/census.py            # every module, >= 8-line name and knob with its referrers
-    python tools/census.py --check    # exit 1 on an unaccounted name or knob, or a stale KEEP entry
+    python tools/census.py --check    # exit 1 on an unaccounted name, knob or re-export, or a
+                                      # stale KEEP entry
     python tools/census.py --write    # regenerate DESIGN.md's inventory and knob tables
 """
 import ast
@@ -259,12 +263,30 @@ class Census:
         return sorted({knob for same in self.classes.values() for node in same
                        for _, knob, _ in self._signature(node) if knob})
 
+    def reexports(self):
+        """``package.name`` for each import in a package ``__init__`` that no definition there
+        uses and no file under ``benchmarks/e2e/`` imports through the package."""
+        ledger = {(n.module, a.name) for p, tree in self._trees.items()
+                  if p.is_relative_to(ROOT / "benchmarks" / "e2e")
+                  for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        out = []
+        for pkg, path in sorted(self.packages.items()):
+            body = self._trees[path].body
+            used = {n.id for d in body if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                    for n in ast.walk(d) if isinstance(n, ast.Name)}
+            imports = [n for n in body if isinstance(n, (ast.Import, ast.ImportFrom))]
+            out += [f"{pkg}.{name}" for node in imports
+                    for name in (a.asname or a.name.partition(".")[0] for a in node.names)
+                    if name not in used and (pkg, name) not in ledger]
+        return out
+
     def importers(self, mod):
         return [p for p, (mods, _) in self._scans.items() if mod in mods and p != self.modules[mod]]
 
     def problems(self):
-        """Unaccounted modules and names, KEEP entries that no longer hold, then knobs that
-        nothing outside ``tests/`` sets and DESIGN.md's committed knob table does not list."""
+        """Unaccounted modules and names, KEEP entries that no longer hold, re-exports, then
+        knobs that nothing outside ``tests/`` sets and DESIGN.md's committed knob table does not
+        list."""
         def _kept(qual):
             return any(qual == key or qual.startswith(key + ".") for key in KEEP)
         out = [f"module {m}: no example or benchmark reaches it"
@@ -279,6 +301,7 @@ class Census:
         known = set(self.modules).union(qual for qual, _, _ in self.defs)
         out += [f"KEEP entry {key}: no such module or name" for key in KEEP if key not in known]
         out += [f"KEEP entry {k}: reached from outside tests/" for k in KEEP if k in alive]
+        out += [f"re-export {name}: import it from its module" for name in self.reexports()]
         design = (ROOT / "DESIGN.md").read_text()
         listed = design.split(KNOBS_BEGIN)[-1].split(KNOBS_END)[0]
         return out + [f"knob {knob}: nothing outside tests/ sets it" for knob in self.knobs()
