@@ -98,8 +98,6 @@ class Runtime:
         router: Router | None = None,
         clock: SimulationClock | None = None,
         seed: int = 101,
-        collector: TraceCollector | None = None,
-        monitor: Monitor | None = None,
         proxy_overhead_ms: float = 2.0,
         resilience: ResilienceLayer | None = None,
         network: NetworkGate | None = None,
@@ -108,8 +106,8 @@ class Runtime:
         self.router = router or StaticRouter()
         self.clock = clock or SimulationClock()
         self.rng = SeededRng(seed)
-        self.collector = collector or TraceCollector()
-        self.monitor = monitor or Monitor()
+        self.collector = TraceCollector()
+        self.monitor = Monitor()
         self.proxy_overhead_ms = proxy_overhead_ms
         # Arrival times per (service, version); the request kernel appends,
         # expires and counts each deque over LOAD_WINDOW_SECONDS.
@@ -159,8 +157,6 @@ class Runtime:
         compiled = kernel or RequestKernel(self)
         trace_id, spans, duration, error = compiled.execute_request(request, self.clock.now)
         trace = self.collector.record_trace(trace_id, spans)
-        if trace is None:  # not one tree of exactly these spans: Trace checks, raises
-            trace = Trace(trace_id, spans)
         # A request that raised mid-tree never gets here: no samples.
         compiled.samples.add_spans(spans)
         if kernel is None:

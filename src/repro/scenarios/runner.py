@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Action, StrategyOutcome
-from repro.microservices.faults import NetworkState
+from repro.microservices.faults import EngineCrash, NetworkState
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.scenarios import factory
 from repro.scenarios.spec import EXPERIMENTAL_VERSION, ScenarioSpec
@@ -134,8 +134,6 @@ def run_scenario(
     )
     campaign = factory.build_campaign(spec, app, network)
     if crash_window is not None:
-        from repro.microservices.faults import EngineCrash
-
         campaign.add(EngineCrash(*crash_window))
     if campaign.faults:
         bifrost.install_campaign(campaign)

@@ -30,7 +30,6 @@ streaming observability layer:
 
 from __future__ import annotations
 
-from collections import Counter as Multiset
 from collections import OrderedDict
 from functools import reduce
 from math import isclose
@@ -178,8 +177,7 @@ class GraphWindowRing:
     when more than *capacity* windows are live the oldest expires.  The
     merge of all live windows is maintained incrementally and only
     rebuilt after an expiry (stats cannot be subtracted).  Observations
-    for already-expired windows are dropped and counted — the streaming
-    analogue of a late span arriving for an evicted trace.
+    for already-expired windows are dropped and counted.
     """
 
     def __init__(self, window_seconds: float, capacity: int = 8) -> None:
@@ -279,15 +277,12 @@ class GraphWindowRing:
 class StreamingGraphBuilder:
     """Maintains an interaction graph incrementally from a trace stream.
 
-    Attach to a collector with :meth:`attach`; every trace that becomes
-    assemblable is folded into :attr:`graph` by applying the *multiset
-    difference* between the trace's current observations and what was
-    already applied for that trace id.  Collectors re-notify when a
-    complete trace grows (late dark-launch duplicates), and because
-    graph statistics are commutative sums, applying only the difference
-    keeps the cumulative graph exactly equal to the batch builder's
-    output over the same traces.  The batch kernel's columnar slice
-    hands its hops to :meth:`on_columns` instead, with no trace at all.
+    Attach to a collector with :meth:`attach`; the collector hands over
+    every trace whole, once, and each is folded into :attr:`graph` by
+    applying its observations in the batch builder's order, so the
+    cumulative graph equals the batch builder's output over the same
+    traces.  The batch kernel's columnar slice hands its hops to
+    :meth:`on_columns` instead, with no trace at all.
 
     An optional :class:`GraphWindowRing` additionally buckets the same
     observations by span start time for recency-scoped diffing.
@@ -295,19 +290,17 @@ class StreamingGraphBuilder:
 
     def __init__(
         self,
-        name: str = "streaming",
         window_seconds: float | None = None,
         window_capacity: int = 8,
         observer: Observer | None = None,
     ) -> None:
-        self.graph = InteractionGraph(name)
+        self.graph = InteractionGraph("streaming")
         self.observer = observer or NULL_OBSERVER
         self.windows = (
             GraphWindowRing(window_seconds, window_capacity)
             if window_seconds is not None
             else None
         )
-        self._applied: dict[str, Multiset[Observation]] = {}
         self._version = 0
         self._trace_count = 0
         self._watchers: list[tuple[Callable[[float], bool], Callable[[float], object]]] = []
@@ -319,13 +312,13 @@ class StreamingGraphBuilder:
 
     @property
     def trace_count(self) -> int:
-        """Number of distinct traces folded in so far."""
+        """Number of traces folded in so far."""
         return self._trace_count
 
     def attach(self, collector: "TraceCollector") -> "StreamingGraphBuilder":
-        """Subscribe to *collector*'s completion and eviction streams, and
-        offer it the column entry point :meth:`on_columns`."""
-        collector.subscribe(self.on_trace, self.on_evict, self.on_columns)
+        """Subscribe to *collector*'s trace stream, and offer it the
+        column entry point :meth:`on_columns`."""
+        collector.subscribe(self.on_trace, self.on_columns)
         return self
 
     def watch(self, due: Callable[[float], bool], act: Callable[[float], object]) -> None:
@@ -335,7 +328,7 @@ class StreamingGraphBuilder:
         self._watchers.append((due, act))
 
     def on_trace(self, trace: Trace) -> None:
-        """Fold one (possibly re-notified) complete trace into the graph."""
+        """Fold one complete trace into the graph."""
         if self.observer.enabled:
             with self.observer.timed("topology_fold_seconds"):
                 self._fold(trace)
@@ -343,25 +336,15 @@ class StreamingGraphBuilder:
         self._fold(trace)
 
     def _fold(self, trace: Trace) -> None:
-        """The fold itself (multiset delta application); see :meth:`on_trace`.
-        A new trace is applied in walk order, as the batch builder does."""
-        observations = trace_observations(trace)
-        counted = Multiset(observations)
-        already = self._applied.get(trace.trace_id)
-        if already is None:
-            delta = observations
-            self._trace_count += 1
-        else:
-            delta = list((counted - already).elements())
-            if not delta:
-                return
-        self._applied[trace.trace_id] = counted
+        """The fold itself, see :meth:`on_trace`: the trace's observations
+        in walk order, as the batch builder applies them."""
         observe, windows = self.graph.observe_call, self.windows
-        for obs in delta:
+        for obs in trace_observations(trace):
             caller, callee, duration_ms, error, _ = obs
             observe(caller, callee, duration_ms, error)
             if windows is not None:
                 windows.observe(obs)
+        self._trace_count += 1
         self._version += 1
         end = trace.root.end
         for due, act in self._watchers:
@@ -391,16 +374,6 @@ class StreamingGraphBuilder:
             lo = row + 1
             for act in acting:
                 act(end)
-
-    def on_evict(self, trace_id: str) -> None:
-        """Drop per-trace bookkeeping once the collector evicted the trace.
-
-        The collector's tombstones guarantee no further spans of this
-        trace will be delivered, so the multiset can be released; the
-        already-applied observations stay in the graph (the stream of
-        completed traces includes it).
-        """
-        self._applied.pop(trace_id, None)
 
 
 # ---------------------------------------------------------------------------

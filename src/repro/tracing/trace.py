@@ -17,32 +17,6 @@ class Trace:
     def __init__(self, trace_id: str, spans: list[Span]) -> None:
         if not spans:
             raise ValidationError(f"trace {trace_id!r} has no spans")
-        roots = self._index(trace_id, spans)
-        by_id = self._spans
-        if len(by_id) != len(spans):
-            raise ValidationError(f"trace {trace_id!r} has duplicate span ids")
-        if len(roots) != 1:
-            raise ValidationError(
-                f"trace {trace_id!r} must have exactly one root span, "
-                f"found {len(roots)}"
-            )
-        self._root = roots[0]
-        if not by_id.keys() >= self._children.keys():
-            orphan = next(s for s in spans if s.parent_id not in (None, *by_id))
-            raise ValidationError(
-                f"span {orphan.span_id} references unknown parent {orphan.parent_id}"
-            )
-
-    @classmethod
-    def assembled(cls, trace_id: str, spans: list[Span]) -> "Trace":
-        """A trace over spans the collector's assembly state already
-        checked to form one tree: only foreign spans are rejected."""
-        trace = cls.__new__(cls)
-        trace._root = trace._index(trace_id, spans)[0]
-        return trace
-
-    def _index(self, trace_id: str, spans: list[Span]) -> list[Span]:
-        """Index *spans* in one pass, siblings by start; returns the roots."""
         self.trace_id = trace_id
         self._spans = by_id = {}
         self._children: dict[SpanId, list[Span]] = {}
@@ -57,9 +31,21 @@ class Trace:
                 self._children.setdefault(span.parent_id, []).append(span)
         if foreign:
             raise ValidationError(f"trace {trace_id!r} contains foreign spans")
+        if len(by_id) != len(spans):
+            raise ValidationError(f"trace {trace_id!r} has duplicate span ids")
+        if len(roots) != 1:
+            raise ValidationError(
+                f"trace {trace_id!r} must have exactly one root span, "
+                f"found {len(roots)}"
+            )
+        self._root = roots[0]
+        if not by_id.keys() >= self._children.keys():
+            orphan = next(s for s in spans if s.parent_id not in (None, *by_id))
+            raise ValidationError(
+                f"span {orphan.span_id} references unknown parent {orphan.parent_id}"
+            )
         for children in self._children.values():
             children.sort(key=_START)
-        return roots
 
     def __len__(self) -> int:
         return len(self._spans)

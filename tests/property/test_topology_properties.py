@@ -109,17 +109,16 @@ class TestRankingInvariants:
 
 
 @st.composite
-def shuffled_span_stream(draw):
-    """Random trace forest delivered as one shuffled global span stream.
+def shuffled_trace_stream(draw):
+    """Random trace forest delivered as whole traces in a shuffled order.
 
     Each trace is a random tree (every non-root span parents onto an
-    earlier span); the global permutation interleaves traces and delivers
-    spans out of order, exercising the collector's reassembly and the
-    streaming builder's re-notification delta path.
+    earlier span) whose spans arrive in a shuffled order too.
     """
     services = ["frontend", "auth", "catalog", "db"]
-    spans = []
+    traces = []
     for t in range(draw(st.integers(min_value=1, max_value=5))):
+        spans = []
         for s in range(draw(st.integers(min_value=1, max_value=7))):
             spans.append(
                 Span(
@@ -153,35 +152,36 @@ def shuffled_span_stream(draw):
                     tags={"shadow": "true"} if draw(st.booleans()) else {},
                 )
             )
-    return draw(st.permutations(spans))
+        traces.append((f"t{t}", draw(st.permutations(spans))))
+    return draw(st.permutations(traces))
 
 
 class TestStreamingEqualsBatch:
-    """The tentpole exactness guarantee: a StreamingGraphBuilder fed a
-    span stream produces the same graph — node set, edge set, call
+    """The exactness guarantee: a StreamingGraphBuilder fed a trace
+    stream produces the same graph — node set, edge set, call
     counts, error counts, response-time totals — as
     ``build_interaction_graph`` over the assembled traces."""
 
     @settings(max_examples=40, deadline=None)
-    @given(shuffled_span_stream())
+    @given(shuffled_trace_stream())
     def test_streaming_graph_equals_batch_graph(self, stream):
         collector = TraceCollector()
         builder = StreamingGraphBuilder().attach(collector)
-        for span in stream:
-            collector.record(span)
+        for trace_id, spans in stream:
+            collector.record_trace(trace_id, spans)
         batch = build_interaction_graph(collector.traces())
         assert graphs_equal(builder.graph, batch)
 
     @settings(max_examples=25, deadline=None)
-    @given(shuffled_span_stream(), graph_params)
+    @given(shuffled_trace_stream(), graph_params)
     def test_live_diff_equals_batch_diff(self, stream, params):
         n, branching, seed = params
         baseline = random_interaction_graph(n, branching=branching, seed=seed)
         collector = TraceCollector()
         builder = StreamingGraphBuilder().attach(collector)
         live = LiveTopologyDiff(baseline, builder)
-        for span in stream:
-            collector.record(span)
+        for trace_id, spans in stream:
+            collector.record_trace(trace_id, spans)
         batch = diff_graphs(baseline, builder.graph)
         current = live.current()
         assert [c.identity for c in current.changes] == [

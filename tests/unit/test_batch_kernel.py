@@ -143,17 +143,6 @@ class TestRecordTrace:
         for trace_id in bulk.trace_ids:
             assert bulk.trace(trace_id).spans == scalar.trace(trace_id).spans
 
-    def test_capacity_eviction_and_tombstones(self):
-        collector = TraceCollector(capacity=2)
-        for trace_id in ("t1", "t2", "t3"):
-            collector.record_trace(trace_id, _make_trace(trace_id))
-        assert collector.trace_ids == ["t2", "t3"]
-        assert collector.evicted_ids == ["t1"]
-        # A late chunk for the evicted trace is dropped, not resurrected.
-        collector.record_trace("t1", _make_trace("t1"))
-        assert collector.trace_ids == ["t2", "t3"]
-        assert collector.late_spans_dropped.value == 2
-
     def test_notifies_subscribers_once_per_trace(self):
         collector = TraceCollector()
         seen: list[str] = []

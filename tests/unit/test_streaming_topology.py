@@ -191,42 +191,15 @@ class TestStreamingGraphBuilder:
         assert graphs_equal(builder.graph, batch)
         assert builder.trace_count == 5
 
-    def test_regrown_trace_applies_only_the_delta(self):
-        collector = TraceCollector()
-        builder = StreamingGraphBuilder().attach(collector)
-        collector.record_all(trace_spans("t1"))
-        # A late extra child arrives: the collector re-notifies with the
-        # full trace; the builder must fold in only the new span.
-        collector.record(
-            make_span(
-                "late",
-                trace_id="t1",
-                parent_id="t1-root",
-                service="db",
-                endpoint="query",
-                start=0.002,
-            )
-        )
-        batch = build_interaction_graph(collector.traces())
-        assert graphs_equal(builder.graph, batch)
-        assert builder.trace_count == 1
-
     def test_version_bumps_only_on_change(self):
         collector = TraceCollector()
         builder = StreamingGraphBuilder().attach(collector)
         collector.record_all(trace_spans("t1"))
         version = builder.version
-        builder.on_trace(collector.trace("t1"))  # no new observations
-        assert builder.version == version
-
-    def test_eviction_releases_bookkeeping_but_keeps_stats(self):
-        collector = TraceCollector(capacity=1)
-        builder = StreamingGraphBuilder().attach(collector)
-        collector.record_all(trace_spans("t1"))
-        collector.record_all(trace_spans("t2", start=1.0))  # evicts t1
-        assert "t1" not in builder._applied
-        root = NodeKey("frontend", "1.0.0", "home")
-        assert builder.graph.node_stats(root).calls == 2
+        LiveTopologyDiff(InteractionGraph("baseline"), builder).current()
+        assert builder.version == version  # a read changes nothing
+        collector.record_all(trace_spans("t2", start=1.0))
+        assert builder.version == version + 1
 
     def test_watchers_act_after_the_fold_of_their_trace(self):
         collector = TraceCollector()
@@ -461,7 +434,7 @@ class TestExactFold:
     """The fold applies each trace's observations in the batch builder's
     order, so every float total is the batch builder's bit for bit."""
 
-    def test_stream_with_a_regrown_trace_equals_batch_exactly(self):
+    def test_stream_equals_batch_exactly(self):
         import random
 
         rng = random.Random(5)
@@ -470,20 +443,6 @@ class TestExactFold:
         builder.attach(collector)
         for i in range(40):
             collector.record_trace(f"t{i}", random_trace(f"t{i}", 0.5 * i, rng))
-        # The last trace grows: a dark-launch duplicate of its backend call,
-        # started last, so it is also last in the walk.
-        late = make_span(
-            "t39-shadow",
-            trace_id="t39",
-            parent_id="t39-root",
-            service="backend",
-            version="3.0.0",
-            endpoint="api",
-            start=0.5 * 39 + 0.005,
-            duration_ms=rng.uniform(0.1, 50.0),
-            tags={"shadow": "true"},
-        )
-        collector.record_trace("t39", [late])
         assert builder.trace_count == 40
         batch = build_interaction_graph(collector.traces())
         assert exact(builder.graph) == exact(batch)

@@ -131,18 +131,15 @@ class TestTrace:
 class TestCollector:
     def test_assembles_out_of_order_spans(self):
         collector = TraceCollector()
-        collector.record(make_span("c", parent_id="b"))
-        collector.record(make_span("b", parent_id="root"))
-        collector.record(make_span("root"))
+        collector.record_all(
+            [
+                make_span("c", parent_id="b"),
+                make_span("b", parent_id="root"),
+                make_span("root"),
+            ]
+        )
         trace = collector.trace("t1")
         assert len(trace) == 3
-
-    def test_capacity_evicts_oldest(self):
-        collector = TraceCollector(capacity=2)
-        for i in range(3):
-            collector.record(make_span("root", trace_id=f"t{i}"))
-        assert len(collector) == 2
-        assert "t0" not in collector.trace_ids
 
     def test_unknown_trace(self):
         with pytest.raises(ValidationError):
@@ -155,69 +152,12 @@ class TestCollector:
         assert len(collector) == 0
 
 
-class TestCollectorEviction:
-    def test_late_span_of_evicted_trace_is_dropped(self):
-        """Regression: a late span used to resurrect an evicted trace as
-        a rootless partial bucket, so a later traces() call blew up."""
-        collector = TraceCollector(capacity=2)
-        collector.record(make_span("r0", trace_id="t0"))
-        collector.record(make_span("r1", trace_id="t1"))
-        collector.record(make_span("r2", trace_id="t2"))  # evicts t0
-        assert "t0" in collector.evicted_ids
-        # Late child span of the evicted trace arrives.
-        collector.record(make_span("late", trace_id="t0", parent_id="r0"))
-        assert "t0" not in collector.trace_ids
-        assert collector.late_spans_dropped.value == 1
-        # The whole batch still assembles.
-        assert len(collector.traces()) == 2
-
-    def test_traces_skips_unassemblable_buckets_by_default(self):
-        collector = TraceCollector()
-        collector.record(make_span("root", trace_id="t1"))
-        # A rootless bucket (its parent never arrives).
-        collector.record(make_span("orphan", trace_id="t2", parent_id="ghost"))
-        traces = collector.traces()
-        assert [t.trace_id for t in traces] == ["t1"]
-
-    def test_traces_strict_raises_on_unassemblable_bucket(self):
-        collector = TraceCollector()
-        collector.record(make_span("root", trace_id="t1"))
-        collector.record(make_span("orphan", trace_id="t2", parent_id="ghost"))
-        with pytest.raises(ValidationError):
-            collector.traces(strict=True)
-
-    def test_tombstone_set_is_bounded(self):
-        collector = TraceCollector(capacity=1, tombstones=3)
-        for i in range(6):
-            collector.record(make_span("root", trace_id=f"t{i}"))
-        assert len(collector.evicted_ids) == 3
-        # Oldest tombstones fell off the bounded set.
-        assert collector.evicted_ids == ["t2", "t3", "t4"]
-
-    def test_tombstones_survive_clear(self):
-        collector = TraceCollector(capacity=1)
-        collector.record(make_span("r0", trace_id="t0"))
-        collector.record(make_span("r1", trace_id="t1"))  # evicts t0
-        collector.clear()
-        collector.record(make_span("late", trace_id="t0", parent_id="r0"))
-        assert len(collector) == 0
-        assert collector.late_spans_dropped.value == 1
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValidationError):
-            TraceCollector(capacity=0)
-        with pytest.raises(ValidationError):
-            TraceCollector(tombstones=0)
-
-
 class TestCollectorSubscriptions:
     def test_complete_trace_notifies_subscriber(self):
         collector = TraceCollector()
         seen = []
         collector.subscribe(lambda trace: seen.append(trace.trace_id))
-        collector.record(make_span("child", parent_id="root"))
-        assert seen == []  # incomplete: parent missing
-        collector.record(make_span("root"))
+        collector.record_all([make_span("child", parent_id="root"), make_span("root")])
         assert seen == ["t1"]
 
     def test_record_all_notifies_once_per_trace(self):
@@ -229,26 +169,10 @@ class TestCollectorSubscriptions:
         )
         assert seen == [2]
 
-    def test_regrown_trace_renotifies_with_cumulative_snapshot(self):
-        collector = TraceCollector()
-        sizes = []
-        collector.subscribe(lambda trace: sizes.append(len(trace)))
-        collector.record(make_span("root"))
-        collector.record(make_span("late", parent_id="root"))
-        assert sizes == [1, 2]
-
-    def test_eviction_notifies_evict_subscriber(self):
-        collector = TraceCollector(capacity=1)
-        evicted = []
-        collector.subscribe(lambda trace: None, evicted.append)
-        collector.record(make_span("r0", trace_id="t0"))
-        collector.record(make_span("r1", trace_id="t1"))
-        assert evicted == ["t0"]
-
 
 class TestValidateOnce:
-    """A notified trace is built from the bucket the collector's assembly
-    state already checked; every bad tree still fails with its message."""
+    """``record_trace`` checks the tree once, when it builds the trace, and
+    hands subscribers that object; every bad tree fails with its message."""
 
     @staticmethod
     def collector_with_subscriber():
@@ -260,14 +184,17 @@ class TestValidateOnce:
     def test_notification_does_not_recheck_the_tree(self, monkeypatch):
         collector, seen = self.collector_with_subscriber()
         spans = make_trace().spans
+        built = []
+        original = Trace.__init__
 
-        def checked(*_):
-            raise AssertionError("the tree was checked twice")
+        def counted(self, trace_id, spans):
+            built.append(trace_id)
+            original(self, trace_id, spans)
 
-        monkeypatch.setattr(Trace, "__init__", checked)
-        collector.record_trace("t1", spans[::-1])
-        [trace] = seen
-        assert trace.root.span_id == "root"
+        monkeypatch.setattr(Trace, "__init__", counted)
+        trace = collector.record_trace("t1", spans[::-1])
+        assert built == ["t1"] and seen == [trace]
+        assert collector.trace("t1") is trace and collector.traces() == [trace]
         assert [span.span_id for span, _ in trace.walk()] == ["root", "a", "b", "c"]
 
     def test_no_spans(self):
@@ -282,7 +209,7 @@ class TestValidateOnce:
             collector.record_trace("t1", foreign)
         with pytest.raises(ValidationError, match=message):
             Trace("t1", foreign)
-        assert seen == []
+        assert seen == [] and len(collector) == 0
 
     @pytest.mark.parametrize(
         "spans, message",
@@ -304,30 +231,59 @@ class TestValidateOnce:
     )
     def test_bad_tree_is_never_notified_and_keeps_its_message(self, spans, message):
         collector, seen = self.collector_with_subscriber()
-        collector.record_trace("t1", spans)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            collector.record_trace("t1", spans)
         assert seen == []
+
+
+class TestRecordTraceRefuses:
+    """A refused ``record_trace`` leaves the collector as it was: the
+    traces recorded before stay, and no subscriber hears of the refusal."""
+
+    @pytest.mark.parametrize(
+        "trace_id, spans, message",
+        [
+            ("t0", [make_span("again", trace_id="t0")], "trace 't0' is already recorded"),
+            ("t1", [make_span("r1"), make_span("r2")], "exactly one root span, found 2"),
+            (
+                "t1",
+                [make_span("root"), make_span("x", parent_id="ghost")],
+                "span x references unknown parent ghost",
+            ),
+            (
+                "t1",
+                [make_span("root"), make_span("root", parent_id="root")],
+                "trace 't1' has duplicate span ids",
+            ),
+        ],
+        ids=["repeated-id", "two-roots", "orphan", "duplicate"],
+    )
+    def test_refused_trace_is_neither_stored_nor_notified(self, trace_id, spans, message):
+        collector = TraceCollector()
+        seen = []
+        collector.subscribe(seen.append)
+        first = collector.record_trace("t0", [make_span("root", trace_id="t0")])
         with pytest.raises(ValidationError, match=re.escape(message)):
-            collector.trace("t1")
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            collector.traces(strict=True)
+            collector.record_trace(trace_id, spans)
+        assert collector.trace_ids == ["t0"] and collector.traces() == [first]
+        assert seen == [first]
 
 
 class TestRecordTraceEqualsRecordAll:
-    """``Runtime.execute`` hands a request's spans to ``record_trace`` and
-    keeps the trace it returns, building ``Trace(...)`` only when it gets
-    None; it used to call ``record_all`` and then ``Trace(...)``.  Both must
-    leave the collector, its notifications, its drop count and the
-    request's trace (or the error it raises) the same."""
+    """``record_all`` groups spans by trace id and hands each group to
+    ``record_trace``: both leave the same collector, notifications and
+    drop count (always 0), and return the same trace or raise the same
+    error."""
 
     # (trace id, spans) in the order a runtime would hand them over.
     STEPS = [
         ("t1", [make_span("r", "t1"), make_span("a", "t1", parent_id="r", start=0.1)]),
         ("t2", [make_span("r1", "t2"), make_span("r2", "t2")]),  # two roots
-        ("t3", [make_span("r", "t3"), make_span("b", "t3", parent_id="r")]),  # evicts t1
-        ("t1", [make_span("r", "t1")]),  # tombstoned id: dropped
+        ("t3", [make_span("r", "t3"), make_span("b", "t3", parent_id="r")]),
+        ("t1", [make_span("r", "t1")]),  # repeated id
         ("t4", [make_span("r", "t4"), make_span("r", "t4", parent_id="r")]),  # duplicate
         ("t5", [make_span("r", "t5")]),
-        ("t5", [make_span("late", "t5", parent_id="r")]),  # not its own bucket
+        ("t5", [make_span("late", "t5", parent_id="r")]),  # repeated id
         ("t6", [make_span("r", "t6"), make_span("x", "t6", parent_id="ghost")]),
         ("t7", [make_span("r", "t7"), make_span("c", "t7", parent_id="r"),
                 make_span("d", "t7", parent_id="c")]),
@@ -335,24 +291,22 @@ class TestRecordTraceEqualsRecordAll:
 
     @staticmethod
     def new_path(collector, trace_id, spans):
-        trace = collector.record_trace(trace_id, spans)
-        return Trace(trace_id, spans) if trace is None else trace
+        return collector.record_trace(trace_id, spans)
 
     @staticmethod
     def old_path(collector, trace_id, spans):
         collector.record_all(spans)
-        return Trace(trace_id, spans)
+        return collector.trace(trace_id)
 
     @staticmethod
     def observe(path, subscribed):
-        collector = TraceCollector(capacity=2)
-        notified, evicted = [], []
+        collector = TraceCollector()
+        notified = []
         if subscribed:
             collector.subscribe(
                 lambda trace: notified.append(
                     (trace.trace_id, [span.span_id for span, _ in trace.walk()])
-                ),
-                evicted.append,
+                )
             )
         seen = []
         for trace_id, spans in TestRecordTraceEqualsRecordAll.STEPS:
@@ -362,13 +316,9 @@ class TestRecordTraceEqualsRecordAll:
                 outcome = ("raised", str(exc))
             else:
                 outcome = (trace.trace_id, [(s.span_id, p and p.span_id) for s, p in trace.walk()])
-            state = {
-                trace_id: (vars(bucket).copy(), list(collector._spans_by_trace[trace_id]))
-                for trace_id, bucket in collector._assembly.items()
-            }
             seen.append(
-                (outcome, state, collector.evicted_ids, collector.late_spans_dropped.value,
-                 list(notified), list(evicted))
+                (outcome, collector.trace_ids, collector.late_spans_dropped.value,
+                 list(notified))
             )
         return seen
 
@@ -378,20 +328,22 @@ class TestRecordTraceEqualsRecordAll:
         assert new == self.observe(self.old_path, subscribed)
         outcomes = [step[0] for step in new]
         assert outcomes[1] == ("raised", "trace 't2' must have exactly one root span, found 2")
-        assert outcomes[3] == ("t1", [("r", None)])  # built by Trace(), nothing recorded
-        assert outcomes[6] == ("raised", "trace 't5' must have exactly one root span, found 0")
-        assert new[3][2] == ["t1"] and new[3][3] == 1  # t1 evicted, its late span dropped
+        assert outcomes[3] == ("raised", "trace 't1' is already recorded")
+        assert outcomes[6] == ("raised", "trace 't5' is already recorded")
+        assert new[-1][1] == ["t1", "t3", "t5", "t7"]
+        assert {step[2] for step in new} == {0}
         if subscribed:
-            assert [trace_id for trace_id, _ in new[-1][4]] == ["t1", "t3", "t5", "t5", "t7"]
+            assert [trace_id for trace_id, _ in new[-1][3]] == ["t1", "t3", "t5", "t7"]
 
     def test_the_outcome_trace_is_the_notified_one(self):
         collector = TraceCollector()
         notified = []
         collector.subscribe(notified.append)
         trace = collector.record_trace("t1", make_trace().spans)
-        assert notified == [trace]
-        assert collector.record_trace("t1", [make_span("z", parent_id="root")]) is None
-        assert len(notified[-1]) == 5
+        assert notified == [trace] and collector.trace("t1") is trace
+        with pytest.raises(ValidationError):
+            collector.record_trace("t1", [make_span("z", parent_id="root")])
+        assert notified == [trace] and len(trace) == 4
 
 
 class TestQuery:
