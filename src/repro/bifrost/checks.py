@@ -96,7 +96,3 @@ class CheckEvaluator:
             check, now, outcome, observed, reference,
             duration_s=perf_counter() - t0, samples=len(values),
         )
-
-    def evaluate_all(self, checks: tuple[Check, ...], now: float) -> list[CheckResult]:
-        """Evaluate every check at time *now*."""
-        return [self.evaluate(check, now) for check in checks]

@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.bifrost.dsl import parse_strategy
 from repro.bifrost.engine import BifrostEngine, StrategyExecution
 from repro.bifrost.journal import Journal, SnapshotPolicy, SnapshotStore
-from repro.bifrost.model import Strategy, StrategyOutcome
+from repro.bifrost.model import Strategy
 from repro.bifrost.recovery import EngineSupervisor, RestartPolicy
 from repro.microservices.application import Application
 from repro.microservices.faults import (
@@ -99,7 +99,7 @@ class Bifrost:
                     simulation=self.simulation,
                     application=application,
                     router=self.router,
-                    store=self.runtime.monitor.store,
+                    store=self.runtime.store,
                     journal=self.journal,
                     snapshots=self.snapshots,
                     toggles=toggles,
@@ -116,7 +116,7 @@ class Bifrost:
                 factory,
                 self.journal,
                 self.snapshots,
-                monitor=self.runtime.monitor,
+                store=self.runtime.store,
                 policy=restart_policy,
                 observer=self.observer,
             )
@@ -126,12 +126,11 @@ class Bifrost:
                 simulation=self.simulation,
                 application=application,
                 router=self.router,
-                store=self.runtime.monitor.store,
+                store=self.runtime.store,
                 toggles=toggles,
                 observer=self.observer,
             )
             self._engine.active_faults_of = self._active_faults
-        self.outcomes: list[RequestOutcome] = []
         self.campaigns: list[FaultCampaign] = []
         self.live_health: "LiveHealthMonitor | None" = None
         self.streaming_builder: "StreamingGraphBuilder | None" = None
@@ -152,7 +151,7 @@ class Bifrost:
     @property
     def store(self):
         """The shared metric store checks evaluate against."""
-        return self.runtime.monitor.store
+        return self.runtime.store
 
     @property
     def resilience(self) -> ResilienceLayer:
@@ -288,9 +287,9 @@ class Bifrost:
     def run(self, workload: Iterable[Request], until: float | None = None) -> list[RequestOutcome]:
         """Replay *workload*, interleaving engine events by timestamp.
 
-        Returns the request outcomes of this run (also appended to
-        :attr:`outcomes`).  With *until*, the engine keeps running after
-        the workload drains — e.g. to let strategies finish.  A request
+        Returns the request outcomes of this run.  With *until*, the engine
+        keeps running after the workload drains — e.g. to let strategies
+        finish.  A request
         earlier than one before it runs at the later time: the clock
         never goes back.
         """
@@ -309,7 +308,6 @@ class Bifrost:
         drive(self.simulation, timestamps, run_stretch)
         if until is not None:
             self.simulation.run_until(until)
-        self.outcomes.extend(produced)
         return produced
 
     def run_batches(
@@ -338,10 +336,3 @@ class Bifrost:
         from repro.simulation.batch import run_batches
 
         return run_batches(self.simulation, self.runtime, batches, until=until)
-
-    def outcome_of(self, strategy_name: str) -> StrategyOutcome:
-        """Terminal (or running) status of a submitted strategy."""
-        for execution in self.engine.executions:
-            if execution.strategy.name == strategy_name:
-                return execution.outcome
-        raise KeyError(f"no strategy named {strategy_name!r} submitted")

@@ -376,10 +376,6 @@ class Strategy:
         """All services the strategy touches."""
         return frozenset(p.service for p in self.phases)
 
-    def total_checks(self) -> int:
-        """Number of checks across all phases."""
-        return sum(len(p.checks) for p in self.phases)
-
 
 # -- lossless dict serialization -------------------------------------------
 #

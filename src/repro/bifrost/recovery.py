@@ -14,7 +14,9 @@ The :class:`EngineSupervisor` sits above both: it owns the current
 engine object, kills it when an :class:`~repro.microservices.faults.EngineCrash`
 fault fires, and — within a bounded :class:`RestartPolicy` — builds a
 fresh engine and recovers it.  Every crash, restart, and refusal is
-surfaced as a ``durability.*`` metric through the telemetry monitor.
+stored as a ``durability.<kind>`` sample under the synthetic
+``("bifrost", "engine")`` key of the metric store, queryable with the same
+windowed aggregations as every other metric.
 """
 
 from __future__ import annotations
@@ -54,7 +56,13 @@ from repro.obs.events import (
     RECOVERY_RESTART_FAILED,
 )
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.telemetry.monitor import Monitor
+from repro.telemetry.store import MetricStore
+
+
+def _durability(store: MetricStore | None, kind: str, now: float, value: float = 1.0) -> None:
+    """Store one engine-durability sample, when there is a store."""
+    if store is not None:
+        store.record("bifrost", "engine", f"durability.{kind}", now, value)
 
 
 @dataclass(frozen=True)
@@ -86,12 +94,12 @@ class RecoveryManager:
         self,
         journal: Journal,
         snapshots: SnapshotStore | None = None,
-        monitor: Monitor | None = None,
+        store: MetricStore | None = None,
         observer: Observer | None = None,
     ) -> None:
         self.journal = journal
         self.snapshots = snapshots
-        self.monitor = monitor
+        self.store = store
         self.obs = observer or NULL_OBSERVER
 
     def recover(
@@ -166,19 +174,12 @@ class RecoveryManager:
             self.obs.metrics.counter("recovery_records_replayed_total").increment(
                 len(records)
             )
-        if self.monitor is not None:
-            self.monitor.observe_durability("recovered", now)
-            self.monitor.observe_durability(
-                "records_replayed", now, float(len(records))
-            )
-            if dropped:
-                self.monitor.observe_durability(
-                    "records_dropped", now, float(dropped)
-                )
-            if inflight:
-                self.monitor.observe_durability(
-                    "inflight_inconclusive", now, float(len(inflight))
-                )
+        _durability(self.store, "recovered", now)
+        _durability(self.store, "records_replayed", now, float(len(records)))
+        if dropped:
+            _durability(self.store, "records_dropped", now, float(dropped))
+        if inflight:
+            _durability(self.store, "inflight_inconclusive", now, float(len(inflight)))
         return RecoveryReport(
             snapshot_restored=snapshot is not None,
             snapshot_time=snapshot.time if snapshot is not None else None,
@@ -305,14 +306,14 @@ class EngineSupervisor:
         factory: Callable[[], BifrostEngine],
         journal: Journal,
         snapshots: SnapshotStore | None = None,
-        monitor: Monitor | None = None,
+        store: MetricStore | None = None,
         policy: RestartPolicy | None = None,
         observer: Observer | None = None,
     ) -> None:
         self.factory = factory
         self.journal = journal
         self.snapshots = snapshots
-        self.monitor = monitor
+        self.store = store
         self.policy = policy or RestartPolicy()
         self.obs = observer or NULL_OBSERVER
         self.engine = factory()
@@ -345,8 +346,7 @@ class EngineSupervisor:
         if self.obs.enabled:
             self.obs.emit(RECOVERY_CRASH, now)
             self.obs.metrics.counter("engine_crashes_total").increment()
-        if self.monitor is not None:
-            self.monitor.observe_durability("crash", now)
+        _durability(self.store, "crash", now)
 
     def restart(self, now: float) -> None:
         """Build a fresh engine and recover it, if the budget allows.
@@ -368,8 +368,7 @@ class EngineSupervisor:
                     charged=self.policy.charged(self.restart_times, now),
                 )
                 self.obs.metrics.counter("engine_restarts_refused_total").increment()
-            if self.monitor is not None:
-                self.monitor.observe_durability("restart_refused", now)
+            _durability(self.store, "restart_refused", now)
             return
         self.restarts += 1
         self.restart_times.append(now)
@@ -377,7 +376,7 @@ class EngineSupervisor:
         try:
             self.engine = self.factory()
             manager = RecoveryManager(
-                self.journal, self.snapshots, self.monitor, observer=self.obs
+                self.journal, self.snapshots, self.store, observer=self.obs
             )
             report = manager.recover(self.engine, handles=crashed.executions)
         except Exception as exc:
@@ -393,8 +392,7 @@ class EngineSupervisor:
                     error=f"{type(exc).__name__}: {exc}",
                 )
                 self.obs.metrics.counter("engine_restart_failures_total").increment()
-            if self.monitor is not None:
-                self.monitor.observe_durability("restart_failed", now)
+            _durability(self.store, "restart_failed", now)
             return
         self.reports.append(report)
         if self.obs.enabled:
@@ -410,5 +408,4 @@ class EngineSupervisor:
             self.obs.metrics.gauge("engine_restart_budget_remaining").set(
                 float(self.budget_remaining(now))
             )
-        if self.monitor is not None:
-            self.monitor.observe_durability("restart", now)
+        _durability(self.store, "restart", now)

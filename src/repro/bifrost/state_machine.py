@@ -80,11 +80,6 @@ class StateMachine:
         return {p.name for p in self.strategy.phases} - reachable
 
     @property
-    def states(self) -> list[StrategyState]:
-        """All states (phases + terminals)."""
-        return list(self._states.values())
-
-    @property
     def transitions(self) -> list[Transition]:
         """All labelled transitions."""
         return list(self._transitions)

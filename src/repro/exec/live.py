@@ -40,6 +40,10 @@ from repro.telemetry.store import MetricStore
 from repro.traffic.workload import Request
 
 _CRLF = b"\r\n"
+#: Wall-clock timeout per client call; a timed out call counts as an error.
+REQUEST_TIMEOUT_S = 10.0
+#: Cap on concurrently issued end-user requests.
+MAX_INFLIGHT = 64
 
 
 @dataclass(frozen=True)
@@ -53,19 +57,14 @@ class LiveOptions:
             millisecond — large enough for real socket round-trips to
             stay well-ordered, small enough for CI.
         host: bind address; loopback only by design.
-        request_timeout_s: wall-clock timeout per client call; a timed
-            out call counts as an error.
         max_wall_s: hard budget for the whole run; exceeding it raises
             :class:`~repro.errors.ExecutionError` (the CI smoke's 60 s
             ceiling sits above this).
-        max_inflight: cap on concurrently issued end-user requests.
     """
 
     time_scale: float = 0.02
     host: str = "127.0.0.1"
-    request_timeout_s: float = 10.0
     max_wall_s: float = 55.0
-    max_inflight: int = 64
 
 
 class _LiveServer:
@@ -284,7 +283,7 @@ class LiveCluster:
         try:
             return await asyncio.wait_for(
                 self._http_get_inner(server, endpoint, user_id, group),
-                timeout=self.options.request_timeout_s,
+                timeout=REQUEST_TIMEOUT_S,
             )
         except (asyncio.TimeoutError, ConnectionError, OSError):
             return 0
@@ -401,7 +400,7 @@ class LiveBackend:
                 task = asyncio.ensure_future(issue(request))
                 pending.add(task)
                 task.add_done_callback(pending.discard)
-                while len(pending) >= options.max_inflight:
+                while len(pending) >= MAX_INFLIGHT:
                     check_budget()
                     await asyncio.wait(
                         tuple(pending), return_when=asyncio.FIRST_COMPLETED

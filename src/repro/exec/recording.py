@@ -9,7 +9,7 @@ serialized as one JSONL stream of typed lines:
   captured (the full glass-box stream, not just the retained ring);
 - one ``request`` line per executed request — its identity, arrival
   timestamp, and the *observed spans* ``(service, version, start,
-  duration_ms, error)`` whose metrics the monitor derived from it (in
+  duration_ms, error)`` whose metrics the runtime stored from it (in
   memory these are the columns of :class:`RecordedRequests`, not one
   object per request and span);
 - one ``digest`` line — the content digest of the run's decision-
@@ -77,7 +77,7 @@ def _ends(runs: list, start: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class RecordedSpan:
-    """One observed span, reduced to the fields the monitor consumes."""
+    """One observed span, reduced to the fields the metric store consumes."""
 
     service: str
     version: str
@@ -217,10 +217,6 @@ class RecordedRequests(Sequence):
             (span.duration_ms for span in flat),
             (bool(span.error) for span in flat),
         )
-
-    def add_doc(self, doc: Mapping) -> None:
-        """Append one parsed ``request`` line (see :meth:`add_docs`)."""
-        self.add_docs([doc])
 
     def add_docs(self, docs: list[Mapping]) -> None:
         """Append parsed ``request`` lines, all or nothing: a malformed

@@ -58,8 +58,8 @@ class ReplayDiff:
     replayed_digest: str
     outcomes_recorded: dict[str, str] = field(default_factory=dict)
     outcomes_replayed: dict[str, str] = field(default_factory=dict)
-    strategy_diffs: dict[str, list[str]] = field(default_factory=dict)
-    problems: list[str] = field(default_factory=list)
+    strategy_diffs: dict[str, list[str]] = field(default_factory=dict, init=False)
+    problems: list[str] = field(default_factory=list, init=False)
 
     @property
     def digest_match(self) -> bool:

@@ -14,30 +14,23 @@ import math
 
 from repro.fenrir.base import BudgetedEvaluator, SearchAlgorithm, SearchResult
 from repro.fenrir.fitness import FitnessWeights
-from repro.fenrir.local_search import _warm_start
+from repro.fenrir.local_search import REPAIR_RATE, WARM_START_DRAWS, _warm_start
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.operators import mutate_gene, pack_repair
 from repro.fenrir.schedule import Schedule
 from repro.obs.observer import Observer
 from repro.simulation.rng import SeededRng
 
+#: The temperature cools exponentially from the first to the second over
+#: the budget.
+INITIAL_TEMPERATURE = 0.15
+FINAL_TEMPERATURE = 0.001
+
 
 class SimulatedAnnealing(SearchAlgorithm):
     """Metropolis acceptance over single-gene mutations."""
 
     name = "annealing"
-
-    def __init__(
-        self,
-        initial_temperature: float = 0.15,
-        final_temperature: float = 0.001,
-        repair_rate: float = 0.2,
-        warm_start: int = 25,
-    ) -> None:
-        self.initial_temperature = initial_temperature
-        self.final_temperature = final_temperature
-        self.repair_rate = repair_rate
-        self.warm_start = warm_start
 
     def optimize(
         self,
@@ -53,13 +46,10 @@ class SimulatedAnnealing(SearchAlgorithm):
         evaluator = BudgetedEvaluator(budget, weights, observer)
         current, current_score = _warm_start(
             problem, evaluator, rng, initial, locked,
-            draws=min(self.warm_start, max(1, budget // 10)),
+            draws=min(WARM_START_DRAWS, max(1, budget // 10)),
         )
-        cooling = (
-            (self.final_temperature / self.initial_temperature)
-            ** (1.0 / max(1, budget))
-        )
-        temperature = self.initial_temperature
+        cooling = (FINAL_TEMPERATURE / INITIAL_TEMPERATURE) ** (1.0 / max(1, budget))
+        temperature = INITIAL_TEMPERATURE
         free = [i for i in range(len(current.genes)) if i not in locked]
         while not evaluator.exhausted and free:
             index = rng.choice(free)
@@ -67,7 +57,7 @@ class SimulatedAnnealing(SearchAlgorithm):
             neighbor = current.replaced(
                 index, mutate_gene(problem, spec, current.genes[index], rng)
             )
-            if rng.random() < self.repair_rate:
+            if rng.random() < REPAIR_RATE:
                 neighbor = pack_repair(neighbor, rng, locked)
             score = evaluator.evaluate(neighbor).penalized
             delta = score - current_score

@@ -21,6 +21,11 @@ from repro.obs.events import FENRIR_GENERATION
 from repro.obs.observer import Observer
 from repro.simulation.rng import SeededRng
 
+#: Schedules carried unchanged into each generation, and the entrants of
+#: each selection tournament.
+ELITE = 2
+TOURNAMENT_SIZE = 2
+
 
 class GeneticAlgorithm(SearchAlgorithm):
     """Population-based search over schedules."""
@@ -30,16 +35,12 @@ class GeneticAlgorithm(SearchAlgorithm):
     def __init__(
         self,
         population_size: int = 36,
-        elite: int = 2,
         crossover_rate: float = 0.9,
         repair_rate: float = 0.35,
-        tournament_size: int = 2,
     ) -> None:
         self.population_size = population_size
-        self.elite = elite
         self.crossover_rate = crossover_rate
         self.repair_rate = repair_rate
-        self.tournament_size = tournament_size
 
     def optimize(
         self,
@@ -80,7 +81,7 @@ class GeneticAlgorithm(SearchAlgorithm):
                 reverse=True,
             )
             next_population: list[Schedule] = [
-                population[i] for i in ranked[: self.elite]
+                population[i] for i in ranked[:ELITE]
             ]
             # Penalized score of each child's parent (None for elites), so
             # the observer can report how many offspring beat their parent.
@@ -163,7 +164,7 @@ class GeneticAlgorithm(SearchAlgorithm):
     ) -> int:
         """Index of the tournament winner (callers index the population)."""
         best_index = rng.randint(0, len(population) - 1)
-        for _ in range(self.tournament_size - 1):
+        for _ in range(TOURNAMENT_SIZE - 1):
             challenger = rng.randint(0, len(population) - 1)
             if scores[challenger].penalized > scores[best_index].penalized:
                 best_index = challenger

@@ -16,6 +16,13 @@ from repro.fenrir.schedule import Schedule
 from repro.obs.observer import Observer
 from repro.simulation.rng import SeededRng
 
+#: A search starts from the best of this many random packed schedules
+#: (fewer on a small budget), and repairs this share of its neighbors.
+WARM_START_DRAWS = 25
+REPAIR_RATE = 0.2
+#: Non-improving neighbors in a row before local search restarts.
+STALL_LIMIT = 250
+
 
 def _warm_start(
     problem: SchedulingProblem,
@@ -50,16 +57,6 @@ class LocalSearch(SearchAlgorithm):
 
     name = "local-search"
 
-    def __init__(
-        self,
-        stall_limit: int = 250,
-        repair_rate: float = 0.2,
-        warm_start: int = 25,
-    ) -> None:
-        self.stall_limit = stall_limit
-        self.repair_rate = repair_rate
-        self.warm_start = warm_start
-
     def _neighbor(
         self,
         problem: SchedulingProblem,
@@ -76,7 +73,7 @@ class LocalSearch(SearchAlgorithm):
         neighbor = schedule.replaced(
             index, mutate_gene(problem, spec, schedule.genes[index], rng)
         )
-        if rng.random() < self.repair_rate:
+        if rng.random() < REPAIR_RATE:
             neighbor = pack_repair(neighbor, rng, locked)
         return neighbor
 
@@ -94,7 +91,7 @@ class LocalSearch(SearchAlgorithm):
         evaluator = BudgetedEvaluator(budget, weights, observer)
         current, current_score = _warm_start(
             problem, evaluator, rng, initial, locked,
-            draws=min(self.warm_start, max(1, budget // 10)),
+            draws=min(WARM_START_DRAWS, max(1, budget // 10)),
         )
         stall = 0
         while not evaluator.exhausted:
@@ -105,7 +102,7 @@ class LocalSearch(SearchAlgorithm):
                 stall = 0
             else:
                 stall += 1
-                if stall >= self.stall_limit:
+                if stall >= STALL_LIMIT:
                     current = random_schedule(
                         problem, rng, initial=initial, locked=locked
                     )

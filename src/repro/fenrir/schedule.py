@@ -74,13 +74,6 @@ class Schedule:
     def __len__(self) -> int:
         return len(self.genes)
 
-    def gene_of(self, name: str) -> Gene:
-        """The gene of experiment *name*."""
-        for spec, gene in self:
-            if spec.name == name:
-                return gene
-        raise ValidationError(f"schedule has no experiment {name!r}")
-
     def replaced(self, index: int, gene: Gene) -> "Schedule":
         """Copy of the schedule with gene *index* replaced."""
         genes = list(self.genes)

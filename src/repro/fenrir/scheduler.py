@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from repro.errors import InfeasibleScheduleError
 from repro.fenrir.base import SearchAlgorithm, SearchResult
-from repro.fenrir.fitness import FitnessWeights
 from repro.fenrir.genetic import GeneticAlgorithm
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
 from repro.fenrir.schedule import Schedule
@@ -68,11 +67,9 @@ class Fenrir:
     def __init__(
         self,
         algorithm: SearchAlgorithm | None = None,
-        weights: FitnessWeights | None = None,
         observer: Observer | None = None,
     ) -> None:
         self.algorithm = algorithm or GeneticAlgorithm()
-        self.weights = weights or FitnessWeights()
         self.observer = observer or NULL_OBSERVER
 
     def schedule(
@@ -98,7 +95,6 @@ class Fenrir:
                 problem,
                 budget=budget,
                 seed=seed,
-                weights=self.weights,
                 observer=self.observer,
             )
         if self.observer.enabled:

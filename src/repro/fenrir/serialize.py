@@ -9,8 +9,6 @@ problems and schedules provides that interchange format.
 
 from __future__ import annotations
 
-import json
-
 from repro.errors import ValidationError
 from repro.fenrir.model import ExperimentSpec, SchedulingProblem
 from repro.fenrir.schedule import Gene, Schedule
@@ -113,13 +111,3 @@ def schedule_from_dict(data: dict) -> Schedule:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed schedule document: {exc}") from exc
     return Schedule(problem, genes)
-
-
-def schedule_to_json(schedule: Schedule, indent: int = 2) -> str:
-    """Serialize a schedule to a JSON string."""
-    return json.dumps(schedule_to_dict(schedule), indent=indent)
-
-
-def schedule_from_json(text: str) -> Schedule:
-    """Parse a schedule from :func:`schedule_to_json` output."""
-    return schedule_from_dict(json.loads(text))

@@ -85,10 +85,3 @@ class Application:
                                 f"missing endpoint {call.target!r}"
                             )
         return problems
-
-    def endpoint_count(self) -> int:
-        """Total number of endpoints across stable versions."""
-        total = 0
-        for service in self._services.values():
-            total += len(service.get(service.stable_version).endpoints)
-        return total

@@ -225,9 +225,9 @@ def _picks(kernel: "RequestKernel", rec: _Route, users: np.ndarray, record: bool
     if not rec.variants:
         return picks
     kept = slice(None)
-    if rec.eligible is not None or rec.headers is not None:
+    if rec.eligible is not None:
         group_codes = kernel._group_codes
-        kept = np.array([kernel._matches(rec, u, group_codes[u]) for u in users.tolist()], bool)
+        kept = np.array([kernel._matches(rec, group_codes[u]) for u in users.tolist()], bool)
     chosen = users[kept]
     if len(chosen):
         pick = rec.assigner.assign_many if record else rec.assigner.pick_many
@@ -347,7 +347,7 @@ def _run_columns(
         # Rows whose gates admit the same duplicates and that take the
         # same versions where a policy decides share a composed table.
         masks = {
-            key: np.array([kernel._matches(rec, u, group_codes[u]) for u in users.tolist()])
+            key: np.array([kernel._matches(rec, group_codes[u]) for u in users.tolist()])
             for key, rec in gates.items()
         }
         picked = {

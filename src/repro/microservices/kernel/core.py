@@ -132,7 +132,6 @@ class _Route:
     variants: tuple
     eligible: set | None  # audience group codes (None: every group)
     stable: str
-    headers: dict | None  # audience headers (None: no header filter)
     prefilled: tuple | None  # see ``columns._prefill``
     peeked: dict  # user -> pick looked up by the columnar slice, unrecorded
 
@@ -297,7 +296,6 @@ class RequestKernel:
                 variants=route.variants,
                 eligible=eligible,
                 stable=self._app.service(service).stable_version,
-                headers=route.audience.headers or None,
                 prefilled=None,
                 peeked={},
             )
@@ -322,7 +320,7 @@ class RequestKernel:
             children=tuple((c.probability, c.service, c.endpoint) for c in spec.calls),
             parallel=bool(spec.parallel_calls),
             arrivals=self._runtime.arrivals.setdefault((service, version_name), deque()),
-            capacity=version.total_capacity_rps,
+            capacity=version.capacity_rps,
             start_buf=starts,
             duration_buf=durations,
             error_buf=errors,
@@ -337,17 +335,10 @@ class RequestKernel:
 
     # -- variant assignment ------------------------------------------------
 
-    def _matches(self, rec: _Route, user_index: int, group_code: int) -> bool:
+    def _matches(self, rec: _Route, group_code: int) -> bool:
         """Whether the route's audience includes this user — scalar
-        ``AudienceFilter.matches``.  A batch row's headers are exactly
-        ``{"user-id": user_id}`` (``RequestBatch.request``), so a header
-        filter is decidable per user."""
-        if rec.eligible is not None and group_code not in rec.eligible:
-            return False
-        if rec.headers is None:
-            return True
-        row = {"user-id": self._population.user_at(user_index)}
-        return all(row.get(key) == value for key, value in rec.headers.items())
+        ``AudienceFilter.matches``."""
+        return rec.eligible is None or group_code in rec.eligible
 
     def _assign(self, rec: _Route, user_index: int, group_code: int) -> str:
         if rec.prefilled is not None:  # a memo miss after a prefill: take the columns
@@ -356,7 +347,7 @@ class RequestKernel:
             rec.memo.update(zip(distinct.tolist(), map(versions.__getitem__, picks.tolist())))
             if user_index in rec.memo:
                 return rec.memo[user_index]
-        if rec.variants and self._matches(rec, user_index, group_code):
+        if rec.variants and self._matches(rec, group_code):
             version = rec.assigner.assign(
                 self._population.user_at(user_index), rec.variants
             )
@@ -448,7 +439,7 @@ class RequestKernel:
             if version is None:
                 version = self._assign(rec, user, group_code)
             node = edge.variants[version]
-            if edge.shadows and self._matches(rec, user, group_code):
+            if edge.shadows and self._matches(rec, group_code):
                 shadows = self._shadow_nodes(edge.service, edge.endpoint, edge.shadows)
         service = node.service
         version = node.version
@@ -576,4 +567,4 @@ class RequestKernel:
         """Land the buffered samples in the runtime's store (the
         ``resilience.*`` series the general hop's events write immediately
         are different keys, so their order relative to these is unobservable)."""
-        self.samples.flush(self._runtime.monitor.store)
+        self.samples.flush(self._runtime.store)

@@ -267,7 +267,7 @@ def _position(
     # route's audience skip it, and so no row reaches it for sure.
     shadows = []
     if rec is not None:
-        gate = rec if rec.eligible is not None or rec.headers is not None else None
+        gate = rec if rec.eligible is not None else None
         for version in route.shadow_versions:
             if svc.has_version(version):
                 shadow = _position(kernel, service, endpoint, False, below, state, version)

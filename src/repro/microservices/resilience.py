@@ -16,7 +16,7 @@ the request path:
   :class:`~repro.microservices.runtime.Runtime` consults on every hop;
   it records :class:`ResilienceEvent` occurrences (retries, fallbacks,
   breaker transitions) and forwards them to subscribers such
-  as the telemetry monitor, so Chapter-5 trace analysis sees them.
+  as the runtime's metric store, so Chapter-5 trace analysis sees them.
 
 Everything is driven by the shared simulated clock and the runtime's
 :class:`~repro.simulation.rng.SeededRng`, so two runs with the same seed

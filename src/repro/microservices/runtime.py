@@ -4,7 +4,7 @@ Executes end-user requests through the application topology on simulated
 time: each hop resolves the callee's version through a *router* (the
 traffic-routing mechanism Bifrost relies on), samples the endpoint's
 latency under the current load, recurses into downstream calls, and emits
-spans into the trace collector and metrics into the monitor.
+spans into the trace collector and metrics into the metric store.
 
 The hop itself — the draw sequence, the child loop, the refusal branches
 and the shadow replay — lives in one place,
@@ -39,11 +39,11 @@ from typing import Protocol
 
 from repro.microservices.application import Application
 from repro.microservices.kernel.core import RequestKernel
-from repro.microservices.resilience import ResilienceLayer
+from repro.microservices.resilience import ResilienceEvent, ResilienceLayer
 from repro.routing.proxy import RoutingDecision, StaticRouter
 from repro.simulation.clock import SimulationClock
 from repro.simulation.rng import SeededRng
-from repro.telemetry.monitor import Monitor
+from repro.telemetry.store import MetricStore
 from repro.tracing.collector import TraceCollector
 from repro.tracing.trace import Trace
 from repro.traffic.workload import Request
@@ -107,16 +107,24 @@ class Runtime:
         self.clock = clock or SimulationClock()
         self.rng = SeededRng(seed)
         self.collector = TraceCollector()
-        self.monitor = Monitor()
+        self.store = MetricStore()
         self.proxy_overhead_ms = proxy_overhead_ms
         # Arrival times per (service, version); the request kernel appends,
         # expires and counts each deque over LOAD_WINDOW_SECONDS.
         self.arrivals: dict[tuple[str, str], deque[float]] = {}
         self.resilience = resilience or ResilienceLayer()
-        self.resilience.subscribe(self.monitor.observe_resilience)
+        self.resilience.subscribe(self._observe_resilience)
         self.network = network
         self._trace_counter = itertools.count(1)
         self.requests_executed = 0
+
+    def _observe_resilience(self, event: ResilienceEvent) -> None:
+        """Store one resilience event as a ``resilience.<kind>`` count sample
+        under its version, or under ``"*"`` when it carries none (a breaker
+        transition outside any request), which per-version queries skip."""
+        self.store.record(
+            event.service, event.version or "*", f"resilience.{event.kind}", event.time, 1.0
+        )
 
     # -- request-kernel hooks ----------------------------------------------
 

@@ -80,16 +80,14 @@ class ServiceVersion:
         service: the logical service name.
         version: version string, e.g. ``"1.2.0"``.
         endpoints: endpoint specs keyed by endpoint name.
-        capacity_rps: nominal requests/second one instance handles at
+        capacity_rps: nominal requests/second the version handles at
             design load; drives the load-sensitivity of latencies.
-        instances: number of deployed instances (scales capacity).
     """
 
     service: str
     version: str
     endpoints: Mapping[str, EndpointSpec]
     capacity_rps: float = 100.0
-    instances: int = 1
 
     def __post_init__(self) -> None:
         if not self.service or not self.version:
@@ -105,14 +103,7 @@ class ServiceVersion:
                 )
         if self.capacity_rps <= 0:
             raise ConfigurationError("capacity_rps must be positive")
-        if self.instances <= 0:
-            raise ConfigurationError("instances must be positive")
         self.endpoints = dict(self.endpoints)
-
-    @property
-    def total_capacity_rps(self) -> float:
-        """Aggregate capacity across instances."""
-        return self.capacity_rps * self.instances
 
     def endpoint(self, name: str) -> EndpointSpec:
         """Look up an endpoint spec."""
@@ -122,14 +113,6 @@ class ServiceVersion:
             raise ConfigurationError(
                 f"{self.service}@{self.version} has no endpoint {name!r}"
             ) from None
-
-    def with_endpoint(self, spec: EndpointSpec) -> "ServiceVersion":
-        """Return a copy with *spec* added or replaced (builder helper)."""
-        endpoints = dict(self.endpoints)
-        endpoints[spec.name] = spec
-        return ServiceVersion(
-            self.service, self.version, endpoints, self.capacity_rps, self.instances
-        )
 
 
 class Service:
@@ -171,14 +154,6 @@ class Service:
                 f"cannot promote unknown version {version!r} of {self.name!r}"
             )
         self._stable = version
-
-    def undeploy(self, version: str) -> None:
-        """Remove a version (not the stable one)."""
-        if version == self._stable:
-            raise ConfigurationError(
-                f"cannot undeploy stable version {version!r} of {self.name!r}"
-            )
-        self._versions.pop(version, None)
 
     def get(self, version: str) -> ServiceVersion:
         """Look up a deployed version."""

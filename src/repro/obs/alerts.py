@@ -2,7 +2,7 @@
 
 An :class:`AlertRule` states an error-budget SLO: *objective* names the
 target success ratio (0.999 → a 0.1% error budget) for one
-``(service, version, metric)`` stream.  The *burn rate* over a window is
+(service, version)'s ``error`` stream.  The *burn rate* over a window is
 the window's mean error rate divided by the budget — burn 1.0 consumes
 exactly the budget, burn 10 consumes it ten times too fast.  Following
 the multi-window discipline, a rule watches a *fast* and a *slow*
@@ -40,6 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ALERTS_VERSION = "alerts"
 
 
+#: The 0/1 error-ratio stream every rule reads: the runtime stores one
+#: sample per request.
+ERROR_METRIC = "error"
+
+
 def alert_metric(rule_name: str) -> str:
     """Store metric name carrying *rule_name*'s burn-rate gate value."""
     return f"burn:{rule_name}"
@@ -55,8 +60,6 @@ class AlertRule:
         version: version whose stream is watched.
         objective: SLO target success ratio in (0, 1); the error budget
             is ``1 - objective``.
-        metric: the 0/1 error-ratio stream to read (``error`` is what
-            the runtime's monitor records per request).
         fast_window: short trailing window (seconds, logical clock).
         slow_window: long trailing window; must be >= fast_window.
         burn_threshold: fire when both windows burn at or above this.
@@ -66,7 +69,6 @@ class AlertRule:
     service: str
     version: str
     objective: float = 0.999
-    metric: str = "error"
     fast_window: float = 60.0
     slow_window: float = 600.0
     burn_threshold: float = 2.0
@@ -145,7 +147,7 @@ class AlertEngine:
 
     def _burn(self, rule: AlertRule, start: float, end: float) -> float | None:
         values = self.store.values_in_window(
-            rule.service, rule.version, rule.metric, start, end
+            rule.service, rule.version, ERROR_METRIC, start, end
         )
         if not values:
             return None
@@ -188,7 +190,7 @@ class AlertEngine:
                     rule=rule.name,
                     service=rule.service,
                     version=rule.version,
-                    metric=rule.metric,
+                    metric=ERROR_METRIC,
                     burn=burn,
                     fast_burn=fast,
                     slow_burn=slow,

@@ -240,11 +240,6 @@ class EventLog:
         return self._appended - len(self._ring)
 
     @property
-    def last_seq(self) -> int:
-        """Sequence number of the most recent event (0 when empty)."""
-        return self._next_seq - 1
-
-    @property
     def first_retained_seq(self) -> int:
         """Sequence number of the oldest retained event (0 when empty)."""
         return self._ring[0].seq if self._ring else 0

@@ -83,7 +83,6 @@ class Observer:
         self,
         enabled: bool = True,
         event_capacity: int = 65_536,
-        provenance: bool = True,
     ) -> None:
         self.enabled = enabled
         self.events = EventLog(event_capacity if enabled else 1)
@@ -93,7 +92,7 @@ class Observer:
         #: the ring-buffered event log this never evicts, so the graph
         #: stays complete even after the log truncates.
         self.provenance: ProvenanceTracker | None = (
-            ProvenanceTracker() if (enabled and provenance) else None
+            ProvenanceTracker() if enabled else None
         )
 
     def emit(self, kind: str, time: float, **data: object) -> Event | None:

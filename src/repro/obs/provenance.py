@@ -216,7 +216,7 @@ class PhaseSpan:
     trigger: str | None = None
     target: str | None = None
     action: str | None = None
-    evidence: list[Evidence] = field(default_factory=list)
+    evidence: list[Evidence] = field(default_factory=list, init=False)
 
     def outcome_counts(self) -> dict[str, int]:
         """Check outcomes observed during this stay, by outcome value."""
@@ -236,9 +236,9 @@ class StrategyProvenance:
 
     strategy: str
     submitted_at: float | None = None
-    evidence: dict[int, Evidence] = field(default_factory=dict)
-    decisions: list[Decision] = field(default_factory=list)
-    phases: list[PhaseSpan] = field(default_factory=list)
+    evidence: dict[int, Evidence] = field(default_factory=dict, init=False)
+    decisions: list[Decision] = field(default_factory=list, init=False)
+    phases: list[PhaseSpan] = field(default_factory=list, init=False)
     winner: str | None = None
     terminal: str | None = None
     outcome: str | None = None
@@ -263,13 +263,6 @@ class StrategyProvenance:
             (d.time, d.source, d.target, d.trigger, d.action)
             for d in self.decisions
         ]
-
-    def terminal_decision(self) -> Decision | None:
-        """The decision that ended the execution (None while running)."""
-        for decision in reversed(self.decisions):
-            if decision.terminal:
-                return decision
-        return None
 
     def as_dict(self) -> dict:
         return {

@@ -120,13 +120,6 @@ def diff_timeline_execution(
     return problems
 
 
-def timeline_matches_execution(
-    timeline: StrategyProvenance, execution: "StrategyExecution"
-) -> bool:
-    """Whether the reconstruction equals the engine's record exactly."""
-    return not diff_timeline_execution(timeline, execution)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------

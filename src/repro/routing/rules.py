@@ -2,15 +2,14 @@
 
 An :class:`ExperimentRoute` captures one experiment's routing
 configuration for one service: *who* is eligible (audience filter on user
-group or request headers), *how* eligible traffic is split across
+group), *how* eligible traffic is split across
 versions (sticky, hash-based), and which versions receive duplicated
 shadow traffic (dark launches).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.traffic.workload import Request
@@ -20,22 +19,15 @@ from repro.traffic.workload import Request
 class AudienceFilter:
     """Selects the requests an experiment may touch.
 
-    Empty filters match everything.  *groups* matches the request's user
-    group; *headers* requires every listed header to have the listed
-    value (cookie/device filtering in the paper's terminology).
+    An empty filter matches everything; *groups* matches the request's
+    user group.
     """
 
     groups: frozenset[str] = frozenset()
-    headers: Mapping[str, str] = field(default_factory=dict)
 
     def matches(self, request: Request) -> bool:
         """Whether *request* belongs to the experiment's audience."""
-        if self.groups and request.group not in self.groups:
-            return False
-        for key, value in self.headers.items():
-            if request.headers.get(key) != value:
-                return False
-        return True
+        return not self.groups or request.group in self.groups
 
 
 @dataclass(frozen=True)

@@ -544,7 +544,7 @@ class FuzzReport:
     seed: int
     iterations: int = 0
     checks: int = 0
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation] = field(default_factory=list, init=False)
 
     def by_invariant(self) -> dict[str, int]:
         counts: dict[str, int] = {}

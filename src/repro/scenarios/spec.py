@@ -15,7 +15,7 @@ interesting scenario doubles as a benchmark fixture.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
 
 from repro.errors import ConfigurationError, ValidationError
@@ -418,10 +418,6 @@ class ScenarioSpec:
             if service.name == name:
                 return index
         raise ConfigurationError(f"unknown service {name!r}")
-
-    def with_seed(self, seed: int) -> "ScenarioSpec":
-        """A copy of this spec under a different seed."""
-        return replace(self, seed=seed)
 
     # -- lossless serialization -------------------------------------------
 

@@ -13,10 +13,8 @@ from repro.errors import SimulationError
 class SimulationClock:
     """Monotonically advancing simulated time in seconds."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise SimulationError(f"clock cannot start at negative time {start}")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

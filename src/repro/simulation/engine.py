@@ -89,14 +89,6 @@ class SimulationEngine:
             )
         return self.queue.push(time, callback, label)
 
-    def schedule_in(
-        self, delay: float, callback: Callable[[], None], label: str = ""
-    ) -> ScheduledEvent:
-        """Schedule *callback* after a relative *delay* >= 0."""
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.queue.push(self.clock.now + delay, callback, label)
-
     def step(self) -> bool:
         """Process one event; return False when the queue is empty."""
         event = self.queue.pop()

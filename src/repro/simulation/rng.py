@@ -119,10 +119,6 @@ class SeededRng:
         """Shuffle *seq* in place."""
         self._random.shuffle(seq)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normal variate."""
-        return self._random.gauss(mu, sigma)
-
     def lognormvariate(self, mu: float, sigma: float) -> float:
         """Log-normal variate with underlying normal (mu, sigma)."""
         return self._random.lognormvariate(mu, sigma)
@@ -134,10 +130,6 @@ class SeededRng:
     def paretovariate(self, alpha: float) -> float:
         """Pareto variate with shape *alpha* and minimum 1."""
         return self._random.paretovariate(alpha)
-
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        """Choose one item with probability proportional to its weight."""
-        return self._random.choices(list(items), weights=list(weights), k=1)[0]
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed})"

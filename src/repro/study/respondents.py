@@ -26,7 +26,7 @@ class Respondent:
     app_type: str          # "web" | "other"
     company_size: str      # "startup" | "sme" | "corp"
     experience: str        # "0-2" | "3-5" | "6-10" | ">10"
-    answers: dict[str, set[str]] = field(default_factory=dict)
+    answers: dict[str, set[str]] = field(default_factory=dict, init=False)
 
     def answered(self, table_id: str, option: str) -> bool:
         """Whether the respondent picked *option* in *table_id*."""

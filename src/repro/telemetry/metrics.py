@@ -35,9 +35,9 @@ class Counter:
 class Gauge:
     """A value that can move both ways (in-flight requests, queue depth)."""
 
-    def __init__(self, name: str, initial: float = 0.0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._value = float(initial)
+        self._value = 0.0
 
     @property
     def value(self) -> float:

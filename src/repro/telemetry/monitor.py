@@ -1,30 +1,22 @@
-"""Monitors: the bridge from the runtime to the metric store.
+"""The bridge from the runtime to the metric store.
 
 Every completed span becomes the standard application-level metrics the
 dissertation's checks consume: ``response_time`` (ms), ``error`` (0/1 per
 request, so a windowed mean is the error rate), and ``throughput`` (1 per
 request, so a windowed count is requests served; the store reads it from
 ``response_time``'s times instead of storing it).  A
-:class:`SpanSampleBuffer` is the one writer of the stored pair; a
-:class:`Monitor` owns the store and reads all three back.
-
-Resilience events (retries, fallbacks, breaker transitions) are
-recorded as ``resilience.<kind>`` count metrics per (service,
-version), so Bifrost checks and trace analysis can reason about them
-with the same windowed aggregations as any other metric.
+:class:`SpanSampleBuffer` is the one writer of the stored pair; the
+runtime owns the store (``Runtime.store``), and checks read all three
+back with ``MetricStore.aggregate``.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.telemetry.store import MetricStore
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.microservices.resilience import ResilienceEvent
 
 
 #: A key's list-only samples, up to this many (a fleet slot has 24), land
@@ -103,69 +95,3 @@ class SpanSampleBuffer:
             store.extend_columns(*key, "error", times, errors)
             for column in pending:
                 column.clear()
-
-
-class Monitor:
-    """Per-service-version metrics: the store, resilience and durability
-    writers, and the windowed reads checks use."""
-
-    def __init__(self, store: MetricStore | None = None) -> None:
-        self.store = store or MetricStore()
-
-    def observe_resilience(self, event: "ResilienceEvent") -> None:
-        """Record one resilience event as a count metric sample.
-
-        Events carrying a version are recorded under that real version,
-        so per-version queries of ``resilience.<kind>`` see them.  Only
-        events with *no* version (breaker transitions observed outside
-        any request, for example) fall back to the ``"*"`` wildcard
-        version — those are invisible to per-version queries by design.
-        """
-        version = event.version if event.version else "*"
-        self.store.record(
-            event.service,
-            version,
-            f"resilience.{event.kind}",
-            event.time,
-            1.0,
-        )
-
-    def observe_durability(self, kind: str, time: float, value: float = 1.0) -> None:
-        """Record one engine-durability event (crash, restart, recovery).
-
-        Durability events describe the *experiment infrastructure* rather
-        than a service version, so they are recorded under the synthetic
-        ``("bifrost", "engine")`` key as ``durability.<kind>`` metrics —
-        queryable with the same windowed aggregations as everything else.
-        """
-        self.store.record("bifrost", "engine", f"durability.{kind}", time, value)
-
-    def durability_count(self, kind: str, start: float, end: float) -> float:
-        """How many ``durability.<kind>`` events fell in the window."""
-        value = self.store.aggregate(
-            "bifrost", "engine", f"durability.{kind}", "count", start, end
-        )
-        return value or 0.0
-
-    def error_rate(
-        self, service: str, version: str, start: float, end: float
-    ) -> float | None:
-        """Fraction of failed requests in the window (None if no traffic)."""
-        return self.store.aggregate(service, version, "error", "mean", start, end)
-
-    def mean_response_time(
-        self, service: str, version: str, start: float, end: float
-    ) -> float | None:
-        """Mean response time in ms over the window (None if no traffic)."""
-        return self.store.aggregate(
-            service, version, "response_time", "mean", start, end
-        )
-
-    def throughput(
-        self, service: str, version: str, start: float, end: float
-    ) -> float:
-        """Requests served in the window."""
-        value = self.store.aggregate(
-            service, version, "throughput", "count", start, end
-        )
-        return value or 0.0

@@ -33,14 +33,6 @@ class ToggleDebtReport:
         """Number of toggle-state combinations (2^active)."""
         return 2.0**self.state_space_log2
 
-    def exceeds(self, max_active_per_service: int) -> list[str]:
-        """Services whose active-toggle count breaks the policy."""
-        return sorted(
-            service
-            for service, count in self.per_service.items()
-            if count > max_active_per_service
-        )
-
 
 def assess_toggle_debt(
     store: ToggleStore,

@@ -26,8 +26,8 @@ class ToggleRouter:
     router reports ``proxy_hops=0``, and the store counts evaluations.
     """
 
-    def __init__(self, store: ToggleStore | None = None) -> None:
-        self.store = store or ToggleStore()
+    def __init__(self) -> None:
+        self.store = ToggleStore()
         self._experiments: dict[str, tuple[str, str]] = {}
 
     def start_experiment(
@@ -53,19 +53,6 @@ class ToggleRouter:
         self.store.register(toggle)
         self._experiments[service] = (name, experimental_version)
         return toggle
-
-    def advance_rollout(self, service: str, fraction: float) -> None:
-        """Gradual rollout: widen the toggle's user share."""
-        name, _ = self._require(service)
-        self.store.set_rollout(name, fraction)
-
-    def _require(self, service: str) -> tuple[str, str]:
-        try:
-            return self._experiments[service]
-        except KeyError:
-            raise ConfigurationError(
-                f"service {service!r} has no toggle experiment"
-            ) from None
 
     # -- Router protocol ------------------------------------------------------
 

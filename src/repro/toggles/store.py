@@ -93,20 +93,6 @@ class ToggleStore:
         self.evaluations += 1
         return self.get(name).evaluate(user_id, group)
 
-    def set_rollout(self, name: str, fraction: float) -> None:
-        """Move a toggle's rollout fraction (gradual rollout by toggle)."""
-        toggle = self.get(name)
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigurationError(f"fraction must be in [0, 1], got {fraction}")
-        self._toggles[name] = FeatureToggle(
-            name=toggle.name,
-            service=toggle.service,
-            rollout_fraction=fraction,
-            enabled_groups=toggle.enabled_groups,
-            state=toggle.state,
-            created_at=toggle.created_at,
-        )
-
     def active_toggles(self, service: str | None = None) -> list[FeatureToggle]:
         """All ACTIVE toggles, optionally for one service."""
         return [

@@ -42,8 +42,8 @@ class TopologyDiff:
 
     baseline: InteractionGraph
     experimental: InteractionGraph
-    entries: dict[tuple[str, str], DiffEntry] = field(default_factory=dict)
-    changes: list[Change] = field(default_factory=list)
+    entries: dict[tuple[str, str], DiffEntry] = field(default_factory=dict, init=False)
+    changes: list[Change] = field(default_factory=list, init=False)
 
     def entry(self, service: str, endpoint: str) -> DiffEntry:
         """The overlay entry of a (service, endpoint) pair."""

@@ -148,11 +148,6 @@ class InteractionGraph:
         """Number of nodes."""
         return len(self._nodes)
 
-    @property
-    def edge_count(self) -> int:
-        """Number of distinct edges."""
-        return sum(len(edges) for edges in self._succ.values())
-
     def has_node(self, key: NodeKey) -> bool:
         """Whether *key* exists."""
         return key in self._nodes
@@ -195,14 +190,6 @@ class InteractionGraph:
         """Nodes without callers (the application frontier)."""
         return [key for key in self._nodes if not self._pred.get(key)]
 
-    def service_endpoints(self) -> set[tuple[str, str]]:
-        """All version-agnostic (service, endpoint) pairs."""
-        return {key.service_endpoint for key in self._nodes}
-
     def services(self) -> set[str]:
         """All service names."""
         return {key.service for key in self._nodes}
-
-    def versions_of(self, service: str) -> set[str]:
-        """All versions of *service* present in the graph."""
-        return {key.version for key in self._nodes if key.service == service}

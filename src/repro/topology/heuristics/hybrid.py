@@ -15,7 +15,6 @@ from repro.topology.diff import TopologyDiff
 from repro.topology.heuristics.base import RankingHeuristic, normalized
 from repro.topology.heuristics.response_time import ResponseTimeHeuristic
 from repro.topology.heuristics.subtree import SubtreeComplexityHeuristic
-from repro.topology.uncertainty import UncertaintyModel
 
 
 class HybridHeuristic(RankingHeuristic):
@@ -26,22 +25,18 @@ class HybridHeuristic(RankingHeuristic):
             absolute one (``HY-abs``).
         structure_weight: weight of the SC component in [0, 1]; the RT
             component receives the complement.
-        uncertainty: optional custom uncertainty model for the SC part.
     """
 
     def __init__(
         self,
         relative: bool = False,
         structure_weight: float = 0.5,
-        uncertainty: UncertaintyModel | None = None,
     ) -> None:
         if not 0.0 <= structure_weight <= 1.0:
             raise ValueError("structure_weight must be in [0, 1]")
         self.name = "HY-rel" if relative else "HY-abs"
         self.structure_weight = structure_weight
-        self._subtree = SubtreeComplexityHeuristic(
-            use_uncertainty=True, uncertainty=uncertainty
-        )
+        self._subtree = SubtreeComplexityHeuristic(use_uncertainty=True)
         self._response_time = ResponseTimeHeuristic(relative=relative)
 
     def scores(self, diff: TopologyDiff) -> dict[Change, float]:

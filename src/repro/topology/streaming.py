@@ -91,13 +91,6 @@ def merge_graph_into(target: InteractionGraph, source: InteractionGraph) -> None
         into.total_response_ms += stats.total_response_ms
 
 
-def copy_graph(graph: InteractionGraph, name: str | None = None) -> InteractionGraph:
-    """An independent copy of *graph* (stats records are not shared)."""
-    out = InteractionGraph(name or graph.name)
-    merge_graph_into(out, graph)
-    return out
-
-
 def add_columns(graph: InteractionGraph, keys: list, hops) -> None:
     """Fold *hops* — ``(callers, callees, durations, errors)`` columns;
     callers and callees index *keys*, -1 is no caller — into *graph* as
@@ -249,11 +242,6 @@ class GraphWindowRing:
         self._expired_through = max(self._expired_through, idx)
         self.expired_windows += 1
         self._merged_dirty = True
-
-    @property
-    def window_indexes(self) -> list[int]:
-        """Live window indexes, ascending."""
-        return sorted(self._windows)
 
     def window(self, idx: int) -> InteractionGraph | None:
         """The graph of one live window (None if absent or expired)."""

@@ -49,14 +49,6 @@ class UncertaintyModel:
         """The uncertainty scalar of *change_type*."""
         return self.weights[change_type]
 
-    def scaled(self, factor: float) -> "UncertaintyModel":
-        """A copy with every weight multiplied by *factor*."""
-        if factor <= 0:
-            raise ConfigurationError("scale factor must be positive")
-        return UncertaintyModel(
-            {ct: w * factor for ct, w in self.weights.items()}
-        )
-
 
 def uniform_uncertainty(value: float = 1.0) -> UncertaintyModel:
     """A model that treats every change type alike (SC baseline variant)."""

@@ -100,11 +100,6 @@ class TraceCollector:
             subscriber(trace)
         return trace
 
-    @property
-    def trace_ids(self) -> list[str]:
-        """Ids of all recorded traces, in recording order."""
-        return list(self._traces)
-
     def __len__(self) -> int:
         return len(self._traces)
 

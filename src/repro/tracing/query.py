@@ -32,28 +32,6 @@ class TraceQuery:
         """Keep traces whose root span starts within [start, end)."""
         return self._with(lambda t: start <= t.root.start < end)
 
-    def with_tag(self, key: str, value: str) -> "TraceQuery":
-        """Keep traces whose root span carries tag key=value."""
-        return self._with(lambda t: t.root.tags.get(key) == value)
-
-    def any_span_tag(self, key: str, value: str) -> "TraceQuery":
-        """Keep traces in which *any* span carries tag key=value."""
-        return self._with(
-            lambda t: any(span.tags.get(key) == value for span in t.spans)
-        )
-
-    def touching_service(self, service: str) -> "TraceQuery":
-        """Keep traces that include at least one span of *service*."""
-        return self._with(lambda t: any(s.service == service for s in t.spans))
-
-    def touching_version(self, service: str, version: str) -> "TraceQuery":
-        """Keep traces that touched a specific service version."""
-        return self._with(
-            lambda t: any(
-                s.service == service and s.version == version for s in t.spans
-            )
-        )
-
     def entry(self, service: str, endpoint: str | None = None) -> "TraceQuery":
         """Keep traces entering through the given frontend service/endpoint."""
         def predicate(t: Trace) -> bool:
@@ -62,10 +40,6 @@ class TraceQuery:
             return endpoint is None or t.root.endpoint == endpoint
 
         return self._with(predicate)
-
-    def errors_only(self) -> "TraceQuery":
-        """Keep traces containing at least one failed span."""
-        return self._with(lambda t: t.has_error)
 
     def run(self, limit: int | None = None) -> list[Trace]:
         """Execute the query and return matching traces."""

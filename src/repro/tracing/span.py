@@ -61,11 +61,6 @@ class Span:
             raise ValidationError("span requires non-empty service and endpoint")
 
     @property
-    def node_key(self) -> tuple[str, str, str]:
-        """The (service, version, endpoint) identity used by topology graphs."""
-        return (self.service, self.version, self.endpoint)
-
-    @property
     def end(self) -> float:
         """Simulated end time in seconds."""
         return self.start + self.duration_ms / 1000.0

@@ -89,8 +89,3 @@ class Trace:
     def duration_ms(self) -> float:
         """End-to-end duration: the root span's duration."""
         return self._root.duration_ms
-
-    @property
-    def has_error(self) -> bool:
-        """Whether any span in the trace failed."""
-        return any(span.error for span in self._spans.values())

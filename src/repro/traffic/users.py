@@ -131,13 +131,6 @@ def bucket_indices(indices: np.ndarray, salt: str, buckets: int = 1000) -> np.nd
     return out
 
 
-def in_rollout(user_id: str, salt: str, fraction: float) -> bool:
-    """Whether *user_id* falls inside a rollout of the given *fraction*."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigurationError(f"fraction must be in [0, 1], got {fraction}")
-    return bucket_user(user_id, salt, 10_000) < fraction * 10_000
-
-
 #: Users drawn per step of the population fill (bounds the transient floats).
 _FILL_CHUNK = 65_536
 
@@ -220,19 +213,6 @@ class UserPopulation:
         if not -size <= index < size:
             raise IndexError("user index out of range")
         return _user_id(index % size)
-
-    @property
-    def user_ids(self) -> list[str]:
-        """All user ids (derived, O(n))."""
-        return list(map(_user_id, range(self._size)))
-
-    def group_of(self, user_id: str) -> str:
-        """The group a user belongs to."""
-        digits = user_id[1:]
-        index = int(digits) if digits.isascii() and digits.isdigit() else self._size
-        if index >= self._size or _user_id(index) != user_id:
-            raise ConfigurationError(f"unknown user {user_id!r}")
-        return self._group_names_tuple[self._group_codes[index]]
 
     def members(self, group: str) -> list[str]:
         """All users of *group* in generation order (derived, O(n))."""

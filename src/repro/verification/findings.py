@@ -37,7 +37,7 @@ class VerificationReport:
     """All findings of one verification run."""
 
     subject: str
-    findings: list[Finding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list, init=False)
 
     def add(
         self,

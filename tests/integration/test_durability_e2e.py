@@ -29,6 +29,7 @@ from repro.simulation.latency import LogNormalLatency
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
+from tests.unit.test_recovery import durability_count
 
 SEED = 31
 
@@ -163,7 +164,7 @@ class TestCrashMidPhase:
         )
         assert b_crash.snapshots.taken >= 1
         assert all(r.snapshot_restored for r in b_crash.supervisor.reports)
-        assert b_crash.outcome_of("catalog-canary") is StrategyOutcome.COMPLETED
+        assert b_crash.engine.outcomes()["catalog-canary"] is StrategyOutcome.COMPLETED
         assert transition_log(b_crash) == transition_log(b_base)
         assert check_log(b_crash) == check_log(b_base)
         assert [o.version_path for o in out_crash] == [
@@ -174,16 +175,13 @@ class TestCrashMidPhase:
         # While the engine is dead mid-phase, the canary split keeps
         # serving: the data plane must not notice the control plane died.
         b_crash, _, _ = run_scenario([(30.0, 45.0)])
-        monitor = b_crash.runtime.monitor
-        served = monitor.throughput("catalog", "2.0.0", 30.0, 45.0)
+        served = b_crash.store.aggregate("catalog", "2.0.0", "throughput", "count", 30.0, 45.0)
         assert served > 0
 
     def test_durability_metrics_flow_through_monitor(self):
         b_crash, _, _ = run_scenario([(30.0, 45.0), (70.0, 85.0)])
-        monitor = b_crash.runtime.monitor
-        assert monitor.durability_count("crash", 0.0, 300.0) == 2.0
-        assert monitor.durability_count("restart", 0.0, 300.0) == 2.0
-        assert monitor.durability_count("recovered", 0.0, 300.0) == 2.0
+        for kind in ("crash", "restart", "recovered"):
+            assert durability_count(b_crash.store, kind, 0.0, 300.0) == 2.0
 
 
 class TestCorruptJournalTail:
@@ -195,7 +193,7 @@ class TestCorruptJournalTail:
         )
         report = b_crash.supervisor.reports[0]
         assert report.records_dropped >= 1
-        assert b_crash.outcome_of("catalog-canary") is StrategyOutcome.COMPLETED
+        assert b_crash.engine.outcomes()["catalog-canary"] is StrategyOutcome.COMPLETED
 
     def test_journal_readable_after_recovery(self):
         b_crash, _, _ = run_scenario([(30.0, 45.0)], corrupt_tail_at=29.5)

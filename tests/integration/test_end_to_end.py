@@ -93,10 +93,9 @@ strategy canary-then-rollout
         population = UserPopulation(600, DEFAULT_GROUPS, seed=17)
         workload = WorkloadGenerator(population, entry="recommend.suggest", seed=18)
         bifrost.run(workload.poisson(40.0, 110.0), until=130.0)
-        experimental = (
-            TraceQuery(bifrost.collector)
-            .touching_version("recommend", "2.0.0")
-            .count()
+        experimental = sum(
+            any((span.service, span.version) == ("recommend", "2.0.0") for span in trace)
+            for trace in bifrost.collector.traces()
         )
         assert experimental > 0
 

@@ -31,6 +31,7 @@ from repro.traffic.workload import WorkloadGenerator
 
 from tests.unit.test_bifrost_engine import canary_phase
 from tests.unit.test_fleet_orchestrator import fast_config, make_schedule
+from tests.unit.test_obs_provenance import terminal_decision
 
 GROUPS = (UserGroup("eu", 0.6), UserGroup("na", 0.4))
 
@@ -70,7 +71,7 @@ class TestWhyDidThisCanaryRollBack:
         bifrost, observer, execution = self.faulty_run(canary_app)
         graph = observer.provenance.graph()
         record = graph.strategy("s")
-        decision = record.terminal_decision()
+        decision = terminal_decision(record)
         assert decision is not None and decision.action == "rollback"
         # The decision happened inside the burst window and says so.
         assert decision.faults == ("ErrorBurst:backend@2.0.0/api",)
@@ -161,7 +162,7 @@ class TestSloCheckGating:
         execution, observer = self.run_with_slo(canary_app, 0.3)
         assert execution.outcome is StrategyOutcome.ROLLED_BACK
         graph = observer.provenance.graph()
-        decision = graph.strategy("slo-gated").terminal_decision()
+        decision = terminal_decision(graph.strategy("slo-gated"))
         assert decision.action == "rollback"
         # The alert fired before the decision and is linked into it.
         assert decision.alerts == ("checkout",)

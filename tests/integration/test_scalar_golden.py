@@ -17,7 +17,6 @@ import pytest
 
 from repro.exec.recording import run_digest
 from repro.routing.proxy import RoutingDecision
-from repro.routing.rules import AudienceFilter, ExperimentRoute, Variant
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
@@ -48,19 +47,6 @@ def _use_parity_router(bifrost):
     bifrost.runtime.router = _ParityRouter()
 
 
-def _install_header_route(bifrost):
-    users = UserPopulation(300, DEFAULT_GROUPS, seed=1)
-    bifrost.router.install(
-        ExperimentRoute(
-            experiment="header-exp",
-            service="inventory",
-            variants=(Variant("2.0.0", 1.0),),
-            audience=AudienceFilter(headers={"user-id": users.user_at(3)}),
-            shadow_versions=("2.0.0",),
-        )
-    )
-
-
 # name -> (params, hostile, extra set-up); params are (canary_error,
 # call_probability, parallel, fraction, workload seed, arrival kind).
 CASES = {
@@ -82,11 +68,6 @@ CASES = {
     "faults": ((0.0, 1.0, False, 0.1, 99, "poisson"), Hostile(faults=True), None),
     "subscriber": ((0.01, 1.0, False, 0.3, 41, "poisson"), Hostile(subscriber=True), None),
     "custom-router": ((0.05, 0.6, False, 0.3, 43, "poisson"), Hostile(), _use_parity_router),
-    "header-audience": (
-        (0.0, 1.0, False, 0.3, 47, "poisson"),
-        Hostile(),
-        _install_header_route,
-    ),
     "everything": (
         (0.4, 0.6, True, 0.3, 53, "heavy_tail"),
         Hostile(
@@ -213,14 +194,6 @@ GOLDEN = {
         "breaker_transitions": (0, "4f53cda18c2baa0c"),
         "version_paths": (1865, "9f8b6a02642a99c1"),
         "traces": "6f9c2683db202bda",
-        "subscriber_stream": "4f53cda18c2baa0c",
-    },
-    "header-audience": {
-        "run_digest": "547aa3fd2e33922f",
-        "resilience_events": 0,
-        "breaker_transitions": (0, "4f53cda18c2baa0c"),
-        "version_paths": (1932, "09324c33fc50c4de"),
-        "traces": "1f203d06e3f16b2d",
         "subscriber_stream": "4f53cda18c2baa0c",
     },
     "everything": {

@@ -177,14 +177,10 @@ INVENTORY_ROUTES = {
 
 #: Dark launches: catalog's (the strategy's first phase) for every user,
 #: for one group, or for one group with inventory shadowed in turn behind
-#: another; or pricing's, instead of its A/B test, behind a ``user-id``
-#: header audience.
-SHADOWS = (None, "all", DEFAULT_GROUPS[0].name, "nested", "header")
-#: The one user pricing's header audience admits: frequent at the fixed
-#: workload seeds 3 and 5.
-HEADER_USER = "u0000288"
+#: another; or pricing's, instead of its A/B test, for the other group.
+SHADOWS = (None, "all", DEFAULT_GROUPS[0].name, "nested", "pricing")
 #: pricing's A/B test behind a group audience, or (``True``) its dark
-#: launch for ``HEADER_USER``.
+#: launch for the other group.
 PRICING_ROUTES = {
     False: dict(
         variants=(Variant("1.0.0", 0.5), Variant("2.0.0", 0.5)),
@@ -192,7 +188,7 @@ PRICING_ROUTES = {
     ),
     True: dict(
         variants=(Variant("1.0.0", 1.0),),
-        audience=AudienceFilter(headers={"user-id": HEADER_USER}),
+        audience=AudienceFilter(groups=frozenset({DEFAULT_GROUPS[1].name})),
         shadow_versions=("2.0.0",),
     ),
 }
@@ -200,7 +196,7 @@ PRICING_ROUTES = {
 
 def dark_launch(shadow):
     """The audience of the strategy's dark-launch phase, if it has one."""
-    return {"nested": DEFAULT_GROUPS[0].name, "header": None}.get(shadow, shadow)
+    return {"nested": DEFAULT_GROUPS[0].name, "pricing": None}.get(shadow, shadow)
 
 
 def build_bifrost(
@@ -225,7 +221,7 @@ def build_bifrost(
         ExperimentRoute(
             experiment="pricing-ab",
             service="pricing",
-            **PRICING_ROUTES[shadow == "header"],
+            **PRICING_ROUTES[shadow == "pricing"],
         )
     )
     if faults:
@@ -396,12 +392,12 @@ class TestHopSelection:
     @pytest.mark.parametrize("shadow", SHADOWS[1:])
     def test_dark_launches_run_columnar(self, hops, shadow, sub_block):
         """Every duplicate is a plan position: gated per row by its route's
-        audience, nested under another duplicate, or admitting one user."""
+        audience, nested under another duplicate, or on a second service."""
         app = lambda: plain_app(1.0, inventory_variant=LogNormalLatency(3.0, 0.2))  # noqa: E731
         scalar, batch = run_both(app, shadow=shadow, sub_block=sub_block)
         assert_same_state(scalar, batch)
         assert hops["columns"] > 0 and hops["rows"] == 0
-        shadowed = {"header": ("pricing", "2.0.0"), "nested": ("inventory", "1.1.0")}
+        shadowed = {"pricing": ("pricing", "2.0.0"), "nested": ("inventory", "1.1.0")}
         service, version = shadowed.get(shadow, ("catalog", "2.0.0"))
         assert any(
             (key.service, key.version) == (service, version)

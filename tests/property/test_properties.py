@@ -15,7 +15,8 @@ from repro.stats.descriptive import mean, median, percentile, stddev
 from repro.stats.ranking import dcg, idcg, ndcg
 from repro.stats.timeseries import TimeSeries
 from repro.traffic.profile import TrafficProfile, UserGroup
-from repro.traffic.users import bucket_user, in_rollout
+from repro.toggles.store import FeatureToggle
+from repro.traffic.users import bucket_user
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -100,8 +101,8 @@ class TestBucketingProperties:
     )
     def test_rollout_monotone_in_fraction(self, user, f1, f2):
         low, high = min(f1, f2), max(f1, f2)
-        if in_rollout(user, "exp", low):
-            assert in_rollout(user, "exp", high)
+        if FeatureToggle("exp", "svc", rollout_fraction=low).evaluate(user):
+            assert FeatureToggle("exp", "svc", rollout_fraction=high).evaluate(user)
 
 
 class TestTimeSeriesProperties:

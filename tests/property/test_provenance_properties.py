@@ -21,6 +21,7 @@ from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
 
 from tests.property.test_exec_replay import build_app, canary_strategy
+from tests.unit.test_obs_provenance import terminal_decision
 
 
 def multiphase_strategy(threshold: float, interval: float) -> Strategy:
@@ -166,7 +167,7 @@ class TestDecisionPayloadIntegrity:
         graph = build_provenance(report.recording.events)
         record = graph.strategy("prop-canary")
         assert record.outcome == "rolled_back"
-        decision = record.terminal_decision()
+        decision = terminal_decision(record)
         assert decision is not None
         assert decision.action == "rollback"
         evidence = graph.evidence_for(decision)

@@ -517,11 +517,11 @@ class TestMalformedLineLeavesColumnsUntouched:
         before = column_lengths(requests)
         snapshot = list(requests)
         with pytest.raises(ValidationError, match="malformed recorded request"):
-            requests.add_doc(broken_docs()[problem])
+            requests.add_docs([broken_docs()[problem]])
         assert len(requests) == 2
         assert column_lengths(requests) == before
         assert list(requests) == snapshot
-        requests.add_doc(request_as_dict(GOOD))  # and it still accepts a good one
+        requests.add_docs([request_as_dict(GOOD)])  # and it still accepts a good one
         assert list(requests) == [GOOD, GOOD, GOOD]
 
     def test_oracle_refuses_the_same_documents(self):

@@ -7,6 +7,7 @@ from repro.routing.assignment import StickyAssigner
 from repro.routing.rules import Variant
 from repro.routing.splitter import ab_split, canary_split, rollout_split
 from repro.toggles.store import FeatureToggle
+from repro.traffic.users import bucket_user
 
 _user_ids = st.from_regex(r"u[0-9a-f]{1,10}", fullmatch=True)
 _salts = st.from_regex(r"[a-z]{1,8}", fullmatch=True)
@@ -75,9 +76,7 @@ class TestToggleProperties:
     def test_toggle_matches_rollout_semantics(self, user, name, fraction):
         """Toggle bucketing and router bucketing share the same math."""
         toggle = FeatureToggle(name, "svc", rollout_fraction=fraction)
-        from repro.traffic.users import in_rollout
-
-        assert toggle.evaluate(user) == in_rollout(user, name, fraction)
+        assert toggle.evaluate(user) == (bucket_user(user, name, 10_000) < fraction * 10_000)
 
     @settings(max_examples=60, deadline=None)
     @given(_user_ids, _salts, st.floats(min_value=0.0, max_value=0.5))

@@ -67,7 +67,7 @@ def reference_execute(runtime, request, kernel):
         request, runtime.clock.now
     )
     runtime.collector.record_all(spans)
-    observe_spans(runtime.monitor.store, spans)
+    observe_spans(runtime.store, spans)
     runtime.requests_executed += 1
     return RequestOutcome(request, Trace(trace_id, spans), duration, error)
 
@@ -135,7 +135,7 @@ def reference_feed(
                 version,
                 "response_time",
                 at,
-                max(1.0, rng.gauss(latency, latency * 0.1)),
+                max(1.0, rng.raw.gauss(latency, latency * 0.1)),
             )
     return count, rng
 

@@ -133,16 +133,6 @@ def _make_trace(trace_id: str, n_spans: int = 2) -> list[Span]:
 
 
 class TestRecordTrace:
-    def test_matches_record_all(self):
-        bulk, scalar = TraceCollector(), TraceCollector()
-        for trace_id in ("t1", "t2"):
-            spans = _make_trace(trace_id)
-            bulk.record_trace(trace_id, spans)
-            scalar.record_all(spans)
-        assert bulk.trace_ids == scalar.trace_ids
-        for trace_id in bulk.trace_ids:
-            assert bulk.trace(trace_id).spans == scalar.trace(trace_id).spans
-
     def test_notifies_subscribers_once_per_trace(self):
         collector = TraceCollector()
         seen: list[str] = []
@@ -273,8 +263,9 @@ class TestSliceBlockers:
             return bifrost
 
         scalar, batch = _both_paths(build, requests=40)
-        assert seen[:40] == seen[40:] == scalar.collector.trace_ids
-        assert batch.collector.trace_ids == scalar.collector.trace_ids
+        ids = [trace.trace_id for trace in scalar.collector.traces()]
+        assert seen[:40] == seen[40:] == ids
+        assert [trace.trace_id for trace in batch.collector.traces()] == ids
 
         _, silent = _both_paths(lambda: Bifrost(sample_application(), seed=1), 40)
         assert len(silent.collector) == 0
@@ -299,9 +290,9 @@ class TestSliceBlockers:
         assert _row_kernel(bifrost)._general is not columnar
         assert bool(bifrost.collector.column_subscribers) is (attach == ("builder",))
 
-    def test_shadow_routes_and_header_audiences_do_not_block(self):
+    def test_shadow_routes_and_group_audiences_do_not_block(self):
         """Both compile into route records and keep the plain hop: a
-        shadow becomes one more plan position, a header audience is
+        shadow becomes one more plan position, a group audience is
         decided per user."""
         bifrost = Bifrost(sample_application(), seed=1)
         bifrost.router.install(
@@ -317,44 +308,14 @@ class TestSliceBlockers:
         bifrost.router.uninstall("catalog")
         bifrost.router.install(
             ExperimentRoute(
-                experiment="header-exp",
+                experiment="group-exp",
                 service="catalog",
                 variants=(Variant("1.0.0", 1.0),),
-                audience=AudienceFilter(headers={"beta": "1"}),
+                audience=AudienceFilter(groups=frozenset({DEFAULT_GROUPS[0].name})),
             )
         )
         kernel = _row_kernel(bifrost)
         assert not kernel._route_per_hop and not kernel._general
-
-    @pytest.mark.parametrize(
-        "headers, expected_users",
-        [
-            ({"user-id": "u0000007"}, {"u0000007"}),
-            ({"beta": "1"}, set()),
-            ({"user-id": "u0000007", "beta": "1"}, set()),
-        ],
-    )
-    def test_header_audience_is_decided_per_user(self, headers, expected_users):
-        """A batch row's headers are exactly ``{"user-id": ...}``: a
-        ``user-id`` filter admits that one user (shadows included), any
-        other key admits nobody — and either way equals scalar."""
-
-        def build():
-            bifrost = Bifrost(build_app(0.0, 1.0, False), seed=1)
-            bifrost.router.install(
-                ExperimentRoute(
-                    experiment="header-exp",
-                    service="catalog",
-                    variants=(Variant("2.0.0", 1.0),),
-                    audience=AudienceFilter(headers=headers),
-                    shadow_versions=("2.0.0",),
-                )
-            )
-            return bifrost
-
-        scalar, batch = _both_paths(build)
-        assert _settled(batch.router.assigner("header-exp"))._seen == expected_users
-        assert _settled(scalar.router.assigner("header-exp"))._seen == expected_users
 
     def test_partition_keeps_assignment_lazy(self):
         """inventory is "certainly" reached through catalog, but with the

@@ -92,7 +92,8 @@ class TestEvaluateAll:
             make_check("a", threshold=150.0, window_seconds=10.0),
             make_check("b", threshold=110.0, window_seconds=10.0),
         )
-        results = CheckEvaluator(store).evaluate_all(checks, now=10.0)
+        evaluator = CheckEvaluator(store)
+        results = [evaluator.evaluate(check, 10.0) for check in checks]
         assert [r.outcome for r in results] == [CheckOutcome.PASS, CheckOutcome.FAIL]
 
     def test_describe_contains_outcome(self, store):

@@ -291,11 +291,6 @@ class TestEngineAccounting:
         assert bifrost.engine.outcomes() == {"s": StrategyOutcome.COMPLETED}
         assert bifrost.engine.running_count() == 0
 
-    def test_outcome_of_unknown_strategy(self, canary_app):
-        bifrost = Bifrost(canary_app)
-        with pytest.raises(KeyError):
-            bifrost.outcome_of("ghost")
-
 
 class TestDurableHandle:
     def test_submitted_handle_tracks_the_restarted_engine(self, canary_app):
@@ -306,7 +301,7 @@ class TestDurableHandle:
             canary_app, strategy, durable=True, crashes=[(22.0, 33.0)]
         )
         assert bifrost.supervisor.restarts == 1
-        assert execution.outcome is bifrost.outcome_of("s")
+        assert execution.outcome is bifrost.engine.outcomes()["s"]
         assert execution.outcome is StrategyOutcome.COMPLETED
         assert bifrost.engine.executions[0] is execution
         assert execution.last_tick_at > 33.0

@@ -159,18 +159,13 @@ class TestStrategy:
         )
         assert strategy.services == frozenset({"x", "y"})
 
-    def test_total_checks(self):
-        strategy = Strategy(
-            "s", (make_phase("a", checks=(make_check("c1"), make_check("c2"))),)
-        )
-        assert strategy.total_checks() == 2
-
 
 class TestStateMachine:
     def test_states_include_terminals(self):
         machine = StateMachine(Strategy("s", (make_phase("a"),)))
-        names = {state.name for state in machine.states}
-        assert {"a", "complete", "rollback", "abort"} <= names
+        for name in ("a", "complete", "rollback", "abort"):
+            assert machine.state(name).name == name
+        assert machine.state("complete").terminal and not machine.state("a").terminal
 
     def test_next_state(self):
         strategy = Strategy(

@@ -18,7 +18,7 @@ from tests.unit.test_fenrir_model import make_spec
 ALGORITHMS = [
     GeneticAlgorithm(population_size=12),
     RandomSampling(),
-    LocalSearch(stall_limit=60),
+    LocalSearch(),
     SimulatedAnnealing(),
 ]
 

@@ -156,10 +156,3 @@ class TestSchedule:
         other = schedule.replaced(0, Gene(5, 2, 0.1, frozenset({"eu"})))
         assert schedule.genes[0].start == 0
         assert other.genes[0].start == 5
-
-    def test_gene_of(self, profile):
-        problem = SchedulingProblem(profile, [make_spec("a")])
-        schedule = Schedule(problem, [Gene(0, 2, 0.1, frozenset({"eu"}))])
-        assert schedule.gene_of("a").start == 0
-        with pytest.raises(ValidationError):
-            schedule.gene_of("zz")

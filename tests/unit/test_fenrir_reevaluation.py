@@ -23,15 +23,20 @@ def running_schedule(profile):
     return result.schedule
 
 
+def gene_of(schedule, name):
+    """The gene of experiment *name*."""
+    return next(gene for spec, gene in schedule if spec.name == name)
+
+
 def _now_between(schedule, running_name, future_name):
     """A slot where `running` is active but `future` hasn't started."""
-    running = schedule.gene_of(running_name)
+    running = gene_of(schedule, running_name)
     return running.start + max(1, running.duration // 2)
 
 
 class TestBuildReevaluation:
     def test_finished_dropped(self, running_schedule):
-        done_gene = running_schedule.gene_of("done")
+        done_gene = gene_of(running_schedule, "done")
         now = done_gene.end + 1
         plan = build_reevaluation(running_schedule, now_slot=now)
         names = [s.name for s in plan.problem.experiments]
@@ -48,7 +53,7 @@ class TestBuildReevaluation:
         assert plan.canceled == ("doomed",)
 
     def test_running_locked_verbatim(self, running_schedule):
-        running = running_schedule.gene_of("running")
+        running = gene_of(running_schedule, "running")
         now = running.start + 1
         plan = build_reevaluation(running_schedule, now_slot=now)
         names = [s.name for s in plan.problem.experiments]
@@ -87,7 +92,7 @@ class TestReevaluate:
         plan, result = reevaluate(
             running_schedule,
             now_slot=4,
-            algorithm=LocalSearch(stall_limit=40),
+            algorithm=LocalSearch(),
             budget=300,
             seed=2,
         )
@@ -100,7 +105,7 @@ class TestReevaluate:
         plan, result = reevaluate(
             running_schedule,
             now_slot=4,
-            algorithm=LocalSearch(stall_limit=40),
+            algorithm=LocalSearch(),
             budget=300,
             seed=3,
         )
@@ -163,7 +168,7 @@ class TestBuildReevaluationFromFleet:
             assert index not in plan.locked
 
     def test_absent_running_locked_absent_future_replanned(self, fleet_schedule):
-        running = fleet_schedule.gene_of("running")
+        running = gene_of(fleet_schedule, "running")
         now = running.start + 1
         plan = build_reevaluation_from_fleet(
             fleet_schedule, now_slot=now, outcomes={"won": "promoted"}
@@ -210,7 +215,7 @@ class TestBuildReevaluationFromFleet:
             now_slot=3,
             outcomes={"won": "promoted", "shed": "shed"},
         )
-        result = LocalSearch(stall_limit=40).optimize(
+        result = LocalSearch().optimize(
             plan.problem,
             budget=300,
             seed=5,

@@ -111,7 +111,7 @@ def recording(times, probes, seen):
                 )
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.telemetry.monitor.MetricStore", CapturedStore)
+        patch.setattr("repro.microservices.runtime.MetricStore", CapturedStore)
         patch.setattr("repro.bifrost.middleware.SimulationEngine", ProbedEngine)
         result = ReplayBackend(build_app).execute(report.recording)
     assert result.requests == len(times)

@@ -35,7 +35,8 @@ class TestRun:
         workload = WorkloadGenerator(population, entry="frontend.home", seed=5)
         first = bifrost.run(workload.poisson(10.0, 10.0))
         second = bifrost.run(workload.poisson(10.0, 10.0, start=10.0))
-        assert len(bifrost.outcomes) == len(first) + len(second)
+        assert first and second
+        assert bifrost.runtime.requests_executed == len(first) + len(second)
 
     def test_until_advances_clock(self, canary_app):
         bifrost = Bifrost(canary_app, seed=3)

@@ -92,6 +92,11 @@ def canary_stream(log: EventLog) -> None:
     )
 
 
+def terminal_decision(record):
+    """The decision that ended *record*'s execution (None while running)."""
+    return next((d for d in reversed(record.decisions) if d.terminal), None)
+
+
 class TestEvidenceMargin:
     def test_less_than_margin_is_reference_minus_observed(self):
         assert evidence_margin("<=", 0.01, 0.05) == pytest.approx(0.04)
@@ -126,13 +131,13 @@ class TestFold:
 
     def test_decision_links_evidence_alerts_and_faults(self):
         record = self.graph().strategy("s")
-        decision = record.terminal_decision()
+        decision = terminal_decision(record)
         assert decision is not None
         assert decision.action == "rollback"
         assert decision.alerts == ("checkout-slo",)
         assert decision.faults == ("ErrorBurst:backend@2.0.0/home",)
         graph = self.graph()
-        resolved = graph.evidence_for(graph.strategy("s").terminal_decision())
+        resolved = graph.evidence_for(terminal_decision(graph.strategy("s")))
         assert [e.failing for e in resolved] == [True]
 
     def test_terminal_state_folded_from_finalized(self):

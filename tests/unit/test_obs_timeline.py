@@ -15,7 +15,6 @@ from repro.obs.timeline import (
     diff_timeline_execution,
     reconstruct_timelines,
     render_ascii,
-    timeline_matches_execution,
 )
 from tests.unit.test_bifrost_engine import canary_phase, run_strategy
 
@@ -120,7 +119,6 @@ class TestVerificationAgainstEngine:
         assert execution.outcome is StrategyOutcome.COMPLETED
         timeline = reconstruct_timelines(observer.events)["s"]
         assert diff_timeline_execution(timeline, execution) == []
-        assert timeline_matches_execution(timeline, execution)
 
     def test_tampered_timeline_is_detected(self, canary_app):
         observer = Observer(enabled=True)

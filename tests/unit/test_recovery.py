@@ -82,6 +82,11 @@ def ghost_audience_strategy() -> Strategy:
     return Strategy("s", (phase,))
 
 
+def durability_count(store, kind, start, end) -> float:
+    """How many ``durability.<kind>`` samples the engine key holds in the window."""
+    return store.aggregate("bifrost", "engine", f"durability.{kind}", "count", start, end) or 0.0
+
+
 def durable_run(
     app, strategy, crash_at=None, restart_at=None, cancel_at=None, **bifrost_kwargs
 ):
@@ -110,7 +115,7 @@ class TestSupervisor:
     def test_crash_then_restart_completes_strategy(self, canary_app):
         strategy = Strategy("s", (canary_phase(),))
         bifrost, _ = durable_run(canary_app, strategy, crash_at=20.0, restart_at=35.0)
-        assert bifrost.outcome_of("s") is StrategyOutcome.COMPLETED
+        assert bifrost.engine.outcomes()["s"] is StrategyOutcome.COMPLETED
         assert bifrost.supervisor.restarts == 1
         assert len(bifrost.supervisor.reports) == 1
         assert bifrost.supervisor.reports[0].executions_recovered == 1
@@ -129,7 +134,7 @@ class TestSupervisor:
         bifrost = Bifrost(canary_app, durable=True)
         bifrost.supervisor.crash(1.0)
         bifrost.supervisor.crash(2.0)
-        assert bifrost.runtime.monitor.durability_count("crash", 0.0, 10.0) == 1.0
+        assert durability_count(bifrost.store, "crash", 0.0, 10.0) == 1.0
 
     def test_restart_while_alive_is_noop(self, canary_app):
         bifrost = Bifrost(canary_app, durable=True)
@@ -148,8 +153,7 @@ class TestSupervisor:
         assert supervisor.restarts == 1
         assert supervisor.gave_up
         assert not supervisor.engine.alive
-        monitor = bifrost.runtime.monitor
-        assert monitor.durability_count("restart_refused", 0.0, 10.0) == 1.0
+        assert durability_count(bifrost.store, "restart_refused", 0.0, 10.0) == 1.0
 
     def test_dead_engine_rejects_submissions(self, canary_app):
         bifrost = Bifrost(canary_app, durable=True)
@@ -160,10 +164,8 @@ class TestSupervisor:
     def test_durability_metrics_emitted(self, canary_app):
         strategy = Strategy("s", (canary_phase(),))
         bifrost, _ = durable_run(canary_app, strategy, crash_at=20.0, restart_at=35.0)
-        monitor = bifrost.runtime.monitor
-        assert monitor.durability_count("crash", 0.0, 300.0) == 1.0
-        assert monitor.durability_count("restart", 0.0, 300.0) == 1.0
-        assert monitor.durability_count("recovered", 0.0, 300.0) == 1.0
+        for kind in ("crash", "restart", "recovered"):
+            assert durability_count(bifrost.store, kind, 0.0, 300.0) == 1.0
 
 
 class TestRecoveryManager:
@@ -261,7 +263,7 @@ class TestInFlightOutcome:
         broken.endpoints["api"] = constant_endpoint("api", 30.0, error_rate=1.0)
         strategy = Strategy("s", (canary_phase(),))
         bifrost, _ = durable_run(canary_app, strategy)
-        assert bifrost.outcome_of("s") is StrategyOutcome.ROLLED_BACK
+        assert bifrost.engine.outcomes()["s"] is StrategyOutcome.ROLLED_BACK
 
         self._truncate_after_decisive_tick(bifrost)
         bifrost.supervisor.crash(bifrost.simulation.now)
@@ -276,7 +278,7 @@ class TestInFlightOutcome:
             for t in execution.transitions
         )
         bifrost.simulation.run_until(bifrost.simulation.now + 400.0)
-        assert bifrost.outcome_of("s") is StrategyOutcome.ROLLED_BACK
+        assert bifrost.engine.outcomes()["s"] is StrategyOutcome.ROLLED_BACK
 
 
 class TestCatchupRouteReinstall:
@@ -303,7 +305,7 @@ class TestCatchupRouteReinstall:
         )
         assert crashed.supervisor.restarts == 1
         assert self._route_count(crashed) == self._route_count(baseline)
-        assert crashed.outcome_of("s") is baseline.outcome_of("s")
+        assert crashed.engine.outcomes()["s"] is baseline.engine.outcomes()["s"]
         baseline_exec = baseline.engine.executions[0]
         crashed_exec = crashed.engine.executions[0]
         assert crashed_exec.phase_entries == baseline_exec.phase_entries
@@ -323,7 +325,7 @@ class TestCatchupRouteReinstall:
         bifrost, _ = durable_run(
             canary_app, strategy, crash_at=20.0, restart_at=35.0
         )
-        assert bifrost.outcome_of("s") is StrategyOutcome.COMPLETED
+        assert bifrost.engine.outcomes()["s"] is StrategyOutcome.COMPLETED
         assert self._route_count(bifrost) == 2  # entry + post-crash reinstall
 
 
@@ -344,7 +346,7 @@ class TestCorruptTail:
         bifrost.run(workload.poisson(40.0, 200.0), until=220.0)
         report = bifrost.supervisor.reports[-1]
         assert report.records_dropped == 1
-        assert bifrost.outcome_of("s") in (
+        assert bifrost.engine.outcomes()["s"] in (
             StrategyOutcome.COMPLETED,
             StrategyOutcome.ROLLED_BACK,
         )
@@ -363,7 +365,7 @@ class TestSnapshotRecovery:
             restart_at=40.0,
             snapshot_policy=SnapshotPolicy(every_records=4, compact=True),
         )
-        assert bifrost.outcome_of("s") is StrategyOutcome.COMPLETED
+        assert bifrost.engine.outcomes()["s"] is StrategyOutcome.COMPLETED
         assert bifrost.snapshots.taken >= 1
         assert bifrost.supervisor.reports[0].snapshot_restored
 

@@ -290,7 +290,7 @@ class TestRuntimeResilience:
         assert outcome.duration_ms == pytest.approx(10.0 + 20 * 2 + 5)
         assert [e.kind for e in layer.events] == ["retry", "fallback"]
         # The fallback shows up as a metric sample for trace analysis.
-        assert runtime.monitor.store.aggregate(
+        assert runtime.store.aggregate(
             "backend", "1.0.0", "resilience.fallback", "count", 0.0, 1.0
         ) == 1.0
 

@@ -52,11 +52,6 @@ class TestRules:
         assert audience.matches(make_request(group="eu"))
         assert not audience.matches(make_request(group="na"))
 
-    def test_audience_matches_headers(self):
-        audience = AudienceFilter(headers={"user-id": "u1"})
-        assert audience.matches(make_request(user="u1"))
-        assert not audience.matches(make_request(user="u2"))
-
     def test_empty_audience_matches_all(self):
         assert AudienceFilter().matches(make_request())
 

@@ -20,7 +20,7 @@ from repro.microservices.application import Application
 from repro.microservices.runtime import Runtime
 from repro.microservices.service import DownstreamCall, ServiceVersion
 from repro.stats.timeseries import TimeSeries
-from repro.telemetry.monitor import Monitor, SpanSampleBuffer
+from repro.telemetry.monitor import SpanSampleBuffer
 from repro.telemetry.store import MetricStore
 from repro.topology.scenarios import sample_application
 from repro.tracing.span import Span, next_span_id
@@ -240,12 +240,12 @@ class TestDerivedThroughput:
 
     def test_monitor_throughput_counts_response_time_samples(self):
         store = self.filled()
-        monitor = Monitor(store)
         for start, end in [(0.0, 9.0), (2.0, 3.0), (2.0, 2.0), (5.0, 9.0), (6.0, 9.0)]:
             served = len(store.values_in_window("svc", "1.0", "response_time", start, end))
-            assert monitor.throughput("svc", "1.0", start, end) == served
+            count = store.aggregate("svc", "1.0", "throughput", "count", start, end)
+            assert (count or 0.0) == served
         with pytest.raises(StatisticsError):
-            monitor.throughput("svc", "1.0", 3.0, 2.0)
+            store.aggregate("svc", "1.0", "throughput", "count", 3.0, 2.0)
 
     def test_snapshot_restore_round_trip_is_byte_equal(self):
         snapshot = self.filled().snapshot()
@@ -363,13 +363,12 @@ class TestReplayFlushPoints:
         assert store.snapshot() == reference.store.snapshot()
         assert len(store.series("ok", "1.0", "throughput")) == 2
         assert not [key for key in store.keys() if key.service == "loop"]
-        assert bifrost.outcomes == []
 
     def test_bare_execute_that_raises_leaves_no_samples(self):
         runtime = Runtime(two_entry_app(), seed=1)
         with pytest.raises(ExecutionError):
             runtime.execute(requests("loop.x")[0])
-        assert runtime.monitor.store.keys() == []
+        assert runtime.store.keys() == []
 
     def test_the_store_is_complete_when_an_event_runs(self):
         bifrost = Bifrost(two_entry_app(), seed=1)

@@ -101,11 +101,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             spec.service_index("ghost")
 
-    def test_with_seed(self):
-        spec = chain_spec()
-        assert spec.with_seed(99).seed == 99
-        assert spec.with_seed(99).services == spec.services
-
 
 class TestSpecSerialization:
     def test_round_trip_through_json(self):

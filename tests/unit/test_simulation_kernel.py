@@ -29,15 +29,12 @@ class TestClock:
         assert clock.now == 10.0
 
     def test_no_backwards_travel(self):
-        clock = SimulationClock(5.0)
+        clock = SimulationClock()
+        clock.advance(5.0)
         with pytest.raises(SimulationError):
             clock.advance(-1.0)
         with pytest.raises(SimulationError):
             clock.advance_to(1.0)
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(SimulationError):
-            SimulationClock(-1.0)
 
 
 class TestEngine:
@@ -85,7 +82,7 @@ class TestEngine:
         def tick():
             ticks.append(engine.now)
             if len(ticks) < 3:
-                engine.schedule_in(1.0, tick)
+                engine.schedule_at(engine.now + 1.0, tick)
 
         engine.schedule_at(0.0, tick)
         engine.run()
@@ -105,10 +102,6 @@ class TestEngine:
         with pytest.raises(SimulationError):
             engine.schedule_at(1.0, lambda: None)
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            SimulationEngine().schedule_in(-0.1, lambda: None)
-
 
 class TestRng:
     def test_same_seed_same_stream(self):
@@ -126,11 +119,6 @@ class TestRng:
     def test_forks_with_different_labels_differ(self):
         root = SeededRng(7)
         assert root.fork("x").random() != root.fork("y").random()
-
-    def test_weighted_choice_respects_weights(self):
-        rng = SeededRng(3)
-        picks = [rng.weighted_choice(["a", "b"], [0.99, 0.01]) for _ in range(200)]
-        assert picks.count("a") > 150
 
 
 class TestLatencyModels:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bifrost.dsl import parse_strategy
 from repro.errors import ConfigurationError
-from repro.topology.uncertainty import UncertaintyModel
 
 
 class TestCheckIntervalDsl:
@@ -44,19 +43,6 @@ strategy s
                 threshold=0.1,
                 interval_seconds=0.0,
             )
-
-
-class TestUncertaintyScaling:
-    def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            UncertaintyModel().scaled(0.0)
-
-    def test_scaling_preserves_ordering(self):
-        base = UncertaintyModel()
-        scaled = base.scaled(3.0)
-        ordering = sorted(base.weights, key=base.weight)
-        scaled_ordering = sorted(scaled.weights, key=scaled.weight)
-        assert ordering == scaled_ordering
 
 
 class TestGroupVolumeEdge:

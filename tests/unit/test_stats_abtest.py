@@ -60,8 +60,8 @@ class TestMetricReport:
         rng = SeededRng(5)
         analysis = ABTestAnalysis(lower_is_better=True)
         for _ in range(300):
-            analysis.record_value("a", "response_time", rng.gauss(100, 10))
-            analysis.record_value("b", "response_time", rng.gauss(120, 10))
+            analysis.record_value("a", "response_time", rng.raw.gauss(100, 10))
+            analysis.record_value("b", "response_time", rng.raw.gauss(120, 10))
         report = analysis.metric_report("response_time")
         assert report.verdict is Verdict.A_WINS
 
@@ -69,8 +69,8 @@ class TestMetricReport:
         rng = SeededRng(6)
         analysis = ABTestAnalysis(lower_is_better=False)
         for _ in range(300):
-            analysis.record_value("a", "revenue", rng.gauss(10, 2))
-            analysis.record_value("b", "revenue", rng.gauss(12, 2))
+            analysis.record_value("a", "revenue", rng.raw.gauss(10, 2))
+            analysis.record_value("b", "revenue", rng.raw.gauss(12, 2))
         report = analysis.metric_report("revenue")
         assert report.verdict is Verdict.B_WINS
 
@@ -85,8 +85,8 @@ class TestMetricReport:
         rng = SeededRng(7)
         analysis = ABTestAnalysis()
         for _ in range(200):
-            analysis.record_value("a", "m", rng.gauss(50, 5))
-            analysis.record_value("b", "m", rng.gauss(50, 5))
+            analysis.record_value("a", "m", rng.raw.gauss(50, 5))
+            analysis.record_value("b", "m", rng.raw.gauss(50, 5))
         report = analysis.metric_report("m")
         assert report.verdict is Verdict.NO_DIFFERENCE
 
@@ -94,8 +94,8 @@ class TestMetricReport:
         rng = SeededRng(8)
         analysis = ABTestAnalysis()
         for _ in range(10):
-            analysis.record_value("a", "m", rng.gauss(1, 0.1))
-            analysis.record_value("b", "m", rng.gauss(1, 0.1))
+            analysis.record_value("a", "m", rng.raw.gauss(1, 0.1))
+            analysis.record_value("b", "m", rng.raw.gauss(1, 0.1))
         assert "m:" in analysis.metric_report("m").describe()
 
 

@@ -14,7 +14,7 @@ from repro.stats.hypothesis import (
 
 
 def _normal_sample(rng: SeededRng, mu: float, sigma: float, n: int) -> list[float]:
-    return [rng.gauss(mu, sigma) for _ in range(n)]
+    return [rng.raw.gauss(mu, sigma) for _ in range(n)]
 
 
 class TestWelchT:

@@ -20,7 +20,6 @@ from repro.topology.streaming import (
     LiveHealthMonitor,
     LiveTopologyDiff,
     StreamingGraphBuilder,
-    copy_graph,
     graphs_equal,
     merge_graph_into,
 )
@@ -93,14 +92,16 @@ class TestGraphHelpers:
 
     def test_merge_doubles_stats(self):
         graph = self.make_graph()
-        merged = copy_graph(graph)
+        merged = InteractionGraph()
+        merge_graph_into(merged, graph)
         merge_graph_into(merged, graph)
         assert merged.node_stats(NodeKey("a", "1.0.0", "ep")).calls == 2
         assert not graphs_equal(merged, graph)
 
     def test_copy_is_independent(self):
         graph = self.make_graph()
-        clone = copy_graph(graph, name="clone")
+        clone = InteractionGraph("clone")
+        merge_graph_into(clone, graph)
         clone.observe_call(None, NodeKey("a", "1.0.0", "ep"), 5.0, False)
         assert graph.node_stats(NodeKey("a", "1.0.0", "ep")).calls == 1
         assert clone.node_stats(NodeKey("a", "1.0.0", "ep")).calls == 2
@@ -143,7 +144,7 @@ class TestGraphWindowRing:
         ring = GraphWindowRing(window_seconds=10.0)
         ring.observe(obs(start=1.0))
         ring.observe(obs(start=15.0))
-        assert ring.window_indexes == [0, 1]
+        assert sorted(ring._windows) == [0, 1]
         assert ring.window(0).node_stats(NodeKey("backend", "1.0.0", "api")).calls == 1
 
     def test_merged_equals_sum_of_windows(self):
@@ -151,7 +152,7 @@ class TestGraphWindowRing:
         for start in (1.0, 5.0, 15.0, 25.0):
             ring.observe(obs(start=start))
         expected = InteractionGraph()
-        for idx in ring.window_indexes:
+        for idx in sorted(ring._windows):
             merge_graph_into(expected, ring.window(idx))
         assert graphs_equal(ring.merged(), expected)
 
@@ -159,7 +160,7 @@ class TestGraphWindowRing:
         ring = GraphWindowRing(window_seconds=10.0, capacity=2)
         for start in (1.0, 11.0, 21.0):
             ring.observe(obs(start=start))
-        assert ring.window_indexes == [1, 2]
+        assert sorted(ring._windows) == [1, 2]
         assert ring.expired_windows == 1
         # merged() rebuilds without the expired window.
         assert ring.merged().node_stats(NodeKey("backend", "1.0.0", "api")).calls == 2
@@ -220,7 +221,7 @@ class TestStreamingGraphBuilder:
         builder = StreamingGraphBuilder(window_seconds=10.0).attach(collector)
         collector.record_all(trace_spans("t1", start=1.0))
         collector.record_all(trace_spans("t2", start=15.0))
-        assert builder.windows.window_indexes == [0, 1]
+        assert sorted(builder.windows._windows) == [0, 1]
         assert graphs_equal(builder.windows.merged(), builder.graph)
 
 
@@ -450,7 +451,7 @@ class TestExactFold:
         ring = builder.windows
         assert ring.expired_windows == 0
         assert exact(ring.merged()) == exact(batch)
-        for idx in ring.window_indexes:
+        for idx in sorted(ring._windows):
             expected = InteractionGraph()
             for trace in collector.traces():
                 for o in trace_observations(trace):

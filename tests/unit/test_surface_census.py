@@ -1,7 +1,7 @@
-"""The surface census stays clean: tests alone reach nothing in ``src/repro``
-that ``tools/census.py``'s keep-table does not account for, and tests alone
-set no knob that DESIGN.md's committed knob table does not list; a package
-``__init__`` re-exports only what a definition there or the ledger uses."""
+"""The surface census stays clean: tests alone reach no module or public name
+of ``src/repro``, whatever its length, and tests alone set no knob, unless
+``tools/census.py``'s keep-table accounts for it; a package ``__init__``
+re-exports only what a definition there or the ledger uses."""
 
 import importlib.util
 from pathlib import Path
@@ -42,6 +42,7 @@ class Policy:
     by_keyword: int = 2
     by_replace: int = 3
     tests_only: int = 4
+    _private: int = 5
 
 
 class Spread:
@@ -57,11 +58,16 @@ class Inner:
 class Outer:
     def __init__(self, inner_size=3):
         self.inner = Inner(size=inner_size)
+
+
+class Counted:
+    def __init__(self, hits=0):
+        self.hits = hits
 '''
 
 USES = '''
 import dataclasses
-from repro.knobs import Outer, Policy, Spread
+from repro.knobs import Counted, Outer, Policy, Spread
 
 
 def tweak(policy: Policy) -> Policy:
@@ -71,6 +77,7 @@ def tweak(policy: Policy) -> Policy:
 tweak(Policy("p", 5, by_keyword=6))
 Spread(**{"a": 1})
 Outer()
+Counted().hits += 1
 '''
 
 
@@ -106,24 +113,62 @@ def test_keyword_position_spread_and_replace_each_set_a_knob(tool, tree):
         "inner_size": [],  # Outer() passes none
         "size": [],  # Outer only passes its own unset knob on
         "tests_only": [],
+        "hits": example,  # augmented after construction; ``self.hits = hits`` is not
     }
 
 
+UNSET = [f"knob repro.knobs.{name}: nothing outside tests/ sets it"
+         for name in ("Inner.size", "Outer.inner_size", "Policy.tests_only")]
+
+
 def test_a_tests_only_knob_the_table_does_not_list_fails_the_check(tool, tree):
-    assert knob_problems(tool) == [
-        f"knob repro.knobs.{name}: nothing outside tests/ sets it"
-        for name in ("Inner.size", "Outer.inner_size", "Policy.tests_only")
-    ]
-    assert tool.main(["--write"]) == 1  # checked against the table it replaces
-    assert knob_problems(tool) == []
+    """DESIGN.md's knob table reports; it exempts nothing, even once it lists
+    the knob."""
+    assert knob_problems(tool) == UNSET
+    assert tool.main(["--write"]) == 1
     assert "| `knobs.Policy.tests_only` | — |" in (tree / "DESIGN.md").read_text()
+    assert knob_problems(tool) == UNSET
 
 
 def test_a_listed_knob_that_leaves_passes(tool, tree):
     tool.main(["--write"])
     module = tree / "src" / "repro" / "knobs.py"
     module.write_text(module.read_text().replace("    tests_only: int = 4\n", ""))
-    assert knob_problems(tool) == []
+    assert knob_problems(tool) == UNSET[:2]
+
+
+def test_an_attribute_assignment_sets_a_knob_but_an_init_storing_it_does_not(tool, tree):
+    setters = tool.Census().knob_setters
+    assert setters("repro.knobs.Counted.hits") == [tree / "examples" / "use.py"]
+    assert setters("repro.knobs.Inner.size") == []  # only ``self.size = size``
+
+
+def test_an_underscore_field_is_not_a_knob(tool, tree):
+    assert "repro.knobs.Policy._private" not in tool.Census().knobs()
+
+
+def test_a_tests_only_knob_passes_only_with_a_keep_entry(tool, tree, monkeypatch):
+    keep = dict.fromkeys(("repro.knobs.Policy.tests_only", "repro.knobs.Inner"),
+                         ("K1", "a reason"))
+    monkeypatch.setattr(tool, "KEEP", keep)
+    assert knob_problems(tool) == UNSET[1:2]  # a class entry covers its knobs
+    assert [p for p in tool.Census().problems() if p.startswith("KEEP ")] == []
+
+
+def test_a_keep_entry_for_a_knob_set_outside_tests_is_stale(tool, tree, monkeypatch):
+    monkeypatch.setattr(tool, "KEEP", {"repro.knobs.Policy.by_keyword": ("K1", "a reason")})
+    assert ("KEEP entry repro.knobs.Policy.by_keyword: nothing it names is reached or set "
+            "by tests alone") in tool.Census().problems()
+
+
+def test_a_short_name_only_tests_reach_is_refused(tool, tree):
+    module = tree / "src" / "repro" / "knobs.py"
+    module.write_text(module.read_text() + '\n\ndef helper():\n    """Tests call it."""\n'
+                                           '    return 1\n')
+    test = tree / "tests" / "test_knobs.py"
+    test.write_text(test.read_text() + "from repro.knobs import helper\nhelper()\n")
+    assert ("name repro.knobs.helper (3 lines): referenced from test_knobs.py and nowhere "
+            "else") in tool.Census().problems()
 
 
 def test_a_reexport_fails_unless_a_definition_there_or_the_ledger_uses_it(tool, tree):

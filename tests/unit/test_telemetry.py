@@ -4,10 +4,16 @@ from array import array
 
 import pytest
 
+from repro.bifrost.middleware import Bifrost
+from repro.bifrost.model import Strategy
 from repro.errors import ValidationError
+from repro.microservices.resilience import ResilienceEvent
+from repro.microservices.runtime import Runtime
 from repro.telemetry.metrics import Counter, Gauge, Histogram
-from repro.telemetry.monitor import Monitor, SpanSampleBuffer
+from repro.telemetry.monitor import SpanSampleBuffer
 from repro.telemetry.store import MetricKey, MetricStore, supported_aggregations
+from tests.unit.test_bifrost_engine import canary_phase
+from tests.unit.test_recovery import durability_count
 from tests.unit.test_tracing import make_span
 
 
@@ -25,7 +31,8 @@ class TestCounter:
 
 class TestGauge:
     def test_set_and_add(self):
-        gauge = Gauge("inflight", 5.0)
+        gauge = Gauge("inflight")
+        gauge.set(5.0)
         gauge.add(-2.0)
         assert gauge.value == 3.0
         gauge.set(10.0)
@@ -114,31 +121,33 @@ class TestMetricStore:
         assert store.aggregate("svc", "2.0", "m", "mean", 0, 1) == 9.0
 
 
-def observe(monitor: Monitor, *spans) -> None:
-    """Land spans in the monitor's store the way every driver does."""
+def observe(store: MetricStore, *spans) -> None:
+    """Land spans in *store* the way every driver does."""
     samples = SpanSampleBuffer()
     for span in spans:
         samples.add(span.service, span.version, span.start, span.duration_ms, span.error)
-    samples.flush(monitor.store)
+    samples.flush(store)
 
 
 class TestMonitor:
+    """Span samples read back as the three standard metrics."""
+
     def test_observe_span_derives_metrics(self):
-        monitor = Monitor()
-        observe(monitor, make_span(duration_ms=42.0))
-        assert monitor.mean_response_time("frontend", "1.0.0", 0, 1) == 42.0
-        assert monitor.error_rate("frontend", "1.0.0", 0, 1) == 0.0
-        assert monitor.throughput("frontend", "1.0.0", 0, 1) == 1.0
+        store = MetricStore()
+        observe(store, make_span(duration_ms=42.0))
+        assert store.aggregate("frontend", "1.0.0", "response_time", "mean", 0, 1) == 42.0
+        assert store.aggregate("frontend", "1.0.0", "error", "mean", 0, 1) == 0.0
+        assert store.aggregate("frontend", "1.0.0", "throughput", "count", 0, 1) == 1.0
 
     def test_error_rate(self):
-        monitor = Monitor()
-        observe(monitor, make_span("s1", error=True), make_span("s2", error=False))
-        assert monitor.error_rate("frontend", "1.0.0", 0, 1) == 0.5
+        store = MetricStore()
+        observe(store, make_span("s1", error=True), make_span("s2", error=False))
+        assert store.aggregate("frontend", "1.0.0", "error", "mean", 0, 1) == 0.5
 
     def test_no_traffic_is_none(self):
-        monitor = Monitor()
-        assert monitor.error_rate("svc", "1.0", 0, 1) is None
-        assert monitor.throughput("svc", "1.0", 0, 1) == 0.0
+        store = MetricStore()
+        assert store.aggregate("svc", "1.0", "error", "mean", 0, 1) is None
+        assert store.aggregate("svc", "1.0", "throughput", "count", 0, 1) is None
 
 
 class TestMetricStoreSnapshot:
@@ -224,23 +233,31 @@ class TestMetricStoreKeys:
 
 
 class TestDurabilityMetrics:
-    def test_observe_durability_records_under_engine_key(self):
-        monitor = Monitor()
-        monitor.observe_durability("crash", 5.0)
-        monitor.observe_durability("restart", 6.0)
-        assert monitor.durability_count("crash", 0.0, 10.0) == 1.0
-        assert monitor.durability_count("restart", 0.0, 10.0) == 1.0
-        assert monitor.durability_count("restart", 0.0, 5.5) == 0.0
+    """A durable middleware's supervisor stores its events in the shared store."""
 
-    def test_durability_value_carries_magnitude(self):
-        monitor = Monitor()
-        monitor.observe_durability("records_replayed", 1.0, value=17.0)
-        assert monitor.store.aggregate(
-            "bifrost", "engine", "durability.records_replayed", "sum", 0.0, 2.0
-        ) == 17.0
+    def test_observe_durability_records_under_engine_key(self, canary_app):
+        bifrost = Bifrost(canary_app, durable=True)
+        bifrost.supervisor.crash(5.0)
+        bifrost.supervisor.restart(6.0)
+        assert durability_count(bifrost.store, "crash", 0.0, 10.0) == 1.0
+        assert durability_count(bifrost.store, "restart", 0.0, 10.0) == 1.0
+        assert durability_count(bifrost.store, "restart", 0.0, 5.5) == 0.0
 
-    def test_no_events_is_zero(self):
-        assert Monitor().durability_count("crash", 0.0, 1.0) == 0.0
+    def test_durability_value_carries_magnitude(self, canary_app):
+        bifrost = Bifrost(canary_app, durable=True)
+        bifrost.submit(Strategy("s", (canary_phase(),)), at=1.0)
+        bifrost.simulation.run_until(2.0)
+        bifrost.supervisor.crash(3.0)
+        bifrost.supervisor.restart(4.0)
+        replayed = bifrost.supervisor.reports[-1].records_replayed
+        assert replayed > 1
+        assert bifrost.store.aggregate(
+            "bifrost", "engine", "durability.records_replayed", "sum", 0.0, 5.0
+        ) == float(replayed)
+
+    def test_no_events_is_zero(self, canary_app):
+        bifrost = Bifrost(canary_app, durable=True)
+        assert durability_count(bifrost.store, "crash", 0.0, 1.0) == 0.0
 
 
 class TestHistogramEviction:
@@ -297,27 +314,23 @@ class TestHistogramEviction:
 class TestResilienceMetrics:
     """Version mapping of resilience events."""
 
-    def make_event(self, kind="retry", version="", time=1.0):
-        from repro.microservices.resilience import ResilienceEvent
-
-        return ResilienceEvent(
-            kind=kind, time=time, service="checkout", version=version
-        )
+    @staticmethod
+    def emit(canary_app, version):
+        """A runtime whose resilience layer emitted one retry of *version*."""
+        runtime = Runtime(canary_app)
+        event = ResilienceEvent(kind="retry", time=1.0, service="checkout", version=version)
+        runtime.resilience.emit(event)
+        return runtime.store
 
     @staticmethod
-    def retries(monitor, version):
-        return monitor.store.aggregate(
-            "checkout", version, "resilience.retry", "count", 0.0, 2.0
-        )
+    def retries(store, version):
+        return store.aggregate("checkout", version, "resilience.retry", "count", 0.0, 2.0)
 
-    def test_versioned_event_recorded_under_real_version(self):
-        monitor = Monitor()
-        monitor.observe_resilience(self.make_event(version="2.0.0"))
-        assert self.retries(monitor, "2.0.0") == 1.0
+    def test_versioned_event_recorded_under_real_version(self, canary_app):
+        store = self.emit(canary_app, "2.0.0")
+        assert self.retries(store, "2.0.0") == 1.0
         # Nothing leaks into the wildcard bucket.
-        assert self.retries(monitor, "*") is None
+        assert self.retries(store, "*") is None
 
-    def test_versionless_event_falls_back_to_wildcard(self):
-        monitor = Monitor()
-        monitor.observe_resilience(self.make_event(version=""))
-        assert self.retries(monitor, "*") == 1.0
+    def test_versionless_event_falls_back_to_wildcard(self, canary_app):
+        assert self.retries(self.emit(canary_app, ""), "*") == 1.0

@@ -184,10 +184,6 @@ class TestUncertainty:
         with pytest.raises(ConfigurationError):
             UncertaintyModel({ChangeType.CALLING_NEW_ENDPOINT: 1.0})
 
-    def test_scaled(self):
-        model = UncertaintyModel().scaled(2.0)
-        assert model.weight(ChangeType.CALLING_NEW_ENDPOINT) == 2.0
-
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             uniform_uncertainty(-1.0)

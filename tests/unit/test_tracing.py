@@ -46,10 +46,6 @@ def make_trace() -> Trace:
 
 
 class TestSpan:
-    def test_node_key(self):
-        span = make_span()
-        assert span.node_key == ("frontend", "1.0.0", "home")
-
     def test_end_time(self):
         span = make_span(start=1.0, duration_ms=500.0)
         assert span.end == pytest.approx(1.5)
@@ -118,11 +114,6 @@ class TestTrace:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError):
             Trace("t1", [make_span("root"), make_span("root", parent_id="root")])
-
-    def test_has_error_propagates(self):
-        root = make_span("root")
-        bad = make_span("bad", parent_id="root", error=True)
-        assert Trace("t1", [root, bad]).has_error
 
     def test_duration_is_root_duration(self):
         assert make_trace().duration_ms == 10.0
@@ -265,7 +256,7 @@ class TestRecordTraceRefuses:
         first = collector.record_trace("t0", [make_span("root", trace_id="t0")])
         with pytest.raises(ValidationError, match=re.escape(message)):
             collector.record_trace(trace_id, spans)
-        assert collector.trace_ids == ["t0"] and collector.traces() == [first]
+        assert collector.traces() == [first]
         assert seen == [first]
 
 
@@ -317,8 +308,8 @@ class TestRecordTraceEqualsRecordAll:
             else:
                 outcome = (trace.trace_id, [(s.span_id, p and p.span_id) for s, p in trace.walk()])
             seen.append(
-                (outcome, collector.trace_ids, collector.late_spans_dropped.value,
-                 list(notified))
+                (outcome, [t.trace_id for t in collector.traces()],
+                 collector.late_spans_dropped.value, list(notified))
             )
         return seen
 
@@ -372,24 +363,9 @@ class TestQuery:
     def test_window_filter(self, collector):
         assert TraceQuery(collector).in_window(1.0, 3.0).count() == 2
 
-    def test_tag_filter(self, collector):
-        assert TraceQuery(collector).with_tag("experiment", "exp1").count() == 3
-
-    def test_touching_version(self, collector):
-        assert TraceQuery(collector).touching_version("backend", "2.0.0").count() == 2
-
-    def test_errors_only(self, collector):
-        assert TraceQuery(collector).errors_only().count() == 1
-
     def test_chained_filters(self, collector):
-        count = (
-            TraceQuery(collector)
-            .in_window(0.0, 10.0)
-            .touching_service("backend")
-            .errors_only()
-            .count()
-        )
-        assert count == 1
+        count = TraceQuery(collector).in_window(1.0, 3.0).entry("frontend", "home").count()
+        assert count == 2
 
     def test_entry_filter(self, collector):
         assert TraceQuery(collector).entry("frontend", "home").count() == 5
@@ -397,6 +373,3 @@ class TestQuery:
 
     def test_limit(self, collector):
         assert len(TraceQuery(collector).run(limit=2)) == 2
-
-    def test_any_span_tag(self, collector):
-        assert TraceQuery(collector).any_span_tag("experiment", "exp1").count() == 3

@@ -10,8 +10,10 @@ from repro.traffic.profile import (
     consumption_series,
     diurnal_profile,
 )
-from repro.traffic.users import UserPopulation, bucket_user, in_rollout
+from repro.toggles.store import FeatureToggle
+from repro.traffic.users import UserPopulation, bucket_user
 from repro.traffic.workload import WorkloadGenerator
+from tests.unit.test_population_columns import group_of, user_ids
 
 
 class TestUserGroup:
@@ -115,12 +117,13 @@ class TestBucketing:
     def test_in_rollout_monotone(self):
         # A user inside a 10% rollout stays inside all larger rollouts.
         users = [f"u{i}" for i in range(500)]
-        inside_small = [u for u in users if in_rollout(u, "exp", 0.1)]
-        assert all(in_rollout(u, "exp", 0.5) for u in inside_small)
+        small, large = (FeatureToggle("exp", "svc", rollout_fraction=f) for f in (0.1, 0.5))
+        inside_small = [u for u in users if small.evaluate(u)]
+        assert inside_small and all(large.evaluate(u) for u in inside_small)
 
     def test_in_rollout_bounds(self):
         with pytest.raises(ConfigurationError):
-            in_rollout("u", "s", 1.5)
+            FeatureToggle("s", "svc", rollout_fraction=1.5)
 
 
 class TestUserPopulation:
@@ -128,8 +131,8 @@ class TestUserPopulation:
         assert len(population) == 200
 
     def test_group_assignment_consistent(self, population):
-        for user in population.user_ids[:20]:
-            group = population.group_of(user)
+        for user in user_ids(population)[:20]:
+            group = group_of(population, user)
             assert user in population.members(group)
 
     def test_shares_approximate(self, groups):
@@ -137,15 +140,11 @@ class TestUserPopulation:
         eu_share = len(population.members("eu")) / 5000
         assert eu_share == pytest.approx(0.6, abs=0.05)
 
-    def test_unknown_user(self, population):
-        with pytest.raises(ConfigurationError):
-            population.group_of("nobody")
-
     def test_sample_restricted_to_group(self, population):
         rng = SeededRng(1)
         for _ in range(10):
             user = population.sample(rng, groups=["na"])
-            assert population.group_of(user) == "na"
+            assert group_of(population, user) == "na"
 
     def test_invalid_size(self, groups):
         with pytest.raises(ConfigurationError):
@@ -176,7 +175,7 @@ class TestWorkloadGenerator:
     def test_request_carries_group_and_headers(self, population):
         generator = WorkloadGenerator(population, seed=5)
         request = next(iter(generator.constant(1.0, 1)))
-        assert request.group == population.group_of(request.user_id)
+        assert request.group == group_of(population, request.user_id)
         assert request.headers["user-id"] == request.user_id
 
     def test_unique_request_ids(self, population):

@@ -11,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.traffic.profile import DEFAULT_GROUPS, UserGroup, flat_profile
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
+from tests.unit.test_population_columns import group_of, user_ids
 
 SOLE = (UserGroup("all", 1.0),)
 
@@ -37,14 +38,14 @@ class TestSingleUserPopulation:
     def test_single_user_multi_group_population(self):
         # One user still lands in exactly one of the declared groups.
         population = UserPopulation(1, DEFAULT_GROUPS, seed=3)
-        [user_id] = population.user_ids
-        assert population.group_of(user_id) in {g.name for g in DEFAULT_GROUPS}
+        [user_id] = user_ids(population)
+        assert group_of(population, user_id) in {g.name for g in DEFAULT_GROUPS}
 
     def test_empty_group_sampling_rejected(self):
         population = UserPopulation(1, DEFAULT_GROUPS, seed=3)
-        [user_id] = population.user_ids
+        [user_id] = user_ids(population)
         empty = next(
-            g.name for g in DEFAULT_GROUPS if g.name != population.group_of(user_id)
+            g.name for g in DEFAULT_GROUPS if g.name != group_of(population, user_id)
         )
         from repro.simulation.rng import SeededRng
 

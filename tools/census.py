@@ -1,32 +1,38 @@
-"""Surface census: who, outside ``tests/``, reaches each module and public name of ``src/repro``.
+"""Surface census: who, outside ``tests/``, reaches each module, public name and knob of
+``src/repro``.
 
-A module that ``examples/`` + ``benchmarks/`` do not import (transitively), or a public function,
-class or method of >= 8 lines that nothing outside ``tests/`` names, is deleted with its tests --
-unless ``KEEP`` gives it one reason: K1 safety code (outside input, durability, the reference a
-safety-net test compares against), K2 transcribes a numbered paper artefact no benchmark reads
-yet (ROADMAP item 5 (e)), K3 reserved by a named open ROADMAP item.  A reference is an
-identifier (``Name``, ``Attribute``, import alias, string constant -- ``benchmarks/e2e/tracer.py``
-wraps entry points by name) in another file, or in the defining file outside the definition, so
-a same-named attribute elsewhere keeps a name alive: the census under-reports, never accuses.
+A module that ``examples/`` + ``benchmarks/`` do not import (transitively), a public function,
+class or method of any length that nothing outside ``tests/`` names, or a knob that nothing
+outside ``tests/`` sets, is deleted with its tests -- unless ``KEEP``, the one exemption table,
+gives it one reason: K1 safety code (outside input, durability, the reference a safety-net
+test compares against), K2 transcribes a numbered paper artefact no benchmark reads yet
+(ROADMAP item 5 (e)), K3 reserved by a named open ROADMAP item.  A ``KEEP`` entry covers the
+name it spells and everything under it; one that covers nothing tests alone reach or set is
+stale and fails the check too.  A reference is an identifier (``Name``, ``Attribute``, import
+alias, string constant -- ``benchmarks/e2e/tracer.py`` wraps entry points by name) in another
+file, or in the defining file outside the definition, so a same-named attribute elsewhere keeps
+a name alive: the census under-reports, never accuses.
 Package ``__init__`` files are neither importers nor references; their re-exports are followed
 to the defining module.  Only absolute imports are followed (the repository has no other kind).
 Each name has one import path, its module's: an import in a package ``__init__`` that no
 definition in that file uses fails the check, unless ``benchmarks/e2e/`` imports the name
 through the package (the ledger's workloads are edited only with the benchmark).
 
-A knob is a defaulted field or ``__init__`` keyword that a public dataclass or class defines
-itself (a call to a subclass that inherits them is not followed).  A call sets it by keyword, by
-position, by a ``*`` / ``**`` spread (every field it can reach) or through ``dataclasses.replace``
-(of the type an annotation gives, else of every class with such a knob); a call matches every
-class of the callee's name, so the knob census too under-reports.  A value an ``__init__``
-passes on from its own parameter sets the callee's knob only where that parameter's knob is set.
-DESIGN.md's knob table is a ratchet: a knob that nothing outside ``tests/`` sets fails the check
-unless the committed table lists it so.
+A knob is a defaulted public field or ``__init__`` keyword that a public dataclass or class
+defines itself (a call to a subclass that inherits them is not followed; a ``_`` name is not a
+knob).  A call sets it by keyword, by position, by a ``*`` / ``**`` spread (every field it can
+reach) or through ``dataclasses.replace`` (of the type an annotation gives, else of every class
+with such a knob); a call matches every class of the callee's name, so the knob census too
+under-reports.  A value an ``__init__`` passes on from its own parameter sets the callee's knob
+only where that parameter's knob is set.  Assigning or augmenting an attribute of the knob's
+name (``x.f = ...``, ``x.f += ...``) sets it too, of every class, except ``self.f = ...`` in an
+``__init__``, which only stores the parameter.
 
-    python tools/census.py            # every module, >= 8-line name and knob with its referrers
+    python tools/census.py            # every module, public name and knob with its referrers
     python tools/census.py --check    # exit 1 on an unaccounted name, knob or re-export, or a
                                       # stale KEEP entry
     python tools/census.py --write    # regenerate DESIGN.md's inventory and knob tables
+                                      # (they report; the check reads only ``KEEP``)
 """
 import ast
 import sys
@@ -34,10 +40,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 AREAS = ("src", "examples", "benchmarks", "tests")
-MIN_LINES = 8
 BEGIN, END = "<!-- census:begin -->", "<!-- census:end -->"
 KNOBS_BEGIN, KNOBS_END = "<!-- knobs:begin -->", "<!-- knobs:end -->"
 _ARTEFACT = "paper artefact no benchmark reads"
+_CORPUS = "the committed regression corpus holds it, and `_build` rejects an unknown field"
+_LEDGER = "ROADMAP item 1 (a): `benchmarks/e2e/workloads.py` reads it"
 KEEP = {
     "repro.scenarios.corpus": ("K1", "loads the regression corpus CI replays"),
     "repro.bifrost.journal.FileJournalStorage": ("K1", "the durable journal: fsync, torn tail"),
@@ -45,17 +52,42 @@ KEEP = {
     "repro.bifrost.journal.snapshot_from_dict": ("K1", "validates a persisted snapshot on load"),
     "repro.bifrost.dsl.parse_file": ("K1", "reads a strategy file from disk, errors included"),
     "repro.fenrir.schedule.Schedule.group_usage": ("K1", "the ledger pack_repair's tests check"),
+    "repro.microservices.resilience.ResilienceLayer.breaker_transitions": (
+        "K1", "the transition log the scalar golden and batch equivalence tests compare"),
+    **dict.fromkeys(("repro.traffic.workload.WorkloadGenerator.constant",
+                     "repro.traffic.batch.BatchWorkloadGenerator.constant"),
+                    ("K1", "the fixed workload the equivalence tests pin exact counts with")),
+    **dict.fromkeys((f"repro.scenarios.spec.{knob}" for knob in (
+        "FaultSpec.endpoint", "FaultSpec.service_b", "ResilienceSpec.backoff_base_ms",
+        "ResilienceSpec.breaker", "ResilienceSpec.breaker_failure_threshold",
+        "ResilienceSpec.breaker_min_calls", "ResilienceSpec.breaker_open_seconds",
+        "ResilienceSpec.breaker_window", "SloSpec.min_samples", "SloSpec.window_seconds")),
+                    ("K1", _CORPUS)),
+    "repro.fleet.watchdog.FleetWatchdog.health_of": (
+        "K1", "its verdict enters the fleet WAL's slot records"),
+    "repro.exec.live.LiveOptions.host": ("K1", "the live testbed's bind address"),
     "repro.study.interviews": ("K2", f"Table 2.1 -- {_ARTEFACT}"),
     "repro.study.comparison": ("K2", f"Table 2.5 -- {_ARTEFACT}"),
     "repro.study.data.published_table": ("K2", f"Tables 2.2-2.9 by number -- {_ARTEFACT}"),
     "repro.core.framework": ("K2", f"Chapter 1's framework -- {_ARTEFACT}"),
     "repro.core.lifecycle": ("K2", f"Chapter 1's life cycle -- {_ARTEFACT}"),
+    "repro.core.experiment": ("K2", f"Chapter 1's experiment model -- {_ARTEFACT}"),
+    "repro.core.advisor.PlatformContext": ("K2", f"Section 1.6.2's rule -- {_ARTEFACT}"),
+    "repro.fenrir.fitness.FitnessWeights": (
+        "K2", "Section 3.4.4's objective weights; the ledger calls "
+              "`evaluate(schedule, FitnessWeights())`"),
     "repro.topology.visualize.diff_to_dot": ("K2", f"Fig 1.3 -- {_ARTEFACT}"),
     "repro.bifrost.state_machine.StateMachine.to_dot": ("K2", f"Fig 4.2 -- {_ARTEFACT}"),
     **dict.fromkeys(("repro.stats.abtest", "repro.stats.sequential", "repro.stats.hypothesis",
                      "repro.stats.power"),
                     ("K3", "ROADMAP items 6 (b) / 7 (d): `kind test` calls it or it is deleted")),
     "repro.routing.assignment.StickyAssigner.distinct_users": ("K3", "ROADMAP item 7 (b): SRM"),
+    **dict.fromkeys((f"repro.simulation.batch.BatchRunResult.fallback_{name}"
+                     for name in ("requests", "slices", "reasons")), ("K3", _LEDGER)),
+    **dict.fromkeys(("repro.fenrir.fastfit.EvalStats.delta_evals",
+                     "repro.fenrir.fastfit.EvalStats.cache_hits"), ("K3", _LEDGER)),
+    "repro.fenrir.random_sampling.RandomSampling.packed": (
+        "K3", "ROADMAP item 2 decides what `pack_repair` is for"),
 }
 
 
@@ -108,11 +140,14 @@ class Census:
                 if isinstance(node, ast.ClassDef) and node.name[0] != "_":
                     self.classes.setdefault(node.name, []).append(node)
                     self._quals[node] = f"{mod}.{node.name}"
-        self._sigs, self._sets, self._forwards = {}, {}, []
+        self._sigs, self._sets, self._forwards, self._assigned = {}, {}, [], {}
         for path, tree in trees.items():
             aliases = {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                        for a in n.names if a.asname}
             self._visit(tree, path, aliases, None, None)
+        for knob in self.knobs():  # an attribute assigned after construction is set
+            self._sets.setdefault(knob, set()).update(
+                self._assigned.get(knob.rpartition(".")[2], ()))
         changed = True
         while changed:  # a value an __init__ passes on is set where its own knob is set
             changed = False
@@ -179,7 +214,8 @@ class Census:
                         value = kw.get("default", kw.get("default_factory"))
                     sig.append((n.target.id, value is not None, True))
             qual = self._quals[node]
-            self._sigs[node] = [(n, f"{qual}.{n}" if d else None, p) for n, d, p in sig]
+            self._sigs[node] = [(n, f"{qual}.{n}" if d and n[0] != "_" else None, p)
+                                for n, d, p in sig]
         return self._sigs[node]
 
     def _visit(self, node, path, aliases, cls, func):
@@ -195,6 +231,13 @@ class Census:
             if isinstance(child, ast.Call):
                 for node, args, keywords in self._targets(child, aliases, cls, func):
                     self._call(node, args, keywords, path, cls, func)
+            elif isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                stores = getattr(child, "targets", None) or [child.target]
+                init = getattr(func, "name", None) == "__init__"
+                for target in (n for t in stores for n in ast.walk(t)):
+                    if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store) \
+                            and not (init and getattr(target.value, "id", None) == "self"):
+                        self._assigned.setdefault(target.attr, set()).add(path)
             self._visit(child, path, aliases, cls, func)
 
     def _targets(self, call, aliases, cls, func):
@@ -284,28 +327,26 @@ class Census:
         return [p for p, (mods, _) in self._scans.items() if mod in mods and p != self.modules[mod]]
 
     def problems(self):
-        """Unaccounted modules and names, KEEP entries that no longer hold, re-exports, then
-        knobs that nothing outside ``tests/`` sets and DESIGN.md's committed knob table does not
-        list."""
-        def _kept(qual):
-            return any(qual == key or qual.startswith(key + ".") for key in KEEP)
-        out = [f"module {m}: no example or benchmark reaches it"
-               for m in sorted(self.modules) if m not in self.reachable and not _kept(m)]
-        alive = set(self.reachable)
+        """Unaccounted modules, names and knobs (reached or set by tests alone, and not in
+        ``KEEP``), ``KEEP`` entries that account for none of them, then re-exports."""
+        found = [(m, f"module {m}: no example or benchmark reaches it")
+                 for m in sorted(self.modules) if m not in self.reachable]
         for qual, lines, refs in self.defs:
-            if any(_area(p) != "tests" for p in refs):
-                alive.add(qual)
-            elif lines >= MIN_LINES and not _kept(qual):
+            if all(_area(p) == "tests" for p in refs):
                 where = ", ".join(sorted({p.name for p in refs})) or "nothing"
-                out.append(f"name {qual} ({lines} lines): referenced from {where} and nowhere else")
-        known = set(self.modules).union(qual for qual, _, _ in self.defs)
-        out += [f"KEEP entry {key}: no such module or name" for key in KEEP if key not in known]
-        out += [f"KEEP entry {k}: reached from outside tests/" for k in KEEP if k in alive]
-        out += [f"re-export {name}: import it from its module" for name in self.reexports()]
-        design = (ROOT / "DESIGN.md").read_text()
-        listed = design.split(KNOBS_BEGIN)[-1].split(KNOBS_END)[0]
-        return out + [f"knob {knob}: nothing outside tests/ sets it" for knob in self.knobs()
-                      if not self.knob_setters(knob) and self._row(knob, []) not in listed]
+                found.append((qual, f"name {qual} ({lines} lines): referenced from {where} "
+                                    "and nowhere else"))
+        found += [(knob, f"knob {knob}: nothing outside tests/ sets it")
+                  for knob in self.knobs() if not self.knob_setters(knob)]
+        out, used = [], set()
+        for qual, problem in found:
+            key = next((k for k in KEEP if qual == k or qual.startswith(k + ".")), None)
+            if key is None:
+                out.append(problem)
+            used.add(key)
+        out += [f"KEEP entry {key}: nothing it names is reached or set by tests alone"
+                for key in KEEP if key not in used]
+        return out + [f"re-export {name}: import it from its module" for name in self.reexports()]
 
     def _row(self, knob, setters):
         where = ", ".join(f"`{p.relative_to(ROOT)}`" for p in setters) or "—"
@@ -344,7 +385,7 @@ def _splice(text, begin, end, table):
 
 def main(argv):
     census = Census()
-    problems = census.problems()  # against the committed knob table, before --write
+    problems = census.problems()
     if argv == ["--write"]:
         design = ROOT / "DESIGN.md"
         text = _splice(design.read_text(), BEGIN, END, census.table())
@@ -352,13 +393,13 @@ def main(argv):
     if not argv:
         listing = [(m, "reached" if m in census.reachable else "UNREACHED", census.importers(m))
                    for m in sorted(census.modules)]
-        listing += [(q, f"{n} lines", refs) for q, n, refs in census.defs if n >= MIN_LINES]
+        listing += [(q, f"{n} lines", refs) for q, n, refs in census.defs]
         for what, note, refs in listing:
             print(what, note, *(f"{a}={sum(_area(p) == a for p in refs)}" for a in AREAS))
         for knob in census.knobs():
             setters = census._sets.get(knob, ())
             print(knob, "knob", *(f"{a}={sum(_area(p) == a for p in setters)}" for a in AREAS))
-    print("\n".join(problems) or "census: every module and public name is accounted for")
+    print("\n".join(problems) or "census: every module, public name and knob is accounted for")
     return 1 if problems else 0
 
 
