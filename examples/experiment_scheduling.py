@@ -44,7 +44,7 @@ def main() -> None:
         print(
             f"  {algorithm.name:13s} fitness={result.fitness:.3f} "
             f"valid={result.valid} "
-            f"time_to_best={result.search.time_to_best_s:.2f}s"
+            f"best_at_eval={result.search.history[-1][0]}"
         )
 
     best = results["genetic"]

@@ -35,6 +35,8 @@ from itertools import accumulate, chain, islice
 from operator import eq
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping
 
+import numpy as np
+
 from repro.errors import ValidationError
 from repro.obs.canonical import BOOL, dump, floats, quote, quoted
 from repro.obs.events import Event, event_from_dict, stream_truncation
@@ -42,6 +44,7 @@ from repro.obs.events import Event, event_from_dict, stream_truncation
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bifrost.engine import StrategyExecution
     from repro.telemetry.store import MetricStore
+    from repro.tracing.trace import Trace
 
 FORMAT_VERSION = 1
 
@@ -54,9 +57,11 @@ _DECODER = json.JSONDecoder()
 #: ``[t,v]`` pairs :func:`run_digest` hashes at once.
 _PAIRS = 1024
 
-#: :class:`RecordedRequests`' columns with one slot per request or span.
-_COLUMNS = (
-    "timestamps", "users", "groups", "entries", "durations", "errors",
+#: :class:`RecordedRequests`' identity columns, one slot per request.
+_IDENTITY = ("timestamps", "users", "groups", "entries")
+#: Its result columns, one slot per request or span.
+_RESULTS = (
+    "durations", "errors",
     "span_services", "span_versions", "span_starts", "span_durations", "span_errors",
 )
 
@@ -120,9 +125,11 @@ class RecordedRequests(Sequence):
     index, slice, iteration and ``==`` against any other sequence of them —
     each one materialised on access; bulk readers (:meth:`jsonl_lines`,
     REPLAY's stretches) walk the columns instead.  Writers fill whole
-    columns too: SIM's recording tap writes each column in one pass, and
-    :meth:`add_docs` converts a chunk of parsed lines a column at a time,
-    so neither builds a row per request or span.  :meth:`jsonl_lines`
+    columns too: SIM writes the identity columns in one pass
+    (:meth:`add_identity`) and its :class:`RecordingTap` the result
+    columns a sub-block of rows at a time, and :meth:`add_docs` converts
+    a chunk of parsed lines a column at a time, so none builds a row per
+    request or span.  :meth:`jsonl_lines`
     escapes each distinct string once and spells each double once per
     place it takes in a line.
 
@@ -152,7 +159,8 @@ class RecordedRequests(Sequence):
         self.span_durations = array("d")
         self.span_errors = bytearray()
         requests = list(requests)
-        self.add_requests(requests, requests, [r.spans for r in requests])
+        self.add_identity(requests)
+        self.add_results(requests, [r.spans for r in requests])
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -194,21 +202,27 @@ class RecordedRequests(Sequence):
             error=bool(self.errors[i]),
         )
 
-    def add_requests(self, requests: list, results: list, spans: list) -> None:
-        """Append one request per item of the parallel lists: *requests*
-        give ``timestamp``, ``user_id``, ``group``, ``entry`` and ``headers``,
-        *results* ``duration_ms`` and ``error``, and *spans* an iterable of
-        objects with ``service``, ``version``, ``start``, ``duration_ms`` and
-        ``error`` (SIM's recording tap passes each outcome's trace).  Each
-        column is filled straight from them, one at a time."""
-        flat = [span for request_spans in spans for span in request_spans]
-        self._extend(
+    def add_identity(self, requests: list) -> None:
+        """Append the identity columns of *requests*, objects with
+        ``timestamp``, ``user_id``, ``group``, ``entry`` and ``headers``;
+        :meth:`add_results` (or the tap) appends their result columns."""
+        self._identity(
             (sorted(request.headers.items()) if request.headers else () for request in requests),
-            _ends(spans, len(self.span_starts)),
             (request.timestamp for request in requests),
             (request.user_id for request in requests),
             (request.group for request in requests),
             (request.entry for request in requests),
+        )
+
+    def add_results(self, results: list, spans: list) -> None:
+        """Append the result columns of one request per item of the
+        parallel lists: *results* give ``duration_ms`` and ``error``, and
+        *spans* an iterable of objects with ``service``, ``version``,
+        ``start``, ``duration_ms`` and ``error`` (a :class:`Trace` is one).
+        Each column is filled straight from them, one at a time."""
+        flat = [span for request_spans in spans for span in request_spans]
+        self._results(
+            _ends(spans, len(self.span_starts)),
             (result.duration_ms for result in results),
             (bool(result.error) for result in results),
             (span.service for span in flat),
@@ -228,16 +242,18 @@ class RecordedRequests(Sequence):
             services, versions, starts, lengths, failed = (
                 zip(*flat, strict=True) if flat else ((),) * 5
             )
-            columns = (
+            identity = (
                 [
                     sorted((str(k), str(v)) for k, v in items) if items else ()
                     for items in [doc.get("headers", {}).items() for doc in docs]
                 ],
-                list(_ends(spans, len(self.span_starts))),
                 [float(doc["t"]) for doc in docs],
                 [str(doc["user"]) for doc in docs],
                 [str(doc["group"]) for doc in docs],
                 [str(doc["entry"]) for doc in docs],
+            )
+            results = (
+                list(_ends(spans, len(self.span_starts))),
                 [float(doc.get("duration_ms", 0.0)) for doc in docs],
                 [bool(doc.get("error", False)) for doc in docs],
                 list(map(str, services)),
@@ -248,19 +264,25 @@ class RecordedRequests(Sequence):
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed recorded request: {exc}") from exc
-        self._extend(*columns)
+        self._identity(*identity)
+        self._results(*results)
 
-    def _extend(self, headers, span_ends, *columns) -> None:
-        """The one column writer, a column at a time: per request a sorted
-        list of (key, value) *headers* and its span end offset, then the new
-        values of each of :data:`_COLUMNS`, in order."""
+    def _identity(self, headers, *columns) -> None:
+        """The identity column writer: per request a sorted list of (key,
+        value) *headers*, then the new values of each of :data:`_IDENTITY`."""
         for rows in headers:
             for key, value in rows:
                 self.header_keys.append(key)
                 self.header_values.append(value)
             self.header_ends.append(len(self.header_keys))
+        for name, values in zip(_IDENTITY, columns, strict=True):
+            getattr(self, name).extend(values)
+
+    def _results(self, span_ends, *columns) -> None:
+        """The result column writer: per request its span end offset, then
+        the new values of each of :data:`_RESULTS`, in order."""
         self.span_ends.extend(span_ends)
-        for name, values in zip(_COLUMNS, columns, strict=True):
+        for name, values in zip(_RESULTS, columns, strict=True):
             getattr(self, name).extend(values)
 
     def jsonl_lines(self) -> Iterator[str]:
@@ -292,6 +314,47 @@ class RecordedRequests(Sequence):
                 floats(self.timestamps),
                 quoted(self.users),
             ),
+        )
+
+
+class RecordingTap:
+    """SIM's recording tap: a trace-collector subscriber that appends each
+    executed request's result columns to :attr:`requests` — its
+    ``duration_ms`` and ``error`` (the root hop's) and its spans in
+    completion order, as a :class:`~repro.tracing.trace.Trace` iterates
+    them.  Rows arrive in run order through either entry point:
+    :meth:`on_columns` for the columnar slice's sub-blocks, :meth:`on_trace`
+    for the rows the general hop runs (after a breaker cut, under a
+    partition).  The identity columns are the caller's
+    (:meth:`RecordedRequests.add_identity`)."""
+
+    def __init__(self, requests: RecordedRequests) -> None:
+        self.requests = requests
+
+    def on_trace(self, trace: "Trace") -> None:
+        """One request's results, off its trace."""
+        self.requests.add_results([trace.root], [trace])
+
+    def on_columns(self, keys, rows, hops, starts, ends, ranks) -> None:
+        """A sub-block's results (the layout is
+        :attr:`~repro.tracing.collector.TraceCollector.column_subscribers`'s):
+        a row's root is its first hop in walk order, and its spans are its
+        hops in ascending completion rank."""
+        _, callees, durations, errors = hops
+        count = len(ends)
+        heads = np.searchsorted(rows, np.arange(count))
+        order = np.lexsort((ranks, rows))
+        callees = callees[order].tolist()
+        requests = self.requests
+        requests._results(
+            (np.searchsorted(rows, np.arange(1, count + 1)) + len(requests.span_starts)).tolist(),
+            durations[heads].tolist(),
+            errors[heads].tolist(),
+            map([key[0] for key in keys].__getitem__, callees),
+            map([key[1] for key in keys].__getitem__, callees),
+            starts[order].tolist(),
+            durations[order].tolist(),
+            errors[order].tolist(),
         )
 
 

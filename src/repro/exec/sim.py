@@ -1,11 +1,16 @@
 """SIM backend, and the run result every backend returns.
 
 Thin composition over the :class:`~repro.bifrost.middleware.Bifrost`
-facade (so everything the simulator supports — fault campaigns,
-durability, the batch kernel — stays available) plus the recording
-tap: when asked to record, a lossless event subscription and per-request
-span extraction produce a :class:`~repro.exec.recording.Recording` the
-REPLAY backend can re-drive.
+facade, so everything the simulator supports (fault campaigns,
+durability, resilience policies and breakers) stays available.  The
+``Request`` stream is packed into rows over its own users
+(:func:`~repro.traffic.batch.pack_requests`) and runs on the request
+kernel's batch driver (:meth:`Bifrost.run_batches`), the one SIM
+execution path.  When asked to record, a lossless event subscription and
+the column-fed :class:`~repro.exec.recording.RecordingTap` produce a
+:class:`~repro.exec.recording.Recording` the REPLAY backend can re-drive:
+the identity columns come from the ``Request`` objects, the results
+(durations, errors, spans) from the kernel's columns.
 
 REPLAY and LIVE build the same facade, so one :class:`RunResult` carries
 what any of the three substrates produced.
@@ -18,11 +23,11 @@ from typing import Callable, Iterable
 
 from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import Strategy
-from repro.exec.recording import RecordedRequests, Recording, run_digest
+from repro.exec.recording import RecordedRequests, Recording, RecordingTap, run_digest
 from repro.microservices.application import Application
-from repro.microservices.runtime import RequestOutcome
 from repro.obs.events import Event
 from repro.obs.observer import Observer
+from repro.traffic.batch import pack_requests
 from repro.traffic.workload import Request
 
 
@@ -30,7 +35,7 @@ from repro.traffic.workload import Request
 class RunResult:
     """What one execution produced, whatever the substrate.
 
-    ``outcomes`` and ``recording`` come from SIM, ``digest`` from REPLAY,
+    ``recording`` comes from SIM, ``digest`` from REPLAY,
     ``wall_seconds`` and ``ports`` from LIVE.
     """
 
@@ -38,7 +43,6 @@ class RunResult:
     strategy: Strategy
     requests: int
     errors: int
-    outcomes: list[RequestOutcome] | None = None
     recording: Recording | None = None
     digest: str | None = None
     wall_seconds: float | None = None
@@ -89,7 +93,8 @@ class SimBackend:
 
         Recording attaches a lossless subscriber to the observer's event
         ring *before* anything runs, so the recording's event stream is
-        complete even when the bounded ring later evicts its prefix.
+        complete even when the bounded ring later evicts its prefix, and
+        the recording tap to the trace collector.
         """
         kwargs = dict(self.middleware_kwargs)
         captured: list[Event] = []
@@ -102,24 +107,22 @@ class SimBackend:
             observer=observer,
             **kwargs,
         )
+        requests = list(workload)
         if record:
             middleware.observer.events.subscribe(captured.append)
+            tap = RecordingTap(RecordedRequests())
+            middleware.collector.subscribe(tap.on_trace, tap.on_columns)
         # Submit through the engine, not the facade: the router resolved
         # the mode deliberately (an explicit mode= argument overrides the
         # strategy's DSL pin), so the facade's mode guard must not veto.
         middleware.engine.submit(strategy, at=submit_at)
-        outcomes = middleware.run(workload, until=until)
+        result = middleware.run_batches(pack_requests(requests), until=until)
         recording: Recording | None = None
         if record:
             from repro.bifrost.dsl import strategy_to_dsl
             from repro.bifrost.model import strategy_to_dict
 
-            requests = RecordedRequests()
-            requests.add_requests(
-                [outcome.request for outcome in outcomes],
-                outcomes,
-                [outcome.trace for outcome in outcomes],
-            )
+            tap.requests.add_identity(requests)
             recording = Recording(
                 strategy_doc=strategy_to_dict(strategy),
                 strategy_dsl=strategy_to_dsl(strategy),
@@ -127,7 +130,7 @@ class SimBackend:
                 submit_at=submit_at,
                 end_time=middleware.simulation.now,
                 events=captured,
-                requests=requests,
+                requests=tap.requests,
                 digest=run_digest(middleware.store, middleware.engine.executions),
                 outcomes={
                     e.strategy.name: e.outcome.value
@@ -138,8 +141,7 @@ class SimBackend:
         return RunResult(
             middleware=middleware,
             strategy=strategy,
-            requests=len(outcomes),
-            errors=sum(1 for outcome in outcomes if outcome.error),
-            outcomes=outcomes,
+            requests=result.requests,
+            errors=result.errors,
             recording=recording,
         )

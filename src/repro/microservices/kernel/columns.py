@@ -224,15 +224,19 @@ def _picks(kernel: "RequestKernel", rec: _Route, users: np.ndarray, record: bool
     picks = np.full(len(users), len(rec.variants))
     if not rec.variants:
         return picks
-    kept = slice(None)
-    if rec.eligible is not None:
-        group_codes = kernel._group_codes
-        kept = np.array([kernel._matches(rec, group_codes[u]) for u in users.tolist()], bool)
+    kept = slice(None) if rec.eligible is None else _admits(kernel, rec, users)
     chosen = users[kept]
     if len(chosen):
         pick = rec.assigner.assign_many if record else rec.assigner.pick_many
-        picks[kept] = pick(chosen, rec.variants)
+        picks[kept] = pick(chosen, rec.variants, kernel._population)
     return picks
+
+
+def _admits(kernel: "RequestKernel", rec: _Route, users: np.ndarray) -> np.ndarray:
+    """Whether each user is in *rec*'s audience (``rec.eligible`` is not
+    None): ``RequestKernel._matches`` over a column, as one lookup of the
+    users' group codes in the route's per-code table."""
+    return np.frombuffer(rec.eligible, bool)[kernel._group_codes[users]]
 
 
 def _codes(kernel: "RequestKernel", pos: _Position, users: np.ndarray) -> np.ndarray:
@@ -265,8 +269,8 @@ def _run_rows(kernel: "RequestKernel", batch: "RequestBatch", lo: int, hi: int, 
     runtime = kernel._runtime
     timestamps = batch.timestamps[lo:hi].tolist()
     user_indices = batch.user_indices[lo:hi].tolist()
+    group_codes = kernel._group_codes[batch.user_indices[lo:hi]].tolist()
     edge = kernel.entry_edge(batch.entry)
-    group_codes = kernel._group_codes
     durations = []
     append = durations.append
     errors = 0
@@ -279,10 +283,9 @@ def _run_rows(kernel: "RequestKernel", batch: "RequestBatch", lo: int, hi: int, 
         map(batch.request, range(lo, hi)) if kernel._route_per_hop else user_indices
     )
     trace_id = spans = None
-    for ts, user, subject in zip(timestamps, user_indices, subjects):
+    for ts, user, group_code, subject in zip(timestamps, user_indices, group_codes, subjects):
         if ts > now:
             now = ts
-        group_code = group_codes[user]
         if kernel._spans:
             trace_id = runtime.next_trace_id()
             spans = []
@@ -327,7 +330,6 @@ def _run_columns(
         for pos in positions
         if pos.judged and pos.route is not None and len(pos.versions) > 1
     }
-    group_codes = kernel._group_codes
     per_row = _expected_draws(root) * 1.05
     durations: list = []
     errors = 0
@@ -346,10 +348,7 @@ def _run_columns(
             codes.update(dict.fromkeys(pos.attempts, codes[pos]))
         # Rows whose gates admit the same duplicates and that take the
         # same versions where a policy decides share a composed table.
-        masks = {
-            key: np.array([kernel._matches(rec, group_codes[u]) for u in users.tolist()])
-            for key, rec in gates.items()
-        }
+        masks = {key: _admits(kernel, rec, users) for key, rec in gates.items()}
         picked = {
             key: codes[pos] if pos in codes else _codes(kernel, pos, users)
             for key, pos in judged.items()
@@ -427,7 +426,7 @@ def _commit(kernel: "RequestKernel", positions: list, sub: _SubBlock, outcomes: 
             kernel.samples.add_columns(service, version, starts[:k], took[:k], failed[:k])
             if kernel._breakers:
                 kernel._resilience.breaker(service, version).absorb(failed[:k])
-    _record(_before(sub.reached, cut), sub.users)
+    _record(_before(sub.reached, cut), sub.users, kernel._population)
     # Policy events in row order, then in the order attempts return.
     emit = kernel._resilience.emit
     for event in sorted(event for event in sub.events if event[0] < cut):
@@ -438,7 +437,7 @@ def _commit(kernel: "RequestKernel", positions: list, sub: _SubBlock, outcomes: 
         kernel._runtime.advance_trace_ids(cut)
 
 
-def _record(reached: list, users: np.ndarray) -> None:
+def _record(reached: list, users: np.ndarray, population) -> None:
     """Memo the users new to a route among the committed rows that
     reached one of its positions, and record those in its audience in
     its assigner (as ``_assign`` would have, row by row), taking their
@@ -456,7 +455,9 @@ def _record(reached: list, users: np.ndarray) -> None:
         memo.update(zip(fresh, map(names.__getitem__, picks.tolist())))
         kept = picks < len(rec.variants)
         if kept.any():
-            rec.assigner.record_many(np.array(fresh, np.int64)[kept], picks[kept], names[:-1])
+            rec.assigner.record_many(
+                np.array(fresh, np.int64)[kept], picks[kept], names[:-1], population
+            )
 
 
 def _site(kernel: "RequestKernel", pos: _Position, rows, start, offsets, block: _Block, sub):

@@ -7,6 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
 
 from repro.errors import ExecutionError
 from repro.microservices.faults import _ScaledLatency
@@ -130,7 +131,7 @@ class _Route:
     memo: dict  # user index -> version, for users already assigned
     assigner: object  # the route's StickyAssigner (None without variants)
     variants: tuple
-    eligible: set | None  # audience group codes (None: every group)
+    eligible: bytes | None  # per group code, 1 if in the audience (None: every group)
     stable: str
     prefilled: tuple | None  # see ``columns._prefill``
     peeked: dict  # user -> pick looked up by the columnar slice, unrecorded
@@ -220,8 +221,12 @@ class RequestKernel:
         self.raw = runtime.rng.raw
         self._random = self.raw.random
         self._population = population
+        # The population's codes as an ndarray (no copy): the columnar
+        # slice gathers a column of them per audience gate.
         self._group_codes = (
-            population.group_codes() if population is not None else None
+            np.asarray(memoryview(population.group_codes()))
+            if population is not None
+            else None
         )
         self._nodes: dict = {}
         self._edges: dict = {}
@@ -285,11 +290,8 @@ class RequestKernel:
         if rec is None:
             eligible = None
             if route.audience.groups:
-                eligible = {
-                    code
-                    for code, name in enumerate(self._population.group_names)
-                    if name in route.audience.groups
-                }
+                groups = route.audience.groups
+                eligible = bytes(name in groups for name in self._population.group_names)
             rec = self._routes[service] = _Route(
                 memo={},
                 assigner=self._router.assigner(route.experiment) if route.variants else None,
@@ -338,7 +340,7 @@ class RequestKernel:
     def _matches(self, rec: _Route, group_code: int) -> bool:
         """Whether the route's audience includes this user — scalar
         ``AudienceFilter.matches``."""
-        return rec.eligible is None or group_code in rec.eligible
+        return rec.eligible is None or rec.eligible[group_code] == 1
 
     def _assign(self, rec: _Route, user_index: int, group_code: int) -> str:
         if rec.prefilled is not None:  # a memo miss after a prefill: take the columns

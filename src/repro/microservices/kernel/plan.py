@@ -294,7 +294,9 @@ def _position(
 
 def fold_columns(kernel, positions: list, samples: dict, rows: int) -> None:
     """Hand the sub-block's hops, in the order ``Trace.walk`` visits the
-    spans the general hop builds, to the column subscribers."""
+    spans the general hop builds, to the column subscribers, with each
+    hop's completion rank (its position's ``post``: the general hop
+    appends a row's spans in ascending rank)."""
     keys: dict = {}
     width = len(positions)
     ids = np.full((width, rows), -1)  # key index per position and row
@@ -344,5 +346,6 @@ def fold_columns(kernel, positions: list, samples: dict, rows: int) -> None:
     root = pres == 0
     ends = starts[root] + durations[root] / 1000.0
     hops = (callers, ids[pres, at], durations, errors)
+    ranks = np.array([pos.post for pos in positions])[pres]
     for fold in kernel._folds:
-        fold(list(keys), at, hops, starts, ends)
+        fold(list(keys), at, hops, starts, ends, ranks)

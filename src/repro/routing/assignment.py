@@ -10,13 +10,16 @@ experiments with different names.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.routing.rules import Variant
-from repro.traffic.users import _user_id, bucket_indices, bucket_user
+from repro.traffic.users import bucket_user
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.traffic.users import ListedPopulation, UserPopulation
 
 _BUCKETS = 10_000
 
@@ -26,7 +29,10 @@ class StickyAssigner:
 
     Also counts how many distinct assignments each variant received,
     which experiment analysis uses to track collected sample sizes.
-    :meth:`assign_many` leaves its rows pending and every read settles
+    :meth:`assign_many` takes users as indices into a population (a
+    :class:`~repro.traffic.users.UserPopulation` or a
+    :class:`~repro.traffic.users.ListedPopulation`), which names and
+    buckets them.  It leaves its rows pending and every read settles
     them first, in call order, so each read sees the eager ledger.
     """
 
@@ -36,10 +42,12 @@ class StickyAssigner:
         self.salt = salt
         self._counts: Counter[str] = Counter()
         self._seen: set[str] = set()
-        # (user indices, variant picks, versions) per assign_many call,
-        # holding only indices no earlier call sighted: O(distinct users).
-        self._pending: list[tuple[np.ndarray, np.ndarray, tuple[str, ...]]] = []
-        self._sighted = np.zeros(0, bool)
+        # (user indices, variant picks, versions, population) per
+        # assign_many call, holding only indices no earlier call sighted
+        # in that population: O(distinct users).
+        self._pending: list[tuple] = []
+        # Per population, whether each index has been sighted.
+        self._sighted: dict[object, np.ndarray] = {}
 
     def assign(self, user_id: str, variants: Sequence[Variant]) -> str:
         """Return the version of the variant *user_id* falls into."""
@@ -60,35 +68,50 @@ class StickyAssigner:
         return chosen
 
     def assign_many(
-        self, indices: np.ndarray, variants: Sequence[Variant]
+        self,
+        indices: np.ndarray,
+        variants: Sequence[Variant],
+        population: UserPopulation | ListedPopulation,
     ) -> np.ndarray:
-        """Assign the users of many population indices at once; element *i*
-        is the index into *variants* of ``assign(user_at(indices[i]),
-        variants)``, distinct-user bookkeeping included."""
-        picks = self.pick_many(indices, variants)
-        self.record_many(indices, picks, tuple(v.version for v in variants))
+        """Assign the users of many *population* indices at once; element
+        *i* is the index into *variants* of
+        ``assign(population.user_at(indices[i]), variants)``, distinct-user
+        bookkeeping included."""
+        picks = self.pick_many(indices, variants, population)
+        self.record_many(indices, picks, tuple(v.version for v in variants), population)
         return picks
 
     def record_many(
-        self, indices: np.ndarray, picks: np.ndarray, versions: tuple[str, ...]
+        self,
+        indices: np.ndarray,
+        picks: np.ndarray,
+        versions: tuple[str, ...],
+        population: UserPopulation | ListedPopulation,
     ) -> None:
-        """The ledger half of :meth:`assign_many`: the users of *indices*
-        were assigned ``versions[picks[i]]``."""
+        """The ledger half of :meth:`assign_many`: the users of *population*
+        at *indices* were assigned ``versions[picks[i]]``."""
         indices = np.asarray(indices, np.int64)
         # Only a first sighting can change the ledger, so only those wait.
-        if len(indices) and indices.max() >= len(self._sighted):
-            self._sighted = np.append(self._sighted, np.zeros(indices.max() + 1, bool))
-        fresh = ~self._sighted[indices]
+        sighted = self._sighted.setdefault(population, np.zeros(0, bool))
+        if len(indices) and indices.max() >= len(sighted):
+            sighted = np.append(sighted, np.zeros(indices.max() + 1, bool))
+            self._sighted[population] = sighted
+        fresh = ~sighted[indices]
         if fresh.any():
-            self._sighted[indices] = True
-            self._pending.append((indices[fresh], np.asarray(picks)[fresh], versions))
+            sighted[indices] = True
+            self._pending.append(
+                (indices[fresh], np.asarray(picks)[fresh], versions, population)
+            )
 
     def pick_many(
-        self, indices: np.ndarray, variants: Sequence[Variant]
+        self,
+        indices: np.ndarray,
+        variants: Sequence[Variant],
+        population: UserPopulation | ListedPopulation,
     ) -> np.ndarray:
         """:meth:`assign_many`'s picks, recording nothing.
 
-        Buckets the whole column with :func:`bucket_indices`, then picks
+        Buckets the whole column with ``population.buckets``, then picks
         variants via a vectorized threshold search.  The thresholds
         are accumulated with the same left-to-right float additions as the
         scalar loop, and the comparison (``bucket < cumulative * buckets``)
@@ -101,7 +124,7 @@ class StickyAssigner:
         # One variant (a dark launch, a finished rollout) takes every
         # bucket, so no id is hashed.
         if len(variants) > 1:
-            buckets = bucket_indices(indices, self.salt, _BUCKETS)
+            buckets = population.buckets(indices, self.salt, _BUCKETS)
         else:
             buckets = np.zeros(len(indices), np.int64)
         thresholds = []
@@ -120,8 +143,9 @@ class StickyAssigner:
 
     def _settle(self) -> None:
         """Fold the pending rows into the ledger, in call order."""
-        for indices, picks, versions in self._pending:
-            for user_id, pick in zip(map(_user_id, indices.tolist()), picks.tolist()):
+        for indices, picks, versions, population in self._pending:
+            user_ids = map(population.user_at, indices.tolist())
+            for user_id, pick in zip(user_ids, picks.tolist()):
                 if user_id not in self._seen:
                     self._seen.add(user_id)
                     self._counts[versions[pick]] += 1

@@ -339,9 +339,10 @@ class StreamingGraphBuilder:
             if due(end):
                 act(end)
 
-    def on_columns(self, keys, rows, hops, starts, ends) -> None:
+    def on_columns(self, keys, rows, hops, starts, ends, ranks) -> None:
         """Fold a sub-block of the columnar slice, one trace per row (the
-        layout is :attr:`TraceCollector.column_subscribers`'s).  Rows fold
+        layout is :attr:`TraceCollector.column_subscribers`'s; the graph
+        folds in walk order, so *ranks* go unread).  Rows fold
         in segments that end at each row a watcher is due after, so it
         acts on the state the span path leaves after that row's trace;
         ``topology_fold_seconds`` times each segment."""

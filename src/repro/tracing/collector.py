@@ -63,10 +63,12 @@ class TraceCollector:
     def column_subscribers(self) -> list[Callable[..., None]] | None:
         """The column entry points, while every subscriber has one: the
         columnar slice then records no trace and calls each per sub-block
-        with ``(keys, rows, hops, starts, ends)`` — ``(service, version,
-        endpoint)`` keys; per hop in (row, ``Trace.walk``) order its row,
-        ``(caller, callee, duration, error)`` (keys as indexes, -1 for an
-        entry call) and start; each row's root end."""
+        with ``(keys, rows, hops, starts, ends, ranks)`` — ``(service,
+        version, endpoint)`` keys; per hop in (row, ``Trace.walk``) order
+        its row, ``(caller, callee, duration, error)`` (keys as indexes, -1
+        for an entry call) and start; each row's root end; per hop its
+        completion rank (a row's spans, as a trace iterates them, are its
+        hops in ascending rank)."""
         return self._column_subscribers or None
 
     # -- ingestion ---------------------------------------------------------

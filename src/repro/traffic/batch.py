@@ -20,18 +20,25 @@ A stream draws up to one batch ahead of what it has yielded: abandoned
 half-way, it leaves the RNG and the request-id counter past its whole
 current batch, and the next stream from the same generator starts
 there.  Every caller in the repo drains its streams.
+
+The other way round, :func:`pack_requests` turns ``Request`` objects
+(any stream, hand-built ones included) into rows over a
+:class:`~repro.traffic.users.ListedPopulation` of their own users; SIM
+runs its workloads on the kernel that way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import accumulate, groupby
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.simulation.rng import SeededRng
-from repro.traffic.users import UserPopulation
+from repro.traffic.users import ListedPopulation, UserPopulation
 from repro.traffic.workload import Request
 
 #: Rows per :class:`RequestBatch`.  Large enough that per-batch overhead
@@ -58,7 +65,7 @@ class RequestBatch:
     timestamps: np.ndarray
     user_indices: np.ndarray
     entry: str
-    population: UserPopulation
+    population: UserPopulation | ListedPopulation
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -81,6 +88,33 @@ class RequestBatch:
         """Materialize every row — the scalar view of the batch."""
         for row in range(len(self)):
             yield self.request(row)
+
+
+def pack_requests(requests: Sequence[Request]) -> Iterator[RequestBatch]:
+    """*requests* as rows: a batch per run of one ``entry``, cut at
+    :data:`BATCH_SIZE` rows, over a :class:`ListedPopulation` of their own
+    ``(user_id, group)`` pairs.  Row timestamps are the running maximum of
+    the requests' (a request earlier than one before it runs at the later
+    time, as ``Bifrost.run`` runs it), so they never decrease."""
+    index: dict[tuple[str, str], int] = {}
+    users = np.fromiter(
+        (index.setdefault((r.user_id, r.group), len(index)) for r in requests),
+        np.int64,
+        len(requests),
+    )
+    timestamps = np.fromiter(
+        accumulate((r.timestamp for r in requests), max), np.float64, len(requests)
+    )
+    population = ListedPopulation(list(index))
+    lo = 0
+    for entry, run in groupby(requests, attrgetter("entry")):
+        end = lo + sum(1 for _ in run)
+        for start in range(lo, end, BATCH_SIZE):
+            stop = min(start + BATCH_SIZE, end)
+            yield RequestBatch(
+                start, timestamps[start:stop], users[start:stop], entry, population
+            )
+        lo = end
 
 
 class BatchWorkloadGenerator:

@@ -150,8 +150,9 @@ def _draw_group_codes(
     bulk by :func:`~repro.simulation.rng.random_block`) scaled by
     the total weight and bisected (right) over all but the last of the
     :func:`cumulative_weights`.  Returns ``bytes`` or an ``array``: both
-    index to a plain ``int`` at tuple speed, where an ndarray would hand
-    the request kernel's per-request ``group_codes[user]`` numpy scalars.
+    index to a plain ``int`` at tuple speed (``RequestBatch.request`` reads
+    one per row), and both are buffers the request kernel views as an
+    ndarray without a copy.
     """
     cum, total = cumulative_weights(shares)
     last = len(cum) - 1
@@ -214,6 +215,11 @@ class UserPopulation:
             raise IndexError("user index out of range")
         return _user_id(index % size)
 
+    def buckets(self, indices: np.ndarray, salt: str, buckets: int) -> np.ndarray:
+        """:func:`bucket_user` of the users at *indices*: the lane-wise
+        :func:`bucket_indices`, since the ids are formatted from them."""
+        return bucket_indices(indices, salt, buckets)
+
     def members(self, group: str) -> list[str]:
         """All users of *group* in generation order (derived, O(n))."""
         if group not in self._group_names_tuple:
@@ -231,3 +237,48 @@ class UserPopulation:
         if not pool:
             raise ConfigurationError("no users in the requested groups")
         return rng.choice(pool)
+
+
+class ListedPopulation:
+    """The users of a given request stream, listed: one entry per distinct
+    ``(user id, group)`` pair, in first-seen order.
+
+    Reads as a :class:`UserPopulation` does where the request kernel and
+    the sticky assigner read one (``len``, :attr:`group_names`,
+    :meth:`group_codes`, :meth:`user_at`, :meth:`buckets`), but its ids
+    are whatever the stream carries (``"alice"``, ``"u0"``), so nothing
+    is derived from an index: each id is kept, and hashed with
+    :func:`bucket_user`.  Groups are named in first-seen order.
+    """
+
+    def __init__(self, users: Sequence[tuple[str, str]]) -> None:
+        names = tuple(dict.fromkeys(group for _, group in users))
+        code_of = {name: code for code, name in enumerate(names)}
+        self._ids = [user_id for user_id, _ in users]
+        self._group_names_tuple = names
+        self._group_codes = array("L", [code_of[group] for _, group in users])
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    @property
+    def group_names(self) -> tuple[str, ...]:
+        """Group names in first-seen order; codes index into this."""
+        return self._group_names_tuple
+
+    def group_codes(self) -> Sequence[int]:
+        """Per-entry group index into :attr:`group_names` (no copy): an
+        ``array``, a buffer as :meth:`UserPopulation.group_codes` is."""
+        return self._group_codes
+
+    def user_at(self, index: int) -> str:
+        """The id of the *index*-th entry."""
+        return self._ids[index]
+
+    def buckets(self, indices: np.ndarray, salt: str, buckets: int) -> np.ndarray:
+        """:func:`bucket_user` of the users at *indices*, one id at a time."""
+        ids = self._ids
+        return np.array(
+            [bucket_user(ids[i], salt, buckets) for i in np.asarray(indices).tolist()],
+            np.int64,
+        )

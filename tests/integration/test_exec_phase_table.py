@@ -22,7 +22,7 @@ from repro.bifrost.journal import Journal, MemoryJournalStorage
 from repro.bifrost.model import Check, Phase, PhaseType, Strategy
 from repro.exec import replay as replay_module
 from repro.exec import sim as sim_module
-from repro.exec.recording import RecordedRequests, Recording
+from repro.exec.recording import RecordedRequests, Recording, RecordingTap
 from repro.exec.router import ExecutionRouter
 from repro.microservices.application import Application
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
@@ -160,8 +160,15 @@ def test_record_save_load_replay_cycle(tmp_path):
         seed=SEED + 2,
     )
     path = str(tmp_path / "run.jsonl")
-    backend, tap = replay_module.ReplayBackend, RecordedRequests.add_requests
-    with mock.patch.object(RecordedRequests, "add_requests", watch.timed("tap", tap)), \
+    backend, sim = replay_module.ReplayBackend, sim_module.SimBackend
+    # The tap: the identity columns, and the result columns off the kernel.
+    with mock.patch.object(RecordedRequests, "add_identity",
+                           watch.timed("tap", RecordedRequests.add_identity)), \
+            mock.patch.object(RecordingTap, "on_columns",
+                              watch.timed("tap", RecordingTap.on_columns)), \
+            mock.patch.object(RecordingTap, "on_trace",
+                              watch.timed("tap", RecordingTap.on_trace)), \
+            mock.patch.object(sim, "execute", watch.timed("SIM", sim.execute)), \
             mock.patch.object(sim_module, "run_digest",
                               watch.timed("SIM digest", sim_module.run_digest)), \
             mock.patch.object(replay_module, "run_digest",
@@ -178,6 +185,7 @@ def test_record_save_load_replay_cycle(tmp_path):
         loaded = watch.measure("load", Recording.load, path)
         replayed = router.run(recording=loaded)
     watch.seconds["REPLAY"] -= watch.seconds["REPLAY digest"]
+    watch.seconds["SIM"] -= watch.seconds["tap"] + watch.seconds["SIM digest"]
 
     with open(path, encoding="utf-8") as handle:
         request_lines = sum('"type":"request"' in line for line in handle)
@@ -188,7 +196,7 @@ def test_record_save_load_replay_cycle(tmp_path):
         "request_lines": request_lines,
     }
     print(f"\nexec phases, seed {SEED}, {USERS} users, {RATE:g} rps x {SECONDS:g} s:")
-    for phase in ("tap", "SIM digest", "save", "load", "REPLAY", "REPLAY digest"):
+    for phase in ("SIM", "tap", "SIM digest", "save", "load", "REPLAY", "REPLAY digest"):
         print(f"  {phase:<14} {watch.seconds[phase] * 1000:9.1f} ms")
     print(f"  {counts}")
 

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bifrost.engine import BifrostEngine
+from repro.bifrost.middleware import Bifrost
 from repro.bifrost.model import strategy_from_dict
 from repro.errors import ValidationError
 from repro.exec import recording as recording_module
@@ -32,22 +33,26 @@ from repro.exec.recording import (
     RecordedRequests,
     RecordedSpan,
     Recording,
+    RecordingTap,
     run_digest,
 )
 from repro.exec.replay import ReplayBackend
 from repro.exec.router import ExecutionRouter
 from repro.microservices.resilience import ResilienceLayer
+from repro.microservices.runtime import Runtime
 from repro.obs.observer import Observer
 from repro.routing.proxy import VersionRouter
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import SimulationEngine
 from repro.telemetry.monitor import SpanSampleBuffer
 from repro.telemetry.store import MetricStore
+from repro.tracing.collector import TraceCollector
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import WorkloadGenerator
 from tests.property.test_batch_equivalence import (
     POLICIES,
+    TIGHT_BREAKER,
     UNTIL,
     build_app,
     build_strategy,
@@ -544,17 +549,23 @@ class TestMalformedLineLeavesColumnsUntouched:
 # -- (d) REPLAY over columns vs the per-object loop ----------------------------
 
 
-def record(kind: str, canary_error: float, seed: int, workload: str):
-    """A SIM run recorded under *kind*: ``clean``, ``shadow`` (every user
-    shadowed), a ``POLICIES`` name, or ``<policy>+shadow``."""
+def record(kind: str, canary_error: float, seed: int, workload: str, breaker=False):
+    """A SIM run recorded under *kind* (``clean``, ``shadow`` for every user
+    shadowed, a ``POLICIES`` name, or ``<policy>+shadow``; with a tight
+    breaker if *breaker*) and its oracle: the same ``Request`` objects
+    through ``Bifrost.run`` on an equal middleware, whose outcomes carry
+    each request's trace.  Returns (factory, report, oracle middleware,
+    oracle outcomes)."""
     policy, _, shadowed = kind.partition("+")
-    shadow, sim_kwargs = None, {}
-    if "shadow" in (policy, shadowed):
-        shadow = "all"
-    if policy in POLICIES:
-        resilience = ResilienceLayer()
-        resilience.set_policy(*POLICIES[policy])
-        sim_kwargs["resilience"] = resilience
+    shadow = "all" if "shadow" in (policy, shadowed) else None
+
+    def resilience():
+        if policy not in POLICIES and not breaker:
+            return None
+        layer = ResilienceLayer(TIGHT_BREAKER if breaker else None)
+        if policy in POLICIES:
+            layer.set_policy(*POLICIES[policy])
+        return layer
 
     def factory():
         return build_app(canary_error, 0.6, False)
@@ -562,14 +573,20 @@ def record(kind: str, canary_error: float, seed: int, workload: str):
     generator = WorkloadGenerator(
         UserPopulation(300, DEFAULT_GROUPS, seed=1), entry="frontend.index", seed=seed
     )
-    report = ExecutionRouter(factory, seed=7, sim_kwargs=sim_kwargs).run(
+    requests = list(make_workload(generator, workload))
+    report = ExecutionRouter(factory, seed=7, sim_kwargs={"resilience": resilience()}).run(
         build_strategy(0.3, shadow),
-        workload=make_workload(generator, workload),
+        workload=requests,
         until=UNTIL,
         submit_at=1.0,
         record=True,
     )
-    return factory, report
+    oracle = Bifrost(
+        factory(), seed=7, resilience=resilience(), observer=Observer(enabled=True)
+    )
+    oracle.engine.submit(build_strategy(0.3, shadow), at=1.0)
+    outcomes = oracle.run(requests, until=UNTIL)
+    return factory, report, oracle, outcomes
 
 
 class TestReplayOverColumnsEqualsPerObjectLoop:
@@ -585,9 +602,9 @@ class TestReplayOverColumnsEqualsPerObjectLoop:
     def test_tap_and_replay_match_the_object_chain(
         self, kind, canary_error, seed, workload
     ):
-        factory, report = record(kind, canary_error, seed, workload)
+        factory, report, oracle, outcomes = record(kind, canary_error, seed, workload)
         recording = report.recording
-        objects = [reference_record_outcome(o) for o in report.details.outcomes]
+        objects = [reference_record_outcome(o) for o in outcomes]
         assert list(recording.requests) == objects
         assert list(recording.requests.jsonl_lines()) == [
             reference_request_line(r) for r in objects
@@ -595,6 +612,7 @@ class TestReplayOverColumnsEqualsPerObjectLoop:
         assert recording.digest == reference_run_digest(
             report.details.store, report.details.executions
         )
+        assert recording.digest == run_digest(oracle.store, oracle.engine.executions)
 
         loaded = Recording.from_jsonl(saved(recording).splitlines())
         replayed = ReplayBackend(factory).execute(loaded)
@@ -610,26 +628,60 @@ class TestReplayOverColumnsEqualsPerObjectLoop:
 
 
 class TestTapEqualsTraceWalkingTap:
-    """The tap writes the recording's columns straight off the outcomes;
-    the trace-walking tap (``reference_tap``) is its oracle, on every call
-    policy with and without a shadow route, so retry attempts, fallbacks
-    and dark-launch duplicates all pass through it."""
+    """SIM's tap writes the recording's result columns off the kernel's
+    columns; the trace-walking tap (``reference_tap``) over ``Bifrost.run``'s
+    outcomes for the same requests is its oracle, on every call policy
+    with and without a shadow route, so retry attempts, fallbacks and
+    dark-launch duplicates all pass through it."""
 
-    @pytest.mark.parametrize("shadow", ["", "+shadow"], ids=["primary", "shadow"])
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_columns_and_lines_equal_the_old_tap(self, policy, shadow):
-        _, report = record(policy + shadow, 0.4, 11, "poisson")
-        outcomes = report.details.outcomes
+    def assert_equals_oracle(self, report, oracle, outcomes) -> None:
         tapped, reference = report.recording.requests, reference_tap(outcomes)
         assert {name: repr(column) for name, column in vars(tapped).items()} == {
             name: repr(column) for name, column in vars(reference).items()
         }
         assert list(tapped.jsonl_lines()) == list(reference.jsonl_lines())
+        assert report.recording.digest == run_digest(
+            oracle.store, oracle.engine.executions
+        )
+        assert report.requests == len(outcomes)
+        assert report.errors == sum(outcome.error for outcome in outcomes)
+
+    @pytest.mark.parametrize("shadow", ["", "+shadow"], ids=["primary", "shadow"])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_columns_and_lines_equal_the_old_tap(self, policy, shadow):
+        _, report, oracle, outcomes = record(policy + shadow, 0.4, 11, "poisson")
+        self.assert_equals_oracle(report, oracle, outcomes)
         tags = [span.tags for outcome in outcomes for span in outcome.trace]
-        assert len(tapped.span_services) == len(tags) > len(outcomes)
+        assert len(report.recording.requests.span_services) == len(tags) > len(outcomes)
         assert any("shadow" in t for t in tags) == bool(shadow)
         if policy == "retry":
             assert any("retry_attempt" in t for t in tags)
+
+    def test_breaker_storm_reaches_both_entry_points(self):
+        """Rows after a breaker cut run the general hop, whose traces reach
+        the tap's ``on_trace``; the rest arrive as columns."""
+        entries = []
+
+        def count(name, function):
+            def call(*args):
+                entries.append(name)
+                return function(*args)
+
+            return call
+
+        with mock.patch.object(
+            RecordingTap, "on_trace", count("trace", RecordingTap.on_trace)
+        ), mock.patch.object(
+            RecordingTap, "on_columns", count("columns", RecordingTap.on_columns)
+        ):
+            _, report, oracle, outcomes = record("retry", 0.4, 11, "poisson", breaker=True)
+        assert "trace" in entries and "columns" in entries
+        assert any(
+            span.tags.get("breaker") == "open"
+            for outcome in outcomes
+            for span in outcome.trace
+        )
+        self.assert_equals_oracle(report, oracle, outcomes)
 
 
 # -- (e) nothing per-request is built on the bulk path -------------------------
@@ -671,3 +723,32 @@ def test_cycle_builds_no_request_objects_and_no_snapshot(tmp_path):
         first = loaded.requests[0]
         assert requests_built.call_count == 1
         assert spans_built.call_count == len(first.spans) > 0
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["run", "record"])
+def test_sim_runs_no_request_object_and_records_no_trace(record):
+    """On a clean workload SIM runs every row on the kernel's columnar
+    slice: no ``Runtime.execute`` (the ``Request`` hop), no trace."""
+
+    def factory():
+        return build_app(0.01, 0.6, False)
+
+    generator = WorkloadGenerator(
+        UserPopulation(300, DEFAULT_GROUPS, seed=1), entry="frontend.index", seed=5
+    )
+    with mock.patch.object(
+        Runtime, "execute", autospec=True, side_effect=Runtime.execute
+    ) as executed, mock.patch.object(
+        TraceCollector, "record_trace", autospec=True, side_effect=TraceCollector.record_trace
+    ) as traced:
+        report = ExecutionRouter(factory, seed=7).run(
+            build_strategy(0.3),
+            workload=generator.constant(0.01, 2_000),
+            until=30.0,
+            submit_at=1.0,
+            record=record,
+        )
+    assert report.requests == 2_000
+    assert (report.recording is not None) is record
+    assert executed.call_count == 0
+    assert traced.call_count == 0

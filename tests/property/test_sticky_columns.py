@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 from repro.routing.assignment import StickyAssigner
 from repro.routing.splitter import canary_split, rollout_split
 from repro.traffic import users
-from repro.traffic.users import _user_id, bucket_indices, bucket_user
+from repro.traffic.profile import DEFAULT_GROUPS
+from repro.traffic.users import (
+    ListedPopulation,
+    UserPopulation,
+    _user_id,
+    bucket_indices,
+    bucket_user,
+)
 
 BUCKETS = (1, 7, 1000, 10000, 2**31 - 1)
 CROSSOVER = users._LANE_MD5_MIN
@@ -106,6 +113,7 @@ def test_ledger_reads_equal_an_eager_ledger(steps):
     ledger that books each call's users as the call happens."""
     assigner = StickyAssigner("exp")
     versions_of = StickyAssigner("exp")  # computes versions only
+    population = UserPopulation(81, DEFAULT_GROUPS)
     seen: set[str] = set()
     counts: Counter[str] = Counter()
     variants = canary_split(*VERSIONS, 0.5)
@@ -124,7 +132,7 @@ def test_ledger_reads_equal_an_eager_ledger(steps):
             assert version == versions_of.assign(user_id, variants)
             book(user_id, version)
         elif kind == "many":
-            picks = assigner.assign_many(np.array(indices, np.int64), variants)
+            picks = assigner.assign_many(np.array(indices, np.int64), variants, population)
             for index, pick in zip(indices, picks.tolist()):
                 version = variants[pick].version
                 assert version == versions_of.assign(_user_id(index), variants)
@@ -144,9 +152,57 @@ def test_pending_rows_stay_within_distinct_users():
     assigner = StickyAssigner("exp")
     variants = canary_split(*VERSIONS, 0.1)
     rng = np.random.default_rng(5)
-    population = np.arange(1000)
+    population = UserPopulation(1000, DEFAULT_GROUPS)
     for _ in range(100):
-        assigner.assign_many(np.unique(rng.choice(population, 600)), variants)
-    assert sum(len(rows) for rows, _, _ in assigner._pending) <= 1000
+        rows = np.unique(rng.choice(len(population), 600))
+        assigner.assign_many(rows, variants, population)
+    assert sum(len(rows) for rows, *_ in assigner._pending) <= 1000
     assert assigner.total_distinct_users() == 1000
     assert not assigner._pending
+
+
+# -- a listed population: ids as the stream spells them -----------------------
+
+IDS = st.one_of(
+    st.sampled_from(["alice", "u0", "u1", "u0000000", "u0000003", "", "ünï", "u-1"]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(IDS, min_size=1, max_size=30, unique=True),
+    twice=st.booleans(),  # the first id also listed under a second group
+    rows=st.lists(st.integers(0, 10**6), min_size=1, max_size=60),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_listed_population_equals_per_id_assign(ids, twice, rows, fraction):
+    """``pick_many`` and ``assign_many`` over a :class:`ListedPopulation`
+    equal per-id ``assign`` calls, the distinct-user ledger included."""
+    listed = [(user_id, "eu") for user_id in ids] + ([(ids[0], "na")] if twice else [])
+    population = ListedPopulation(listed)
+    indices = np.array([row % len(listed) for row in rows], np.int64)
+    variants = rollout_split(*VERSIONS, fraction)
+    bulk, scalar = StickyAssigner("exp"), StickyAssigner("exp")
+    picked = bulk.pick_many(indices, variants, population)
+    assigned = bulk.assign_many(indices, variants, population)
+    expected = [scalar.assign(listed[i][0], variants) for i in indices.tolist()]
+    assert [variants[p].version for p in picked.tolist()] == expected
+    assert [variants[p].version for p in assigned.tolist()] == expected
+    for version in VERSIONS:
+        assert bulk.distinct_users(version) == scalar.distinct_users(version)
+    assert bulk.total_distinct_users() == scalar.total_distinct_users()
+    assert bulk._seen == scalar._seen
+
+
+def test_two_populations_keep_their_own_sightings():
+    """Index 0 names ``alice`` in one population and ``u0000000`` in the
+    other: both are first sightings, in either order."""
+    variants = canary_split(*VERSIONS, 0.5)
+    listed = ListedPopulation([("alice", "eu"), ("u0", "eu")])
+    canonical = UserPopulation(4, DEFAULT_GROUPS)
+    assigner = StickyAssigner("exp")
+    for population in (listed, canonical, listed):
+        assigner.assign_many(np.array([0, 1]), variants, population)
+    assert assigner.total_distinct_users() == 4
+    assert assigner._seen == {"alice", "u0", "u0000000", "u0000001"}

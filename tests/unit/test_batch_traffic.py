@@ -16,10 +16,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.routing.assignment import StickyAssigner
 from repro.routing.splitter import canary_split
-from repro.traffic.batch import BatchWorkloadGenerator
+from repro.traffic import batch as batch_module
+from repro.traffic.batch import BatchWorkloadGenerator, pack_requests
 from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation, _user_id, bucket_indices, bucket_user
-from repro.traffic.workload import WorkloadGenerator
+from repro.traffic.workload import Request, WorkloadGenerator
 
 TRACER = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "tracer.py"
 
@@ -129,7 +130,8 @@ class TestAssignMany:
         indices = np.arange(200) % 60  # repeats included
         bulk = StickyAssigner("exp")
         scalar = StickyAssigner("exp")
-        assert [versions[p] for p in bulk.assign_many(indices, variants)] == [
+        population = UserPopulation(60, DEFAULT_GROUPS)
+        assert [versions[p] for p in bulk.assign_many(indices, variants, population)] == [
             scalar.assign(_user_id(i), variants) for i in indices.tolist()
         ]
         bulk._settle()
@@ -139,7 +141,44 @@ class TestAssignMany:
     def test_bulk_then_scalar_stays_sticky(self):
         variants = canary_split("1.0.0", "2.0.0", 0.3)
         assigner = StickyAssigner("exp")
-        bulk = assigner.assign_many(np.arange(50), variants)
+        bulk = assigner.assign_many(np.arange(50), variants, UserPopulation(50, DEFAULT_GROUPS))
         for i, pick in enumerate(bulk.tolist()):
             assert assigner.assign(_user_id(i), variants) == variants[pick].version
         assert assigner.total_distinct_users() == 50
+
+
+class TestPackRequests:
+    def test_rows_name_the_requests(self):
+        stream = [
+            Request("a", 1.0, "alice", "eu", "frontend.home"),
+            Request("b", 0.5, "u0", "na", "frontend.home"),
+            Request("c", 2.0, "alice", "eu", "frontend.home"),
+            Request("d", 1.5, "alice", "na", "frontend.other"),
+        ]
+        first, second = pack_requests(stream)
+        assert first.entry == "frontend.home" and second.entry == "frontend.other"
+        assert first.population is second.population
+        # Running maximum: the request at 0.5 runs at 1.0, the one at 1.5 at 2.0.
+        assert first.timestamps.tolist() == [1.0, 1.0, 2.0]
+        assert second.timestamps.tolist() == [2.0]
+        assert (first.base_id, second.base_id) == (0, 3)
+        rows = [first.request(row) for row in range(3)] + [second.request(0)]
+        assert [(r.user_id, r.group) for r in rows] == [
+            (r.user_id, r.group) for r in stream
+        ]
+        # One population entry per (user, group) pair, first seen first.
+        assert len(first.population) == 3
+        assert first.population.group_names == ("eu", "na")
+
+    def test_batches_are_cut_at_batch_size(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "BATCH_SIZE", 4)
+        stream = [Request(f"r{i}", float(i), f"u{i % 3}", "eu", "f.e") for i in range(10)]
+        batches = list(pack_requests(stream))
+        assert [len(b) for b in batches] == [4, 4, 2]
+        assert [b.base_id for b in batches] == [0, 4, 8]
+        assert [b.user_indices.tolist() for b in batches] == [
+            [0, 1, 2, 0], [1, 2, 0, 1], [2, 0]
+        ]
+
+    def test_nothing_to_pack(self):
+        assert list(pack_requests([])) == []

@@ -8,6 +8,8 @@ time runs before that row, and it reads a store that holds every earlier
 row's samples and none of that row's.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.traffic.profile import DEFAULT_GROUPS
 from repro.traffic.users import UserPopulation
 from repro.traffic.workload import Request
 from tests.conftest import constant_endpoint
+from tests.property.test_record_chain_equivalence import reference_tap
 from tests.property.test_write_path_equivalence import reference_replay
 from tests.unit.test_exec_modes import canary_strategy
 
@@ -178,14 +181,22 @@ class TestInterleaveContract:
         assert [now for now, _ in runs[0][2]] == [3.0, 5.0, 5.5]
 
     def test_an_out_of_order_recording_replays_digest_equal(self):
+        times = [0.0, 5.0, 3.0, 6.0]
         router = ExecutionRouter(build_app, seed=SEED)
         recorded = router.run(
-            canary_strategy(), workload=requests([0.0, 5.0, 3.0, 6.0]),
-            until=40.0, record=True,
+            canary_strategy(), workload=requests(times), until=40.0, record=True,
         )
         replayed = router.run(recording=recorded.recording)
         assert replayed.replay.digest_match
         assert replayed.replay.identical, replayed.replay.describe()
+        # SIM packs the hand-built requests ("u0", out of order) into rows;
+        # its request lines are those of the same requests through Bifrost.run.
+        oracle = Bifrost(build_app(), seed=SEED)
+        oracle.engine.submit(canary_strategy(), at=0.0)
+        outcomes = oracle.run(requests(times), until=40.0)
+        lines = list(recorded.recording.requests.jsonl_lines())
+        assert lines == list(reference_tap(outcomes).jsonl_lines())
+        assert [json.loads(line)["t"] for line in lines] == times
 
     def test_a_recording_without_requests_replays_digest_equal(self):
         router = ExecutionRouter(build_app, seed=SEED)

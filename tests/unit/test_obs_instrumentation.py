@@ -219,9 +219,9 @@ class TestTopologyInstrumentation:
         builder = bifrost.streaming_builder
         on_columns, segments = builder.on_columns, []
 
-        def counted(keys, rows, hops, starts, ends):
+        def counted(keys, rows, hops, starts, ends, ranks):
             before = monitor.publishes
-            on_columns(keys, rows, hops, starts, ends)
+            on_columns(keys, rows, hops, starts, ends, ranks)
             tail = monitor._last_publish != ends[-1].item()
             segments.append(monitor.publishes - before + tail)
 
