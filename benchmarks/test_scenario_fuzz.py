@@ -8,8 +8,8 @@ the whole campaign must finish inside a hard wall-clock budget so it is
 cheap enough to run on every commit.
 
 ``SCENARIO_FUZZ_SMOKE=1`` switches to the reduced CI configuration
-(fewer iterations, same fixed seed); the full run covers every archetype
-at least twice.
+(one draw of each archetype, same fixed seed); the full run draws each
+archetype once or twice.
 """
 
 import json
@@ -18,12 +18,12 @@ import time
 
 from _util import OUTPUT_DIR, emit, format_rows
 
-from repro.scenarios.fuzzer import ScenarioFuzzer
+from repro.scenarios.fuzzer import ARCHETYPES, ScenarioFuzzer
 from repro.scenarios.invariants import check_invariant
 
 SMOKE = os.environ.get("SCENARIO_FUZZ_SMOKE") == "1"
 SEED = 2026
-ITERATIONS = 8 if SMOKE else 16
+ITERATIONS = len(ARCHETYPES) if SMOKE else 16
 MAX_WALL_SECONDS = 60.0
 
 

@@ -8,8 +8,9 @@ transitions; the journal and supervisor emit durability events across
 two injected engine crashes; Fenrir emits per-generation search
 progress.  From the event log alone the experiment timeline is
 reconstructed and verified — field by field — against the engine's own
-execution record, then rendered as ASCII, exported as JSONL, and
-summarized as Prometheus-style exposition text.
+execution record, rendered as ASCII beside the decision report that
+explains the verdict, exported as JSONL, and summarized as
+Prometheus-style exposition text.
 
 Run with::
 
@@ -27,10 +28,10 @@ from repro.microservices.application import Application
 from repro.microservices.faults import EngineCrash, FaultCampaign, FaultInjector
 from repro.microservices.service import DownstreamCall, EndpointSpec, ServiceVersion
 from repro.obs.dashboard import glass_box_panel
-from repro.obs.events import load_jsonl
+from repro.obs.events import RECOVERY_CRASH, load_jsonl
 from repro.obs.exporters import JsonlEventSink, render_prometheus
 from repro.obs.observer import Observer
-from repro.obs.provenance import build_provenance
+from repro.obs.provenance import build_provenance, render_decision_report
 from repro.obs.timeline import diff_timeline_execution, render_ascii
 from repro.simulation.latency import LogNormalLatency
 from repro.traffic.profile import DEFAULT_GROUPS, UserGroup, flat_profile
@@ -155,16 +156,22 @@ def main() -> None:
     run_search(observer)
 
     execution = bifrost.engine.executions[0]
-    timeline = build_provenance(observer.events).strategy("catalog-canary")
+    graph = build_provenance(observer.events)
+    timeline = graph.strategy("catalog-canary")
 
     print("--- glass-box canary (two engine crashes) ---")
     print(f"strategy outcome: {execution.outcome.value}")
     print(f"engine restarts: {bifrost.supervisor.restarts}")
+    crashes = observer.events.events(kinds={RECOVERY_CRASH})
+    print("crashes in the event log at: " + ", ".join(f"{e.time:.1f}s" for e in crashes))
     print()
     print("--- timeline reconstructed from events alone ---")
     print(render_ascii(timeline))
     mismatches = diff_timeline_execution(timeline, execution)
     print(f"timeline matches engine record: {not mismatches}")
+    print()
+    print("--- why it ended so: the decision report from events alone ---")
+    print(render_decision_report(graph, "catalog-canary"))
     print()
 
     buffer = io.StringIO()

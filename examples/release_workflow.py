@@ -83,9 +83,12 @@ def main() -> None:
     )
     print(f"advisor: {advice.describe()}\n")
 
-    # 2. Verify the strategy before touching production.
-    strategy = parse_strategy(STRATEGY)
+    # 2. Verify the strategy before touching production.  A draft naming
+    #    a version that was never deployed is refused before it runs.
     bifrost = Bifrost(app, seed=71)
+    draft = parse_strategy(STRATEGY.replace("stable 1.0.0", "stable 0.9.0"))
+    print(verify_strategy(draft, app, bifrost.router).describe() + "\n")
+    strategy = parse_strategy(STRATEGY)
     report = verify_strategy(strategy, app, bifrost.router)
     print(report.describe())
     if not report.ok:

@@ -4,7 +4,10 @@ The resilience layer changes what a release experiment *sees*: bounded
 retries absorb a short error burst, so the canary's user-visible health
 checks stay green and the rollout completes.  Against a sustained crash
 the same retries are exhausted, the circuit breaker opens on the broken
-version, and Bifrost rolls the canary back.
+version, and Bifrost rolls the canary back.  A six-second network
+partition between frontend and catalog fails calls to both catalog
+versions alike, yet it rolls back the canary, whose version is healthy:
+a check cannot tell a network fault from a bad release.
 
 Run with::
 
@@ -18,6 +21,8 @@ from repro.microservices.faults import (
     ErrorBurst,
     FaultCampaign,
     FaultInjector,
+    NetworkState,
+    Partition,
     VersionCrash,
 )
 from repro.microservices.resilience import (
@@ -126,13 +131,16 @@ def resilience_layer() -> ResilienceLayer:
 
 
 def run(fault_name: str) -> None:
-    """Run the same canary under one of the two fault scenarios."""
+    """Run the same canary under one of the three fault scenarios."""
     app = build_app()
     layer = resilience_layer()
-    bifrost = Bifrost(app, seed=SEED, resilience=layer)
-    campaign = FaultCampaign(FaultInjector(app))
+    network = NetworkState()
+    bifrost = Bifrost(app, seed=SEED, resilience=layer, network=network)
+    campaign = FaultCampaign(FaultInjector(app), network=network)
     if fault_name == "transient burst":
         campaign.add(ErrorBurst("catalog", "2.0.0", "list", 0.5, 30.0, 60.0))
+    elif fault_name == "brief partition":
+        campaign.add(Partition("frontend", "catalog", 30.0, 36.0))
     else:
         campaign.add(VersionCrash("catalog", "2.0.0", 30.0, 400.0))
     bifrost.install_campaign(campaign)
@@ -151,6 +159,7 @@ def run(fault_name: str) -> None:
 
 def main() -> None:
     run("transient burst")
+    run("brief partition")
     run("sustained crash")
 
 

@@ -79,11 +79,6 @@ class StateMachine:
                     frontier.append(target)
         return {p.name for p in self.strategy.phases} - reachable
 
-    @property
-    def transitions(self) -> list[Transition]:
-        """All labelled transitions."""
-        return list(self._transitions)
-
     def has_state(self, name: str) -> bool:
         """Whether *name* is a known phase or terminal state.
 

@@ -478,18 +478,6 @@ class Recording:
         """The truncation sentinel in the event stream, if any."""
         return stream_truncation(self.events)
 
-    def provenance(self, *, allow_truncated: bool = False):
-        """Reconstruct the run's decision-provenance graph.
-
-        Folds the recorded event stream through
-        :func:`repro.obs.provenance.build_provenance` — the exact fold
-        the recording engine ran live, so the result is digest-equal to
-        the engine-side graph (and to a faithful replay's).
-        """
-        from repro.obs.provenance import build_provenance
-
-        return build_provenance(self.events, allow_truncated=allow_truncated)
-
     def jsonl_lines(self) -> Iterator[str]:
         """The recording as typed JSON lines (``meta`` first)."""
         meta = {

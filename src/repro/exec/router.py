@@ -76,14 +76,6 @@ class ExecutionReport:
     replay: ReplayDiff | None = None
     details: object = None
 
-    @property
-    def promoted(self) -> bool:
-        return self.outcome is StrategyOutcome.COMPLETED
-
-    @property
-    def rolled_back(self) -> bool:
-        return self.outcome is StrategyOutcome.ROLLED_BACK
-
     def describe(self) -> str:
         line = (
             f"[{self.mode.value}] {self.strategy}: {self.outcome.value} "

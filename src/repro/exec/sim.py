@@ -49,16 +49,8 @@ class RunResult:
     ports: dict[str, int] = field(default_factory=dict)
 
     @property
-    def engine(self):
-        return self.middleware.engine
-
-    @property
     def executions(self):
         return self.middleware.engine.executions
-
-    @property
-    def store(self):
-        return self.middleware.store
 
     @property
     def provenance(self):

@@ -217,8 +217,3 @@ def evaluate(
     return _finalize(
         scores, violations, shortfall_penalty, overlap_penalty, problem.total_weight
     )
-
-
-def max_fitness() -> float:
-    """The theoretical maximum fitness of any schedule (normalization)."""
-    return 1.0

@@ -71,9 +71,6 @@ class Schedule:
     def __iter__(self) -> Iterator[tuple[ExperimentSpec, Gene]]:
         return iter(zip(self.problem.experiments, self.genes))
 
-    def __len__(self) -> int:
-        return len(self.genes)
-
     def replaced(self, index: int, gene: Gene) -> "Schedule":
         """Copy of the schedule with gene *index* replaced."""
         genes = list(self.genes)

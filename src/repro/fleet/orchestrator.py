@@ -1071,35 +1071,3 @@ def _schedule_from_doc(data: Mapping) -> Schedule:
 def fleet_outcomes_for_reevaluation(result: FleetResult) -> dict[str, str]:
     """The outcome mapping :func:`build_reevaluation_from_fleet` accepts."""
     return dict(result.outcomes)
-
-
-__all__ = [
-    "EXPERIMENTAL_VERSION",
-    "ExperimentFaults",
-    "FLEET_FORMAT",
-    "FleetConfig",
-    "FleetOrchestrator",
-    "FleetPoison",
-    "FleetResult",
-    "K_DECISION",
-    "K_FINISHED",
-    "K_PLANNED",
-    "K_RECOVERED",
-    "K_SLOT",
-    "K_SLOT_STARTED",
-    "OrchestratorKilled",
-    "SHED_BURN",
-    "SHED_CRASH_LOOP",
-    "SHED_FLEET_DEADLINE",
-    "SHED_HEALTH",
-    "OUTCOME_ABORTED",
-    "OUTCOME_INCONCLUSIVE",
-    "OUTCOME_PROMOTED",
-    "OUTCOME_ROLLED_BACK",
-    "OUTCOME_SHED",
-    "STABLE_VERSION",
-    "SlotLedger",
-    "fleet_outcomes_for_reevaluation",
-    "fleet_strategy",
-    "service_of",
-]

@@ -41,9 +41,6 @@ class _ScaledLatency(LatencyModel):
     def sample(self, rng: SeededRng, load: float = 1.0) -> float:
         return self.base.sample(rng, load) * self.factor
 
-    def mean(self) -> float:
-        return self.base.mean() * self.factor
-
 
 def _remove_exact(items: list, target: object) -> bool:
     """Remove *target* from *items* by identity (fall back to equality).

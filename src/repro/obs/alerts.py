@@ -232,12 +232,3 @@ class AlertEngine:
             simulation.now + self.interval, tick, label="alert-eval"
         )
         return self
-
-
-__all__ = [
-    "ALERTS_VERSION",
-    "AlertEngine",
-    "AlertEvaluation",
-    "AlertRule",
-    "alert_metric",
-]

@@ -33,7 +33,7 @@ REPLAY of a SIM recording.
 :func:`render_decision_report` answers "why did this canary roll back?"
 in one call: the terminal decision, each linked evidence record with its
 observed-vs-reference comparison and margin, and the alerts/faults that
-were live — as ASCII, graphviz dot, or JSONL.
+were live.
 """
 
 from __future__ import annotations
@@ -194,16 +194,6 @@ class AlertSpan:
     burn: float | None = None
     resolved_at: float | None = None
     resolved_seq: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "fired_at": self.fired_at,
-            "fired_seq": self.fired_seq,
-            "burn": self.burn,
-            "resolved_at": self.resolved_at,
-            "resolved_seq": self.resolved_seq,
-        }
 
 
 @dataclass
@@ -500,33 +490,12 @@ def build_provenance(
 # rendering
 # ---------------------------------------------------------------------------
 
-REPORT_FORMATS = ("ascii", "dot", "jsonl")
-
-
-def render_decision_report(
-    graph: ProvenanceGraph, strategy: str, fmt: str = "ascii"
-) -> str:
-    """Answer "why did this strategy end the way it did?" in one call.
-
-    *fmt* selects ``ascii`` (terminal audit trail), ``dot`` (graphviz
-    DAG of evidence → decision edges), or ``jsonl`` (one machine-
-    readable line per node).
-    """
-    if fmt not in REPORT_FORMATS:
-        raise ValidationError(
-            f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}"
-        )
+def render_decision_report(graph: ProvenanceGraph, strategy: str) -> str:
+    """Answer "why did this strategy end the way it did?" in one call: the
+    strategy's decisions, each with the evidence, alerts and faults behind it."""
     record = graph.strategies.get(strategy)
     if record is None:
         raise ValidationError(f"no provenance recorded for strategy {strategy!r}")
-    if fmt == "jsonl":
-        return _render_jsonl(graph, record)
-    if fmt == "dot":
-        return _render_dot(graph, record)
-    return _render_ascii(graph, record)
-
-
-def _render_ascii(graph: ProvenanceGraph, record: StrategyProvenance) -> str:
     verdict = record.outcome or "running"
     lines = [f"strategy {record.strategy} — {verdict}"]
     if record.finished_at is not None:
@@ -556,70 +525,3 @@ def _render_ascii(graph: ProvenanceGraph, record: StrategyProvenance) -> str:
         if decision.faults:
             lines.append(f"     faults active: {', '.join(decision.faults)}")
     return "\n".join(lines)
-
-
-def _render_dot(graph: ProvenanceGraph, record: StrategyProvenance) -> str:
-    lines = [
-        f'digraph "{record.strategy}-provenance" {{',
-        "  rankdir=LR;",
-    ]
-    for decision in record.decisions:
-        shape = "doubleoctagon" if decision.terminal else "octagon"
-        lines.append(
-            f'  "d{decision.seq}" [shape={shape}, '
-            f'label="{decision.source} -> {decision.target}\\n'
-            f'{decision.trigger}/{decision.action}\\n@{decision.time:.1f}s"];'
-        )
-        for item in graph.evidence_for(decision):
-            color = "red" if item.failing else "black"
-            lines.append(
-                f'  "e{item.seq}" [shape=box, color={color}, '
-                f'label="{item.check}\\n{item.outcome}"];'
-            )
-            lines.append(f'  "e{item.seq}" -> "d{decision.seq}";')
-        for rule in decision.alerts:
-            lines.append(f'  "alert:{rule}" [shape=diamond];')
-            lines.append(f'  "alert:{rule}" -> "d{decision.seq}";')
-        for fault in decision.faults:
-            lines.append(f'  "fault:{fault}" [shape=trapezium];')
-            lines.append(f'  "fault:{fault}" -> "d{decision.seq}";')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _render_jsonl(graph: ProvenanceGraph, record: StrategyProvenance) -> str:
-    lines = [
-        dump(
-            {
-                "type": "strategy",
-                "strategy": record.strategy,
-                "outcome": record.outcome,
-                "terminal": record.terminal,
-                "winner": record.winner,
-                "promoted": record.promoted,
-                "finished_at": record.finished_at,
-            }
-        )
-    ]
-    for seq in sorted(record.evidence):
-        lines.append(dump({"type": "evidence", **record.evidence[seq].as_dict()}))
-    for decision in record.decisions:
-        lines.append(dump({"type": "decision", **decision.as_dict()}))
-    return "\n".join(lines)
-
-
-__all__ = [
-    "AlertSpan",
-    "Decision",
-    "Evidence",
-    "PhaseSpan",
-    "ProvenanceGraph",
-    "ProvenanceTracker",
-    "REPORT_FORMATS",
-    "StrategyProvenance",
-    "build_provenance",
-    "decision_from_event",
-    "evidence_from_event",
-    "evidence_margin",
-    "render_decision_report",
-]

@@ -32,7 +32,7 @@ from typing import Callable
 
 from repro.obs.observer import Observer
 
-from repro.scenarios.runner import ScenarioResult, run_scenario
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import EXPERIMENTAL_VERSION, ScenarioSpec
 
 #: Ground-truth degradation tolerated before a promotion counts as wrong.
@@ -54,22 +54,6 @@ class Violation:
     spec: ScenarioSpec
     detail: str
     digest: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "invariant": self.invariant,
-            "detail": self.detail,
-            "digest": list(_jsonable(self.digest)),
-            "spec": self.spec.to_dict(),
-        }
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def check_promotion_truth(
@@ -413,23 +397,3 @@ def check_invariant(
             f"unknown invariant {name!r}; known: {sorted(INVARIANTS)}"
         ) from None
     return checker(spec, observer=observer)
-
-
-__all__ = [
-    "INVARIANTS",
-    "NDCG_FLOOR",
-    "RECOVERY_CRASH_WINDOW",
-    "TRUTH_ERROR_TOLERANCE",
-    "TRUTH_LATENCY_TOLERANCE",
-    "Violation",
-    "cascade_cap_of",
-    "check_cascade_cap",
-    "check_fleet_isolation",
-    "check_gating_before_slo",
-    "check_invariant",
-    "check_promotion_truth",
-    "check_ranking_floor",
-    "check_recovery_equivalence",
-    "ScenarioResult",
-    "run_scenario",
-]

@@ -39,6 +39,3 @@ class SimulationClock:
             )
         self._now = float(timestamp)
         return self._now
-
-    def __repr__(self) -> str:
-        return f"SimulationClock(now={self._now:.3f})"

@@ -40,9 +40,6 @@ class EventQueue:
         self._heap: list[ScheduledEvent] = []
         self._counter = itertools.count()
 
-    def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
-
     def push(
         self, time: float, callback: Callable[[], None], label: str = ""
     ) -> ScheduledEvent:

@@ -34,11 +34,6 @@ class TaskRecord:
         """Queueing delay: how long the task waited past its due time."""
         return self.start - self.arrival
 
-    @property
-    def cost(self) -> float:
-        """Processing cost of the task."""
-        return self.finish - self.start
-
 
 @dataclass(frozen=True)
 class ExecutorReport:
@@ -68,11 +63,6 @@ class SimulatedExecutor:
     def records(self) -> list[TaskRecord]:
         """All completed task records (copy)."""
         return list(self._records)
-
-    @property
-    def busy_time(self) -> float:
-        """Total simulated seconds the worker spent processing."""
-        return self._busy_time
 
     def submit(self, arrival: float, cost: float) -> TaskRecord:
         """Process a task arriving at *arrival* with processing *cost*."""

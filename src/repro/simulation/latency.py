@@ -29,12 +29,6 @@ class LatencyModel(abc.ABC):
                 nominal design load; models may ignore it.
         """
 
-    def mean(self) -> float:
-        """Approximate mean latency at nominal load (for calibration)."""
-        rng = SeededRng(12345)
-        samples = [self.sample(rng) for _ in range(2000)]
-        return sum(samples) / len(samples)
-
 
 class ConstantLatency(LatencyModel):
     """A fixed latency — useful for proxies and deterministic tests."""
@@ -46,40 +40,6 @@ class ConstantLatency(LatencyModel):
 
     def sample(self, rng: SeededRng, load: float = 1.0) -> float:
         return self.value_ms
-
-    def mean(self) -> float:
-        return self.value_ms
-
-
-def _norm_ppf(p: float) -> float:
-    """Inverse standard-normal CDF (Acklam's rational approximation).
-
-    Accurate to ~1e-9 over (0, 1) — plenty for pinning tail quantiles
-    without pulling scipy into the hot path.
-    """
-    if not 0.0 < p < 1.0:
-        raise ConfigurationError(f"quantile probability must be in (0, 1), got {p}")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
 
 
 class LogNormalLatency(LatencyModel):
@@ -104,19 +64,6 @@ class LogNormalLatency(LatencyModel):
         if self.sigma == 0:
             return self.median_ms
         return rng.lognormvariate(self._mu, self.sigma)
-
-    def mean(self) -> float:
-        return self.median_ms * math.exp(self.sigma**2 / 2.0)
-
-    def quantile(self, p: float) -> float:
-        """Closed-form quantile: ``exp(mu + sigma * z_p)``."""
-        if self.sigma == 0:
-            if not 0.0 < p < 1.0:
-                raise ConfigurationError(
-                    f"quantile probability must be in (0, 1), got {p}"
-                )
-            return self.median_ms
-        return math.exp(self._mu + self.sigma * _norm_ppf(p))
 
 
 class ParetoLatency(LatencyModel):
@@ -159,18 +106,7 @@ class ParetoLatency(LatencyModel):
         return cls(median_ms / 2.0 ** (1.0 / alpha), alpha)
 
     def sample(self, rng: SeededRng, load: float = 1.0) -> float:
-        return self.scale_ms * rng.paretovariate(self.alpha)
-
-    def mean(self) -> float:
-        return self.scale_ms * self.alpha / (self.alpha - 1.0)
-
-    def quantile(self, p: float) -> float:
-        """Closed-form quantile: ``x_m * (1 - p) ** (-1/alpha)``."""
-        if not 0.0 < p < 1.0:
-            raise ConfigurationError(
-                f"quantile probability must be in (0, 1), got {p}"
-            )
-        return self.scale_ms * (1.0 - p) ** (-1.0 / self.alpha)
+        return self.scale_ms * rng.raw.paretovariate(self.alpha)
 
 
 class LoadSensitiveLatency(LatencyModel):
@@ -192,9 +128,6 @@ class LoadSensitiveLatency(LatencyModel):
         inflation = 1.0 + self.pressure * max(0.0, load - 1.0)
         return self.base.sample(rng, load) * inflation
 
-    def mean(self) -> float:
-        return self.base.mean()
-
 
 class CompositeLatency(LatencyModel):
     """Sum of several latency components (e.g. compute + serialization)."""
@@ -206,6 +139,3 @@ class CompositeLatency(LatencyModel):
 
     def sample(self, rng: SeededRng, load: float = 1.0) -> float:
         return sum(component.sample(rng, load) for component in self.components)
-
-    def mean(self) -> float:
-        return sum(component.mean() for component in self.components)

@@ -122,14 +122,3 @@ class SeededRng:
     def lognormvariate(self, mu: float, sigma: float) -> float:
         """Log-normal variate with underlying normal (mu, sigma)."""
         return self._random.lognormvariate(mu, sigma)
-
-    def expovariate(self, rate: float) -> float:
-        """Exponential variate with the given *rate* (1/mean)."""
-        return self._random.expovariate(rate)
-
-    def paretovariate(self, alpha: float) -> float:
-        """Pareto variate with shape *alpha* and minimum 1."""
-        return self._random.paretovariate(alpha)
-
-    def __repr__(self) -> str:
-        return f"SeededRng(seed={self.seed})"

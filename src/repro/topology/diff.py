@@ -45,10 +45,6 @@ class TopologyDiff:
     entries: dict[tuple[str, str], DiffEntry] = field(default_factory=dict, init=False)
     changes: list[Change] = field(default_factory=list, init=False)
 
-    def entry(self, service: str, endpoint: str) -> DiffEntry:
-        """The overlay entry of a (service, endpoint) pair."""
-        return self.entries[(service, endpoint)]
-
     def changed_entries(self) -> list[DiffEntry]:
         """Entries whose status is not UNCHANGED."""
         return [e for e in self.entries.values() if e.status is not DiffStatus.UNCHANGED]

@@ -50,11 +50,6 @@ class NodeStats:
         """Mean response time across observed calls (0 when unobserved)."""
         return self.total_response_ms / self.calls if self.calls else 0.0
 
-    @property
-    def error_rate(self) -> float:
-        """Observed error rate."""
-        return self.errors / self.calls if self.calls else 0.0
-
 
 @dataclass
 class EdgeStats:
@@ -70,11 +65,6 @@ class EdgeStats:
         self.total_response_ms += duration_ms
         if error:
             self.errors += 1
-
-    @property
-    def mean_response_ms(self) -> float:
-        """Mean callee response time as seen over this edge."""
-        return self.total_response_ms / self.calls if self.calls else 0.0
 
 
 @dataclass
@@ -189,7 +179,3 @@ class InteractionGraph:
     def roots(self) -> list[NodeKey]:
         """Nodes without callers (the application frontier)."""
         return [key for key in self._nodes if not self._pred.get(key)]
-
-    def services(self) -> set[str]:
-        """All service names."""
-        return {key.service for key in self._nodes}

@@ -3,22 +3,9 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 from repro.topology.change_types import Change
 from repro.topology.diff import TopologyDiff
-
-
-@dataclass(frozen=True)
-class HeuristicResult:
-    """Scores assigned by one heuristic run (higher = more suspicious)."""
-
-    heuristic: str
-    scores: tuple[tuple[Change, float], ...]
-
-    def as_dict(self) -> dict[Change, float]:
-        """The scores as a mapping."""
-        return dict(self.scores)
 
 
 class RankingHeuristic(abc.ABC):
@@ -34,11 +21,6 @@ class RankingHeuristic(abc.ABC):
     @abc.abstractmethod
     def scores(self, diff: TopologyDiff) -> dict[Change, float]:
         """Score every change of *diff* (higher = rank earlier)."""
-
-    def result(self, diff: TopologyDiff) -> HeuristicResult:
-        """Run and wrap into a :class:`HeuristicResult`."""
-        scores = self.scores(diff)
-        return HeuristicResult(self.name, tuple(scores.items()))
 
 
 def normalized(scores: dict[Change, float]) -> dict[Change, float]:

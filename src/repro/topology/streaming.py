@@ -395,11 +395,6 @@ class LiveTopologyDiff:
         self._cached_version = -1
         self.refreshes = 0
 
-    @property
-    def baseline(self) -> InteractionGraph:
-        """The pinned baseline graph."""
-        return self._baseline
-
     def _live_graph(self) -> InteractionGraph:
         if self._builder.windows is not None:
             return self._builder.windows.merged()

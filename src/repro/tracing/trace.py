@@ -67,15 +67,6 @@ class Trace:
         """Direct child spans of *span_id*, ordered by start time."""
         return list(self._children.get(span_id, []))
 
-    def span(self, span_id: SpanId) -> Span:
-        """Look up a span by id."""
-        try:
-            return self._spans[span_id]
-        except KeyError:
-            raise ValidationError(
-                f"trace {self.trace_id!r} has no span {span_id!r}"
-            ) from None
-
     def walk(self) -> Iterator[tuple[Span, Span | None]]:
         """Yield (span, parent) pairs in depth-first pre-order."""
         stack: list[tuple[Span, Span | None]] = [(self._root, None)]

@@ -44,6 +44,7 @@ class TestExamples:
         out = run_example("release_workflow.py")
         assert "advisor:" in out
         assert "verified, no findings" in out
+        assert "ERROR version-not-deployed [canary]: search@0.9.0" in out
         assert "canceled at" in out
         assert "Topological difference:" in out
 
@@ -51,6 +52,7 @@ class TestExamples:
         out = run_example("resilience_canary.py")
         assert "transient burst" in out
         assert "strategy outcome: completed" in out
+        assert "--- brief partition ---\nstrategy outcome: rolled_back" in out
         assert "sustained crash" in out
         assert "strategy outcome: rolled_back" in out
         assert "non-closed breakers: catalog/2.0.0" in out
@@ -95,6 +97,8 @@ class TestExamples:
         assert "strategy outcome: completed" in out
         assert "engine restarts: 2" in out
         assert "timeline matches engine record: True" in out
+        assert "crashes in the event log at: 30.0s, 70.0s" in out
+        assert "canary --success--> complete (promote)" in out
         assert "events exported to JSONL:" in out
         assert "repro_fenrir_generations_total" in out
         assert "glass box" in out

@@ -135,7 +135,7 @@ class TestRecordReplayDiffE2E:
             record=True,
         )
         assert report.mode is ExecutionMode.SIM
-        assert report.promoted
+        assert report.outcome is StrategyOutcome.COMPLETED
         assert report.stable_after == {"catalog": "2.0.0"}
         recording = report.recording
         assert recording is not None

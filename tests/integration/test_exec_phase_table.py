@@ -192,7 +192,7 @@ def test_record_save_load_replay_cycle(tmp_path):
     counts = {
         "requests": recorded.requests,
         "spans": len(loaded.requests.span_starts),
-        **store_shape(recorded.details.store),
+        **store_shape(recorded.details.middleware.store),
         "request_lines": request_lines,
     }
     print(f"\nexec phases, seed {SEED}, {USERS} users, {RATE:g} rps x {SECONDS:g} s:")
@@ -204,4 +204,4 @@ def test_record_save_load_replay_cycle(tmp_path):
     assert lines == request_lines + len(loaded.events) + 2  # + meta and digest
     assert replayed.requests == recorded.requests
     assert replayed.replay.digest_match and replayed.replay.identical
-    assert store_shape(replayed.details.store) == store_shape(recorded.details.store)
+    assert store_shape(replayed.details.middleware.store) == store_shape(recorded.details.middleware.store)

@@ -160,7 +160,7 @@ class TestRecordReplayDigestEqual:
         sim_result = report.details
         replay_result = replay_report.details
         assert (
-            replay_result.store.snapshot() == sim_result.middleware.store.snapshot()
+            replay_result.middleware.store.snapshot() == sim_result.middleware.store.snapshot()
         )
         sim_exec = sim_result.executions[0]
         replay_exec = replay_result.executions[0]

@@ -165,7 +165,7 @@ class TestExecutorProperties:
         for arrival, cost in sorted(arrivals, key=lambda p: p[0]):
             executor.submit(arrival, cost)
             total += cost
-        assert executor.busy_time == pytest_approx(total)
+        assert executor.report().busy_time == pytest_approx(total)
 
 
 @st.composite

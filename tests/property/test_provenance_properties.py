@@ -118,11 +118,11 @@ class TestEngineGraphEqualsOfflineFold:
         live = report.details.provenance
         assert live is not None
         # Fold 1: straight off the recording's captured event stream.
-        offline = report.recording.provenance()
+        offline = build_provenance(report.recording.events)
         assert offline.digest() == live.digest()
         # Fold 2: after the JSONL export -> parse round-trip.
         loaded = Recording.from_jsonl(report.recording.jsonl_lines())
-        assert loaded.provenance().digest() == live.digest()
+        assert build_provenance(loaded.events).digest() == live.digest()
         # The graph is substantive, not vacuously equal.
         record = offline.strategy(strategy.name)
         assert record.evidence
@@ -150,7 +150,7 @@ class TestEngineGraphEqualsOfflineFold:
         report, router = run_recorded(
             seed, canary_error_rate, canary_strategy(0.3, 0.1, 5.0)
         )
-        recorded_graph = report.recording.provenance()
+        recorded_graph = build_provenance(report.recording.events)
         replay_report = router.run(recording=report.recording)
         assert replay_report.replay.identical, replay_report.replay.describe()
         replayed_graph = replay_report.details.provenance

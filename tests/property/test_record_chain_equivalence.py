@@ -610,14 +610,14 @@ class TestReplayOverColumnsEqualsPerObjectLoop:
             reference_request_line(r) for r in objects
         ]
         assert recording.digest == reference_run_digest(
-            report.details.store, report.details.executions
+            report.details.middleware.store, report.details.executions
         )
         assert recording.digest == run_digest(oracle.store, oracle.engine.executions)
 
         loaded = Recording.from_jsonl(saved(recording).splitlines())
         replayed = ReplayBackend(factory).execute(loaded)
         store, engine = reference_replay(objects, recording, factory)
-        assert replayed.store.snapshot() == store.snapshot()
+        assert replayed.middleware.store.snapshot() == store.snapshot()
         assert replayed.digest == reference_run_digest(store, engine.executions)
         assert replayed.digest == run_digest(store, engine.executions)
         if kind != "retry":

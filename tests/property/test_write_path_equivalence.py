@@ -246,7 +246,7 @@ class TestReplayBackendEqualsPerSample:
         recording = recorded.recording
         replayed = ReplayBackend(factory).execute(recording)
         store, engine = reference_replay_backend(recording, factory)
-        assert replayed.store.snapshot() == store.snapshot()
+        assert replayed.middleware.store.snapshot() == store.snapshot()
         assert replayed.digest == run_digest(store, engine.executions)
         assert replayed.digest == recording.digest
 

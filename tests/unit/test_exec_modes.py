@@ -19,6 +19,7 @@ from repro.bifrost.model import (
     Phase,
     PhaseType,
     Strategy,
+    StrategyOutcome,
     strategy_from_dict,
     strategy_to_dict,
 )
@@ -362,7 +363,7 @@ class TestRecordReplayUnit:
             strict, mode="replay", recording=report.recording
         )
         assert not replay_report.replay.identical
-        assert replay_report.rolled_back
+        assert replay_report.outcome is StrategyOutcome.ROLLED_BACK
 
     def test_digest_covers_store_contents(self, canary_app):
         router, report = self.run_recorded(canary_app)

@@ -40,7 +40,7 @@ class TestServiceLevelAggregation:
             NodeKey("a", "1.0", "*"), NodeKey("b", "1.0", "*")
         )
         assert edge.calls == 2
-        assert edge.mean_response_ms == pytest.approx(10.0)
+        assert edge.total_response_ms == pytest.approx(20.0)
 
     def test_self_edges_dropped(self):
         aggregated = aggregate_to_service_level(self.make_graph())

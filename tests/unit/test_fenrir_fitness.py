@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fenrir.fitness import FitnessWeights, evaluate, max_fitness
+from repro.fenrir.fitness import FitnessWeights, evaluate
 from repro.fenrir.model import SchedulingProblem
 from repro.fenrir.schedule import Gene, Schedule
 from tests.unit.test_fenrir_model import make_spec
@@ -127,7 +127,7 @@ class TestObjectives:
         problem = make_problem(profile, [spec])
         schedule = Schedule(problem, [Gene(0, 2, 0.3, frozenset({"eu", "na"}))])
         evaluation = evaluate(schedule)
-        assert evaluation.fitness == pytest.approx(max_fitness())
+        assert evaluation.fitness == pytest.approx(1.0)
 
     def test_weights_shift_scores(self, profile):
         problem = make_problem(profile, [make_spec(required_samples=100)])

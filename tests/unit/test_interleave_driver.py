@@ -118,7 +118,7 @@ def recording(times, probes, seen):
         patch.setattr("repro.bifrost.middleware.SimulationEngine", ProbedEngine)
         result = ReplayBackend(build_app).execute(report.recording)
     assert result.requests == len(times)
-    return result.store
+    return result.middleware.store
 
 
 SOURCES = [batch_rows, request_list, recording]

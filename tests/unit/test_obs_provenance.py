@@ -6,7 +6,6 @@ construction from event payloads, phase-stay tracking, alert spans,
 truncation refusal, and the three report renderings.
 """
 
-import json
 
 import pytest
 
@@ -199,7 +198,7 @@ class TestFold:
             build_provenance(stream)
         graph = build_provenance(stream, allow_truncated=True)
         assert "s" in graph.strategies
-        report = render_decision_report(graph, "s", fmt="ascii")
+        report = render_decision_report(graph, "s")
         banner = f"[TRUNCATED: {log.dropped} events dropped]"
         assert report.splitlines()[0] == banner
 
@@ -211,7 +210,7 @@ class TestDecisionReport:
         return build_provenance(log.events())
 
     def test_ascii_names_the_failing_evidence(self):
-        text = render_decision_report(self.graph(), "s", fmt="ascii")
+        text = render_decision_report(self.graph(), "s")
         assert "strategy s — rolled_back" in text
         assert "--failure--> rolled_back (rollback)" in text
         assert "!! " in text  # the failing record is flagged
@@ -219,23 +218,6 @@ class TestDecisionReport:
         assert "alerts firing: checkout-slo" in text
         assert "faults active: ErrorBurst:backend@2.0.0/home" in text
 
-    def test_dot_renders_a_digraph(self):
-        text = render_decision_report(self.graph(), "s", fmt="dot")
-        assert text.startswith('digraph "s-provenance"')
-        assert "doubleoctagon" in text  # terminal decision
-        assert "color=red" in text  # failing evidence
-        assert '"alert:checkout-slo"' in text
-
-    def test_jsonl_lines_are_machine_readable(self):
-        text = render_decision_report(self.graph(), "s", fmt="jsonl")
-        docs = [json.loads(line) for line in text.splitlines()]
-        assert docs[0]["type"] == "strategy"
-        assert docs[0]["outcome"] == "rolled_back"
-        types = {doc["type"] for doc in docs}
-        assert types == {"strategy", "evidence", "decision"}
-
-    def test_unknown_format_and_strategy_rejected(self):
-        with pytest.raises(ValidationError, match="format"):
-            render_decision_report(self.graph(), "s", fmt="yaml")
+    def test_unknown_strategy_rejected(self):
         with pytest.raises(ValidationError, match="no provenance"):
             render_decision_report(self.graph(), "ghost")

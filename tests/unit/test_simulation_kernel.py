@@ -125,7 +125,6 @@ class TestLatencyModels:
     def test_constant(self):
         model = ConstantLatency(5.0)
         assert model.sample(SeededRng(1)) == 5.0
-        assert model.mean() == 5.0
 
     def test_constant_rejects_negative(self):
         with pytest.raises(ConfigurationError):
@@ -164,7 +163,6 @@ class TestLatencyModels:
     def test_composite_sums(self):
         model = CompositeLatency(ConstantLatency(3.0), ConstantLatency(4.0))
         assert model.sample(SeededRng(1)) == 7.0
-        assert model.mean() == 7.0
 
     def test_composite_requires_components(self):
         with pytest.raises(ConfigurationError):

@@ -1,9 +1,11 @@
 """The surface census stays clean: tests alone reach no module or public name
-of ``src/repro``, whatever its length, and tests alone set no knob, unless
-``tools/census.py``'s keep-table accounts for it; a package ``__init__``
+of ``src/repro``, whatever its length, tests alone set no knob, and every def
+``tools/reach.txt`` lists as run by nothing outside ``tests/`` is one
+``tools/census.py``'s keep-table accounts for; a package ``__init__``
 re-exports only what a definition there or the ledger uses."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,3 +185,87 @@ def test_a_reexport_fails_unless_a_definition_there_or_the_ledger_uses_it(tool, 
     assert "re-export repro.Inner: import it from its module" in tool.Census().problems()
     ledger.write_text("from repro.knobs import Policy\n")
     assert tool.Census().reexports() == ["repro.Inner", "repro.Policy"]
+
+
+def test_a_modules_own_all_does_not_keep_a_name_alive(tool, tree):
+    module = tree / "src" / "repro" / "knobs.py"
+    module.write_text(module.read_text() + '\n\ndef helper():\n    return 1\n\n\n'
+                                           '__all__ = ["helper"]\n')
+    assert ("name repro.knobs.helper (2 lines): referenced from nothing and nowhere else"
+            in tool.Census().problems())
+
+
+PATHS = '''
+import functools
+
+
+def stub():
+    """A protocol method."""
+    ...
+
+
+@functools.lru_cache(maxsize=None)
+def decorated():
+    return 1
+
+
+def unrun_outer():
+    def inner():
+        return 2
+    return inner
+
+
+def sampler(flag):
+    if flag:
+        def sample():
+            return 1
+    else:
+        def sample():
+            return 2
+    return sample
+
+
+class Kept:
+    def method(self):
+        return 3
+'''
+
+
+@pytest.fixture
+def paths(tree):
+    """One module of defs, and an example that runs some of them and names
+    ``Kept.method`` without running it."""
+    (tree / "src" / "repro" / "paths.py").write_text(PATHS)
+    (tree / "examples" / "run_paths.py").write_text(
+        "from repro.paths import Kept, decorated, sampler, stub, unrun_outer\n"
+        "decorated()\nsampler(True)()\nassert Kept.method and stub and unrun_outer\n")
+    (tree / "tools").mkdir()
+    return tree
+
+
+def test_the_probe_lists_each_unrun_non_stub_def_once(tool, paths):
+    """A stub is not listed; a decorated def is matched by its decorator's
+    line; ``inner`` goes with the unrun def around it; of two ``sample``s
+    only the one that never ran is listed."""
+    ran = tool.probe([[sys.executable, "examples/run_paths.py"]])
+    assert ("repro/paths.py", 10, "decorated") in ran
+    assert [row for row in tool.Census().unrun(ran) if row[0].startswith("repro.paths.")] == [
+        ("repro.paths.Kept.method", 2), ("repro.paths.sampler.sample", 2),
+        ("repro.paths.unrun_outer", 4)]
+
+
+def test_a_listed_def_fails_the_check_unless_keep_covers_it(tool, paths, monkeypatch):
+    (paths / "tools" / "reach.txt").write_text("repro.paths.Kept.method 2\n")
+    problem = "def repro.paths.Kept.method (2 lines): nothing outside tests/ runs it"
+    assert problem in tool.Census().problems()
+    assert tool.main(["--check"]) == 1
+    monkeypatch.setattr(tool, "KEEP", {"repro.paths.Kept": ("K1", "a reason")})
+    problems = tool.Census().problems()
+    assert problem not in problems
+    assert not [p for p in problems if p.startswith("KEEP ")]  # the list alone uses it
+
+
+def test_a_reach_entry_that_names_no_def_fails_the_check(tool, paths):
+    (paths / "tools" / "reach.txt").write_text("repro.paths.gone 3\n")
+    assert ("reach entry repro.paths.gone: names no def (run census.py --reach)"
+            in tool.Census().problems())

@@ -38,14 +38,14 @@ class TestNodeOverlay:
         experimental = base_graph()
         experimental.observe_call(key("frontend"), key("newsvc"), 3.0, False)
         diff = diff_graphs(base_graph(), experimental)
-        assert diff.entry("newsvc", "ep").status is DiffStatus.ADDED
+        assert diff.entries[("newsvc", "ep")].status is DiffStatus.ADDED
 
     def test_removed_node(self):
         experimental = InteractionGraph("exp")
         experimental.observe_call(None, key("frontend"), 10.0, False)
         experimental.observe_call(key("frontend"), key("backend"), 20.0, False)
         diff = diff_graphs(base_graph(), experimental)
-        assert diff.entry("db", "ep").status is DiffStatus.REMOVED
+        assert diff.entries[("db", "ep")].status is DiffStatus.REMOVED
 
     def test_updated_node(self):
         experimental = InteractionGraph("exp")
@@ -53,7 +53,7 @@ class TestNodeOverlay:
         experimental.observe_call(key("frontend"), key("backend", "2.0.0"), 20.0, False)
         experimental.observe_call(key("backend", "2.0.0"), key("db"), 5.0, False)
         diff = diff_graphs(base_graph(), experimental)
-        assert diff.entry("backend", "ep").status is DiffStatus.UPDATED
+        assert diff.entries[("backend", "ep")].status is DiffStatus.UPDATED
 
     def test_summary_counts(self):
         experimental = base_graph()

@@ -35,13 +35,14 @@ class TestInteractionGraph:
         stats = graph.node_stats(key("a"))
         assert stats.calls == 2
         assert stats.mean_response_ms == 20.0
-        assert stats.error_rate == 0.5
+        assert stats.errors == 1
 
     def test_edge_stats(self):
         graph = InteractionGraph()
         graph.observe_call(key("a"), key("b"), 10.0, False)
         graph.observe_call(key("a"), key("b"), 20.0, False)
-        assert graph.edge_stats(key("a"), key("b")).mean_response_ms == 15.0
+        edge = graph.edge_stats(key("a"), key("b"))
+        assert (edge.calls, edge.total_response_ms) == (2, 30.0)
 
     def test_successors_and_predecessors(self):
         graph = InteractionGraph()
@@ -85,7 +86,8 @@ class TestBuilder:
         caller = NodeKey("frontend", "1.0.0", "home")
         callee = NodeKey("backend", "1.0.0", "api")
         assert graph.has_edge(caller, callee)
-        assert graph.edge_stats(caller, callee).mean_response_ms == 25.0
+        edge = graph.edge_stats(caller, callee)
+        assert (edge.calls, edge.total_response_ms) == (1, 25.0)
 
     def test_shadow_spans_included_by_default(self):
         graph = build_interaction_graph([self.make_trace(shadow=True)])

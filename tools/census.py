@@ -7,10 +7,11 @@ outside ``tests/`` sets, is deleted with its tests -- unless ``KEEP``, the one e
 gives it one reason: K1 safety code (outside input, durability, the reference a safety-net
 test compares against), K2 transcribes a numbered paper artefact no benchmark reads yet
 (ROADMAP item 5 (e)), K3 reserved by a named open ROADMAP item.  A ``KEEP`` entry covers the
-name it spells and everything under it; one that covers nothing tests alone reach or set is
+name it spells and everything under it; one that covers nothing tests alone reach, set or run is
 stale and fails the check too.  A reference is an identifier (``Name``, ``Attribute``, import
-alias, string constant -- ``benchmarks/e2e/tracer.py`` wraps entry points by name) in another
-file, or in the defining file outside the definition, so a same-named attribute elsewhere keeps
+alias, string constant -- ``benchmarks/e2e/tracer.py`` wraps entry points by name -- but not a
+string of a module's own ``__all__``) in another file, or in the defining file outside the
+definition, so a same-named attribute elsewhere keeps
 a name alive: the census under-reports, never accuses.
 Package ``__init__`` files are neither importers nor references; their re-exports are followed
 to the defining module.  Only absolute imports are followed (the repository has no other kind).
@@ -33,18 +34,47 @@ name (``x.f = ...``, ``x.f += ...``) sets it too, of every class, except ``self.
                                       # stale KEEP entry
     python tools/census.py --write    # regenerate DESIGN.md's inventory and knob tables
                                       # (they report; the check reads only ``KEEP``)
+    python tools/census.py --reach    # run the examples, the smoke ledger and the benches
+                                      # under a profile hook; rewrite tools/reach.txt
+
+The dynamic half: ``--reach`` runs every example, ``benchmarks/e2e/run.py --smoke`` and the
+benches (``*_SMOKE`` switches, ``--benchmark-disable``) with a profile hook in every process, and
+lists in ``tools/reach.txt`` each non-stub def of ``src/repro`` that never ran (not one nested
+in an unrun def).  ``--check`` reads the list: a listed def needs a ``KEEP`` entry, and an entry
+that names no def means the list is stale.  DESIGN.md's census section has the details.
 """
 import ast
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 AREAS = ("src", "examples", "benchmarks", "tests")
+SMOKES = ("FASTFIT", "FLEET", "MILLION_USERS", "OBS", "SCENARIO_FUZZ", "STREAMING")
+PROBE = """\
+import atexit, os, sys, threading
+_seen = set()
+def _hook(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        _seen.add((code.co_filename, code.co_firstlineno, code.co_name))
+@atexit.register
+def _dump():
+    sys.setprofile(None)
+    with open(os.path.join(os.path.dirname(__file__), f"{os.getpid()}.ran"), "a") as out:
+        out.writelines(f"{f}\\t{n}\\t{q}\\n" for f, n, q in _seen if f.startswith(%r))
+sys.setprofile(_hook)
+threading.setprofile(_hook)
+"""
 BEGIN, END = "<!-- census:begin -->", "<!-- census:end -->"
 KNOBS_BEGIN, KNOBS_END = "<!-- knobs:begin -->", "<!-- knobs:end -->"
 _ARTEFACT = "paper artefact no benchmark reads"
 _CORPUS = "the committed regression corpus holds it, and `_build` rejects an unknown field"
 _LEDGER = "ROADMAP item 1 (a): `benchmarks/e2e/workloads.py` reads it"
+_HOP = "the general hop over rows after a breaker cut"
+_UNRUN = "ROADMAP item 28 (d): a runner outside tests/ calls it, or it leaves with its tests"
 KEEP = {
     "repro.scenarios.corpus": ("K1", "loads the regression corpus CI replays"),
     "repro.bifrost.journal.FileJournalStorage": ("K1", "the durable journal: fsync, torn tail"),
@@ -55,8 +85,50 @@ KEEP = {
     "repro.microservices.resilience.ResilienceLayer.breaker_transitions": (
         "K1", "the transition log the scalar golden and batch equivalence tests compare"),
     **dict.fromkeys(("repro.traffic.workload.WorkloadGenerator.constant",
-                     "repro.traffic.batch.BatchWorkloadGenerator.constant"),
+                     "repro.traffic.batch.BatchWorkloadGenerator.constant",
+                     "repro.traffic.batch.BatchWorkloadGenerator._constant"),
                     ("K1", "the fixed workload the equivalence tests pin exact counts with")),
+    **{f"repro.{name}": ("K1", why) for why, names in {
+        "loads a persisted store; `test_telemetry.py::TestMetricStoreSnapshot` runs it":
+            "telemetry.store.MetricStore.restore",
+        "persists toggles; `test_toggles.py::TestToggleStoreSnapshot` runs it":
+            "toggles.store.ToggleStore.snapshot toggles.store.ToggleStore.restore",
+        "labels a lossy event stream; `test_obs_truncation.py` runs it":
+            "obs.events.EventLog.truncation_sentinel obs.events.EventLog.first_retained_seq",
+        "repairs a torn journal; `test_durability_e2e.py::TestCorruptJournalTail` runs it":
+            "bifrost.journal.Journal.truncate_corrupt_tail",
+        "a persisted snapshot's transitions; `test_durability_replay.py` runs it":
+            "bifrost.journal._transition_to_dict bifrost.journal._transition_from_dict",
+        "loads a corpus spec; CI's regression corpus replay runs it":
+            "scenarios.spec.ScenarioSpec.from_dict scenarios.spec._build",
+        "saves a corpus spec; `test_scenario_spec.py::TestSpecSerialization` runs it":
+            "scenarios.spec.ScenarioSpec.to_dict",
+        "parses a strategy file; `test_dsl_multifile.py::TestParseStrategies` runs it":
+            "bifrost.dsl.parse_strategies",
+        "a poisoned fleet without bulkheads; CI's regression corpus replay runs it":
+            "fleet.orchestrator.FleetOrchestrator._abort_fleet",
+        "sheds on a burnt error budget; `test_provenance_e2e.py::TestFleetBurnShedding` runs it":
+            "fleet.orchestrator.FleetOrchestrator._burning_experiments",
+        f"{_HOP}; CI's `TestHostileGuard` step runs it":
+            "microservices.kernel.columns._run_rows microservices.kernel.core._VariantNodes "
+            "microservices.kernel.core.RequestKernel._assign "
+            "microservices.kernel.core.RequestKernel._matches",
+        f"{_HOP}; `test_batch_equivalence.py::TestHostileEquivalence` runs it":
+            "microservices.kernel.columns._admits",
+        f"{_HOP}; `test_record_chain_equivalence.py::TestTapEqualsTraceWalkingTap` runs it":
+            "traffic.users.ListedPopulation.user_at traffic.users.ListedPopulation.group_names "
+            "exec.recording.RecordingTap.on_trace",
+        "the row view `test_record_chain_equivalence.py` holds the columns equal to":
+            "exec.recording.RecordedRequests.__eq__ exec.recording.RecordedRequests.__iter__ "
+            "exec.recording.RecordedRequests.__getitem__ exec.recording.RecordedRequests._request",
+        "`test_scenario_properties.py` holds two runs of one spec equal by it":
+            "scenarios.runner.ScenarioResult.digest",
+        "the scalar draw `test_batch_kernel.py::TestSliceBlockers` holds the kernel's sampler to":
+            "simulation.latency.LoadSensitiveLatency.sample "
+            "microservices.faults._ScaledLatency.sample",
+        "the scalar draw `test_latency_tails.py` holds to the closed-form tail":
+            "simulation.latency.ParetoLatency.sample",
+    }.items() for name in names.split()},
     **dict.fromkeys((f"repro.scenarios.spec.{knob}" for knob in (
         "FaultSpec.endpoint", "FaultSpec.service_b", "ResilienceSpec.backoff_base_ms",
         "ResilienceSpec.breaker", "ResilienceSpec.breaker_failure_threshold",
@@ -84,10 +156,38 @@ KEEP = {
     "repro.routing.assignment.StickyAssigner.distinct_users": ("K3", "ROADMAP item 7 (b): SRM"),
     **dict.fromkeys((f"repro.simulation.batch.BatchRunResult.fallback_{name}"
                      for name in ("requests", "slices", "reasons")), ("K3", _LEDGER)),
+    **dict.fromkeys((f"repro.tracing.collector.TraceCollector.{name}"
+                     for name in ("record", "record_all")),
+                    ("K3", "ROADMAP item 1 (a): `benchmarks/e2e/tracer.py` wraps it")),
     **dict.fromkeys(("repro.fenrir.fastfit.EvalStats.delta_evals",
                      "repro.fenrir.fastfit.EvalStats.cache_hits"), ("K3", _LEDGER)),
     "repro.fenrir.random_sampling.RandomSampling.packed": (
         "K3", "ROADMAP item 2 decides what `pack_repair` is for"),
+    **dict.fromkeys((f"repro.{name}" for name in """
+        bifrost.engine.BifrostEngine.outcomes bifrost.state_machine.StateMachine.state
+        fenrir.model.SchedulingProblem.spec microservices.faults.FaultInjector.faults
+        microservices.kernel.core._compile_sampler.sample
+        microservices.service.DownstreamCall.target obs.alerts.AlertEngine.firing
+        obs.events.EventLog.clear obs.events.EventLog.jsonl_lines
+        obs.registry.MetricRegistry.__len__ obs.registry.MetricRegistry.value
+        scenarios.fuzzer._shrink_candidates._clamp simulation.clock.SimulationClock.advance
+        simulation.engine.ScheduledEvent.cancel simulation.engine.SimulationEngine.run
+        simulation.executor.SimulatedExecutor.records
+        simulation.rng.SeededRng.randrange stats.ranking.ndcg stats.timeseries.TimeSeries.last
+        stats.timeseries.TimeSeries.summary telemetry.metrics.Gauge.add
+        telemetry.metrics.Histogram.__len__ telemetry.metrics.Histogram.summary
+        toggles.store.ToggleStore.__len__ toggles.store.ToggleStore.active_toggles
+        topology.graph.InteractionGraph.roots topology.streaming.GraphWindowRing._expire
+        topology.streaming.GraphWindowRing.window topology.streaming.HealthReport.describe
+        topology.streaming.merge_graph_into tracing.collector.TraceCollector.__len__
+        tracing.collector.TraceCollector.clear tracing.collector.TraceCollector.trace
+        tracing.query.TraceQuery.count tracing.query.TraceQuery.entry
+        tracing.trace.Trace.__len__ tracing.trace.Trace.children tracing.trace.Trace.duration_ms
+        traffic.batch.BatchWorkloadGenerator.heavy_tail
+        traffic.profile.TrafficProfile.group_volume
+        traffic.profile.TrafficProfile.rate_per_second traffic.users.ListedPopulation.__len__
+        traffic.users.UserPopulation.members traffic.users.UserPopulation.sample""".split()),
+                    ("K3", _UNRUN)),
 }
 
 
@@ -100,6 +200,30 @@ def _ident(node):
     if isinstance(node, ast.Name):
         return node.id
     return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _is_stub(node):
+    """A body of a docstring plus ``...``, ``pass`` or ``raise NotImplementedError``."""
+    return all(isinstance(s, ast.Pass)
+               or isinstance(s, ast.Expr) and getattr(s.value, "value", None) is ...
+               or isinstance(s, ast.Raise)
+               and _ident(getattr(s.exc, "func", s.exc)) == "NotImplementedError"
+               for s in node.body[ast.get_docstring(node) is not None:])
+
+
+def _defs(node, qual):
+    """Each def under *node*, through classes and blocks but not into defs, with its name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child, f"{qual}.{child.name}"
+        else:
+            yield from _defs(child, f"{qual}.{child.name}" if isinstance(child, ast.ClassDef)
+                             else qual)
+
+
+def _keep(qual):
+    """The ``KEEP`` entry that covers *qual*, if any."""
+    return next((k for k in KEEP if qual == k or qual.startswith(k + ".")), None)
 
 
 def _is_dataclass(node):
@@ -172,8 +296,13 @@ class Census:
     def _scan(self, tree):
         """Modules one file imports, and every identifier it mentions with its lines."""
         mods, seen = set(), {}
+        listing = {id(n) for s in tree.body if isinstance(s, ast.Assign)  # its own ``__all__``
+                   and any(getattr(t, "id", None) == "__all__" for t in s.targets)
+                   for n in ast.walk(s.value)}
         for node in ast.walk(tree):
             found = ()
+            if id(node) in listing:
+                continue
             if isinstance(node, ast.ImportFrom):
                 mods.update(self._origin(node.module, a.name) for a in node.names)
                 found = [a.name for a in node.names]
@@ -338,15 +467,53 @@ class Census:
                                     "and nowhere else"))
         found += [(knob, f"knob {knob}: nothing outside tests/ sets it")
                   for knob in self.knobs() if not self.knob_setters(knob)]
+        listed, stale = self.listed()
+        found += [(qual, f"def {qual} ({lines} lines): nothing outside tests/ runs it")
+                  for qual, lines in listed]
         out, used = [], set()
         for qual, problem in found:
-            key = next((k for k in KEEP if qual == k or qual.startswith(k + ".")), None)
+            key = _keep(qual)
             if key is None:
                 out.append(problem)
             used.add(key)
         out += [f"KEEP entry {key}: nothing it names is reached or set by tests alone"
                 for key in KEEP if key not in used]
+        out += [f"reach entry {qual}: names no def (run census.py --reach)" for qual in stale]
         return out + [f"re-export {name}: import it from its module" for name in self.reexports()]
+
+    def functions(self):
+        """(key, qualname, lines, stub, enclosing def's key) of each def in ``src/repro``, an
+        enclosing def first; a key is (path under ``src/``, first line, name)."""
+        def visit(node, qual, path, parent):
+            for sub, name in _defs(node, qual):
+                first = min([d.lineno for d in sub.decorator_list] + [sub.lineno])
+                key = (path, first, sub.name)
+                yield key, name, sub.end_lineno - first + 1, _is_stub(sub), parent
+                yield from visit(sub, name, path, key)
+        for mod, path in sorted((self.modules | self.packages).items()):
+            rel = path.relative_to(ROOT / "src").as_posix()
+            yield from visit(self._trees[path], mod, rel, None)
+
+    def unrun(self, ran):
+        """(qualname, lines) of each non-stub def whose key is not in *ran* and that no unrun
+        def encloses."""
+        dead, out = set(), []
+        for key, qual, lines, stub, parent in self.functions():
+            if key not in ran:
+                dead.add(key)
+                if parent not in dead and not stub:
+                    out.append((qual, lines))
+        return sorted(out)
+
+    def listed(self):
+        """``tools/reach.txt``'s (qualname, lines) that name a def, and the names that do
+        not."""
+        path = ROOT / "tools" / "reach.txt"
+        text = path.read_text() if path.exists() else ""
+        rows = [row.rsplit(" ", 1) for row in text.splitlines()]
+        quals = {qual for _, qual, *_ in self.functions()}
+        return ([(qual, int(n)) for qual, n in rows if qual in quals],
+                [qual for qual, _ in rows if qual not in quals])
 
     def _row(self, knob, setters):
         where = ", ".join(f"`{p.relative_to(ROOT)}`" for p in setters) or "—"
@@ -378,6 +545,32 @@ class Census:
         return "\n".join(rows)
 
 
+def probe(commands):
+    """The key of every ``src/repro`` code object that *commands* run under the profile hook,
+    with every ``*_SMOKE`` switch set."""
+    src = str(ROOT / "src") + os.sep
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "sitecustomize.py").write_text(PROBE % src)
+        path = os.pathsep.join(filter(None, (tmp, src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="0",
+                   **{f"{s}_SMOKE": "1" for s in SMOKES})
+        for command in commands:
+            print("reach:", *command[1:], file=sys.stderr, flush=True)
+            subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, check=True)
+        rows = [line.split("\t") for dump in Path(tmp).glob("*.ran")
+                for line in dump.read_text().splitlines()]
+    return {(file.removeprefix(src), int(first), name) for file, first, name in rows}
+
+
+def runners():
+    """Every example, the smoke ledger, and the benches outside ``benchmarks/e2e/``."""
+    py = sys.executable
+    return ([[py, str(p)] for p in sorted((ROOT / "examples").glob("*.py"))]
+            + [[py, "benchmarks/e2e/run.py", "--smoke"],
+               [py, "-m", "pytest", "-q", "benchmarks", "--ignore=benchmarks/e2e",
+                "--benchmark-disable"]])
+
+
 def _splice(text, begin, end, table):
     head, rest = text.split(begin)
     return f"{head}{begin}\n{table}\n{end}{rest.split(end)[1]}"
@@ -385,6 +578,14 @@ def _splice(text, begin, end, table):
 
 def main(argv):
     census = Census()
+    if argv == ["--reach"]:
+        unrun = census.unrun(probe(runners()))
+        (ROOT / "tools" / "reach.txt").write_text("".join(f"{q} {n}\n" for q, n in unrun))
+        codes = [KEEP[_keep(q)][0] if _keep(q) else "no reason" for q, _ in unrun]
+        print(*(f"{q} {n} lines: {code}" for (q, n), code in zip(unrun, codes)), sep="\n")
+        for code in sorted(set(codes)):
+            lines = [n for (_, n), c in zip(unrun, codes) if c == code]
+            print(f"unrun, {code}: {len(lines)} defs, {sum(lines)} lines")
     problems = census.problems()
     if argv == ["--write"]:
         design = ROOT / "DESIGN.md"
